@@ -133,6 +133,25 @@ def _as_list(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
+def _integer(key: str, v, lo: int) -> int:
+    """v as an int >= lo; a ConfigError naming the key otherwise."""
+    try:
+        ok = int(v) == v and v >= lo
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"config.{key}: expected an integer >= {lo}, got {v!r}")
+    return int(v)
+
+
+def _real(key: str, v) -> float:
+    """v as a float; a ConfigError naming the key otherwise."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config.{key}: expected a number, got {v!r}") from exc
+
+
 def normalize_config(config: dict) -> dict:
     """Validate a config dict and fill defaults.
 
@@ -159,7 +178,9 @@ def normalize_config(config: dict) -> dict:
     if setting not in allowed:
         raise ConfigError(f"config.setting: procedure {proc!r} supports {allowed}, got {setting!r}")
 
-    paper = bool(cfg.setdefault("paper_scale", False))
+    paper = cfg.setdefault("paper_scale", False)
+    if not isinstance(paper, bool):
+        raise ConfigError(f"config.paper_scale: expected true or false, got {paper!r}")
     cfg.setdefault("m", {1: 100, 2: 1000 if paper else 400, 3: 100}.get(setting, 50 if proc == "randomization" else 30 if proc == "permutation" else 100))
     cfg.setdefault("d", 100 if paper else 20)
     cfg.setdefault("n", 10_000 if paper else 5_000)
@@ -174,12 +195,9 @@ def normalize_config(config: dict) -> dict:
     cfg.setdefault("seed", 20260823)
     cfg.setdefault("threads", 1)
 
-    cfg["B"] = [int(b) for b in _as_list(cfg["B"])]
-    cfg["alpha"] = [float(a) for a in _as_list(cfg["alpha"])]
+    cfg["B"] = [_integer("B", b, 1) for b in _as_list(cfg["B"])]
+    cfg["alpha"] = [_real("alpha", a) for a in _as_list(cfg["alpha"])]
     cfg["methods"] = _as_list(cfg["methods"])
-    for b in cfg["B"]:
-        if b < 1:
-            raise ConfigError(f"config.B: budgets must be >= 1, got {b}")
     for a in cfg["alpha"]:
         if not 0.0 < a < 1.0:
             raise ConfigError(f"config.alpha: levels must lie in (0, 1), got {a}")
@@ -187,21 +205,19 @@ def normalize_config(config: dict) -> dict:
         for v in cfg["methods"]:
             if v not in _VARIANTS:
                 raise ConfigError(f"config.methods: expected one of {_VARIANTS}, got {v!r}")
-    int_keys = ["reps", "seed", "threads", "d", "n", "burn_in"]
     if proc == "conformal":
-        cfg["m"] = [int(v) for v in _as_list(cfg["m"])]
-        if any(v < 1 for v in cfg["m"]):
-            raise ConfigError(f"config.m: sizes must be >= 1, got {cfg['m']!r}")
+        cfg["m"] = [_integer("m", v, 1) for v in _as_list(cfg["m"])]
     else:
-        int_keys.append("m")
-    for key in int_keys:
-        if int(cfg[key]) != cfg[key] or cfg[key] < (0 if key == "seed" else 1):
-            raise ConfigError(f"config.{key}: expected a positive integer, got {cfg[key]!r}")
-        cfg[key] = int(cfg[key])
+        cfg["m"] = _integer("m", cfg["m"], 1)
+    for key in ("reps", "threads", "d", "n", "burn_in"):
+        cfg[key] = _integer(key, cfg[key], 1)
+    cfg["seed"] = _integer("seed", cfg["seed"], 0)
+    for key in ("gamma1", "tau_exp"):
+        cfg[key] = _real(key, cfg[key])
     if cfg["k"] is not None:
-        if int(cfg["k"]) != cfg["k"] or not 1 <= cfg["k"] <= cfg["m"]:
+        cfg["k"] = _integer("k", cfg["k"], 1)
+        if cfg["k"] > cfg["m"]:
             raise ConfigError(f"config.k: expected an integer in [1, m], got {cfg['k']!r}")
-        cfg["k"] = int(cfg["k"])
     if not cfg["burn_in"] < cfg["n"]:
         raise ConfigError("config.burn_in: must be smaller than config.n")
     return cfg
@@ -215,6 +231,14 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return raw
+
+
+def _width_kind(setting: int, method: str) -> str:
+    """What a row's mean_width measures: nothing for tests and conformal
+    rows, the threshold span for the sup-norm setting 2, else the width."""
+    if method in ("permutation", "randomization", "conformal_modified"):
+        return "na"
+    return "span" if setting == 2 else "interval"
 
 
 def _rate(setting: int, n: int) -> float:
@@ -382,7 +406,7 @@ def run_experiment(config: dict) -> CoverageTable:
                             coverage=float(covered.mean()),
                             mean_width=mean_width,
                             seed=cfg["seed"],
-                            width_kind="na" if is_test else ("span" if cfg["setting"] == 2 else "interval"),
+                            width_kind=_width_kind(cfg["setting"], label),
                         )
                     )
     return table
@@ -497,7 +521,11 @@ def emit(table: CoverageTable, fmt: str, path: str) -> str:
 
 
 def read_table(path: str) -> CoverageTable:
-    """Parse a CSV produced by :func:`emit` back into a table."""
+    """Parse a CSV produced by :func:`emit` back into a table.
+
+    ``width_kind`` is not a CSV column; it is inferred from the setting
+    and method the way :func:`run_experiment` sets it.
+    """
     table = CoverageTable()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -516,6 +544,7 @@ def read_table(path: str) -> CoverageTable:
                     coverage=float(rec[6]),
                     mean_width=None if rec[7] == "NA" else float(rec[7]),
                     seed=int(rec[8]),
+                    width_kind=_width_kind(int(rec[0]), rec[1]),
                 )
             )
     return table

@@ -164,7 +164,8 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
 
     The supremum is a finite maximum over the jump points of the
     discrete CDF with both one-sided limits, so atoms at 0 and 1 are
-    handled exactly.  Returns (d_ks, d_mod_ks).
+    handled exactly.  Returns (d_ks, d_mod_ks), each clamped to its
+    range [0, 1] against round-off in the cumulative sums.
     """
     v = np.asarray(values, dtype=float)
     p = _check_prob_vector(probs, "probs")
@@ -180,7 +181,7 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
     cum_prev = cum - mass
     d_plus = max(0.0, float(np.max(cum - uniq)))
     d_minus = max(0.0, float(np.max(uniq - cum_prev)))
-    return max(d_plus, d_minus), d_plus + d_minus
+    return min(max(d_plus, d_minus), 1.0), min(d_plus + d_minus, 1.0)
 
 
 def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
@@ -204,7 +205,7 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     d_ks and d_tilde are the plain and interval KS distances of the law
     of the averaged conditional CDF at the target from U(0, 1); kappa_i
     is the sup over z of |F(psi(z)) - F_i(z)| with F the marginal CDF
-    of psi(Z).
+    of psi(Z).  Each kappa_i is clamped to [0, 1] against round-off.
     """
     atoms = np.asarray(inst.w_atoms)
     psi = np.asarray(inst.psi_vals, dtype=float)
@@ -217,7 +218,7 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     fbar = f.mean(axis=0)
     d_ks, d_tilde = dist_to_uniform(fbar, z_p)
     marg = np.array([float(z_p[psi <= t].sum()) for t in psi])
-    kappas = [float(np.max(np.abs(marg - f[i]))) for i in range(B)]
+    kappas = [min(float(np.max(np.abs(marg - f[i]))), 1.0) for i in range(B)]
     return d_ks, d_tilde, kappas
 
 

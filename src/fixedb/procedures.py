@@ -16,7 +16,9 @@ the rejection comparison; ties with the threshold are flagged.
 Seed plumbing: a procedure call with budget B consumes stream ids
 seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
-:func:`fixedb.resampling.stream_for`.
+:func:`fixedb.resampling.stream_for`.  The B resample streams are
+drawn with one batched call (``count=B``), which gives the same bits
+as B single-stream calls.
 """
 
 from __future__ import annotations
@@ -176,12 +178,10 @@ def _resample_roots(
     root: Optional[Callable],
     rate: float,
     theta_hat,
-    draw_indices: Callable[[int], np.ndarray],
-    B: int,
+    indices: np.ndarray,
 ) -> np.ndarray:
-    ws = np.empty(B)
-    for b in range(1, B + 1):
-        idx = draw_indices(b)
+    ws = np.empty(len(indices))
+    for b, idx in enumerate(indices, start=1):
         try:
             theta_star = estimator(data[idx])
         except Exception as exc:
@@ -258,16 +258,8 @@ def ci_boot(
     budget = BudgetSpec(B=B, alpha=alpha)
     rule, branch = _pick_rule(budget, variant, _child(seed, B))
     theta_hat = np.asarray(estimator(data), dtype=float)
-    m = len(data)
-    ws = _resample_roots(
-        data,
-        estimator,
-        root,
-        tau_m,
-        theta_hat,
-        lambda b: bootstrap_indices(m, _child(seed, b - 1)),
-        B,
-    )
+    indices = bootstrap_indices(len(data), seed, count=B)
+    ws = _resample_roots(data, estimator, root, tau_m, theta_hat, indices)
     return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
 
 
@@ -298,15 +290,8 @@ def ci_subsample(
     budget = BudgetSpec(B=B, alpha=alpha)
     rule, branch = _pick_rule(budget, variant, _child(seed, B))
     theta_hat = np.asarray(estimator(data), dtype=float)
-    ws = _resample_roots(
-        data,
-        estimator,
-        root,
-        tau_k,
-        theta_hat,
-        lambda b: subsample_indices(m, k, _child(seed, b - 1)),
-        B,
-    )
+    indices = subsample_indices(m, k, seed, count=B)
+    ws = _resample_roots(data, estimator, root, tau_k, theta_hat, indices)
     return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
 
 
@@ -373,14 +358,13 @@ def permutation_test(
     """
     budget = BudgetSpec(B=B, alpha=alpha)
     size = G.size
-    if size is not None and B > size:
+    if B > size:
         raise InvalidInput(f"B={B} exceeds |G|={size}; draws come from G")
-    name = "permutation_full" if size is not None and B == size else "permutation_sub"
-    rule = index_rule(budget, name)
+    rule = index_rule(budget, "permutation_full" if B == size else "permutation_sub")
     t_obs = float(statistic(data, np.arange(G.m)))
     t_star = np.empty(B)
-    for b in range(1, B + 1):
-        t_star[b - 1] = statistic(data, permutation_draw(G, _child(seed, b - 1)))
+    for b, perm in enumerate(permutation_draw(G, seed, count=B)):
+        t_star[b] = statistic(data, perm)
     stats = sorted_from(t_star)
     threshold = order_stat(stats, rule.upper_rank)
     reject = bool(t_obs >= threshold)
@@ -417,16 +401,16 @@ def randomization_test(
     t_obs = float(statistic(x))
     t_star = np.empty(B)
     if group == "signflip":
-        for b in range(1, B + 1):
-            t_star[b - 1] = statistic(signflip_transform(x, _child(seed, b - 1)))
+        for b, flipped in enumerate(signflip_transform(x, seed, count=B)):
+            t_star[b] = statistic(flipped)
     else:
         transforms = list(group)
         if len(transforms) == 0:
             raise InvalidInput("explicit transform list must be nonempty")
-        for b in range(1, B + 1):
-            gen = generator(_child(seed, b - 1))
-            g = transforms[int(gen.integers(0, len(transforms)))]
-            t_star[b - 1] = statistic(g(x))
+        # the first entry of a with-replacement draw from the list is the
+        # same uniform index as the single integers(0, len) draw it replaces
+        for b, i in enumerate(bootstrap_indices(len(transforms), seed, count=B)[:, 0]):
+            t_star[b] = statistic(transforms[i](x))
     stats = sorted_from(t_star)
     threshold = order_stat(stats, rule.upper_rank)
     return TestDecision(

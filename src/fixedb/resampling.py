@@ -9,6 +9,15 @@ generator.  Streams are pre-split: stream_id = replicate * 2**16 +
 resample (:func:`stream_for`), so a replicate's b-th resample sees the
 same bits no matter how work is scheduled across threads.
 
+A stream's Philox key is ``SeedSequence(master_seed,
+spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The
+per-resample draws also come in a batched form (``count=``) that
+derives the keys of ``count`` consecutive streams in one vectorized
+pass (:func:`_philox_keys`) and reopens one thread-local Philox at each
+key, so a procedure call pays one derivation for its B resamples
+instead of building B generators.  Row b of a batch has exactly the
+bits of the single-stream call at ``stream_id + b``.
+
 Non-uniform laws are derived from the base generator by explicit
 transforms (inverse CDF for exponential and Laplace, ratio and sum of
 squared normals for Student-t and chi-square) rather than library
@@ -17,7 +26,10 @@ samplers, so the draw algorithm itself is part of the contract.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,9 +87,126 @@ def stream_for(replicate: int, resample: int = 0) -> int:
 
 
 def generator(seed: SeedSpec) -> np.random.Generator:
-    """The Philox generator for a stream; value-semantic and cheap."""
+    """A fresh Philox generator for one stream.
+
+    Value-semantic but not cheap: building the SeedSequence, Philox and
+    Generator costs about 20 us, as much as a whole small draw.  The
+    per-resample draws therefore take a ``count`` and derive a batch of
+    streams at once (:func:`_stream_rows`).
+    """
     ss = np.random.SeedSequence(seed.master_seed, spawn_key=(seed.stream_id,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash constants (32-bit words, pool of 4 words)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """init, init * mult, ..., init * mult**n, modulo 2**32.
+
+    Hash number i of a chain xors its input with word i and multiplies
+    it by word i + 1.
+    """
+    words = [init]
+    for _ in range(n):
+        words.append(words[-1] * mult & _M32)
+    return np.array(words, np.uint32)
+
+
+# mixing a master seed (at most 2 words, padded to the pool's 4) takes
+# hashes 0 .. 15 of chain A; spawn word k then takes hashes 16 + 4k + j,
+# one per pool word j.  The output takes hashes 0 .. 3 of chain B.
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, 24)
+_SPAWN_X, _SPAWN_M = _CHAIN_A[16:24].reshape(2, 4), _CHAIN_A[17:25].reshape(2, 4)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 4)
+_OUT_X, _OUT_M = _CHAIN_B[:4], _CHAIN_B[1:]
+
+
+@lru_cache(maxsize=64)
+def _master_pool(master_seed: int) -> np.ndarray:
+    """The 4-word pool after mixing in the master seed alone.
+
+    With a spawn key, SeedSequence pads the run entropy with zeros to
+    the pool size; without one it hashes zeros in their place, so the
+    pool before the spawn words is ``SeedSequence(master_seed).pool``.
+    """
+    pool = np.random.SeedSequence(int(master_seed)).pool.copy()
+    pool.flags.writeable = False
+    return pool
+
+
+def _mix_spawn_word(pool: np.ndarray, word: np.ndarray, k: int) -> np.ndarray:
+    """Mix spawn word number k (one per stream) into each (n, 4) pool row."""
+    h = (word[:, None] ^ _SPAWN_X[k]) * _SPAWN_M[k]
+    h ^= h >> np.uint32(16)
+    out = pool * np.uint32(_MIX_L) - h * np.uint32(_MIX_R)
+    out ^= out >> np.uint32(16)
+    return out
+
+
+def _philox_keys(master_seed: int, stream_ids) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of the streams (master_seed, stream_ids[i]).
+
+    Row i equals ``SeedSequence(master_seed, spawn_key=(stream_ids[i],))
+    .generate_state(2, np.uint64)``, the key ``Philox`` takes from that
+    SeedSequence, for master seeds and stream ids in [0, 2**64).  A
+    stream id below 2**32 is one spawn word; a larger one is two, low
+    word first.
+    """
+    sids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    pool = _mix_spawn_word(_master_pool(master_seed), (sids & np.uint64(_M32)).astype(np.uint32), 0)
+    two = sids > np.uint64(_M32)
+    if two.any():
+        pool[two] = _mix_spawn_word(pool[two], (sids[two] >> np.uint64(32)).astype(np.uint32), 1)
+    words = (pool ^ _OUT_X) * _OUT_M
+    words ^= words >> np.uint32(16)
+    words = words.astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+
+
+class _ThreadPhilox(threading.local):
+    """One Philox/Generator pair per thread, reopened at each stream key."""
+
+    def __init__(self) -> None:
+        self.bitgen = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+_PHILOX = _ThreadPhilox()
+
+
+def _stream_rows(seed: SeedSpec, count: int, draw: Callable) -> np.ndarray:
+    """Stack of draw(g_b) for b < count, with g_b the generator of
+    stream seed.stream_id + b, bit for bit as ``draw(generator(...))``.
+
+    The thread's Philox is reset to each key with its counter at zero
+    and its buffers empty, which is the state a fresh one starts in.
+    """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise InvalidInput(f"count must be a positive integer, got {count!r}")
+    first = int(seed.stream_id)
+    if first + count > _U64:
+        raise InvalidInput("count runs past the 64-bit stream range")
+    keys = _philox_keys(seed.master_seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
+    local = _PHILOX
+    rows = []
+    for key in keys:
+        local.state["state"]["key"] = key
+        local.bitgen.state = local.state
+        rows.append(draw(local.gen))
+    return np.stack(rows)
 
 
 def _exponential(u: np.ndarray, rate: float = 1.0) -> np.ndarray:
@@ -95,27 +224,43 @@ def _student_t5(gen: np.random.Generator, n: int) -> np.ndarray:
     return z[:, 0] / np.sqrt(np.sum(z[:, 1:] ** 2, axis=1) / 5.0)
 
 
-def bootstrap_indices(m: int, seed: SeedSpec) -> np.ndarray:
-    """m IID uniform indices in [0, m), i.e. one bootstrap resample."""
+def bootstrap_indices(m: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
+    """m IID uniform indices in [0, m), i.e. one bootstrap resample.
+
+    With ``count``, a (count, m) stack whose row b is
+    ``bootstrap_indices(m, SeedSpec(master, stream_id + b))``.
+    """
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    return generator(seed).integers(0, m, size=m)
+    draw = lambda gen: gen.integers(0, m, size=m)
+    return draw(generator(seed)) if count is None else _stream_rows(seed, count, draw)
 
 
-def subsample_indices(m: int, k: int, seed: SeedSpec) -> np.ndarray:
-    """A uniformly random k-subset of [0, m), sorted, without replacement."""
+def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
+    """A uniformly random k-subset of [0, m), sorted, without replacement.
+
+    With ``count``, a (count, k) stack whose row b is
+    ``subsample_indices(m, k, SeedSpec(master, stream_id + b))``.
+    """
     if not 1 <= k <= m:
         raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
-    return np.sort(generator(seed).permutation(m)[:k])
+    if count is None:
+        return np.sort(generator(seed).permutation(m)[:k])
+    return np.sort(_stream_rows(seed, count, lambda gen: gen.permutation(m)[:k]), axis=1)
 
 
-def signflip_transform(x, mask_seed: SeedSpec) -> np.ndarray:
-    """Flip each entry's sign by an IID fair coin; an involution in the seed."""
+def signflip_transform(x, mask_seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
+    """Flip each entry's sign by an IID fair coin; an involution in the seed.
+
+    With ``count``, a (count, x.size) stack whose row b is
+    ``signflip_transform(x, SeedSpec(master, stream_id + b))``.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInput("x must be a nonempty 1-d vector")
-    signs = 1 - 2 * generator(mask_seed).integers(0, 2, size=x.size)
-    return x * signs
+    draw = lambda gen: gen.integers(0, 2, size=x.size)
+    coins = draw(generator(mask_seed)) if count is None else _stream_rows(mask_seed, count, draw)
+    return x * (1 - 2 * coins)
 
 
 @dataclass(frozen=True)
@@ -141,12 +286,10 @@ class PermutationGroup:
                     raise InvalidInput(f"{p!r} is not a permutation of range({self.m})")
 
     @property
-    def size(self) -> Optional[int]:
-        """|G| when known; None for the full group with m > 20 (overflow-safe)."""
+    def size(self) -> int:
+        """|G|: the list length, or m! (an exact Python int) for the full group."""
         if self.perms is not None:
             return len(self.perms)
-        import math
-
         return math.factorial(self.m)
 
 
@@ -155,13 +298,19 @@ def full_symmetric(m: int) -> PermutationGroup:
     return PermutationGroup(m=m)
 
 
-def permutation_draw(G: PermutationGroup, seed: SeedSpec) -> np.ndarray:
-    """One uniform element of G (Fisher-Yates for the full group)."""
-    gen = generator(seed)
-    if G.perms is None:
-        return gen.permutation(G.m)
-    idx = int(gen.integers(0, len(G.perms)))
-    return np.asarray(G.perms[idx], dtype=np.int64)
+def permutation_draw(G: PermutationGroup, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
+    """One uniform element of G (Fisher-Yates for the full group).
+
+    With ``count``, a (count, G.m) stack whose row b is
+    ``permutation_draw(G, SeedSpec(master, stream_id + b))``.
+    """
+
+    def draw(gen):
+        if G.perms is None:
+            return gen.permutation(G.m)
+        return np.asarray(G.perms[int(gen.integers(0, len(G.perms)))], dtype=np.int64)
+
+    return draw(generator(seed)) if count is None else _stream_rows(seed, count, draw)
 
 
 @dataclass(frozen=True)

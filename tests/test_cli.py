@@ -57,6 +57,22 @@ class TestExitCodes:
         assert main(["bootstrap", "--config", str(cfg)]) == 2
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ('{"paper_scale": "no"}', "paper_scale"),
+            ('{"reps": "abc"}', "reps"),
+            ('{"reps": NaN}', "reps"),
+            ('{"B": ["x"]}', "B"),
+            ('{"alpha": "x"}', "alpha"),
+        ],
+    )
+    def test_malformed_config_values(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        assert f"config.{key}" in capsys.readouterr().err
+
     def test_invalid_json(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{")

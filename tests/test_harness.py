@@ -64,6 +64,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config.k"):
             normalize_config(tiny_config(k=99))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("paper_scale", "no"),
+            ("paper_scale", 1),
+            ("reps", "abc"),
+            ("reps", float("nan")),
+            ("reps", float("inf")),
+            ("B", ["x"]),
+            ("B", [19.5]),
+            ("alpha", "x"),
+            ("alpha", [None]),
+            ("m", [40]),
+            ("k", "3"),
+            ("gamma1", "x"),
+        ],
+    )
+    def test_malformed_values_name_their_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config.{key}"):
+            normalize_config(tiny_config(**{key: value}))
+
+    def test_paper_scale_false_is_the_default(self):
+        assert normalize_config(tiny_config(paper_scale=False)) == normalize_config(tiny_config())
+
     def test_conformal_m_list(self):
         cfg = normalize_config({"procedure": "conformal", "m": [10, 100]})
         assert cfg["m"] == [10, 100]
@@ -158,6 +182,20 @@ class TestEmit:
         assert len(back.rows) == 6
         assert back.rows[0].coverage == 0.9
         assert back.rows[2].mean_width is None
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_config(reps=20),
+            tiny_config(setting=2, m=30, d=3, reps=10, B=[19], methods=["modified"]),
+            {"procedure": "randomization", "reps": 10, "m": 12, "seed": 3},
+            {"procedure": "conformal", "m": [10, 100]},
+        ],
+    )
+    def test_roundtrip_of_run_tables(self, tmp_path, config):
+        table = run_experiment(config)
+        path = emit(table, "csv", str(tmp_path / "t.csv"))
+        assert read_table(path).rows == table.rows
 
     def test_read_rejects_foreign_header(self, tmp_path):
         p = tmp_path / "x.csv"

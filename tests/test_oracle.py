@@ -150,6 +150,12 @@ class TestInstanceChecks:
         assert rep.violations == ()
         assert rep.n_checked > 100
 
+    def test_bracket_suite_slacks_round_off(self):
+        # seed 2 draws an instance whose kappas and d_tilde come out as
+        # 1 + 2**-52 unless they are clamped to [0, 1]
+        rep = bracket_suite(n_instances=90, seed=2)
+        assert rep.violations == ()
+
 
 class TestConformalGrid:
     def test_frozen_examples(self):

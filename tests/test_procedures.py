@@ -20,10 +20,14 @@ from fixedb.resampling import (
     PermutationGroup,
     SeedSpec,
     SgdSpec,
+    bootstrap_indices,
     full_symmetric,
     generator,
+    permutation_draw,
     setting_sampler,
+    signflip_transform,
     stream_for,
+    subsample_indices,
 )
 
 
@@ -297,3 +301,44 @@ class TestConformal:
             conformal_set(np.arange(5.0), alpha=0.1, variant="jackknife")
         with pytest.raises(InvalidInput):
             conformal_set([], alpha=0.1)
+
+
+class TestResampleStreams:
+    """Each procedure reads resample b from stream seed.stream_id + b,
+    exactly as one single-stream draw per resample would."""
+
+    SEED = SeedSpec(20260823, 2**32 - 7)  # the block crosses into two-word stream ids
+
+    def child(self, b):
+        return SeedSpec(self.SEED.master_seed, self.SEED.stream_id + b)
+
+    def test_ci_boot_and_subsample_roots(self):
+        x = generator(SeedSpec(1, 0)).exponential(size=40)
+        B, k = 19, 12
+        boot = [np.mean(x[bootstrap_indices(40, self.child(b))]) - np.mean(x) for b in range(B)]
+        sub = [np.mean(x[subsample_indices(40, k, self.child(b))]) - np.mean(x) for b in range(B)]
+        ci = ci_boot(x, np.mean, B=B, seed=self.SEED)
+        assert np.array_equal(ci.resample_stats.values, np.sort(boot))
+        ci = ci_subsample(x, np.mean, k=k, B=B, seed=self.SEED)
+        assert np.array_equal(ci.resample_stats.values, np.sort(sub))
+
+    def test_test_statistics(self):
+        x = np.arange(1.0, 11.0)
+        seen = []
+
+        def first(v, perm=None):
+            value = float(v[0] if perm is None else v[perm][0])
+            seen.append(value)
+            return value
+
+        G = full_symmetric(10)
+        permutation_test(x, first, G, B=19, alpha=0.1, seed=self.SEED)
+        assert seen[1:] == [float(x[permutation_draw(G, self.child(b))][0]) for b in range(19)]
+        seen.clear()
+        randomization_test(x, first, "signflip", B=19, alpha=0.1, seed=self.SEED)
+        assert seen[1:] == [float(signflip_transform(x, self.child(b))[0]) for b in range(19)]
+        seen.clear()
+        shifts = [lambda v, i=i: v + 100.0 * i for i in range(4)]
+        randomization_test(x, first, shifts, B=19, alpha=0.1, seed=self.SEED)
+        picks = [int(generator(self.child(b)).integers(0, 4)) for b in range(19)]
+        assert seen[1:] == [1.0 + 100.0 * i for i in picks]

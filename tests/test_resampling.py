@@ -1,6 +1,8 @@
 """Seeded streams, resample draws, SGD paths, and the benchmark samplers."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from scipy import stats
 
 from fixedb.errors import InvalidInput, NumericalFailure
 from fixedb.resampling import (
+    _U64,
     RESAMPLE_STRIDE,
+    _philox_keys,
     PairStream,
     PermutationGroup,
     SeedSpec,
@@ -88,6 +92,118 @@ class TestDraws:
         assert explicit.size == 2
         q = permutation_draw(explicit, SeedSpec(4))
         assert q.tolist() in ([1, 2, 0], [2, 0, 1])
+
+    def test_full_group_size_is_exact_beyond_20(self):
+        assert full_symmetric(30).size == math.factorial(30)
+
+
+_TWO_WORD = 2**32  # stream ids from here on are two spawn words
+
+
+def _reference_key(master, sid):
+    return np.random.SeedSequence(master, spawn_key=(sid,)).generate_state(2, np.uint64)
+
+
+class TestBatchedStreams:
+    @given(
+        master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, _U64 - 1)),
+        sids=st.lists(
+            st.one_of(st.integers(0, _TWO_WORD - 1), st.integers(_TWO_WORD, _U64 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_keys_match_seed_sequence(self, master, sids):
+        keys = _philox_keys(master, np.array(sids, dtype=np.uint64))
+        assert keys.shape == (len(sids), 2) and keys.dtype == np.uint64
+        for key, sid in zip(keys, sids):
+            assert np.array_equal(key, _reference_key(master, sid))
+
+    def test_keys_are_the_philox_key(self):
+        sid = stream_for(3, 7)
+        key = generator(SeedSpec(20260823, sid)).bit_generator.state["state"]["key"]
+        assert np.array_equal(_philox_keys(20260823, [sid])[0], key)
+
+    # (master, m, count, stream_id); the last two cross into two-word ids
+    CASES = [
+        (20260823, 1, 1, 0),
+        (20260823, 7, 19, stream_for(3, 1)),
+        (4177, 100, 199, stream_for(250, 1)),
+        (0, 12, 9, _TWO_WORD - 4),
+        (2**64 - 1, 5, 3, _U64 - 3),
+    ]
+
+    @pytest.mark.parametrize("master,m,count,sid", CASES)
+    def test_batch_rows_match_single_stream_calls(self, master, m, count, sid):
+        def seeds():
+            return [SeedSpec(master, sid + b) for b in range(count)]
+
+        seed = SeedSpec(master, sid)
+        k = max(1, m // 3)
+        x = np.linspace(-1.0, 2.0, m)
+        G = full_symmetric(m)
+        explicit = PermutationGroup(3, perms=((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)))
+        pairs = [
+            (bootstrap_indices(m, seed, count=count), [bootstrap_indices(m, s) for s in seeds()]),
+            (subsample_indices(m, k, seed, count=count), [subsample_indices(m, k, s) for s in seeds()]),
+            (signflip_transform(x, seed, count=count), [signflip_transform(x, s) for s in seeds()]),
+            (permutation_draw(G, seed, count=count), [permutation_draw(G, s) for s in seeds()]),
+            (permutation_draw(explicit, seed, count=count), [permutation_draw(explicit, s) for s in seeds()]),
+        ]
+        for batch, rows in pairs:
+            assert batch.shape == (count, rows[0].size)
+            assert batch.dtype == rows[0].dtype
+            for b, row in enumerate(rows):
+                assert np.array_equal(batch[b], row)
+
+    def test_golden_first_draws(self):
+        seed = SeedSpec(20260823, stream_for(3, 7))
+        assert generator(seed).integers(0, 2**32, size=4).tolist() == [
+            815173627, 544067905, 770814172, 2578449838,
+        ]
+        assert bootstrap_indices(10, seed, count=3).tolist() == [
+            [1, 1, 1, 6, 1, 3, 8, 1, 5, 1],
+            [2, 4, 3, 8, 7, 6, 1, 4, 0, 6],
+            [2, 5, 5, 7, 4, 8, 7, 7, 9, 9],
+        ]
+
+    def test_draw_state_does_not_leak_between_batches(self):
+        seed = SeedSpec(9, 40)
+        first = subsample_indices(30, 10, seed, count=5)
+        signflip_transform(np.ones(7), SeedSpec(9, 3), count=4)
+        assert np.array_equal(subsample_indices(30, 10, seed, count=5), first)
+
+    def test_threads_draw_the_same_stacks(self):
+        seeds = [SeedSpec(20260823, stream_for(r, 1)) for r in range(200)]
+        expected = [bootstrap_indices(200, s, count=19) for s in seeds]
+        got = {}
+        barrier = threading.Barrier(4, timeout=30)
+
+        def worker(name):
+            barrier.wait()
+            got[name] = [bootstrap_indices(200, s, count=19) for s in seeds]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 4
+        for stacks in got.values():
+            assert all(np.array_equal(a, b) for a, b in zip(stacks, expected))
+
+    def test_count_validation(self):
+        with pytest.raises(InvalidInput):
+            bootstrap_indices(5, SeedSpec(1), count=0)
+        with pytest.raises(InvalidInput):
+            bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=3)
+        assert bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=2).shape == (2, 5)
 
 
 class TestSettingSamplers:
