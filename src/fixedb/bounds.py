@@ -80,11 +80,32 @@ def iid_bracket(
     ``delta`` is the interval-KS distance between the law of the
     conditional CDF evaluated at the target and U(0, 1); ``delta_tilde``
     the same with the strict-inequality CDF.  The three kinds bracket,
-    with base = 1 - (a+b+1)/(B+1):
+    with base = 1 - (a+b+1)/(B+1) and [a >= 1] one when a >= 1, else 0:
 
-    * closed                 [W_(a), W_(B-b)] : [base - d, base + 1/(B+1) + d]
+    * closed                 [W_(a), W_(B-b)] :
+      [base - d, base + max(1/(B+1) + d, d~ + [a >= 1] d)]
     * left_closed_right_open [W_(a), W_(B-b)) : [base - d, base + d]
     * left_open_right_closed (W_(a), W_(B-b)] : [base - d~, base + d~]
+
+    The closed upper end.  Let F = P(W <= psi | Z) and F~ = P(W < psi |
+    Z); given Z the counts n_le = #{W_i <= psi} and n_lt = #{W_i < psi}
+    are Binomial(B, F) and Binomial(B, F~).  For X in [0, 1] and G
+    nonincreasing with values in [0, 1], E G(X) - E G(U) lies in
+    [-D-(X), D+(X)], where D+(X) = sup_t P(X <= t) - t and D-(X) = sup_t
+    t - P(X < t) sum to the interval-KS distance.  The closed interval
+    covers iff n_le >= a and n_lt <= B-b-1, so
+
+    * at a = 0 coverage is P(n_lt <= B-b-1) <= base + D+(F~) <= base + d~,
+      since the lower side is no constraint;
+    * at a >= 1 it is P(n_le >= a) - P(n_lt >= B-b)
+      <= (1 - a/(B+1) + D-(F)) - ((b+1)/(B+1) - D+(F~)) <= base + d + d~.
+
+    With no ties at the target F~ = F and this stays within the
+    1/(B+1) + d allowance; when the target ties W with high probability
+    F~ falls far below F and only the d~ bound holds (for example with
+    W = psi with probability F(Z) ~ U(0, 1) and W > psi otherwise,
+    coverage is 1 - a/(B+1)).  The upper end is the larger of the two,
+    and a ``tie_excess`` term records how far the second raised it.
     """
     _check_indices(B, a, b)
     if delta < 0.0 or delta_tilde < 0.0:
@@ -92,7 +113,12 @@ def iid_bracket(
     base = 1.0 - (a + b + 1) / (B + 1)
     if kind == "closed":
         terms = [("base", base), ("delta", delta), ("budget", 1.0 / (B + 1))]
-        return _clamped(base - delta, base + 1.0 / (B + 1) + delta, base, terms)
+        upper = base + 1.0 / (B + 1) + delta
+        tie_upper = base + delta_tilde + (delta if a >= 1 else 0.0)
+        if tie_upper > upper:
+            terms.append(("tie_excess", tie_upper - upper))
+            upper = tie_upper
+        return _clamped(base - delta, upper, base, terms)
     if kind == "left_closed_right_open":
         terms = [("base", base), ("delta", delta)]
         return _clamped(base - delta, base + delta, base, terms)

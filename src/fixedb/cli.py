@@ -3,8 +3,9 @@
 Subcommands run replication experiments (bootstrap, subsample, sgd,
 permutation, randomization, conformal), verify the finite-budget
 guarantees against exact enumeration (verify), or re-render a saved
-table (plot).  Exit codes: 0 on success, 2 on bad flags or config,
-3 when verification finds a violation.
+table (plot).  Exit codes: 0 on success, 2 on bad flags or config or
+a file that cannot be read or written, 3 when verification finds a
+violation.
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ def main(argv: Optional[list] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FixedBError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

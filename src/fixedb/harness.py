@@ -216,7 +216,7 @@ def normalize_config(config: dict) -> dict:
         cfg[key] = _real(key, cfg[key])
     if cfg["k"] is not None:
         cfg["k"] = _integer("k", cfg["k"], 1)
-        if cfg["k"] > cfg["m"]:
+        if proc != "conformal" and cfg["k"] > cfg["m"]:
             raise ConfigError(f"config.k: expected an integer in [1, m], got {cfg['k']!r}")
     if not cfg["burn_in"] < cfg["n"]:
         raise ConfigError("config.burn_in: must be smaller than config.n")
@@ -224,12 +224,20 @@ def normalize_config(config: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON config file."""
+    """Read a JSON config file holding one JSON object.
+
+    Raises :class:`ConfigError` when the file cannot be read, is not
+    JSON, or holds some other JSON value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: cannot read it ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object, got {type(raw).__name__}")
     return raw
 
 
@@ -266,6 +274,22 @@ def _mean_statistic(x):
     return float(x.sum() / math.sqrt(x.size))
 
 
+def _mean_rows(s):
+    return s.mean(axis=1)
+
+
+def _max_rows(s):
+    return s.max(axis=1)
+
+
+# setting -> (estimator, its batched form over (B, m, ...) stacks, root)
+_ESTIMATORS = {
+    1: (np.mean, _mean_rows, None),
+    2: (lambda a: a.mean(axis=0), _mean_rows, sup_norm),
+    3: (np.max, _max_rows, None),
+}
+
+
 def _ci_replicate(cfg: dict, B: int, alpha: float, variant: str, r: int):
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -298,16 +322,19 @@ def _ci_replicate(cfg: dict, B: int, alpha: float, variant: str, r: int):
     params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
     data = setting_sampler(setting, params, data_seed)
     theta0 = setting_truth(setting, params)
-    if setting == 1:
-        estimator, root = np.mean, None
-    elif setting == 2:
-        estimator, root = (lambda a: a.mean(axis=0)), sup_norm
-    else:
-        estimator, root = np.max, None
+    estimator, batch, root = _ESTIMATORS[setting]
     tau_m = _rate(setting, m)
     if proc == "bootstrap":
         ci = ci_boot(
-            data, estimator, root=root, tau_m=tau_m, B=B, alpha=alpha, variant=variant, seed=proc_seed
+            data,
+            estimator,
+            root=root,
+            tau_m=tau_m,
+            B=B,
+            alpha=alpha,
+            variant=variant,
+            seed=proc_seed,
+            estimator_batch=batch,
         )
     else:
         k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
@@ -322,6 +349,7 @@ def _ci_replicate(cfg: dict, B: int, alpha: float, variant: str, r: int):
             alpha=alpha,
             variant=variant,
             seed=proc_seed,
+            estimator_batch=batch,
         )
     return ci.contains(theta0), ci.span
 
@@ -524,27 +552,33 @@ def read_table(path: str) -> CoverageTable:
     """Parse a CSV produced by :func:`emit` back into a table.
 
     ``width_kind`` is not a CSV column; it is inferred from the setting
-    and method the way :func:`run_experiment` sets it.
+    and method the way :func:`run_experiment` sets it.  A foreign header
+    or a malformed row raises :class:`InvalidInput`.
     """
     table = CoverageTable()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_HEADER:
-            raise InvalidInput(f"unexpected CSV header {header!r}")
-        for rec in reader:
-            table.rows.append(
-                CoverageRow(
-                    setting=int(rec[0]),
-                    method=rec[1],
-                    B=int(rec[2]),
-                    alpha=float(rec[3]),
-                    m=int(rec[4]),
-                    reps=int(rec[5]),
-                    coverage=float(rec[6]),
-                    mean_width=None if rec[7] == "NA" else float(rec[7]),
-                    seed=int(rec[8]),
-                    width_kind=_width_kind(int(rec[0]), rec[1]),
+        try:
+            header = next(reader, None)
+            if tuple(header or ()) != CSV_HEADER:
+                raise InvalidInput(f"unexpected CSV header {header!r}")
+            for rec in reader:
+                if len(rec) != len(CSV_HEADER):
+                    raise InvalidInput(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
+                table.rows.append(
+                    CoverageRow(
+                        setting=int(rec[0]),
+                        method=rec[1],
+                        B=int(rec[2]),
+                        alpha=float(rec[3]),
+                        m=int(rec[4]),
+                        reps=int(rec[5]),
+                        coverage=float(rec[6]),
+                        mean_width=None if rec[7] == "NA" else float(rec[7]),
+                        seed=int(rec[8]),
+                        width_kind=_width_kind(int(rec[0]), rec[1]),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:
+            raise InvalidInput(f"{path}, line {reader.line_num}: {exc}") from exc
     return table

@@ -18,7 +18,8 @@ seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
 :func:`fixedb.resampling.stream_for`.  The B resample streams are
 drawn with one batched call (``count=B``), which gives the same bits
-as B single-stream calls.
+as B single-stream calls; with an ``estimator_batch``, ci_boot and
+ci_subsample also estimate them in one call per block of rows.
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ def _pick_rule(budget: BudgetSpec, variant: str, u_seed: SeedSpec):
     return index_rule(budget, name), RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
 
 
+# largest gathered resample block handed to an estimator_batch call
+_GATHER_BYTES = 256 * 1024
+
+
 def _resample_roots(
     data: np.ndarray,
     estimator: Callable,
@@ -179,7 +184,34 @@ def _resample_roots(
     rate: float,
     theta_hat,
     indices: np.ndarray,
+    estimator_batch: Optional[Callable] = None,
 ) -> np.ndarray:
+    """W_b = root(rate (theta*_b - theta_hat)) for each index row b.
+
+    With ``estimator_batch`` the estimates come from one call per block
+    of rows; if it raises, the scalar loop runs instead so the error
+    names the resample it came from.
+    """
+    if estimator_batch is not None:
+        try:
+            stars = _batch_estimates(data, indices, estimator_batch)
+        except Exception:
+            stars = None
+        if stars is not None:
+            if stars.shape[:1] != indices.shape[:1]:
+                raise InvalidInput(
+                    f"estimator_batch gave shape {stars.shape} for {len(indices)} resamples"
+                )
+            diffs = rate * (stars - theta_hat)
+            if root is None:
+                ws = diffs.reshape(len(indices))
+            else:
+                ws = np.array([float(root(d)) for d in diffs])
+            bad = np.flatnonzero(~np.isfinite(ws))
+            if bad.size:
+                b = int(bad[0]) + 1
+                raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
+            return ws
     ws = np.empty(len(indices))
     for b, idx in enumerate(indices, start=1):
         try:
@@ -193,6 +225,19 @@ def _resample_roots(
             raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
         ws[b - 1] = w
     return ws
+
+
+def _batch_estimates(data: np.ndarray, indices: np.ndarray, estimator_batch: Callable) -> np.ndarray:
+    """estimator_batch over data[indices], gathered in blocks of at most
+    _GATHER_BYTES (or one row) so a wide resample never materializes all
+    B at once."""
+    row_bytes = max(1, indices.shape[1] * data[:1].nbytes)
+    step = max(1, _GATHER_BYTES // row_bytes)
+    blocks = [
+        np.asarray(estimator_batch(data[indices[i : i + step]]), dtype=float)
+        for i in range(0, len(indices), step)
+    ]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _assemble_ci(
@@ -244,6 +289,7 @@ def ci_boot(
     alpha: float = 0.1,
     variant: str = "modified",
     seed: SeedSpec = SeedSpec(0),
+    estimator_batch: Optional[Callable] = None,
 ) -> CiResult:
     """Bootstrap confidence set from B with-replacement resamples.
 
@@ -251,6 +297,14 @@ def ci_boot(
     and membership is root(tau_m (theta_hat - theta)) in
     [W_(l), W_(u)) under the variant's rank rule.  ``root`` None means
     the scalar identity, which also populates ``interval``.
+
+    ``estimator_batch`` is the opt-in counterpart of ``estimator``: it
+    maps a gathered stack ``data[indices]`` of shape (b, m, ...) to the
+    (b, ...) stack of its rows' estimates, called on blocks of at most
+    256 KiB (one row when a row is larger).  Its row b must have the
+    bits of ``estimator(data[idx_b])`` (``s.mean(axis=1)`` does for
+    ``np.mean``); then the result is bit for bit the one without it.
+    If it raises, the scalar loop runs.
     """
     data = np.asarray(data)
     if len(data) < 1:
@@ -259,7 +313,7 @@ def ci_boot(
     rule, branch = _pick_rule(budget, variant, _child(seed, B))
     theta_hat = np.asarray(estimator(data), dtype=float)
     indices = bootstrap_indices(len(data), seed, count=B)
-    ws = _resample_roots(data, estimator, root, tau_m, theta_hat, indices)
+    ws = _resample_roots(data, estimator, root, tau_m, theta_hat, indices, estimator_batch)
     return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
 
 
@@ -274,12 +328,15 @@ def ci_subsample(
     alpha: float = 0.1,
     variant: str = "modified",
     seed: SeedSpec = SeedSpec(0),
+    estimator_batch: Optional[Callable] = None,
 ) -> CiResult:
     """Subsampling confidence set from B without-replacement size-k draws.
 
     Resample roots use the subsample rate: W_b =
     root(tau_k (theta*_{k,b} - theta_hat)); membership tests
     root(tau_m (theta_hat - theta)) in [W_(l), W_(u)).
+    ``estimator_batch`` is as in :func:`ci_boot`, over (b, k, ...)
+    stacks, with the same bit-equality promise.
     """
     data = np.asarray(data)
     if len(data) < 1:
@@ -291,7 +348,7 @@ def ci_subsample(
     rule, branch = _pick_rule(budget, variant, _child(seed, B))
     theta_hat = np.asarray(estimator(data), dtype=float)
     indices = subsample_indices(m, k, seed, count=B)
-    ws = _resample_roots(data, estimator, root, tau_k, theta_hat, indices)
+    ws = _resample_roots(data, estimator, root, tau_k, theta_hat, indices, estimator_batch)
     return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
 
 

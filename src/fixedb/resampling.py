@@ -18,6 +18,18 @@ key, so a procedure call pays one derivation for its B resamples
 instead of building B generators.  Row b of a batch has exactly the
 bits of the single-stream call at ``stream_id + b``.
 
+Batched uniform integers in [0, m) skip numpy's per-call argument
+handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
+each value with Lemire's 32-bit rule from the next 32-bit output of
+Philox, which is the low and then the high half of each raw 64-bit
+word.  So each stream takes ceil(n/2) raw words (``random_raw``) and
+the rule runs over the whole (count, n) stack at once: a word x
+gives (x * m) >> 32 unless (x * m) mod 2**32 < (2**32 - m) mod m, when
+numpy rejects it and draws again.  A row with any rejection (about 2e-8
+per draw at m = 100, none when m is a power of two) is redrawn through
+the scalar ``generator(...).integers`` call, which is exact; so is
+every row at m > 2**32, where numpy switches to a 64-bit rule.
+
 Non-uniform laws are derived from the base generator by explicit
 transforms (inverse CDF for exponential and Laplace, ratio and sum of
 squared normals for Student-t and chi-square) rather than library
@@ -187,26 +199,71 @@ class _ThreadPhilox(threading.local):
 _PHILOX = _ThreadPhilox()
 
 
-def _stream_rows(seed: SeedSpec, count: int, draw: Callable) -> np.ndarray:
-    """Stack of draw(g_b) for b < count, with g_b the generator of
-    stream seed.stream_id + b, bit for bit as ``draw(generator(...))``.
-
-    The thread's Philox is reset to each key with its counter at zero
-    and its buffers empty, which is the state a fresh one starts in.
-    """
+def _stream_keys(seed: SeedSpec, count: int) -> np.ndarray:
+    """Philox keys of the count streams from seed.stream_id on."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidInput(f"count must be a positive integer, got {count!r}")
     first = int(seed.stream_id)
     if first + count > _U64:
         raise InvalidInput("count runs past the 64-bit stream range")
-    keys = _philox_keys(seed.master_seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
+    return _philox_keys(seed.master_seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
+
+
+def _reopened(keys: np.ndarray):
+    """Yield the thread's Philox/Generator pair reset to each key in turn,
+    with its counter at zero and its buffers empty, which is the state a
+    fresh one starts in."""
     local = _PHILOX
-    rows = []
+    state = local.state
     for key in keys:
-        local.state["state"]["key"] = key
-        local.bitgen.state = local.state
-        rows.append(draw(local.gen))
-    return np.stack(rows)
+        state["state"]["key"] = key
+        local.bitgen.state = state
+        yield local
+
+
+def _stream_rows(seed: SeedSpec, count: int, draw: Callable) -> np.ndarray:
+    """Stack of draw(g_b) for b < count, with g_b the generator of
+    stream seed.stream_id + b, bit for bit as ``draw(generator(...))``."""
+    return np.stack([draw(local.gen) for local in _reopened(_stream_keys(seed, count))])
+
+
+_LEMIRE_MAX = 2**32
+
+
+def _bounded_rows(seed: SeedSpec, count: int, m: int, n: int) -> np.ndarray:
+    """(count, n) int64 stack whose row b is
+    ``generator(SeedSpec(master, stream_id + b)).integers(0, m, size=n)``.
+
+    Runs numpy's 32-bit Lemire rule on raw Philox words for the whole
+    stack (see the module docstring); a row with a rejected word is
+    redrawn by the scalar call.
+    """
+    if m > _LEMIRE_MAX:
+        return _stream_rows(seed, count, lambda gen: gen.integers(0, m, size=n))
+    keys = _stream_keys(seed, count)
+    if m == 1:
+        return np.zeros((count, n), np.int64)
+    half = (n + 1) // 2
+    raw = np.empty((count, half), np.uint64)
+    for b, local in enumerate(_reopened(keys)):
+        raw[b] = local.bitgen.random_raw(half)
+    # the 32-bit outputs, low half of each word first; in place from here
+    # on, so a batch holds one (count, n) array beside its raw words
+    prod = np.empty((count, 2 * half), np.uint64)
+    np.bitwise_and(raw, np.uint64(_M32), out=prod[:, 0::2])
+    np.right_shift(raw, np.uint64(32), out=prod[:, 1::2])
+    prod = prod[:, :n] if n % 2 else prod
+    prod *= np.uint64(m)
+    threshold = (_LEMIRE_MAX - m) % m
+    rejected = ()
+    if threshold:
+        rejected = np.flatnonzero(((prod & np.uint64(_M32)) < np.uint64(threshold)).any(axis=1))
+    prod >>= np.uint64(32)
+    out = np.ascontiguousarray(prod.view(np.int64))
+    for b in rejected:
+        sid = int(seed.stream_id) + int(b)
+        out[b] = generator(SeedSpec(seed.master_seed, sid)).integers(0, m, size=n)
+    return out
 
 
 def _exponential(u: np.ndarray, rate: float = 1.0) -> np.ndarray:
@@ -232,8 +289,9 @@ def bootstrap_indices(m: int, seed: SeedSpec, count: Optional[int] = None) -> np
     """
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    draw = lambda gen: gen.integers(0, m, size=m)
-    return draw(generator(seed)) if count is None else _stream_rows(seed, count, draw)
+    if count is None:
+        return generator(seed).integers(0, m, size=m)
+    return _bounded_rows(seed, count, m, m)
 
 
 def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
@@ -258,8 +316,10 @@ def signflip_transform(x, mask_seed: SeedSpec, count: Optional[int] = None) -> n
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInput("x must be a nonempty 1-d vector")
-    draw = lambda gen: gen.integers(0, 2, size=x.size)
-    coins = draw(generator(mask_seed)) if count is None else _stream_rows(mask_seed, count, draw)
+    if count is None:
+        coins = generator(mask_seed).integers(0, 2, size=x.size)
+    else:
+        coins = _bounded_rows(mask_seed, count, 2, x.size)
     return x * (1 - 2 * coins)
 
 

@@ -78,6 +78,34 @@ class TestExitCodes:
         cfg.write_text("{")
         assert main(["bootstrap", "--config", str(cfg)]) == 2
 
+    def test_top_level_array_config(self, tmp_path, capsys):
+        cfg = tmp_path / "array.json"
+        cfg.write_text("[1]")
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "JSON object" in err and "Traceback" not in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["bootstrap", "--config", str(tmp_path / "missing.json")]) == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "such" / "x.csv")
+        assert main(["bootstrap", "--reps", "3", "--m", "10", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "x.csv" in err
+
+    def test_plot_missing_table(self, tmp_path, capsys):
+        assert main(["plot", str(tmp_path / "missing.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "missing.csv" in err
+
+    def test_plot_malformed_table(self, tmp_path, capsys):
+        table = tmp_path / "short.csv"
+        table.write_text("setting,method,B,alpha,m,reps,coverage,mean_width,seed\n1,x\n")
+        assert main(["plot", str(table)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_verify_pass(self, capsys):
         assert main(["verify", "--instances", "6"]) == 0
         out = capsys.readouterr().out

@@ -1,12 +1,17 @@
 """Experiment driver, config normalization, and CSV/SVG emission."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixedb.errors import ConfigError, InvalidInput
 from fixedb.harness import (
+    _KNOWN_KEYS,
     CSV_HEADER,
     CoverageRow,
     CoverageTable,
@@ -100,6 +105,63 @@ class TestConfig:
         p2 = tmp_path / "ok.json"
         p2.write_text(json.dumps({"procedure": "bootstrap"}))
         assert load_config(str(p2)) == {"procedure": "bootstrap"}
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+# a plausible value per known key, so that drawn objects get past the
+# first checks and reach the later, cross-key ones
+_PLAUSIBLE = {
+    "procedure": st.sampled_from(["bootstrap", "subsample", "sgd", "permutation", "randomization", "conformal"]),
+    "setting": st.integers(0, 4),
+    "methods": st.lists(st.sampled_from(["vanilla", "modified", "randomized"]), min_size=1, max_size=3),
+    "B": st.integers(1, 300) | st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    "alpha": st.floats(0.01, 0.5) | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3),
+    "reps": st.integers(1, 50),
+    "seed": st.integers(0, 2**65),
+    "threads": st.integers(1, 4),
+    "m": st.integers(1, 300) | st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    "d": st.integers(1, 30),
+    "k": st.integers(1, 300),
+    "n": st.integers(1, 6000),
+    "burn_in": st.integers(0, 6000),
+    "gamma1": st.floats(0.1, 2.0),
+    "tau_exp": st.floats(0.5, 1.0),
+    "paper_scale": st.booleans(),
+}
+assert set(_PLAUSIBLE) == _KNOWN_KEYS
+_CONFIG_LIKE = st.fixed_dictionaries({}, optional=_PLAUSIBLE) | st.fixed_dictionaries(
+    {}, optional={key: value | _JSON_VALUES for key, value in _PLAUSIBLE.items()}
+)
+
+
+class TestConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES | _CONFIG_LIKE)
+    @example([1])
+    @example({"procedure": "conformal", "k": 5})  # k used to be compared with the m list
+    def test_any_json_value_is_a_config_or_a_config_error(self, value):
+        fd, path = tempfile.mkstemp(suffix=".json")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+            try:
+                cfg = normalize_config(load_config(path))
+            except ConfigError:
+                return
+            assert isinstance(cfg, dict)
+        finally:
+            os.unlink(path)
 
 
 class TestRunExperiment:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
 from fixedb.errors import InvalidIndices, InvalidInput
 from fixedb.oracle import (
+    CondIIDInstance,
     bracket_suite,
     check_cond_iid,
     check_cond_indep,
@@ -155,6 +156,26 @@ class TestInstanceChecks:
         # 1 + 2**-52 unless they are clamped to [0, 1]
         rep = bracket_suite(n_instances=90, seed=2)
         assert rep.violations == ()
+
+    def test_closed_bracket_at_a_zero_prices_strict_ties(self):
+        # seed 35 draws a cond_iid instance (B=6) whose closed [W_(0), W_(1)]
+        # covers 0.7791, above base + 1/(B+1) + delta = 0.7755
+        rep = bracket_suite(n_instances=210, seed=35)
+        assert rep.violations == ()
+
+    def test_closed_bracket_under_heavy_ties(self):
+        # W ties psi with probability F(Z), spread over (0, 1), and never
+        # falls below it: F~ = 0, so every closed upper end needs delta_tilde
+        n = 5
+        inst = CondIIDInstance(
+            z_probs=(1 / n,) * n,
+            psi_vals=(1.0,) * n,
+            w_atoms=(1.0, 2.0),
+            w_cond=tuple(((j + 0.5) / n, 1 - (j + 0.5) / n) for j in range(n)),
+        )
+        assert iid_slacks(inst) == pytest.approx((0.2, 1.0))
+        n_checked, viol = check_cond_iid(inst, 6)
+        assert n_checked == 63 and viol == []
 
 
 class TestConformalGrid:

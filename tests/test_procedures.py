@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fixedb.discrete import binom_cdf
-from fixedb.errors import BudgetTooSmall, InvalidInput
+from fixedb import procedures
+from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
 from fixedb.procedures import (
     Interval,
     ci_boot,
@@ -25,6 +26,7 @@ from fixedb.resampling import (
     generator,
     permutation_draw,
     setting_sampler,
+    setting_truth,
     signflip_transform,
     stream_for,
     subsample_indices,
@@ -342,3 +344,104 @@ class TestResampleStreams:
         randomization_test(x, first, shifts, B=19, alpha=0.1, seed=self.SEED)
         picks = [int(generator(self.child(b)).integers(0, 4)) for b in range(19)]
         assert seen[1:] == [1.0 + 100.0 * i for i in picks]
+
+
+def _mean_rows(s):
+    return s.mean(axis=1)
+
+
+def _max_rows(s):
+    return s.max(axis=1)
+
+
+def _sup_norm(v):
+    return float(np.max(np.abs(v)))
+
+
+class TestEstimatorBatch:
+    """ci_boot/ci_subsample with an estimator_batch give the bits of the
+    scalar estimator loop."""
+
+    # setting -> (sampler params, estimator, batched estimator, root)
+    SETTINGS = {
+        1: ({"m": 100}, np.mean, _mean_rows, None),
+        2: ({"m": 400, "d": 20}, lambda a: a.mean(axis=0), _mean_rows, _sup_norm),
+        3: ({"m": 100}, np.max, _max_rows, None),
+    }
+
+    def assert_same(self, a, b):
+        assert np.array_equal(a.resample_stats.values, b.resample_stats.values)
+        assert a.span == b.span
+        assert a.interval == b.interval
+        assert a.rule == b.rule and a.randomized_branch == b.randomized_branch
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("B", [5, 19, 199])
+    def test_bit_equal_to_scalar_loop(self, setting, B):
+        params, est, batch, root = self.SETTINGS[setting]
+        x = setting_sampler(setting, params, SeedSpec(20260823, stream_for(B, 0)))
+        m = params["m"]
+        k = math.ceil(m ** (2 / 3))
+        rate = float(m) if setting == 3 else math.sqrt(m)
+        sub_rate = float(k) if setting == 3 else math.sqrt(k)
+        kw = dict(root=root, tau_m=rate, B=B, alpha=0.1, seed=SeedSpec(20260823, stream_for(B, 1)))
+        kw["variant"] = "vanilla" if B == 5 else "randomized"
+        theta = setting_truth(setting, params)
+        for ci, extra in ((ci_boot, {}), (ci_subsample, {"tau_k": sub_rate, "k": k})):
+            loop = ci(x, est, **kw, **extra)
+            batched = ci(x, est, estimator_batch=batch, **kw, **extra)
+            self.assert_same(loop, batched)
+            assert loop.contains(theta) == batched.contains(theta)
+
+    def test_blocks_stay_under_the_gather_cap(self, monkeypatch):
+        x = setting_sampler(2, {"m": 50, "d": 3}, SeedSpec(3, 0))
+        kw = dict(root=_sup_norm, tau_m=math.sqrt(50), B=19, seed=SeedSpec(3, 1))
+        est = lambda a: a.mean(axis=0)
+        want = ci_boot(x, est, **kw)
+        sizes = []
+
+        def batch(s):
+            sizes.append(s.nbytes)
+            return s.mean(axis=1)
+
+        monkeypatch.setattr(procedures, "_GATHER_BYTES", 4 * 50 * 3 * 8)
+        self.assert_same(ci_boot(x, est, estimator_batch=batch, **kw), want)
+        assert len(sizes) == 5 and max(sizes) <= procedures._GATHER_BYTES
+
+    def test_nan_row_names_its_resample(self):
+        x = np.arange(1.0, 31.0)
+
+        def batch(s):
+            out = s.mean(axis=1)
+            out[6] = np.nan
+            return out
+
+        with pytest.raises(NumericalFailure) as err:
+            ci_boot(x, np.mean, B=19, seed=SeedSpec(4, 0), estimator_batch=batch)
+        assert err.value.step == 7
+        with pytest.raises(NumericalFailure) as err:
+            ci_subsample(x, np.mean, k=10, B=19, seed=SeedSpec(4, 0), estimator_batch=batch)
+        assert err.value.step == 7
+
+    def test_raising_batch_falls_back_to_the_scalar_loop(self):
+        x = np.arange(1.0, 31.0)
+        calls = []
+
+        def est(a):
+            calls.append(1)
+            if len(calls) == 4:  # theta_hat, then resamples 1, 2, 3
+                raise ValueError("boom")
+            return float(np.mean(a))
+
+        def batch(s):
+            raise RuntimeError("no batch today")
+
+        with pytest.raises(NumericalFailure) as err:
+            ci_boot(x, est, B=19, seed=SeedSpec(4, 0), estimator_batch=batch)
+        assert err.value.step == 3
+        ok = ci_boot(x, np.mean, B=19, seed=SeedSpec(4, 0), estimator_batch=batch)
+        self.assert_same(ok, ci_boot(x, np.mean, B=19, seed=SeedSpec(4, 0)))
+
+    def test_wrong_batch_length_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=lambda s: s.mean(axis=0))

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fixedb.errors import InvalidInput, NumericalFailure
+from fixedb import resampling
 from fixedb.resampling import (
     _U64,
     RESAMPLE_STRIDE,
+    _bounded_rows,
     _philox_keys,
     PairStream,
     PermutationGroup,
@@ -204,6 +206,49 @@ class TestBatchedStreams:
         with pytest.raises(InvalidInput):
             bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=3)
         assert bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=2).shape == (2, 5)
+
+
+class TestBoundedRows:
+    """The raw-word Lemire path against numpy's own ``integers`` call."""
+
+    @staticmethod
+    def scalar_rows(seed, count, m, n):
+        return np.stack(
+            [
+                generator(SeedSpec(seed.master_seed, seed.stream_id + b)).integers(0, m, size=n)
+                for b in range(count)
+            ]
+        )
+
+    # 2**32 + 5 is past numpy's 32-bit rule and keeps the per-row call
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100, 400, 2**32, 2**32 + 5])
+    @pytest.mark.parametrize("sid", [stream_for(5, 1), _TWO_WORD - 3, _TWO_WORD, 2**50 + 11])
+    @pytest.mark.parametrize("n", [1, 10, 101])
+    def test_rows_match_scalar_integers(self, m, sid, n):
+        seed = SeedSpec(20260823, sid)
+        got = _bounded_rows(seed, 6, m, n)
+        want = self.scalar_rows(seed, 6, m, n)
+        assert got.dtype == want.dtype == np.int64
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_rejected_rows_are_redrawn(self, monkeypatch):
+        # at m = 3 * 2**30 about a quarter of the words are rejected, so
+        # nearly every row of 10 draws takes the scalar redraw
+        seed = SeedSpec(20260823, _TWO_WORD - 2)
+        m = 3 * 2**30
+        want = self.scalar_rows(seed, 8, m, 10)
+        redrawn = []
+        real = resampling.generator
+
+        def counting(s):
+            redrawn.append(s.stream_id)
+            return real(s)
+
+        monkeypatch.setattr(resampling, "generator", counting)
+        assert np.array_equal(_bounded_rows(seed, 8, m, 10), want)
+        assert 0 < len(redrawn) <= 8
+        assert all(seed.stream_id <= sid < seed.stream_id + 8 for sid in redrawn)
 
 
 class TestSettingSamplers:
