@@ -53,7 +53,9 @@ def _str_list(text: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
+    common.add_argument(
+        "--threads", type=int, default=None, help="validated but ignored; replicates run in order"
+    )
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None, help="JSON config file; flags override it")
 

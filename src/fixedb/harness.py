@@ -3,9 +3,11 @@ SVG emission, and JSON config handling.
 
 A config names a procedure (bootstrap / subsample / sgd / permutation /
 randomization / conformal), a benchmark setting, budget and level
-grids, and a replication count.  Replicates run in a thread pool but
-draw from pre-split seed streams and are aggregated in replicate
-order, so the output table is bit-identical for any thread count.
+grids, and a replication count.  Replicates run in order in the
+calling thread, each drawing from its own pre-split seed streams, so
+the output table depends only on the config.  The ``threads`` key is
+still validated but has no effect: the replicate loop holds the GIL,
+so a pool of threads never ran it faster.
 
 Width reporting: scalar confidence intervals report the interval
 width; sup-norm (set-valued) intervals report the threshold span
@@ -19,7 +21,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -134,9 +135,12 @@ def _as_list(v) -> list:
 
 
 def _integer(key: str, v, lo: int) -> int:
-    """v as an int >= lo; a ConfigError naming the key otherwise."""
+    """v as an int >= lo; a ConfigError naming the key otherwise.
+
+    A JSON boolean is not an integer here, although Python's bool is.
+    """
     try:
-        ok = int(v) == v and v >= lo
+        ok = not isinstance(v, bool) and int(v) == v and v >= lo
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -145,11 +149,14 @@ def _integer(key: str, v, lo: int) -> int:
 
 
 def _real(key: str, v) -> float:
-    """v as a float; a ConfigError naming the key otherwise."""
-    try:
-        return float(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config.{key}: expected a number, got {v!r}") from exc
+    """v as a float; a ConfigError naming the key otherwise (a JSON
+    boolean included)."""
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"config.{key}: expected a number, got {v!r}")
 
 
 def normalize_config(config: dict) -> dict:
@@ -166,7 +173,7 @@ def normalize_config(config: dict) -> dict:
     proc = cfg.setdefault("procedure", "bootstrap")
     if proc not in _PROCEDURES:
         raise ConfigError(f"config.procedure: expected one of {_PROCEDURES}, got {proc!r}")
-    setting = cfg.setdefault("setting", _DEFAULT_SETTING[proc])
+    setting = cfg["setting"] = _integer("setting", cfg.get("setting", _DEFAULT_SETTING[proc]), 0)
     allowed = {
         "bootstrap": (1, 2),
         "subsample": (1, 2, 3),
@@ -270,8 +277,27 @@ def _corr_statistic(data, perm):
     return abs(float(np.corrcoef(x, y[perm])[0, 1]))
 
 
+def _corr_statistic_batch(data, perms):
+    """_corr_statistic for each row of perms, with np.corrcoef's
+    arithmetic step for step: centre, X X^T, times 1/(m-1), divide by
+    the root diagonal, clip."""
+    x, y = data
+    z = np.empty((len(perms), 2, x.size))
+    z[:, 0] = x
+    z[:, 1] = y[perms]
+    z -= z.mean(axis=2)[:, :, None]
+    c = z @ z.transpose(0, 2, 1)
+    c *= 1.0 / (x.size - 1)
+    sd = np.sqrt(c[:, [0, 1], [0, 1]])
+    return np.abs(np.clip(c[:, 0, 1] / sd[:, 0] / sd[:, 1], -1.0, 1.0))
+
+
 def _mean_statistic(x):
     return float(x.sum() / math.sqrt(x.size))
+
+
+def _mean_statistic_batch(s):
+    return s.sum(axis=1) / math.sqrt(s.shape[1])
 
 
 def _mean_rows(s):
@@ -361,10 +387,24 @@ def _test_replicate(cfg: dict, B: int, alpha: float, r: int):
     proc_seed = SeedSpec(master, stream_for(r, 1))
     if cfg["procedure"] == "permutation":
         data = (gen.standard_normal(m), gen.standard_normal(m))
-        decision = permutation_test(data, _corr_statistic, full_symmetric(m), B, alpha, seed=proc_seed)
+        decision = permutation_test(
+            data,
+            _corr_statistic,
+            full_symmetric(m),
+            B,
+            alpha,
+            seed=proc_seed,
+            statistic_batch=_corr_statistic_batch,
+        )
     else:
         decision = randomization_test(
-            gen.standard_normal(m), _mean_statistic, "signflip", B, alpha, seed=proc_seed
+            gen.standard_normal(m),
+            _mean_statistic,
+            "signflip",
+            B,
+            alpha,
+            seed=proc_seed,
+            statistic_batch=_mean_statistic_batch,
         )
     return (not decision.reject), None
 
@@ -403,40 +443,39 @@ def run_experiment(config: dict) -> CoverageTable:
 
     is_test = proc in ("permutation", "randomization")
     methods = [proc] if is_test else cfg["methods"]
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        for alpha in cfg["alpha"]:
-            for B in cfg["B"]:
-                for method in methods:
-                    if is_test:
-                        runner = lambda r: _test_replicate(cfg, B, alpha, r)
-                        label = proc
-                    else:
-                        runner = lambda r: _ci_replicate(cfg, B, alpha, method, r)
-                        label = f"{proc}_{method}"
-                    try:
-                        outcomes = list(pool.map(runner, range(cfg["reps"])))
-                    except BudgetTooSmall as exc:
-                        table.skipped.append(
-                            SkippedRow(cfg["setting"], label, B, alpha, reason=str(exc))
-                        )
-                        continue
-                    covered = np.array([c for c, _ in outcomes], dtype=float)
-                    widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]
-                    mean_width = float(np.mean(widths)) if widths else None
-                    table.rows.append(
-                        CoverageRow(
-                            setting=cfg["setting"],
-                            method=label,
-                            B=B,
-                            alpha=alpha,
-                            m=cfg["n"] if proc == "sgd" else cfg["m"],
-                            reps=cfg["reps"],
-                            coverage=float(covered.mean()),
-                            mean_width=mean_width,
-                            seed=cfg["seed"],
-                            width_kind=_width_kind(cfg["setting"], label),
-                        )
+    for alpha in cfg["alpha"]:
+        for B in cfg["B"]:
+            for method in methods:
+                label = proc if is_test else f"{proc}_{method}"
+                try:
+                    outcomes = [
+                        _test_replicate(cfg, B, alpha, r)
+                        if is_test
+                        else _ci_replicate(cfg, B, alpha, method, r)
+                        for r in range(cfg["reps"])
+                    ]
+                except BudgetTooSmall as exc:
+                    table.skipped.append(
+                        SkippedRow(cfg["setting"], label, B, alpha, reason=str(exc))
                     )
+                    continue
+                covered = np.array([c for c, _ in outcomes], dtype=float)
+                widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]
+                mean_width = float(np.mean(widths)) if widths else None
+                table.rows.append(
+                    CoverageRow(
+                        setting=cfg["setting"],
+                        method=label,
+                        B=B,
+                        alpha=alpha,
+                        m=cfg["n"] if proc == "sgd" else cfg["m"],
+                        reps=cfg["reps"],
+                        coverage=float(covered.mean()),
+                        mean_width=mean_width,
+                        seed=cfg["seed"],
+                        width_kind=_width_kind(cfg["setting"], label),
+                    )
+                )
     return table
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +113,7 @@ class BudgetSpec:
             raise InvalidInput(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
+@lru_cache(maxsize=256)
 def _snap_alpha(alpha: float) -> Fraction:
     """Snap alpha to the nearest rational with a bounded denominator."""
     if not 0.0 < alpha < 1.0:
@@ -242,9 +244,17 @@ def index_rule(
         threshold).  The permutation and conformal rules instead keep
         the out-of-range rank and resolve it through the support-max
         sentinel (never reject / infinite threshold).
+
+    The ranks are cached per (B, alpha, rule_name, gamma, beta); a
+    call that raises is not cached, so it raises every time.
     """
-    B = spec.B
-    a = _snap_alpha(spec.alpha)
+    return _index_rule(int(spec.B), spec.alpha, rule_name, gamma, beta)
+
+
+@lru_cache(maxsize=1024)
+def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIndexRule:
+    """:func:`index_rule` on the budget's fields."""
+    a = _snap_alpha(alpha)
     one = Fraction(1)
 
     if rule_name == "vanilla_two_sided":
@@ -283,8 +293,8 @@ def index_rule(
                 min_b=_ceil(Fraction(3, 2) / a),
             )
     elif rule_name == "dependent_two_sided":
-        g = _snap_alpha(spec.alpha if gamma is None else gamma)
-        bta = _snap_alpha(spec.alpha if beta is None else beta)
+        g = _snap_alpha(alpha if gamma is None else gamma)
+        bta = _snap_alpha(alpha if beta is None else beta)
         lower = _floor((B + 1) * g / 2) - 1
         upper = _ceil((B + 1) * (one - bta / 2))
         kind = "closed"
@@ -302,18 +312,18 @@ def index_rule(
 
     if lower >= upper:
         raise BudgetTooSmall(
-            f"rule {rule_name} yields an empty interval at B={B}, alpha={spec.alpha}",
-            min_b=min_budget(spec.alpha, "two"),
+            f"rule {rule_name} yields an empty interval at B={B}, alpha={alpha}",
+            min_b=min_budget(alpha, "two"),
         )
     if kind == "one_sided_upper":
         if rule_name in ("one_sided_upper_mod", "randomization") and upper >= B + 1:
             raise BudgetTooSmall(
                 f"rule {rule_name} needs B >= ceil(1/alpha - 1); got B={B}",
-                min_b=min_budget(spec.alpha, "one"),
+                min_b=min_budget(alpha, "one"),
             )
     elif lower <= 0 and upper >= B + 1:
         raise BudgetTooSmall(
-            f"rule {rule_name} covers the full support at B={B}, alpha={spec.alpha}",
-            min_b=min_budget(spec.alpha, "one"),
+            f"rule {rule_name} covers the full support at B={B}, alpha={alpha}",
+            min_b=min_budget(alpha, "one"),
         )
     return IntervalIndexRule(lower, upper, kind, rule_name)

@@ -18,14 +18,17 @@ seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
 :func:`fixedb.resampling.stream_for`.  The B resample streams are
 drawn with one batched call (``count=B``), which gives the same bits
-as B single-stream calls; with an ``estimator_batch``, ci_boot and
-ci_subsample also estimate them in one call per block of rows.
+as B single-stream calls.  With an ``estimator_batch``, ci_boot and
+ci_subsample also estimate them in one call per block of rows; with a
+``statistic_batch``, permutation_test and the sign-flip
+randomization_test compute all B test statistics in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -397,6 +400,46 @@ def ci_sgd(
     return results
 
 
+def _test_statistics(
+    rows: np.ndarray, statistic: Callable, statistic_batch: Optional[Callable]
+) -> np.ndarray:
+    """statistic(row) for each row of the (B, m) stack ``rows``.
+
+    With ``statistic_batch`` the B values come from one call on the
+    whole stack; if it raises, the scalar loop runs instead.
+    """
+    if statistic_batch is not None:
+        try:
+            t_star = np.asarray(statistic_batch(rows), dtype=float)
+        except Exception:
+            t_star = None
+        if t_star is not None:
+            if t_star.shape != (len(rows),):
+                raise InvalidInput(
+                    f"statistic_batch gave shape {t_star.shape} for {len(rows)} resamples"
+                )
+            return t_star
+    t_star = np.empty(len(rows))
+    for b, row in enumerate(rows):
+        t_star[b] = statistic(row)
+    return t_star
+
+
+def _decide(
+    t_obs: float, t_star: np.ndarray, rule: IntervalIndexRule, budget: BudgetSpec
+) -> TestDecision:
+    """Reject iff t_obs >= the rule's order statistic of t_star."""
+    threshold = order_stat(sorted_from(t_star), rule.upper_rank)
+    return TestDecision(
+        reject=bool(t_obs >= threshold),
+        statistic=t_obs,
+        threshold=threshold,
+        rule=rule,
+        budget=budget,
+        tie=bool(t_obs == threshold),
+    )
+
+
 def permutation_test(
     data,
     statistic: Callable,
@@ -404,6 +447,7 @@ def permutation_test(
     B: int,
     alpha: float,
     seed: SeedSpec = SeedSpec(0),
+    statistic_batch: Optional[Callable] = None,
 ) -> TestDecision:
     """Fixed-budget permutation test, drawing with replacement from G.
 
@@ -412,6 +456,13 @@ def permutation_test(
     ceil(B(1-alpha)) + 2 when B equals |G| and
     ceil((B+1)(1-alpha)) + 1 otherwise; a rank beyond B yields the
     +inf sentinel and the test never rejects.
+
+    ``statistic_batch`` is the opt-in counterpart of ``statistic``:
+    called as statistic_batch(data, perms) on the (B, m) stack of drawn
+    permutations, it returns the B statistics.  Its entry b must have
+    the bits of statistic(data, perms[b]); then the decision is bit for
+    bit the one without it.  A result of another shape than (B,) raises
+    :class:`InvalidInput`; if it raises, the scalar loop runs.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
     size = G.size
@@ -419,20 +470,12 @@ def permutation_test(
         raise InvalidInput(f"B={B} exceeds |G|={size}; draws come from G")
     rule = index_rule(budget, "permutation_full" if B == size else "permutation_sub")
     t_obs = float(statistic(data, np.arange(G.m)))
-    t_star = np.empty(B)
-    for b, perm in enumerate(permutation_draw(G, seed, count=B)):
-        t_star[b] = statistic(data, perm)
-    stats = sorted_from(t_star)
-    threshold = order_stat(stats, rule.upper_rank)
-    reject = bool(t_obs >= threshold)
-    return TestDecision(
-        reject=reject,
-        statistic=t_obs,
-        threshold=threshold,
-        rule=rule,
-        budget=budget,
-        tie=bool(t_obs == threshold),
+    t_star = _test_statistics(
+        permutation_draw(G, seed, count=B),
+        partial(statistic, data),
+        None if statistic_batch is None else partial(statistic_batch, data),
     )
+    return _decide(t_obs, t_star, rule, budget)
 
 
 def randomization_test(
@@ -443,6 +486,7 @@ def randomization_test(
     alpha: float = 0.1,
     center: float = 0.0,
     seed: SeedSpec = SeedSpec(0),
+    statistic_batch: Optional[Callable] = None,
 ) -> TestDecision:
     """Randomization test from B uniformly drawn transforms.
 
@@ -451,33 +495,28 @@ def randomization_test(
     subtracted from the data first, so a point null about the mean
     becomes symmetry about zero.  Threshold rank is
     ceil((B+1)(1-alpha)); reject iff statistic(data) >= threshold.
+
+    ``statistic_batch`` maps the (B, m) stack of sign-flipped samples to
+    their B statistics, with the contract of the one in
+    :func:`permutation_test`.  The explicit-transform branch does not
+    use it.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
     rule = index_rule(budget, "randomization")
     x = np.asarray(data, dtype=float) - center
     t_obs = float(statistic(x))
-    t_star = np.empty(B)
     if group == "signflip":
-        for b, flipped in enumerate(signflip_transform(x, seed, count=B)):
-            t_star[b] = statistic(flipped)
+        t_star = _test_statistics(signflip_transform(x, seed, count=B), statistic, statistic_batch)
     else:
         transforms = list(group)
         if len(transforms) == 0:
             raise InvalidInput("explicit transform list must be nonempty")
         # the first entry of a with-replacement draw from the list is the
         # same uniform index as the single integers(0, len) draw it replaces
+        t_star = np.empty(B)
         for b, i in enumerate(bootstrap_indices(len(transforms), seed, count=B)[:, 0]):
             t_star[b] = statistic(transforms[i](x))
-    stats = sorted_from(t_star)
-    threshold = order_stat(stats, rule.upper_rank)
-    return TestDecision(
-        reject=bool(t_obs >= threshold),
-        statistic=t_obs,
-        threshold=threshold,
-        rule=rule,
-        budget=budget,
-        tie=bool(t_obs == threshold),
-    )
+    return _decide(t_obs, t_star, rule, budget)
 
 
 def conformal_set(calib_scores, alpha: float, variant: str = "split") -> PredictionSet:

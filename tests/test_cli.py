@@ -73,6 +73,15 @@ class TestExitCodes:
         assert main(["bootstrap", "--config", str(cfg)]) == 2
         assert f"config.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config,key", [('{"reps": true}', "reps"), ('{"B": [true]}', "B"), ('{"setting": true}', "setting")]
+    )
+    def test_boolean_config_values(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        assert main(["bootstrap", "--config", str(cfg)]) == 2
+        assert f"config.{key}" in capsys.readouterr().err
+
     def test_invalid_json(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{")

@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config.{key}"):
             normalize_config(tiny_config(**{key: value}))
 
+    @pytest.mark.parametrize(
+        "key,value", [("reps", True), ("B", [True]), ("setting", True), ("threads", False), ("gamma1", True)]
+    )
+    def test_booleans_are_not_numbers(self, key, value):
+        with pytest.raises(ConfigError, match=f"config.{key}"):
+            normalize_config(tiny_config(**{key: value}))
+
+    def test_setting_is_stored_as_an_int(self):
+        assert type(normalize_config(tiny_config(setting=2.0))["setting"]) is int
+
     def test_paper_scale_false_is_the_default(self):
         assert normalize_config(tiny_config(paper_scale=False)) == normalize_config(tiny_config())
 
@@ -150,6 +160,9 @@ class TestConfigProperty:
     @given(_JSON_VALUES | _CONFIG_LIKE)
     @example([1])
     @example({"procedure": "conformal", "k": 5})  # k used to be compared with the m list
+    @example({"reps": True})  # booleans used to pass as integers
+    @example({"B": [True]})
+    @example({"setting": True})
     def test_any_json_value_is_a_config_or_a_config_error(self, value):
         fd, path = tempfile.mkstemp(suffix=".json")
         try:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fixedb import orderstats
 from fixedb.errors import BudgetTooSmall, InvalidInput
 from fixedb.orderstats import (
     RULE_NAMES,
@@ -211,3 +212,42 @@ def test_budget_spec_validation():
         BudgetSpec(19, 0.0)
     with pytest.raises(InvalidInput):
         BudgetSpec(19, 1.0)
+
+
+class TestRuleCache:
+    """index_rule caches its ranks; the cache must give what the
+    uncached resolution gives, and never cache a raise."""
+
+    @staticmethod
+    def outcome(fn, *args, **kw):
+        try:
+            return fn(*args, **kw)
+        except (BudgetTooSmall, InvalidInput) as exc:
+            return type(exc), str(exc), getattr(exc, "min_b", None)
+
+    def test_cached_rules_equal_uncached(self):
+        uncached = orderstats._index_rule.__wrapped__
+        alphas = (0.01, 0.05, 0.1, 0.1 + 3e-13, 0.2, 0.25, 1 / 3, 0.5, 0.9)
+        for B in list(range(1, 60)) + [99, 199, 999]:
+            for alpha in alphas:
+                spec = BudgetSpec(B, alpha)
+                for name in RULE_NAMES:
+                    want = self.outcome(uncached, B, alpha, name, None, None)
+                    for _ in range(2):  # the second call is a cache hit
+                        assert self.outcome(index_rule, spec, name) == want, (B, alpha, name)
+                for g, b in ((0.05, 0.1), (0.1, 0.05), (alpha, None)):
+                    want = self.outcome(uncached, B, alpha, "dependent_two_sided", g, b)
+                    got = self.outcome(index_rule, spec, "dependent_two_sided", gamma=g, beta=b)
+                    assert got == want, (B, alpha, g, b)
+        assert index_rule(BudgetSpec(np.int64(19), 0.1), "mod_two_sided") == index_rule(
+            BudgetSpec(19, 0.1), "mod_two_sided"
+        )
+
+    def test_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(BudgetTooSmall):
+                index_rule(BudgetSpec(5, 0.1), "mod_two_sided")
+            with pytest.raises(InvalidInput):
+                index_rule(BudgetSpec(19, 0.1), "no_such_rule")
+            with pytest.raises(InvalidInput):
+                index_rule(BudgetSpec(19, 0.1), "dependent_two_sided", gamma=1.5)

@@ -8,6 +8,12 @@ import pytest
 from fixedb.discrete import binom_cdf
 from fixedb import procedures
 from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
+from fixedb.harness import (
+    _corr_statistic,
+    _corr_statistic_batch,
+    _mean_statistic,
+    _mean_statistic_batch,
+)
 from fixedb.procedures import (
     Interval,
     ci_boot,
@@ -445,3 +451,90 @@ class TestEstimatorBatch:
     def test_wrong_batch_length_is_rejected(self):
         with pytest.raises(InvalidInput):
             ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=lambda s: s.mean(axis=0))
+
+
+class TestStatisticBatch:
+    """permutation_test and the sign-flip randomization_test with a
+    statistic_batch give the bits of the scalar statistic loop."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a == b
+        assert np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes()
+
+    @staticmethod
+    def perm_case(m, seed):
+        gen = generator(SeedSpec(seed, stream_for(m, 0)))
+        data = (gen.standard_normal(m), gen.standard_normal(m))
+        G = full_symmetric(m)
+        return data, G, min(99, G.size), SeedSpec(seed, stream_for(m, 1))
+
+    @pytest.mark.parametrize("m", [2, 7, 30, 129, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 20260823, 4177])
+    def test_bit_equal_to_scalar_loop(self, m, seed):
+        data, G, B, proc_seed = self.perm_case(m, seed)
+        perms = permutation_draw(G, proc_seed, count=B)
+        want = np.array([_corr_statistic(data, perm) for perm in perms])
+        assert _corr_statistic_batch(data, perms).tobytes() == want.tobytes()
+        flips = signflip_transform(data[0], proc_seed, count=99)
+        want = np.array([_mean_statistic(row) for row in flips])
+        assert _mean_statistic_batch(flips).tobytes() == want.tobytes()
+        loop = permutation_test(data, _corr_statistic, G, B, 0.1, seed=proc_seed)
+        batched = permutation_test(
+            data, _corr_statistic, G, B, 0.1, seed=proc_seed, statistic_batch=_corr_statistic_batch
+        )
+        self.assert_same(loop, batched)
+        x = data[0] + 0.1
+        for B in (19, 99):
+            loop = randomization_test(x, _mean_statistic, "signflip", B, 0.1, seed=proc_seed)
+            batched = randomization_test(
+                x, _mean_statistic, "signflip", B, 0.1, seed=proc_seed,
+                statistic_batch=_mean_statistic_batch,
+            )
+            self.assert_same(loop, batched)
+
+    def test_raising_batch_falls_back_to_the_scalar_loop(self):
+        data, G, B, proc_seed = self.perm_case(30, 5)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _corr_statistic(*args)
+
+        def batch(*args):
+            raise RuntimeError("no batch today")
+
+        want = permutation_test(data, _corr_statistic, G, B, 0.1, seed=proc_seed)
+        got = permutation_test(data, counted, G, B, 0.1, seed=proc_seed, statistic_batch=batch)
+        self.assert_same(got, want)
+        assert len(calls) == B + 1
+        x = data[0]
+        want = randomization_test(x, _mean_statistic, "signflip", 19, 0.1, seed=proc_seed)
+        got = randomization_test(
+            x, _mean_statistic, "signflip", 19, 0.1, seed=proc_seed, statistic_batch=batch
+        )
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("shape", [(18,), (19, 1), (1, 19), ()])
+    def test_wrong_batch_shape_is_rejected(self, shape):
+        data, G, _, proc_seed = self.perm_case(30, 5)
+
+        def batch(*args):
+            return np.zeros(shape)
+
+        with pytest.raises(InvalidInput, match="statistic_batch"):
+            permutation_test(data, _corr_statistic, G, 19, 0.1, seed=proc_seed, statistic_batch=batch)
+        with pytest.raises(InvalidInput, match="statistic_batch"):
+            randomization_test(data[0], _mean_statistic, "signflip", 19, 0.1, statistic_batch=batch)
+
+    def test_explicit_transforms_ignore_the_batch(self):
+        def never(*args):
+            raise AssertionError("statistic_batch must not be called here")
+
+        x = np.arange(1.0, 11.0) - 5.0
+        shifts = [lambda v, i=i: v + 0.5 * i for i in range(4)] + [lambda v: -v]
+        want = randomization_test(x, _mean_statistic, shifts, B=19, alpha=0.1, seed=SeedSpec(3, 0))
+        got = randomization_test(
+            x, _mean_statistic, shifts, B=19, alpha=0.1, seed=SeedSpec(3, 0), statistic_batch=never
+        )
+        self.assert_same(got, want)
