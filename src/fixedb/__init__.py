@@ -6,224 +6,22 @@ the error of stopping at finite B: order-statistic index rules,
 exact coverage brackets, distances between resampling schemes and
 their idealized limits, and an enumeration oracle that certifies the
 brackets on small discrete problems.
+
+The package exports every name in the ``__all__`` of its submodules.
 """
 
-from .bounds import (
-    CoverageBound,
-    dependent_bracket,
-    iid_bracket,
-    independent_bracket,
-    ks_slack_markov,
-    ks_slack_tail,
-    ordering_lower,
-)
-from .discrete import (
-    OrderingReport,
-    PoiBinSpec,
-    binom_cdf,
-    binom_pmf,
-    ehm_tv_bound,
-    hoeffding_ordering_check,
-    i_b,
-    poisson_binomial_pmf,
-    poisson_binomial_pmf_batch,
-)
-from .distances import (
-    DistanceEstimate,
-    FinitePmf,
-    concentration,
-    gamma_exact,
-    ks_two_sample,
-    ks_uniform,
-    mod_ks_uniform,
-    tv_discrete,
-)
-from .errors import (
-    BudgetTooSmall,
-    CapacityExceeded,
-    ConfigError,
-    DegenerateSpec,
-    FixedBError,
-    InvalidIndices,
-    InvalidInput,
-    NumericalFailure,
-)
-from .harness import (
-    CoverageRow,
-    CoverageTable,
-    SkippedRow,
-    emit,
-    load_config,
-    normalize_config,
-    read_table,
-    run_experiment,
-    sup_norm,
-)
-from .oracle import (
-    CondIIDInstance,
-    CondIndepInstance,
-    GridExample,
-    SweepReport,
-    bracket_suite,
-    check_cond_iid,
-    check_cond_indep,
-    check_dependent,
-    conformal_grid_example,
-    conformal_grid_sweep,
-    dist_to_uniform,
-    ehm_hoeffding_sweep,
-    exact_coverage_continuous_iid,
-    exact_coverage_discrete,
-    iid_slacks,
-    indep_slacks,
-    random_cond_iid,
-    random_cond_indep,
-    random_joint,
-)
-from .orderstats import (
-    BudgetSpec,
-    IntervalIndexRule,
-    index_rule,
-    min_budget,
-    order_stat,
-    sorted_from,
-    tau_randomization,
-)
-from .procedures import (
-    CiResult,
-    Interval,
-    PredictionSet,
-    RandomizedBranch,
-    TestDecision,
-    ci_boot,
-    ci_sgd,
-    ci_subsample,
-    conformal_set,
-    permutation_test,
-    randomization_test,
-)
-from .resampling import (
-    PairStream,
-    PermutationGroup,
-    SeedSpec,
-    SgdSpec,
-    bootstrap_indices,
-    full_symmetric,
-    generator,
-    permutation_draw,
-    setting_sampler,
-    setting_truth,
-    sgd_path,
-    sgd_paths,
-    signflip_transform,
-    stream_for,
-    subsample_indices,
-)
+from . import bounds, discrete, distances, errors, harness, oracle, orderstats, procedures, resampling
+from .bounds import *  # noqa: F401,F403
+from .discrete import *  # noqa: F401,F403
+from .distances import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .orderstats import *  # noqa: F401,F403
+from .procedures import *  # noqa: F401,F403
+from .resampling import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FixedBError",
-    "InvalidInput",
-    "InvalidIndices",
-    "BudgetTooSmall",
-    "DegenerateSpec",
-    "CapacityExceeded",
-    "NumericalFailure",
-    "ConfigError",
-    # order statistics and index rules
-    "BudgetSpec",
-    "IntervalIndexRule",
-    "index_rule",
-    "order_stat",
-    "sorted_from",
-    "min_budget",
-    "tau_randomization",
-    # distances
-    "DistanceEstimate",
-    "FinitePmf",
-    "ks_uniform",
-    "mod_ks_uniform",
-    "ks_two_sample",
-    "tv_discrete",
-    "gamma_exact",
-    "concentration",
-    # binomial surrogates
-    "PoiBinSpec",
-    "OrderingReport",
-    "binom_cdf",
-    "binom_pmf",
-    "poisson_binomial_pmf",
-    "poisson_binomial_pmf_batch",
-    "i_b",
-    "ehm_tv_bound",
-    "hoeffding_ordering_check",
-    # coverage brackets
-    "CoverageBound",
-    "iid_bracket",
-    "independent_bracket",
-    "ordering_lower",
-    "dependent_bracket",
-    "ks_slack_tail",
-    "ks_slack_markov",
-    # resampling
-    "SeedSpec",
-    "stream_for",
-    "generator",
-    "bootstrap_indices",
-    "subsample_indices",
-    "signflip_transform",
-    "PermutationGroup",
-    "full_symmetric",
-    "permutation_draw",
-    "SgdSpec",
-    "sgd_path",
-    "sgd_paths",
-    "PairStream",
-    "setting_sampler",
-    "setting_truth",
-    # procedures
-    "Interval",
-    "CiResult",
-    "TestDecision",
-    "PredictionSet",
-    "RandomizedBranch",
-    "ci_boot",
-    "ci_subsample",
-    "ci_sgd",
-    "permutation_test",
-    "randomization_test",
-    "conformal_set",
-    # enumeration oracle
-    "CondIIDInstance",
-    "CondIndepInstance",
-    "GridExample",
-    "SweepReport",
-    "dist_to_uniform",
-    "iid_slacks",
-    "indep_slacks",
-    "exact_coverage_discrete",
-    "exact_coverage_continuous_iid",
-    "conformal_grid_example",
-    "conformal_grid_sweep",
-    "bracket_suite",
-    "ehm_hoeffding_sweep",
-    "check_cond_iid",
-    "check_cond_indep",
-    "check_dependent",
-    "random_cond_iid",
-    "random_cond_indep",
-    "random_joint",
-    # harness
-    "CoverageRow",
-    "SkippedRow",
-    "CoverageTable",
-    "sup_norm",
-    "normalize_config",
-    "load_config",
-    "run_experiment",
-    "emit",
-    "read_table",
-]
+_MODULES = (errors, orderstats, distances, discrete, bounds, resampling, procedures, oracle, harness)
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

@@ -13,7 +13,8 @@ Four metrics drive every coverage bound in this package:
   exchangeable.
 
 The sample-based estimators evaluate empirical CDFs at both one-sided
-limits of every breakpoint, so the supremum is exact for step functions.
+limits of every breakpoint, so the supremum is exact for step functions;
+to the uniform, a sample is the discrete law with equal weights.
 The Levy concentration function measures the largest mass any window of
 width eps can capture and quantifies how discrete a sample is.
 """
@@ -30,6 +31,7 @@ from .errors import CapacityExceeded, InvalidInput
 __all__ = [
     "DistanceEstimate",
     "FinitePmf",
+    "dist_to_uniform",
     "ks_uniform",
     "mod_ks_uniform",
     "tv_discrete",
@@ -85,45 +87,62 @@ class FinitePmf:
         return len(self.support)
 
 
-def _validate_unit(u: np.ndarray) -> np.ndarray:
+def _validate_unit(u) -> tuple[np.ndarray, np.ndarray]:
+    """A sample on [0, 1] as the discrete law with equal weights."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise InvalidInput("sample must be a non-empty 1-d vector")
     if np.any(np.isnan(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise InvalidInput("samples must lie in [0, 1]")
-    return np.sort(u)
+    return u, np.full(u.size, 1.0 / u.size)
 
 
-def _one_sided_sups(u_sorted: np.ndarray) -> tuple[float, float]:
-    """(D+, D-) of the empirical CDF against the unit uniform.
+def _check_prob_vector(p, what: str) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
+    # written so that a NaN fails every comparison and is rejected
+    if not (np.all(p >= -1e-12) and abs(float(p.sum()) - 1.0) <= 1e-9):
+        raise InvalidInput(f"{what} must be a probability vector")
+    return np.clip(p, 0.0, None)
 
-    D+ = sup_t (F_n(t) - t) is attained at a sample point from the right
-    limit; D- = sup_t (t - F_n(t)) just before a sample point (or at 1).
-    Both are clipped at zero.
+
+def dist_to_uniform(values, probs) -> tuple[float, float]:
+    """Exact (KS, interval-KS) distances of a discrete law on [0, 1]
+    from the unit uniform.
+
+    The supremum is a finite maximum over the jump points of the
+    discrete CDF with both one-sided limits, so atoms at 0 and 1 are
+    handled exactly.  Interval-KS is D+ + D-: with g = F - id the
+    discrepancy over (a, b] is g(b) - g(a), and g vanishes at both ends
+    of [0, 1].  Returns (d_ks, d_mod_ks), each clamped to [0, 1]
+    against round-off in the cumulative sums.
     """
-    n = u_sorted.size
-    i = np.arange(1, n + 1)
-    d_plus = float(np.max(i / n - u_sorted))
-    d_minus = float(np.max(u_sorted - (i - 1) / n))
-    return max(0.0, d_plus), max(0.0, d_minus)
+    v = np.asarray(values, dtype=float)
+    p = _check_prob_vector(probs, "probs")
+    if v.shape != p.shape:
+        raise InvalidInput("values and probs must have equal length")
+    if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):
+        raise InvalidInput("values must lie in [0, 1]")
+    v = np.clip(v, 0.0, 1.0)
+    uniq, inv = np.unique(v, return_inverse=True)
+    mass = np.zeros(uniq.size)
+    np.add.at(mass, inv, p)
+    cum = np.cumsum(mass)
+    cum_prev = cum - mass
+    d_plus = max(0.0, float(np.max(cum - uniq)))
+    d_minus = max(0.0, float(np.max(uniq - cum_prev)))
+    return min(max(d_plus, d_minus), 1.0), min(d_plus + d_minus, 1.0)
 
 
 def ks_uniform(u_samples) -> DistanceEstimate:
     """Exact KS distance of an empirical CDF on [0, 1] from U(0, 1)."""
-    d_plus, d_minus = _one_sided_sups(_validate_unit(u_samples))
-    return DistanceEstimate(max(d_plus, d_minus), "ks", exact=True)
+    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[0], "ks", exact=True)
 
 
 def mod_ks_uniform(u_samples) -> DistanceEstimate:
-    """Exact interval-KS distance of an empirical CDF from U(0, 1).
-
-    Computed as D+ + D-: the interval discrepancy over (a, b] equals
-    g(b) - g(a) with g = F_n - id, and the supremum of |g(b) - g(a)|
-    is sup g + sup(-g) regardless of where the two optima sit, because
-    g vanishes at both ends of [0, 1].
-    """
-    d_plus, d_minus = _one_sided_sups(_validate_unit(u_samples))
-    return DistanceEstimate(d_plus + d_minus, "mod_ks", exact=True)
+    """Exact interval-KS distance of an empirical CDF from U(0, 1)."""
+    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[1], "mod_ks", exact=True)
 
 
 def tv_discrete(p: FinitePmf, q: FinitePmf) -> DistanceEstimate:
@@ -189,12 +208,10 @@ def concentration(samples, eps: float) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise InvalidInput("sample must be non-empty")
-    best = 0
-    for a in np.concatenate([x, x - eps]):
-        # count of points in (a, a + eps]
-        cnt = np.searchsorted(x, a + eps, side="right") - np.searchsorted(x, a, side="right")
-        best = max(best, int(cnt))
-    return best / x.size
+    a = np.concatenate([x, x - eps])
+    # count of points in (a, a + eps] for every left endpoint at once
+    cnt = np.searchsorted(x, a + eps, side="right") - np.searchsorted(x, a, side="right")
+    return int(cnt.max()) / x.size
 
 
 def ks_two_sample(x, y) -> DistanceEstimate:

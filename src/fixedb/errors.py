@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FixedBError",
+    "InvalidInput",
+    "InvalidIndices",
+    "BudgetTooSmall",
+    "DegenerateSpec",
+    "CapacityExceeded",
+    "NumericalFailure",
+    "ConfigError",
+]
+
 
 class FixedBError(Exception):
     """Base class for all package errors."""

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bounds import dependent_bracket, iid_bracket, independent_bracket, ordering_lower
 from .discrete import binom_pmf, poisson_binomial_pmf_batch
-from .distances import ENUMERATION_CAP, FinitePmf, gamma_exact
+from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
 from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, index_rule
 
@@ -51,7 +51,6 @@ __all__ = [
     "CondIndepInstance",
     "GridExample",
     "SweepReport",
-    "dist_to_uniform",
     "iid_slacks",
     "indep_slacks",
     "exact_coverage_discrete",
@@ -85,13 +84,25 @@ class SweepReport:
         return len(self.violations) == 0
 
 
-def _check_prob_vector(p, what: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise InvalidInput(f"{what} must be a probability vector")
-    return np.clip(p, 0.0, None)
+def _check_instance(inst, per_coordinate) -> None:
+    """Checks shared by the conditional instance families; each entry
+    of ``per_coordinate`` holds one pmf row on w_atoms per z atom."""
+    _check_prob_vector(inst.z_probs, "z_probs")
+    if len(inst.psi_vals) != len(inst.z_probs):
+        raise InvalidInput("z_probs and psi_vals must align")
+    if not all(math.isfinite(v) for v in inst.psi_vals):
+        raise InvalidInput("psi values must be finite")
+    atoms = np.asarray(inst.w_atoms, dtype=float)
+    bad = atoms.ndim != 1 or atoms.size == 0 or np.isnan(atoms).any()
+    if bad or not np.all(np.diff(atoms) > 0):
+        raise InvalidInput("w_atoms must be a non-empty, strictly increasing 1-d vector")
+    for rows in per_coordinate:
+        if len(rows) != len(inst.z_probs):
+            raise InvalidInput("w_cond needs one pmf row per z atom")
+        for row in rows:
+            if len(row) != atoms.size:
+                raise InvalidInput("each conditional pmf row must match w_atoms")
+            _check_prob_vector(row, "w_cond row")
 
 
 @dataclass(frozen=True)
@@ -109,18 +120,7 @@ class CondIIDInstance:
     w_cond: tuple
 
     def __post_init__(self) -> None:
-        _check_prob_vector(self.z_probs, "z_probs")
-        if not len(self.z_probs) == len(self.psi_vals) == len(self.w_cond):
-            raise InvalidInput("z_probs, psi_vals and w_cond must align")
-        atoms = np.asarray(self.w_atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.size == 0 or np.any(np.diff(atoms) <= 0):
-            raise InvalidInput("w_atoms must be strictly increasing")
-        for row in self.w_cond:
-            if len(row) != atoms.size:
-                raise InvalidInput("each conditional pmf row must match w_atoms")
-            _check_prob_vector(row, "w_cond row")
-        if not all(math.isfinite(v) for v in self.psi_vals):
-            raise InvalidInput("psi values must be finite")
+        _check_instance(self, (self.w_cond,))
 
 
 @dataclass(frozen=True)
@@ -137,51 +137,13 @@ class CondIndepInstance:
     w_cond: tuple
 
     def __post_init__(self) -> None:
-        _check_prob_vector(self.z_probs, "z_probs")
-        if len(self.z_probs) != len(self.psi_vals):
-            raise InvalidInput("z_probs and psi_vals must align")
-        atoms = np.asarray(self.w_atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.size == 0 or np.any(np.diff(atoms) <= 0):
-            raise InvalidInput("w_atoms must be strictly increasing")
         if len(self.w_cond) == 0:
             raise InvalidInput("need at least one resample coordinate")
-        for per_i in self.w_cond:
-            if len(per_i) != len(self.z_probs):
-                raise InvalidInput("each coordinate needs one pmf row per z atom")
-            for row in per_i:
-                if len(row) != atoms.size:
-                    raise InvalidInput("each conditional pmf row must match w_atoms")
-                _check_prob_vector(row, "w_cond row")
+        _check_instance(self, self.w_cond)
 
     @property
     def b(self) -> int:
         return len(self.w_cond)
-
-
-def dist_to_uniform(values, probs) -> tuple[float, float]:
-    """Exact (KS, interval-KS) distances of a discrete law on [0, 1]
-    from the unit uniform.
-
-    The supremum is a finite maximum over the jump points of the
-    discrete CDF with both one-sided limits, so atoms at 0 and 1 are
-    handled exactly.  Returns (d_ks, d_mod_ks), each clamped to its
-    range [0, 1] against round-off in the cumulative sums.
-    """
-    v = np.asarray(values, dtype=float)
-    p = _check_prob_vector(probs, "probs")
-    if v.shape != p.shape:
-        raise InvalidInput("values and probs must have equal length")
-    if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
-        raise InvalidInput("values must lie in [0, 1]")
-    v = np.clip(v, 0.0, 1.0)
-    uniq, inv = np.unique(v, return_inverse=True)
-    mass = np.zeros(uniq.size)
-    np.add.at(mass, inv, p)
-    cum = np.cumsum(mass)
-    cum_prev = cum - mass
-    d_plus = max(0.0, float(np.max(cum - uniq)))
-    d_minus = max(0.0, float(np.max(uniq - cum_prev)))
-    return min(max(d_plus, d_minus), 1.0), min(d_plus + d_minus, 1.0)
 
 
 def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
@@ -228,28 +190,20 @@ def _cartesian(n: int, B: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, B)
 
 
-def _accumulate_pairs(M: np.ndarray, w: np.ndarray, psi: float, pr: np.ndarray) -> None:
+def _accumulate_pairs(M: np.ndarray, w: np.ndarray, psi, pr: np.ndarray) -> None:
+    """Add mass ``pr`` of each row of ``w`` to M at (n_lt, n_le); psi is
+    a scalar or one target per row as an (n, 1) column."""
     n_lt = (w < psi).sum(axis=1)
     n_le = (w <= psi).sum(axis=1)
     np.add.at(M, (n_lt, n_le), pr)
 
 
-def _pair_matrix_iid(inst: CondIIDInstance, B: int) -> np.ndarray:
-    atoms = np.asarray(inst.w_atoms)
-    if atoms.size**B * len(inst.z_probs) > ENUMERATION_CAP:
-        raise CapacityExceeded("instance enumeration exceeds the atom budget")
-    idx = _cartesian(atoms.size, B)
-    w = atoms[idx]
-    M = np.zeros((B + 1, B + 1))
-    for pz, psi, row in zip(inst.z_probs, inst.psi_vals, inst.w_cond):
-        pr = np.asarray(row, dtype=float)[idx].prod(axis=1) * pz
-        _accumulate_pairs(M, w, psi, pr)
-    return M
-
-
-def _pair_matrix_indep(inst: CondIndepInstance) -> np.ndarray:
-    atoms = np.asarray(inst.w_atoms)
-    B = inst.b
+def _pair_matrix(inst, rows_of) -> np.ndarray:
+    """Mass matrix of (n_lt, n_le) for a conditional instance whose
+    W_1..W_B given Z = z_j have the pmf rows ``rows_of(j)`` (the
+    conditionally-IID family repeats one row B times)."""
+    atoms = np.asarray(inst.w_atoms, dtype=float)
+    B = len(rows_of(0))
     if atoms.size**B * len(inst.z_probs) > ENUMERATION_CAP:
         raise CapacityExceeded("instance enumeration exceeds the atom budget")
     idx = _cartesian(atoms.size, B)
@@ -257,8 +211,8 @@ def _pair_matrix_indep(inst: CondIndepInstance) -> np.ndarray:
     M = np.zeros((B + 1, B + 1))
     for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
         pr = np.full(idx.shape[0], float(pz))
-        for i in range(B):
-            pr *= np.asarray(inst.w_cond[i][j], dtype=float)[idx[:, i]]
+        for i, row in enumerate(rows_of(j)):
+            pr *= np.asarray(row, dtype=float)[idx[:, i]]
         _accumulate_pairs(M, w, psi, pr)
     return M
 
@@ -272,9 +226,7 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
         raise CapacityExceeded("joint support exceeds the atom budget")
     arr = np.asarray(joint.support, dtype=float)
     M = np.zeros((B + 1, B + 1))
-    n_lt = (arr[:, :-1] < arr[:, -1:]).sum(axis=1)
-    n_le = (arr[:, :-1] <= arr[:, -1:]).sum(axis=1)
-    np.add.at(M, (n_lt, n_le), joint.probs)
+    _accumulate_pairs(M, arr[:, :-1], arr[:, -1:], joint.probs)
     return M, B
 
 
@@ -474,7 +426,7 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
 def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
     with exact slacks; returns (n_checked, violations)."""
-    M = _pair_matrix_iid(inst, B)
+    M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
     delta, delta_tilde = iid_slacks(inst)
     n = 0
     out = []
@@ -504,7 +456,7 @@ def check_cond_indep(inst: CondIndepInstance, tol: float = _TOL):
     """Closed-interval checks of the independent-resample bracket and
     the tail-ordering lower bound with exact slacks."""
     B = inst.b
-    M = _pair_matrix_indep(inst)
+    M = _pair_matrix(inst, lambda j: [rows[j] for rows in inst.w_cond])
     d_ks, d_tilde, kappas = indep_slacks(inst)
     n = 0
     out = []

@@ -17,6 +17,7 @@ taken, so floating-point noise can never flip an index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,16 +102,33 @@ class IntervalIndexRule:
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """A Monte Carlo budget B and a miscoverage level alpha."""
+    """A Monte Carlo budget B and a miscoverage level alpha, stored as
+    an ``int`` and a ``float`` so the rank caches can hash them."""
 
     B: int
     alpha: float
 
     def __post_init__(self):
-        if int(self.B) != self.B or self.B < 1:
+        B = _real_scalar(self.B, "budget B")
+        if B % 1 != 0 or B < 1:
             raise InvalidInput(f"budget B must be an integer >= 1, got {self.B!r}")
-        if not 0.0 < self.alpha < 1.0:
+        alpha = float(_real_scalar(self.alpha, "alpha"))
+        if not 0.0 < alpha < 1.0:
             raise InvalidInput(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "B", int(B))
+        object.__setattr__(self, "alpha", alpha)
+
+
+def _real_scalar(x, what: str):
+    """x as a real number, a 0-d array as its element; a bool, a
+    non-real or a non-scalar raises :class:`InvalidInput`."""
+    if type(x) in (int, float):  # the usual case, skipping the slow ABC check
+        return x
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x.item()
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise InvalidInput(f"{what} must be a real scalar, got {x!r}")
+    return x
 
 
 @lru_cache(maxsize=256)
@@ -173,7 +191,7 @@ def min_budget(alpha: float, sided: str = "two") -> int:
     ``ceil(1/alpha - 1)`` for one-sided rules and ``ceil(2/alpha - 1)``
     for two-sided ones.
     """
-    a = _snap_alpha(alpha)
+    a = _snap_alpha(float(_real_scalar(alpha, "alpha")))
     if sided == "one":
         return _ceil(1 / a - 1)
     if sided == "two":
@@ -248,7 +266,11 @@ def index_rule(
     The ranks are cached per (B, alpha, rule_name, gamma, beta); a
     call that raises is not cached, so it raises every time.
     """
-    return _index_rule(int(spec.B), spec.alpha, rule_name, gamma, beta)
+    if gamma is not None:
+        gamma = float(_real_scalar(gamma, "gamma"))
+    if beta is not None:
+        beta = float(_real_scalar(beta, "beta"))
+    return _index_rule(spec.B, spec.alpha, rule_name, gamma, beta)
 
 
 @lru_cache(maxsize=1024)

@@ -1,16 +1,21 @@
 """Exact enumeration oracle: slacks, coverages, and the sweep suites."""
 
+import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fixedb import oracle
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
 from fixedb.errors import InvalidIndices, InvalidInput
 from fixedb.oracle import (
     CondIIDInstance,
+    CondIndepInstance,
     bracket_suite,
     check_cond_iid,
     check_cond_indep,
@@ -43,6 +48,14 @@ class TestDistToUniform:
         ks, mod = dist_to_uniform(np.array([0.5]), np.array([1.0]))
         assert ks == 0.5
         assert mod == 1.0
+
+    @pytest.mark.parametrize(
+        "vals, probs",
+        [([0.5, math.nan], [0.5, 0.5]), ([0.2, 0.7], [math.nan, 1.0]), ([0.2], [math.nan])],
+    )
+    def test_nan_raises(self, vals, probs):
+        with pytest.raises(InvalidInput):
+            dist_to_uniform(np.array(vals), np.array(probs))
 
     def test_degenerate_uniform_limit(self):
         # many equally spaced mid-grid atoms approach the uniform
@@ -176,6 +189,56 @@ class TestInstanceChecks:
         assert iid_slacks(inst) == pytest.approx((0.2, 1.0))
         n_checked, viol = check_cond_iid(inst, 6)
         assert n_checked == 63 and viol == []
+
+
+def _joint_law(inst, B, rows_of) -> FinitePmf:
+    """The law of (W_1..W_B, psi) of a conditional instance written out
+    atom by atom; ``rows_of(j)`` lists the pmfs of W_1..W_B given z_j."""
+    acc = {}
+    for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
+        rows = rows_of(j)
+        for ws in itertools.product(range(len(inst.w_atoms)), repeat=B):
+            key = tuple(float(inst.w_atoms[w]) for w in ws) + (float(psi),)
+            p = pz * math.prod(rows[i][w] for i, w in enumerate(ws))
+            acc[key] = acc.get(key, 0.0) + p
+    return FinitePmf(list(acc), list(acc.values()))
+
+
+class TestPairMatrix:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_matches_enumerated_joint(self, seed, B):
+        # the matrix check_cond_iid / check_cond_indep read their
+        # coverages from must give exact_coverage_discrete of the joint
+        # law at every (a, b, kind), sentinel ranks included
+        rng = np.random.default_rng(seed)
+        iid = random_cond_iid(rng)
+        indep = random_cond_indep(rng, B)
+        cases = (
+            (lambda: check_cond_iid(iid, B), iid, lambda j: [iid.w_cond[j]] * B),
+            (lambda: check_cond_indep(indep), indep, lambda j: [r[j] for r in indep.w_cond]),
+        )
+        for check, inst, rows_of in cases:
+            real = oracle._coverage_from_matrix
+            with mock.patch.object(oracle, "_coverage_from_matrix", wraps=real) as spy:
+                check()
+            M, B_seen = spy.call_args.args[:2]
+            assert B_seen == B
+            joint = _joint_law(inst, B, rows_of)
+            for a in range(B + 1):
+                for b in range(-1, B - a):
+                    for kind in ("one_sided_upper",) + oracle._TWO_SIDED_KINDS:
+                        want = exact_coverage_discrete(joint, a, b, kind)
+                        assert real(M, B, a, b, kind) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "psi, atoms",
+        [((math.nan,), (1.0, 2.0)), ((math.inf,), (1.0, 2.0)), ((1.5,), (1.0, math.nan))],
+    )
+    def test_non_finite_instances_raise(self, psi, atoms):
+        with pytest.raises(InvalidInput):
+            CondIndepInstance((1.0,), psi, atoms, (((0.5, 0.5),),))
+        with pytest.raises(InvalidInput):
+            CondIIDInstance((1.0,), psi, atoms, ((0.5, 0.5),))
 
 
 class TestConformalGrid:

@@ -214,6 +214,61 @@ def test_budget_spec_validation():
         BudgetSpec(19, 1.0)
 
 
+class TestBudgetBoundary:
+    """BudgetSpec and min_budget take real scalars only, and store a
+    plain int B and float alpha so the rank caches can hash them."""
+
+    @pytest.mark.parametrize(
+        "B, alpha",
+        [
+            (True, 0.1),
+            (False, 0.1),
+            ("19", 0.1),
+            (None, 0.1),
+            (np.array([19]), 0.1),
+            (math.nan, 0.1),
+            (math.inf, 0.1),
+            (19, "x"),
+            (19, True),
+            (19, None),
+            (19, 0.1 + 0j),
+            (19, np.array([0.1])),
+            (19, np.array(True)),
+            (19, math.nan),
+        ],
+    )
+    def test_rejects_with_invalid_input(self, B, alpha):
+        with pytest.raises(InvalidInput):
+            BudgetSpec(B, alpha)
+
+    @pytest.mark.parametrize("alpha", [np.array(0.1), np.float64(0.1), Fraction(1, 10)])
+    def test_numpy_and_rational_alpha_match_float(self, alpha):
+        spec = BudgetSpec(19, alpha)
+        assert type(spec.alpha) is float and spec == BudgetSpec(19, 0.1)
+        for name in ("mod_two_sided", "vanilla_two_sided", "randomization"):
+            assert index_rule(spec, name) == index_rule(BudgetSpec(19, 0.1), name)
+        assert min_budget(alpha) == min_budget(0.1) == 19
+        assert min_budget(alpha, "one") == min_budget(0.1, "one") == 9
+
+    @pytest.mark.parametrize("B", [np.int64(19), np.array(19), 19.0])
+    def test_integral_budget_is_stored_as_int(self, B):
+        spec = BudgetSpec(B, 0.1)
+        assert type(spec.B) is int and spec == BudgetSpec(19, 0.1)
+
+    @pytest.mark.parametrize("alpha", ["x", True, np.array([0.1]), None])
+    def test_min_budget_rejects_non_real_alpha(self, alpha):
+        with pytest.raises(InvalidInput):
+            min_budget(alpha)
+
+    def test_numpy_tail_splits_match_float(self):
+        spec = BudgetSpec(39, 0.1)
+        want = index_rule(spec, "dependent_two_sided", gamma=0.2, beta=0.1)
+        got = index_rule(spec, "dependent_two_sided", gamma=np.array(0.2), beta=np.float64(0.1))
+        assert got == want
+        with pytest.raises(InvalidInput):
+            index_rule(spec, "dependent_two_sided", gamma="x")
+
+
 class TestRuleCache:
     """index_rule caches its ranks; the cache must give what the
     uncached resolution gives, and never cache a raise."""
