@@ -61,7 +61,8 @@ class FinitePmf:
     """A finitely supported probability mass function.
 
     Atoms may be scalars or (for joint laws) equal-length tuples; they
-    must be distinct, and the probabilities must sum to 1 within 1e-9.
+    must be distinct and not NaN, and the probabilities must be
+    nonnegative numbers summing to 1 within 1e-9.
     """
 
     __slots__ = ("support", "probs")
@@ -73,6 +74,11 @@ class FinitePmf:
             raise InvalidInput("support and probs must have equal length")
         if len(set(support)) != len(support):
             raise InvalidInput("support atoms must be distinct")
+        # NaN is the one value that differs from itself
+        if any(v != v for atom in support for v in (atom if isinstance(atom, tuple) else (atom,))):
+            raise InvalidInput("support atoms must not be NaN")
+        if np.isnan(probs).any():
+            raise InvalidInput("probabilities must not be NaN")
         if np.any(probs < -1e-15):
             raise InvalidInput("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -201,13 +207,16 @@ def concentration(samples, eps: float) -> float:
 
     Window left endpoints are swept over the sample points and the
     sample points minus eps; that family attains the supremum for
-    half-open windows over a finite sample.
+    half-open windows over a finite sample.  A NaN sample value or eps
+    raises :class:`InvalidInput`.
     """
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not eps > 0:
+        raise InvalidInput(f"eps must be positive, got {eps!r}")
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise InvalidInput("sample must be non-empty")
+    if np.isnan(x).any():
+        raise InvalidInput("sample values must not be NaN")
     a = np.concatenate([x, x - eps])
     # count of points in (a, a + eps] for every left endpoint at once
     cnt = np.searchsorted(x, a + eps, side="right") - np.searchsorted(x, a, side="right")
@@ -215,11 +224,14 @@ def concentration(samples, eps: float) -> float:
 
 
 def ks_two_sample(x, y) -> DistanceEstimate:
-    """Classical two-sample KS statistic over merged breakpoints."""
+    """Classical two-sample KS statistic over merged breakpoints; a NaN
+    in either sample raises :class:`InvalidInput`."""
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     if x.size == 0 or y.size == 0:
         raise InvalidInput("both samples must be non-empty")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise InvalidInput("sample values must not be NaN")
     grid = np.concatenate([x, y])
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size

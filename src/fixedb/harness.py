@@ -3,11 +3,19 @@ SVG emission, and JSON config handling.
 
 A config names a procedure (bootstrap / subsample / sgd / permutation /
 randomization / conformal), a benchmark setting, budget and level
-grids, and a replication count.  Replicates run in order in the
-calling thread, each drawing from its own pre-split seed streams, so
-the output table depends only on the config.  The ``threads`` key is
-still validated but has no effect: the replicate loop holds the GIL,
-so a pool of threads never ran it faster.
+grids, and a replication count.  The grid's cells are its (alpha, B,
+method) triples; cells whose budget cannot support their rule are
+skipped before any replicate runs.  The loop is replicate-major:
+replicates run in order in the calling thread, and each draws its data
+once, from its own pre-split seed streams, and runs every cell on it.
+Bootstrap and subsample cells also share the replicate's resamples:
+one :func:`~fixedb.procedures.ci_cells` call draws max(B) of them and
+forms their roots once, and a B-cell reads the first B (the bits its
+own call would draw).  SGD and test cells run one procedure call each
+on the shared data.  So every cell's outcome is the one it would get
+run alone, and the output table depends only on the config.  The
+``threads`` key is still validated but has no effect: the replicate
+loop holds the GIL, so a pool of threads never ran it faster.
 
 Width reporting: scalar confidence intervals report the interval
 width; sup-norm (set-valued) intervals report the threshold span
@@ -22,13 +30,16 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetTooSmall, ConfigError, InvalidInput
 from .oracle import conformal_grid_example
-from .procedures import ci_boot, ci_sgd, ci_subsample, permutation_test, randomization_test
+from .orderstats import BudgetSpec, index_rule
+from .procedures import ci_cells, ci_rule, ci_sgd, permutation_test, randomization_test
+from .procedures import ci_boot, ci_subsample  # noqa: F401  rebound by bench/tracer.py
 from .resampling import (
     SeedSpec,
     SgdSpec,
@@ -316,14 +327,24 @@ _ESTIMATORS = {
 }
 
 
-def _ci_replicate(cfg: dict, B: int, alpha: float, variant: str, r: int):
+def _each_cell(run_cell: Callable, data, cells: list, seed: SeedSpec) -> list:
+    """run_cells of the procedures that share only the data: one
+    run_cell(data, B, alpha, method, seed) call per cell."""
+    return [run_cell(data, B, alpha, method, seed) for B, alpha, method in cells]
+
+
+def _plan(cfg: dict):
+    """(draw, run_cells) for the configured procedure.
+
+    draw(seed) is one replicate's data; run_cells(data, cells, seed)
+    gives one (covered, width) per (B, alpha, method) cell, with width
+    None for tests.  Bootstrap and subsample cells share one
+    :func:`ci_cells` call; the others run one call per cell.
+    """
     proc = cfg["procedure"]
     setting = cfg["setting"]
-    master = cfg["seed"]
-    data_seed = SeedSpec(master, stream_for(r, 0))
-    proc_seed = SeedSpec(master, stream_for(r, 1))
+    m = cfg["m"]
     if proc == "sgd":
-        stream = setting_sampler(4, {"n": cfg["n"]}, data_seed)
         spec = SgdSpec(
             dim=3,
             gamma1=cfg["gamma1"],
@@ -333,80 +354,113 @@ def _ci_replicate(cfg: dict, B: int, alpha: float, variant: str, r: int):
             gradient=_sgd_gradient,
             weight_law="exponential",
         )
-        ci = ci_sgd(
-            stream,
-            spec,
-            B=B,
-            alpha=alpha,
-            variant=variant,
-            seed=proc_seed,
-            gradient_batch=_sgd_gradient_batch,
-        )[0]
-        return ci.contains(setting_truth(4)[0]), ci.span
+        truth = setting_truth(4)[0]
 
-    m = cfg["m"]
+        def run_cell(stream, B, alpha, variant, seed):
+            ci = ci_sgd(
+                stream,
+                spec,
+                B=B,
+                alpha=alpha,
+                variant=variant,
+                seed=seed,
+                gradient_batch=_sgd_gradient_batch,
+            )[0]
+            return ci.contains(truth), ci.span
+
+        return partial(setting_sampler, 4, {"n": cfg["n"]}), partial(_each_cell, run_cell)
+
+    if proc == "permutation":
+        group = full_symmetric(m)
+
+        def draw(seed):
+            gen = generator(seed)
+            return gen.standard_normal(m), gen.standard_normal(m)
+
+        def run_cell(data, B, alpha, _method, seed):
+            decision = permutation_test(
+                data,
+                _corr_statistic,
+                group,
+                B,
+                alpha,
+                seed=seed,
+                statistic_batch=_corr_statistic_batch,
+            )
+            return not decision.reject, None
+
+        return draw, partial(_each_cell, run_cell)
+
+    if proc == "randomization":
+
+        def draw(seed):
+            return generator(seed).standard_normal(m)
+
+        def run_cell(data, B, alpha, _method, seed):
+            decision = randomization_test(
+                data,
+                _mean_statistic,
+                "signflip",
+                B,
+                alpha,
+                seed=seed,
+                statistic_batch=_mean_statistic_batch,
+            )
+            return not decision.reject, None
+
+        return draw, partial(_each_cell, run_cell)
+
     params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
-    data = setting_sampler(setting, params, data_seed)
     theta0 = setting_truth(setting, params)
     estimator, batch, root = _ESTIMATORS[setting]
     tau_m = _rate(setting, m)
-    if proc == "bootstrap":
-        ci = ci_boot(
-            data,
-            estimator,
-            root=root,
-            tau_m=tau_m,
-            B=B,
-            alpha=alpha,
-            variant=variant,
-            seed=proc_seed,
-            estimator_batch=batch,
-        )
-    else:
+    k, tau_k = None, 1.0
+    if proc == "subsample":
         k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
-        ci = ci_subsample(
+        tau_k = _rate(setting, k)
+
+    def run_cells(data, cells, seed):
+        cis = ci_cells(
             data,
             estimator,
+            cells,
             root=root,
             tau_m=tau_m,
-            tau_k=_rate(setting, k),
-            k=k,
-            B=B,
-            alpha=alpha,
-            variant=variant,
-            seed=proc_seed,
+            seed=seed,
             estimator_batch=batch,
+            k=k,
+            tau_k=tau_k,
         )
-    return ci.contains(theta0), ci.span
+        return [(ci.contains(theta0), ci.span) for ci in cis]
+
+    return partial(setting_sampler, setting, params), run_cells
 
 
-def _test_replicate(cfg: dict, B: int, alpha: float, r: int):
-    master = cfg["seed"]
-    m = cfg["m"]
-    gen = generator(SeedSpec(master, stream_for(r, 0)))
-    proc_seed = SeedSpec(master, stream_for(r, 1))
-    if cfg["procedure"] == "permutation":
-        data = (gen.standard_normal(m), gen.standard_normal(m))
-        decision = permutation_test(
-            data,
-            _corr_statistic,
-            full_symmetric(m),
-            B,
-            alpha,
-            seed=proc_seed,
-            statistic_batch=_corr_statistic_batch,
-        )
-    else:
-        decision = randomization_test(
-            gen.standard_normal(m),
-            _mean_statistic,
-            "signflip",
-            B,
-            alpha,
-            seed=proc_seed,
-            statistic_batch=_mean_statistic_batch,
-        )
-    return (not decision.reject), None
+def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> list:
+    """Replicate r of every cell: its data drawn once from stream
+    (r, 0), every cell run on it from stream (r, 1).  The one kernel of
+    every replicated procedure, tests included."""
+    data = draw(SeedSpec(master, stream_for(r, 0)))
+    return run_cells(data, cells, SeedSpec(master, stream_for(r, 1)))
+
+
+# bench/tracer.py rebinds both replicate names to time replicates; the
+# loop calls _ci_replicate for every procedure
+_test_replicate = _ci_replicate
+
+
+def _skip_reason(proc: str, B: int, alpha: float, method: str) -> Optional[str]:
+    """Why the cell cannot run at its budget (the BudgetTooSmall text its
+    procedure would raise), or None.  A permutation test always runs."""
+    budget = BudgetSpec(B, alpha)
+    try:
+        if proc == "randomization":
+            index_rule(budget, "randomization")
+        elif proc != "permutation":
+            ci_rule(budget, method)
+    except BudgetTooSmall as exc:
+        return str(exc)
+    return None
 
 
 def run_experiment(config: dict) -> CoverageTable:
@@ -417,6 +471,9 @@ def run_experiment(config: dict) -> CoverageTable:
     null (for tests); the conformal procedure tabulates the exact grid
     coverage instead of replicating.  Cells whose budget cannot
     support the requested rule become skipped rows with the reason.
+    The other cells run replicate-major: replicate r draws its data
+    (and, for bootstrap and subsample, its resamples) once for all of
+    them.  Rows and skips come in (alpha, B, method) order.
     """
     cfg = normalize_config(config)
     proc = cfg["procedure"]
@@ -441,41 +498,44 @@ def run_experiment(config: dict) -> CoverageTable:
                 )
         return table
 
+    draw, run_cells = _plan(cfg)
     is_test = proc in ("permutation", "randomization")
     methods = [proc] if is_test else cfg["methods"]
+
+    def label(method: str) -> str:
+        return proc if is_test else f"{proc}_{method}"
+
+    cells = []
     for alpha in cfg["alpha"]:
         for B in cfg["B"]:
             for method in methods:
-                label = proc if is_test else f"{proc}_{method}"
-                try:
-                    outcomes = [
-                        _test_replicate(cfg, B, alpha, r)
-                        if is_test
-                        else _ci_replicate(cfg, B, alpha, method, r)
-                        for r in range(cfg["reps"])
-                    ]
-                except BudgetTooSmall as exc:
+                reason = _skip_reason(proc, B, alpha, method)
+                if reason is None:
+                    cells.append((B, alpha, method))
+                else:
                     table.skipped.append(
-                        SkippedRow(cfg["setting"], label, B, alpha, reason=str(exc))
+                        SkippedRow(cfg["setting"], label(method), B, alpha, reason=reason)
                     )
-                    continue
-                covered = np.array([c for c, _ in outcomes], dtype=float)
-                widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]
-                mean_width = float(np.mean(widths)) if widths else None
-                table.rows.append(
-                    CoverageRow(
-                        setting=cfg["setting"],
-                        method=label,
-                        B=B,
-                        alpha=alpha,
-                        m=cfg["n"] if proc == "sgd" else cfg["m"],
-                        reps=cfg["reps"],
-                        coverage=float(covered.mean()),
-                        mean_width=mean_width,
-                        seed=cfg["seed"],
-                        width_kind=_width_kind(cfg["setting"], label),
-                    )
-                )
+    if not cells:
+        return table
+    replicates = [_ci_replicate(cfg["seed"], cells, draw, run_cells, r) for r in range(cfg["reps"])]
+    for (B, alpha, method), outcomes in zip(cells, zip(*replicates)):
+        covered = np.array([c for c, _ in outcomes], dtype=float)
+        widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]
+        table.rows.append(
+            CoverageRow(
+                setting=cfg["setting"],
+                method=label(method),
+                B=B,
+                alpha=alpha,
+                m=cfg["n"] if proc == "sgd" else cfg["m"],
+                reps=cfg["reps"],
+                coverage=float(covered.mean()),
+                mean_width=float(np.mean(widths)) if widths else None,
+                seed=cfg["seed"],
+                width_kind=_width_kind(cfg["setting"], label(method)),
+            )
+        )
     return table
 
 

@@ -425,7 +425,10 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
 
 def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
-    with exact slacks; returns (n_checked, violations)."""
+    with exact slacks; returns (n_checked, violations).  B < 1 raises
+    :class:`InvalidInput`."""
+    if B < 1:
+        raise InvalidInput(f"B must be >= 1, got {B!r}")
     M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
     delta, delta_tilde = iid_slacks(inst)
     n = 0

@@ -18,9 +18,16 @@ seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
 :func:`fixedb.resampling.stream_for`.  The B resample streams are
 drawn with one batched call (``count=B``), which gives the same bits
-as B single-stream calls.  With an ``estimator_batch``, ci_boot and
-ci_subsample also estimate them in one call per block of rows; with a
-``statistic_batch``, permutation_test and the sign-flip
+as B single-stream calls.  Resample b always comes from stream
+seed.stream_id + b, whatever B is, so a B-call's resamples are the
+first B rows of any larger call on the same seed.  That is what lets
+:func:`ci_cells` serve several (B, alpha, variant) cells from one
+draw of max(B) resamples and one pass over their roots: each cell
+reads the first B roots and draws its own rank rule, so it gets the
+bits of its own :func:`ci_boot` or :func:`ci_subsample` call, which
+are one-cell calls of it.  With an ``estimator_batch``, the CI
+procedures also estimate the resamples in one call per block of rows;
+with a ``statistic_batch``, permutation_test and the sign-flip
 randomization_test compute all B test statistics in one call.
 """
 
@@ -62,6 +69,8 @@ __all__ = [
     "CiResult",
     "TestDecision",
     "PredictionSet",
+    "ci_rule",
+    "ci_cells",
     "ci_boot",
     "ci_subsample",
     "ci_sgd",
@@ -155,25 +164,39 @@ class PredictionSet:
         return bool(score <= self.threshold)
 
 
-def _pick_rule(budget: BudgetSpec, variant: str, u_seed: SeedSpec):
-    """Index rule plus branch record for a CI variant."""
+def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
+    """The rank rule of a CI variant at this budget; for "randomized",
+    the ceiling branch of its draw.
+
+    This is the budget check every CI procedure runs before it draws
+    anything: it raises :class:`BudgetTooSmall` when the variant cannot
+    run at (B, alpha), and :class:`InvalidInput` for an unknown variant.
+    The harness runs it to skip such cells before its replicate loop.
+    """
     if variant not in _CI_VARIANTS:
         raise InvalidInput(f"variant must be one of {_CI_VARIANTS}, got {variant!r}")
     if variant == "vanilla":
-        return index_rule(budget, "vanilla_two_sided"), None
+        return index_rule(budget, "vanilla_two_sided")
     need = min_budget(budget.alpha, "two")
     if budget.B < need:
         raise BudgetTooSmall(
             f"{variant} two-sided interval needs B >= {need} at alpha={budget.alpha}",
             min_b=need,
         )
-    if variant == "modified":
-        return index_rule(budget, "mod_two_sided"), None
+    return index_rule(budget, "mod_two_sided")
+
+
+def _pick_rule(budget: BudgetSpec, variant: str, u_seed: SeedSpec):
+    """Index rule plus branch record for a CI variant."""
+    rule = ci_rule(budget, variant)
+    if variant != "randomized":
+        return rule, None
     tau = tau_randomization(budget)
     u = float(generator(u_seed).random())
     took_ceil = u <= tau
-    name = "mod_two_sided" if took_ceil else "mod_two_sided_floor"
-    return index_rule(budget, name), RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
+    if not took_ceil:
+        rule = index_rule(budget, "mod_two_sided_floor")
+    return rule, RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
 
 
 # largest gathered resample block handed to an estimator_batch call
@@ -283,6 +306,57 @@ def _assemble_ci(
     )
 
 
+def ci_cells(
+    data,
+    estimator: Callable,
+    cells: Sequence[tuple],
+    root: Optional[Callable] = None,
+    tau_m: float = 1.0,
+    seed: SeedSpec = SeedSpec(0),
+    estimator_batch: Optional[Callable] = None,
+    k: Optional[int] = None,
+    tau_k: float = 1.0,
+) -> list:
+    """One confidence set per (B, alpha, variant) cell, all from one
+    set of resamples.
+
+    ``k`` None resamples with replacement (the bootstrap, roots at rate
+    ``tau_m``); an integer k draws size-k subsets without replacement
+    (subsampling, roots at rate ``tau_k``).  The routine computes
+    theta_hat once, draws max(B) index rows once and forms their roots
+    once; cell (B, alpha, variant) then reads the first B roots under
+    its own rank rule and randomized branch (stream seed.stream_id + B).
+    Entry i of the result is bit for bit the :func:`ci_boot` (or
+    :func:`ci_subsample`) call for cell i on the same arguments.  Every
+    cell's budget is checked before anything is drawn; a non-finite
+    root on any of the max(B) resamples raises, naming the resample.
+    """
+    data = np.asarray(data)
+    if len(data) < 1:
+        raise InvalidInput("data must be nonempty")
+    m = len(data)
+    if k is not None and not 1 <= k <= m:
+        raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
+    if not cells:
+        raise InvalidInput("cells must be nonempty")
+    budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
+    picks = [
+        _pick_rule(budget, variant, _child(seed, budget.B))
+        for budget, (_, _, variant) in zip(budgets, cells)
+    ]
+    theta_hat = np.asarray(estimator(data), dtype=float)
+    count = max(budget.B for budget in budgets)
+    if k is None:
+        indices, rate = bootstrap_indices(m, seed, count=count), tau_m
+    else:
+        indices, rate = subsample_indices(m, k, seed, count=count), tau_k
+    ws = _resample_roots(data, estimator, root, rate, theta_hat, indices, estimator_batch)
+    return [
+        _assemble_ci(theta_hat, ws[: budget.B], tau_m, budget, rule, branch, root)
+        for budget, (rule, branch) in zip(budgets, picks)
+    ]
+
+
 def ci_boot(
     data,
     estimator: Callable,
@@ -308,16 +382,13 @@ def ci_boot(
     bits of ``estimator(data[idx_b])`` (``s.mean(axis=1)`` does for
     ``np.mean``); then the result is bit for bit the one without it.
     If it raises, the scalar loop runs.
+
+    This is the one-cell call of :func:`ci_cells`.
     """
-    data = np.asarray(data)
-    if len(data) < 1:
-        raise InvalidInput("data must be nonempty")
-    budget = BudgetSpec(B=B, alpha=alpha)
-    rule, branch = _pick_rule(budget, variant, _child(seed, B))
-    theta_hat = np.asarray(estimator(data), dtype=float)
-    indices = bootstrap_indices(len(data), seed, count=B)
-    ws = _resample_roots(data, estimator, root, tau_m, theta_hat, indices, estimator_batch)
-    return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
+    (ci,) = ci_cells(
+        data, estimator, [(B, alpha, variant)], root, tau_m, seed, estimator_batch=estimator_batch
+    )
+    return ci
 
 
 def ci_subsample(
@@ -339,20 +410,21 @@ def ci_subsample(
     root(tau_k (theta*_{k,b} - theta_hat)); membership tests
     root(tau_m (theta_hat - theta)) in [W_(l), W_(u)).
     ``estimator_batch`` is as in :func:`ci_boot`, over (b, k, ...)
-    stacks, with the same bit-equality promise.
+    stacks, with the same bit-equality promise.  This is the one-cell
+    call of :func:`ci_cells` with ``k`` given.
     """
-    data = np.asarray(data)
-    if len(data) < 1:
-        raise InvalidInput("data must be nonempty")
-    m = len(data)
-    if not 1 <= k <= m:
-        raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
-    budget = BudgetSpec(B=B, alpha=alpha)
-    rule, branch = _pick_rule(budget, variant, _child(seed, B))
-    theta_hat = np.asarray(estimator(data), dtype=float)
-    indices = subsample_indices(m, k, seed, count=B)
-    ws = _resample_roots(data, estimator, root, tau_k, theta_hat, indices, estimator_batch)
-    return _assemble_ci(theta_hat, ws, tau_m, budget, rule, branch, root)
+    (ci,) = ci_cells(
+        data,
+        estimator,
+        [(B, alpha, variant)],
+        root,
+        tau_m,
+        seed,
+        estimator_batch=estimator_batch,
+        k=k,
+        tau_k=tau_k,
+    )
+    return ci
 
 
 def ci_sgd(

@@ -84,6 +84,20 @@ class TestTv:
         with pytest.raises(InvalidInput):
             FinitePmf([0, 1], [-0.2, 1.2])
 
+    @pytest.mark.parametrize(
+        "support, probs",
+        [
+            ([1.0], [np.nan]),
+            ([1.0, 2.0], [np.nan, 1.0]),
+            ([np.nan], [1.0]),
+            ([(1.0, np.nan)], [1.0]),
+            ([(0.0, 1.0), (np.nan, 0.0)], [0.5, 0.5]),
+        ],
+    )
+    def test_nan_probabilities_and_atoms(self, support, probs):
+        with pytest.raises(InvalidInput):
+            FinitePmf(support, probs)
+
 
 class TestGamma:
     def test_point_mass_pair(self):
@@ -142,6 +156,19 @@ class TestConcentrationAndTwoSample:
         assert concentration([1.0, 1.0], 1e-9) == 1.0
         with pytest.raises(InvalidInput):
             concentration([1.0], 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: concentration([1.0, 2.0], np.nan),
+            lambda: concentration([1.0, np.nan], 0.5),
+            lambda: ks_two_sample([1.0, np.nan], [0.5]),
+            lambda: ks_two_sample([0.5], [np.nan]),
+        ],
+    )
+    def test_nan_is_rejected(self, call):
+        with pytest.raises(InvalidInput):
+            call()
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=30),

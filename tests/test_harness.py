@@ -1,5 +1,6 @@
 """Experiment driver, config normalization, and CSV/SVG emission."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixedb import harness, procedures
 from fixedb.errors import ConfigError, InvalidInput
 from fixedb.harness import (
     _KNOWN_KEYS,
@@ -224,6 +226,139 @@ class TestRunExperiment:
         )
         (row,) = table.rows
         assert row.coverage > 0.6
+
+
+# multi-cell configs whose rows must be those of their cells run alone
+GRID_CONFIGS = {
+    "boot-s1": {
+        "procedure": "bootstrap",
+        "setting": 1,
+        "B": [5, 19, 59, 199],
+        "methods": ["vanilla", "modified", "randomized"],
+        "reps": 25,
+        "seed": 20260823,
+        "m": 100,
+    },
+    "boot-s2": {
+        "procedure": "bootstrap",
+        "setting": 2,
+        "B": [9, 19],
+        "methods": ["vanilla", "modified", "randomized"],
+        "reps": 8,
+        "seed": 7,
+        "m": 120,
+        "d": 6,
+    },
+    "sub-s2": {
+        "procedure": "subsample",
+        "setting": 2,
+        "B": [19, 59],
+        "methods": ["vanilla", "modified", "randomized"],
+        "reps": 8,
+        "seed": 7,
+        "m": 120,
+        "d": 6,
+    },
+    "sub-s3": {
+        "procedure": "subsample",
+        "setting": 3,
+        "B": [19, 59],
+        "alpha": [0.1, 0.2],
+        "methods": ["vanilla", "modified", "randomized"],
+        "reps": 20,
+        "seed": 3,
+        "m": 100,
+    },
+    "randomization": {
+        "procedure": "randomization",
+        "B": [5, 19, 99],
+        "alpha": [0.1, 0.05],
+        "reps": 20,
+        "seed": 9,
+        "m": 30,
+    },
+    "permutation": {"procedure": "permutation", "B": [24, 5], "reps": 20, "seed": 9, "m": 4},
+    "sgd": {
+        "procedure": "sgd",
+        "B": [5, 9],
+        "methods": ["vanilla", "modified"],
+        "reps": 2,
+        "seed": 4,
+        "n": 400,
+        "burn_in": 100,
+    },
+}
+
+
+class TestCellGrid:
+    """The replicate-major loop shares data and resamples across cells;
+    every cell must still get the bits it gets when run alone."""
+
+    @pytest.mark.parametrize("name", sorted(GRID_CONFIGS))
+    def test_rows_equal_single_cell_runs(self, name):
+        cfg = normalize_config(GRID_CONFIGS[name])
+        grid = run_experiment(cfg)
+        rows, skipped = [], []
+        for alpha in cfg["alpha"]:
+            for B in cfg["B"]:
+                for method in cfg["methods"]:
+                    alone = run_experiment({**cfg, "alpha": [alpha], "B": [B], "methods": [method]})
+                    rows += alone.rows
+                    skipped += alone.skipped
+        assert grid.rows == rows  # dataclass ==: mean_width compared exactly
+        assert [r.mean_width for r in grid.rows] == [r.mean_width for r in rows]
+        assert grid.skipped == skipped
+        assert len(grid.rows) > 1
+
+    def test_boot_s1_skips_and_reasons(self):
+        table = run_experiment(GRID_CONFIGS["boot-s1"])
+        assert [(s.method, s.B) for s in table.skipped] == [
+            ("bootstrap_modified", 5),
+            ("bootstrap_randomized", 5),
+        ]
+        assert [s.reason for s in table.skipped] == [
+            "modified two-sided interval needs B >= 19 at alpha=0.1",
+            "randomized two-sided interval needs B >= 19 at alpha=0.1",
+        ]
+        assert len(table.rows) == 10
+
+    def test_each_replicate_draws_its_data_and_resamples_once(self, monkeypatch):
+        calls = {"data": 0, "indices": []}
+        sampler, draw = harness.setting_sampler, procedures.bootstrap_indices
+
+        def counting_sampler(*args):
+            calls["data"] += 1
+            return sampler(*args)
+
+        def counting_draw(m, seed, count=None):
+            calls["indices"].append(count)
+            return draw(m, seed, count=count)
+
+        monkeypatch.setattr(harness, "setting_sampler", counting_sampler)
+        monkeypatch.setattr(procedures, "bootstrap_indices", counting_draw)
+        run_experiment(GRID_CONFIGS["boot-s1"])
+        assert calls["data"] == 25
+        assert calls["indices"] == [199] * 25
+
+    def test_all_cells_skipped_runs_no_replicate(self, monkeypatch):
+        monkeypatch.setattr(harness, "_ci_replicate", None)  # would raise if called
+        table = run_experiment(tiny_config(B=[5], methods=["modified", "randomized"]))
+        assert table.rows == [] and len(table.skipped) == 2
+
+    def test_criterion_10_csv_bytes_are_pinned(self, tmp_path):
+        cfg = {
+            "procedure": "bootstrap",
+            "setting": 1,
+            "B": [19],
+            "alpha": [0.1],
+            "methods": ["vanilla", "modified", "randomized"],
+            "reps": 60,
+            "seed": 20260823,
+            "m": 100,
+        }
+        path = emit(run_experiment(cfg), "csv", str(tmp_path / "c10.csv"))
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == "272dc14a5f14a9ae79fd032f81791d2b18cff2dac24cc1fa5ab7f7e5ecd87f4d"
 
 
 class TestEmit:

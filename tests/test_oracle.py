@@ -105,6 +105,11 @@ class TestExactCoverageDiscrete:
         with pytest.raises(InvalidIndices):
             exact_coverage_discrete(joint, 3, 1, "closed")
 
+    def test_nan_target_is_rejected(self):
+        # a NaN psi used to cover itself: coverage 1.0
+        with pytest.raises(InvalidInput):
+            exact_coverage_discrete(FinitePmf([(1.0, np.nan)], [1.0]), 0, 0, "closed")
+
 
 class TestExactCoverageContinuous:
     def test_frozen_values(self):
@@ -140,6 +145,12 @@ class TestInstanceChecks:
             n, viol = check_cond_iid(inst, B=3, tol=1e-9)
             assert viol == []
             assert n > 0
+
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_cond_iid_needs_a_budget(self, B):
+        inst = random_cond_iid(np.random.default_rng(2))
+        with pytest.raises(InvalidInput):
+            check_cond_iid(inst, B)
 
     def test_indep_slacks_and_bracket(self):
         rng = np.random.default_rng(3)

@@ -17,6 +17,8 @@ from fixedb.harness import (
 from fixedb.procedures import (
     Interval,
     ci_boot,
+    ci_cells,
+    ci_rule,
     ci_sgd,
     ci_subsample,
     conformal_set,
@@ -451,6 +453,106 @@ class TestEstimatorBatch:
     def test_wrong_batch_length_is_rejected(self):
         with pytest.raises(InvalidInput):
             ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=lambda s: s.mean(axis=0))
+
+
+class TestCiCells:
+    """ci_cells serves every cell from one draw of max(B) resamples;
+    cell i has the bits of its own ci_boot / ci_subsample call."""
+
+    CELLS = [
+        (19, 0.1, "vanilla"),
+        (199, 0.1, "modified"),
+        (19, 0.2, "randomized"),
+        (59, 0.1, "randomized"),
+        (59, 0.05, "vanilla"),
+        (19, 0.1, "modified"),
+    ]
+
+    def assert_same(self, a, b):
+        assert np.array_equal(a.resample_stats.values, b.resample_stats.values)
+        assert a.span == b.span and a.interval == b.interval and a.budget == b.budget
+        assert a.rule == b.rule and a.randomized_branch == b.randomized_branch
+
+    def test_first_rows_of_a_larger_draw(self):
+        seed = SeedSpec(20260823, stream_for(3, 1))
+        assert np.array_equal(
+            bootstrap_indices(100, seed, count=199)[:19], bootstrap_indices(100, seed, count=19)
+        )
+        assert np.array_equal(
+            subsample_indices(100, 22, seed, count=59)[:19],
+            subsample_indices(100, 22, seed, count=19),
+        )
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_each_cell_is_its_own_call(self, setting, batched):
+        params, est, batch, root = TestEstimatorBatch.SETTINGS[setting]
+        params = {**params, "m": 60}
+        x = setting_sampler(setting, params, SeedSpec(5, stream_for(setting, 0)))
+        seed = SeedSpec(5, stream_for(setting, 1))
+        kw = dict(root=root, tau_m=7.0, seed=seed, estimator_batch=batch if batched else None)
+        theta = setting_truth(setting, params)
+        boot = ci_cells(x, est, self.CELLS, **kw)
+        sub = ci_cells(x, est, self.CELLS, k=15, tau_k=3.0, **kw)
+        for (B, alpha, variant), b, s in zip(self.CELLS, boot, sub):
+            one = dict(B=B, alpha=alpha, variant=variant, **kw)
+            self.assert_same(b, ci_boot(x, est, **one))
+            self.assert_same(s, ci_subsample(x, est, k=15, tau_k=3.0, **one))
+            assert b.contains(theta) == ci_boot(x, est, **one).contains(theta)
+
+    def test_budget_checked_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(procedures, "bootstrap_indices", None)  # would raise if called
+        x = np.arange(1.0, 31.0)
+        with pytest.raises(BudgetTooSmall) as err:
+            ci_cells(x, np.mean, [(19, 0.1, "vanilla"), (5, 0.1, "randomized")])
+        assert str(err.value) == "randomized two-sided interval needs B >= 19 at alpha=0.1"
+
+    def test_bad_cells(self):
+        x = np.arange(1.0, 31.0)
+        with pytest.raises(InvalidInput):
+            ci_cells(x, np.mean, [])
+        with pytest.raises(InvalidInput):
+            ci_cells(x, np.mean, [(19, 0.1, "median")])
+        with pytest.raises(InvalidInput):
+            ci_cells(x, np.mean, [(19, 0.1, "vanilla")], k=31)
+
+    def test_a_bad_root_beyond_a_small_cell_fails_the_call(self):
+        # the roots are formed once for max(B): resample 31 breaks the
+        # B=59 cell, and with it the call that also serves B=19
+        def batch(s):
+            out = s.mean(axis=1)
+            if len(out) > 30:
+                out[30] = np.nan
+            return out
+
+        x = np.arange(1.0, 31.0)
+        cells = [(19, 0.1, "modified"), (59, 0.1, "modified")]
+        with pytest.raises(NumericalFailure) as err:
+            ci_cells(x, np.mean, cells, estimator_batch=batch)
+        assert err.value.step == 31
+        (ok,) = ci_cells(x, np.mean, cells[:1], estimator_batch=batch)
+        self.assert_same(ok, ci_boot(x, np.mean, B=19))
+
+
+class TestCiRule:
+    def test_rules_and_skip_messages(self):
+        from fixedb.orderstats import BudgetSpec, index_rule
+
+        b19 = BudgetSpec(19, 0.1)
+        assert ci_rule(b19, "vanilla") == index_rule(b19, "vanilla_two_sided")
+        assert ci_rule(b19, "modified") == index_rule(b19, "mod_two_sided")
+        assert ci_rule(b19, "randomized") == index_rule(b19, "mod_two_sided")
+        for variant in ("modified", "randomized"):
+            with pytest.raises(BudgetTooSmall) as err:
+                ci_rule(BudgetSpec(18, 0.1), variant)
+            assert err.value.min_b == 19
+            with pytest.raises(BudgetTooSmall) as alone:
+                ci_boot(np.arange(1.0, 31.0), np.mean, B=18, variant=variant)
+            assert str(err.value) == str(alone.value)
+        with pytest.raises(BudgetTooSmall):
+            ci_rule(BudgetSpec(1, 0.1), "vanilla")
+        with pytest.raises(InvalidInput):
+            ci_rule(b19, "median")
 
 
 class TestStatisticBatch:
