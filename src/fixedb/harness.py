@@ -5,17 +5,26 @@ A config names a procedure (bootstrap / subsample / sgd / permutation /
 randomization / conformal), a benchmark setting, budget and level
 grids, and a replication count.  The grid's cells are its (alpha, B,
 method) triples; cells whose budget cannot support their rule are
-skipped before any replicate runs.  The loop is replicate-major:
-replicates run in order in the calling thread, and each draws its data
-once, from its own pre-split seed streams, and runs every cell on it.
-Bootstrap and subsample cells also share the replicate's resamples:
-one :func:`~fixedb.procedures.ci_cells` call draws max(B) of them and
-forms their roots once, and a B-cell reads the first B (the bits its
-own call would draw).  SGD and test cells run one procedure call each
-on the shared data.  So every cell's outcome is the one it would get
-run alone, and the output table depends only on the config.  The
-``threads`` key is still validated but has no effect: the replicate
-loop holds the GIL, so a pool of threads never ran it faster.
+skipped before any replicate runs.  The loop is block-major: it hands
+the procedure consecutive blocks of replicate indices, in order, in the
+calling thread.  A block holds as many replicates R as keep R x max(B)
+sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB).  Replicate r
+draws its data from stream (r, 0) and its resamples from stream (r, 1)
+on, so the blocking never changes a bit.  The test procedures run a whole
+block at once: one batched draw of the block's data, then one
+:func:`~fixedb.procedures.rank_test_block` call per cell.  The CI
+procedures run the block one replicate at a time
+(:func:`_ci_replicate`): the replicate draws its data once and runs
+every cell on it.  Bootstrap and subsample cells also share the
+replicate's resamples: one :func:`~fixedb.procedures.ci_cells` call
+draws max(B) of them and forms their roots once, and a B-cell reads
+the first B (the bits its own call would draw).  SGD cells run one
+procedure call each on the shared data.  So every cell's outcome is
+the one it would get run alone, and the output table depends only on
+the config.  The ``threads`` key is still validated but has no effect:
+the loop holds the GIL, so a pool of threads never ran it faster.
+Budgets above 2**16 - 2 are rejected, because a replicate's resamples
+would run into the next replicate's streams.
 
 Width reporting: scalar confidence intervals report the interval
 width; sup-norm (set-valued) intervals report the threshold span
@@ -38,17 +47,21 @@ import numpy as np
 from .errors import BudgetTooSmall, ConfigError, InvalidInput
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec, index_rule
-from .procedures import ci_cells, ci_rule, ci_sgd, permutation_test, randomization_test
-from .procedures import ci_boot, ci_subsample  # noqa: F401  rebound by bench/tracer.py
+from .procedures import ci_cells, ci_rule, ci_sgd, rank_test_block
 from .resampling import (
+    RESAMPLE_STRIDE,
     SeedSpec,
     SgdSpec,
+    _stream_rows,
     full_symmetric,
-    generator,
     setting_sampler,
     setting_truth,
     stream_for,
 )
+
+# imported only for bench/tracer.py, which rebinds them here
+from .procedures import ci_boot, ci_subsample, permutation_test, randomization_test  # noqa: F401
+from .resampling import generator  # noqa: F401
 
 __all__ = [
     "CoverageRow",
@@ -130,6 +143,8 @@ _KNOWN_KEYS = {
 
 _PROCEDURES = ("bootstrap", "subsample", "sgd", "permutation", "randomization", "conformal")
 _VARIANTS = ("vanilla", "modified", "randomized")
+
+_MAX_B = RESAMPLE_STRIDE - 2
 
 _DEFAULT_SETTING = {
     "bootstrap": 1,
@@ -214,6 +229,13 @@ def normalize_config(config: dict) -> dict:
     cfg.setdefault("threads", 1)
 
     cfg["B"] = [_integer("B", b, 1) for b in _as_list(cfg["B"])]
+    for b in cfg["B"]:
+        # a replicate's B resamples and branch draw must stay in its own
+        # stream block (see resampling.stream_for)
+        if b > _MAX_B:
+            raise ConfigError(
+                f"config.B: expected at most {_MAX_B}, below the next replicate's streams; got {b}"
+            )
     cfg["alpha"] = [_real("alpha", a) for a in _as_list(cfg["alpha"])]
     cfg["methods"] = _as_list(cfg["methods"])
     for a in cfg["alpha"]:
@@ -333,13 +355,43 @@ def _each_cell(run_cell: Callable, data, cells: list, seed: SeedSpec) -> list:
     return [run_cell(data, B, alpha, method, seed) for B, alpha, method in cells]
 
 
-def _plan(cfg: dict):
-    """(draw, run_cells) for the configured procedure.
+def _per_replicate(draw: Callable, run_cells: Callable) -> Callable:
+    """run_block that runs :func:`_ci_replicate` once per replicate."""
 
-    draw(seed) is one replicate's data; run_cells(data, cells, seed)
-    gives one (covered, width) per (B, alpha, method) cell, with width
-    None for tests.  Bootstrap and subsample cells share one
-    :func:`ci_cells` call; the others run one call per cell.
+    def run_block(master: int, cells: list, rs) -> list:
+        return [_ci_replicate(master, cells, draw, run_cells, r) for r in rs]
+
+    return run_block
+
+
+def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Callable) -> Callable:
+    """run_block of a test procedure: the block's data in one batched
+    draw from streams (r, 0), then one :func:`rank_test_block` call per
+    cell with resamples from streams (r, 1) on."""
+
+    def run_block(master: int, cells: list, rs) -> list:
+        data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
+        firsts = [stream_for(r, 1) for r in rs]
+        rejects = [
+            rank_test_block(
+                data, statistic, group, B, alpha, master, firsts, statistic_batch
+            ).reject.tolist()
+            for B, alpha, _ in cells
+        ]
+        return [[(not reject, None) for reject in rep] for rep in zip(*rejects)]
+
+    return run_block
+
+
+def _plan(cfg: dict) -> Callable:
+    """run_block(master, cells, rs) for the configured procedure.
+
+    It gives, for each replicate r in rs, one (covered, width) per
+    (B, alpha, method) cell, with width None for tests.  Tests run the
+    whole block through :func:`rank_test_block`; the other procedures
+    run :func:`_ci_replicate` per replicate, where bootstrap and
+    subsample cells share one :func:`ci_cells` call and SGD runs one
+    call per cell.
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -368,47 +420,23 @@ def _plan(cfg: dict):
             )[0]
             return ci.contains(truth), ci.span
 
-        return partial(setting_sampler, 4, {"n": cfg["n"]}), partial(_each_cell, run_cell)
+        draw = partial(setting_sampler, 4, {"n": cfg["n"]})
+        return _per_replicate(draw, partial(_each_cell, run_cell))
 
+    # a test replicate's data, as one row of the block's stacked draw
     if proc == "permutation":
-        group = full_symmetric(m)
 
-        def draw(seed):
-            gen = generator(seed)
+        def draw_pair(gen):
             return gen.standard_normal(m), gen.standard_normal(m)
 
-        def run_cell(data, B, alpha, _method, seed):
-            decision = permutation_test(
-                data,
-                _corr_statistic,
-                group,
-                B,
-                alpha,
-                seed=seed,
-                statistic_batch=_corr_statistic_batch,
-            )
-            return not decision.reject, None
-
-        return draw, partial(_each_cell, run_cell)
+        return _test_block(draw_pair, _corr_statistic, full_symmetric(m), _corr_statistic_batch)
 
     if proc == "randomization":
 
-        def draw(seed):
-            return generator(seed).standard_normal(m)
+        def draw_sample(gen):
+            return gen.standard_normal(m)
 
-        def run_cell(data, B, alpha, _method, seed):
-            decision = randomization_test(
-                data,
-                _mean_statistic,
-                "signflip",
-                B,
-                alpha,
-                seed=seed,
-                statistic_batch=_mean_statistic_batch,
-            )
-            return not decision.reject, None
-
-        return draw, partial(_each_cell, run_cell)
+        return _test_block(draw_sample, _mean_statistic, "signflip", _mean_statistic_batch)
 
     params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
     theta0 = setting_truth(setting, params)
@@ -433,20 +461,24 @@ def _plan(cfg: dict):
         )
         return [(ci.contains(theta0), ci.span) for ci in cis]
 
-    return partial(setting_sampler, setting, params), run_cells
+    return _per_replicate(partial(setting_sampler, setting, params), run_cells)
 
 
 def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> list:
     """Replicate r of every cell: its data drawn once from stream
-    (r, 0), every cell run on it from stream (r, 1).  The one kernel of
-    every replicated procedure, tests included."""
+    (r, 0), every cell run on it from stream (r, 1).  The per-replicate
+    kernel of the CI procedures."""
     data = draw(SeedSpec(master, stream_for(r, 0)))
     return run_cells(data, cells, SeedSpec(master, stream_for(r, 1)))
 
 
-# bench/tracer.py rebinds both replicate names to time replicates; the
-# loop calls _ci_replicate for every procedure
+# bench/tracer.py rebinds both replicate names to time replicates
 _test_replicate = _ci_replicate
+
+# a replicate block holds as many replicates R as keep one float64
+# (R, max(B), m) resample stack within this many bytes; each array of a
+# test block's draw is about that size
+_BLOCK_BYTES = 1 << 20
 
 
 def _skip_reason(proc: str, B: int, alpha: float, method: str) -> Optional[str]:
@@ -471,9 +503,10 @@ def run_experiment(config: dict) -> CoverageTable:
     null (for tests); the conformal procedure tabulates the exact grid
     coverage instead of replicating.  Cells whose budget cannot
     support the requested rule become skipped rows with the reason.
-    The other cells run replicate-major: replicate r draws its data
-    (and, for bootstrap and subsample, its resamples) once for all of
-    them.  Rows and skips come in (alpha, B, method) order.
+    The other cells run block-major (see the module docstring):
+    replicate r draws its data (and, for bootstrap and subsample, its
+    resamples) once for all of them.  Rows and skips come in (alpha, B,
+    method) order.
     """
     cfg = normalize_config(config)
     proc = cfg["procedure"]
@@ -498,7 +531,7 @@ def run_experiment(config: dict) -> CoverageTable:
                 )
         return table
 
-    draw, run_cells = _plan(cfg)
+    run_block = _plan(cfg)
     is_test = proc in ("permutation", "randomization")
     methods = [proc] if is_test else cfg["methods"]
 
@@ -518,7 +551,11 @@ def run_experiment(config: dict) -> CoverageTable:
                     )
     if not cells:
         return table
-    replicates = [_ci_replicate(cfg["seed"], cells, draw, run_cells, r) for r in range(cfg["reps"])]
+    reps = cfg["reps"]
+    block = max(1, _BLOCK_BYTES // (8 * cfg["m"] * max(B for B, _, _ in cells)))
+    replicates = []
+    for start in range(0, reps, block):
+        replicates += run_block(cfg["seed"], cells, range(start, min(start + block, reps)))
     for (B, alpha, method), outcomes in zip(cells, zip(*replicates)):
         covered = np.array([c for c, _ in outcomes], dtype=float)
         widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]

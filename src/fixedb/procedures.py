@@ -18,17 +18,23 @@ seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
 :func:`fixedb.resampling.stream_for`.  The B resample streams are
 drawn with one batched call (``count=B``), which gives the same bits
-as B single-stream calls.  Resample b always comes from stream
+as B single-stream calls; so are the randomized branch draws of all
+of a call's cells.  Resample b always comes from stream
 seed.stream_id + b, whatever B is, so a B-call's resamples are the
 first B rows of any larger call on the same seed.  That is what lets
 :func:`ci_cells` serve several (B, alpha, variant) cells from one
 draw of max(B) resamples and one pass over their roots: each cell
 reads the first B roots and draws its own rank rule, so it gets the
 bits of its own :func:`ci_boot` or :func:`ci_subsample` call, which
-are one-cell calls of it.  With an ``estimator_batch``, the CI
-procedures also estimate the resamples in one call per block of rows;
-with a ``statistic_batch``, permutation_test and the sign-flip
-randomization_test compute all B test statistics in one call.
+are one-cell calls of it.  The tests block the other way, across
+replicates: :func:`rank_test_block` takes R samples and R first
+stream ids, derives all R x B resample streams in one pass and sorts
+the (R, B) statistics once, and :func:`permutation_test` and the
+sign-flip :func:`randomization_test` are its one-replicate calls.
+With an ``estimator_batch``, the CI procedures also estimate the
+resamples in one call per block of rows; with a ``statistic_batch``,
+the tests compute a replicate's B statistics in one call, and the
+sign-flip test a whole block's R x B in one call.
 """
 
 from __future__ import annotations
@@ -55,25 +61,29 @@ from .resampling import (
     PermutationGroup,
     SeedSpec,
     SgdSpec,
+    _bounded_rows,
+    _permutation_of,
+    _stream_rows,
     bootstrap_indices,
-    generator,
-    permutation_draw,
     sgd_paths,
-    signflip_transform,
     subsample_indices,
 )
+# imported only for bench/tracer.py, which rebinds them here
+from .resampling import generator, permutation_draw, signflip_transform  # noqa: F401
 
 __all__ = [
     "Interval",
     "RandomizedBranch",
     "CiResult",
     "TestDecision",
+    "DecisionBlock",
     "PredictionSet",
     "ci_rule",
     "ci_cells",
     "ci_boot",
     "ci_subsample",
     "ci_sgd",
+    "rank_test_block",
     "permutation_test",
     "randomization_test",
     "conformal_set",
@@ -186,17 +196,26 @@ def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
     return index_rule(budget, "mod_two_sided")
 
 
-def _pick_rule(budget: BudgetSpec, variant: str, u_seed: SeedSpec):
-    """Index rule plus branch record for a CI variant."""
-    rule = ci_rule(budget, variant)
-    if variant != "randomized":
-        return rule, None
-    tau = tau_randomization(budget)
-    u = float(generator(u_seed).random())
-    took_ceil = u <= tau
-    if not took_ceil:
-        rule = index_rule(budget, "mod_two_sided_floor")
-    return rule, RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
+def _pick_rules(budgets: Sequence[BudgetSpec], variants: Sequence[str], seed: SeedSpec) -> list:
+    """Index rule plus branch record of each (budget, variant) CI cell.
+
+    Every budget is checked first.  A randomized cell at budget B draws
+    its uniform from stream seed.stream_id + B; those draws share one
+    batched pass and have the bits of ``generator(...).random()``.
+    """
+    rules = [ci_rule(budget, variant) for budget, variant in zip(budgets, variants)]
+    branches = [None] * len(rules)
+    drawn = [i for i, variant in enumerate(variants) if variant == "randomized"]
+    if drawn:
+        sids = [seed.stream_id + budgets[i].B for i in drawn]
+        us = _stream_rows(seed.master_seed, sids, 1, np.random.Generator.random)
+        for i, u in zip(drawn, us.tolist()):
+            tau = tau_randomization(budgets[i])
+            took_ceil = u <= tau
+            if not took_ceil:
+                rules[i] = index_rule(budgets[i], "mod_two_sided_floor")
+            branches[i] = RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
+    return list(zip(rules, branches))
 
 
 # largest gathered resample block handed to an estimator_batch call
@@ -340,10 +359,7 @@ def ci_cells(
     if not cells:
         raise InvalidInput("cells must be nonempty")
     budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
-    picks = [
-        _pick_rule(budget, variant, _child(seed, budget.B))
-        for budget, (_, _, variant) in zip(budgets, cells)
-    ]
+    picks = _pick_rules(budgets, [variant for _, _, variant in cells], seed)
     theta_hat = np.asarray(estimator(data), dtype=float)
     count = max(budget.B for budget in budgets)
     if k is None:
@@ -446,7 +462,7 @@ def ci_sgd(
     b-th coordinates.  Returns one CiResult per coordinate.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
-    rule, branch = _pick_rule(budget, variant, _child(seed, B))
+    ((rule, branch),) = _pick_rules([budget], [variant], seed)
     if theta0 is None:
         theta0 = np.zeros(spec.dim)
     seeds = [None] + [_child(seed, b - 1) for b in range(1, B + 1)]
@@ -475,9 +491,9 @@ def ci_sgd(
 def _test_statistics(
     rows: np.ndarray, statistic: Callable, statistic_batch: Optional[Callable]
 ) -> np.ndarray:
-    """statistic(row) for each row of the (B, m) stack ``rows``.
+    """statistic(row) for each row of the (n, m) stack ``rows``.
 
-    With ``statistic_batch`` the B values come from one call on the
+    With ``statistic_batch`` the n values come from one call on the
     whole stack; if it raises, the scalar loop runs instead.
     """
     if statistic_batch is not None:
@@ -497,19 +513,114 @@ def _test_statistics(
     return t_star
 
 
+@dataclass(frozen=True)
+class DecisionBlock:
+    """R resampling tests at one budget: test i rejects iff
+    statistic[i] >= threshold[i], and ties when they are equal."""
+
+    rule: IntervalIndexRule
+    budget: BudgetSpec
+    statistic: np.ndarray
+    threshold: np.ndarray
+
+    @property
+    def reject(self) -> np.ndarray:
+        return self.statistic >= self.threshold
+
+    @property
+    def tie(self) -> np.ndarray:
+        return self.statistic == self.threshold
+
+    def decision(self, i: int) -> TestDecision:
+        """Test i as a :class:`TestDecision`."""
+        return TestDecision(
+            reject=bool(self.reject[i]),
+            statistic=float(self.statistic[i]),
+            threshold=float(self.threshold[i]),
+            rule=self.rule,
+            budget=self.budget,
+            tie=bool(self.tie[i]),
+        )
+
+
 def _decide(
-    t_obs: float, t_star: np.ndarray, rule: IntervalIndexRule, budget: BudgetSpec
-) -> TestDecision:
-    """Reject iff t_obs >= the rule's order statistic of t_star."""
-    threshold = order_stat(sorted_from(t_star), rule.upper_rank)
-    return TestDecision(
-        reject=bool(t_obs >= threshold),
-        statistic=t_obs,
-        threshold=threshold,
-        rule=rule,
-        budget=budget,
-        tie=bool(t_obs == threshold),
-    )
+    t_obs, t_star: np.ndarray, rule: IntervalIndexRule, budget: BudgetSpec
+) -> DecisionBlock:
+    """Test i rejects iff t_obs[i] >= the rule's order statistic of row i
+    of the (R, B) stack t_star: one stable sort, then the rank column."""
+    if not np.all(np.isfinite(t_star)):
+        raise InvalidInput("sample values must all be finite")
+    rank = rule.upper_rank
+    if rank <= t_star.shape[1]:
+        threshold = np.sort(t_star, axis=1, kind="stable")[:, rank - 1]
+    else:  # the +inf support sentinel of a rank beyond B (see orderstats)
+        threshold = np.full(len(t_star), math.inf)
+    return DecisionBlock(rule, budget, np.asarray(t_obs, dtype=float), threshold)
+
+
+def rank_test_block(
+    data,
+    statistic: Callable,
+    group: Union[str, PermutationGroup],
+    B: int,
+    alpha: float,
+    master_seed: int,
+    first_streams,
+    statistic_batch: Optional[Callable] = None,
+) -> DecisionBlock:
+    """R sign-flip or permutation tests at one (B, alpha), in one pass.
+
+    Test i runs on ``data[i]`` with its B resamples from streams
+    ``first_streams[i] + b`` under ``master_seed``, and is bit for bit
+    the one-replicate call with ``seed=SeedSpec(master_seed,
+    first_streams[i])``: :func:`randomization_test` (centre 0) when
+    ``group`` is "signflip", :func:`permutation_test` when it is a
+    :class:`~fixedb.resampling.PermutationGroup`.  Those calls are the
+    R = 1 case of this one.  ``statistic`` and ``statistic_batch`` are
+    as in those functions.
+
+    The R x B stream keys are derived in one pass.  Sign flips draw all
+    R x B coin rows at once and call ``statistic_batch`` once on the
+    (R * B, m) stack of flipped samples; a permutation statistic
+    depends on its replicate's data, so it is called once per
+    replicate.  The (R, B) statistics are then sorted once.  A
+    non-finite resampled statistic raises :class:`InvalidInput`.
+    """
+    budget = BudgetSpec(B=B, alpha=alpha)
+    firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
+    if len(firsts) != len(data):
+        raise InvalidInput(f"{len(data)} samples but {len(firsts)} first streams")
+    if isinstance(group, PermutationGroup):
+        size = group.size
+        if B > size:
+            raise InvalidInput(f"B={B} exceeds |G|={size}; draws come from G")
+        rule = index_rule(budget, "permutation_full" if B == size else "permutation_sub")
+        identity = np.arange(group.m)
+        t_obs = [float(statistic(d, identity)) for d in data]
+        perms = _stream_rows(master_seed, firsts, B, partial(_permutation_of, group))
+        t_star = np.stack(
+            [
+                _test_statistics(
+                    perms[i * B : (i + 1) * B],
+                    partial(statistic, d),
+                    None if statistic_batch is None else partial(statistic_batch, d),
+                )
+                for i, d in enumerate(data)
+            ]
+        )
+    elif group == "signflip":
+        rule = index_rule(budget, "randomization")
+        xs = np.asarray(data, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] < 1:
+            raise InvalidInput("each sample must be a nonempty 1-d vector")
+        R, m = xs.shape
+        t_obs = [float(statistic(x)) for x in xs]
+        signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
+        flipped = (xs[:, None, :] * signs.reshape(R, B, m)).reshape(R * B, m)
+        t_star = _test_statistics(flipped, statistic, statistic_batch).reshape(R, B)
+    else:
+        raise InvalidInput(f"group must be 'signflip' or a PermutationGroup, got {group!r}")
+    return _decide(t_obs, t_star, rule, budget)
 
 
 def permutation_test(
@@ -535,19 +646,15 @@ def permutation_test(
     the bits of statistic(data, perms[b]); then the decision is bit for
     bit the one without it.  A result of another shape than (B,) raises
     :class:`InvalidInput`; if it raises, the scalar loop runs.
+
+    This is the one-replicate call of :func:`rank_test_block`.
     """
-    budget = BudgetSpec(B=B, alpha=alpha)
-    size = G.size
-    if B > size:
-        raise InvalidInput(f"B={B} exceeds |G|={size}; draws come from G")
-    rule = index_rule(budget, "permutation_full" if B == size else "permutation_sub")
-    t_obs = float(statistic(data, np.arange(G.m)))
-    t_star = _test_statistics(
-        permutation_draw(G, seed, count=B),
-        partial(statistic, data),
-        None if statistic_batch is None else partial(statistic_batch, data),
+    if not isinstance(G, PermutationGroup):
+        raise InvalidInput(f"G must be a PermutationGroup, got {type(G).__name__}")
+    block = rank_test_block(
+        [data], statistic, G, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
     )
-    return _decide(t_obs, t_star, rule, budget)
+    return block.decision(0)
 
 
 def randomization_test(
@@ -563,32 +670,40 @@ def randomization_test(
     """Randomization test from B uniformly drawn transforms.
 
     ``group`` is "signflip" (IID sign flips of the centered data) or an
-    explicit sequence of callables data -> data.  ``center`` is
-    subtracted from the data first, so a point null about the mean
-    becomes symmetry about zero.  Threshold rank is
-    ceil((B+1)(1-alpha)); reject iff statistic(data) >= threshold.
+    explicit sequence of callables data -> data; any other string
+    raises :class:`InvalidInput`.  ``center`` is subtracted from the
+    data first, so a point null about the mean becomes symmetry about
+    zero.  Threshold rank is ceil((B+1)(1-alpha)); reject iff
+    statistic(data) >= threshold.
 
     ``statistic_batch`` maps the (B, m) stack of sign-flipped samples to
     their B statistics, with the contract of the one in
     :func:`permutation_test`.  The explicit-transform branch does not
-    use it.
+    use it.  The sign-flip test is the one-replicate call of
+    :func:`rank_test_block`.
     """
+    x = np.asarray(data, dtype=float) - center
+    if isinstance(group, str):
+        if group != "signflip":
+            raise InvalidInput(
+                f"group must be 'signflip' or a sequence of transforms, got {group!r}"
+            )
+        block = rank_test_block(
+            x[None], statistic, group, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
+        )
+        return block.decision(0)
     budget = BudgetSpec(B=B, alpha=alpha)
     rule = index_rule(budget, "randomization")
-    x = np.asarray(data, dtype=float) - center
     t_obs = float(statistic(x))
-    if group == "signflip":
-        t_star = _test_statistics(signflip_transform(x, seed, count=B), statistic, statistic_batch)
-    else:
-        transforms = list(group)
-        if len(transforms) == 0:
-            raise InvalidInput("explicit transform list must be nonempty")
-        # the first entry of a with-replacement draw from the list is the
-        # same uniform index as the single integers(0, len) draw it replaces
-        t_star = np.empty(B)
-        for b, i in enumerate(bootstrap_indices(len(transforms), seed, count=B)[:, 0]):
-            t_star[b] = statistic(transforms[i](x))
-    return _decide(t_obs, t_star, rule, budget)
+    transforms = list(group)
+    if len(transforms) == 0:
+        raise InvalidInput("explicit transform list must be nonempty")
+    # the first entry of a with-replacement draw from the list is the
+    # same uniform index as the single integers(0, len) draw it replaces
+    t_star = np.empty(B)
+    for b, i in enumerate(bootstrap_indices(len(transforms), seed, count=B)[:, 0]):
+        t_star[b] = statistic(transforms[i](x))
+    return _decide([t_obs], t_star[None], rule, budget).decision(0)
 
 
 def conformal_set(calib_scores, alpha: float, variant: str = "split") -> PredictionSet:

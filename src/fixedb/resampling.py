@@ -16,7 +16,10 @@ derives the keys of ``count`` consecutive streams in one vectorized
 pass (:func:`_philox_keys`) and reopens one thread-local Philox at each
 key, so a procedure call pays one derivation for its B resamples
 instead of building B generators.  Row b of a batch has exactly the
-bits of the single-stream call at ``stream_id + b``.
+bits of the single-stream call at ``stream_id + b``.  The private
+batch helpers take a vector of first stream ids, so one pass can also
+serve the B resamples of each of R replicates (R x B streams), or one
+stream of each of R replicates' data.
 
 Batched uniform integers in [0, m) skip numpy's per-call argument
 handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,9 +90,14 @@ class SeedSpec:
 def stream_for(replicate: int, resample: int = 0) -> int:
     """Stream id for a (replicate, resample) slot.
 
-    Resamples within a replicate occupy a contiguous block of 2**16
-    stream ids, so replicate streams never collide with resample
-    streams regardless of execution order.
+    Each replicate owns a contiguous block of 2**16 stream ids, so two
+    replicates' streams stay apart whatever the execution order, as long
+    as every stream a replicate reads lies in its own block.  A
+    procedure seeded at ``stream_for(r, 1)`` with budget B reads
+    resample slots 1 .. B + 1 (B resamples and the randomized branch
+    draw), so B must stay at most 2**16 - 2: at B = 2**16 - 1 the branch
+    draw already reads ``stream_for(r + 1, 0)``, replicate r + 1's data
+    stream.  The harness rejects larger budgets.
     """
     if not 0 <= resample < RESAMPLE_STRIDE:
         raise InvalidInput(f"resample index must lie in [0, {RESAMPLE_STRIDE})")
@@ -199,14 +207,16 @@ class _ThreadPhilox(threading.local):
 _PHILOX = _ThreadPhilox()
 
 
-def _stream_keys(seed: SeedSpec, count: int) -> np.ndarray:
-    """Philox keys of the count streams from seed.stream_id on."""
+def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
+    """Philox keys of the streams firsts[i] + b for b < count, in row
+    i * count + b."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidInput(f"count must be a positive integer, got {count!r}")
-    first = int(seed.stream_id)
-    if first + count > _U64:
+    firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
+    if int(firsts.max()) + count > _U64:
         raise InvalidInput("count runs past the 64-bit stream range")
-    return _philox_keys(seed.master_seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
+    sids = firsts[:, None] + np.arange(count, dtype=np.uint64)
+    return _philox_keys(master_seed, sids.reshape(-1))
 
 
 def _reopened(keys: np.ndarray):
@@ -221,35 +231,37 @@ def _reopened(keys: np.ndarray):
         yield local
 
 
-def _stream_rows(seed: SeedSpec, count: int, draw: Callable) -> np.ndarray:
-    """Stack of draw(g_b) for b < count, with g_b the generator of
-    stream seed.stream_id + b, bit for bit as ``draw(generator(...))``."""
-    return np.stack([draw(local.gen) for local in _reopened(_stream_keys(seed, count))])
+def _stream_rows(master_seed: int, firsts, count: int, draw: Callable) -> np.ndarray:
+    """Stack of draw(g) over the generators g of streams firsts[i] + b,
+    b < count, in row i * count + b, bit for bit as ``draw(generator(...))``."""
+    keys = _stream_keys(master_seed, firsts, count)
+    return np.stack([draw(local.gen) for local in _reopened(keys)])
 
 
 _LEMIRE_MAX = 2**32
 
 
-def _bounded_rows(seed: SeedSpec, count: int, m: int, n: int) -> np.ndarray:
-    """(count, n) int64 stack whose row b is
-    ``generator(SeedSpec(master, stream_id + b)).integers(0, m, size=n)``.
+def _bounded_rows(master_seed: int, firsts, count: int, m: int, n: int) -> np.ndarray:
+    """(len(firsts) * count, n) int64 stack whose row i * count + b is
+    ``generator(SeedSpec(master_seed, firsts[i] + b)).integers(0, m, size=n)``.
 
     Runs numpy's 32-bit Lemire rule on raw Philox words for the whole
     stack (see the module docstring); a row with a rejected word is
     redrawn by the scalar call.
     """
     if m > _LEMIRE_MAX:
-        return _stream_rows(seed, count, lambda gen: gen.integers(0, m, size=n))
-    keys = _stream_keys(seed, count)
+        return _stream_rows(master_seed, firsts, count, lambda gen: gen.integers(0, m, size=n))
+    keys = _stream_keys(master_seed, firsts, count)
+    rows = len(keys)
     if m == 1:
-        return np.zeros((count, n), np.int64)
+        return np.zeros((rows, n), np.int64)
     half = (n + 1) // 2
-    raw = np.empty((count, half), np.uint64)
+    raw = np.empty((rows, half), np.uint64)
     for b, local in enumerate(_reopened(keys)):
         raw[b] = local.bitgen.random_raw(half)
     # the 32-bit outputs, low half of each word first; in place from here
-    # on, so a batch holds one (count, n) array beside its raw words
-    prod = np.empty((count, 2 * half), np.uint64)
+    # on, so a batch holds one (rows, n) array beside its raw words
+    prod = np.empty((rows, 2 * half), np.uint64)
     np.bitwise_and(raw, np.uint64(_M32), out=prod[:, 0::2])
     np.right_shift(raw, np.uint64(32), out=prod[:, 1::2])
     prod = prod[:, :n] if n % 2 else prod
@@ -260,9 +272,10 @@ def _bounded_rows(seed: SeedSpec, count: int, m: int, n: int) -> np.ndarray:
         rejected = np.flatnonzero(((prod & np.uint64(_M32)) < np.uint64(threshold)).any(axis=1))
     prod >>= np.uint64(32)
     out = np.ascontiguousarray(prod.view(np.int64))
-    for b in rejected:
-        sid = int(seed.stream_id) + int(b)
-        out[b] = generator(SeedSpec(seed.master_seed, sid)).integers(0, m, size=n)
+    firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
+    for row in rejected:
+        sid = int(firsts[row // count]) + int(row % count)
+        out[row] = generator(SeedSpec(master_seed, sid)).integers(0, m, size=n)
     return out
 
 
@@ -291,7 +304,7 @@ def bootstrap_indices(m: int, seed: SeedSpec, count: Optional[int] = None) -> np
         raise InvalidInput("m must be >= 1")
     if count is None:
         return generator(seed).integers(0, m, size=m)
-    return _bounded_rows(seed, count, m, m)
+    return _bounded_rows(seed.master_seed, [seed.stream_id], count, m, m)
 
 
 def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
@@ -304,7 +317,8 @@ def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = Non
         raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
     if count is None:
         return np.sort(generator(seed).permutation(m)[:k])
-    return np.sort(_stream_rows(seed, count, lambda gen: gen.permutation(m)[:k]), axis=1)
+    rows = _stream_rows(seed.master_seed, [seed.stream_id], count, lambda g: g.permutation(m)[:k])
+    return np.sort(rows, axis=1)
 
 
 def signflip_transform(x, mask_seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
@@ -319,7 +333,7 @@ def signflip_transform(x, mask_seed: SeedSpec, count: Optional[int] = None) -> n
     if count is None:
         coins = generator(mask_seed).integers(0, 2, size=x.size)
     else:
-        coins = _bounded_rows(mask_seed, count, 2, x.size)
+        coins = _bounded_rows(mask_seed.master_seed, [mask_seed.stream_id], count, 2, x.size)
     return x * (1 - 2 * coins)
 
 
@@ -364,13 +378,16 @@ def permutation_draw(G: PermutationGroup, seed: SeedSpec, count: Optional[int] =
     With ``count``, a (count, G.m) stack whose row b is
     ``permutation_draw(G, SeedSpec(master, stream_id + b))``.
     """
+    if count is None:
+        return _permutation_of(G, generator(seed))
+    return _stream_rows(seed.master_seed, [seed.stream_id], count, partial(_permutation_of, G))
 
-    def draw(gen):
-        if G.perms is None:
-            return gen.permutation(G.m)
-        return np.asarray(G.perms[int(gen.integers(0, len(G.perms)))], dtype=np.int64)
 
-    return draw(generator(seed)) if count is None else _stream_rows(seed, count, draw)
+def _permutation_of(G: PermutationGroup, gen: np.random.Generator) -> np.ndarray:
+    """The element of G that :func:`permutation_draw` takes from gen."""
+    if G.perms is None:
+        return gen.permutation(G.m)
+    return np.asarray(G.perms[int(gen.integers(0, len(G.perms)))], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from fixedb import harness, procedures
 from fixedb.errors import ConfigError, InvalidInput
+from fixedb.cli import main
 from fixedb.harness import (
+    _corr_statistic,
+    _corr_statistic_batch,
+    _mean_statistic,
+    _mean_statistic_batch,
     _KNOWN_KEYS,
     CSV_HEADER,
     CoverageRow,
@@ -24,6 +29,8 @@ from fixedb.harness import (
     run_experiment,
     sup_norm,
 )
+from fixedb.procedures import permutation_test, randomization_test
+from fixedb.resampling import RESAMPLE_STRIDE, SeedSpec, full_symmetric, generator, stream_for
 
 
 def tiny_config(**kw):
@@ -105,6 +112,19 @@ class TestConfig:
     def test_paper_scale_false_is_the_default(self):
         assert normalize_config(tiny_config(paper_scale=False)) == normalize_config(tiny_config())
 
+    def test_budget_stays_inside_the_replicate_stream_block(self, capsys):
+        # at B = 2**16 - 1 the randomized branch draw of replicate r reads
+        # stream_for(r + 1, 0), replicate r + 1's data
+        top = RESAMPLE_STRIDE - 2
+        assert normalize_config(tiny_config(B=[top]))["B"] == [top]
+        assert stream_for(4, 1) + top == stream_for(4, RESAMPLE_STRIDE - 1) < stream_for(5, 0)
+        assert stream_for(0, 1) + top + 1 == stream_for(1, 0)
+        for B in (top + 1, top + 2, 10**6):
+            with pytest.raises(ConfigError, match="config.B"):
+                normalize_config(tiny_config(B=[19, B]))
+        assert main(["randomization", "--B", str(top + 1), "--reps", "1"]) == 2
+        assert "config.B" in capsys.readouterr().err
+
     def test_conformal_m_list(self):
         cfg = normalize_config({"procedure": "conformal", "m": [10, 100]})
         assert cfg["m"] == [10, 100]
@@ -177,6 +197,69 @@ class TestConfigProperty:
             assert isinstance(cfg, dict)
         finally:
             os.unlink(path)
+
+
+class TestReplicateBlocks:
+    """The test procedures run blocks of replicates through
+    rank_test_block; every block size gives the outcomes of the
+    per-replicate public calls."""
+
+    CONFIGS = {
+        "randomization": {"procedure": "randomization", "m": 12, "B": [19, 39], "alpha": [0.1, 0.2],
+                          "reps": 10, "seed": 3},
+        "permutation": {"procedure": "permutation", "m": 6, "B": [99, 5], "alpha": [0.1],
+                        "reps": 10, "seed": 3},
+    }
+
+    @staticmethod
+    def per_replicate_coverage(cfg):
+        """Coverage of each (alpha, B) cell from one public call per replicate."""
+        cfg = normalize_config(cfg)
+        m, master = cfg["m"], cfg["seed"]
+        out = []
+        for alpha in cfg["alpha"]:
+            for B in cfg["B"]:
+                kept = []
+                for r in range(cfg["reps"]):
+                    gen = generator(SeedSpec(master, stream_for(r, 0)))
+                    seed = SeedSpec(master, stream_for(r, 1))
+                    if cfg["procedure"] == "randomization":
+                        dec = randomization_test(
+                            gen.standard_normal(m), _mean_statistic, "signflip", B, alpha,
+                            seed=seed, statistic_batch=_mean_statistic_batch,
+                        )
+                    else:
+                        data = (gen.standard_normal(m), gen.standard_normal(m))
+                        dec = permutation_test(
+                            data, _corr_statistic, full_symmetric(m), B, alpha, seed=seed,
+                            statistic_batch=_corr_statistic_batch,
+                        )
+                    kept.append(not dec.reject)
+                out.append(float(np.array(kept, dtype=float).mean()))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("reps", [1, 10])
+    @pytest.mark.parametrize("block", [1, 3, None])  # None: the default byte budget
+    def test_blocks_give_the_per_replicate_outcomes(self, monkeypatch, name, reps, block):
+        cfg = {**self.CONFIGS[name], "reps": reps}
+        if block is not None:
+            row_bytes = 8 * cfg["m"] * max(cfg["B"])
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", block * row_bytes)
+        sizes = []
+        real = harness.rank_test_block
+
+        def recording(data, *args):
+            sizes.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(harness, "rank_test_block", recording)
+        table = run_experiment(cfg)
+        assert [row.coverage for row in table.rows] == self.per_replicate_coverage(cfg)
+        cells = len(cfg["B"]) * len(cfg["alpha"])
+        step = reps if block is None else block
+        want = [min(step, reps - start) for start in range(0, reps, step)]
+        assert sizes == [n for n in want for _ in range(cells)]
 
 
 class TestRunExperiment:

@@ -24,6 +24,7 @@ from fixedb.procedures import (
     conformal_set,
     permutation_test,
     randomization_test,
+    rank_test_block,
 )
 from fixedb.resampling import (
     PermutationGroup,
@@ -534,6 +535,34 @@ class TestCiCells:
         self.assert_same(ok, ci_boot(x, np.mean, B=19))
 
 
+class TestRandomizedBranchDraw:
+    """A randomized cell at budget B draws its uniform from stream
+    seed.stream_id + B; the batched draw keeps the bits of
+    ``generator(...).random()``."""
+
+    # (B, alpha) -> (u, tau, took_ceil) at SeedSpec(20260823, stream_for(3, 1))
+    PINNED = {
+        (19, 0.1): (0.6795100964773472, 1.0, True),
+        (21, 0.1): (0.8295873312078923, 0.8, False),
+        (199, 0.05): (0.7569584522216861, 1.0, True),
+        (1000, 0.1): (0.19630886047571328, 0.9, True),
+    }
+
+    def test_pinned_uniforms(self):
+        seed = SeedSpec(20260823, stream_for(3, 1))
+        x = np.arange(1.0, 31.0)
+        cells = [(B, alpha, "randomized") for B, alpha in self.PINNED]
+        mixed = [cells[0], (59, 0.1, "modified"), *cells[1:], (19, 0.1, "vanilla")]
+        cis = ci_cells(x, np.mean, mixed, seed=seed)
+        got = [ci.randomized_branch for ci in cis if ci.randomized_branch is not None]
+        assert [(b.u, b.tau, b.took_ceil) for b in got] == list(self.PINNED.values())
+        for (B, alpha), branch in zip(self.PINNED, got):
+            assert branch.u == generator(SeedSpec(seed.master_seed, seed.stream_id + B)).random()
+            alone = ci_boot(x, np.mean, B=B, alpha=alpha, variant="randomized", seed=seed)
+            assert alone.randomized_branch == branch
+        assert cis[2].rule.rule_name == "mod_two_sided_floor"
+
+
 class TestCiRule:
     def test_rules_and_skip_messages(self):
         from fixedb.orderstats import BudgetSpec, index_rule
@@ -640,3 +669,123 @@ class TestStatisticBatch:
             x, _mean_statistic, shifts, B=19, alpha=0.1, seed=SeedSpec(3, 0), statistic_batch=never
         )
         self.assert_same(got, want)
+
+
+class TestRankTestBlock:
+    """rank_test_block over R replicates against R one-replicate public
+    calls: statistics, thresholds, rejects and ties bit for bit."""
+
+    MASTER = 20260823
+
+    @staticmethod
+    def assert_block_equals(block, decisions):
+        assert np.array_equal(block.statistic, [d.statistic for d in decisions])
+        assert np.array_equal(block.threshold, [d.threshold for d in decisions])
+        assert np.array_equal(block.reject, [d.reject for d in decisions])
+        assert np.array_equal(block.tie, [d.tie for d in decisions])
+        assert [block.decision(i) for i in range(len(decisions))] == decisions
+
+    def samples(self, R, m):
+        return np.stack(
+            [generator(SeedSpec(self.MASTER, stream_for(r, 0))).standard_normal(m) for r in range(R)]
+        )
+
+    @pytest.mark.parametrize("R", [1, 7])
+    @pytest.mark.parametrize("B", [5, 19, 99])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_signflip_block_is_the_per_replicate_calls(self, R, B, batched):
+        xs = self.samples(R, 50)
+        firsts = [stream_for(r, 1) for r in range(R)]
+        batch = _mean_statistic_batch if batched else None
+        if B == 5:
+            with pytest.raises(BudgetTooSmall):
+                rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, self.MASTER, firsts, batch)
+            return
+        block = rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, self.MASTER, firsts, batch)
+        one = [
+            randomization_test(
+                x, _mean_statistic, "signflip", B, 0.1, seed=SeedSpec(self.MASTER, f),
+                statistic_batch=batch,
+            )
+            for x, f in zip(xs, firsts)
+        ]
+        self.assert_block_equals(block, one)
+
+    def test_ties_and_the_sentinel_threshold(self):
+        # two equal entries: every flipped sum is one of three values,
+        # so the observed maximum often ties with the threshold
+        xs = np.ones((40, 2))
+        firsts = [stream_for(r, 1) for r in range(40)]
+        block = rank_test_block(xs, _mean_statistic, "signflip", 19, 0.1, self.MASTER, firsts)
+        one = [randomization_test(x, _mean_statistic, "signflip", 19, 0.1, seed=SeedSpec(self.MASTER, f))
+               for x, f in zip(xs, firsts)]
+        self.assert_block_equals(block, one)
+        assert block.tie.any() and not block.tie.all()
+        # rank 11 > B = 10 at |G| = 24: the +inf sentinel, never a rejection
+        data = self.samples(3, 4)
+        G = full_symmetric(4)
+        block = rank_test_block(data, lambda d, p: float(d[p][0]), G, 10, 0.1, self.MASTER, [1, 2, 3])
+        assert np.all(block.threshold == np.inf) and not block.reject.any()
+
+    @pytest.mark.parametrize("R", [1, 6])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_permutation_block_is_the_per_replicate_calls(self, R, batched):
+        data = self.samples(2 * R, 30).reshape(R, 2, 30)
+        firsts = [stream_for(r, 1) for r in range(R)]
+        G = full_symmetric(30)
+        batch = _corr_statistic_batch if batched else None
+        block = rank_test_block(data, _corr_statistic, G, 99, 0.1, self.MASTER, firsts, batch)
+        one = [
+            permutation_test(
+                (d[0], d[1]), _corr_statistic, G, 99, 0.1, seed=SeedSpec(self.MASTER, f),
+                statistic_batch=batch,
+            )
+            for d, f in zip(data, firsts)
+        ]
+        self.assert_block_equals(block, one)
+
+    def test_explicit_group(self):
+        G = PermutationGroup(4, perms=((0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0), (0, 1, 3, 2)))
+
+        def stat(d, perm):
+            return float(np.dot(d, np.arange(4.0)[perm]))
+
+        data = np.round(self.samples(5, 4) * 3)
+        firsts = [stream_for(r, 1) for r in range(5)]
+        for B in (3, 4):  # permutation_sub, then permutation_full at B = |G|
+            block = rank_test_block(data, stat, G, B, 0.1, self.MASTER, firsts)
+            one = [permutation_test(d, stat, G, B, 0.1, seed=SeedSpec(self.MASTER, f))
+                   for d, f in zip(data, firsts)]
+            self.assert_block_equals(block, one)
+        with pytest.raises(InvalidInput, match="exceeds"):
+            rank_test_block(data, stat, G, 5, 0.1, self.MASTER, firsts)
+
+    def test_non_finite_statistic_raises_invalid_input(self):
+        xs = self.samples(3, 20)
+        firsts = [stream_for(r, 1) for r in range(3)]
+
+        def batch(s):
+            out = s.sum(axis=1)
+            out[25] = np.inf  # replicate 1, resample 6
+            return out
+
+        with pytest.raises(InvalidInput, match="finite"):
+            rank_test_block(xs, _mean_statistic, "signflip", 19, 0.1, self.MASTER, firsts, batch)
+        with pytest.raises(InvalidInput, match="finite"):
+            randomization_test(xs[0], lambda x: np.nan if x[0] < 0 else 1.0, "signflip", 19, 0.1)
+        data = (xs[0], xs[1])
+        with pytest.raises(InvalidInput, match="finite"):
+            permutation_test(data, lambda d, p: np.nan, full_symmetric(20), 19, 0.1)
+
+    def test_bad_group_and_streams(self):
+        xs = self.samples(2, 10)
+        with pytest.raises(InvalidInput, match="group"):
+            randomization_test(xs[0], _mean_statistic, "nope", 19, 0.1)
+        with pytest.raises(InvalidInput, match="group"):
+            rank_test_block(xs, _mean_statistic, "nope", 19, 0.1, 0, [1, 2])
+        with pytest.raises(InvalidInput, match="first streams"):
+            rank_test_block(xs, _mean_statistic, "signflip", 19, 0.1, 0, [1])
+        with pytest.raises(InvalidInput):
+            permutation_test(xs, _corr_statistic, "signflip", 19, 0.1)
+        with pytest.raises(InvalidInput, match="1-d"):
+            randomization_test(xs, _mean_statistic, "signflip", 19, 0.1)

@@ -17,6 +17,7 @@ from fixedb.resampling import (
     RESAMPLE_STRIDE,
     _bounded_rows,
     _philox_keys,
+    _stream_rows,
     PairStream,
     PermutationGroup,
     SeedSpec,
@@ -226,29 +227,39 @@ class TestBoundedRows:
     @pytest.mark.parametrize("n", [1, 10, 101])
     def test_rows_match_scalar_integers(self, m, sid, n):
         seed = SeedSpec(20260823, sid)
-        got = _bounded_rows(seed, 6, m, n)
+        got = _bounded_rows(seed.master_seed, [seed.stream_id], 6, m, n)
         want = self.scalar_rows(seed, 6, m, n)
         assert got.dtype == want.dtype == np.int64
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [2, 100, 2**32 + 5])
+    def test_first_stream_vector_stacks_the_single_calls(self, m):
+        firsts = [stream_for(0, 1), stream_for(7, 1), _TWO_WORD - 2]
+        got = _bounded_rows(20260823, firsts, 5, m, 9)
+        want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 5, m, 9) for f in firsts])
+        assert np.array_equal(got, want)
+        perms = _stream_rows(20260823, firsts, 5, lambda gen: gen.permutation(9))
+        singles = [permutation_draw(full_symmetric(9), SeedSpec(20260823, f), count=5) for f in firsts]
+        assert np.array_equal(perms, np.concatenate(singles))
+
     def test_rejected_rows_are_redrawn(self, monkeypatch):
         # at m = 3 * 2**30 about a quarter of the words are rejected, so
         # nearly every row of 10 draws takes the scalar redraw
-        seed = SeedSpec(20260823, _TWO_WORD - 2)
         m = 3 * 2**30
-        want = self.scalar_rows(seed, 8, m, 10)
-        redrawn = []
         real = resampling.generator
+        for firsts in ([_TWO_WORD - 2], [_TWO_WORD - 2, 40, stream_for(9, 1)]):
+            want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 8, m, 10) for f in firsts])
+            redrawn = []
 
-        def counting(s):
-            redrawn.append(s.stream_id)
-            return real(s)
+            def counting(s):
+                redrawn.append(s.stream_id)
+                return real(s)
 
-        monkeypatch.setattr(resampling, "generator", counting)
-        assert np.array_equal(_bounded_rows(seed, 8, m, 10), want)
-        assert 0 < len(redrawn) <= 8
-        assert all(seed.stream_id <= sid < seed.stream_id + 8 for sid in redrawn)
+            monkeypatch.setattr(resampling, "generator", counting)
+            assert np.array_equal(_bounded_rows(20260823, firsts, 8, m, 10), want)
+            assert 0 < len(redrawn) <= 8 * len(firsts)
+            assert all(any(f <= sid < f + 8 for f in firsts) for sid in redrawn)
 
 
 class TestSettingSamplers:
