@@ -15,26 +15,13 @@ import sys
 from typing import Optional
 
 from .errors import ConfigError, FixedBError
-from .harness import emit, load_config, read_table, run_experiment
+from .harness import _PROCEDURES, emit, load_config, read_table, run_experiment
 from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
 
-_EXPERIMENTS = ("bootstrap", "subsample", "sgd", "permutation", "randomization", "conformal")
-
-# maps argparse dest -> config key, applied only when the flag was given
+# config keys set by the flag of the same name, when it was given
 _FLAG_KEYS = (
-    ("seed", "seed"),
-    ("threads", "threads"),
-    ("B", "B"),
-    ("alpha", "alpha"),
-    ("reps", "reps"),
-    ("m", "m"),
-    ("d", "d"),
-    ("k", "k"),
-    ("n", "n"),
-    ("burn_in", "burn_in"),
-    ("setting", "setting"),
-    ("methods", "methods"),
-    ("paper_scale", "paper_scale"),
+    "seed", "threads", "B", "alpha", "reps", "m", "d", "k", "n",
+    "burn_in", "setting", "methods", "paper_scale",
 )
 
 
@@ -78,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resampling inference with guarantees at a fixed simulation budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in _EXPERIMENTS:
+    for cmd in _PROCEDURES:
         p = sub.add_parser(cmd, parents=[common, exp], help=f"run the {cmd} experiment")
         p.set_defaults(func=_cmd_experiment)
     v = sub.add_parser(
@@ -95,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_experiment(args) -> int:
     cfg = dict(load_config(args.config)) if args.config else {}
     cfg["procedure"] = args.command
-    for dest, key in _FLAG_KEYS:
-        val = getattr(args, dest, None)
+    for key in _FLAG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if isinstance(cfg.get("m"), list) and args.command != "conformal":

@@ -5,8 +5,12 @@ a Poisson-binomial count of "resample below target" events with the
 binomial count it would be if the success probabilities were averaged.
 This module provides the exact Poisson-binomial pmf, the binomial CDF,
 the I_B constant that multiplies the heterogeneity term in the coverage
-slack, the Ehm total-variation bound, and the Hoeffding tail-ordering
-check between the two counting laws.
+slack, the Ehm total-variation bound (Ehm 1991) and the Hoeffding
+tail-ordering check (Hoeffding 1956) between the two counting laws.
+Each of the last two is one kernel over an (n, B) stack of probability
+rows (:func:`_ehm_rows`, :func:`_ordering_regimes`); the public
+functions are their one-row calls, and ``fixedb verify`` sweeps the same
+kernels, so it certifies the formulas the library uses.
 """
 
 from __future__ import annotations
@@ -127,41 +131,53 @@ def i_b(B: int) -> float:
     return 4.0 / (B * (1.0 + s)) + (2.0 / B) * math.log(B * (1.0 + s) ** 2 / 4.0)
 
 
+def _ehm_rows(prob_rows: np.ndarray, p_bar) -> tuple[np.ndarray, np.ndarray]:
+    """(r, upper) of Ehm's bound for each row of an (n, B) stack of
+    success probabilities with means ``p_bar``:
+    r = 1 - sum p_i (1 - p_i) / (B p_bar q_bar) and
+    upper = (B / (B+1)) (1 - p_bar^{B+1} - q_bar^{B+1}) r."""
+    B = prob_rows.shape[1]
+    q_bar = 1.0 - p_bar
+    r = 1.0 - (prob_rows * (1.0 - prob_rows)).sum(axis=1) / (B * p_bar * q_bar)
+    upper = B / (B + 1.0) * (1.0 - p_bar ** (B + 1) - q_bar ** (B + 1)) * r
+    return r, upper
+
+
+def _ordering_regimes(B: int, p_bar) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (len(p_bar), B+1) masks of the k in 0..B under each
+    Hoeffding regime, k <= B p_bar - 1 and k >= B p_bar, each widened by
+    1e-9 so a B p_bar rounded just off an integer keeps that integer."""
+    k = np.arange(B + 1)
+    bp = B * np.asarray(p_bar, dtype=float)[:, None]
+    return k <= bp - 1.0 + 1e-9, k >= bp - 1e-9
+
+
 def ehm_tv_bound(spec: PoiBinSpec) -> tuple[float, float]:
     """Upper bound on d_TV(PoiBin(p_1..p_B), Bin(B, p_bar)).
 
-    Returns ``(upper, r)`` with
-    r = 1 - sum p_i (1 - p_i) / (B p_bar q_bar) and
-    upper = (B / (B+1)) (1 - p_bar^{B+1} - q_bar^{B+1}) r.
+    Returns ``(upper, r)``, the one-row call of :func:`_ehm_rows`.
     The matching lower bound has an unspecified universal constant, so
     only the upper bound is exposed; ``r`` alone is returned for callers
     who want the heterogeneity factor.
     """
     p_bar = spec.p_bar
-    q_bar = 1.0 - p_bar
     if p_bar <= 0.0 or p_bar >= 1.0:
         raise DegenerateSpec("mean success probability is 0 or 1; the TV distance is 0")
-    r = 1.0 - math.fsum(p * (1.0 - p) for p in spec.probs) / (spec.b * p_bar * q_bar)
-    upper = (spec.b / (spec.b + 1)) * (1.0 - p_bar ** (spec.b + 1) - q_bar ** (spec.b + 1)) * r
-    return upper, r
+    r, upper = _ehm_rows(np.asarray(spec.probs)[None, :], p_bar)
+    return float(upper[0]), float(r[0])
 
 
 def hoeffding_ordering_check(spec: PoiBinSpec, tol: float = 1e-12) -> OrderingReport:
     """Verify the tail ordering between PoiBin and its mean binomial.
 
     For every integer k: P(PoiBin <= k) <= P(Bin(B, p_bar) <= k) when
-    k <= B p_bar - 1, and >= when k >= B p_bar.  Indices in the open gap
+    k <= B p_bar - 1, and >= when k >= B p_bar (the regimes of
+    :func:`_ordering_regimes`).  Indices in the open gap
     (B p_bar - 1, B p_bar) are unconstrained and skipped.
     """
-    B = spec.b
     p_bar = spec.p_bar
-    poi_cdf = np.cumsum(poisson_binomial_pmf(spec).probs)
-    margins = []
-    for k in range(B + 1):
-        bin_k = binom_cdf(B, p_bar, k)
-        if k <= B * p_bar - 1.0:
-            margins.append(bin_k - float(poi_cdf[k]))
-        elif k >= B * p_bar:
-            margins.append(float(poi_cdf[k]) - bin_k)
-    worst = min(margins) if margins else math.inf
-    return OrderingReport(passed=worst >= -tol, worst_margin=worst, n_checked=len(margins))
+    diff = np.cumsum(poisson_binomial_pmf(spec).probs) - np.cumsum(binom_pmf(spec.b, p_bar).probs)
+    le, ge = _ordering_regimes(spec.b, [p_bar])
+    margins = np.concatenate([-diff[le[0]], diff[ge[0]]])
+    worst = float(margins.min()) if margins.size else math.inf
+    return OrderingReport(passed=worst >= -tol, worst_margin=worst, n_checked=int(margins.size))

@@ -46,8 +46,8 @@ import numpy as np
 
 from .errors import BudgetTooSmall, ConfigError, InvalidInput
 from .oracle import conformal_grid_example
-from .orderstats import BudgetSpec, index_rule
-from .procedures import ci_cells, ci_rule, ci_sgd, rank_test_block
+from .orderstats import BudgetSpec
+from .procedures import _CI_VARIANTS, ci_cells, ci_rule, ci_sgd, rank_test_block, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
@@ -141,19 +141,17 @@ _KNOWN_KEYS = {
     "paper_scale",
 }
 
-_PROCEDURES = ("bootstrap", "subsample", "sgd", "permutation", "randomization", "conformal")
-_VARIANTS = ("vanilla", "modified", "randomized")
+# procedure -> (its default benchmark setting, the settings it supports)
+_PROCEDURES = {
+    "bootstrap": (1, (1, 2)),
+    "subsample": (3, (1, 2, 3)),
+    "sgd": (4, (4,)),
+    "permutation": (0, (0,)),
+    "randomization": (0, (0,)),
+    "conformal": (0, (0,)),
+}
 
 _MAX_B = RESAMPLE_STRIDE - 2
-
-_DEFAULT_SETTING = {
-    "bootstrap": 1,
-    "subsample": 3,
-    "sgd": 4,
-    "permutation": 0,
-    "randomization": 0,
-    "conformal": 0,
-}
 
 
 def _as_list(v) -> list:
@@ -197,17 +195,11 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(f"config.{key}: unknown key")
     cfg = dict(config)
     proc = cfg.setdefault("procedure", "bootstrap")
-    if proc not in _PROCEDURES:
-        raise ConfigError(f"config.procedure: expected one of {_PROCEDURES}, got {proc!r}")
-    setting = cfg["setting"] = _integer("setting", cfg.get("setting", _DEFAULT_SETTING[proc]), 0)
-    allowed = {
-        "bootstrap": (1, 2),
-        "subsample": (1, 2, 3),
-        "sgd": (4,),
-        "permutation": (0,),
-        "randomization": (0,),
-        "conformal": (0,),
-    }[proc]
+    procs = tuple(_PROCEDURES)
+    if proc not in procs:
+        raise ConfigError(f"config.procedure: expected one of {procs}, got {proc!r}")
+    default, allowed = _PROCEDURES[proc]
+    setting = cfg["setting"] = _integer("setting", cfg.get("setting", default), 0)
     if setting not in allowed:
         raise ConfigError(f"config.setting: procedure {proc!r} supports {allowed}, got {setting!r}")
 
@@ -243,8 +235,8 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(f"config.alpha: levels must lie in (0, 1), got {a}")
     if proc in ("bootstrap", "subsample", "sgd"):
         for v in cfg["methods"]:
-            if v not in _VARIANTS:
-                raise ConfigError(f"config.methods: expected one of {_VARIANTS}, got {v!r}")
+            if v not in _CI_VARIANTS:
+                raise ConfigError(f"config.methods: expected one of {_CI_VARIANTS}, got {v!r}")
     if proc == "conformal":
         cfg["m"] = [_integer("m", v, 1) for v in _as_list(cfg["m"])]
     else:
@@ -364,10 +356,11 @@ def _per_replicate(draw: Callable, run_cells: Callable) -> Callable:
     return run_block
 
 
-def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Callable) -> Callable:
-    """run_block of a test procedure: the block's data in one batched
-    draw from streams (r, 0), then one :func:`rank_test_block` call per
-    cell with resamples from streams (r, 1) on."""
+def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Callable) -> tuple:
+    """run_block and budget check of a test procedure.  run_block draws
+    the block's data in one batched pass from streams (r, 0), then makes
+    one :func:`rank_test_block` call per cell with resamples from
+    streams (r, 1) on; the check is :func:`test_rule` on ``group``."""
 
     def run_block(master: int, cells: list, rs) -> list:
         data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
@@ -380,13 +373,15 @@ def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Cal
         ]
         return [[(not reject, None) for reject in rep] for rep in zip(*rejects)]
 
-    return run_block
+    return run_block, lambda budget, _method: test_rule(budget, group)
 
 
-def _plan(cfg: dict) -> Callable:
-    """run_block(master, cells, rs) for the configured procedure.
+def _plan(cfg: dict) -> tuple:
+    """run_block(master, cells, rs) and the budget check
+    rule(budget, method) of the configured procedure.
 
-    It gives, for each replicate r in rs, one (covered, width) per
+    The check is :func:`ci_rule` or :func:`test_rule`.  run_block gives,
+    for each replicate r in rs, one (covered, width) per
     (B, alpha, method) cell, with width None for tests.  Tests run the
     whole block through :func:`rank_test_block`; the other procedures
     run :func:`_ci_replicate` per replicate, where bootstrap and
@@ -421,7 +416,7 @@ def _plan(cfg: dict) -> Callable:
             return ci.contains(truth), ci.span
 
         draw = partial(setting_sampler, 4, {"n": cfg["n"]})
-        return _per_replicate(draw, partial(_each_cell, run_cell))
+        return _per_replicate(draw, partial(_each_cell, run_cell)), ci_rule
 
     # a test replicate's data, as one row of the block's stacked draw
     if proc == "permutation":
@@ -461,7 +456,7 @@ def _plan(cfg: dict) -> Callable:
         )
         return [(ci.contains(theta0), ci.span) for ci in cis]
 
-    return _per_replicate(partial(setting_sampler, setting, params), run_cells)
+    return _per_replicate(partial(setting_sampler, setting, params), run_cells), ci_rule
 
 
 def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> list:
@@ -481,15 +476,12 @@ _test_replicate = _ci_replicate
 _BLOCK_BYTES = 1 << 20
 
 
-def _skip_reason(proc: str, B: int, alpha: float, method: str) -> Optional[str]:
-    """Why the cell cannot run at its budget (the BudgetTooSmall text its
-    procedure would raise), or None.  A permutation test always runs."""
-    budget = BudgetSpec(B, alpha)
+def _skip_reason(rule: Callable, B: int, alpha: float, method: str) -> Optional[str]:
+    """Why the cell cannot run at its budget (the BudgetTooSmall text the
+    procedure's budget check ``rule`` raises), or None.  Any other error
+    of the check, such as a permutation budget beyond |G|, propagates."""
     try:
-        if proc == "randomization":
-            index_rule(budget, "randomization")
-        elif proc != "permutation":
-            ci_rule(budget, method)
+        rule(BudgetSpec(B, alpha), method)
     except BudgetTooSmall as exc:
         return str(exc)
     return None
@@ -531,7 +523,7 @@ def run_experiment(config: dict) -> CoverageTable:
                 )
         return table
 
-    run_block = _plan(cfg)
+    run_block, rule = _plan(cfg)
     is_test = proc in ("permutation", "randomization")
     methods = [proc] if is_test else cfg["methods"]
 
@@ -542,7 +534,7 @@ def run_experiment(config: dict) -> CoverageTable:
     for alpha in cfg["alpha"]:
         for B in cfg["B"]:
             for method in methods:
-                reason = _skip_reason(proc, B, alpha, method)
+                reason = _skip_reason(rule, B, alpha, method)
                 if reason is None:
                     cells.append((B, alpha, method))
                 else:

@@ -17,6 +17,10 @@ rank identities, never by Monte Carlo, so the bounds in
   ordering over a full probability grid, and the conformal grid bound
   over a range of calibration sizes.
 
+The sweeps call the formulas they certify (the Ehm bound and ordering
+regimes of :mod:`fixedb.discrete`, the ``conformal_mod`` rank and alpha
+snap of :mod:`fixedb.orderstats`), so a broken formula fails its sweep.
+
 Interval membership is reduced to the pair (n_lt, n_le) = (number of
 W_i strictly below psi, number weakly below): for the interval with
 lower rank a and upper rank B-b,
@@ -41,10 +45,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import dependent_bracket, iid_bracket, independent_bracket, ordering_lower
-from .discrete import binom_pmf, poisson_binomial_pmf_batch
+from .discrete import _ehm_rows, _ordering_regimes, binom_pmf, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
 from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput
-from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, index_rule
+from .orderstats import BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
 
 __all__ = [
     "CondIIDInstance",
@@ -308,8 +312,7 @@ def conformal_grid_example(m: int, alpha: float) -> GridExample:
     rule = index_rule(budget, "conformal_mod")
     rank = rule.upper_rank
     sentinel = rank > m
-    a = Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
-    bound = 1 - a - Fraction(3, 2 * m)
+    bound = 1 - _snap_alpha(budget.alpha) - Fraction(3, 2 * m)
     coverage = Fraction(1) if sentinel else Fraction(2 * rank - 1, 2 * m)
     return GridExample(
         m=m,
@@ -330,41 +333,48 @@ def conformal_grid_sweep(
     [m_lo, m_hi] and each alpha, in exact integer arithmetic."""
     if not 1 <= m_lo <= m_hi:
         raise InvalidInput("need 1 <= m_lo <= m_hi")
+    m = np.arange(m_lo, m_hi + 1)
     violations = []
-    n = 0
     for alpha in alphas:
-        fr = Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
-        num, den = fr.numerator, fr.denominator
-        for m in range(m_lo, m_hi + 1):
-            n += 1
-            rank = m + 1 - (2 * m * num) // (3 * den)
-            if rank > m:
-                continue  # sentinel: coverage 1 always dominates
-            # coverage >= bound <=> (2 rank - 1) den >= 2 m (den - num) - 3 den
-            if (2 * rank - 1) * den < 2 * m * (den - num) - 3 * den:
-                violations.append({"m": m, "alpha": alpha, "rank": rank})
+        a = _snap_alpha(alpha)
+        rank = _conformal_mod_rank(m, a)
+        # coverage >= bound <=> (2 rank - 1) den >= 2 m (den - num) - 3 den;
+        # a rank above m is the sentinel, whose coverage 1 always dominates
+        den, num = a.denominator, a.numerator
+        bad = (rank <= m) & ((2 * rank - 1) * den < 2 * m * (den - num) - 3 * den)
+        violations += [
+            {"m": int(mi), "alpha": alpha, "rank": int(ri)} for mi, ri in zip(m[bad], rank[bad])
+        ]
+    n = m.size * len(alphas)
     return SweepReport(n, tuple(violations), note=f"m in [{m_lo}, {m_hi}]")
+
+
+def _random_instance(rng: np.random.Generator, family, draw_rows):
+    """A random finite instance of ``family`` with <= 5 atoms per
+    marginal; ``draw_rows(n_z, n_w)`` draws its w_cond between the atom
+    and the target draws, and psi ties an atom with probability ~0.4."""
+    n_z = int(rng.integers(1, 6))
+    n_w = int(rng.integers(1, 6))
+    atoms = np.sort(rng.choice(9, size=n_w, replace=False) + 1.0)
+    w_cond = draw_rows(n_z, n_w)
+    snap = rng.random(n_z) < 0.4
+    psi = np.where(snap, atoms[rng.integers(0, n_w, size=n_z)], rng.uniform(0.5, 9.5, size=n_z))
+    return family(
+        z_probs=tuple(rng.dirichlet(np.ones(n_z))),
+        psi_vals=tuple(psi),
+        w_atoms=tuple(atoms),
+        w_cond=w_cond,
+    )
 
 
 def random_cond_iid(rng: np.random.Generator) -> CondIIDInstance:
     """A random finite conditionally-IID instance (<= 5 atoms per
     marginal; psi ties an atom with probability ~0.4)."""
-    n_z = int(rng.integers(1, 6))
-    n_w = int(rng.integers(1, 6))
-    atoms = np.sort(rng.choice(9, size=n_w, replace=False) + 1.0)
-    rows = rng.dirichlet(np.ones(n_w), size=n_z)
-    snap = rng.random(n_z) < 0.4
-    psi = np.where(
-        snap,
-        atoms[rng.integers(0, n_w, size=n_z)],
-        rng.uniform(0.5, 9.5, size=n_z),
-    )
-    return CondIIDInstance(
-        z_probs=tuple(rng.dirichlet(np.ones(n_z))),
-        psi_vals=tuple(psi),
-        w_atoms=tuple(atoms),
-        w_cond=tuple(tuple(r) for r in rows),
-    )
+
+    def draw_rows(n_z: int, n_w: int) -> tuple:
+        return tuple(map(tuple, rng.dirichlet(np.ones(n_w), size=n_z)))
+
+    return _random_instance(rng, CondIIDInstance, draw_rows)
 
 
 def random_cond_indep(rng: np.random.Generator, B: int | None = None) -> CondIndepInstance:
@@ -373,28 +383,17 @@ def random_cond_indep(rng: np.random.Generator, B: int | None = None) -> CondInd
     discrepancies stay moderate."""
     if B is None:
         B = int(rng.integers(1, 7))
-    n_z = int(rng.integers(1, 6))
-    n_w = int(rng.integers(1, 6))
-    atoms = np.sort(rng.choice(9, size=n_w, replace=False) + 1.0)
-    base = rng.dirichlet(np.ones(n_w), size=n_z)
-    cond = []
-    for _ in range(B):
-        eps = rng.uniform(0.0, 0.3)
-        noise = rng.dirichlet(np.ones(n_w), size=n_z)
-        mix = (1.0 - eps) * base + eps * noise
-        cond.append(tuple(tuple(r) for r in mix))
-    snap = rng.random(n_z) < 0.4
-    psi = np.where(
-        snap,
-        atoms[rng.integers(0, n_w, size=n_z)],
-        rng.uniform(0.5, 9.5, size=n_z),
-    )
-    return CondIndepInstance(
-        z_probs=tuple(rng.dirichlet(np.ones(n_z))),
-        psi_vals=tuple(psi),
-        w_atoms=tuple(atoms),
-        w_cond=tuple(cond),
-    )
+
+    def draw_rows(n_z: int, n_w: int) -> tuple:
+        base = rng.dirichlet(np.ones(n_w), size=n_z)
+        cond = []
+        for _ in range(B):
+            eps = rng.uniform(0.0, 0.3)
+            noise = rng.dirichlet(np.ones(n_w), size=n_z)
+            cond.append(tuple(map(tuple, (1.0 - eps) * base + eps * noise)))
+        return tuple(cond)
+
+    return _random_instance(rng, CondIndepInstance, draw_rows)
 
 
 def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
@@ -423,6 +422,27 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
     return FinitePmf(support, [acc[k] for k in support])
 
 
+class _Tally:
+    """The checks of one instance: a count and the violations."""
+
+    def __init__(self, tol: float) -> None:
+        self.tol = tol
+        self.n = 0
+        self.violations: list = []
+
+    def check(self, head: dict, cov: float, lower: float, upper=None, **tail) -> None:
+        """Count one check of lower - tol <= cov (<= upper + tol); record a
+        violation as head's keys, coverage, lower, upper, tail's keys."""
+        self.n += 1
+        if cov < lower - self.tol or (upper is not None and cov > upper + self.tol):
+            bounds = {"lower": lower} if upper is None else {"lower": lower, "upper": upper}
+            self.violations.append({**head, "coverage": cov, **bounds, **tail})
+
+    @property
+    def result(self) -> tuple:
+        return self.n, self.violations
+
+
 def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
     with exact slacks; returns (n_checked, violations).  B < 1 raises
@@ -431,28 +451,15 @@ def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
         raise InvalidInput(f"B must be >= 1, got {B!r}")
     M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
     delta, delta_tilde = iid_slacks(inst)
-    n = 0
-    out = []
+    tally = _Tally(tol)
     for a in range(B):
         for b in range(B - a):
             for kind in _TWO_SIDED_KINDS:
                 cov = _coverage_from_matrix(M, B, a, b, kind)
                 br = iid_bracket(B, a, b, delta=delta, delta_tilde=delta_tilde, kind=kind)
-                n += 1
-                if cov < br.lower - tol or cov > br.upper + tol:
-                    out.append(
-                        {
-                            "family": "cond_iid",
-                            "B": B,
-                            "a": a,
-                            "b": b,
-                            "kind": kind,
-                            "coverage": cov,
-                            "lower": br.lower,
-                            "upper": br.upper,
-                        }
-                    )
-    return n, out
+                head = {"family": "cond_iid", "B": B, "a": a, "b": b, "kind": kind}
+                tally.check(head, cov, br.lower, br.upper)
+    return tally.result
 
 
 def check_cond_indep(inst: CondIndepInstance, tol: float = _TOL):
@@ -461,38 +468,15 @@ def check_cond_indep(inst: CondIndepInstance, tol: float = _TOL):
     B = inst.b
     M = _pair_matrix(inst, lambda j: [rows[j] for rows in inst.w_cond])
     d_ks, d_tilde, kappas = indep_slacks(inst)
-    n = 0
-    out = []
+    tally = _Tally(tol)
     for a in range(B):
         for b in range(B - a):
             cov = _coverage_from_matrix(M, B, a, b, "closed")
             br = independent_bracket(B, a, b, d_tilde, kappas)
             lo3 = ordering_lower(B, a, b, d_ks)
-            n += 2
-            if cov < br.lower - tol or cov > br.upper + tol:
-                out.append(
-                    {
-                        "family": "cond_indep",
-                        "B": B,
-                        "a": a,
-                        "b": b,
-                        "coverage": cov,
-                        "lower": br.lower,
-                        "upper": br.upper,
-                    }
-                )
-            if cov < lo3 - tol:
-                out.append(
-                    {
-                        "family": "ordering",
-                        "B": B,
-                        "a": a,
-                        "b": b,
-                        "coverage": cov,
-                        "lower": lo3,
-                    }
-                )
-    return n, out
+            tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
+            tally.check({"family": "ordering", "B": B, "a": a, "b": b}, cov, lo3)
+    return tally.result
 
 
 _DEFAULT_TAIL_PAIRS = ((0.2, 0.2), (0.3, 0.3), (0.5, 0.5), (0.2, 0.5), (0.7, 0.3))
@@ -504,8 +488,7 @@ def check_dependent(joint: FinitePmf, pairs=_DEFAULT_TAIL_PAIRS, tol: float = _T
     the exact exchangeability gap."""
     M, B = _pair_matrix_joint(joint)
     gap = gamma_exact(joint).value
-    n = 0
-    out = []
+    tally = _Tally(tol)
     for g, bt in pairs:
         try:
             rule = index_rule(BudgetSpec(B=B, alpha=g), "dependent_two_sided", gamma=g, beta=bt)
@@ -515,20 +498,8 @@ def check_dependent(joint: FinitePmf, pairs=_DEFAULT_TAIL_PAIRS, tol: float = _T
         b = B - rule.upper_rank
         cov = _coverage_from_matrix(M, B, a, b, "closed")
         lower = dependent_bracket(B, g, bt, gap).lower
-        n += 1
-        if cov < lower - tol:
-            out.append(
-                {
-                    "family": "dependent",
-                    "B": B,
-                    "gamma": g,
-                    "beta": bt,
-                    "coverage": cov,
-                    "lower": lower,
-                    "gap": gap,
-                }
-            )
-    return n, out
+        tally.check({"family": "dependent", "B": B, "gamma": g, "beta": bt}, cov, lower, gap=gap)
+    return tally.result
 
 
 def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
@@ -584,22 +555,12 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
         # the grid is decimal, so 10 * sum is an exact integer key
         sums10 = np.rint(combos.sum(axis=1) * 10).astype(int)
         pbar = sums10 / (10.0 * B)
-        qbar = 1.0 - pbar
-        het = (combos * (1.0 - combos)).sum(axis=1)
-        r = 1.0 - het / (B * pbar * qbar)
-        upper = B / (B + 1.0) * (1.0 - pbar ** (B + 1) - qbar ** (B + 1)) * r
-        poi_cdf = np.cumsum(pmf, axis=1)
-        tv = np.empty(combos.shape[0])
-        bin_cdf = np.empty_like(pmf)
-        for s10 in np.unique(sums10):
-            rows = sums10 == s10
-            bpmf = binom_pmf(B, s10 / (10.0 * B)).probs
-            tv[rows] = 0.5 * np.abs(pmf[rows] - bpmf).sum(axis=1)
-            bin_cdf[rows] = np.cumsum(bpmf)
-        k = np.arange(B + 1)
-        le_regime = k[None, :] <= (B * pbar - 1.0)[:, None] + 1e-9
-        ge_regime = k[None, :] >= (B * pbar)[:, None] - 1e-9
-        diff = poi_cdf - bin_cdf
+        upper = _ehm_rows(combos, pbar)[1]
+        keys, row_key = np.unique(sums10, return_inverse=True)
+        bpmf = np.stack([binom_pmf(B, s10 / (10.0 * B)).probs for s10 in keys])[row_key]
+        tv = 0.5 * np.abs(pmf - bpmf).sum(axis=1)
+        diff = np.cumsum(pmf, axis=1) - np.cumsum(bpmf, axis=1)
+        le_regime, ge_regime = _ordering_regimes(B, pbar)
         bad_tv = np.flatnonzero(tv > upper + 1e-12)
         bad_le = np.flatnonzero((le_regime & (diff > 1e-12)).any(axis=1))
         bad_ge = np.flatnonzero((ge_regime & (diff < -1e-12)).any(axis=1))

@@ -41,9 +41,6 @@ __all__ = [
 #: Largest denominator kept when snapping alpha to a rational.
 ALPHA_DENOMINATOR_CAP = 10**6
 
-#: Interval kinds understood by the index rules and coverage bounds.
-KINDS = ("closed", "left_closed_right_open", "left_open_right_closed", "one_sided_upper")
-
 #: Every named rank rule.  See :func:`index_rule`.
 RULE_NAMES = (
     "vanilla_two_sided",
@@ -137,6 +134,13 @@ def _snap_alpha(alpha: float) -> Fraction:
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must lie in (0, 1), got {alpha!r}")
     return Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
+
+
+def _conformal_mod_rank(m, alpha: Fraction):
+    """The ``conformal_mod`` rank m + 1 - floor(2 m alpha / 3) at the
+    snapped level alpha, in integer arithmetic, so m may also be an
+    integer array."""
+    return m + 1 - (2 * m * alpha.numerator) // (3 * alpha.denominator)
 
 
 def _floor(x: Fraction) -> int:
@@ -302,7 +306,7 @@ def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIn
         kind = "one_sided_upper"
     elif rule_name == "conformal_mod":
         lower = 0
-        upper = B + 1 - _floor(2 * B * a / 3)
+        upper = _conformal_mod_rank(B, a)
         kind = "one_sided_upper"
     elif rule_name == "ordering_symmetric":
         half = _floor(B * a / 3 - Fraction(1, 2))

@@ -79,6 +79,7 @@ __all__ = [
     "DecisionBlock",
     "PredictionSet",
     "ci_rule",
+    "test_rule",
     "ci_cells",
     "ci_boot",
     "ci_subsample",
@@ -194,6 +195,26 @@ def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
             min_b=need,
         )
     return index_rule(budget, "mod_two_sided")
+
+
+def test_rule(budget: BudgetSpec, group) -> IntervalIndexRule:
+    """The rank rule of a resampling test at this budget: "randomization"
+    for sign flips and explicit transform lists; for a PermutationGroup
+    G, "permutation_full" when B = |G| and "permutation_sub" when B < |G|.
+
+    The counterpart of :func:`ci_rule`, run by every test and by the
+    harness before anything is drawn.  It raises :class:`BudgetTooSmall`
+    when the randomization rule cannot run at (B, alpha), and
+    :class:`InvalidInput` when B > |G|.
+    """
+    if not isinstance(group, PermutationGroup):
+        return index_rule(budget, "randomization")
+    if budget.B > group.size:
+        raise InvalidInput(f"B={budget.B} exceeds |G|={group.size}; draws come from G")
+    return index_rule(budget, "permutation_full" if budget.B == group.size else "permutation_sub")
+
+
+test_rule.__test__ = False  # a library function, not a pytest test
 
 
 def _pick_rules(budgets: Sequence[BudgetSpec], variants: Sequence[str], seed: SeedSpec) -> list:
@@ -590,11 +611,10 @@ def rank_test_block(
     firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
     if len(firsts) != len(data):
         raise InvalidInput(f"{len(data)} samples but {len(firsts)} first streams")
+    if not isinstance(group, PermutationGroup) and group != "signflip":
+        raise InvalidInput(f"group must be 'signflip' or a PermutationGroup, got {group!r}")
+    rule = test_rule(budget, group)
     if isinstance(group, PermutationGroup):
-        size = group.size
-        if B > size:
-            raise InvalidInput(f"B={B} exceeds |G|={size}; draws come from G")
-        rule = index_rule(budget, "permutation_full" if B == size else "permutation_sub")
         identity = np.arange(group.m)
         t_obs = [float(statistic(d, identity)) for d in data]
         perms = _stream_rows(master_seed, firsts, B, partial(_permutation_of, group))
@@ -608,8 +628,7 @@ def rank_test_block(
                 for i, d in enumerate(data)
             ]
         )
-    elif group == "signflip":
-        rule = index_rule(budget, "randomization")
+    else:
         xs = np.asarray(data, dtype=float)
         if xs.ndim != 2 or xs.shape[1] < 1:
             raise InvalidInput("each sample must be a nonempty 1-d vector")
@@ -618,8 +637,6 @@ def rank_test_block(
         signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
         flipped = (xs[:, None, :] * signs.reshape(R, B, m)).reshape(R * B, m)
         t_star = _test_statistics(flipped, statistic, statistic_batch).reshape(R, B)
-    else:
-        raise InvalidInput(f"group must be 'signflip' or a PermutationGroup, got {group!r}")
     return _decide(t_obs, t_star, rule, budget)
 
 
@@ -693,15 +710,16 @@ def randomization_test(
         )
         return block.decision(0)
     budget = BudgetSpec(B=B, alpha=alpha)
-    rule = index_rule(budget, "randomization")
+    rule = test_rule(budget, group)
     t_obs = float(statistic(x))
     transforms = list(group)
     if len(transforms) == 0:
         raise InvalidInput("explicit transform list must be nonempty")
-    # the first entry of a with-replacement draw from the list is the
-    # same uniform index as the single integers(0, len) draw it replaces
+    # one uniform index into the list per stream, the bits of
+    # generator(stream).integers(0, len(transforms))
+    picks = _bounded_rows(seed.master_seed, [seed.stream_id], B, len(transforms), 1)[:, 0]
     t_star = np.empty(B)
-    for b, i in enumerate(bootstrap_indices(len(transforms), seed, count=B)[:, 0]):
+    for b, i in enumerate(picks):
         t_star[b] = statistic(transforms[i](x))
     return _decide([t_obs], t_star[None], rule, budget).decision(0)
 

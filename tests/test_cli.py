@@ -138,3 +138,15 @@ def test_parser_lists_all_subcommands():
     for cmd in ("bootstrap", "subsample", "sgd", "permutation", "randomization",
                 "conformal", "verify", "plot"):
         assert cmd in text
+
+
+def test_experiment_subcommands_are_the_harness_procedures():
+    from fixedb import cli, harness
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert list(sub.choices) == list(harness._PROCEDURES) + ["verify", "plot"]
+    # every flag key is the dest of an experiment flag and a config key
+    args = parser.parse_args(["bootstrap"])
+    for key in cli._FLAG_KEYS:
+        assert hasattr(args, key) and key in harness._KNOWN_KEYS

@@ -3,12 +3,14 @@ comparisons with the mean binomial."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fixedb import discrete
 from fixedb.discrete import (
     PoiBinSpec,
     binom_cdf,
@@ -147,6 +149,22 @@ class TestHoeffdingOrdering:
         assert rep.passed
         assert rep.worst_margin >= -1e-12
         assert rep.n_checked <= len(ps) + 1
+
+    def test_one_binomial_pmf_call_and_no_cdf_call(self):
+        binom = discrete.stats.binom
+        with mock.patch.object(discrete, "binom_cdf", wraps=discrete.binom_cdf) as cdf, \
+                mock.patch.object(binom, "cdf", wraps=binom.cdf) as scipy_cdf, \
+                mock.patch.object(binom, "pmf", wraps=binom.pmf) as scipy_pmf:
+            rep = hoeffding_ordering_check(PoiBinSpec((0.1, 0.4, 0.7, 0.9)))
+        assert (cdf.call_count, scipy_cdf.call_count, scipy_pmf.call_count) == (0, 0, 1)
+        assert rep.passed and rep.n_checked == 4
+
+    def test_regimes_allow_for_rounding_of_b_p_bar(self):
+        # B p_bar = 1 - 1e-12 still puts k = 1 in the >= regime
+        for p_bar in (0.5, 0.5 - 5e-13):
+            le, ge = discrete._ordering_regimes(2, [p_bar])
+            assert le.tolist() == [[True, False, False]]
+            assert ge.tolist() == [[False, True, True]]
 
     def test_homogeneous_margins_vanish(self):
         rep = hoeffding_ordering_check(PoiBinSpec((0.4,) * 6))

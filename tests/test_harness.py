@@ -125,6 +125,30 @@ class TestConfig:
         assert main(["randomization", "--B", str(top + 1), "--reps", "1"]) == 2
         assert "config.B" in capsys.readouterr().err
 
+    def test_procedure_table_messages_and_defaults(self):
+        procs = "('bootstrap', 'subsample', 'sgd', 'permutation', 'randomization', 'conformal')"
+        for bad in ("nope", ["bootstrap"]):
+            with pytest.raises(ConfigError) as err:
+                normalize_config({"procedure": bad})
+            assert str(err.value) == f"config.procedure: expected one of {procs}, got {bad!r}"
+        with pytest.raises(ConfigError) as err:
+            normalize_config({"procedure": "subsample", "setting": 4})
+        assert str(err.value) == "config.setting: procedure 'subsample' supports (1, 2, 3), got 4"
+        with pytest.raises(ConfigError) as err:
+            normalize_config(tiny_config(methods=["bayes"]))
+        assert str(err.value) == (
+            "config.methods: expected one of ('vanilla', 'modified', 'randomized'), got 'bayes'"
+        )
+        defaults = {p: normalize_config({"procedure": p})["setting"] for p in harness._PROCEDURES}
+        assert defaults == {
+            "bootstrap": 1,
+            "subsample": 3,
+            "sgd": 4,
+            "permutation": 0,
+            "randomization": 0,
+            "conformal": 0,
+        }
+
     def test_conformal_m_list(self):
         cfg = normalize_config({"procedure": "conformal", "m": [10, 100]})
         assert cfg["m"] == [10, 100]
@@ -422,6 +446,17 @@ class TestCellGrid:
         run_experiment(GRID_CONFIGS["boot-s1"])
         assert calls["data"] == 25
         assert calls["indices"] == [199] * 25
+
+    def test_permutation_budget_beyond_the_group_fails_before_any_replicate(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(harness, "_stream_rows", None)  # would raise if called
+        cfg = {"procedure": "permutation", "m": 3, "B": [5, 7], "reps": 4}
+        with pytest.raises(InvalidInput) as err:
+            run_experiment(cfg)
+        assert str(err.value) == "B=7 exceeds |G|=6; draws come from G"
+        assert main(["permutation", "--m", "3", "--B", "5,7", "--reps", "4"]) == 2
+        assert capsys.readouterr().err == "error: B=7 exceeds |G|=6; draws come from G\n"
 
     def test_all_cells_skipped_runs_no_replicate(self, monkeypatch):
         monkeypatch.setattr(harness, "_ci_replicate", None)  # would raise if called

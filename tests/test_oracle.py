@@ -1,5 +1,6 @@
 """Exact enumeration oracle: slacks, coverages, and the sweep suites."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixedb import oracle
+from fixedb import discrete, oracle, orderstats
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
 from fixedb.errors import InvalidIndices, InvalidInput
 from fixedb.oracle import (
@@ -175,6 +176,11 @@ class TestInstanceChecks:
         assert rep.violations == ()
         assert rep.n_checked > 100
 
+    def test_default_bracket_suite_is_pinned(self):
+        # the first PASS line of `fixedb verify`
+        rep = bracket_suite()
+        assert (rep.n_checked, rep.violations) == (3674, ())
+
     def test_bracket_suite_slacks_round_off(self):
         # seed 2 draws an instance whose kappas and d_tilde come out as
         # 1 + 2**-52 unless they are clamped to [0, 1]
@@ -281,3 +287,83 @@ def test_ehm_hoeffding_small_sweep():
     rep = ehm_hoeffding_sweep(b_values=(1, 2, 3))
     assert rep.passed
     assert rep.n_checked > 0
+
+
+def _instance_digest(seed: int) -> str:
+    """Digest of the fields of four random instances drawn in a row
+    from one rng, and of the rng state they leave behind."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    draws = (random_cond_iid(rng), random_cond_indep(rng), random_cond_iid(rng))
+    for inst in draws + (random_cond_indep(rng, 2),):
+        for field in (inst.z_probs, inst.psi_vals, inst.w_atoms, inst.w_cond):
+            arr = np.asarray(field, dtype=float)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+    h.update(rng.bytes(8))
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "24160df71e37c55b"),
+        (1, "06c9760820618af4"),
+        (7, "9ce19fd775384f7b"),
+        (20260823, "335df02eb4281876"),
+    ],
+)
+def test_random_instances_are_pinned(seed, digest):
+    # bracket_suite's instances, and so its check count, rest on these draws
+    assert _instance_digest(seed) == digest
+
+
+class TestSweepsCertifyTheLibrary:
+    """Each verify sweep checks the library's own formula, so a broken
+    formula makes the sweep report violations."""
+
+    def test_broken_ehm_bound(self, monkeypatch):
+        real = discrete._ehm_rows
+
+        def halved(prob_rows, p_bar):
+            r, upper = real(prob_rows, p_bar)
+            return r, 0.5 * upper
+
+        for mod in (discrete, oracle):
+            monkeypatch.setattr(mod, "_ehm_rows", halved)
+        assert discrete.ehm_tv_bound(discrete.PoiBinSpec((0.2, 0.8)))[0] == pytest.approx(0.09)
+        rep = ehm_hoeffding_sweep(b_values=(2, 3))
+        assert {v["check"] for v in rep.violations} == {"tv"}
+
+    def test_broken_ordering_regimes(self, monkeypatch):
+        real = discrete._ordering_regimes
+
+        def swapped(B, p_bar):
+            le, ge = real(B, p_bar)
+            return ge, le
+
+        for mod in (discrete, oracle):
+            monkeypatch.setattr(mod, "_ordering_regimes", swapped)
+        assert not discrete.hoeffding_ordering_check(discrete.PoiBinSpec((0.1, 0.9, 0.5))).passed
+        rep = ehm_hoeffding_sweep(b_values=(2, 3))
+        assert {v["check"] for v in rep.violations} == {"order_le", "order_ge"}
+
+    @pytest.fixture
+    def fresh_ranks(self):
+        orderstats._index_rule.cache_clear()
+        yield
+        orderstats._index_rule.cache_clear()
+
+    def test_broken_conformal_rank(self, monkeypatch, fresh_ranks):
+        def floor_of_2m_alpha(m, alpha):
+            return m + 1 - (2 * m * alpha.numerator) // alpha.denominator
+
+        for mod in (orderstats, oracle):
+            monkeypatch.setattr(mod, "_conformal_mod_rank", floor_of_2m_alpha)
+        budget = orderstats.BudgetSpec(100, 0.1)
+        assert orderstats.index_rule(budget, "conformal_mod").upper_rank == 81
+        assert conformal_grid_example(100, 0.1).rank == 81
+        rep = conformal_grid_sweep(m_hi=200)
+        assert rep.violations
+        for v in rep.violations:
+            assert v["rank"] == floor_of_2m_alpha(v["m"], orderstats._snap_alpha(v["alpha"]))

@@ -1,6 +1,8 @@
 """Confidence-interval, test, and conformal procedures."""
 
 import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fixedb.procedures import (
     randomization_test,
     rank_test_block,
 )
+from fixedb.orderstats import BudgetSpec
 from fixedb.resampling import (
     PermutationGroup,
     SeedSpec,
@@ -582,6 +585,52 @@ class TestCiRule:
             ci_rule(BudgetSpec(1, 0.1), "vanilla")
         with pytest.raises(InvalidInput):
             ci_rule(b19, "median")
+
+
+class TestTestRule:
+    def test_rules_and_errors(self):
+        b19 = BudgetSpec(19, 0.1)
+        assert procedures.test_rule(b19, "signflip").rule_name == "randomization"
+        assert procedures.test_rule(b19, [abs]).rule_name == "randomization"
+        G = full_symmetric(4)
+        assert procedures.test_rule(b19, G).rule_name == "permutation_sub"
+        assert procedures.test_rule(BudgetSpec(24, 0.1), G).rule_name == "permutation_full"
+        with pytest.raises(InvalidInput, match=r"B=25 exceeds \|G\|=24; draws come from G"):
+            procedures.test_rule(BudgetSpec(25, 0.1), G)
+        with pytest.raises(BudgetTooSmall) as err:
+            procedures.test_rule(BudgetSpec(5, 0.1), "signflip")
+        with pytest.raises(BudgetTooSmall) as alone:
+            randomization_test(np.ones(5), mean_stat, B=5)
+        assert str(err.value) == str(alone.value)
+
+
+class TestExplicitTransformDraw:
+    """The explicit-transform randomization test picks transform
+    generator(stream b).integers(0, len(transforms)) for resample b,
+    one Lemire draw per stream."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 7, 8, 100, 1000])
+    def test_one_index_per_stream(self, L):
+        seed = SeedSpec(11, 2**40)
+        shifts = [partial(np.add, float(j)) for j in range(L)]
+        seen = []
+
+        def first_entry(x):
+            seen.append(float(x[0]))
+            return float(x.sum())
+
+        real = procedures._bounded_rows
+        with mock.patch.object(procedures, "_bounded_rows", wraps=real) as rows:
+            randomization_test(np.zeros(4), first_entry, shifts, B=19, seed=seed)
+        assert rows.call_args.args == (11, [2**40], 19, L, 1)
+        want = [int(generator(SeedSpec(11, 2**40 + b)).integers(0, L)) for b in range(19)]
+        assert seen == [0.0] + want
+
+    @pytest.mark.parametrize("L", [7, 2**20 + 3])
+    def test_wide_lists_match_the_scalar_draw(self, L):
+        picks = procedures._bounded_rows(5, [2**40], 9, L, 1)[:, 0]
+        want = [generator(SeedSpec(5, 2**40 + b)).integers(0, L) for b in range(9)]
+        assert picks.tolist() == want
 
 
 class TestStatisticBatch:
