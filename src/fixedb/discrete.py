@@ -7,10 +7,21 @@ This module provides the exact Poisson-binomial pmf, the binomial CDF,
 the I_B constant that multiplies the heterogeneity term in the coverage
 slack, the Ehm total-variation bound (Ehm 1991) and the Hoeffding
 tail-ordering check (Hoeffding 1956) between the two counting laws.
-Each of the last two is one kernel over an (n, B) stack of probability
-rows (:func:`_ehm_rows`, :func:`_ordering_regimes`); the public
-functions are their one-row calls, and ``fixedb verify`` sweeps the same
-kernels, so it certifies the formulas the library uses.
+
+Each formula is one kernel over a stack of rows, and the public
+functions are their one-row calls:
+
+* :func:`poisson_binomial_pmf_batch` folds one Bernoulli at a time into
+  a stack of pmfs, starting from the point mass at 0 or from a given
+  ``start`` stack, so ``fixedb verify`` builds the pmfs of grid^B from
+  those of grid^(B-1) with one fold;
+* :func:`_binom_rows` gives the Bin(B, p) pmfs for many p in one scipy
+  call;
+* :func:`_ehm_rows` and :func:`_ordering_regimes` give Ehm's bound and
+  the Hoeffding regimes over an (n, B) stack of probability rows.
+
+``fixedb verify`` sweeps the same kernels, so it certifies the formulas
+the library uses.
 """
 
 from __future__ import annotations
@@ -85,26 +96,38 @@ def binom_cdf(B: int, p: float, k: int) -> float:
     return float(stats.binom.cdf(k, B, p))
 
 
+def _binom_rows(B: int, p_bars) -> np.ndarray:
+    """The Bin(B, p) pmfs on {0..B} for each p in ``p_bars``, as one
+    (len(p_bars), B+1) stack from one scipy call."""
+    return stats.binom.pmf(np.arange(B + 1), B, np.asarray(p_bars, dtype=float)[:, None])
+
+
 def binom_pmf(B: int, p: float) -> FinitePmf:
     """The Bin(B, p) pmf on {0..B} as a :class:`FinitePmf`."""
-    return FinitePmf(list(range(B + 1)), stats.binom.pmf(np.arange(B + 1), B, p))
+    return FinitePmf(list(range(B + 1)), _binom_rows(B, [p])[0])
 
 
-def poisson_binomial_pmf_batch(prob_rows: np.ndarray) -> np.ndarray:
+def poisson_binomial_pmf_batch(prob_rows: np.ndarray, start=None) -> np.ndarray:
     """Poisson-binomial pmfs for many specs at once.
 
     ``prob_rows`` has shape (n, B); row j holds the success
     probabilities of spec j.  Returns shape (n, B+1).  Exact dynamic
     programming: fold one Bernoulli at a time.
+
+    ``start``, if given, is a stack of pmfs on {0..K} to fold the
+    columns into instead of the point mass at 0; its leading axes
+    broadcast against those of ``prob_rows``, and the result is on
+    {0..K+B}.
     """
     prob_rows = np.atleast_2d(np.asarray(prob_rows, dtype=float))
-    n, B = prob_rows.shape
-    pmf = np.zeros((n, B + 1))
-    pmf[:, 0] = 1.0
-    for i in range(B):
-        p = prob_rows[:, i : i + 1]
-        shifted = np.concatenate([np.zeros((n, 1)), pmf[:, :-1]], axis=1)
-        pmf = pmf * (1.0 - p) + shifted * p
+    pmf = np.ones(prob_rows.shape[:-1] + (1,)) if start is None else np.asarray(start, dtype=float)
+    for i in range(prob_rows.shape[-1]):
+        p = prob_rows[..., i : i + 1]
+        folded = np.empty(np.broadcast_shapes(pmf.shape[:-1], p.shape[:-1]) + (pmf.shape[-1] + 1,))
+        np.multiply(pmf, 1.0 - p, out=folded[..., :-1])
+        folded[..., -1] = 0.0
+        folded[..., 1:] += pmf * p
+        pmf = folded
     return pmf
 
 

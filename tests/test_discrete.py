@@ -51,6 +51,20 @@ class TestBinomCdf:
         assert binom_cdf(B, float(p), k) == pytest.approx(float(exact), abs=1e-12)
 
 
+class TestBinomRows:
+    def test_rows_equal_one_row_calls(self):
+        p_bars = np.linspace(0.01, 0.99, 97)
+        rows = discrete._binom_rows(6, p_bars)
+        assert rows.shape == (97, 7)
+        for row, p in zip(rows, p_bars):
+            assert np.array_equal(row, discrete.stats.binom.pmf(np.arange(7), 6, p))
+
+    def test_one_scipy_call(self):
+        with mock.patch.object(discrete.stats.binom, "pmf", wraps=discrete.stats.binom.pmf) as scipy_pmf:
+            discrete._binom_rows(4, [0.1, 0.2, 0.3])
+        assert scipy_pmf.call_count == 1
+
+
 class TestPoissonBinomial:
     def test_frozen_two_trials(self):
         pmf = poisson_binomial_pmf(PoiBinSpec((0.2, 0.8)))
@@ -83,6 +97,21 @@ class TestPoissonBinomial:
         assert out.shape == (2, 3)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(out[1], [0.25, 0.5, 0.25], atol=1e-15)
+
+    def test_batch_folds_into_a_start_stack(self):
+        rows = np.random.default_rng(3).random((50, 5))
+        head = poisson_binomial_pmf_batch(rows[:, :2])
+        assert np.array_equal(poisson_binomial_pmf_batch(rows[:, 2:], start=head), poisson_binomial_pmf_batch(rows))
+
+    def test_batch_broadcasts_start_against_rows(self):
+        # three parent pmfs, each extended by each of two probabilities
+        parents = poisson_binomial_pmf_batch(np.array([[0.1], [0.5], [0.7]]))
+        grid = np.array([0.2, 0.9])
+        out = poisson_binomial_pmf_batch(grid[:, None], start=parents[:, None, :])
+        assert out.shape == (3, 2, 3)
+        for i, a in enumerate((0.1, 0.5, 0.7)):
+            for j, b in enumerate(grid):
+                assert np.array_equal(out[i, j], poisson_binomial_pmf_batch(np.array([[a, b]]))[0])
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInput):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -289,6 +290,73 @@ def test_ehm_hoeffding_small_sweep():
     assert rep.n_checked > 0
 
 
+_DECIMAL_GRID = np.arange(1, 10) / 10.0
+_LINSPACE_GRID = np.linspace(0.01, 0.99, 13)
+
+
+class TestEhmHoeffdingSweep:
+    @pytest.mark.parametrize("grid", [_DECIMAL_GRID, _LINSPACE_GRID], ids=["decimal", "linspace"])
+    def test_level_pmfs_equal_the_meshgrid_batch(self, monkeypatch, grid):
+        levels = []
+        real = oracle.poisson_binomial_pmf_batch
+
+        def recording(*args, **kwargs):
+            levels.append(real(*args, **kwargs))
+            return levels[-1]
+
+        monkeypatch.setattr(oracle, "poisson_binomial_pmf_batch", recording)
+        ehm_hoeffding_sweep(b_values=(4,), grid=grid)
+        assert len(levels) == 4
+        for B, level in enumerate(levels, start=1):
+            combos = np.stack(np.meshgrid(*[grid] * B, indexing="ij"), axis=-1).reshape(-1, B)
+            assert np.array_equal(level.reshape(-1, B + 1), real(combos))
+
+    def test_reports_follow_b_values_order(self, monkeypatch):
+        real = discrete._ehm_rows
+
+        def halved(prob_rows, p_bar):
+            r, upper = real(prob_rows, p_bar)
+            return r, 0.5 * upper
+
+        monkeypatch.setattr(oracle, "_ehm_rows", halved)
+        rep = ehm_hoeffding_sweep(b_values=(3, 1, 2))
+        # B = 1 has r = 0, so a halved bound is still met there
+        assert [v["B"] for v in rep.violations] == [3] * 20 + [2] * 20
+        assert all(len(v["p"]) == v["B"] for v in rep.violations)
+
+    @pytest.mark.parametrize("b_values, grid", [((1, 2, 3, 4, 5, 6), None), ((2, 2, 1), _LINSPACE_GRID)])
+    def test_n_checked_counts_every_grid_point(self, b_values, grid):
+        g = 9 if grid is None else grid.size
+        assert ehm_hoeffding_sweep(b_values=b_values, grid=grid).n_checked == sum(g**B for B in b_values)
+
+    # rounding p_bar to tenths reports false violations on these grids
+    @pytest.mark.parametrize("b_values, grid", [((1, 2, 3), _LINSPACE_GRID), ((4,), [1 / 3, 2 / 3, 0.5, 0.25])])
+    def test_non_decimal_lattice_grid(self, b_values, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ehm_hoeffding_sweep(b_values=b_values, grid=grid).passed
+
+    @pytest.mark.parametrize("b_values", [(0,), (2, -1), (2.0,), (True,)])
+    def test_b_values_must_be_positive_integers(self, b_values):
+        with pytest.raises(InvalidInput, match="b_values"):
+            ehm_hoeffding_sweep(b_values=b_values)
+
+    @pytest.mark.parametrize("grid", [[], [[0.1, 0.2]]], ids=["empty", "2-d"])
+    def test_grid_must_be_non_empty_and_1d(self, grid):
+        with pytest.raises(InvalidInput, match="grid must be a non-empty 1-d"):
+            ehm_hoeffding_sweep(grid=grid)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5], [0.5, 1.0], [1.5, 0.5], [0.5, np.nan]])
+    def test_grid_strictly_inside_unit_interval(self, grid):
+        with pytest.raises(InvalidInput, match=r"grid values must lie strictly inside \(0, 1\)"):
+            ehm_hoeffding_sweep(b_values=(2,), grid=grid)
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.123456789], [1 / 999983, 1 / 999979]])
+    def test_grid_off_the_lattice(self, grid):
+        with pytest.raises(InvalidInput, match="grid must lie on a lattice"):
+            ehm_hoeffding_sweep(b_values=(2,), grid=grid)
+
+
 def _instance_digest(seed: int) -> str:
     """Digest of the fields of four random instances drawn in a row
     from one rng, and of the rng state they leave behind."""
@@ -347,6 +415,19 @@ class TestSweepsCertifyTheLibrary:
         assert not discrete.hoeffding_ordering_check(discrete.PoiBinSpec((0.1, 0.9, 0.5))).passed
         rep = ehm_hoeffding_sweep(b_values=(2, 3))
         assert {v["check"] for v in rep.violations} == {"order_le", "order_ge"}
+
+    def test_broken_fold(self, monkeypatch):
+        real = discrete.poisson_binomial_pmf_batch
+
+        def mirrored(prob_rows, start=None):
+            # folds Bernoulli(1 - p) where Bernoulli(p) belongs
+            return real(1.0 - np.asarray(prob_rows, dtype=float), start)
+
+        for mod in (discrete, oracle):
+            monkeypatch.setattr(mod, "poisson_binomial_pmf_batch", mirrored)
+        assert discrete.poisson_binomial_pmf(discrete.PoiBinSpec((0.2,))).probs == pytest.approx([0.2, 0.8])
+        rep = ehm_hoeffding_sweep(b_values=(2, 3))
+        assert {v["check"] for v in rep.violations} == {"tv", "order_le", "order_ge"}
 
     @pytest.fixture
     def fresh_ranks(self):
