@@ -22,15 +22,22 @@ functions are their one-row calls:
 
 ``fixedb verify`` sweeps the same kernels, so it certifies the formulas
 the library uses.
+
+SciPy is needed only by the binomial helpers (:func:`binom_cdf` and
+:func:`_binom_rows`, hence :func:`binom_pmf` and
+:func:`hoeffding_ordering_check`), and ``scipy.stats`` is imported where
+they call it, on first use.  Importing fixedb, and every resampling
+procedure, leave SciPy unloaded; ``discrete.stats`` still names
+``scipy.stats`` (loaded on access, through the module ``__getattr__``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .distances import FinitePmf
 from .errors import DegenerateSpec, InvalidInput
@@ -58,8 +65,9 @@ class PoiBinSpec:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidInput("probs must be a non-empty 1-d vector")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise InvalidInput("all success probabilities must lie in [0, 1]")
+        # NaN fails both comparisons, so it is rejected here too
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise InvalidInput("all success probabilities must be finite and lie in [0, 1]")
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
 
     @property
@@ -85,25 +93,51 @@ class OrderingReport:
     n_checked: int
 
 
+def __getattr__(name: str):
+    # PEP 562: ``discrete.stats`` is ``scipy.stats``, imported on first access
+    if name == "stats":
+        from scipy import stats
+
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _check_binomial(B, p) -> None:
+    """InvalidInput unless B is an int >= 1 (not a bool) and p a finite
+    real in [0, 1]."""
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
+        raise InvalidInput(f"B must be an integer >= 1, got {B!r}")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise InvalidInput(f"p must be a finite real in [0, 1], got {p!r}")
+
+
 def binom_cdf(B: int, p: float, k: int) -> float:
-    """P(Bin(B, p) <= k); 0 below the support and 1 at or above B."""
-    if B < 1:
-        raise InvalidInput("B must be >= 1")
+    """P(Bin(B, p) <= k); 0 below the support and 1 at or above B.
+
+    Raises InvalidInput unless B is an integer >= 1 and p a finite real
+    in [0, 1]."""
+    _check_binomial(B, p)
     if k < 0:
         return 0.0
     if k >= B:
         return 1.0
+    from scipy import stats
+
     return float(stats.binom.cdf(k, B, p))
 
 
 def _binom_rows(B: int, p_bars) -> np.ndarray:
     """The Bin(B, p) pmfs on {0..B} for each p in ``p_bars``, as one
     (len(p_bars), B+1) stack from one scipy call."""
+    from scipy import stats
+
     return stats.binom.pmf(np.arange(B + 1), B, np.asarray(p_bars, dtype=float)[:, None])
 
 
 def binom_pmf(B: int, p: float) -> FinitePmf:
-    """The Bin(B, p) pmf on {0..B} as a :class:`FinitePmf`."""
+    """The Bin(B, p) pmf on {0..B} as a :class:`FinitePmf`; B and p as
+    for :func:`binom_cdf`."""
+    _check_binomial(B, p)
     return FinitePmf(list(range(B + 1)), _binom_rows(B, [p])[0])
 
 

@@ -199,3 +199,42 @@ class TestHoeffdingOrdering:
         rep = hoeffding_ordering_check(PoiBinSpec((0.4,) * 6))
         assert rep.passed
         assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBoundary:
+    BAD_B = (0, -1, 2.5, True, "3", None)
+    BAD_P = (1.5, -0.1, math.nan, math.inf, -math.inf, True, "0.5", None)
+
+    @pytest.mark.parametrize("B", BAD_B)
+    def test_bad_b_names_b(self, B):
+        with pytest.raises(InvalidInput, match="B must"):
+            binom_cdf(B, 0.5, 1)
+        with pytest.raises(InvalidInput, match="B must"):
+            binom_pmf(B, 0.5)
+
+    @pytest.mark.parametrize("p", BAD_P)
+    def test_bad_p_names_p(self, p):
+        with pytest.raises(InvalidInput, match="p must"):
+            binom_cdf(3, p, 1)
+        with pytest.raises(InvalidInput, match="p must"):
+            binom_pmf(3, p)
+
+    def test_rejected_before_scipy_is_imported(self):
+        # with scipy unimportable, bad input still ends in InvalidInput
+        with mock.patch.dict("sys.modules", {"scipy": None}):
+            with pytest.raises(ImportError):
+                binom_cdf(3, 0.5, 1)
+            for call in (lambda: binom_cdf(3, math.nan, 1), lambda: binom_pmf(0, 0.5)):
+                with pytest.raises(InvalidInput):
+                    call()
+
+    def test_edges_and_numpy_scalars_accepted(self):
+        assert binom_pmf(3, 0.0).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert binom_pmf(3, 1.0).probs.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert binom_cdf(np.int64(20), np.float64(0.3), 6) == binom_cdf(20, 0.3, 6)
+        assert binom_cdf(1, 0.5, 0) == 0.5
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_poibin_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidInput):
+            PoiBinSpec((bad, 0.5))

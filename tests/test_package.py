@@ -1,4 +1,9 @@
-"""The package surface: every submodule's public names, each once."""
+"""The package surface: every submodule's public names, each once, and
+what a cold import loads."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +33,36 @@ def test_package_names_are_the_submodule_objects(module):
     for name in module.__all__:
         assert name in fixedb.__all__
         assert getattr(fixedb, name) is getattr(module, name), name
+
+
+# Run in a fresh interpreter: everything but the binomial helpers must
+# leave scipy unloaded, and those helpers then load it and give the
+# values they gave when scipy was imported with the package.
+_COLD_START = r"""
+import sys
+
+import fixedb
+import fixedb.cli
+from fixedb.harness import _PROCEDURES, run_experiment
+
+for proc in _PROCEDURES:
+    run_experiment({"procedure": proc, "reps": 1})
+assert fixedb.cli.main(["bootstrap", "--reps", "2", "--out", sys.argv[1]]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+from fixedb.discrete import binom_cdf
+from fixedb.oracle import SweepReport, ehm_hoeffding_sweep
+
+assert binom_cdf(20, 0.3, 6) == 0.6080098122009244
+assert ehm_hoeffding_sweep(b_values=(1, 2)) == SweepReport(90, (), note="grid size 9, B in (1, 2)")
+assert "scipy.stats" in sys.modules
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fixedb.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "boot.csv")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "boot.csv").exists()
