@@ -114,9 +114,11 @@ def _check_binomial(B, p) -> None:
 def binom_cdf(B: int, p: float, k: int) -> float:
     """P(Bin(B, p) <= k); 0 below the support and 1 at or above B.
 
-    Raises InvalidInput unless B is an integer >= 1 and p a finite real
-    in [0, 1]."""
+    Raises InvalidInput unless B is an integer >= 1, p a finite real
+    in [0, 1] and k an integer (not a bool)."""
     _check_binomial(B, p)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InvalidInput(f"k must be an integer, got {k!r}")
     if k < 0:
         return 0.0
     if k >= B:

@@ -132,8 +132,7 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
         raise InvalidInput("values must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
     uniq, inv = np.unique(v, return_inverse=True)
-    mass = np.zeros(uniq.size)
-    np.add.at(mass, inv, p)
+    mass = np.bincount(inv, weights=p, minlength=uniq.size)
     cum = np.cumsum(mass)
     cum_prev = cum - mass
     d_plus = max(0.0, float(np.max(cum - uniq)))

@@ -194,12 +194,18 @@ def _cartesian(n: int, B: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, B)
 
 
-def _accumulate_pairs(M: np.ndarray, w: np.ndarray, psi, pr: np.ndarray) -> None:
-    """Add mass ``pr`` of each row of ``w`` to M at (n_lt, n_le); psi is
-    a scalar or one target per row as an (n, 1) column."""
-    n_lt = (w < psi).sum(axis=1)
-    n_le = (w <= psi).sum(axis=1)
-    np.add.at(M, (n_lt, n_le), pr)
+def _pair_bins(w: np.ndarray, psi) -> np.ndarray:
+    """Flat index n_lt * (B+1) + n_le of each row of ``w`` in the
+    (B+1) x (B+1) pair matrix; psi is a scalar or one target per row as
+    an (n, 1) column."""
+    B = w.shape[1]
+    return (w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1)
+
+
+def _pair_mass(bins: np.ndarray, pr: np.ndarray, B: int) -> np.ndarray:
+    """The (B+1, B+1) matrix holding the total of ``pr`` at each flat
+    bin; ``bincount`` adds in input order, as ``np.add.at`` does."""
+    return np.bincount(bins, weights=pr, minlength=(B + 1) ** 2).reshape(B + 1, B + 1)
 
 
 def _pair_matrix(inst, rows_of) -> np.ndarray:
@@ -212,13 +218,14 @@ def _pair_matrix(inst, rows_of) -> np.ndarray:
         raise CapacityExceeded("instance enumeration exceeds the atom budget")
     idx = _cartesian(atoms.size, B)
     w = atoms[idx]
-    M = np.zeros((B + 1, B + 1))
+    bins, mass = [], []
     for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
         pr = np.full(idx.shape[0], float(pz))
         for i, row in enumerate(rows_of(j)):
             pr *= np.asarray(row, dtype=float)[idx[:, i]]
-        _accumulate_pairs(M, w, psi, pr)
-    return M
+        bins.append(_pair_bins(w, psi))
+        mass.append(pr)
+    return _pair_mass(np.concatenate(bins), np.concatenate(mass), B)
 
 
 def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
@@ -229,9 +236,7 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
     if len(joint) > ENUMERATION_CAP:
         raise CapacityExceeded("joint support exceeds the atom budget")
     arr = np.asarray(joint.support, dtype=float)
-    M = np.zeros((B + 1, B + 1))
-    _accumulate_pairs(M, arr[:, :-1], arr[:, -1:], joint.probs)
-    return M, B
+    return _pair_mass(_pair_bins(arr[:, :-1], arr[:, -1:]), joint.probs, B), B
 
 
 def _coverage_from_matrix(M: np.ndarray, B: int, a: int, b: int, kind: str) -> float:
@@ -563,6 +568,12 @@ def _bad_rows(mask: np.ndarray) -> np.ndarray:
     return np.unique(np.flatnonzero(mask) // mask.shape[1])
 
 
+# byte budget of one block's (rows, B+1) float64 pmf stack in the Ehm/Hoeffding
+# sweep: about 2,080 parents at g = 9, B = 6, so a block's temporaries stay
+# near cache size
+_SWEEP_BLOCK_BYTES = 1 << 20
+
+
 def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
     """Exhaustive check of the binomial-approximation TV bound and the
     tail ordering over a full probability grid.
@@ -574,13 +585,18 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
 
     grid^B is enumerated one coordinate at a time, last coordinate
     fastest: level B's probability rows and Poisson-binomial pmfs are
-    level B-1's with each grid value appended and folded in, so a level
-    costs one fold of its (g^B, B+1) pmf stack (about 30 MB of float64
-    at the default g = 9, B = 6).  The grid must lie on a lattice k/D
+    level B-1's with each grid value appended and folded in.  A level
+    is built and checked in blocks of consecutive parent rows, each
+    block's pmf stack within ``_SWEEP_BLOCK_BYTES`` (1 MiB), and is
+    kept whole only when a higher level still folds it, so the top
+    level's g^B stack (about 30 MB at the default g = 9, B = 6) is
+    never built.  Every row is computed on its own, so the reports do
+    not depend on the block size.  The grid must lie on a lattice k/D
     with D <= 10**6 (see :func:`_grid_lattice`; the default decimal grid
     has D = 10): a row's p_bar is then key / (D B) with the integer key
     D * (row sum), and each row looks up the binomial pmf and CDF and
-    the ordering regimes of its key.  Reports follow ``b_values`` order.
+    the ordering regimes of its key.  Reports follow ``b_values`` order,
+    with the first 20 violating rows of each check per B.
     """
     b_values = tuple(b_values)
     for B in b_values:
@@ -589,37 +605,58 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
     b_values = tuple(map(int, b_values))
     values, numerators, D = _grid_lattice(np.arange(1, 10) / 10.0 if grid is None else grid)
     g = values.size
+    top = max(b_values, default=0)
     found: dict = {}
     # level 0: one empty row, the point mass at 0, and its key 0
     rows, pmf = np.empty((1, 0)), np.ones((1, 1))
     keys, slot = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
-    for B in range(1, max(b_values, default=0) + 1):
-        parent = rows
-        rows = np.empty((parent.shape[0], g, B))
-        rows[:, :, :-1] = parent[:, None, :]
-        rows[:, :, -1] = values
-        rows = rows.reshape(-1, B)
-        pmf = poisson_binomial_pmf_batch(values[:, None], start=pmf[:, None, :]).reshape(-1, B + 1)
-        # the distinct keys of this level, and each row's index among them
+    for B in range(1, top + 1):
+        # the distinct keys of this level; child_slot[k, i] is the index
+        # among them of parent key k with grid value i appended
         keys, inverse = np.unique(keys[:, None] + numerators, return_inverse=True)
-        slot = inverse.reshape(-1, g)[slot].ravel()
-        if B not in b_values:
-            continue
-        key_pbar = keys / float(D * B)
-        key_pmf = _binom_rows(B, key_pbar)
-        key_le, key_ge = _ordering_regimes(B, key_pbar)
-        upper = _ehm_rows(rows, key_pbar[slot])[1]
-        # np.take gathers rows about twice as fast as fancy indexing
-        dev = pmf - np.take(key_pmf, slot, axis=0)
-        tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
-        diff = np.cumsum(pmf, axis=1)
-        diff -= np.take(np.cumsum(key_pmf, axis=1), slot, axis=0)
-        bad = (
-            ("tv", np.flatnonzero(tv > upper + 1e-12)),
-            ("order_le", _bad_rows(np.take(key_le, slot, axis=0) & (diff > 1e-12))),
-            ("order_ge", _bad_rows(np.take(key_ge, slot, axis=0) & (diff < -1e-12))),
-        )
-        found[B] = [{"check": label, "B": B, "p": tuple(rows[row])} for label, idx in bad for row in idx[:20]]
-    violations = [v for B in b_values for v in found[B]]
+        child_slot = inverse.reshape(-1, g)
+        checked = B in b_values
+        if checked:
+            key_pbar = keys / float(D * B)
+            key_pmf = _binom_rows(B, key_pbar)
+            tables = (key_pbar, key_pmf, np.cumsum(key_pmf, axis=1), *_ordering_regimes(B, key_pbar))
+            found[B] = {"tv": [], "order_le": [], "order_ge": []}
+        step = max(1, _SWEEP_BLOCK_BYTES // (8 * (B + 1) * g))
+        blocks = []
+        for lo in range(0, rows.shape[0], step):
+            parents = slice(lo, lo + step)
+            blk_rows = np.empty((rows[parents].shape[0], g, B))
+            blk_rows[:, :, :-1] = rows[parents, None, :]
+            blk_rows[:, :, -1] = values
+            blk_rows = blk_rows.reshape(-1, B)
+            blk_pmf = poisson_binomial_pmf_batch(values[:, None], start=pmf[parents, None, :]).reshape(-1, B + 1)
+            blk_slot = child_slot[slot[parents]].ravel()
+            if B < top:
+                blocks.append((blk_rows, blk_pmf, blk_slot))
+            if checked:
+                _check_ehm_block(found[B], blk_rows, blk_pmf, blk_slot, *tables)
+        if B < top:
+            rows, pmf, slot = (np.concatenate(parts) for parts in zip(*blocks))
+    violations = [v for B in b_values for hits in found[B].values() for v in hits]
     n = sum(g**B for B in b_values)
     return SweepReport(n, tuple(violations), note=f"grid size {g}, B in {b_values}")
+
+
+def _check_ehm_block(found, rows, pmf, slot, key_pbar, key_pmf, key_cdf, key_le, key_ge) -> None:
+    """Check one block of a sweep level and append its violating rows to
+    ``found`` (check label -> list), up to 20 per label."""
+    B = rows.shape[1]
+    upper = _ehm_rows(rows, key_pbar[slot])[1]
+    # np.take gathers rows about twice as fast as fancy indexing
+    dev = pmf - np.take(key_pmf, slot, axis=0)
+    tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
+    diff = np.cumsum(pmf, axis=1)
+    diff -= np.take(key_cdf, slot, axis=0)
+    bad = (
+        ("tv", np.flatnonzero(tv > upper + 1e-12)),
+        ("order_le", _bad_rows(np.take(key_le, slot, axis=0) & (diff > 1e-12))),
+        ("order_ge", _bad_rows(np.take(key_ge, slot, axis=0) & (diff < -1e-12))),
+    )
+    for label, idx in bad:
+        hits = found[label]
+        hits.extend({"check": label, "B": B, "p": tuple(rows[row])} for row in idx[: 20 - len(hits)])

@@ -2,6 +2,9 @@
 comparisons with the mean binomial."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -228,10 +231,35 @@ class TestBoundary:
                 with pytest.raises(InvalidInput):
                     call()
 
+    @pytest.mark.parametrize("k", (math.nan, 2.5, "2", True), ids=("nan", "float", "str", "bool"))
+    def test_bad_k_names_k(self, k):
+        with pytest.raises(InvalidInput, match="k must"):
+            binom_cdf(5, 0.3, k)
+
+    def test_bad_k_rejected_before_scipy_loads(self):
+        # a fresh interpreter, so scipy is not loaded by an earlier test
+        script = (
+            "import sys\n"
+            "from fixedb.discrete import binom_cdf\n"
+            "from fixedb.errors import InvalidInput\n"
+            "for k in (float('nan'), 2.5, '2', True):\n"
+            "    try:\n"
+            "        binom_cdf(5, 0.3, k)\n"
+            "    except InvalidInput:\n"
+            "        pass\n"
+            "    else:\n"
+            "        sys.exit(f'k={k!r} accepted')\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(discrete.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
     def test_edges_and_numpy_scalars_accepted(self):
         assert binom_pmf(3, 0.0).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert binom_pmf(3, 1.0).probs.tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert binom_cdf(np.int64(20), np.float64(0.3), 6) == binom_cdf(20, 0.3, 6)
+        assert binom_cdf(np.int64(20), np.float64(0.3), np.int64(6)) == binom_cdf(20, 0.3, 6)
         assert binom_cdf(1, 0.5, 0) == 0.5
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -284,6 +285,62 @@ class TestConformalGrid:
         assert conformal_grid_sweep().passed
 
 
+def _add_at_pairs(M, w, psi, pr):
+    np.add.at(M, ((w < psi).sum(axis=1), (w <= psi).sum(axis=1)), pr)
+
+
+def _pair_matrix_add_at(inst, rows_of):
+    """The np.add.at accumulation the bincount pair matrix replaced."""
+    atoms = np.asarray(inst.w_atoms, dtype=float)
+    B = len(rows_of(0))
+    idx = oracle._cartesian(atoms.size, B)
+    M = np.zeros((B + 1, B + 1))
+    for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
+        pr = np.full(idx.shape[0], float(pz))
+        for i, row in enumerate(rows_of(j)):
+            pr *= np.asarray(row, dtype=float)[idx[:, i]]
+        _add_at_pairs(M, atoms[idx], psi, pr)
+    return M
+
+
+class TestBincountMatchesAddAt:
+    """One ``np.bincount`` adds in input order, so it gives the bits of
+    the ``np.add.at`` accumulations it replaced."""
+
+    @pytest.mark.parametrize("family", ["cond_iid", "cond_indep", "dependent"])
+    def test_pair_matrix(self, family):
+        rng = np.random.default_rng(20260823)
+        for _ in range(100):
+            if family == "dependent":
+                joint = random_joint(rng)
+                arr = np.asarray(joint.support, dtype=float)
+                ref = np.zeros((arr.shape[1], arr.shape[1]))
+                _add_at_pairs(ref, arr[:, :-1], arr[:, -1:], joint.probs)
+                assert np.array_equal(oracle._pair_matrix_joint(joint)[0], ref)
+                continue
+            if family == "cond_iid":
+                inst, B = random_cond_iid(rng), int(rng.integers(1, 7))
+                rows = [[inst.w_cond[j]] * B for j in range(len(inst.z_probs))]
+            else:
+                inst = random_cond_indep(rng)
+                rows = [[r[j] for r in inst.w_cond] for j in range(len(inst.z_probs))]
+            assert np.array_equal(oracle._pair_matrix(inst, rows.__getitem__), _pair_matrix_add_at(inst, rows.__getitem__))
+
+    def test_dist_to_uniform(self):
+        rng = np.random.default_rng(20260823)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            v = rng.integers(0, 8, n) / 7.0  # ties, and atoms at 0 and 1
+            p = rng.dirichlet(np.ones(n))
+            uniq, inv = np.unique(v, return_inverse=True)
+            mass = np.zeros(uniq.size)
+            np.add.at(mass, inv, p)
+            cum = np.cumsum(mass)
+            d_plus = max(0.0, float(np.max(cum - uniq)))
+            d_minus = max(0.0, float(np.max(uniq - (cum - mass))))
+            assert dist_to_uniform(v, p) == (min(max(d_plus, d_minus), 1.0), min(d_plus + d_minus, 1.0))
+
+
 def test_ehm_hoeffding_small_sweep():
     rep = ehm_hoeffding_sweep(b_values=(1, 2, 3))
     assert rep.passed
@@ -297,19 +354,59 @@ _LINSPACE_GRID = np.linspace(0.01, 0.99, 13)
 class TestEhmHoeffdingSweep:
     @pytest.mark.parametrize("grid", [_DECIMAL_GRID, _LINSPACE_GRID], ids=["decimal", "linspace"])
     def test_level_pmfs_equal_the_meshgrid_batch(self, monkeypatch, grid):
-        levels = []
+        blocks = []
         real = oracle.poisson_binomial_pmf_batch
 
         def recording(*args, **kwargs):
-            levels.append(real(*args, **kwargs))
-            return levels[-1]
+            blocks.append(real(*args, **kwargs))
+            return blocks[-1]
 
         monkeypatch.setattr(oracle, "poisson_binomial_pmf_batch", recording)
         ehm_hoeffding_sweep(b_values=(4,), grid=grid)
-        assert len(levels) == 4
-        for B, level in enumerate(levels, start=1):
+        # each block is (parents, g, B+1); a level's blocks follow in order
+        assert sorted({blk.shape[-1] - 1 for blk in blocks}) == [1, 2, 3, 4]
+        for B in range(1, 5):
+            level = np.concatenate([blk.reshape(-1, B + 1) for blk in blocks if blk.shape[-1] == B + 1])
             combos = np.stack(np.meshgrid(*[grid] * B, indexing="ij"), axis=-1).reshape(-1, B)
-            assert np.array_equal(level.reshape(-1, B + 1), real(combos))
+            assert np.array_equal(level, real(combos))
+        # 13^3 parents at level 4 of the linspace grid exceed one block
+        assert len(blocks) == (4 if grid is _DECIMAL_GRID else 5)
+
+    @staticmethod
+    def _halved(prob_rows, p_bar):
+        r, upper = discrete._ehm_rows(prob_rows, p_bar)
+        return r, 0.5 * upper
+
+    @staticmethod
+    def _swapped(B, p_bar):
+        le, ge = discrete._ordering_regimes(B, p_bar)
+        return ge, le
+
+    # block budgets of one parent, 7 parents at level 4 and 2 blocks at level 4
+    @pytest.mark.parametrize("block_bytes", [1, 7 * 8 * 5 * 13, 10**6])
+    @pytest.mark.parametrize("mutation", [None, "_ehm_rows", "_ordering_regimes"])
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, block_bytes, mutation):
+        if mutation is not None:
+            broken = self._halved if mutation == "_ehm_rows" else self._swapped
+            monkeypatch.setattr(oracle, mutation, broken)
+        monkeypatch.setattr(oracle, "_SWEEP_BLOCK_BYTES", 2**40)
+        whole = ehm_hoeffding_sweep(b_values=(2, 3, 4), grid=_LINSPACE_GRID)
+        assert len(whole.violations) == {None: 0, "_ehm_rows": 60, "_ordering_regimes": 120}[mutation]
+        monkeypatch.setattr(oracle, "_SWEEP_BLOCK_BYTES", block_bytes)
+        blocked = ehm_hoeffding_sweep(b_values=(2, 3, 4), grid=_LINSPACE_GRID)
+        assert (blocked.n_checked, blocked.note) == (whole.n_checked, whole.note)
+        assert blocked.violations == whole.violations
+
+    def test_default_sweep_memory_stays_within_its_blocks(self):
+        ehm_hoeffding_sweep(b_values=(1,))  # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            assert ehm_hoeffding_sweep().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks keep it near 12 MiB; a whole top level (531,441 rows) needs about 150
+        assert peak < 32 * 2**20
 
     def test_reports_follow_b_values_order(self, monkeypatch):
         real = discrete._ehm_rows
