@@ -155,10 +155,15 @@ def tv_discrete(p: FinitePmf, q: FinitePmf) -> DistanceEstimate:
 
     Supports are merged with zero fill, so the atoms need not coincide.
     """
-    pd, qd = p.as_dict(), q.as_dict()
-    atoms = set(pd) | set(qd)
-    tv = 0.5 * math.fsum(abs(pd.get(x, 0.0) - qd.get(x, 0.0)) for x in atoms)
-    return DistanceEstimate(min(1.0, tv), "tv", exact=True)
+    return DistanceEstimate(_tv_masses(p.as_dict(), q.as_dict()), "tv", exact=True)
+
+
+def _tv_masses(p: dict, q: dict) -> float:
+    """Total variation between two atom -> mass dicts over their merged
+    support (zero fill), capped at 1; ``fsum`` makes it exactly rounded
+    whatever the atom order."""
+    atoms = set(p) | set(q)
+    return min(1.0, 0.5 * math.fsum(abs(p.get(x, 0.0) - q.get(x, 0.0)) for x in atoms))
 
 
 def gamma_exact(joint: FinitePmf) -> DistanceEstimate:
@@ -194,10 +199,7 @@ def gamma_exact(joint: FinitePmf) -> DistanceEstimate:
             mixture[swapped] = mixture.get(swapped, 0.0) + w
         mixture[atom] = mixture.get(atom, 0.0) + w  # identity swap V^{B+1} = V
 
-    orig = joint.as_dict()
-    atoms = set(orig) | set(mixture)
-    gap = 0.5 * math.fsum(abs(orig.get(x, 0.0) - mixture.get(x, 0.0)) for x in atoms)
-    return DistanceEstimate(min(1.0, gap), "gamma", exact=True)
+    return DistanceEstimate(_tv_masses(joint.as_dict(), mixture), "gamma", exact=True)
 
 
 def concentration(samples, eps: float) -> float:

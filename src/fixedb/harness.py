@@ -15,14 +15,15 @@ block at once: one batched draw of the block's data, then one
 :func:`~fixedb.procedures.rank_test_block` call per cell.  The CI
 procedures run the block one replicate at a time
 (:func:`_ci_replicate`): the replicate draws its data once and runs
-every cell on it.  Bootstrap and subsample cells also share the
-replicate's resamples: one :func:`~fixedb.procedures.ci_cells` call
-draws max(B) of them and forms their roots once, and a B-cell reads
-the first B (the bits its own call would draw).  SGD cells run one
-procedure call each on the shared data.  So every cell's outcome is
-the one it would get run alone, and the output table depends only on
-the config.  The ``threads`` key is still validated but has no effect:
-the loop holds the GIL, so a pool of threads never ran it faster.
+every cell on it.  The cells also share the replicate's resamples:
+one :func:`~fixedb.procedures.ci_cells` call draws max(B) of them and
+forms their roots once (bootstrap and subsample), or one
+:func:`~fixedb.procedures.sgd_cells` call runs max(B) weighted paths
+once (SGD), and a B-cell reads the first B (the bits its own call
+would draw).  So every cell's outcome is the one it would get run
+alone, and the output table depends only on the config.  The
+``threads`` key is still validated but has no effect: the loop holds
+the GIL, so a pool of threads never ran it faster.
 Budgets above 2**16 - 2 are rejected, because a replicate's resamples
 would run into the next replicate's streams.
 
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import BudgetTooSmall, ConfigError, InvalidInput
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
-from .procedures import _CI_VARIANTS, ci_cells, ci_rule, ci_sgd, rank_test_block, test_rule
+from .procedures import _CI_VARIANTS, ci_cells, ci_rule, rank_test_block, sgd_cells, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
@@ -60,7 +61,7 @@ from .resampling import (
 )
 
 # imported only for bench/tracer.py, which rebinds them here
-from .procedures import ci_boot, ci_subsample, permutation_test, randomization_test  # noqa: F401
+from .procedures import ci_boot, ci_sgd, ci_subsample, permutation_test, randomization_test  # noqa: F401
 from .resampling import generator  # noqa: F401
 
 __all__ = [
@@ -122,25 +123,6 @@ class CoverageTable:
     skipped: list = field(default_factory=list)
 
 
-_KNOWN_KEYS = {
-    "procedure",
-    "setting",
-    "methods",
-    "B",
-    "alpha",
-    "reps",
-    "seed",
-    "threads",
-    "m",
-    "d",
-    "k",
-    "n",
-    "burn_in",
-    "gamma1",
-    "tau_exp",
-    "paper_scale",
-}
-
 # procedure -> (its default benchmark setting, the settings it supports)
 _PROCEDURES = {
     "bootstrap": (1, (1, 2)),
@@ -183,6 +165,29 @@ def _real(key: str, v) -> float:
     raise ConfigError(f"config.{key}: expected a number, got {v!r}")
 
 
+def _defaults(proc: str, setting: int, paper: bool) -> dict:
+    """The default of every config key but procedure, setting and
+    paper_scale, for this procedure, setting and scale."""
+    return {
+        "m": {1: 100, 2: 1000 if paper else 400, 3: 100}.get(setting, 50 if proc == "randomization" else 30 if proc == "permutation" else 100),
+        "d": 100 if paper else 20,
+        "n": 10_000 if paper else 5_000,
+        "burn_in": 2_000 if paper else 1_000,
+        "gamma1": 1.0,
+        "tau_exp": 2.0 / 3.0,
+        "k": None,
+        "methods": ["modified"],
+        "B": [99] if proc == "permutation" else [19],
+        "alpha": [0.1],
+        "reps": 1000,
+        "seed": 20260823,
+        "threads": 1,
+    }
+
+
+_KNOWN_KEYS = {"procedure", "setting", "paper_scale", *_defaults("bootstrap", 1, False)}
+
+
 def normalize_config(config: dict) -> dict:
     """Validate a config dict and fill defaults.
 
@@ -206,19 +211,8 @@ def normalize_config(config: dict) -> dict:
     paper = cfg.setdefault("paper_scale", False)
     if not isinstance(paper, bool):
         raise ConfigError(f"config.paper_scale: expected true or false, got {paper!r}")
-    cfg.setdefault("m", {1: 100, 2: 1000 if paper else 400, 3: 100}.get(setting, 50 if proc == "randomization" else 30 if proc == "permutation" else 100))
-    cfg.setdefault("d", 100 if paper else 20)
-    cfg.setdefault("n", 10_000 if paper else 5_000)
-    cfg.setdefault("burn_in", 2_000 if paper else 1_000)
-    cfg.setdefault("gamma1", 1.0)
-    cfg.setdefault("tau_exp", 2.0 / 3.0)
-    cfg.setdefault("k", None)
-    cfg.setdefault("methods", ["modified"])
-    cfg.setdefault("B", [99] if proc == "permutation" else [19])
-    cfg.setdefault("alpha", [0.1])
-    cfg.setdefault("reps", 1000)
-    cfg.setdefault("seed", 20260823)
-    cfg.setdefault("threads", 1)
+    for key, value in _defaults(proc, setting, paper).items():
+        cfg.setdefault(key, value)
 
     cfg["B"] = [_integer("B", b, 1) for b in _as_list(cfg["B"])]
     for b in cfg["B"]:
@@ -341,12 +335,6 @@ _ESTIMATORS = {
 }
 
 
-def _each_cell(run_cell: Callable, data, cells: list, seed: SeedSpec) -> list:
-    """run_cells of the procedures that share only the data: one
-    run_cell(data, B, alpha, method, seed) call per cell."""
-    return [run_cell(data, B, alpha, method, seed) for B, alpha, method in cells]
-
-
 def _per_replicate(draw: Callable, run_cells: Callable) -> Callable:
     """run_block that runs :func:`_ci_replicate` once per replicate."""
 
@@ -384,9 +372,9 @@ def _plan(cfg: dict) -> tuple:
     for each replicate r in rs, one (covered, width) per
     (B, alpha, method) cell, with width None for tests.  Tests run the
     whole block through :func:`rank_test_block`; the other procedures
-    run :func:`_ci_replicate` per replicate, where bootstrap and
-    subsample cells share one :func:`ci_cells` call and SGD runs one
-    call per cell.
+    run :func:`_ci_replicate` per replicate, where all cells share one
+    :func:`ci_cells` call (bootstrap, subsample) or one
+    :func:`sgd_cells` call (SGD).
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -403,20 +391,12 @@ def _plan(cfg: dict) -> tuple:
         )
         truth = setting_truth(4)[0]
 
-        def run_cell(stream, B, alpha, variant, seed):
-            ci = ci_sgd(
-                stream,
-                spec,
-                B=B,
-                alpha=alpha,
-                variant=variant,
-                seed=seed,
-                gradient_batch=_sgd_gradient_batch,
-            )[0]
-            return ci.contains(truth), ci.span
+        def run_sgd_cells(stream, cells, seed):
+            cis = sgd_cells(stream, spec, cells, seed, gradient_batch=_sgd_gradient_batch)
+            return [(ci[0].contains(truth), ci[0].span) for ci in cis]  # coordinate 0
 
         draw = partial(setting_sampler, 4, {"n": cfg["n"]})
-        return _per_replicate(draw, partial(_each_cell, run_cell)), ci_rule
+        return _per_replicate(draw, run_sgd_cells), ci_rule
 
     # a test replicate's data, as one row of the block's stacked draw
     if proc == "permutation":
@@ -496,9 +476,9 @@ def run_experiment(config: dict) -> CoverageTable:
     coverage instead of replicating.  Cells whose budget cannot
     support the requested rule become skipped rows with the reason.
     The other cells run block-major (see the module docstring):
-    replicate r draws its data (and, for bootstrap and subsample, its
-    resamples) once for all of them.  Rows and skips come in (alpha, B,
-    method) order.
+    replicate r draws its data (and, for the CI procedures, its
+    resamples or SGD paths) once for all of them.  Rows and skips come
+    in (alpha, B, method) order.
     """
     cfg = normalize_config(config)
     proc = cfg["procedure"]

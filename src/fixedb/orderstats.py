@@ -130,10 +130,14 @@ def _real_scalar(x, what: str):
 
 @lru_cache(maxsize=256)
 def _snap_alpha(alpha: float) -> Fraction:
-    """Snap alpha to the nearest rational with a bounded denominator."""
+    """Snap alpha to the nearest rational with a bounded denominator; an
+    alpha that snaps to 0 or 1 (within about 5e-7 of it) raises."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must lie in (0, 1), got {alpha!r}")
-    return Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
+    snap = Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
+    if not 0 < snap < 1:
+        raise InvalidInput(f"alpha={alpha!r} snaps to {snap} on the lattice k/{ALPHA_DENOMINATOR_CAP}")
+    return snap
 
 
 def _conformal_mod_rank(m, alpha: Fraction):

@@ -26,12 +26,15 @@ first B rows of any larger call on the same seed.  That is what lets
 draw of max(B) resamples and one pass over their roots: each cell
 reads the first B roots and draws its own rank rule, so it gets the
 bits of its own :func:`ci_boot` or :func:`ci_subsample` call, which
-are one-cell calls of it.  The tests block the other way, across
-replicates: :func:`rank_test_block` takes R samples and R first
-stream ids, derives all R x B resample streams in one pass and sorts
-the (R, B) statistics once, and :func:`permutation_test` and the
-sign-flip :func:`randomization_test` are its one-replicate calls.
-With an ``estimator_batch``, the CI procedures also estimate the
+are one-cell calls of it.  Multiplier-SGD path b takes its weights
+from stream seed.stream_id + b - 1 whatever B is, so
+:func:`sgd_cells` likewise runs max(B) weighted paths once for all
+its cells, and :func:`ci_sgd` is its one-cell call.  The tests block
+the other way, across replicates: :func:`rank_test_block` takes R
+samples and R first stream ids, derives all R x B resample streams in
+one pass and sorts the (R, B) statistics once, and
+:func:`permutation_test` and :func:`randomization_test` (sign flips
+or a transform list) are its one-replicate calls.  With an ``estimator_batch``, the CI procedures also estimate the
 resamples in one call per block of rows; with a ``statistic_batch``,
 the tests compute a replicate's B statistics in one call, and the
 sign-flip test a whole block's R x B in one call.
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from collections.abc import Iterable
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -83,6 +87,7 @@ __all__ = [
     "ci_cells",
     "ci_boot",
     "ci_subsample",
+    "sgd_cells",
     "ci_sgd",
     "rank_test_block",
     "permutation_test",
@@ -99,17 +104,13 @@ def _child(seed: SeedSpec, offset: int) -> SeedSpec:
 
 @dataclass(frozen=True)
 class Interval:
-    """A scalar interval with explicit endpoint openness."""
+    """The scalar interval (lo, hi]: open below, closed above."""
 
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_closed: bool = True
 
     def contains(self, x: float) -> bool:
-        above = x > self.lo if self.lo_open else x >= self.lo
-        below = x <= self.hi if self.hi_closed else x < self.hi
-        return bool(above and below)
+        return bool(self.lo < x <= self.hi)
 
     @property
     def width(self) -> float:
@@ -464,6 +465,49 @@ def ci_subsample(
     return ci
 
 
+def sgd_cells(
+    stream,
+    spec: SgdSpec,
+    cells: Sequence[tuple],
+    seed: SeedSpec = SeedSpec(0),
+    theta0=None,
+    gradient_batch: Optional[Callable] = None,
+) -> list:
+    """Per-coordinate multiplier-SGD intervals of every (B, alpha,
+    variant) cell, from one unweighted averaged path theta_bar and
+    max(B) weighted paths theta_bar*_b over the same stream.
+
+    Path b's weights (stream seed.stream_id + b - 1) are its only
+    randomness.  A cell reads the first B paths and inverts per
+    coordinate j: (2 theta_bar_j - W_(u), 2 theta_bar_j - W_(l)] with W
+    the sorted b-th coordinates, under its own rank rule.  Entry i is
+    cell i's list of CiResults, bit for bit its own :func:`ci_sgd`
+    call.  Budgets are checked before any path runs.
+    """
+    if not cells:
+        raise InvalidInput("cells must be nonempty")
+    budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
+    picks = _pick_rules(budgets, [variant for _, _, variant in cells], seed)
+    if theta0 is None:
+        theta0 = np.zeros(spec.dim)
+    count = max(budget.B for budget in budgets)
+    seeds = [None] + [_child(seed, b - 1) for b in range(1, count + 1)]
+    paths = sgd_paths(spec, stream, theta0, seeds, gradient_batch=gradient_batch)
+    return [
+        [_sgd_ci(paths[0, j], paths[1 : budget.B + 1, j], budget, rule, branch) for j in range(spec.dim)]
+        for budget, (rule, branch) in zip(budgets, picks)
+    ]
+
+
+def _sgd_ci(theta_bar, stars, budget, rule, branch) -> CiResult:
+    """One coordinate's (2 theta_bar - W_(u), 2 theta_bar - W_(l)]."""
+    stats = sorted_from(stars)
+    w_l = order_stat(stats, rule.lower_rank)
+    w_u = order_stat(stats, rule.upper_rank)
+    interval = Interval(lo=2.0 * theta_bar - w_u, hi=2.0 * theta_bar - w_l)
+    return CiResult(interval.contains, rule, stats, budget, interval.width, interval, branch)
+
+
 def ci_sgd(
     stream,
     spec: SgdSpec,
@@ -474,39 +518,13 @@ def ci_sgd(
     theta0=None,
     gradient_batch: Optional[Callable] = None,
 ) -> list:
-    """Per-coordinate confidence intervals from multiplier-SGD paths.
+    """Per-coordinate confidence intervals from one unweighted and B
+    weighted multiplier-SGD paths; one CiResult per coordinate.
 
-    Runs one unweighted averaged path theta_bar and B weighted paths
-    theta_bar*_b over the same stream (the weights are the only per-b
-    randomness), then inverts per coordinate j:
-    (2 theta_bar_j - W_(u), 2 theta_bar_j - W_(l)] with W the sorted
-    b-th coordinates.  Returns one CiResult per coordinate.
+    This is the one-cell call of :func:`sgd_cells`.
     """
-    budget = BudgetSpec(B=B, alpha=alpha)
-    ((rule, branch),) = _pick_rules([budget], [variant], seed)
-    if theta0 is None:
-        theta0 = np.zeros(spec.dim)
-    seeds = [None] + [_child(seed, b - 1) for b in range(1, B + 1)]
-    paths = sgd_paths(spec, stream, theta0, seeds, gradient_batch=gradient_batch)
-    theta_bar, stars = paths[0], paths[1:]
-    results = []
-    for j in range(spec.dim):
-        stats = sorted_from(stars[:, j])
-        w_l = order_stat(stats, rule.lower_rank)
-        w_u = order_stat(stats, rule.upper_rank)
-        interval = Interval(lo=2.0 * theta_bar[j] - w_u, hi=2.0 * theta_bar[j] - w_l)
-        results.append(
-            CiResult(
-                contains=interval.contains,
-                rule=rule,
-                resample_stats=stats,
-                budget=budget,
-                span=interval.width,
-                interval=interval,
-                randomized_branch=branch,
-            )
-        )
-    return results
+    (cis,) = sgd_cells(stream, spec, [(B, alpha, variant)], seed, theta0, gradient_batch)
+    return cis
 
 
 def _test_statistics(
@@ -582,37 +600,41 @@ def _decide(
 def rank_test_block(
     data,
     statistic: Callable,
-    group: Union[str, PermutationGroup],
+    group: Union[str, PermutationGroup, Sequence[Callable]],
     B: int,
     alpha: float,
     master_seed: int,
     first_streams,
     statistic_batch: Optional[Callable] = None,
 ) -> DecisionBlock:
-    """R sign-flip or permutation tests at one (B, alpha), in one pass.
+    """R sign-flip, permutation or explicit-transform tests at one
+    (B, alpha), in one pass.
 
     Test i runs on ``data[i]`` with its B resamples from streams
     ``first_streams[i] + b`` under ``master_seed``, and is bit for bit
     the one-replicate call with ``seed=SeedSpec(master_seed,
     first_streams[i])``: :func:`randomization_test` (centre 0) when
-    ``group`` is "signflip", :func:`permutation_test` when it is a
+    ``group`` is "signflip" or a sequence of transforms,
+    :func:`permutation_test` when it is a
     :class:`~fixedb.resampling.PermutationGroup`.  Those calls are the
     R = 1 case of this one.  ``statistic`` and ``statistic_batch`` are
-    as in those functions.
+    as in those functions; any other group raises :class:`InvalidInput`.
 
     The R x B stream keys are derived in one pass.  Sign flips draw all
     R x B coin rows at once and call ``statistic_batch`` once on the
     (R * B, m) stack of flipped samples; a permutation statistic
     depends on its replicate's data, so it is called once per
-    replicate.  The (R, B) statistics are then sorted once.  A
-    non-finite resampled statistic raises :class:`InvalidInput`.
+    replicate.  A transform list draws all R x B list indices at once
+    and calls ``statistic`` once per transformed sample, never
+    ``statistic_batch``.  The (R, B) statistics are then sorted once.
+    A non-finite resampled statistic raises :class:`InvalidInput`.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
     firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
     if len(firsts) != len(data):
         raise InvalidInput(f"{len(data)} samples but {len(firsts)} first streams")
-    if not isinstance(group, PermutationGroup) and group != "signflip":
-        raise InvalidInput(f"group must be 'signflip' or a PermutationGroup, got {group!r}")
+    if isinstance(group, str) and group != "signflip" or not isinstance(group, (PermutationGroup, Iterable)):
+        raise InvalidInput(f"group must be 'signflip', a PermutationGroup or a transform list, got {group!r}")
     rule = test_rule(budget, group)
     if isinstance(group, PermutationGroup):
         identity = np.arange(group.m)
@@ -628,7 +650,7 @@ def rank_test_block(
                 for i, d in enumerate(data)
             ]
         )
-    else:
+    elif isinstance(group, str):
         xs = np.asarray(data, dtype=float)
         if xs.ndim != 2 or xs.shape[1] < 1:
             raise InvalidInput("each sample must be a nonempty 1-d vector")
@@ -637,6 +659,15 @@ def rank_test_block(
         signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
         flipped = (xs[:, None, :] * signs.reshape(R, B, m)).reshape(R * B, m)
         t_star = _test_statistics(flipped, statistic, statistic_batch).reshape(R, B)
+    else:
+        transforms = list(group)
+        if not transforms:
+            raise InvalidInput("explicit transform list must be nonempty")
+        t_obs = [float(statistic(x)) for x in data]
+        # pick b of test i has the bits of generator(stream).integers(0, len(transforms))
+        picks = _bounded_rows(master_seed, firsts, B, len(transforms), 1).reshape(len(data), B)
+        t_star = [[statistic(transforms[j](x)) for j in row] for x, row in zip(data, picks)]
+        t_star = np.array(t_star, dtype=float).reshape(len(data), B)
     return _decide(t_obs, t_star, rule, budget)
 
 
@@ -695,33 +726,14 @@ def randomization_test(
 
     ``statistic_batch`` maps the (B, m) stack of sign-flipped samples to
     their B statistics, with the contract of the one in
-    :func:`permutation_test`.  The explicit-transform branch does not
-    use it.  The sign-flip test is the one-replicate call of
-    :func:`rank_test_block`.
+    :func:`permutation_test`.  The explicit-transform test does not
+    use it.  Both are one-replicate calls of :func:`rank_test_block`.
     """
     x = np.asarray(data, dtype=float) - center
-    if isinstance(group, str):
-        if group != "signflip":
-            raise InvalidInput(
-                f"group must be 'signflip' or a sequence of transforms, got {group!r}"
-            )
-        block = rank_test_block(
-            x[None], statistic, group, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
-        )
-        return block.decision(0)
-    budget = BudgetSpec(B=B, alpha=alpha)
-    rule = test_rule(budget, group)
-    t_obs = float(statistic(x))
-    transforms = list(group)
-    if len(transforms) == 0:
-        raise InvalidInput("explicit transform list must be nonempty")
-    # one uniform index into the list per stream, the bits of
-    # generator(stream).integers(0, len(transforms))
-    picks = _bounded_rows(seed.master_seed, [seed.stream_id], B, len(transforms), 1)[:, 0]
-    t_star = np.empty(B)
-    for b, i in enumerate(picks):
-        t_star[b] = statistic(transforms[i](x))
-    return _decide([t_obs], t_star[None], rule, budget).decision(0)
+    block = rank_test_block(
+        x[None], statistic, group, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
+    )
+    return block.decision(0)
 
 
 def conformal_set(calib_scores, alpha: float, variant: str = "split") -> PredictionSet:
@@ -739,6 +751,6 @@ def conformal_set(calib_scores, alpha: float, variant: str = "split") -> Predict
     budget = BudgetSpec(B=scores.size, alpha=alpha)
     name = "conformal_split" if variant == "split" else "conformal_mod"
     rule = index_rule(budget, name)
-    stats = sorted_from(scores, support_hi=math.inf)
+    stats = sorted_from(scores)
     threshold = order_stat(stats, rule.upper_rank)
     return PredictionSet(threshold=threshold, rule=rule, calibration=stats)

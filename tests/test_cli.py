@@ -82,6 +82,11 @@ class TestExitCodes:
         assert main(["bootstrap", "--config", str(cfg)]) == 2
         assert f"config.{key}" in capsys.readouterr().err
 
+    def test_alpha_that_snaps_to_zero(self, capsys):
+        assert main(["bootstrap", "--alpha", "1e-9", "--B", "19", "--reps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha=1e-09" in err and "Traceback" not in err
+
     def test_invalid_json(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{")

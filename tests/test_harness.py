@@ -394,6 +394,15 @@ GRID_CONFIGS = {
         "n": 400,
         "burn_in": 100,
     },
+    "sgd-all-methods": {
+        "procedure": "sgd",
+        "B": [19, 29],
+        "methods": ["vanilla", "modified", "randomized"],
+        "reps": 2,
+        "seed": 4,
+        "n": 400,
+        "burn_in": 100,
+    },
 }
 
 
@@ -446,6 +455,19 @@ class TestCellGrid:
         run_experiment(GRID_CONFIGS["boot-s1"])
         assert calls["data"] == 25
         assert calls["indices"] == [199] * 25
+
+    def test_each_sgd_replicate_runs_its_paths_once(self, monkeypatch):
+        counts = []
+        real = procedures.sgd_paths
+
+        def counting_paths(spec, data, theta0, seeds, gradient_batch=None):
+            counts.append(len(seeds))
+            return real(spec, data, theta0, seeds, gradient_batch=gradient_batch)
+
+        monkeypatch.setattr(procedures, "sgd_paths", counting_paths)
+        table = run_experiment(GRID_CONFIGS["sgd-all-methods"])
+        assert len(table.rows) == 6
+        assert counts == [29 + 1] * 2
 
     def test_permutation_budget_beyond_the_group_fails_before_any_replicate(
         self, monkeypatch, capsys

@@ -203,6 +203,27 @@ def test_alpha_snapping_absorbs_float_noise():
     assert tau_randomization(BudgetSpec(20, noisy)) == 0.9
 
 
+class TestAlphaSnapEndpoints:
+    """An alpha that snaps to 0 or 1 on the k/10**6 lattice raises
+    InvalidInput naming alpha, not a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 5e-7, 1 - 4e-7, 1 - 1e-9])
+    def test_every_rank_entry_point(self, alpha):
+        calls = [
+            lambda: min_budget(alpha, "two"),
+            lambda: min_budget(alpha, "one"),
+            lambda: index_rule(BudgetSpec(19, alpha), "vanilla_two_sided"),
+            lambda: tau_randomization(BudgetSpec(19, alpha)),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput, match=f"alpha={alpha!r} snaps to"):
+                call()
+
+    def test_the_smallest_level_on_the_lattice_still_resolves(self):
+        assert min_budget(1e-6, "two") == 1_999_999
+        assert min_budget(1 - 1e-6, "one") == 1
+
+
 def test_budget_spec_validation():
     with pytest.raises(InvalidInput):
         BudgetSpec(0, 0.1)

@@ -15,6 +15,8 @@ from fixedb.harness import (
     _corr_statistic_batch,
     _mean_statistic,
     _mean_statistic_batch,
+    _sgd_gradient,
+    _sgd_gradient_batch,
 )
 from fixedb.procedures import (
     Interval,
@@ -27,8 +29,9 @@ from fixedb.procedures import (
     permutation_test,
     randomization_test,
     rank_test_block,
+    sgd_cells,
 )
-from fixedb.orderstats import BudgetSpec
+from fixedb.orderstats import BudgetSpec, order_stat
 from fixedb.resampling import (
     PermutationGroup,
     SeedSpec,
@@ -39,6 +42,7 @@ from fixedb.resampling import (
     permutation_draw,
     setting_sampler,
     setting_truth,
+    sgd_paths,
     signflip_transform,
     stream_for,
     subsample_indices,
@@ -153,6 +157,12 @@ class TestCiBoot:
         assert not ci.contains(center - 2.0 * w_u / tau * e1)  # beyond the rim
         assert not ci.contains(center + 100.0)
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1 - 1e-9])
+    @pytest.mark.parametrize("variant", ["vanilla", "modified"])
+    def test_alpha_that_snaps_to_an_endpoint(self, alpha, variant):
+        with pytest.raises(InvalidInput, match="alpha="):
+            ci_boot(np.arange(1.0, 31.0), np.mean, B=19, alpha=alpha, variant=variant)
+
 
 class TestCiSubsample:
     def test_full_subsample_collapses(self):
@@ -196,6 +206,58 @@ class TestCiSgd:
         # determinism
         out2 = ci_sgd(stream, spec, B=19, alpha=0.1, seed=SeedSpec(10, 1))
         assert out[0].interval.lo == out2[0].interval.lo
+
+
+class TestSgdCells:
+    """sgd_cells runs max(B) weighted paths once; each cell reads the
+    first B and gets the bits of its own ci_sgd call."""
+
+    CELLS = [
+        (19, 0.1, "modified"),
+        (29, 0.1, "vanilla"),
+        (19, 0.1, "randomized"),
+        (39, 0.05, "randomized"),
+        (5, 0.2, "vanilla"),
+    ]
+    SEED = SeedSpec(10, stream_for(3, 1))
+
+    @staticmethod
+    def case():
+        stream = setting_sampler(4, {"n": 600}, SeedSpec(10, stream_for(3, 0)))
+        spec = SgdSpec(
+            dim=3, gamma1=1.0, tau_exp=2 / 3, burn_in=100, n_total=600,
+            gradient=_sgd_gradient, weight_law="exponential",
+        )
+        return stream, spec
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_each_cell_is_its_own_call(self, batched):
+        stream, spec = self.case()
+        gb = _sgd_gradient_batch if batched else None
+        grid = sgd_cells(stream, spec, self.CELLS, self.SEED, gradient_batch=gb)
+        assert len(grid) == len(self.CELLS)
+        for (B, alpha, variant), cis in zip(self.CELLS, grid):
+            one = ci_sgd(stream, spec, B, alpha, variant, self.SEED, gradient_batch=gb)
+            seeds = [None] + [SeedSpec(10, self.SEED.stream_id + b) for b in range(B)]
+            paths = sgd_paths(spec, stream, np.zeros(3), seeds, gradient_batch=gb)
+            assert len(cis) == len(one) == 3
+            for j, (a, b) in enumerate(zip(cis, one)):
+                assert np.array_equal(a.resample_stats.values, b.resample_stats.values)
+                assert a.span == b.span and a.interval == b.interval and a.budget == b.budget
+                assert a.rule == b.rule and a.randomized_branch == b.randomized_branch
+                # the bits of a B+1-path run, inverted about 2 theta_bar
+                assert np.array_equal(a.resample_stats.values, np.sort(paths[1:, j]))
+                w_l = order_stat(a.resample_stats, a.rule.lower_rank)
+                w_u = order_stat(a.resample_stats, a.rule.upper_rank)
+                assert a.interval == Interval(2.0 * paths[0, j] - w_u, 2.0 * paths[0, j] - w_l)
+
+    def test_budget_checked_before_any_path(self, monkeypatch):
+        stream, spec = self.case()
+        monkeypatch.setattr(procedures, "sgd_paths", None)  # would raise if called
+        with pytest.raises(BudgetTooSmall, match="randomized two-sided interval needs B >= 19"):
+            sgd_cells(stream, spec, [(19, 0.1, "vanilla"), (5, 0.1, "randomized")])
+        with pytest.raises(InvalidInput):
+            sgd_cells(stream, spec, [])
 
 
 class TestPermutation:
@@ -809,6 +871,25 @@ class TestRankTestBlock:
         with pytest.raises(InvalidInput, match="exceeds"):
             rank_test_block(data, stat, G, 5, 0.1, self.MASTER, firsts)
 
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_transform_block_is_the_per_replicate_calls(self, L):
+        xs = self.samples(6, 20)
+        firsts = [stream_for(r, 1) for r in range(6)]
+        shifts = [lambda v, i=i: v + 0.25 * i for i in range(L - 1)] + [np.negative]
+        real = procedures._bounded_rows
+        with mock.patch.object(procedures, "_bounded_rows", wraps=real) as rows:
+            block = rank_test_block(xs, _mean_statistic, shifts, 19, 0.1, self.MASTER, firsts)
+        assert rows.call_args_list == [mock.call(self.MASTER, firsts, 19, L, 1)]
+        one = [
+            randomization_test(x, _mean_statistic, shifts, 19, 0.1, seed=SeedSpec(self.MASTER, f))
+            for x, f in zip(xs, firsts)
+        ]
+        self.assert_block_equals(block, one)
+        for x, f, threshold in zip(xs, firsts, block.threshold):
+            picks = [generator(SeedSpec(self.MASTER, f + b)).integers(0, L) for b in range(19)]
+            t_star = sorted(_mean_statistic(shifts[j](x)) for j in picks)
+            assert threshold == t_star[block.rule.upper_rank - 1]
+
     def test_non_finite_statistic_raises_invalid_input(self):
         xs = self.samples(3, 20)
         firsts = [stream_for(r, 1) for r in range(3)]
@@ -832,6 +913,10 @@ class TestRankTestBlock:
             randomization_test(xs[0], _mean_statistic, "nope", 19, 0.1)
         with pytest.raises(InvalidInput, match="group"):
             rank_test_block(xs, _mean_statistic, "nope", 19, 0.1, 0, [1, 2])
+        with pytest.raises(InvalidInput, match="group"):
+            rank_test_block(xs, _mean_statistic, 5, 19, 0.1, 0, [1, 2])
+        with pytest.raises(InvalidInput, match="nonempty"):
+            rank_test_block(xs, _mean_statistic, [], 19, 0.1, 0, [1, 2])
         with pytest.raises(InvalidInput, match="first streams"):
             rank_test_block(xs, _mean_statistic, "signflip", 19, 0.1, 0, [1])
         with pytest.raises(InvalidInput):
