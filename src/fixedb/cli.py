@@ -15,14 +15,8 @@ import sys
 from typing import Optional
 
 from .errors import ConfigError, FixedBError
-from .harness import _PROCEDURES, emit, load_config, read_table, run_experiment
+from .harness import _KNOWN_KEYS, _PROCEDURES, emit, load_config, read_table, run_experiment
 from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
-
-# config keys set by the flag of the same name, when it was given
-_FLAG_KEYS = (
-    "seed", "threads", "B", "alpha", "reps", "m", "d", "k", "n",
-    "burn_in", "setting", "methods", "paper_scale",
-)
 
 
 def _int_list(text: str) -> list:
@@ -82,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_experiment(args) -> int:
     cfg = dict(load_config(args.config)) if args.config else {}
     cfg["procedure"] = args.command
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
+    # a flag whose dest is a config key overrides it, when it was given
+    for key, val in vars(args).items():
+        if key in _KNOWN_KEYS and val is not None:
             cfg[key] = val
     if isinstance(cfg.get("m"), list) and args.command != "conformal":
         if len(cfg["m"]) != 1:

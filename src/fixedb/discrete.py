@@ -102,11 +102,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _check_count(v, what: str, lo: int = 1) -> None:
+    """InvalidInput unless v is an integer >= lo (a numpy integer too)
+    and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
+        raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
+
+
 def _check_binomial(B, p) -> None:
     """InvalidInput unless B is an int >= 1 (not a bool) and p a finite
     real in [0, 1]."""
-    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
-        raise InvalidInput(f"B must be an integer >= 1, got {B!r}")
+    _check_count(B, "B")
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise InvalidInput(f"p must be a finite real in [0, 1], got {p!r}")
 
@@ -180,10 +186,10 @@ def i_b(B: int) -> float:
     Evaluated through the identity 1 - s = 4 / (B (1 + s)) with
     s = sqrt(1 - 4/B), which removes the catastrophic cancellation of
     the literal formula for large B; no series fallback is needed.
-    Asymptotically B * i_b(B) -> 2 log B + 2.
+    Asymptotically B * i_b(B) -> 2 log B + 2.  B must be an integer
+    >= 1 and not a bool.
     """
-    if B < 1:
-        raise InvalidInput("B must be >= 1")
+    _check_count(B, "B")
     if B <= 4:
         return 1.0
     s = math.sqrt(1.0 - 4.0 / B)

@@ -14,7 +14,9 @@ Four metrics drive every coverage bound in this package:
 
 The sample-based estimators evaluate empirical CDFs at both one-sided
 limits of every breakpoint, so the supremum is exact for step functions;
-to the uniform, a sample is the discrete law with equal weights.
+to the uniform, a sample is the discrete law with equal weights.  Every
+value is thus exact (enumeration or a closed-form supremum), and a
+:class:`DistanceEstimate` carries just the value and the metric name.
 The Levy concentration function measures the largest mass any window of
 width eps can capture and quantifies how discrete a sample is.
 """
@@ -46,15 +48,10 @@ ENUMERATION_CAP = 10**7
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """A metric value in [0, 1] with its provenance.
-
-    ``exact`` is True when the value comes from exhaustive enumeration
-    or a closed-form supremum, False for sample-based estimates.
-    """
+    """A metric value in [0, 1] and the name of its metric."""
 
     value: float
     metric: str
-    exact: bool
 
 
 class FinitePmf:
@@ -142,12 +139,12 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
 
 def ks_uniform(u_samples) -> DistanceEstimate:
     """Exact KS distance of an empirical CDF on [0, 1] from U(0, 1)."""
-    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[0], "ks", exact=True)
+    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[0], "ks")
 
 
 def mod_ks_uniform(u_samples) -> DistanceEstimate:
     """Exact interval-KS distance of an empirical CDF from U(0, 1)."""
-    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[1], "mod_ks", exact=True)
+    return DistanceEstimate(dist_to_uniform(*_validate_unit(u_samples))[1], "mod_ks")
 
 
 def tv_discrete(p: FinitePmf, q: FinitePmf) -> DistanceEstimate:
@@ -155,7 +152,7 @@ def tv_discrete(p: FinitePmf, q: FinitePmf) -> DistanceEstimate:
 
     Supports are merged with zero fill, so the atoms need not coincide.
     """
-    return DistanceEstimate(_tv_masses(p.as_dict(), q.as_dict()), "tv", exact=True)
+    return DistanceEstimate(_tv_masses(p.as_dict(), q.as_dict()), "tv")
 
 
 def _tv_masses(p: dict, q: dict) -> float:
@@ -199,7 +196,7 @@ def gamma_exact(joint: FinitePmf) -> DistanceEstimate:
             mixture[swapped] = mixture.get(swapped, 0.0) + w
         mixture[atom] = mixture.get(atom, 0.0) + w  # identity swap V^{B+1} = V
 
-    return DistanceEstimate(_tv_masses(joint.as_dict(), mixture), "gamma", exact=True)
+    return DistanceEstimate(_tv_masses(joint.as_dict(), mixture), "gamma")
 
 
 def concentration(samples, eps: float) -> float:
@@ -236,4 +233,4 @@ def ks_two_sample(x, y) -> DistanceEstimate:
     grid = np.concatenate([x, y])
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size
-    return DistanceEstimate(float(np.max(np.abs(fx - fy))), "ks", exact=True)
+    return DistanceEstimate(float(np.max(np.abs(fx - fy))), "ks")

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import dependent_bracket, iid_bracket, independent_bracket, ordering_lower
-from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
+from .discrete import _binom_rows, _check_count, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
 from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
@@ -277,10 +277,10 @@ def exact_coverage_continuous_iid(B: int, a: int, b: int, kind: str) -> Fraction
     count (B + 1 - a - b)/(B + 1): the ceiling of the closed-interval
     bracket, which the almost-surely tie-free closed interval attains
     only through the extra 1/(B+1) allowance; it requires a >= 1 so
-    both endpoints are genuine order statistics.
+    both endpoints are genuine order statistics.  B must be an integer
+    >= 1 and not a bool.
     """
-    if int(B) != B or B < 1:
-        raise InvalidInput("B must be an integer >= 1")
+    _check_count(B, "B")
     if not (0 <= a < B - b <= B):
         raise InvalidIndices(f"need 0 <= a < B - b <= B, got a={a}, b={b}, B={B}")
     if kind == "closed":
@@ -514,10 +514,11 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     conditionally independent, arbitrary joint), drawing finite
     instances with B <= 6 and at most 5 atoms per marginal, and checks
     exact enumerated coverage against the brackets evaluated with
-    exact slack inputs.
+    exact slack inputs.  ``n_instances`` must be an integer >= 1 and
+    ``seed`` one >= 0, neither a bool.
     """
-    if n_instances < 1:
-        raise InvalidInput("n_instances must be >= 1")
+    _check_count(n_instances, "n_instances")
+    _check_count(seed, "seed", lo=0)
     rng = np.random.default_rng(seed)
     checks = 0
     violations: list = []
@@ -596,16 +597,18 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
     has D = 10): a row's p_bar is then key / (D B) with the integer key
     D * (row sum), and each row looks up the binomial pmf and CDF and
     the ordering regimes of its key.  Reports follow ``b_values`` order,
-    with the first 20 violating rows of each check per B.
+    with the first 20 violating rows of each check per B; ``b_values``
+    must be a non-empty sequence of integers >= 1.
     """
     b_values = tuple(b_values)
+    if not b_values:
+        raise InvalidInput("b_values must be non-empty")
     for B in b_values:
-        if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-            raise InvalidInput(f"b_values entries must be positive integers, got {B!r}")
+        _check_count(B, "each b_values entry")
     b_values = tuple(map(int, b_values))
     values, numerators, D = _grid_lattice(np.arange(1, 10) / 10.0 if grid is None else grid)
     g = values.size
-    top = max(b_values, default=0)
+    top = max(b_values)
     found: dict = {}
     # level 0: one empty row, the point mass at 0, and its key 0
     rows, pmf = np.empty((1, 0)), np.ones((1, 1))

@@ -1,13 +1,12 @@
 """Order-statistic bookkeeping for fixed-budget resampling inference.
 
 Everything downstream works with the sorted resample statistics
-W_(1) <= ... <= W_(B) plus two support sentinels: the rank-r order
-statistic resolves to the support minimum for r <= 0 and to the support
-maximum for r >= B + 1.  This module owns that convention, every rank
-rule used by the confidence-interval and test procedures, the minimum
-budgets at which two- and one-sided rules stay informative, and the
-external-randomization probability that makes the randomized two-sided
-rule exact on average.
+W_(1) <= ... <= W_(B): the rank-r order statistic resolves to -inf for
+r <= 0 and to +inf for r >= B + 1.  This module owns that convention,
+every rank rule used by the confidence-interval and test procedures, the
+minimum budgets at which two- and one-sided rules stay informative, and
+the external-randomization probability that makes the randomized
+two-sided rule exact on average.
 
 Rank arithmetic is exact: the level ``alpha`` is snapped to the nearest
 rational with denominator at most 10**6 before any floor or ceiling is
@@ -59,21 +58,9 @@ RULE_NAMES = (
 
 @dataclass(frozen=True)
 class SortedSample:
-    """A nondecreasing vector of resample statistics with support sentinels.
-
-    Parameters
-    ----------
-    values : np.ndarray
-        Sorted statistics W_(1) <= ... <= W_(B).
-    support_lo, support_hi : float
-        Values returned for out-of-range ranks; default to -inf / +inf,
-        and may be finite when the statistic's support is known (e.g. 0
-        for non-negative conformity scores).
-    """
+    """Sorted resample statistics W_(1) <= ... <= W_(B)."""
 
     values: np.ndarray
-    support_lo: float = -math.inf
-    support_hi: float = math.inf
 
     @property
     def b(self) -> int:
@@ -86,9 +73,8 @@ class IntervalIndexRule:
     """A resolved rank pair plus the interval kind that goes with it.
 
     ``lower_rank`` may be 0 and ``upper_rank`` may be B + 1; those ranks
-    resolve through the support sentinels of the sample they are applied
-    to.  For one-sided rules only ``upper_rank`` is meaningful and
-    ``lower_rank`` is fixed at 0.
+    resolve to -inf and +inf.  For one-sided rules only ``upper_rank`` is
+    meaningful and ``lower_rank`` is fixed at 0.
     """
 
     lower_rank: int
@@ -155,41 +141,28 @@ def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def sorted_from(
-    values,
-    support_lo: float = -math.inf,
-    support_hi: float = math.inf,
-) -> SortedSample:
+def sorted_from(values) -> SortedSample:
     """Sort raw resample statistics into a :class:`SortedSample`.
 
     Ties are kept as-is (stable sort, no jittering); the input is not
     modified.  Raises :class:`InvalidInput` on empty input, NaN, or a
-    non-finite statistic, and when a finite sentinel does not actually
-    bound the sample.
+    non-finite statistic.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInput("sample must be a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("sample values must all be finite")
-    out = np.sort(arr, kind="stable")
-    if support_lo > out[0] or support_hi < out[-1]:
-        raise InvalidInput(
-            f"support sentinels [{support_lo}, {support_hi}] do not bound the sample"
-        )
-    return SortedSample(values=out, support_lo=float(support_lo), support_hi=float(support_hi))
+    return SortedSample(np.sort(arr, kind="stable"))
 
 
 def order_stat(s: SortedSample, r: int) -> float:
-    """The rank-r order statistic with the sentinel convention.
-
-    Returns ``values[r-1]`` for 1 <= r <= B, ``support_lo`` for r <= 0
-    and ``support_hi`` for r >= B + 1.
-    """
+    """The rank-r order statistic: ``values[r-1]`` for 1 <= r <= B,
+    -inf for r <= 0 and +inf for r >= B + 1."""
     if r <= 0:
-        return s.support_lo
+        return -math.inf
     if r >= s.b + 1:
-        return s.support_hi
+        return math.inf
     return float(s.values[r - 1])
 
 
@@ -268,8 +241,9 @@ def index_rule(
         threshold rank would exceed B (``randomization`` and
         ``one_sided_upper_mod``, whose callers need an informative
         threshold).  The permutation and conformal rules instead keep
-        the out-of-range rank and resolve it through the support-max
-        sentinel (never reject / infinite threshold).
+        the out-of-range rank, which resolves to +inf (never reject /
+        infinite threshold).  ``min_b`` is the smallest budget from
+        which on every B is accepted.
 
     The ranks are cached per (B, alpha, rule_name, gamma, beta); a
     call that raises is not cached, so it raises every time.
@@ -341,9 +315,12 @@ def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIn
     lower, upper = _clamp(lower, upper, B)
 
     if lower >= upper:
+        # only vanilla_two_sided (at odd B < 1/(1 - alpha)) and
+        # mod_two_sided_floor (at B + 1 < 1/(1 - alpha)) get here
+        c = _ceil(1 / (one - a))
         raise BudgetTooSmall(
             f"rule {rule_name} yields an empty interval at B={B}, alpha={alpha}",
-            min_b=min_budget(alpha, "two"),
+            min_b=c - c % 2 if rule_name == "vanilla_two_sided" else c - 1,
         )
     if kind == "one_sided_upper":
         if rule_name in ("one_sided_upper_mod", "randomization") and upper >= B + 1:

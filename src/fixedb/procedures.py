@@ -319,32 +319,18 @@ def _assemble_ci(
     stats = sorted_from(ws)
     w_l = order_stat(stats, rule.lower_rank)
     w_u = order_stat(stats, rule.upper_rank)
-    span = (w_u - w_l) / tau_m
+    interval = None
     if root is None:
         center = float(theta_hat)
         interval = Interval(lo=center - w_u / tau_m, hi=center - w_l / tau_m)
-        return CiResult(
-            contains=interval.contains,
-            rule=rule,
-            resample_stats=stats,
-            budget=budget,
-            span=span,
-            interval=interval,
-            randomized_branch=branch,
-        )
+        contains = interval.contains
+    else:
 
-    def contains(theta) -> bool:
-        s = float(root(tau_m * (theta_hat - np.asarray(theta, dtype=float))))
-        return bool(w_l <= s < w_u)
+        def contains(theta) -> bool:
+            s = float(root(tau_m * (theta_hat - np.asarray(theta, dtype=float))))
+            return bool(w_l <= s < w_u)
 
-    return CiResult(
-        contains=contains,
-        rule=rule,
-        resample_stats=stats,
-        budget=budget,
-        span=span,
-        randomized_branch=branch,
-    )
+    return CiResult(contains, rule, stats, budget, (w_u - w_l) / tau_m, interval, branch)
 
 
 def ci_cells(
@@ -592,7 +578,7 @@ def _decide(
     rank = rule.upper_rank
     if rank <= t_star.shape[1]:
         threshold = np.sort(t_star, axis=1, kind="stable")[:, rank - 1]
-    else:  # the +inf support sentinel of a rank beyond B (see orderstats)
+    else:  # a rank beyond B resolves to +inf (see orderstats.order_stat)
         threshold = np.full(len(t_star), math.inf)
     return DecisionBlock(rule, budget, np.asarray(t_obs, dtype=float), threshold)
 

@@ -10,16 +10,20 @@ resample (:func:`stream_for`), so a replicate's b-th resample sees the
 same bits no matter how work is scheduled across threads.
 
 A stream's Philox key is ``SeedSequence(master_seed,
-spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The
-per-resample draws also come in a batched form (``count=``) that
+spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The bootstrap
+and subsample draws also come in a batched form (``count=``) that
 derives the keys of ``count`` consecutive streams in one vectorized
 pass (:func:`_philox_keys`) and reopens one thread-local Philox at each
 key, so a procedure call pays one derivation for its B resamples
 instead of building B generators.  Row b of a batch has exactly the
 bits of the single-stream call at ``stream_id + b``.  The private
-batch helpers take a vector of first stream ids, so one pass can also
-serve the B resamples of each of R replicates (R x B streams), or one
-stream of each of R replicates' data.
+batch helpers (:func:`_stream_rows`, :func:`_bounded_rows`) take a
+vector of first stream ids, so one pass can also serve the B resamples
+of each of R replicates (R x B streams), or one stream of each of R
+replicates' data.  The permutation and randomization tests draw their
+sign flips and permutations through them; :func:`signflip_transform`
+and :func:`permutation_draw` are the single-stream draws whose bits
+those rows have.
 
 Batched uniform integers in [0, m) skip numpy's per-call argument
 handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,9 +114,9 @@ def generator(seed: SeedSpec) -> np.random.Generator:
     """A fresh Philox generator for one stream.
 
     Value-semantic but not cheap: building the SeedSequence, Philox and
-    Generator costs about 20 us, as much as a whole small draw.  The
-    per-resample draws therefore take a ``count`` and derive a batch of
-    streams at once (:func:`_stream_rows`).
+    Generator costs about 20 us, as much as a whole small draw.  Batched
+    draws therefore derive a batch of streams at once
+    (:func:`_stream_rows`).
     """
     ss = np.random.SeedSequence(seed.master_seed, spawn_key=(seed.stream_id,))
     return np.random.Generator(np.random.Philox(ss))
@@ -253,8 +257,6 @@ def _bounded_rows(master_seed: int, firsts, count: int, m: int, n: int) -> np.nd
         return _stream_rows(master_seed, firsts, count, lambda gen: gen.integers(0, m, size=n))
     keys = _stream_keys(master_seed, firsts, count)
     rows = len(keys)
-    if m == 1:
-        return np.zeros((rows, n), np.int64)
     half = (n + 1) // 2
     raw = np.empty((rows, half), np.uint64)
     for b, local in enumerate(_reopened(keys)):
@@ -321,20 +323,12 @@ def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = Non
     return np.sort(rows, axis=1)
 
 
-def signflip_transform(x, mask_seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
-    """Flip each entry's sign by an IID fair coin; an involution in the seed.
-
-    With ``count``, a (count, x.size) stack whose row b is
-    ``signflip_transform(x, SeedSpec(master, stream_id + b))``.
-    """
+def signflip_transform(x, mask_seed: SeedSpec) -> np.ndarray:
+    """Flip each entry's sign by an IID fair coin; an involution in the seed."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInput("x must be a nonempty 1-d vector")
-    if count is None:
-        coins = generator(mask_seed).integers(0, 2, size=x.size)
-    else:
-        coins = _bounded_rows(mask_seed.master_seed, [mask_seed.stream_id], count, 2, x.size)
-    return x * (1 - 2 * coins)
+    return x * (1 - 2 * generator(mask_seed).integers(0, 2, size=x.size))
 
 
 @dataclass(frozen=True)
@@ -372,15 +366,9 @@ def full_symmetric(m: int) -> PermutationGroup:
     return PermutationGroup(m=m)
 
 
-def permutation_draw(G: PermutationGroup, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
-    """One uniform element of G (Fisher-Yates for the full group).
-
-    With ``count``, a (count, G.m) stack whose row b is
-    ``permutation_draw(G, SeedSpec(master, stream_id + b))``.
-    """
-    if count is None:
-        return _permutation_of(G, generator(seed))
-    return _stream_rows(seed.master_seed, [seed.stream_id], count, partial(_permutation_of, G))
+def permutation_draw(G: PermutationGroup, seed: SeedSpec) -> np.ndarray:
+    """One uniform element of G (Fisher-Yates for the full group)."""
+    return _permutation_of(G, generator(seed))
 
 
 def _permutation_of(G: PermutationGroup, gen: np.random.Generator) -> np.ndarray:
@@ -395,10 +383,10 @@ class SgdSpec:
     """Configuration of the averaged-SGD recursion.
 
     The step n update is theta -= gamma1 * n**(-tau_exp) * w_n *
-    gradient(theta, data[n-1]); w_n is 1 under weight_law None (or
-    "degenerate_one") and an IID mean-1 variance-1 draw under
-    "exponential".  The returned estimate is the mean of the iterates
-    after the first ``burn_in`` steps.
+    gradient(theta, data[n-1]); w_n is 1 under weight_law None and an
+    IID mean-1 variance-1 draw under "exponential".  The returned
+    estimate is the mean of the iterates after the first ``burn_in``
+    steps.
     """
 
     dim: int
@@ -418,7 +406,7 @@ class SgdSpec:
             raise InvalidInput("tau_exp must lie in (0.5, 1)")
         if not 0 <= self.burn_in < self.n_total:
             raise InvalidInput("need 0 <= burn_in < n_total")
-        if self.weight_law not in (None, "none", "exponential", "degenerate_one"):
+        if self.weight_law not in (None, "exponential"):
             raise InvalidInput(f"unknown weight_law {self.weight_law!r}")
 
 

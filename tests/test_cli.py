@@ -126,6 +126,13 @@ class TestExitCodes:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seed", ["-1", "-20260823"])
+    def test_verify_negative_seed(self, capsys, seed):
+        assert main(["verify", "--seed", seed, "--instances", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be an integer >= 0" in captured.err and "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
     def test_verify_failure_exits_three(self, monkeypatch, capsys):
         import fixedb.cli as cli
 
@@ -145,13 +152,39 @@ def test_parser_lists_all_subcommands():
         assert cmd in text
 
 
-def test_experiment_subcommands_are_the_harness_procedures():
+def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
     from fixedb import cli, harness
 
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
     assert list(sub.choices) == list(harness._PROCEDURES) + ["verify", "plot"]
-    # every flag key is the dest of an experiment flag and a config key
-    args = parser.parse_args(["bootstrap"])
-    for key in cli._FLAG_KEYS:
-        assert hasattr(args, key) and key in harness._KNOWN_KEYS
+
+    # each given flag whose dest is a config key lands in the config,
+    # and no other flag does
+    class Captured(Exception):
+        pass
+
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    argv = [
+        "sgd", "--seed", "5", "--threads", "2", "--B", "7,9", "--alpha", "0.2", "--reps", "3",
+        "--m", "40", "--d", "4", "--k", "6", "--n", "50", "--burn-in", "10", "--setting", "4",
+        "--methods", "vanilla", "--paper-scale", "--format", "svg", "--out", "x.svg",
+    ]
+    for args in (argv, ["bootstrap"]):
+        with pytest.raises(Captured):
+            main(args)
+    assert seen == [
+        {
+            "procedure": "sgd", "seed": 5, "threads": 2, "B": [7, 9], "alpha": [0.2], "reps": 3,
+            "m": 40, "d": 4, "k": 6, "n": 50, "burn_in": 10, "setting": 4,
+            "methods": ["vanilla"], "paper_scale": True,
+        },
+        {"procedure": "bootstrap"},
+    ]
+    assert set(seen[0]) <= harness._KNOWN_KEYS

@@ -145,6 +145,12 @@ class TestIb:
         with pytest.raises(InvalidInput):
             i_b(0)
 
+    @pytest.mark.parametrize("B", [2.5, math.nan, 19.0, True, math.inf])
+    def test_budget_must_be_an_integer(self, B):
+        with pytest.raises(InvalidInput, match="B must be an integer >= 1"):
+            i_b(B)
+        assert i_b(np.int64(19)) == i_b(19)
+
 
 class TestEhm:
     def test_frozen_equality_case(self):

@@ -126,6 +126,12 @@ class TestExactCoverageContinuous:
         with pytest.raises((InvalidInput, InvalidIndices)):
             exact_coverage_continuous_iid(19, 0, 1, "closed")
 
+    @pytest.mark.parametrize("B", [19.0, 2.5, True, 0, "19"])
+    def test_budget_must_be_an_integer(self, B):
+        with pytest.raises(InvalidInput, match="B must be an integer >= 1"):
+            exact_coverage_continuous_iid(B, 1, 1, "closed")
+        assert exact_coverage_continuous_iid(np.int64(19), 1, 1, "closed") == Fraction(18, 20)
+
     @given(
         st.integers(1, 40),
         st.integers(0, 5),
@@ -177,6 +183,15 @@ class TestInstanceChecks:
         assert rep.passed
         assert rep.violations == ()
         assert rep.n_checked > 100
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "1", None])
+    def test_bracket_suite_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
+            bracket_suite(n_instances=3, seed=seed)
+
+    def test_bracket_suite_takes_numpy_and_zero_seeds(self):
+        assert bracket_suite(n_instances=3, seed=np.int64(7)) == bracket_suite(n_instances=3, seed=7)
+        assert bracket_suite(n_instances=3, seed=0).passed
 
     def test_default_bracket_suite_is_pinned(self):
         # the first PASS line of `fixedb verify`
@@ -433,7 +448,7 @@ class TestEhmHoeffdingSweep:
             warnings.simplefilter("error")
             assert ehm_hoeffding_sweep(b_values=b_values, grid=grid).passed
 
-    @pytest.mark.parametrize("b_values", [(0,), (2, -1), (2.0,), (True,)])
+    @pytest.mark.parametrize("b_values", [(0,), (2, -1), (2.0,), (True,), ()])
     def test_b_values_must_be_positive_integers(self, b_values):
         with pytest.raises(InvalidInput, match="b_values"):
             ehm_hoeffding_sweep(b_values=b_values)

@@ -102,6 +102,40 @@ class TestBudgetTooSmall:
                 index_rule(BudgetSpec(8, 0.1), name)
             assert ei.value.min_b == 9
 
+    def test_empty_interval_reports_its_own_rule_budget(self):
+        with pytest.raises(BudgetTooSmall) as ei:
+            index_rule(BudgetSpec(1, 0.1), "vanilla_two_sided")
+        assert ei.value.min_b == 2
+        assert ranks(2, 0.1, "vanilla_two_sided") == (1, 2)
+        with pytest.raises(BudgetTooSmall) as ei:
+            index_rule(BudgetSpec(1, 0.6), "mod_two_sided_floor")
+        assert ei.value.min_b == 2
+        assert ranks(2, 0.6, "mod_two_sided_floor") == (0, 1)
+
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    def test_min_b_is_where_every_budget_is_accepted(self, name):
+        """Over alpha = k/20 and B <= 400, every raise's min_b is the
+        smallest budget from which on each B is accepted.  That is the
+        smallest accepted B, except for vanilla_two_sided at alpha >=
+        0.7, which accepts every even B but rejects each odd B below
+        1/(1 - alpha)."""
+        top = 400
+        for k in range(1, 20):
+            alpha = k / 20
+            raised = {}
+            for B in range(1, top + 1):
+                try:
+                    index_rule(BudgetSpec(B, alpha), name)
+                except BudgetTooSmall as exc:
+                    raised[B] = exc.min_b
+            if not raised:
+                continue
+            from_here = max(raised) + 1
+            assert from_here <= top // 2, (name, alpha)
+            assert set(raised.values()) == {from_here}, (name, alpha, raised)
+            if name != "vanilla_two_sided" or alpha < 0.7:
+                assert sorted(raised) == list(range(1, from_here)), (name, alpha)
+
     def test_min_budget_values(self):
         assert min_budget(0.1, "two") == 19
         assert min_budget(0.1, "one") == 9
@@ -120,13 +154,6 @@ class TestSortedSample:
         assert order_stat(s, -5) == -math.inf
         assert order_stat(s, 4) == math.inf
         assert order_stat(s, 2) == 2.0
-
-    def test_finite_sentinels(self):
-        s = sorted_from([0.2, 0.7], support_lo=0.0, support_hi=1.0)
-        assert order_stat(s, 0) == 0.0
-        assert order_stat(s, 3) == 1.0
-        with pytest.raises(InvalidInput):
-            sorted_from([0.2, 0.7], support_lo=0.5)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):

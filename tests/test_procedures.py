@@ -715,10 +715,11 @@ class TestStatisticBatch:
     @pytest.mark.parametrize("seed", [0, 1, 20260823, 4177])
     def test_bit_equal_to_scalar_loop(self, m, seed):
         data, G, B, proc_seed = self.perm_case(m, seed)
-        perms = permutation_draw(G, proc_seed, count=B)
+        firsts = [proc_seed.stream_id]
+        perms = procedures._stream_rows(seed, firsts, B, partial(procedures._permutation_of, G))
         want = np.array([_corr_statistic(data, perm) for perm in perms])
         assert _corr_statistic_batch(data, perms).tobytes() == want.tobytes()
-        flips = signflip_transform(data[0], proc_seed, count=99)
+        flips = data[0] * (1 - 2 * procedures._bounded_rows(seed, firsts, 99, 2, m))
         want = np.array([_mean_statistic(row) for row in flips])
         assert _mean_statistic_batch(flips).tobytes() == want.tobytes()
         loop = permutation_test(data, _corr_statistic, G, B, 0.1, seed=proc_seed)

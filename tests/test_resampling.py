@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fixedb.resampling import (
     _U64,
     RESAMPLE_STRIDE,
     _bounded_rows,
+    _permutation_of,
     _philox_keys,
     _stream_rows,
     PairStream,
@@ -149,9 +151,13 @@ class TestBatchedStreams:
         pairs = [
             (bootstrap_indices(m, seed, count=count), [bootstrap_indices(m, s) for s in seeds()]),
             (subsample_indices(m, k, seed, count=count), [subsample_indices(m, k, s) for s in seeds()]),
-            (signflip_transform(x, seed, count=count), [signflip_transform(x, s) for s in seeds()]),
-            (permutation_draw(G, seed, count=count), [permutation_draw(G, s) for s in seeds()]),
-            (permutation_draw(explicit, seed, count=count), [permutation_draw(explicit, s) for s in seeds()]),
+            # rank_test_block's batched sign flips and permutations
+            (x * (1 - 2 * _bounded_rows(master, [sid], count, 2, m)), [signflip_transform(x, s) for s in seeds()]),
+            (_stream_rows(master, [sid], count, partial(_permutation_of, G)), [permutation_draw(G, s) for s in seeds()]),
+            (
+                _stream_rows(master, [sid], count, partial(_permutation_of, explicit)),
+                [permutation_draw(explicit, s) for s in seeds()],
+            ),
         ]
         for batch, rows in pairs:
             assert batch.shape == (count, rows[0].size)
@@ -173,7 +179,7 @@ class TestBatchedStreams:
     def test_draw_state_does_not_leak_between_batches(self):
         seed = SeedSpec(9, 40)
         first = subsample_indices(30, 10, seed, count=5)
-        signflip_transform(np.ones(7), SeedSpec(9, 3), count=4)
+        _bounded_rows(9, [3], 4, 2, 7)
         assert np.array_equal(subsample_indices(30, 10, seed, count=5), first)
 
     def test_threads_draw_the_same_stacks(self):
@@ -240,8 +246,8 @@ class TestBoundedRows:
         want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 5, m, 9) for f in firsts])
         assert np.array_equal(got, want)
         perms = _stream_rows(20260823, firsts, 5, lambda gen: gen.permutation(9))
-        singles = [permutation_draw(full_symmetric(9), SeedSpec(20260823, f), count=5) for f in firsts]
-        assert np.array_equal(perms, np.concatenate(singles))
+        singles = [permutation_draw(full_symmetric(9), SeedSpec(20260823, f + b)) for f in firsts for b in range(5)]
+        assert np.array_equal(perms, np.stack(singles))
 
     def test_rejected_rows_are_redrawn(self, monkeypatch):
         # at m = 3 * 2**30 about a quarter of the words are rejected, so
@@ -343,9 +349,9 @@ class TestSgd:
         data = [np.full(3, 0.5)] * 200
         theta0 = np.zeros(3)
         none_law = sgd_path(self.spec(weight_law=None), data, theta0, seed=None)
-        deg = sgd_path(self.spec(weight_law="degenerate_one"), data, theta0, SeedSpec(3, 9))
+        seeded = sgd_path(self.spec(weight_law=None), data, theta0, SeedSpec(3, 9))
         unseeded = sgd_path(self.spec(), data, theta0, seed=None)
-        assert np.array_equal(none_law, deg)
+        assert np.array_equal(none_law, seeded)
         assert np.array_equal(none_law, unseeded)
 
     def test_paths_columns_match_scalar_runs(self):
