@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .discrete import i_b
+from .discrete import _check_count, i_b
 from .errors import InvalidIndices, InvalidInput
 
 __all__ = [
@@ -51,6 +51,7 @@ class CoverageBound:
 
 
 def _check_indices(B: int, a: int, b: int) -> None:
+    _check_count(B, "B")
     if not (0 <= a < B - b <= B):
         raise InvalidIndices(f"need 0 <= a < B - b <= B, got a={a}, b={b}, B={B}")
 
@@ -217,6 +218,7 @@ def dependent_bracket(
     marginals to be continuous; without ``continuous`` the upper bound
     is +inf.
     """
+    _check_count(B, "B")
     if not (0.0 < gamma < 1.0 and 0.0 < beta < 1.0):
         raise InvalidInput("gamma and beta must lie in (0, 1)")
     if gap < 0.0:

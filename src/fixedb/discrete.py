@@ -15,20 +15,15 @@ functions are their one-row calls:
   a stack of pmfs, starting from the point mass at 0 or from a given
   ``start`` stack, so ``fixedb verify`` builds the pmfs of grid^B from
   those of grid^(B-1) with one fold;
-* :func:`_binom_rows` gives the Bin(B, p) pmfs for many p in one scipy
-  call;
+* :func:`_binom_rows` folds B Bernoulli(p) trials into a stack of
+  binomial pmfs, one p per row.  It is a separate constant-p loop, not
+  a call of :func:`poisson_binomial_pmf_batch`, so the sweep compares
+  the Poisson-binomial kernel with a reference that does not share it;
 * :func:`_ehm_rows` and :func:`_ordering_regimes` give Ehm's bound and
   the Hoeffding regimes over an (n, B) stack of probability rows.
 
 ``fixedb verify`` sweeps the same kernels, so it certifies the formulas
 the library uses.
-
-SciPy is needed only by the binomial helpers (:func:`binom_cdf` and
-:func:`_binom_rows`, hence :func:`binom_pmf` and
-:func:`hoeffding_ordering_check`), and ``scipy.stats`` is imported where
-they call it, on first use.  Importing fixedb, and every resampling
-procedure, leave SciPy unloaded; ``discrete.stats`` still names
-``scipy.stats`` (loaded on access, through the module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -93,19 +88,12 @@ class OrderingReport:
     n_checked: int
 
 
-def __getattr__(name: str):
-    # PEP 562: ``discrete.stats`` is ``scipy.stats``, imported on first access
-    if name == "stats":
-        from scipy import stats
-
-        return stats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _check_count(v, what: str, lo: int = 1) -> None:
     """InvalidInput unless v is an integer >= lo (a numpy integer too)
     and not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
+    # the exact-int test first: the numbers.Integral check costs about
+    # 1 us, and seeds and stream ids pass through here once per replicate
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)) or v < lo:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
@@ -129,17 +117,30 @@ def binom_cdf(B: int, p: float, k: int) -> float:
         return 0.0
     if k >= B:
         return 1.0
-    from scipy import stats
-
-    return float(stats.binom.cdf(k, B, p))
+    # the running sum only grows, so the CDF is non-decreasing in k; the
+    # cap keeps a rounded-up sum a probability
+    return min(float(np.cumsum(_binom_rows(B, [p])[0])[k]), 1.0)
 
 
 def _binom_rows(B: int, p_bars) -> np.ndarray:
     """The Bin(B, p) pmfs on {0..B} for each p in ``p_bars``, as one
-    (len(p_bars), B+1) stack from one scipy call."""
-    from scipy import stats
+    (len(p_bars), B+1) stack.
 
-    return stats.binom.pmf(np.arange(B + 1), B, np.asarray(p_bars, dtype=float)[:, None])
+    Folds B Bernoulli(p) trials into the point mass at 0, in place:
+    pmf[k] <- pmf[k] q + pmf[k-1] p.  Every entry stays finite at any B
+    (the closed form C(B, k) p^k q^(B-k) overflows its coefficient from
+    B of about 1030), is exact at p in {0, 1}, and lies within 4e-16 of
+    the exact pmf for B <= 40 on the decimal grid.
+    """
+    p = np.asarray(p_bars, dtype=float)[:, None]
+    q = 1.0 - p
+    pmf = np.zeros((p.shape[0], B + 1))
+    pmf[:, 0] = 1.0
+    for n in range(1, B + 1):
+        moved = pmf[:, :n] * p
+        pmf[:, :n] *= q
+        pmf[:, 1 : n + 1] += moved
+    return pmf
 
 
 def binom_pmf(B: int, p: float) -> FinitePmf:

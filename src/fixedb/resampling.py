@@ -53,6 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .discrete import _check_count
 from .errors import InvalidInput, NumericalFailure
 
 __all__ = [
@@ -87,7 +88,8 @@ class SeedSpec:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < _U64:
+            _check_count(v, name, lo=0)
+            if int(v) >= _U64:
                 raise InvalidInput(f"{name} must be an integer in [0, 2**64)")
 
 
@@ -103,9 +105,13 @@ def stream_for(replicate: int, resample: int = 0) -> int:
     draw already reads ``stream_for(r + 1, 0)``, replicate r + 1's data
     stream.  The harness rejects larger budgets.
     """
-    if not 0 <= resample < RESAMPLE_STRIDE:
+    _check_count(replicate, "replicate", lo=0)
+    _check_count(resample, "resample", lo=0)
+    # Python ints, so a numpy integer replicate cannot wrap past 2**63
+    replicate, resample = int(replicate), int(resample)
+    if resample >= RESAMPLE_STRIDE:
         raise InvalidInput(f"resample index must lie in [0, {RESAMPLE_STRIDE})")
-    if replicate < 0 or replicate * RESAMPLE_STRIDE + resample >= _U64:
+    if replicate * RESAMPLE_STRIDE + resample >= _U64:
         raise InvalidInput("replicate index out of the 64-bit stream range")
     return replicate * RESAMPLE_STRIDE + resample
 
@@ -214,8 +220,7 @@ _PHILOX = _ThreadPhilox()
 def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
     """Philox keys of the streams firsts[i] + b for b < count, in row
     i * count + b."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InvalidInput(f"count must be a positive integer, got {count!r}")
+    _check_count(count, "count")
     firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
     if int(firsts.max()) + count > _U64:
         raise InvalidInput("count runs past the 64-bit stream range")
@@ -302,8 +307,7 @@ def bootstrap_indices(m: int, seed: SeedSpec, count: Optional[int] = None) -> np
     With ``count``, a (count, m) stack whose row b is
     ``bootstrap_indices(m, SeedSpec(master, stream_id + b))``.
     """
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    _check_count(m, "m")
     if count is None:
         return generator(seed).integers(0, m, size=m)
     return _bounded_rows(seed.master_seed, [seed.stream_id], count, m, m)
@@ -315,7 +319,9 @@ def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = Non
     With ``count``, a (count, k) stack whose row b is
     ``subsample_indices(m, k, SeedSpec(master, stream_id + b))``.
     """
-    if not 1 <= k <= m:
+    _check_count(m, "m")
+    _check_count(k, "k")
+    if k > m:
         raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
     if count is None:
         return np.sort(generator(seed).permutation(m)[:k])
@@ -343,8 +349,7 @@ class PermutationGroup:
     perms: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InvalidInput("m must be >= 1")
+        _check_count(self.m, "m")
         if self.perms is not None:
             if len(self.perms) == 0:
                 raise InvalidInput("explicit permutation list must be nonempty")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,3 +151,24 @@ class TestDependentBracket:
         br = dependent_bracket(B, g, be, gap, continuous=True)
         assert 0.0 <= br.lower <= br.upper <= 1.0
         assert br.lower <= 1 - (g + be) / 2 + 1e-12
+
+
+class TestBudgetMustBeAnInteger:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: iid_bracket(19.5, 1, 1),
+            lambda: iid_bracket(True, 0, 0),
+            lambda: ordering_lower(4.5, 0, 0, 0.0),
+            lambda: independent_bracket(2.5, 0, 0, 0.0, [0.1, 0.1]),
+            lambda: dependent_bracket(19.5, 0.2, 0.2, 0.05),
+        ],
+        ids=["iid_float", "iid_bool", "ordering_float", "independent_float", "dependent_float"],
+    )
+    def test_non_integer_budget_names_b(self, call):
+        with pytest.raises(InvalidInput, match="B must be an integer >= 1"):
+            call()
+
+    def test_numpy_integer_budget_accepted(self):
+        assert iid_bracket(np.int64(19), 1, 1) == iid_bracket(19, 1, 1)
+        assert ordering_lower(np.int32(100), 9, 9, 0.01) == ordering_lower(100, 9, 9, 0.01)

@@ -53,6 +53,12 @@ class TestBinomCdf:
         )
         assert binom_cdf(B, float(p), k) == pytest.approx(float(exact), abs=1e-12)
 
+    @given(st.integers(1, 60), st.floats(0.0, 1.0))
+    def test_non_decreasing_in_k(self, B, p):
+        cdf = [binom_cdf(B, p, k) for k in range(-1, B + 1)]
+        assert all(a <= b for a, b in zip(cdf, cdf[1:]))
+        assert 0.0 <= cdf[0] and cdf[-1] == 1.0
+
 
 class TestBinomRows:
     def test_rows_equal_one_row_calls(self):
@@ -60,12 +66,37 @@ class TestBinomRows:
         rows = discrete._binom_rows(6, p_bars)
         assert rows.shape == (97, 7)
         for row, p in zip(rows, p_bars):
-            assert np.array_equal(row, discrete.stats.binom.pmf(np.arange(7), 6, p))
+            assert np.array_equal(row, binom_pmf(6, float(p)).probs)
+            assert [binom_cdf(6, float(p), k) for k in range(6)] == np.cumsum(row)[:6].tolist()
 
-    def test_one_scipy_call(self):
-        with mock.patch.object(discrete.stats.binom, "pmf", wraps=discrete.stats.binom.pmf) as scipy_pmf:
-            discrete._binom_rows(4, [0.1, 0.2, 0.3])
-        assert scipy_pmf.call_count == 1
+    def test_matches_exact_fractions(self):
+        ps = [Fraction(k, 10) for k in range(11)]
+        for B in range(1, 41):
+            rows = discrete._binom_rows(B, [float(p) for p in ps])
+            for p, row in zip(ps, rows):
+                exact = [math.comb(B, j) * p**j * (1 - p) ** (B - j) for j in range(B + 1)]
+                err = max(abs(Fraction(v) - e) for v, e in zip(row.tolist(), exact))
+                assert err < 1e-15, (B, p)
+
+    def test_exact_at_zero_and_one(self):
+        rows = discrete._binom_rows(50, [0.0, 1.0])
+        assert rows[0].tolist() == [1.0] + [0.0] * 50
+        assert rows[1].tolist() == [0.0] * 50 + [1.0]
+
+    def test_rows_sum_to_one(self):
+        p_bars = np.linspace(0.0, 1.0, 41)
+        for B in (1, 2, 7, 40, 100):
+            assert np.abs(discrete._binom_rows(B, p_bars).sum(axis=1) - 1.0).max() < 1e-14
+
+    def test_close_to_scipy_at_large_budgets(self):
+        # scipy is a test-only oracle here; the package never imports it.
+        # B = 2000 is past where C(B, k) overflows a float (B ~ 1030)
+        from scipy import stats
+
+        p_bars = np.array([0.01, 0.1, 0.3, 0.5, 0.77, 0.99])
+        for B in (100, 500, 2000):
+            ref = stats.binom.pmf(np.arange(B + 1), B, p_bars[:, None])
+            assert np.abs(discrete._binom_rows(B, p_bars) - ref).max() < 5e-15
 
 
 class TestPoissonBinomial:
@@ -189,12 +220,10 @@ class TestHoeffdingOrdering:
         assert rep.n_checked <= len(ps) + 1
 
     def test_one_binomial_pmf_call_and_no_cdf_call(self):
-        binom = discrete.stats.binom
         with mock.patch.object(discrete, "binom_cdf", wraps=discrete.binom_cdf) as cdf, \
-                mock.patch.object(binom, "cdf", wraps=binom.cdf) as scipy_cdf, \
-                mock.patch.object(binom, "pmf", wraps=binom.pmf) as scipy_pmf:
+                mock.patch.object(discrete, "_binom_rows", wraps=discrete._binom_rows) as rows:
             rep = hoeffding_ordering_check(PoiBinSpec((0.1, 0.4, 0.7, 0.9)))
-        assert (cdf.call_count, scipy_cdf.call_count, scipy_pmf.call_count) == (0, 0, 1)
+        assert (cdf.call_count, rows.call_count) == (0, 1)
         assert rep.passed and rep.n_checked == 4
 
     def test_regimes_allow_for_rounding_of_b_p_bar(self):
@@ -229,10 +258,11 @@ class TestBoundary:
             binom_pmf(3, p)
 
     def test_rejected_before_scipy_is_imported(self):
-        # with scipy unimportable, bad input still ends in InvalidInput
+        # with scipy unimportable the binomial helpers still work, and bad
+        # input still ends in InvalidInput
         with mock.patch.dict("sys.modules", {"scipy": None}):
-            with pytest.raises(ImportError):
-                binom_cdf(3, 0.5, 1)
+            assert binom_cdf(3, 0.5, 1) == 0.5
+            assert binom_pmf(2, 0.5).probs.tolist() == [0.25, 0.5, 0.25]
             for call in (lambda: binom_cdf(3, math.nan, 1), lambda: binom_pmf(0, 0.5)):
                 with pytest.raises(InvalidInput):
                     call()

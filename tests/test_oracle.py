@@ -413,7 +413,6 @@ class TestEhmHoeffdingSweep:
         assert blocked.violations == whole.violations
 
     def test_default_sweep_memory_stays_within_its_blocks(self):
-        ehm_hoeffding_sweep(b_values=(1,))  # loads scipy outside the trace
         tracemalloc.start()
         try:
             assert ehm_hoeffding_sweep().passed

@@ -35,11 +35,12 @@ def test_package_names_are_the_submodule_objects(module):
         assert getattr(fixedb, name) is getattr(module, name), name
 
 
-# Run in a fresh interpreter: everything but the binomial helpers must
-# leave scipy unloaded, and those helpers then load it and give the
-# values they gave when scipy was imported with the package.
+# Run in a fresh interpreter: no entry point loads scipy, not the
+# studies, not ``fixedb verify`` and not the binomial helpers.
 _COLD_START = r"""
+import math
 import sys
+from fractions import Fraction
 
 import fixedb
 import fixedb.cli
@@ -48,14 +49,16 @@ from fixedb.harness import _PROCEDURES, run_experiment
 for proc in _PROCEDURES:
     run_experiment({"procedure": proc, "reps": 1})
 assert fixedb.cli.main(["bootstrap", "--reps", "2", "--out", sys.argv[1]]) == 0
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert fixedb.cli.main(["verify"]) == 0
 
 from fixedb.discrete import binom_cdf
 from fixedb.oracle import SweepReport, ehm_hoeffding_sweep
 
-assert binom_cdf(20, 0.3, 6) == 0.6080098122009244
+p = Fraction(3, 10)
+exact = sum(math.comb(20, k) * p**k * (1 - p) ** (20 - k) for k in range(7))
+assert abs(Fraction(binom_cdf(20, 0.3, 6)) - exact) < 1e-15
 assert ehm_hoeffding_sweep(b_values=(1, 2)) == SweepReport(90, (), note="grid size 9, B in (1, 2)")
-assert "scipy.stats" in sys.modules
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 

@@ -62,6 +62,30 @@ class TestSeeds:
         assert not np.array_equal(a, d)
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: bootstrap_indices(2.5, SeedSpec(1)), "m"),
+            (lambda: subsample_indices(10, 2.5, SeedSpec(1)), "k"),
+            (lambda: SeedSpec(True), "master_seed"),
+            (lambda: PermutationGroup(2.5), "m"),
+            (lambda: stream_for(2.5, 1), "replicate"),
+        ],
+        ids=["bootstrap_m", "subsample_k", "seed_bool", "group_m", "stream_replicate"],
+    )
+    def test_non_integer_names_the_argument(self, call, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert SeedSpec(np.uint64(_U64 - 1), np.int64(3)).stream_id == 3
+        assert stream_for(np.int64(2), np.int32(5)) == stream_for(2, 5)
+        assert stream_for(np.int64(2**47), 5) == 2**63 + 5  # no int64 wrap-around
+        assert np.array_equal(bootstrap_indices(np.int64(10), SeedSpec(1)), bootstrap_indices(10, SeedSpec(1)))
+        assert PermutationGroup(np.int64(4)).size == 24
+
+
 class TestDraws:
     def test_bootstrap_indices(self):
         idx = bootstrap_indices(10, SeedSpec(1))
