@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .discrete import _check_count, i_b
+from .discrete import _check_count, _is_integer, i_b
 from .errors import InvalidIndices, InvalidInput
 
 __all__ = [
@@ -52,6 +52,9 @@ class CoverageBound:
 
 def _check_indices(B: int, a: int, b: int) -> None:
     _check_count(B, "B")
+    for name, v in (("a", a), ("b", b)):
+        if not _is_integer(v):
+            raise InvalidInput(f"{name} must be an integer, got {v!r}")
     if not (0 <= a < B - b <= B):
         raise InvalidIndices(f"need 0 <= a < B - b <= B, got a={a}, b={b}, B={B}")
 

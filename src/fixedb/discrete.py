@@ -88,12 +88,17 @@ class OrderingReport:
     n_checked: int
 
 
+def _is_integer(v) -> bool:
+    """True for an int or a numpy integer, False for a bool."""
+    # the exact-int test first: the numbers.Integral check costs about
+    # 1 us, and seeds and stream ids pass through here once per replicate
+    return type(v) is int or not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
 def _check_count(v, what: str, lo: int = 1) -> None:
     """InvalidInput unless v is an integer >= lo (a numpy integer too)
     and not a bool."""
-    # the exact-int test first: the numbers.Integral check costs about
-    # 1 us, and seeds and stream ids pass through here once per replicate
-    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)) or v < lo:
+    if not _is_integer(v) or v < lo:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
@@ -111,7 +116,7 @@ def binom_cdf(B: int, p: float, k: int) -> float:
     Raises InvalidInput unless B is an integer >= 1, p a finite real
     in [0, 1] and k an integer (not a bool)."""
     _check_binomial(B, p)
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if not _is_integer(k):
         raise InvalidInput(f"k must be an integer, got {k!r}")
     if k < 0:
         return 0.0

@@ -66,7 +66,7 @@ from .resampling import (
     SeedSpec,
     SgdSpec,
     _bounded_rows,
-    _permutation_of,
+    _permutation_rows,
     _stream_rows,
     bootstrap_indices,
     sgd_paths,
@@ -608,11 +608,12 @@ def rank_test_block(
 
     The R x B stream keys are derived in one pass.  Sign flips draw all
     R x B coin rows at once and call ``statistic_batch`` once on the
-    (R * B, m) stack of flipped samples; a permutation statistic
-    depends on its replicate's data, so it is called once per
-    replicate.  A transform list draws all R x B list indices at once
-    and calls ``statistic`` once per transformed sample, never
-    ``statistic_batch``.  The (R, B) statistics are then sorted once.
+    (R * B, m) stack of flipped samples.  The R x B permutations are
+    rows of one stack, each shuffled in place by its stream; a
+    permutation statistic depends on its replicate's data, so it is
+    called once per replicate.  A transform list draws all R x B list
+    indices at once and calls ``statistic`` once per transformed
+    sample, never ``statistic_batch``.  The (R, B) statistics are then sorted once.
     A non-finite resampled statistic raises :class:`InvalidInput`.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
@@ -625,7 +626,7 @@ def rank_test_block(
     if isinstance(group, PermutationGroup):
         identity = np.arange(group.m)
         t_obs = [float(statistic(d, identity)) for d in data]
-        perms = _stream_rows(master_seed, firsts, B, partial(_permutation_of, group))
+        perms = _permutation_rows(master_seed, firsts, B, group)
         t_star = np.stack(
             [
                 _test_statistics(

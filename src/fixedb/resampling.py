@@ -15,15 +15,20 @@ and subsample draws also come in a batched form (``count=``) that
 derives the keys of ``count`` consecutive streams in one vectorized
 pass (:func:`_philox_keys`) and reopens one thread-local Philox at each
 key, so a procedure call pays one derivation for its B resamples
-instead of building B generators.  Row b of a batch has exactly the
-bits of the single-stream call at ``stream_id + b``.  The private
-batch helpers (:func:`_stream_rows`, :func:`_bounded_rows`) take a
-vector of first stream ids, so one pass can also serve the B resamples
-of each of R replicates (R x B streams), or one stream of each of R
+instead of building B generators.  A reopen sets the Philox state from
+plain Python ints (:func:`_reopened`), which costs about 1 us.  Row b
+of a batch has exactly the bits of the single-stream call at
+``stream_id + b``.  The private batch helpers (:func:`_stream_rows`,
+:func:`_bounded_rows`, :func:`_permutation_rows`) take a vector of
+first stream ids, so one pass can also serve the B resamples of each
+of R replicates (R x B streams), or one stream of each of R
 replicates' data.  The permutation and randomization tests draw their
 sign flips and permutations through them; :func:`signflip_transform`
 and :func:`permutation_draw` are the single-stream draws whose bits
-those rows have.
+those rows have.  Permutation rows (and the batched subsamples, which
+are their sorted prefixes) fill one stack with ``arange(m)`` and
+shuffle each row in place, which is what ``Generator.permutation(m)``
+does to a fresh ``arange(m)``.
 
 Batched uniform integers in [0, m) skip numpy's per-call argument
 handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
@@ -199,15 +204,20 @@ def _philox_keys(master_seed: int, stream_ids) -> np.ndarray:
 
 
 class _ThreadPhilox(threading.local):
-    """One Philox/Generator pair per thread, reopened at each stream key."""
+    """One Philox/Generator pair per thread, reopened at each stream key.
+
+    ``state`` is a fresh Philox's state in plain Python ints: Philox's
+    setter converts each word, and a numpy uint64 scalar costs it more
+    than twice as much as an int.
+    """
 
     def __init__(self) -> None:
         self.bitgen = np.random.Philox(key=0)
         self.gen = np.random.Generator(self.bitgen)
         self.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -229,13 +239,15 @@ def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
 
 
 def _reopened(keys: np.ndarray):
-    """Yield the thread's Philox/Generator pair reset to each key in turn,
-    with its counter at zero and its buffers empty, which is the state a
-    fresh one starts in."""
+    """Yield the thread's Philox/Generator pair reset to each (n, 2) key
+    row in turn, with its counter at zero and its buffers empty, which is
+    the state a fresh one starts in.  The keys go in as Python int lists
+    (``keys.tolist()``), so a reset costs about 1 us."""
     local = _PHILOX
     state = local.state
-    for key in keys:
-        state["state"]["key"] = key
+    words = state["state"]
+    for key in keys.tolist():
+        words["key"] = key
         local.bitgen.state = state
         yield local
 
@@ -325,8 +337,8 @@ def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = Non
         raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
     if count is None:
         return np.sort(generator(seed).permutation(m)[:k])
-    rows = _stream_rows(seed.master_seed, [seed.stream_id], count, lambda g: g.permutation(m)[:k])
-    return np.sort(rows, axis=1)
+    rows = _permutation_rows(seed.master_seed, [seed.stream_id], count, full_symmetric(m))
+    return np.sort(rows[:, :k], axis=1)
 
 
 def signflip_transform(x, mask_seed: SeedSpec) -> np.ndarray:
@@ -381,6 +393,27 @@ def _permutation_of(G: PermutationGroup, gen: np.random.Generator) -> np.ndarray
     if G.perms is None:
         return gen.permutation(G.m)
     return np.asarray(G.perms[int(gen.integers(0, len(G.perms)))], dtype=np.int64)
+
+
+def _permutation_rows(master_seed: int, firsts, count: int, G: PermutationGroup) -> np.ndarray:
+    """(len(firsts) * count, G.m) int64 stack whose row i * count + b is
+    ``permutation_draw(G, SeedSpec(master_seed, firsts[i] + b))``.
+
+    ``Generator.permutation(m)`` shuffles a fresh ``arange(m)``, so for
+    the full group each row of one arange-filled stack is shuffled in
+    place by its stream's generator.  An explicit list draws its list
+    indices as one :func:`_bounded_rows` pass (a scalar
+    ``integers(0, L)`` has the bits of ``integers(0, L, size=1)``).
+    """
+    if G.perms is not None:
+        picks = _bounded_rows(master_seed, firsts, count, len(G.perms), 1)[:, 0]
+        return np.asarray(G.perms, dtype=np.int64)[picks]
+    keys = _stream_keys(master_seed, firsts, count)
+    rows = np.empty((len(keys), G.m), np.int64)
+    rows[:] = np.arange(G.m)
+    for row, local in zip(rows, _reopened(keys)):
+        local.gen.shuffle(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -172,3 +172,25 @@ class TestBudgetMustBeAnInteger:
     def test_numpy_integer_budget_accepted(self):
         assert iid_bracket(np.int64(19), 1, 1) == iid_bracket(19, 1, 1)
         assert ordering_lower(np.int32(100), 9, 9, 0.01) == ordering_lower(100, 9, 9, 0.01)
+
+
+class TestRanksMustBeIntegers:
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: iid_bracket(19, 1.5, 0.5), "a"),
+            (lambda: iid_bracket(19, 1, 0.5), "b"),
+            (lambda: iid_bracket(19, True, 0), "a"),
+            (lambda: iid_bracket(19, 0, False), "b"),
+            (lambda: ordering_lower(19, 1.0, 1, 0.0), "a"),
+            (lambda: independent_bracket(2, 0, 0.0, 0.0, [0.1, 0.1]), "b"),
+        ],
+        ids=["iid_a_float", "iid_b_float", "iid_a_bool", "iid_b_bool", "ordering_a_float", "independent_b_float"],
+    )
+    def test_non_integer_rank_is_named(self, call, name):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            call()
+
+    def test_numpy_integer_ranks_accepted(self):
+        assert iid_bracket(19, np.int64(1), np.int32(1)) == iid_bracket(19, 1, 1)
+        assert ordering_lower(100, np.int64(9), np.int64(9), 0.01) == ordering_lower(100, 9, 9, 0.01)

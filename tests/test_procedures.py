@@ -716,7 +716,7 @@ class TestStatisticBatch:
     def test_bit_equal_to_scalar_loop(self, m, seed):
         data, G, B, proc_seed = self.perm_case(m, seed)
         firsts = [proc_seed.stream_id]
-        perms = procedures._stream_rows(seed, firsts, B, partial(procedures._permutation_of, G))
+        perms = procedures._permutation_rows(seed, firsts, B, G)
         want = np.array([_corr_statistic(data, perm) for perm in perms])
         assert _corr_statistic_batch(data, perms).tobytes() == want.tobytes()
         flips = data[0] * (1 - 2 * procedures._bounded_rows(seed, firsts, 99, 2, m))

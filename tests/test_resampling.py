@@ -18,7 +18,9 @@ from fixedb.resampling import (
     RESAMPLE_STRIDE,
     _bounded_rows,
     _permutation_of,
+    _permutation_rows,
     _philox_keys,
+    _reopened,
     _stream_rows,
     PairStream,
     PermutationGroup,
@@ -290,6 +292,46 @@ class TestBoundedRows:
             assert np.array_equal(_bounded_rows(20260823, firsts, 8, m, 10), want)
             assert 0 < len(redrawn) <= 8 * len(firsts)
             assert all(any(f <= sid < f + 8 for f in firsts) for sid in redrawn)
+
+
+class TestPermutationRows:
+    """The in-place shuffle kernel against the per-stream permutation_draw."""
+
+    GROUPS = [full_symmetric(m) for m in (1, 2, 9, 30, 400)] + [
+        PermutationGroup(3, perms=((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1))),
+        PermutationGroup(2, perms=((1, 0),)),
+    ]
+
+    @pytest.mark.parametrize("G", GROUPS, ids=["m1", "m2", "m9", "m30", "m400", "list4", "list1"])
+    @pytest.mark.parametrize(
+        "firsts,count",
+        [
+            ([stream_for(5, 1)], 7),
+            ([stream_for(0, 1), stream_for(7, 1), _TWO_WORD - 2, 2**50 + 11], 5),
+            ([_U64 - 3], 3),
+        ],
+        ids=["one", "several", "last"],
+    )
+    def test_rows_match_permutation_draw(self, G, firsts, count):
+        got = _permutation_rows(20260823, firsts, count, G)
+        want = np.stack([permutation_draw(G, SeedSpec(20260823, f + b)) for f in firsts for b in range(count)])
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_reopen_clears_a_buffered_half_word(self):
+        sids = [stream_for(2, 1), _TWO_WORD + 9]
+        streams = _reopened(_philox_keys(4177, sids))
+        local = next(streams)
+        local.gen.integers(0, 2, size=1)
+        assert local.bitgen.state["has_uint32"] == 1
+        got = next(streams).bitgen.state
+        want = generator(SeedSpec(4177, sids[1])).bit_generator.state
+        assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+        for field in ("counter", "key"):
+            assert np.array_equal(got["state"][field], want["state"][field])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field]
 
 
 class TestSettingSamplers:
