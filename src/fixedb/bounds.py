@@ -10,7 +10,8 @@ bracket symmetrically.
 
 Slack inputs are caller-supplied: exactly computable for finite
 discrete instances (see :mod:`fixedb.oracle`), analytic or asymptotic
-otherwise.  Outputs are clamped to [0, 1]; when clamping fires it is
+otherwise; each slack check is written so that a NaN fails it.
+Outputs are clamped to [0, 1]; when clamping fires it is
 recorded in ``slack_terms`` so tests can tell a vacuous bound from a
 sharp one.
 """
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .discrete import _check_count, _is_integer, i_b
-from .errors import InvalidIndices, InvalidInput
+from .discrete import i_b
+from .errors import InvalidIndices, InvalidInput, _check_count, _is_integer
 
 __all__ = [
     "CoverageBound",
@@ -112,7 +113,7 @@ def iid_bracket(
     and a ``tie_excess`` term records how far the second raised it.
     """
     _check_indices(B, a, b)
-    if delta < 0.0 or delta_tilde < 0.0:
+    if not (delta >= 0.0 and delta_tilde >= 0.0):
         raise InvalidInput("slack inputs must be nonnegative")
     base = 1.0 - (a + b + 1) / (B + 1)
     if kind == "closed":
@@ -140,10 +141,12 @@ def ks_slack_tail(eps: float, p_exceed: float, eta: float = 0.0) -> float:
     atoms carry at most ``eta`` mass, the KS distance between the
     conditional-CDF law and U(0, 1) is at most eps + p_exceed + eta.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InvalidInput("eps must be positive")
     if not 0.0 <= p_exceed <= 1.0:
         raise InvalidInput("p_exceed must lie in [0, 1]")
+    if not eta >= 0.0:
+        raise InvalidInput("eta must be nonnegative")
     return min(1.0, eps + p_exceed + eta)
 
 
@@ -153,10 +156,12 @@ def ks_slack_markov(p: float, lp_norm: float, eta: float = 0.0) -> float:
     (p+1) (lp_norm / p)^{p/(p+1)} + eta, where ``lp_norm`` is the L^p
     norm of the consistency discrepancy; clamped to [0, 1].
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidInput("p must be >= 1")
-    if lp_norm < 0.0:
+    if not lp_norm >= 0.0:
         raise InvalidInput("lp_norm must be nonnegative")
+    if not eta >= 0.0:
+        raise InvalidInput("eta must be nonnegative")
     if lp_norm == 0.0:
         return min(1.0, eta)
     return min(1.0, (p + 1.0) * (lp_norm / p) ** (p / (p + 1.0)) + eta)
@@ -176,7 +181,7 @@ def independent_bracket(B: int, a: int, b: int, d_tilde: float, kappas) -> Cover
     kappas = list(kappas)
     if len(kappas) != B:
         raise InvalidInput(f"need exactly B={B} kappa values, got {len(kappas)}")
-    if d_tilde < 0.0 or any(not 0.0 <= k <= 1.0 for k in kappas):
+    if not d_tilde >= 0.0 or any(not 0.0 <= k <= 1.0 for k in kappas):
         raise InvalidInput("slacks must be nonnegative and kappas in [0, 1]")
     base = 1.0 - (a + b + 1) / (B + 1)
     kap_sq = math.fsum(k * k for k in kappas)
@@ -199,7 +204,7 @@ def ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
     target and U(0, 1).
     """
     _check_indices(B, a, b)
-    if d_ks < 0.0:
+    if not d_ks >= 0.0:
         raise InvalidInput("d_ks must be nonnegative")
     return max(0.0, 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks)
 
@@ -224,7 +229,7 @@ def dependent_bracket(
     _check_count(B, "B")
     if not (0.0 < gamma < 1.0 and 0.0 < beta < 1.0):
         raise InvalidInput("gamma and beta must lie in (0, 1)")
-    if gap < 0.0:
+    if not gap >= 0.0:
         raise InvalidInput("gap must be nonnegative")
     base = 1.0 - (gamma + beta) / 2.0
     terms = [("base", base), ("gamma_gap", gap)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import FinitePmf
-from .errors import DegenerateSpec, InvalidInput
+from .errors import DegenerateSpec, InvalidInput, _check_count, _is_integer
 
 __all__ = [
     "PoiBinSpec",
@@ -86,20 +86,6 @@ class OrderingReport:
     passed: bool
     worst_margin: float
     n_checked: int
-
-
-def _is_integer(v) -> bool:
-    """True for an int or a numpy integer, False for a bool."""
-    # the exact-int test first: the numbers.Integral check costs about
-    # 1 us, and seeds and stream ids pass through here once per replicate
-    return type(v) is int or not isinstance(v, bool) and isinstance(v, numbers.Integral)
-
-
-def _check_count(v, what: str, lo: int = 1) -> None:
-    """InvalidInput unless v is an integer >= lo (a numpy integer too)
-    and not a bool."""
-    if not _is_integer(v) or v < lo:
-        raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
 def _check_binomial(B, p) -> None:

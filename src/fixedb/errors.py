@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""The :class:`FixedBError` hierarchy and the integer check every
+module uses for a count, size or rank."""
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "FixedBError",
@@ -66,3 +69,17 @@ class NumericalFailure(FixedBError, ArithmeticError):
 
 class ConfigError(FixedBError, ValueError):
     """Invalid experiment configuration; message carries the key path."""
+
+
+def _is_integer(v) -> bool:
+    """True for an int or a numpy integer, False for a bool."""
+    # the exact-int test first: the numbers.Integral check costs about
+    # 1 us, and seeds and stream ids pass through here once per replicate
+    return type(v) is int or not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
+def _check_count(v, what: str, lo: int = 1) -> None:
+    """InvalidInput unless v is an integer >= lo (a numpy integer too)
+    and not a bool."""
+    if not _is_integer(v) or v < lo:
+        raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")

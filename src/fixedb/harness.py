@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetTooSmall, ConfigError, InvalidInput
+from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_count
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
 from .procedures import _CI_VARIANTS, ci_cells, ci_rule, rank_test_block, sgd_cells, test_rule
@@ -100,8 +100,7 @@ class CoverageRow:
     width_kind: str = "interval"
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise InvalidInput("reps must be >= 1")
+        _check_count(self.reps, "reps")
         if not 0.0 <= self.coverage <= 1.0:
             raise InvalidInput(f"coverage {self.coverage} outside [0, 1]")
 

@@ -44,10 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import dependent_bracket, iid_bracket, independent_bracket, ordering_lower
-from .discrete import _binom_rows, _check_count, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
+from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
+from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
-from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput
+from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _is_integer
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
 
 __all__ = [
@@ -240,6 +240,8 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
 
 
 def _coverage_from_matrix(M: np.ndarray, B: int, a: int, b: int, kind: str) -> float:
+    if not (_is_integer(a) and _is_integer(b)):
+        raise InvalidInput(f"a and b must be integers, got a={a!r}, b={b!r}")
     if not (0 <= a <= B and -1 <= b and a < B - b <= B + 1):
         raise InvalidIndices(f"need 0 <= a < B - b <= B + 1, got a={a}, b={b}, B={B}")
     lt = np.arange(B + 1)[:, None]
@@ -278,11 +280,9 @@ def exact_coverage_continuous_iid(B: int, a: int, b: int, kind: str) -> Fraction
     bracket, which the almost-surely tie-free closed interval attains
     only through the extra 1/(B+1) allowance; it requires a >= 1 so
     both endpoints are genuine order statistics.  B must be an integer
-    >= 1 and not a bool.
+    >= 1 and a and b integers, none of them a bool.
     """
-    _check_count(B, "B")
-    if not (0 <= a < B - b <= B):
-        raise InvalidIndices(f"need 0 <= a < B - b <= B, got a={a}, b={b}, B={B}")
+    _check_indices(B, a, b)
     if kind == "closed":
         if a < 1:
             raise InvalidIndices("closed-kind formula needs a >= 1")
@@ -336,8 +336,8 @@ def conformal_grid_sweep(
 ) -> SweepReport:
     """Verify coverage >= bound on the calibration grid for every m in
     [m_lo, m_hi] and each alpha, in exact integer arithmetic."""
-    if not 1 <= m_lo <= m_hi:
-        raise InvalidInput("need 1 <= m_lo <= m_hi")
+    _check_count(m_lo, "m_lo")
+    _check_count(m_hi, "m_hi", lo=m_lo)
     m = np.arange(m_lo, m_hi + 1)
     violations = []
     for alpha in alphas:
@@ -386,8 +386,8 @@ def random_cond_indep(rng: np.random.Generator, B: int | None = None) -> CondInd
     """A random conditionally independent instance; the per-coordinate
     pmfs are correlated perturbations of one base row so the kappa
     discrepancies stay moderate."""
-    if B is None:
-        B = int(rng.integers(1, 7))
+    B = int(rng.integers(1, 7)) if B is None else B
+    _check_count(B, "B")
 
     def draw_rows(n_z: int, n_w: int) -> tuple:
         base = rng.dirichlet(np.ones(n_w), size=n_z)
@@ -405,8 +405,8 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
     """A random finite joint law over (B+1)-tuples; with probability
     ~0.3 (and B <= 3) it is symmetrized over coordinates so the
     exchangeability gap is exactly zero."""
-    if B is None:
-        B = int(rng.integers(1, 7))
+    B = int(rng.integers(1, 7)) if B is None else B
+    _check_count(B, "B")
     n_at = int(rng.integers(2, 41))
     vals = rng.integers(1, 7, size=(n_at, B + 1)).astype(float)
     probs = rng.dirichlet(np.ones(n_at))
@@ -450,10 +450,9 @@ class _Tally:
 
 def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
-    with exact slacks; returns (n_checked, violations).  B < 1 raises
-    :class:`InvalidInput`."""
-    if B < 1:
-        raise InvalidInput(f"B must be >= 1, got {B!r}")
+    with exact slacks; returns (n_checked, violations).  B must be an
+    integer >= 1 and not a bool."""
+    _check_count(B, "B")
     M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
     delta, delta_tilde = iid_slacks(inst)
     tally = _Tally(tol)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput
+from .errors import BudgetTooSmall, InvalidInput, _is_integer
 
 __all__ = [
     "SortedSample",
@@ -158,7 +158,9 @@ def sorted_from(values) -> SortedSample:
 
 def order_stat(s: SortedSample, r: int) -> float:
     """The rank-r order statistic: ``values[r-1]`` for 1 <= r <= B,
-    -inf for r <= 0 and +inf for r >= B + 1."""
+    -inf for r <= 0 and +inf for r >= B + 1; r must be an integer."""
+    if not _is_integer(r):
+        raise InvalidInput(f"rank r must be an integer, got {r!r}")
     if r <= 0:
         return -math.inf
     if r >= s.b + 1:
@@ -180,34 +182,17 @@ def min_budget(alpha: float, sided: str = "two") -> int:
     raise InvalidInput(f"sided must be 'one' or 'two', got {sided!r}")
 
 
-def _tau_fraction(B: int, alpha: Fraction) -> Fraction:
-    """Exact randomization probability for the two-sided rule.
-
-    Equals 1 when (B+1)(1-alpha) is an integer, else the fractional part
-    of (B+1)(1-alpha).  Chosen so that
-    ``tau * ceil((B+1)(1-alpha))/(B+1) + (1-tau) * floor(...)/(B+1)``
-    equals 1 - alpha exactly.
-    """
-    t = (B + 1) * (1 - alpha)
-    fl, ce = _floor(t), _ceil(t)
-    if fl == ce:
-        return Fraction(1)
-    return ((1 - alpha) - Fraction(fl, B + 1)) / Fraction(ce - fl, B + 1)
-
-
 def tau_randomization(spec: BudgetSpec) -> float:
     """Probability of taking the ceiling branch in the randomized rule.
 
-    A fractional part within 1e-9 of an integer counts as the integer
-    case (returns exactly 1.0); the snap to rational alpha makes the
-    check exact for every level a user can realistically type.
+    The fractional part of (B+1)(1-alpha) at the snapped alpha, or 1
+    when (B+1)(1-alpha) is an integer.  Chosen so that
+    ``tau * ceil((B+1)(1-alpha))/(B+1) + (1-tau) * floor(...)/(B+1)``
+    equals 1 - alpha exactly.
     """
-    a = _snap_alpha(spec.alpha)
-    t = (spec.B + 1) * (1 - a)
-    frac_part = t - _floor(t)
-    if min(float(frac_part), 1.0 - float(frac_part)) <= 1e-9:
-        return 1.0
-    return float(_tau_fraction(spec.B, a))
+    t = (spec.B + 1) * (1 - _snap_alpha(spec.alpha))
+    frac = t - _floor(t)
+    return float(frac) if frac else 1.0
 
 
 def _clamp(lower: int, upper: int, B: int) -> tuple[int, int]:

@@ -354,16 +354,17 @@ def ci_cells(
     once; cell (B, alpha, variant) then reads the first B roots under
     its own rank rule and randomized branch (stream seed.stream_id + B).
     Entry i of the result is bit for bit the :func:`ci_boot` (or
-    :func:`ci_subsample`) call for cell i on the same arguments.  Every
-    cell's budget is checked before anything is drawn; a non-finite
-    root on any of the max(B) resamples raises, naming the resample.
+    :func:`ci_subsample`) call for cell i on the same arguments.  Both
+    rates must be finite and > 0, and every cell's budget is checked
+    before anything is drawn; a non-finite root on any of the max(B)
+    resamples raises, naming the resample.
     """
     data = np.asarray(data)
     if len(data) < 1:
         raise InvalidInput("data must be nonempty")
     m = len(data)
-    if k is not None and not 1 <= k <= m:
-        raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
+    if not (0.0 < tau_m < math.inf and 0.0 < tau_k < math.inf):
+        raise InvalidInput(f"tau_m and tau_k must be finite and > 0, got {tau_m!r} and {tau_k!r}")
     if not cells:
         raise InvalidInput("cells must be nonempty")
     budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
@@ -617,6 +618,7 @@ def rank_test_block(
     A non-finite resampled statistic raises :class:`InvalidInput`.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
+    B = budget.B
     firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
     if len(firsts) != len(data):
         raise InvalidInput(f"{len(data)} samples but {len(firsts)} first streams")

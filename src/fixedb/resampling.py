@@ -58,8 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .discrete import _check_count
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, _check_count
 
 __all__ = [
     "SeedSpec",
@@ -436,14 +435,13 @@ class SgdSpec:
     weight_law: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidInput("dim must be >= 1")
+        _check_count(self.dim, "dim")
         if not self.gamma1 > 0:
             raise InvalidInput("gamma1 must be positive")
         if not 0.5 < self.tau_exp < 1.0:
             raise InvalidInput("tau_exp must lie in (0.5, 1)")
-        if not 0 <= self.burn_in < self.n_total:
-            raise InvalidInput("need 0 <= burn_in < n_total")
+        _check_count(self.burn_in, "burn_in", lo=0)
+        _check_count(self.n_total, "n_total", lo=self.burn_in + 1)
         if self.weight_law not in (None, "exponential"):
             raise InvalidInput(f"unknown weight_law {self.weight_law!r}")
 
@@ -542,6 +540,9 @@ class PairStream:
 
 _SETTING_4_THETA = np.array([0.2, -0.2, 0.0])
 
+#: The size parameters each benchmark setting reads; d defaults to 100.
+_SETTING_SIZES = {1: ("m",), 2: ("m", "d"), 3: ("m",), 4: ("n",)}
+
 
 def setting_sampler(setting: int, params: dict, seed: SeedSpec):
     """Draw one dataset for benchmark setting 1-4.
@@ -553,33 +554,25 @@ def setting_sampler(setting: int, params: dict, seed: SeedSpec):
     4: an (X, Y) stream of length n with X standard normal in R^3 and
        Y = X'theta + Laplace(0, 1) noise, theta = (0.2, -0.2, 0).
     """
+    if setting not in (1, 2, 3, 4):
+        raise InvalidInput(f"unknown setting {setting!r}")
+    params = {"d": 100, **params}
+    for key in _SETTING_SIZES[setting]:
+        _check_count(params.get(key), key)
     gen = generator(seed)
     if setting == 1:
-        m = int(params["m"])
-        if m < 1:
-            raise InvalidInput("m must be >= 1")
-        return _exponential(gen.random(m), rate=5.0)
+        return _exponential(gen.random(params["m"]), rate=5.0)
     if setting == 2:
-        m = int(params["m"])
-        d = int(params.get("d", 100))
-        if m < 1 or d < 1:
-            raise InvalidInput("m and d must be >= 1")
+        m = params["m"]
         t = _student_t5(gen, m)
-        v = gen.standard_normal((m, d)) ** 2
+        v = gen.standard_normal((m, params["d"])) ** 2
         return t[:, None] * v
     if setting == 3:
-        m = int(params["m"])
-        if m < 1:
-            raise InvalidInput("m must be >= 1")
-        return gen.random(m)
-    if setting == 4:
-        n = int(params["n"])
-        if n < 1:
-            raise InvalidInput("n must be >= 1")
-        x = gen.standard_normal((n, 3))
-        eps = _laplace(gen.random(n))
-        return PairStream(x, x @ _SETTING_4_THETA + eps)
-    raise InvalidInput(f"unknown setting {setting!r}")
+        return gen.random(params["m"])
+    n = params["n"]
+    x = gen.standard_normal((n, 3))
+    eps = _laplace(gen.random(n))
+    return PairStream(x, x @ _SETTING_4_THETA + eps)
 
 
 def setting_truth(setting: int, params: Optional[dict] = None):
@@ -587,7 +580,8 @@ def setting_truth(setting: int, params: Optional[dict] = None):
     if setting == 1:
         return 0.2
     if setting == 2:
-        d = int((params or {}).get("d", 100))
+        d = (params or {}).get("d", 100)
+        _check_count(d, "d")
         return np.zeros(d)
     if setting == 3:
         return 1.0

@@ -194,3 +194,25 @@ class TestRanksMustBeIntegers:
     def test_numpy_integer_ranks_accepted(self):
         assert iid_bracket(19, np.int64(1), np.int32(1)) == iid_bracket(19, 1, 1)
         assert ordering_lower(100, np.int64(9), np.int64(9), 0.01) == ordering_lower(100, 9, 9, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: iid_bracket(19, 1, 1, delta=math.nan),
+        lambda: iid_bracket(19, 1, 1, delta_tilde=math.nan),
+        lambda: independent_bracket(2, 0, 0, math.nan, [0.1, 0.1]),
+        lambda: dependent_bracket(19, 0.2, 0.2, math.nan),
+        lambda: ordering_lower(19, 1, 1, math.nan),
+        lambda: ks_slack_tail(math.nan, 0.1),
+        lambda: ks_slack_tail(0.1, 0.1, eta=math.nan),
+        lambda: ks_slack_markov(math.nan, 0.1),
+        lambda: ks_slack_markov(2.0, math.nan),
+        lambda: ks_slack_markov(2.0, 0.1, eta=math.nan),
+    ],
+    ids=["iid_delta", "iid_delta_tilde", "independent", "dependent", "ordering", "tail_eps", "tail_eta",
+         "markov_p", "markov_lp_norm", "markov_eta"],
+)
+def test_nan_slack_is_rejected(call):
+    with pytest.raises(InvalidInput):
+        call()

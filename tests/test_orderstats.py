@@ -192,6 +192,15 @@ class TestTau:
         t = (B + 1) * (1 - alpha)
         assert tau * math.ceil(t) + (1 - tau) * math.floor(t) == t
 
+    def test_grid_matches_the_fraction_formula(self):
+        # tau = t - floor(t), or 1 when t = (B+1)(1-alpha) is an integer
+        for num in range(1, 200):
+            alpha = Fraction(num, 200)
+            for B in range(1, 1200, 7):
+                t = (B + 1) * (1 - alpha)
+                frac = t - math.floor(t)
+                assert tau_randomization(BudgetSpec(B, num / 200)) == float(frac if frac else 1), (B, num)
+
     @given(st.integers(1, 300), st.integers(1, 19))
     def test_range(self, B, num):
         tau = tau_randomization(BudgetSpec(B, num / 20))

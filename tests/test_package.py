@@ -69,3 +69,10 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "boot.csv").exists()
+
+
+def test_resampling_takes_nothing_from_discrete():
+    # the draw layer needs only the integer check, which lives in errors
+    with open(resampling.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    assert "from .discrete" not in source and "import discrete" not in source

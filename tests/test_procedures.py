@@ -164,6 +164,12 @@ class TestCiBoot:
             ci_boot(np.arange(1.0, 31.0), np.mean, B=19, alpha=alpha, variant=variant)
 
 
+    @pytest.mark.parametrize("tau_m", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_finite_and_positive(self, tau_m):
+        with pytest.raises(InvalidInput, match="tau_m and tau_k must be finite and > 0"):
+            ci_boot(np.arange(1.0, 31.0), np.mean, tau_m=tau_m)
+
+
 class TestCiSubsample:
     def test_full_subsample_collapses(self):
         x = np.arange(30.0)
@@ -173,6 +179,13 @@ class TestCiSubsample:
     def test_k_validation(self):
         with pytest.raises(InvalidInput):
             ci_subsample(np.arange(5.0), np.mean, k=9, B=19, alpha=0.1, seed=SeedSpec(0, 1))
+
+    @pytest.mark.parametrize(
+        "tau_m,tau_k", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_rates_must_be_finite_and_positive(self, tau_m, tau_k):
+        with pytest.raises(InvalidInput, match="tau_m and tau_k must be finite and > 0"):
+            ci_subsample(np.arange(30.0), np.mean, tau_m=tau_m, tau_k=tau_k, k=10, B=19, alpha=0.1)
 
     def test_max_setting_covers(self):
         x = setting_sampler(3, {"m": 200}, SeedSpec(8, 0))
