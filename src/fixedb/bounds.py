@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .discrete import i_b
-from .errors import InvalidIndices, InvalidInput, _check_count, _is_integer
+from .errors import InvalidIndices, InvalidInput, _check_count, _check_real, _is_integer
 
 __all__ = [
     "CoverageBound",
@@ -113,8 +113,8 @@ def iid_bracket(
     and a ``tie_excess`` term records how far the second raised it.
     """
     _check_indices(B, a, b)
-    if not (delta >= 0.0 and delta_tilde >= 0.0):
-        raise InvalidInput("slack inputs must be nonnegative")
+    delta = _check_real(delta, "delta", lo=0)
+    delta_tilde = _check_real(delta_tilde, "delta_tilde", lo=0)
     base = 1.0 - (a + b + 1) / (B + 1)
     if kind == "closed":
         terms = [("base", base), ("delta", delta), ("budget", 1.0 / (B + 1))]
@@ -141,12 +141,9 @@ def ks_slack_tail(eps: float, p_exceed: float, eta: float = 0.0) -> float:
     atoms carry at most ``eta`` mass, the KS distance between the
     conditional-CDF law and U(0, 1) is at most eps + p_exceed + eta.
     """
-    if not eps > 0.0:
-        raise InvalidInput("eps must be positive")
-    if not 0.0 <= p_exceed <= 1.0:
-        raise InvalidInput("p_exceed must lie in [0, 1]")
-    if not eta >= 0.0:
-        raise InvalidInput("eta must be nonnegative")
+    eps = _check_real(eps, "eps", 0, strict=True)
+    p_exceed = _check_real(p_exceed, "p_exceed", 0, 1)
+    eta = _check_real(eta, "eta", lo=0)
     return min(1.0, eps + p_exceed + eta)
 
 
@@ -156,12 +153,9 @@ def ks_slack_markov(p: float, lp_norm: float, eta: float = 0.0) -> float:
     (p+1) (lp_norm / p)^{p/(p+1)} + eta, where ``lp_norm`` is the L^p
     norm of the consistency discrepancy; clamped to [0, 1].
     """
-    if not p >= 1.0:
-        raise InvalidInput("p must be >= 1")
-    if not lp_norm >= 0.0:
-        raise InvalidInput("lp_norm must be nonnegative")
-    if not eta >= 0.0:
-        raise InvalidInput("eta must be nonnegative")
+    p = _check_real(p, "p", lo=1)
+    lp_norm = _check_real(lp_norm, "lp_norm", lo=0)
+    eta = _check_real(eta, "eta", lo=0)
     if lp_norm == 0.0:
         return min(1.0, eta)
     return min(1.0, (p + 1.0) * (lp_norm / p) ** (p / (p + 1.0)) + eta)
@@ -178,11 +172,10 @@ def independent_bracket(B: int, a: int, b: int, d_tilde: float, kappas) -> Cover
     [base - slack, base + slack + 1/(B+1)].
     """
     _check_indices(B, a, b)
-    kappas = list(kappas)
+    d_tilde = _check_real(d_tilde, "d_tilde", lo=0)
+    kappas = [_check_real(k, "each kappas entry", 0, 1) for k in kappas]
     if len(kappas) != B:
         raise InvalidInput(f"need exactly B={B} kappa values, got {len(kappas)}")
-    if not d_tilde >= 0.0 or any(not 0.0 <= k <= 1.0 for k in kappas):
-        raise InvalidInput("slacks must be nonnegative and kappas in [0, 1]")
     base = 1.0 - (a + b + 1) / (B + 1)
     kap_sq = math.fsum(k * k for k in kappas)
     slack = d_tilde + kap_sq * (i_b(B) + d_tilde)
@@ -204,8 +197,7 @@ def ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
     target and U(0, 1).
     """
     _check_indices(B, a, b)
-    if not d_ks >= 0.0:
-        raise InvalidInput("d_ks must be nonnegative")
+    d_ks = _check_real(d_ks, "d_ks", lo=0)
     return max(0.0, 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks)
 
 
@@ -227,10 +219,9 @@ def dependent_bracket(
     is +inf.
     """
     _check_count(B, "B")
-    if not (0.0 < gamma < 1.0 and 0.0 < beta < 1.0):
-        raise InvalidInput("gamma and beta must lie in (0, 1)")
-    if not gap >= 0.0:
-        raise InvalidInput("gap must be nonnegative")
+    gamma = _check_real(gamma, "gamma", 0, 1, strict=True)
+    beta = _check_real(beta, "beta", 0, 1, strict=True)
+    gap = _check_real(gap, "gap", lo=0)
     base = 1.0 - (gamma + beta) / 2.0
     terms = [("base", base), ("gamma_gap", gap)]
     if continuous:

@@ -29,13 +29,12 @@ the library uses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distances import FinitePmf
-from .errors import DegenerateSpec, InvalidInput, _check_count, _is_integer
+from .errors import DegenerateSpec, InvalidInput, _check_count, _check_real, _is_integer
 
 __all__ = [
     "PoiBinSpec",
@@ -92,8 +91,7 @@ def _check_binomial(B, p) -> None:
     """InvalidInput unless B is an int >= 1 (not a bool) and p a finite
     real in [0, 1]."""
     _check_count(B, "B")
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-        raise InvalidInput(f"p must be a finite real in [0, 1], got {p!r}")
+    _check_real(p, "p", 0, 1)
 
 
 def binom_cdf(B: int, p: float, k: int) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidInput
+from .errors import CapacityExceeded, InvalidInput, _check_real
 
 __all__ = [
     "DistanceEstimate",
@@ -208,8 +208,7 @@ def concentration(samples, eps: float) -> float:
     half-open windows over a finite sample.  A NaN sample value or eps
     raises :class:`InvalidInput`.
     """
-    if not eps > 0:
-        raise InvalidInput(f"eps must be positive, got {eps!r}")
+    eps = _check_real(eps, "eps", 0, strict=True)
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise InvalidInput("sample must be non-empty")

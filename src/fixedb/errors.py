@@ -1,9 +1,13 @@
-"""The :class:`FixedBError` hierarchy and the integer check every
-module uses for a count, size or rank."""
+"""The :class:`FixedBError` hierarchy and the two scalar checks every
+module uses: :func:`_check_count` for a count, size or rank and
+:func:`_check_real` for a level, rate or slack."""
 
 from __future__ import annotations
 
+import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "FixedBError",
@@ -83,3 +87,22 @@ def _check_count(v, what: str, lo: int = 1) -> None:
     and not a bool."""
     if not _is_integer(v) or v < lo:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
+
+
+def _check_real(v, what: str, lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
+    """v, a 0-d array as its element; InvalidInput unless it is a finite
+    real, not a bool, in [lo, hi] (in (lo, hi) when strict)."""
+    x = v
+    # the exact-type test first: levels and rates pass through here once
+    # per cell and replicate
+    if type(x) is not float and type(x) is not int:
+        if isinstance(x, np.ndarray) and x.ndim == 0:
+            x = x.item()
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            x = math.nan
+    # written so that a NaN, and so a non-real, fails the comparison
+    if not (lo < x < hi if strict else lo <= x <= hi) or abs(x) == math.inf:
+        left = "(" if strict or lo == -math.inf else "["
+        right = ")" if strict or hi == math.inf else "]"
+        raise InvalidInput(f"{what} must be a finite real in {left}{lo:g}, {hi:g}{right}, got {v!r}")
+    return x

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_count
+from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_count, _check_real
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
 from .procedures import _CI_VARIANTS, ci_cells, ci_rule, rank_test_block, sgd_cells, test_rule
@@ -97,12 +97,19 @@ class CoverageRow:
     coverage: float
     mean_width: Optional[float]
     seed: int
-    width_kind: str = "interval"
 
     def __post_init__(self) -> None:
         _check_count(self.reps, "reps")
-        if not 0.0 <= self.coverage <= 1.0:
-            raise InvalidInput(f"coverage {self.coverage} outside [0, 1]")
+        _check_real(self.coverage, "coverage", 0, 1)
+
+    @property
+    def width_kind(self) -> str:
+        """What mean_width measures: nothing for tests and conformal
+        rows, the threshold span for the sup-norm setting 2, else the
+        width."""
+        if self.method in ("permutation", "randomization", "conformal_modified"):
+            return "na"
+        return "span" if self.setting == 2 else "interval"
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,6 @@ def _defaults(proc: str, setting: int, paper: bool) -> dict:
         "d": 100 if paper else 20,
         "n": 10_000 if paper else 5_000,
         "burn_in": 2_000 if paper else 1_000,
-        "gamma1": 1.0,
-        "tau_exp": 2.0 / 3.0,
         "k": None,
         "methods": ["modified"],
         "B": [99] if proc == "permutation" else [19],
@@ -237,8 +242,6 @@ def normalize_config(config: dict) -> dict:
     for key in ("reps", "threads", "d", "n", "burn_in"):
         cfg[key] = _integer(key, cfg[key], 1)
     cfg["seed"] = _integer("seed", cfg["seed"], 0)
-    for key in ("gamma1", "tau_exp"):
-        cfg[key] = _real(key, cfg[key])
     if cfg["k"] is not None:
         cfg["k"] = _integer("k", cfg["k"], 1)
         if proc != "conformal" and cfg["k"] > cfg["m"]:
@@ -264,14 +267,6 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a JSON object, got {type(raw).__name__}")
     return raw
-
-
-def _width_kind(setting: int, method: str) -> str:
-    """What a row's mean_width measures: nothing for tests and conformal
-    rows, the threshold span for the sup-norm setting 2, else the width."""
-    if method in ("permutation", "randomization", "conformal_modified"):
-        return "na"
-    return "span" if setting == 2 else "interval"
 
 
 def _rate(setting: int, n: int) -> float:
@@ -381,8 +376,8 @@ def _plan(cfg: dict) -> tuple:
     if proc == "sgd":
         spec = SgdSpec(
             dim=3,
-            gamma1=cfg["gamma1"],
-            tau_exp=cfg["tau_exp"],
+            gamma1=1.0,
+            tau_exp=2.0 / 3.0,
             burn_in=cfg["burn_in"],
             n_total=cfg["n"],
             gradient=_sgd_gradient,
@@ -497,7 +492,6 @@ def run_experiment(config: dict) -> CoverageTable:
                         coverage=ex.coverage,
                         mean_width=None,
                         seed=cfg["seed"],
-                        width_kind="na",
                     )
                 )
         return table
@@ -541,7 +535,6 @@ def run_experiment(config: dict) -> CoverageTable:
                 coverage=float(covered.mean()),
                 mean_width=float(np.mean(widths)) if widths else None,
                 seed=cfg["seed"],
-                width_kind=_width_kind(cfg["setting"], label(method)),
             )
         )
     return table
@@ -658,9 +651,9 @@ def emit(table: CoverageTable, fmt: str, path: str) -> str:
 def read_table(path: str) -> CoverageTable:
     """Parse a CSV produced by :func:`emit` back into a table.
 
-    ``width_kind`` is not a CSV column; it is inferred from the setting
-    and method the way :func:`run_experiment` sets it.  A foreign header
-    or a malformed row raises :class:`InvalidInput`.
+    ``width_kind`` is not a CSV column; each row derives it from its
+    setting and method.  A foreign header or a malformed row raises
+    :class:`InvalidInput`.
     """
     table = CoverageTable()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -683,7 +676,6 @@ def read_table(path: str) -> CoverageTable:
                         coverage=float(rec[6]),
                         mean_width=None if rec[7] == "NA" else float(rec[7]),
                         seed=int(rec[8]),
-                        width_kind=_width_kind(int(rec[0]), rec[1]),
                     )
                 )
         except (ValueError, csv.Error) as exc:

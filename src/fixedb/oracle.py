@@ -47,7 +47,7 @@ import numpy as np
 from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
-from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _is_integer
+from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _check_real, _is_integer
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
 
 __all__ = [
@@ -341,6 +341,7 @@ def conformal_grid_sweep(
     m = np.arange(m_lo, m_hi + 1)
     violations = []
     for alpha in alphas:
+        alpha = _check_real(alpha, "each alphas entry", 0, 1, strict=True)
         a = _snap_alpha(alpha)
         rank = _conformal_mod_rank(m, a)
         # coverage >= bound <=> (2 rank - 1) den >= 2 m (den - num) - 3 den;

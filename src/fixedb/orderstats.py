@@ -16,14 +16,13 @@ taken, so floating-point noise can never flip an index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, _is_integer
+from .errors import BudgetTooSmall, InvalidInput, _check_real, _is_integer
 
 __all__ = [
     "SortedSample",
@@ -92,37 +91,22 @@ class BudgetSpec:
     alpha: float
 
     def __post_init__(self):
-        B = _real_scalar(self.B, "budget B")
+        B = _check_real(self.B, "budget B")
         if B % 1 != 0 or B < 1:
             raise InvalidInput(f"budget B must be an integer >= 1, got {self.B!r}")
-        alpha = float(_real_scalar(self.alpha, "alpha"))
-        if not 0.0 < alpha < 1.0:
-            raise InvalidInput(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        alpha = float(_check_real(self.alpha, "alpha", 0, 1, strict=True))
         object.__setattr__(self, "B", int(B))
         object.__setattr__(self, "alpha", alpha)
 
 
-def _real_scalar(x, what: str):
-    """x as a real number, a 0-d array as its element; a bool, a
-    non-real or a non-scalar raises :class:`InvalidInput`."""
-    if type(x) in (int, float):  # the usual case, skipping the slow ABC check
-        return x
-    if isinstance(x, np.ndarray) and x.ndim == 0:
-        x = x.item()
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-        raise InvalidInput(f"{what} must be a real scalar, got {x!r}")
-    return x
-
-
 @lru_cache(maxsize=256)
-def _snap_alpha(alpha: float) -> Fraction:
-    """Snap alpha to the nearest rational with a bounded denominator; an
-    alpha that snaps to 0 or 1 (within about 5e-7 of it) raises."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput(f"alpha must lie in (0, 1), got {alpha!r}")
+def _snap_alpha(alpha: float, what: str = "alpha") -> Fraction:
+    """Snap a level in (0, 1), checked by the caller, to the nearest
+    rational with a bounded denominator; one that snaps to 0 or 1
+    (within about 5e-7 of it) raises, naming ``what``."""
     snap = Fraction(alpha).limit_denominator(ALPHA_DENOMINATOR_CAP)
     if not 0 < snap < 1:
-        raise InvalidInput(f"alpha={alpha!r} snaps to {snap} on the lattice k/{ALPHA_DENOMINATOR_CAP}")
+        raise InvalidInput(f"{what}={alpha!r} snaps to {snap} on the lattice k/{ALPHA_DENOMINATOR_CAP}")
     return snap
 
 
@@ -174,7 +158,7 @@ def min_budget(alpha: float, sided: str = "two") -> int:
     ``ceil(1/alpha - 1)`` for one-sided rules and ``ceil(2/alpha - 1)``
     for two-sided ones.
     """
-    a = _snap_alpha(float(_real_scalar(alpha, "alpha")))
+    a = _snap_alpha(float(_check_real(alpha, "alpha", 0, 1, strict=True)))
     if sided == "one":
         return _ceil(1 / a - 1)
     if sided == "two":
@@ -234,9 +218,9 @@ def index_rule(
     call that raises is not cached, so it raises every time.
     """
     if gamma is not None:
-        gamma = float(_real_scalar(gamma, "gamma"))
+        gamma = float(_check_real(gamma, "gamma", 0, 1, strict=True))
     if beta is not None:
-        beta = float(_real_scalar(beta, "beta"))
+        beta = float(_check_real(beta, "beta", 0, 1, strict=True))
     return _index_rule(spec.B, spec.alpha, rule_name, gamma, beta)
 
 
@@ -282,8 +266,8 @@ def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIn
                 min_b=_ceil(Fraction(3, 2) / a),
             )
     elif rule_name == "dependent_two_sided":
-        g = _snap_alpha(alpha if gamma is None else gamma)
-        bta = _snap_alpha(alpha if beta is None else beta)
+        g = a if gamma is None else _snap_alpha(gamma, "gamma")
+        bta = a if beta is None else _snap_alpha(beta, "beta")
         lower = _floor((B + 1) * g / 2) - 1
         upper = _ceil((B + 1) * (one - bta / 2))
         kind = "closed"

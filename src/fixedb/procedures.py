@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, NumericalFailure
+from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_real
 from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
@@ -363,8 +363,8 @@ def ci_cells(
     if len(data) < 1:
         raise InvalidInput("data must be nonempty")
     m = len(data)
-    if not (0.0 < tau_m < math.inf and 0.0 < tau_k < math.inf):
-        raise InvalidInput(f"tau_m and tau_k must be finite and > 0, got {tau_m!r} and {tau_k!r}")
+    tau_m = _check_real(tau_m, "tau_m", 0, strict=True)
+    tau_k = _check_real(tau_k, "tau_k", 0, strict=True)
     if not cells:
         raise InvalidInput("cells must be nonempty")
     budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]

@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, _check_count
+from .errors import InvalidInput, NumericalFailure, _check_count, _check_real
 
 __all__ = [
     "SeedSpec",
@@ -436,10 +436,8 @@ class SgdSpec:
 
     def __post_init__(self) -> None:
         _check_count(self.dim, "dim")
-        if not self.gamma1 > 0:
-            raise InvalidInput("gamma1 must be positive")
-        if not 0.5 < self.tau_exp < 1.0:
-            raise InvalidInput("tau_exp must lie in (0.5, 1)")
+        _check_real(self.gamma1, "gamma1", 0, strict=True)
+        _check_real(self.tau_exp, "tau_exp", 0.5, 1, strict=True)
         _check_count(self.burn_in, "burn_in", lo=0)
         _check_count(self.n_total, "n_total", lo=self.burn_in + 1)
         if self.weight_law not in (None, "exponential"):

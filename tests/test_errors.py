@@ -1,17 +1,20 @@
-"""One integer check for every count, size and rank: each malformed
-one raises a typed FixedBError, and the coercions that stay on purpose
-(``BudgetSpec`` and the config loader) still accept integral reals."""
+"""One integer check for every count, size and rank and one real check
+for every level, rate and slack: each malformed one raises a typed
+FixedBError, and the coercions that stay on purpose (``BudgetSpec`` and
+the config loader) still accept integral reals."""
 
 import json
+import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from fixedb import bounds, discrete, errors, oracle, resampling
-from fixedb.errors import FixedBError
+from fixedb import bounds, discrete, distances, errors, harness, oracle, orderstats, procedures, resampling
+from fixedb.errors import FixedBError, InvalidInput
 from fixedb.harness import CoverageRow, load_config, normalize_config
-from fixedb.orderstats import BudgetSpec, order_stat, sorted_from
-from fixedb.procedures import permutation_test, randomization_test
+from fixedb.orderstats import BudgetSpec, index_rule, min_budget, order_stat, sorted_from
+from fixedb.procedures import ci_boot, ci_subsample, permutation_test, randomization_test
 from fixedb.resampling import SeedSpec, SgdSpec, full_symmetric, setting_sampler
 
 
@@ -112,3 +115,123 @@ class TestIntegralFloatBudgetInTests:
         for seed in (SeedSpec(0), SeedSpec(7, 3)):
             got = permutation_test(pair, corr, full_symmetric(8), 19.0, 0.1, seed)
             assert got == permutation_test(pair, corr, full_symmetric(8), 19, 0.1, seed)
+
+
+# site -> (the argument its message names, a call taking that argument)
+_REAL_SITES = {
+    "ci_boot_tau_m": ("tau_m", lambda v: ci_boot(np.arange(1.0, 31.0), np.mean, tau_m=v)),
+    "ci_subsample_tau_k": ("tau_k", lambda v: ci_subsample(np.arange(30.0), np.mean, tau_k=v, k=10)),
+    "index_rule_gamma": (
+        "gamma",
+        lambda v: index_rule(BudgetSpec(99, 0.1), "dependent_two_sided", gamma=v, beta=0.1),
+    ),
+    "index_rule_beta": (
+        "beta",
+        lambda v: index_rule(BudgetSpec(99, 0.1), "dependent_two_sided", gamma=0.1, beta=v),
+    ),
+    "sgd_gamma1": ("gamma1", lambda v: _sgd(gamma1=v)),
+    "sgd_tau_exp": ("tau_exp", lambda v: _sgd(tau_exp=v)),
+    "iid_bracket_delta": ("delta", lambda v: bounds.iid_bracket(19, 1, 1, delta=v)),
+    "iid_bracket_delta_tilde": ("delta_tilde", lambda v: bounds.iid_bracket(19, 1, 1, delta_tilde=v)),
+    "dependent_bracket_gamma": ("gamma", lambda v: bounds.dependent_bracket(19, v, 0.1, 0.0)),
+    "dependent_bracket_beta": ("beta", lambda v: bounds.dependent_bracket(19, 0.1, v, 0.0)),
+    "dependent_bracket_gap": ("gap", lambda v: bounds.dependent_bracket(19, 0.1, 0.1, v, continuous=True)),
+    "ks_slack_tail_eps": ("eps", lambda v: bounds.ks_slack_tail(v, 0.1)),
+    "ks_slack_tail_p_exceed": ("p_exceed", lambda v: bounds.ks_slack_tail(0.1, v)),
+    "ks_slack_tail_eta": ("eta", lambda v: bounds.ks_slack_tail(0.1, 0.1, v)),
+    "ks_slack_markov_p": ("p", lambda v: bounds.ks_slack_markov(v, 0.1)),
+    "ks_slack_markov_lp_norm": ("lp_norm", lambda v: bounds.ks_slack_markov(2.0, v)),
+    "ks_slack_markov_eta": ("eta", lambda v: bounds.ks_slack_markov(2.0, 0.1, v)),
+    "independent_bracket_d_tilde": ("d_tilde", lambda v: bounds.independent_bracket(3, 0, 0, v, [0.1] * 3)),
+    "independent_bracket_kappas": ("kappas", lambda v: bounds.independent_bracket(3, 0, 0, 0.0, [v] * 3)),
+    "ordering_lower_d_ks": ("d_ks", lambda v: bounds.ordering_lower(19, 1, 1, v)),
+    "concentration_eps": ("eps", lambda v: distances.concentration([0.0, 1.0], v)),
+    "grid_sweep_alphas": ("alphas", lambda v: oracle.conformal_grid_sweep(5, 10, alphas=(v,))),
+    "binom_cdf_p": ("p", lambda v: discrete.binom_cdf(5, v, 2)),
+    "coverage_row_coverage": ("coverage", lambda v: CoverageRow(1, "modified", 19, 0.1, 40, 10, v, 1.0, 0)),
+    "budget_alpha": ("alpha", lambda v: BudgetSpec(19, v)),
+    "budget_B": ("budget B", lambda v: BudgetSpec(v, 0.1)),
+    "min_budget_alpha": ("alpha", lambda v: min_budget(v)),
+}
+_BAD_REALS = {
+    "str": "0.1",
+    "bool": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "pair": np.array([0.1, 0.2]),
+}
+_MALFORMED_REAL = {
+    f"{site}-{label}": (what, partial(call, v))
+    for site, (what, call) in _REAL_SITES.items()
+    for label, v in _BAD_REALS.items()
+}
+
+
+@pytest.mark.parametrize("what,call", _MALFORMED_REAL.values(), ids=_MALFORMED_REAL.keys())
+def test_malformed_real_raises_a_typed_error_naming_it(what, call):
+    with pytest.raises(FixedBError) as err:
+        call()
+    assert isinstance(err.value, InvalidInput) and what in str(err.value)
+
+
+def _ci_bits(ci):
+    return ci.interval, ci.span, ci.resample_stats.values.tolist()
+
+
+# site -> (a call taking a real, a valid value, how to compare two results)
+_REAL_ACCEPTED = {
+    "ci_boot_tau_m": (lambda v: ci_boot(np.arange(1.0, 31.0), np.mean, tau_m=v), 2.0, _ci_bits),
+    "ci_subsample_tau_k": (lambda v: ci_subsample(np.arange(30.0), np.mean, tau_k=v, k=10), 3.0, _ci_bits),
+    "index_rule_gamma": (
+        lambda v: index_rule(BudgetSpec(99, 0.1), "dependent_two_sided", gamma=v, beta=0.1),
+        0.2,
+        None,
+    ),
+    "iid_bracket_delta": (lambda v: bounds.iid_bracket(19, 1, 1, delta=v, delta_tilde=v), 0.0, None),
+    "dependent_bracket_gap": (lambda v: bounds.dependent_bracket(19, 0.1, 0.1, v, continuous=True), 0.0, None),
+    "ks_slack_markov_p": (lambda v: bounds.ks_slack_markov(v, 0.1, 0.0), 2.0, None),
+    "independent_bracket_kappas": (lambda v: bounds.independent_bracket(3, 0, 0, 0.0, [v] * 3), 1.0, None),
+    "ordering_lower_d_ks": (lambda v: bounds.ordering_lower(19, 1, 1, v), 0.0, None),
+    "concentration_eps": (lambda v: distances.concentration([0.0, 0.5, 1.0], v), 1.0, None),
+    "grid_sweep_alphas": (lambda v: oracle.conformal_grid_sweep(5, 50, alphas=(v,)), 0.1, None),
+    "binom_cdf_p": (lambda v: discrete.binom_cdf(5, v, 2), 1.0, None),
+    "coverage_row_coverage": (lambda v: CoverageRow(1, "modified", 19, 0.1, 40, 10, v, 1.0, 0), 1.0, None),
+    "budget_alpha": (lambda v: BudgetSpec(19, v), 0.1, None),
+    "min_budget_alpha": (lambda v: min_budget(v), 0.1, None),
+}
+
+
+@pytest.mark.parametrize("call,value,key", _REAL_ACCEPTED.values(), ids=_REAL_ACCEPTED.keys())
+def test_numpy_and_integer_reals_accepted(call, value, key):
+    key = key or (lambda out: out)
+    want = key(call(value))
+    inputs = [np.float64(value), np.array(value)] + ([int(value)] if value.is_integer() else [])
+    for v in inputs:
+        assert key(call(v)) == want, v
+
+
+def test_integer_budget_stays_exact():
+    assert BudgetSpec(2**60 + 1, 0.1).B == 2**60 + 1
+
+
+@pytest.mark.parametrize(
+    "module", [bounds, discrete, distances, harness, oracle, orderstats, procedures, resampling],
+    ids=lambda m: m.__name__,
+)
+def test_the_real_check_is_the_one_in_errors(module):
+    assert not hasattr(orderstats, "_real_scalar")
+    assert module._check_real is errors._check_real
+
+
+def test_infinite_slack_is_not_read_as_no_upper_bound():
+    with pytest.raises(InvalidInput, match="delta must be a finite real"):
+        bounds.iid_bracket(19, 1, 1, delta=math.inf)
+    with pytest.raises(InvalidInput, match="gap must be a finite real"):
+        bounds.dependent_bracket(19, 0.1, 0.1, math.inf, continuous=True)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, 1e-9])
+def test_bad_gamma_is_named_gamma(gamma):
+    with pytest.raises(InvalidInput, match="^gamma"):
+        index_rule(BudgetSpec(99, 0.1), "dependent_two_sided", gamma=gamma, beta=0.1)

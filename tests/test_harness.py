@@ -92,7 +92,6 @@ class TestConfig:
             ("alpha", [None]),
             ("m", [40]),
             ("k", "3"),
-            ("gamma1", "x"),
         ],
     )
     def test_malformed_values_name_their_key(self, key, value):
@@ -100,7 +99,7 @@ class TestConfig:
             normalize_config(tiny_config(**{key: value}))
 
     @pytest.mark.parametrize(
-        "key,value", [("reps", True), ("B", [True]), ("setting", True), ("threads", False), ("gamma1", True)]
+        "key,value", [("reps", True), ("B", [True]), ("setting", True), ("threads", False)]
     )
     def test_booleans_are_not_numbers(self, key, value):
         with pytest.raises(ConfigError, match=f"config.{key}"):
@@ -191,8 +190,6 @@ _PLAUSIBLE = {
     "k": st.integers(1, 300),
     "n": st.integers(1, 6000),
     "burn_in": st.integers(0, 6000),
-    "gamma1": st.floats(0.1, 2.0),
-    "tau_exp": st.floats(0.5, 1.0),
     "paper_scale": st.booleans(),
 }
 assert set(_PLAUSIBLE) == _KNOWN_KEYS

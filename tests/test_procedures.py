@@ -166,7 +166,7 @@ class TestCiBoot:
 
     @pytest.mark.parametrize("tau_m", [0.0, -1.0, math.inf, math.nan])
     def test_rate_must_be_finite_and_positive(self, tau_m):
-        with pytest.raises(InvalidInput, match="tau_m and tau_k must be finite and > 0"):
+        with pytest.raises(InvalidInput, match=r"tau_m must be a finite real in \(0, inf\)"):
             ci_boot(np.arange(1.0, 31.0), np.mean, tau_m=tau_m)
 
 
@@ -184,7 +184,7 @@ class TestCiSubsample:
         "tau_m,tau_k", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)]
     )
     def test_rates_must_be_finite_and_positive(self, tau_m, tau_k):
-        with pytest.raises(InvalidInput, match="tau_m and tau_k must be finite and > 0"):
+        with pytest.raises(InvalidInput, match=r"tau_[mk] must be a finite real in \(0, inf\)"):
             ci_subsample(np.arange(30.0), np.mean, tau_m=tau_m, tau_k=tau_k, k=10, B=19, alpha=0.1)
 
     def test_max_setting_covers(self):
