@@ -80,10 +80,6 @@ def _cmd_experiment(args) -> int:
     for key, val in vars(args).items():
         if key in _KNOWN_KEYS and val is not None:
             cfg[key] = val
-    if isinstance(cfg.get("m"), list) and args.command != "conformal":
-        if len(cfg["m"]) != 1:
-            raise ConfigError("config.m: expected a single sample size for this procedure")
-        cfg["m"] = cfg["m"][0]
     table = run_experiment(cfg)
     out = args.out or f"{args.command}.{args.format}"
     emit(table, args.format, out)

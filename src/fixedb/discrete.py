@@ -3,7 +3,7 @@
 The conditionally independent (non-identical) case reduces to comparing
 a Poisson-binomial count of "resample below target" events with the
 binomial count it would be if the success probabilities were averaged.
-This module provides the exact Poisson-binomial pmf, the binomial CDF,
+This module provides the exact Poisson-binomial and binomial pmfs,
 the I_B constant that multiplies the heterogeneity term in the coverage
 slack, the Ehm total-variation bound (Ehm 1991) and the Hoeffding
 tail-ordering check (Hoeffding 1956) between the two counting laws.
@@ -34,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import FinitePmf
-from .errors import DegenerateSpec, InvalidInput, _check_count, _check_real, _is_integer
+from .errors import DegenerateSpec, InvalidInput, _check_count, _check_real
 
 __all__ = [
     "PoiBinSpec",
     "OrderingReport",
-    "binom_cdf",
     "binom_pmf",
     "poisson_binomial_pmf",
     "poisson_binomial_pmf_batch",
@@ -87,30 +86,6 @@ class OrderingReport:
     n_checked: int
 
 
-def _check_binomial(B, p) -> None:
-    """InvalidInput unless B is an int >= 1 (not a bool) and p a finite
-    real in [0, 1]."""
-    _check_count(B, "B")
-    _check_real(p, "p", 0, 1)
-
-
-def binom_cdf(B: int, p: float, k: int) -> float:
-    """P(Bin(B, p) <= k); 0 below the support and 1 at or above B.
-
-    Raises InvalidInput unless B is an integer >= 1, p a finite real
-    in [0, 1] and k an integer (not a bool)."""
-    _check_binomial(B, p)
-    if not _is_integer(k):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 0:
-        return 0.0
-    if k >= B:
-        return 1.0
-    # the running sum only grows, so the CDF is non-decreasing in k; the
-    # cap keeps a rounded-up sum a probability
-    return min(float(np.cumsum(_binom_rows(B, [p])[0])[k]), 1.0)
-
-
 def _binom_rows(B: int, p_bars) -> np.ndarray:
     """The Bin(B, p) pmfs on {0..B} for each p in ``p_bars``, as one
     (len(p_bars), B+1) stack.
@@ -133,9 +108,12 @@ def _binom_rows(B: int, p_bars) -> np.ndarray:
 
 
 def binom_pmf(B: int, p: float) -> FinitePmf:
-    """The Bin(B, p) pmf on {0..B} as a :class:`FinitePmf`; B and p as
-    for :func:`binom_cdf`."""
-    _check_binomial(B, p)
+    """The Bin(B, p) pmf on {0..B} as a :class:`FinitePmf`.
+
+    Raises InvalidInput unless B is an integer >= 1 (not a bool) and p
+    a finite real in [0, 1]."""
+    _check_count(B, "B")
+    _check_real(p, "p", 0, 1)
     return FinitePmf(list(range(B + 1)), _binom_rows(B, [p])[0])
 
 

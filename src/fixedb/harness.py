@@ -29,8 +29,8 @@ would run into the next replicate's streams.
 
 Width reporting: scalar confidence intervals report the interval
 width; sup-norm (set-valued) intervals report the threshold span
-(W_(u) - W_(l)) / tau_m, tagged via ``width_kind``; hypothesis-test
-rows carry no width (NA in the CSV).
+(W_(u) - W_(l)) / tau_m; hypothesis-test rows carry no width (NA in
+the CSV).
 """
 
 from __future__ import annotations
@@ -101,15 +101,6 @@ class CoverageRow:
     def __post_init__(self) -> None:
         _check_count(self.reps, "reps")
         _check_real(self.coverage, "coverage", 0, 1)
-
-    @property
-    def width_kind(self) -> str:
-        """What mean_width measures: nothing for tests and conformal
-        rows, the threshold span for the sup-norm setting 2, else the
-        width."""
-        if self.method in ("permutation", "randomization", "conformal_modified"):
-            return "na"
-        return "span" if self.setting == 2 else "interval"
 
 
 @dataclass(frozen=True)
@@ -235,10 +226,13 @@ def normalize_config(config: dict) -> dict:
         for v in cfg["methods"]:
             if v not in _CI_VARIANTS:
                 raise ConfigError(f"config.methods: expected one of {_CI_VARIANTS}, got {v!r}")
-    if proc == "conformal":
-        cfg["m"] = [_integer("m", v, 1) for v in _as_list(cfg["m"])]
-    else:
-        cfg["m"] = _integer("m", cfg["m"], 1)
+    ms = [_integer("m", v, 1) for v in _as_list(cfg["m"])]
+    if proc != "conformal":
+        # one sample size, given as a number or a one-element list
+        if len(ms) != 1:
+            raise ConfigError(f"config.m: procedure {proc!r} takes one sample size, got {cfg['m']!r}")
+        ms = ms[0]
+    cfg["m"] = ms
     for key in ("reps", "threads", "d", "n", "burn_in"):
         cfg[key] = _integer(key, cfg[key], 1)
     cfg["seed"] = _integer("seed", cfg["seed"], 0)
@@ -651,9 +645,7 @@ def emit(table: CoverageTable, fmt: str, path: str) -> str:
 def read_table(path: str) -> CoverageTable:
     """Parse a CSV produced by :func:`emit` back into a table.
 
-    ``width_kind`` is not a CSV column; each row derives it from its
-    setting and method.  A foreign header or a malformed row raises
-    :class:`InvalidInput`.
+    A foreign header or a malformed row raises :class:`InvalidInput`.
     """
     table = CoverageTable()
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -431,16 +431,15 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
 class _Tally:
     """The checks of one instance: a count and the violations."""
 
-    def __init__(self, tol: float) -> None:
-        self.tol = tol
+    def __init__(self) -> None:
         self.n = 0
         self.violations: list = []
 
     def check(self, head: dict, cov: float, lower: float, upper=None, **tail) -> None:
-        """Count one check of lower - tol <= cov (<= upper + tol); record a
-        violation as head's keys, coverage, lower, upper, tail's keys."""
+        """Count one check of lower - _TOL <= cov (<= upper + _TOL); record
+        a violation as head's keys, coverage, lower, upper, tail's keys."""
         self.n += 1
-        if cov < lower - self.tol or (upper is not None and cov > upper + self.tol):
+        if cov < lower - _TOL or (upper is not None and cov > upper + _TOL):
             bounds = {"lower": lower} if upper is None else {"lower": lower, "upper": upper}
             self.violations.append({**head, "coverage": cov, **bounds, **tail})
 
@@ -449,14 +448,14 @@ class _Tally:
         return self.n, self.violations
 
 
-def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
+def check_cond_iid(inst: CondIIDInstance, B: int):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
     with exact slacks; returns (n_checked, violations).  B must be an
     integer >= 1 and not a bool."""
     _check_count(B, "B")
     M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
     delta, delta_tilde = iid_slacks(inst)
-    tally = _Tally(tol)
+    tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             for kind in _TWO_SIDED_KINDS:
@@ -467,13 +466,13 @@ def check_cond_iid(inst: CondIIDInstance, B: int, tol: float = _TOL):
     return tally.result
 
 
-def check_cond_indep(inst: CondIndepInstance, tol: float = _TOL):
+def check_cond_indep(inst: CondIndepInstance):
     """Closed-interval checks of the independent-resample bracket and
     the tail-ordering lower bound with exact slacks."""
     B = inst.b
     M = _pair_matrix(inst, lambda j: [rows[j] for rows in inst.w_cond])
     d_ks, d_tilde, kappas = indep_slacks(inst)
-    tally = _Tally(tol)
+    tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             cov = _coverage_from_matrix(M, B, a, b, "closed")
@@ -484,17 +483,18 @@ def check_cond_indep(inst: CondIndepInstance, tol: float = _TOL):
     return tally.result
 
 
-_DEFAULT_TAIL_PAIRS = ((0.2, 0.2), (0.3, 0.3), (0.5, 0.5), (0.2, 0.5), (0.7, 0.3))
+_TAIL_PAIRS = ((0.2, 0.2), (0.3, 0.3), (0.5, 0.5), (0.2, 0.5), (0.7, 0.3))
 
 
-def check_dependent(joint: FinitePmf, pairs=_DEFAULT_TAIL_PAIRS, tol: float = _TOL):
+def check_dependent(joint: FinitePmf):
     """Lower-bound checks for arbitrary dependence: exact coverage of
     the two-sided dependent rule must dominate 1 - (gamma+beta)/2 minus
-    the exact exchangeability gap."""
+    the exact exchangeability gap, at each (gamma, beta) of
+    ``_TAIL_PAIRS`` whose budget allows the rule."""
     M, B = _pair_matrix_joint(joint)
     gap = gamma_exact(joint).value
-    tally = _Tally(tol)
-    for g, bt in pairs:
+    tally = _Tally()
+    for g, bt in _TAIL_PAIRS:
         try:
             rule = index_rule(BudgetSpec(B=B, alpha=g), "dependent_two_sided", gamma=g, beta=bt)
         except BudgetTooSmall:

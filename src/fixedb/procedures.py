@@ -34,10 +34,13 @@ the other way, across replicates: :func:`rank_test_block` takes R
 samples and R first stream ids, derives all R x B resample streams in
 one pass and sorts the (R, B) statistics once, and
 :func:`permutation_test` and :func:`randomization_test` (sign flips
-or a transform list) are its one-replicate calls.  With an ``estimator_batch``, the CI procedures also estimate the
-resamples in one call per block of rows; with a ``statistic_batch``,
-the tests compute a replicate's B statistics in one call, and the
-sign-flip test a whole block's R x B in one call.
+or a transform list) are its one-replicate calls.  With an
+``estimator_batch``, the CI procedures also estimate the resamples in
+one call per block of rows; with a ``statistic_batch``, the tests
+compute a replicate's B statistics in one call, and the sign-flip test
+a whole block's R x B in one call.  Both hooks go through one per-row
+loop, :func:`_per_row`, which checks the batch's exact shape and runs
+the scalar callback instead when the batch raises.
 """
 
 from __future__ import annotations
@@ -244,53 +247,62 @@ def _pick_rules(budgets: Sequence[BudgetSpec], variants: Sequence[str], seed: Se
 _GATHER_BYTES = 256 * 1024
 
 
+def _per_row(rows, fn, batch: Optional[Callable], shape: tuple, what: str, offset: int = 0) -> np.ndarray:
+    """fn(row) for each of ``rows``, as one float array of shape
+    (len(rows),) + shape: the one loop behind ``estimator_batch`` and
+    ``statistic_batch``.
+
+    With ``batch`` the values come from one call batch(rows), which must
+    give exactly that shape, or :class:`InvalidInput` names the hook
+    (``what`` + "_batch").  If the batch raises, the scalar loop runs
+    instead; fn failing on row b raises :class:`NumericalFailure` with
+    step offset + b, b counted from 1.
+    """
+    want = (len(rows),) + shape
+    if batch is not None:
+        try:
+            out = np.asarray(batch(rows), dtype=float)
+        except Exception:
+            out = None
+        if out is not None:
+            if out.shape != want:
+                raise InvalidInput(f"{what}_batch gave shape {out.shape}, expected {want}")
+            return out
+    out = np.empty(want)
+    for b, row in enumerate(rows, start=1):
+        try:
+            out[b - 1] = fn(row)
+        except Exception as exc:
+            step = offset + b
+            raise NumericalFailure(f"{what} failed on resample {step}: {exc}", step=step) from exc
+    return out
+
+
 def _resample_roots(
     data: np.ndarray,
     estimator: Callable,
     root: Optional[Callable],
     rate: float,
-    theta_hat,
+    theta_hat: np.ndarray,
     indices: np.ndarray,
     estimator_batch: Optional[Callable] = None,
 ) -> np.ndarray:
     """W_b = root(rate (theta*_b - theta_hat)) for each index row b.
 
-    With ``estimator_batch`` the estimates come from one call per block
-    of rows; if it raises, the scalar loop runs instead so the error
-    names the resample it came from.
+    The estimates theta*_b come from :func:`_per_row`, with
+    :func:`_batch_estimates` as its batch when ``estimator_batch`` is
+    given; a non-finite root raises, naming its resample.
     """
+    batch = None
     if estimator_batch is not None:
-        try:
-            stars = _batch_estimates(data, indices, estimator_batch)
-        except Exception:
-            stars = None
-        if stars is not None:
-            if stars.shape[:1] != indices.shape[:1]:
-                raise InvalidInput(
-                    f"estimator_batch gave shape {stars.shape} for {len(indices)} resamples"
-                )
-            diffs = rate * (stars - theta_hat)
-            if root is None:
-                ws = diffs.reshape(len(indices))
-            else:
-                ws = np.array([float(root(d)) for d in diffs])
-            bad = np.flatnonzero(~np.isfinite(ws))
-            if bad.size:
-                b = int(bad[0]) + 1
-                raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
-            return ws
-    ws = np.empty(len(indices))
-    for b, idx in enumerate(indices, start=1):
-        try:
-            theta_star = estimator(data[idx])
-        except Exception as exc:
-            raise NumericalFailure(f"estimator failed on resample {b}: {exc}", step=b) from exc
-        diff = np.asarray(theta_star, dtype=float) - theta_hat
-        w = rate * diff if root is None else root(rate * diff)
-        w = float(w)
-        if not math.isfinite(w):
-            raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
-        ws[b - 1] = w
+        batch = partial(_batch_estimates, data, estimator_batch=estimator_batch)
+    stars = _per_row(indices, lambda idx: estimator(data[idx]), batch, theta_hat.shape, "estimator")
+    diffs = rate * (stars - theta_hat)
+    ws = diffs.reshape(len(indices)) if root is None else np.array([float(root(d)) for d in diffs])
+    bad = np.flatnonzero(~np.isfinite(ws))
+    if bad.size:
+        b = int(bad[0]) + 1
+        raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
     return ws
 
 
@@ -357,7 +369,8 @@ def ci_cells(
     :func:`ci_subsample`) call for cell i on the same arguments.  Both
     rates must be finite and > 0, and every cell's budget is checked
     before anything is drawn; a non-finite root on any of the max(B)
-    resamples raises, naming the resample.
+    resamples raises, naming the resample.  ``root`` None needs a scalar
+    estimate.
     """
     data = np.asarray(data)
     if len(data) < 1:
@@ -370,6 +383,8 @@ def ci_cells(
     budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
     picks = _pick_rules(budgets, [variant for _, _, variant in cells], seed)
     theta_hat = np.asarray(estimator(data), dtype=float)
+    if root is None and theta_hat.size != 1:
+        raise InvalidInput(f"an estimate of shape {theta_hat.shape} needs a root, not the scalar identity")
     count = max(budget.B for budget in budgets)
     if k is None:
         indices, rate = bootstrap_indices(m, seed, count=count), tau_m
@@ -402,11 +417,12 @@ def ci_boot(
 
     ``estimator_batch`` is the opt-in counterpart of ``estimator``: it
     maps a gathered stack ``data[indices]`` of shape (b, m, ...) to the
-    (b, ...) stack of its rows' estimates, called on blocks of at most
-    256 KiB (one row when a row is larger).  Its row b must have the
-    bits of ``estimator(data[idx_b])`` (``s.mean(axis=1)`` does for
-    ``np.mean``); then the result is bit for bit the one without it.
-    If it raises, the scalar loop runs.
+    (b,) + theta_hat.shape stack of its rows' estimates, called on
+    blocks of at most 256 KiB (one row when a row is larger).  Its row b
+    must have the bits of ``estimator(data[idx_b])`` (``s.mean(axis=1)``
+    does for ``np.mean``); then the result is bit for bit the one
+    without it.  Its shape check, its scalar fallback and how failures
+    are named are the contract of README's "Opt-in batch hooks".
 
     This is the one-cell call of :func:`ci_cells`.
     """
@@ -514,31 +530,6 @@ def ci_sgd(
     return cis
 
 
-def _test_statistics(
-    rows: np.ndarray, statistic: Callable, statistic_batch: Optional[Callable]
-) -> np.ndarray:
-    """statistic(row) for each row of the (n, m) stack ``rows``.
-
-    With ``statistic_batch`` the n values come from one call on the
-    whole stack; if it raises, the scalar loop runs instead.
-    """
-    if statistic_batch is not None:
-        try:
-            t_star = np.asarray(statistic_batch(rows), dtype=float)
-        except Exception:
-            t_star = None
-        if t_star is not None:
-            if t_star.shape != (len(rows),):
-                raise InvalidInput(
-                    f"statistic_batch gave shape {t_star.shape} for {len(rows)} resamples"
-                )
-            return t_star
-    t_star = np.empty(len(rows))
-    for b, row in enumerate(rows):
-        t_star[b] = statistic(row)
-    return t_star
-
-
 @dataclass(frozen=True)
 class DecisionBlock:
     """R resampling tests at one budget: test i rejects iff
@@ -614,8 +605,11 @@ def rank_test_block(
     permutation statistic depends on its replicate's data, so it is
     called once per replicate.  A transform list draws all R x B list
     indices at once and calls ``statistic`` once per transformed
-    sample, never ``statistic_batch``.  The (R, B) statistics are then sorted once.
-    A non-finite resampled statistic raises :class:`InvalidInput`.
+    sample, never ``statistic_batch``.  The (R, B) statistics are then
+    sorted once.  A non-finite resampled statistic raises
+    :class:`InvalidInput`.  A statistic that raises on resample b (from
+    1) of test i (from 0) in the scalar loop raises
+    :class:`NumericalFailure` with step i * B + b.
     """
     budget = BudgetSpec(B=B, alpha=alpha)
     B = budget.B
@@ -628,17 +622,18 @@ def rank_test_block(
     if isinstance(group, PermutationGroup):
         identity = np.arange(group.m)
         t_obs = [float(statistic(d, identity)) for d in data]
-        perms = _permutation_rows(master_seed, firsts, B, group)
-        t_star = np.stack(
-            [
-                _test_statistics(
-                    perms[i * B : (i + 1) * B],
-                    partial(statistic, d),
-                    None if statistic_batch is None else partial(statistic_batch, d),
-                )
-                for i, d in enumerate(data)
-            ]
-        )
+        perms = _permutation_rows(master_seed, firsts, B, group).reshape(len(data), B, group.m)
+        t_star = [
+            _per_row(
+                rows,
+                partial(statistic, d),
+                None if statistic_batch is None else partial(statistic_batch, d),
+                (),
+                "statistic",
+                i * B,
+            )
+            for i, (d, rows) in enumerate(zip(data, perms))
+        ]
     elif isinstance(group, str):
         xs = np.asarray(data, dtype=float)
         if xs.ndim != 2 or xs.shape[1] < 1:
@@ -647,7 +642,7 @@ def rank_test_block(
         t_obs = [float(statistic(x)) for x in xs]
         signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
         flipped = (xs[:, None, :] * signs.reshape(R, B, m)).reshape(R * B, m)
-        t_star = _test_statistics(flipped, statistic, statistic_batch).reshape(R, B)
+        t_star = _per_row(flipped, statistic, statistic_batch, (), "statistic")
     else:
         transforms = list(group)
         if not transforms:
@@ -655,9 +650,11 @@ def rank_test_block(
         t_obs = [float(statistic(x)) for x in data]
         # pick b of test i has the bits of generator(stream).integers(0, len(transforms))
         picks = _bounded_rows(master_seed, firsts, B, len(transforms), 1).reshape(len(data), B)
-        t_star = [[statistic(transforms[j](x)) for j in row] for x, row in zip(data, picks)]
-        t_star = np.array(t_star, dtype=float).reshape(len(data), B)
-    return _decide(t_obs, t_star, rule, budget)
+        t_star = [
+            _per_row(row, lambda j, x=x: statistic(transforms[j](x)), None, (), "statistic", i * B)
+            for i, (x, row) in enumerate(zip(data, picks))
+        ]
+    return _decide(t_obs, np.reshape(t_star, (len(data), B)), rule, budget)
 
 
 def permutation_test(
@@ -681,8 +678,9 @@ def permutation_test(
     called as statistic_batch(data, perms) on the (B, m) stack of drawn
     permutations, it returns the B statistics.  Its entry b must have
     the bits of statistic(data, perms[b]); then the decision is bit for
-    bit the one without it.  A result of another shape than (B,) raises
-    :class:`InvalidInput`; if it raises, the scalar loop runs.
+    bit the one without it.  Its (B,) shape check, its scalar fallback
+    and how failures are named are the contract of README's "Opt-in
+    batch hooks".
 
     This is the one-replicate call of :func:`rank_test_block`.
     """
@@ -714,9 +712,10 @@ def randomization_test(
     statistic(data) >= threshold.
 
     ``statistic_batch`` maps the (B, m) stack of sign-flipped samples to
-    their B statistics, with the contract of the one in
-    :func:`permutation_test`.  The explicit-transform test does not
-    use it.  Both are one-replicate calls of :func:`rank_test_block`.
+    their B statistics, with the contract of README's "Opt-in batch
+    hooks", as in :func:`permutation_test`.  The explicit-transform test
+    does not use it.  Both are one-replicate calls of
+    :func:`rank_test_block`.
     """
     x = np.asarray(data, dtype=float) - center
     block = rank_test_block(

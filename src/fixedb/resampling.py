@@ -490,7 +490,9 @@ def sgd_paths(
     Column j reproduces ``sgd_path(spec, data, theta0, seeds[j])``
     bit for bit; a None seed means unit weights.  ``gradient_batch``
     maps (thetas of shape (P, dim), data point) to a (P, dim) gradient
-    stack; without it the scalar callback is looped.
+    stack; without it the scalar callback is looped.  Any other shape
+    raises :class:`InvalidInput`; unlike the other batch hooks it has no
+    scalar fallback (see README, "Opt-in batch hooks").
     """
     P = len(seeds)
     if P < 1:
@@ -498,7 +500,9 @@ def sgd_paths(
     theta = np.tile(np.array(theta0, dtype=float), (P, 1))
     if theta.shape != (P, spec.dim):
         raise InvalidInput(f"theta0 must have shape ({spec.dim},)")
+    what = "gradient_batch"
     if gradient_batch is None:
+        what = "spec.gradient"
         if spec.gradient is None:
             raise InvalidInput("either gradient_batch or spec.gradient is required")
 
@@ -509,6 +513,8 @@ def sgd_paths(
     total = np.zeros((P, spec.dim))
     for n in range(1, spec.n_total + 1):
         g = np.asarray(gradient_batch(theta, data[n - 1]), dtype=float)
+        if g.shape != theta.shape:
+            raise InvalidInput(f"{what} gave shape {g.shape}, expected {theta.shape}")
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g).all(axis=1))[0])
             raise NumericalFailure(f"non-finite gradient on path {bad}", step=n)

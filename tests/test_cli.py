@@ -159,8 +159,9 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
     sub = next(a for a in parser._actions if a.dest == "command")
     assert list(sub.choices) == list(harness._PROCEDURES) + ["verify", "plot"]
 
-    # each given flag whose dest is a config key lands in the config,
-    # and no other flag does
+    # each given flag whose dest is a config key lands in the config as
+    # parsed (normalize_config unwraps the one-element --m list), and no
+    # other flag does
     class Captured(Exception):
         pass
 
@@ -182,7 +183,7 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
     assert seen == [
         {
             "procedure": "sgd", "seed": 5, "threads": 2, "B": [7, 9], "alpha": [0.2], "reps": 3,
-            "m": 40, "d": 4, "k": 6, "n": 50, "burn_in": 10, "setting": 4,
+            "m": [40], "d": 4, "k": 6, "n": 50, "burn_in": 10, "setting": 4,
             "methods": ["vanilla"], "paper_scale": True,
         },
         {"procedure": "bootstrap"},

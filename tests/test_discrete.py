@@ -2,9 +2,6 @@
 comparisons with the mean binomial."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -16,7 +13,6 @@ from hypothesis import strategies as st
 from fixedb import discrete
 from fixedb.discrete import (
     PoiBinSpec,
-    binom_cdf,
     binom_pmf,
     ehm_tv_bound,
     hoeffding_ordering_check,
@@ -30,20 +26,25 @@ from fixedb.errors import DegenerateSpec, InvalidInput
 probs_vec = st.lists(st.integers(1, 9).map(lambda k: k / 10), min_size=1, max_size=8)
 
 
+def _cdf(B, p):
+    """P(Bin(B, p) <= k) for k = 0..B: the running sum of binom_pmf."""
+    return np.cumsum(binom_pmf(B, p).probs)
+
+
 class TestBinomCdf:
     def test_frozen_against_fraction_sum(self):
         # exact: sum_{k<=6} C(20,k) (3/10)^k (7/10)^(20-k)
         p = Fraction(3, 10)
         exact = sum(math.comb(20, k) * p**k * (1 - p) ** (20 - k) for k in range(7))
         assert float(exact) == pytest.approx(0.608009812200924, abs=1e-15)
-        assert binom_cdf(20, 0.3, 6) == pytest.approx(float(exact), abs=1e-12)
+        assert _cdf(20, 0.3)[6] == pytest.approx(float(exact), abs=1e-12)
 
     def test_edges(self):
-        assert binom_cdf(5, 0.3, -1) == 0.0
-        assert binom_cdf(5, 0.3, 5) == 1.0
-        assert binom_cdf(5, 0.3, 99) == 1.0
+        cdf = _cdf(5, 0.3)
+        assert cdf[0] == pytest.approx(0.7**5, abs=1e-15)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(InvalidInput):
-            binom_cdf(0, 0.3, 1)
+            binom_pmf(0, 0.3)
 
     @given(st.integers(1, 40), st.integers(0, 10), st.integers(0, 40))
     def test_matches_exact_rational(self, B, num, k):
@@ -51,13 +52,13 @@ class TestBinomCdf:
         exact = sum(
             math.comb(B, j) * p**j * (1 - p) ** (B - j) for j in range(min(k, B) + 1)
         )
-        assert binom_cdf(B, float(p), k) == pytest.approx(float(exact), abs=1e-12)
+        assert _cdf(B, float(p))[min(k, B)] == pytest.approx(float(exact), abs=1e-12)
 
     @given(st.integers(1, 60), st.floats(0.0, 1.0))
     def test_non_decreasing_in_k(self, B, p):
-        cdf = [binom_cdf(B, p, k) for k in range(-1, B + 1)]
-        assert all(a <= b for a, b in zip(cdf, cdf[1:]))
-        assert 0.0 <= cdf[0] and cdf[-1] == 1.0
+        cdf = _cdf(B, p)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert 0.0 <= cdf[0] and cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBinomRows:
@@ -67,7 +68,6 @@ class TestBinomRows:
         assert rows.shape == (97, 7)
         for row, p in zip(rows, p_bars):
             assert np.array_equal(row, binom_pmf(6, float(p)).probs)
-            assert [binom_cdf(6, float(p), k) for k in range(6)] == np.cumsum(row)[:6].tolist()
 
     def test_matches_exact_fractions(self):
         ps = [Fraction(k, 10) for k in range(11)]
@@ -220,10 +220,10 @@ class TestHoeffdingOrdering:
         assert rep.n_checked <= len(ps) + 1
 
     def test_one_binomial_pmf_call_and_no_cdf_call(self):
-        with mock.patch.object(discrete, "binom_cdf", wraps=discrete.binom_cdf) as cdf, \
-                mock.patch.object(discrete, "_binom_rows", wraps=discrete._binom_rows) as rows:
+        assert not hasattr(discrete, "binom_cdf")
+        with mock.patch.object(discrete, "_binom_rows", wraps=discrete._binom_rows) as rows:
             rep = hoeffding_ordering_check(PoiBinSpec((0.1, 0.4, 0.7, 0.9)))
-        assert (cdf.call_count, rows.call_count) == (0, 1)
+        assert rows.call_count == 1
         assert rep.passed and rep.n_checked == 4
 
     def test_regimes_allow_for_rounding_of_b_p_bar(self):
@@ -246,14 +246,10 @@ class TestBoundary:
     @pytest.mark.parametrize("B", BAD_B)
     def test_bad_b_names_b(self, B):
         with pytest.raises(InvalidInput, match="B must"):
-            binom_cdf(B, 0.5, 1)
-        with pytest.raises(InvalidInput, match="B must"):
             binom_pmf(B, 0.5)
 
     @pytest.mark.parametrize("p", BAD_P)
     def test_bad_p_names_p(self, p):
-        with pytest.raises(InvalidInput, match="p must"):
-            binom_cdf(3, p, 1)
         with pytest.raises(InvalidInput, match="p must"):
             binom_pmf(3, p)
 
@@ -261,42 +257,16 @@ class TestBoundary:
         # with scipy unimportable the binomial helpers still work, and bad
         # input still ends in InvalidInput
         with mock.patch.dict("sys.modules", {"scipy": None}):
-            assert binom_cdf(3, 0.5, 1) == 0.5
             assert binom_pmf(2, 0.5).probs.tolist() == [0.25, 0.5, 0.25]
-            for call in (lambda: binom_cdf(3, math.nan, 1), lambda: binom_pmf(0, 0.5)):
+            for call in (lambda: binom_pmf(3, math.nan), lambda: binom_pmf(0, 0.5)):
                 with pytest.raises(InvalidInput):
                     call()
-
-    @pytest.mark.parametrize("k", (math.nan, 2.5, "2", True), ids=("nan", "float", "str", "bool"))
-    def test_bad_k_names_k(self, k):
-        with pytest.raises(InvalidInput, match="k must"):
-            binom_cdf(5, 0.3, k)
-
-    def test_bad_k_rejected_before_scipy_loads(self):
-        # a fresh interpreter, so scipy is not loaded by an earlier test
-        script = (
-            "import sys\n"
-            "from fixedb.discrete import binom_cdf\n"
-            "from fixedb.errors import InvalidInput\n"
-            "for k in (float('nan'), 2.5, '2', True):\n"
-            "    try:\n"
-            "        binom_cdf(5, 0.3, k)\n"
-            "    except InvalidInput:\n"
-            "        pass\n"
-            "    else:\n"
-            "        sys.exit(f'k={k!r} accepted')\n"
-            "sys.exit('scipy' in sys.modules)\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(discrete.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
 
     def test_edges_and_numpy_scalars_accepted(self):
         assert binom_pmf(3, 0.0).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert binom_pmf(3, 1.0).probs.tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert binom_cdf(np.int64(20), np.float64(0.3), np.int64(6)) == binom_cdf(20, 0.3, 6)
-        assert binom_cdf(1, 0.5, 0) == 0.5
+        assert np.array_equal(binom_pmf(np.int64(20), np.float64(0.3)).probs, binom_pmf(20, 0.3).probs)
+        assert binom_pmf(1, 0.5).probs[0] == 0.5
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_poibin_rejects_non_finite(self, bad):

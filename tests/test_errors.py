@@ -147,7 +147,8 @@ _REAL_SITES = {
     "ordering_lower_d_ks": ("d_ks", lambda v: bounds.ordering_lower(19, 1, 1, v)),
     "concentration_eps": ("eps", lambda v: distances.concentration([0.0, 1.0], v)),
     "grid_sweep_alphas": ("alphas", lambda v: oracle.conformal_grid_sweep(5, 10, alphas=(v,))),
-    "binom_cdf_p": ("p", lambda v: discrete.binom_cdf(5, v, 2)),
+    # the binomial CDF is the running sum of binom_pmf, which checks p
+    "binom_cdf_p": ("p", lambda v: np.cumsum(discrete.binom_pmf(5, v).probs)),
     "coverage_row_coverage": ("coverage", lambda v: CoverageRow(1, "modified", 19, 0.1, 40, 10, v, 1.0, 0)),
     "budget_alpha": ("alpha", lambda v: BudgetSpec(19, v)),
     "budget_B": ("budget B", lambda v: BudgetSpec(v, 0.1)),
@@ -195,7 +196,7 @@ _REAL_ACCEPTED = {
     "ordering_lower_d_ks": (lambda v: bounds.ordering_lower(19, 1, 1, v), 0.0, None),
     "concentration_eps": (lambda v: distances.concentration([0.0, 0.5, 1.0], v), 1.0, None),
     "grid_sweep_alphas": (lambda v: oracle.conformal_grid_sweep(5, 50, alphas=(v,)), 0.1, None),
-    "binom_cdf_p": (lambda v: discrete.binom_cdf(5, v, 2), 1.0, None),
+    "binom_cdf_p": (lambda v: np.cumsum(discrete.binom_pmf(5, v).probs), 1.0, lambda cdf: cdf.tolist()),
     "coverage_row_coverage": (lambda v: CoverageRow(1, "modified", 19, 0.1, 40, 10, v, 1.0, 0), 1.0, None),
     "budget_alpha": (lambda v: BudgetSpec(19, v), 0.1, None),
     "min_budget_alpha": (lambda v: min_budget(v), 0.1, None),

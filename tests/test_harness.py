@@ -90,7 +90,7 @@ class TestConfig:
             ("B", [19.5]),
             ("alpha", "x"),
             ("alpha", [None]),
-            ("m", [40]),
+            ("m", [40, 50]),
             ("k", "3"),
         ],
     )
@@ -151,6 +151,18 @@ class TestConfig:
     def test_conformal_m_list(self):
         cfg = normalize_config({"procedure": "conformal", "m": [10, 100]})
         assert cfg["m"] == [10, 100]
+
+    @pytest.mark.parametrize("procedure", ["bootstrap", "randomization"])
+    def test_one_element_m_list_is_the_number(self, tmp_path, procedure):
+        one = tiny_config(procedure=procedure, setting=1 if procedure == "bootstrap" else 0, reps=5)
+        paths = [
+            emit(run_experiment({**one, "m": m}), "csv", str(tmp_path / f"{i}.csv"))
+            for i, m in enumerate((40, [40]))
+        ]
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        for m in ([40, 50], []):
+            with pytest.raises(ConfigError, match="config.m"):
+                normalize_config({**one, "m": m})
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "c.json"

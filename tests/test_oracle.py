@@ -151,7 +151,7 @@ class TestInstanceChecks:
             inst = random_cond_iid(rng)
             delta, delta_tilde = iid_slacks(inst)
             assert 0.0 <= delta <= 1.0 and 0.0 <= delta_tilde <= 1.0
-            n, viol = check_cond_iid(inst, B=3, tol=1e-9)
+            n, viol = check_cond_iid(inst, B=3)
             assert viol == []
             assert n > 0
 
@@ -168,14 +168,14 @@ class TestInstanceChecks:
             d_ks, d_tilde, kappas = indep_slacks(inst)
             assert len(kappas) == inst.b
             assert all(0.0 <= k <= 1.0 for k in kappas)
-            n, viol = check_cond_indep(inst, tol=1e-9)
+            n, viol = check_cond_indep(inst)
             assert viol == []
 
     def test_dependent_check(self):
         rng = np.random.default_rng(4)
         for _ in range(6):
             joint = random_joint(rng)
-            n, viol = check_dependent(joint, tol=1e-9)
+            n, viol = check_dependent(joint)
             assert viol == []
 
     def test_bracket_suite(self):

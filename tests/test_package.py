@@ -51,12 +51,12 @@ for proc in _PROCEDURES:
 assert fixedb.cli.main(["bootstrap", "--reps", "2", "--out", sys.argv[1]]) == 0
 assert fixedb.cli.main(["verify"]) == 0
 
-from fixedb.discrete import binom_cdf
+from fixedb.discrete import binom_pmf
 from fixedb.oracle import SweepReport, ehm_hoeffding_sweep
 
 p = Fraction(3, 10)
 exact = sum(math.comb(20, k) * p**k * (1 - p) ** (20 - k) for k in range(7))
-assert abs(Fraction(binom_cdf(20, 0.3, 6)) - exact) < 1e-15
+assert abs(Fraction(math.fsum(binom_pmf(20, 0.3).probs[:7])) - exact) < 1e-15
 assert ehm_hoeffding_sweep(b_values=(1, 2)) == SweepReport(90, (), note="grid size 9, B in (1, 2)")
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """

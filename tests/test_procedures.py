@@ -1,13 +1,13 @@
 """Confidence-interval, test, and conformal procedures."""
 
 import math
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from fixedb.discrete import binom_cdf
 from fixedb import procedures
 from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
 from fixedb.harness import (
@@ -322,9 +322,15 @@ class TestPermutation:
             # uniform over {1..6}
             return float(d[perm][0] + 0.001 * d[perm][1])
 
-        exact = sum(
-            1 - binom_cdf(B, r / 6, k - 1) for r in range(1, 7)
-        ) / 6
+        # P(Bin(B, r/6) >= k), averaged over the observed rank r
+        exact = float(
+            sum(
+                math.comb(B, j) * Fraction(r, 6) ** j * (1 - Fraction(r, 6)) ** (B - j)
+                for r in range(1, 7)
+                for j in range(k, B + 1)
+            )
+            / 6
+        )
         rejections = 0
         n = 4000
         for i in range(n):
@@ -530,8 +536,16 @@ class TestEstimatorBatch:
         self.assert_same(ok, ci_boot(x, np.mean, B=19, seed=SeedSpec(4, 0)))
 
     def test_wrong_batch_length_is_rejected(self):
-        with pytest.raises(InvalidInput):
-            ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=lambda s: s.mean(axis=0))
+        # a scalar estimate wants exactly (B,): not (m,), (B, 2), (B, 1) or (B - 1,)
+        wrong = [
+            lambda s: s.mean(axis=0),
+            lambda s: np.stack([s.mean(axis=1)] * 2, axis=1),
+            lambda s: s.mean(axis=1)[:, None],
+            lambda s: s.mean(axis=1)[1:],
+        ]
+        for batch in wrong:
+            with pytest.raises(InvalidInput, match="estimator_batch"):
+                ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=batch)
 
 
 class TestCiCells:
@@ -594,6 +608,12 @@ class TestCiCells:
             ci_cells(x, np.mean, [(19, 0.1, "median")])
         with pytest.raises(InvalidInput):
             ci_cells(x, np.mean, [(19, 0.1, "vanilla")], k=31)
+
+    def test_vector_estimate_needs_a_root(self):
+        x = setting_sampler(2, {"m": 30, "d": 3}, SeedSpec(3, 0))
+        for batch in (None, _mean_rows):
+            with pytest.raises(InvalidInput, match="needs a root"):
+                ci_cells(x, lambda a: a.mean(axis=0), [(19, 0.1, "modified")], estimator_batch=batch)
 
     def test_a_bad_root_beyond_a_small_cell_fails_the_call(self):
         # the roots are formed once for max(B): resample 31 breaks the
@@ -771,7 +791,7 @@ class TestStatisticBatch:
         )
         self.assert_same(got, want)
 
-    @pytest.mark.parametrize("shape", [(18,), (19, 1), (1, 19), ()])
+    @pytest.mark.parametrize("shape", [(18,), (19, 1), (1, 19), (), (19, 2)])
     def test_wrong_batch_shape_is_rejected(self, shape):
         data, G, _, proc_seed = self.perm_case(30, 5)
 
@@ -920,6 +940,36 @@ class TestRankTestBlock:
         data = (xs[0], xs[1])
         with pytest.raises(InvalidInput, match="finite"):
             permutation_test(data, lambda d, p: np.nan, full_symmetric(20), 19, 0.1)
+
+    @pytest.mark.parametrize("group", ["signflip", "permutation", "transforms"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_raising_statistic_names_its_resample(self, group, batched):
+        # step i * B + b: resample b (from 1) of test i (from 0)
+        R, B, m = 3, 19, 8
+        xs = self.samples(R, m)
+        firsts = [stream_for(r, 1) for r in range(R)]
+        calls = []
+
+        def raising(*args):
+            calls.append(1)
+            if len(calls) == R + B + 5:  # R observed values, then test 1's resample 5
+                raise ValueError("boom")
+            return 1.0
+
+        def batch(*args):
+            raise RuntimeError("no batch today")
+
+        if group == "permutation":
+            data, group = [(x, x[::-1]) for x in xs], full_symmetric(m)
+        elif group == "transforms":
+            data, group = xs, [lambda v: v, lambda v: -v]
+        else:
+            data = xs
+        with pytest.raises(NumericalFailure, match="resample 24") as err:
+            rank_test_block(
+                data, raising, group, B, 0.1, self.MASTER, firsts, batch if batched else None
+            )
+        assert err.value.step == B + 5
 
     def test_bad_group_and_streams(self):
         xs = self.samples(2, 10)

@@ -452,6 +452,13 @@ class TestSgd:
             sgd_path(self.spec(gradient=bad), data, np.zeros(3), None)
         assert ei.value.step == 102
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (2, 3)])
+    def test_wrong_gradient_batch_shape_is_rejected(self, shape):
+        # (3,) and (3, 1) would broadcast against the (3 paths, dim 3) state
+        data = [np.full(3, 0.5)] * 200
+        with pytest.raises(InvalidInput, match="gradient_batch"):
+            sgd_paths(self.spec(), data, np.zeros(3), [None] * 3, gradient_batch=lambda th, pt: np.ones(shape))
+
     def test_gradient_required(self):
         with pytest.raises(InvalidInput):
             sgd_path(self.spec(gradient=None), [np.zeros(3)] * 200, np.zeros(3), None)
