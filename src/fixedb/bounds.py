@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .discrete import i_b
-from .errors import InvalidIndices, InvalidInput, _check_count, _check_real, _is_integer
+from .errors import InvalidIndices, InvalidInput, _check_count, _check_real, _check_vector, _is_integer
 
 __all__ = [
     "CoverageBound",
@@ -173,11 +173,11 @@ def independent_bracket(B: int, a: int, b: int, d_tilde: float, kappas) -> Cover
     """
     _check_indices(B, a, b)
     d_tilde = _check_real(d_tilde, "d_tilde", lo=0)
-    kappas = [_check_real(k, "each kappas entry", 0, 1) for k in kappas]
-    if len(kappas) != B:
-        raise InvalidInput(f"need exactly B={B} kappa values, got {len(kappas)}")
+    kappas = _check_vector(kappas, "kappas", 0, 1)
+    if kappas.size != B:
+        raise InvalidInput(f"need exactly B={B} kappa values, got {kappas.size}")
     base = 1.0 - (a + b + 1) / (B + 1)
-    kap_sq = math.fsum(k * k for k in kappas)
+    kap_sq = math.fsum(k * k for k in kappas.tolist())
     slack = d_tilde + kap_sq * (i_b(B) + d_tilde)
     terms = [
         ("base", base),

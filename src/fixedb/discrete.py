@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import FinitePmf
-from .errors import DegenerateSpec, InvalidInput, _check_count, _check_real
+from .errors import DegenerateSpec, _check_count, _check_real, _check_vector
 
 __all__ = [
     "PoiBinSpec",
@@ -55,13 +55,7 @@ class PoiBinSpec:
     probs: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidInput("probs must be a non-empty 1-d vector")
-        # NaN fails both comparisons, so it is rejected here too
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise InvalidInput("all success probabilities must be finite and lie in [0, 1]")
-        object.__setattr__(self, "probs", tuple(float(v) for v in p))
+        object.__setattr__(self, "probs", tuple(_check_vector(self.probs, "probs", 0, 1).tolist()))
 
     @property
     def b(self) -> int:
@@ -120,16 +114,17 @@ def binom_pmf(B: int, p: float) -> FinitePmf:
 def poisson_binomial_pmf_batch(prob_rows: np.ndarray, start=None) -> np.ndarray:
     """Poisson-binomial pmfs for many specs at once.
 
-    ``prob_rows`` has shape (n, B); row j holds the success
-    probabilities of spec j.  Returns shape (n, B+1).  Exact dynamic
-    programming: fold one Bernoulli at a time.
+    ``prob_rows`` has shape (n, B), or (B,) for one row; row j holds
+    the success probabilities of spec j, finite reals in [0, 1].
+    Returns shape (n, B+1).  Exact dynamic programming: fold one
+    Bernoulli at a time.
 
     ``start``, if given, is a stack of pmfs on {0..K} to fold the
     columns into instead of the point mass at 0; its leading axes
     broadcast against those of ``prob_rows``, and the result is on
-    {0..K+B}.
+    {0..K+B}; it is not checked.
     """
-    prob_rows = np.atleast_2d(np.asarray(prob_rows, dtype=float))
+    prob_rows = _check_vector(np.atleast_2d(prob_rows), "prob_rows", 0, 1, ndim=2)
     pmf = np.ones(prob_rows.shape[:-1] + (1,)) if start is None else np.asarray(start, dtype=float)
     for i in range(prob_rows.shape[-1]):
         p = prob_rows[..., i : i + 1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidInput, _check_real
+from .errors import CapacityExceeded, InvalidInput, _check_real, _check_vector
 
 __all__ = [
     "DistanceEstimate",
@@ -58,15 +58,15 @@ class FinitePmf:
     """A finitely supported probability mass function.
 
     Atoms may be scalars or (for joint laws) equal-length tuples; they
-    must be distinct and not NaN, and the probabilities must be
-    nonnegative numbers summing to 1 within 1e-9.
+    must be distinct and not NaN, and the probabilities a 1-d vector of
+    finite, nonnegative reals summing to 1 within 1e-9.
     """
 
     __slots__ = ("support", "probs")
 
     def __init__(self, support, probs):
         support = list(support)
-        probs = np.asarray(probs, dtype=float)
+        probs = _check_vector(probs, "probs", lo=-1e-15)
         if len(support) != probs.shape[0]:
             raise InvalidInput("support and probs must have equal length")
         if len(set(support)) != len(support):
@@ -74,10 +74,6 @@ class FinitePmf:
         # NaN is the one value that differs from itself
         if any(v != v for atom in support for v in (atom if isinstance(atom, tuple) else (atom,))):
             raise InvalidInput("support atoms must not be NaN")
-        if np.isnan(probs).any():
-            raise InvalidInput("probabilities must not be NaN")
-        if np.any(probs < -1e-15):
-            raise InvalidInput("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise InvalidInput(f"probabilities sum to {probs.sum()}, not 1")
         self.support = support
@@ -92,21 +88,14 @@ class FinitePmf:
 
 def _validate_unit(u) -> tuple[np.ndarray, np.ndarray]:
     """A sample on [0, 1] as the discrete law with equal weights."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise InvalidInput("sample must be a non-empty 1-d vector")
-    if np.any(np.isnan(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise InvalidInput("samples must lie in [0, 1]")
+    u = _check_vector(u, "sample", 0, 1)
     return u, np.full(u.size, 1.0 / u.size)
 
 
 def _check_prob_vector(p, what: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
-    # written so that a NaN fails every comparison and is rejected
-    if not (np.all(p >= -1e-12) and abs(float(p.sum()) - 1.0) <= 1e-9):
-        raise InvalidInput(f"{what} must be a probability vector")
+    p = _check_vector(p, what, lo=-1e-12)
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise InvalidInput(f"{what} must sum to 1 within 1e-9, got {float(p.sum())!r}")
     return np.clip(p, 0.0, None)
 
 
@@ -121,12 +110,10 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
     of [0, 1].  Returns (d_ks, d_mod_ks), each clamped to [0, 1]
     against round-off in the cumulative sums.
     """
-    v = np.asarray(values, dtype=float)
+    v = _check_vector(values, "values", -1e-9, 1.0 + 1e-9)
     p = _check_prob_vector(probs, "probs")
     if v.shape != p.shape:
         raise InvalidInput("values and probs must have equal length")
-    if not np.all((v >= -1e-9) & (v <= 1.0 + 1e-9)):
-        raise InvalidInput("values must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
     uniq, inv = np.unique(v, return_inverse=True)
     mass = np.bincount(inv, weights=p, minlength=uniq.size)
@@ -205,15 +192,11 @@ def concentration(samples, eps: float) -> float:
 
     Window left endpoints are swept over the sample points and the
     sample points minus eps; that family attains the supremum for
-    half-open windows over a finite sample.  A NaN sample value or eps
-    raises :class:`InvalidInput`.
+    half-open windows over a finite sample.  A non-finite sample value,
+    or an eps that is not a finite real > 0, raises :class:`InvalidInput`.
     """
     eps = _check_real(eps, "eps", 0, strict=True)
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise InvalidInput("sample must be non-empty")
-    if np.isnan(x).any():
-        raise InvalidInput("sample values must not be NaN")
+    x = np.sort(_check_vector(samples, "samples"))
     a = np.concatenate([x, x - eps])
     # count of points in (a, a + eps] for every left endpoint at once
     cnt = np.searchsorted(x, a + eps, side="right") - np.searchsorted(x, a, side="right")
@@ -221,14 +204,10 @@ def concentration(samples, eps: float) -> float:
 
 
 def ks_two_sample(x, y) -> DistanceEstimate:
-    """Classical two-sample KS statistic over merged breakpoints; a NaN
-    in either sample raises :class:`InvalidInput`."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if x.size == 0 or y.size == 0:
-        raise InvalidInput("both samples must be non-empty")
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise InvalidInput("sample values must not be NaN")
+    """Classical two-sample KS statistic over merged breakpoints; a
+    non-finite value in either sample raises :class:`InvalidInput`."""
+    x = np.sort(_check_vector(x, "x"))
+    y = np.sort(_check_vector(y, "y"))
     grid = np.concatenate([x, y])
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size

@@ -1,6 +1,7 @@
-"""The :class:`FixedBError` hierarchy and the two scalar checks every
-module uses: :func:`_check_count` for a count, size or rank and
-:func:`_check_real` for a level, rate or slack."""
+"""The :class:`FixedBError` hierarchy and the three checks every module
+uses: :func:`_check_count` for a count, size or rank, :func:`_check_real`
+for a level, rate or slack, and :func:`_check_vector` for a sample, pmf
+or probability vector."""
 
 from __future__ import annotations
 
@@ -89,6 +90,13 @@ def _check_count(v, what: str, lo: int = 1) -> None:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
+def _interval(lo: float, hi: float, strict: bool) -> str:
+    """[lo, hi], or (lo, hi) when strict; an infinite end is always open."""
+    left = "(" if strict or lo == -math.inf else "["
+    right = ")" if strict or hi == math.inf else "]"
+    return f"{left}{lo:.10g}, {hi:.10g}{right}"
+
+
 def _check_real(v, what: str, lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
     """v, a 0-d array as its element; InvalidInput unless it is a finite
     real, not a bool, in [lo, hi] (in (lo, hi) when strict)."""
@@ -102,7 +110,39 @@ def _check_real(v, what: str, lo: float = -math.inf, hi: float = math.inf, stric
             x = math.nan
     # written so that a NaN, and so a non-real, fails the comparison
     if not (lo < x < hi if strict else lo <= x <= hi) or abs(x) == math.inf:
-        left = "(" if strict or lo == -math.inf else "["
-        right = ")" if strict or hi == math.inf else "]"
-        raise InvalidInput(f"{what} must be a finite real in {left}{lo:g}, {hi:g}{right}, got {v!r}")
+        raise InvalidInput(f"{what} must be a finite real in {_interval(lo, hi, strict)}, got {v!r}")
     return x
+
+
+_FLOAT64 = np.dtype(np.float64)
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
+
+def _check_vector(v, what: str, lo: float = -math.inf, hi: float = math.inf, strict: bool = False, ndim: int = 1):
+    """v as a float64 array (v itself when it is one); InvalidInput unless
+    it is an integer or floating array (not bool, complex, string, object
+    or ragged) of ndim dimensions with a non-empty last axis, whose
+    entries are finite and in [lo, hi] (in (lo, hi) when strict)."""
+    arr = v
+    # the float64 array first: every CI cell's resample roots pass through here
+    if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
+        try:
+            arr = np.asarray(v)
+        except (TypeError, ValueError):  # a ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            got = "a ragged sequence" if arr is None else f"dtype {arr.dtype}"
+            raise InvalidInput(f"{what} must be a non-empty {ndim}-d array of reals, got {got}")
+        arr = arr.astype(np.float64, copy=False)
+    if arr.ndim != ndim or arr.shape[-1] == 0:
+        raise InvalidInput(f"{what} must be a non-empty {ndim}-d array of reals, got shape {arr.shape}")
+    if arr.size:
+        low, high = _MIN(arr, axis=None), _MAX(arr, axis=None)
+        # written so that a NaN, which min and max pass on, fails the comparison
+        inside = lo < low and high < hi if strict else lo <= low and high <= hi
+        if not inside or low == -math.inf or high == math.inf:
+            ok = ((lo < arr) & (arr < hi) if strict else (lo <= arr) & (arr <= hi)) & np.isfinite(arr)
+            at = tuple(int(i) for i in np.argwhere(~ok)[0])
+            got = f"{float(arr[at])!r} at index {at[0] if ndim == 1 else at}"
+            raise InvalidInput(f"{what} must hold finite reals in {_interval(lo, hi, strict)}, got {got}")
+    return arr

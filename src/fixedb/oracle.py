@@ -47,7 +47,7 @@ import numpy as np
 from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
-from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _check_real, _is_integer
+from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _check_real, _check_vector, _is_integer
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
 
 __all__ = [
@@ -92,14 +92,11 @@ def _check_instance(inst, per_coordinate) -> None:
     """Checks shared by the conditional instance families; each entry
     of ``per_coordinate`` holds one pmf row on w_atoms per z atom."""
     _check_prob_vector(inst.z_probs, "z_probs")
-    if len(inst.psi_vals) != len(inst.z_probs):
+    if _check_vector(inst.psi_vals, "psi_vals").size != len(inst.z_probs):
         raise InvalidInput("z_probs and psi_vals must align")
-    if not all(math.isfinite(v) for v in inst.psi_vals):
-        raise InvalidInput("psi values must be finite")
-    atoms = np.asarray(inst.w_atoms, dtype=float)
-    bad = atoms.ndim != 1 or atoms.size == 0 or np.isnan(atoms).any()
-    if bad or not np.all(np.diff(atoms) > 0):
-        raise InvalidInput("w_atoms must be a non-empty, strictly increasing 1-d vector")
+    atoms = _check_vector(inst.w_atoms, "w_atoms")
+    if not np.all(np.diff(atoms) > 0):
+        raise InvalidInput("w_atoms must be strictly increasing")
     for rows in per_coordinate:
         if len(rows) != len(inst.z_probs):
             raise InvalidInput("w_cond needs one pmf row per z atom")
@@ -549,12 +546,7 @@ def _grid_lattice(grid) -> tuple[np.ndarray, np.ndarray, int]:
     are not within 1e-14 of their snaps, or whose D exceeds 10**6, does
     not lie on such a lattice and is rejected.
     """
-    values = np.asarray(grid, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise InvalidInput("grid must be a non-empty 1-d array of probabilities")
-    # written so that a NaN fails the comparison and is rejected
-    if not np.all((values > 0.0) & (values < 1.0)):
-        raise InvalidInput("grid values must lie strictly inside (0, 1)")
+    values = _check_vector(grid, "grid", 0, 1, strict=True)
     snaps = [_snap_alpha(v) for v in values.tolist()]
     D = math.lcm(*(f.denominator for f in snaps))
     if D > ALPHA_DENOMINATOR_CAP or any(abs(v - f) > 1e-14 for v, f in zip(values.tolist(), snaps)):

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, _check_real, _is_integer
+from .errors import BudgetTooSmall, InvalidInput, _check_real, _check_vector, _is_integer
 
 __all__ = [
     "SortedSample",
@@ -132,12 +132,7 @@ def sorted_from(values) -> SortedSample:
     modified.  Raises :class:`InvalidInput` on empty input, NaN, or a
     non-finite statistic.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInput("sample must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("sample values must all be finite")
-    return SortedSample(np.sort(arr, kind="stable"))
+    return SortedSample(np.sort(_check_vector(values, "sample"), kind="stable"))
 
 
 def order_stat(s: SortedSample, r: int) -> float:

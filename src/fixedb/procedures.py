@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_real
+from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_real, _check_vector
 from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
@@ -247,28 +247,34 @@ def _pick_rules(budgets: Sequence[BudgetSpec], variants: Sequence[str], seed: Se
 _GATHER_BYTES = 256 * 1024
 
 
-def _per_row(rows, fn, batch: Optional[Callable], shape: tuple, what: str, offset: int = 0) -> np.ndarray:
+def _per_row(
+    rows, fn, batch: Optional[Callable], shape: tuple, what: str, offset: int = 0, step: Optional[int] = None
+) -> np.ndarray:
     """fn(row) for each of ``rows``, as one float array of shape
     (len(rows),) + shape: the one loop behind ``estimator_batch`` and
     ``statistic_batch``.
 
-    With ``batch`` the values come from one call batch(rows), which must
-    give exactly that shape, or :class:`InvalidInput` names the hook
-    (``what`` + "_batch").  If the batch raises, the scalar loop runs
-    instead; fn failing on row b raises :class:`NumericalFailure` with
-    step offset + b, b counted from 1.
+    With ``batch`` the values come from calls batch(rows[i : i + step])
+    on consecutive blocks of ``step`` rows (all rows when None); each
+    must give exactly its block's shape, or :class:`InvalidInput` names
+    the hook (``what`` + "_batch").  If a call raises, the scalar loop
+    runs instead; fn failing on row b raises :class:`NumericalFailure`
+    with step offset + b, b counted from 1.
     """
-    want = (len(rows),) + shape
+    out = np.empty((len(rows),) + shape)
     if batch is not None:
-        try:
-            out = np.asarray(batch(rows), dtype=float)
-        except Exception:
-            out = None
-        if out is not None:
-            if out.shape != want:
-                raise InvalidInput(f"{what}_batch gave shape {out.shape}, expected {want}")
+        step = step or len(rows)
+        for i in range(0, len(rows), step):
+            try:
+                got = np.asarray(batch(rows[i : i + step]), dtype=float)
+            except Exception:
+                break
+            want = out[i : i + step].shape
+            if got.shape != want:
+                raise InvalidInput(f"{what}_batch gave shape {got.shape}, expected {want}")
+            out[i : i + step] = got
+        else:
             return out
-    out = np.empty(want)
     for b, row in enumerate(rows, start=1):
         try:
             out[b - 1] = fn(row)
@@ -289,14 +295,15 @@ def _resample_roots(
 ) -> np.ndarray:
     """W_b = root(rate (theta*_b - theta_hat)) for each index row b.
 
-    The estimates theta*_b come from :func:`_per_row`, with
-    :func:`_batch_estimates` as its batch when ``estimator_batch`` is
-    given; a non-finite root raises, naming its resample.
+    The estimates theta*_b come from :func:`_per_row`; an
+    ``estimator_batch`` is called on the gathered resamples of blocks of
+    at most _GATHER_BYTES (or one row), so a wide resample never
+    materializes all B at once.  A non-finite root raises, naming its
+    resample.
     """
-    batch = None
-    if estimator_batch is not None:
-        batch = partial(_batch_estimates, data, estimator_batch=estimator_batch)
-    stars = _per_row(indices, lambda idx: estimator(data[idx]), batch, theta_hat.shape, "estimator")
+    batch = None if estimator_batch is None else lambda block: estimator_batch(data[block])
+    step = max(1, _GATHER_BYTES // max(1, indices.shape[1] * data[:1].nbytes))
+    stars = _per_row(indices, lambda idx: estimator(data[idx]), batch, theta_hat.shape, "estimator", step=step)
     diffs = rate * (stars - theta_hat)
     ws = diffs.reshape(len(indices)) if root is None else np.array([float(root(d)) for d in diffs])
     bad = np.flatnonzero(~np.isfinite(ws))
@@ -304,19 +311,6 @@ def _resample_roots(
         b = int(bad[0]) + 1
         raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
     return ws
-
-
-def _batch_estimates(data: np.ndarray, indices: np.ndarray, estimator_batch: Callable) -> np.ndarray:
-    """estimator_batch over data[indices], gathered in blocks of at most
-    _GATHER_BYTES (or one row) so a wide resample never materializes all
-    B at once."""
-    row_bytes = max(1, indices.shape[1] * data[:1].nbytes)
-    step = max(1, _GATHER_BYTES // row_bytes)
-    blocks = [
-        np.asarray(estimator_batch(data[indices[i : i + step]]), dtype=float)
-        for i in range(0, len(indices), step)
-    ]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _assemble_ci(
@@ -373,8 +367,8 @@ def ci_cells(
     estimate.
     """
     data = np.asarray(data)
-    if len(data) < 1:
-        raise InvalidInput("data must be nonempty")
+    if data.ndim == 0 or len(data) < 1:
+        raise InvalidInput(f"data must be a nonempty sequence of observations, got shape {data.shape}")
     m = len(data)
     tau_m = _check_real(tau_m, "tau_m", 0, strict=True)
     tau_k = _check_real(tau_k, "tau_k", 0, strict=True)
@@ -635,9 +629,7 @@ def rank_test_block(
             for i, (d, rows) in enumerate(zip(data, perms))
         ]
     elif isinstance(group, str):
-        xs = np.asarray(data, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] < 1:
-            raise InvalidInput("each sample must be a nonempty 1-d vector")
+        xs = _check_vector(data, "data (one 1-d sample per row)", ndim=2)
         R, m = xs.shape
         t_obs = [float(statistic(x)) for x in xs]
         signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
@@ -717,7 +709,7 @@ def randomization_test(
     does not use it.  Both are one-replicate calls of
     :func:`rank_test_block`.
     """
-    x = np.asarray(data, dtype=float) - center
+    x = _check_vector(data, "data") - center
     block = rank_test_block(
         x[None], statistic, group, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
     )
@@ -731,9 +723,7 @@ def conformal_set(calib_scores, alpha: float, variant: str = "split") -> Predict
     sentinel when the rank exceeds m; "modified" uses the
     budget-corrected rank m + 1 - floor(2 m alpha / 3).
     """
-    scores = np.asarray(calib_scores, dtype=float)
-    if scores.ndim != 1 or scores.size < 1:
-        raise InvalidInput("calib_scores must be a nonempty 1-d vector")
+    scores = _check_vector(calib_scores, "calib_scores")
     if variant not in ("split", "modified"):
         raise InvalidInput(f"variant must be 'split' or 'modified', got {variant!r}")
     budget = BudgetSpec(B=scores.size, alpha=alpha)

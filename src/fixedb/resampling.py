@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, _check_count, _check_real
+from .errors import InvalidInput, NumericalFailure, _check_count, _check_real, _check_vector
 
 __all__ = [
     "SeedSpec",
@@ -341,10 +341,9 @@ def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = Non
 
 
 def signflip_transform(x, mask_seed: SeedSpec) -> np.ndarray:
-    """Flip each entry's sign by an IID fair coin; an involution in the seed."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInput("x must be a nonempty 1-d vector")
+    """Flip each entry's sign by an IID fair coin; an involution in the seed.
+    ``x`` must be a non-empty 1-d vector of finite reals."""
+    x = _check_vector(x, "x")
     return x * (1 - 2 * generator(mask_seed).integers(0, 2, size=x.size))
 
 
@@ -366,7 +365,11 @@ class PermutationGroup:
                 raise InvalidInput("explicit permutation list must be nonempty")
             ref = tuple(range(self.m))
             for p in self.perms:
-                if tuple(sorted(p)) != ref:
+                try:
+                    ok = tuple(sorted(p)) == ref
+                except TypeError:  # not a sequence of comparable entries
+                    ok = False
+                if not ok:
                     raise InvalidInput(f"{p!r} is not a permutation of range({self.m})")
 
     @property
@@ -463,13 +466,15 @@ def sgd_path(spec: SgdSpec, data, theta0, seed: Optional[SeedSpec] = None) -> np
     """
     if spec.gradient is None:
         raise InvalidInput("spec.gradient callback is required")
-    theta = np.array(theta0, dtype=float)
+    theta = _check_vector(theta0, "theta0")
     if theta.shape != (spec.dim,):
         raise InvalidInput(f"theta0 must have shape ({spec.dim},)")
     w = _weight_matrix(spec, [seed])[:, 0]
     total = np.zeros(spec.dim)
     for n in range(1, spec.n_total + 1):
         g = np.asarray(spec.gradient(theta, data[n - 1]), dtype=float)
+        if g.shape != theta.shape:
+            raise InvalidInput(f"spec.gradient gave shape {g.shape}, expected {theta.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("non-finite gradient", step=n)
         theta = theta - spec.gamma1 * n ** (-spec.tau_exp) * w[n - 1] * g
@@ -497,7 +502,7 @@ def sgd_paths(
     P = len(seeds)
     if P < 1:
         raise InvalidInput("need at least one path")
-    theta = np.tile(np.array(theta0, dtype=float), (P, 1))
+    theta = np.tile(_check_vector(theta0, "theta0"), (P, 1))
     if theta.shape != (P, spec.dim):
         raise InvalidInput(f"theta0 must have shape ({spec.dim},)")
     what = "gradient_batch"

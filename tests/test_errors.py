@@ -1,7 +1,8 @@
-"""One integer check for every count, size and rank and one real check
-for every level, rate and slack: each malformed one raises a typed
-FixedBError, and the coercions that stay on purpose (``BudgetSpec`` and
-the config loader) still accept integral reals."""
+"""One integer check for every count, size and rank, one real check for
+every level, rate and slack, and one vector check for every sample, pmf
+and probability vector: each malformed one raises a typed FixedBError
+before NumPy computes on it, and the coercions that stay on purpose
+(``BudgetSpec`` and the config loader) still accept integral reals."""
 
 import json
 import math
@@ -14,8 +15,11 @@ from fixedb import bounds, discrete, distances, errors, harness, oracle, orderst
 from fixedb.errors import FixedBError, InvalidInput
 from fixedb.harness import CoverageRow, load_config, normalize_config
 from fixedb.orderstats import BudgetSpec, index_rule, min_budget, order_stat, sorted_from
-from fixedb.procedures import ci_boot, ci_subsample, permutation_test, randomization_test
-from fixedb.resampling import SeedSpec, SgdSpec, full_symmetric, setting_sampler
+from fixedb.procedures import ci_boot, ci_subsample, conformal_set, permutation_test, randomization_test
+from fixedb.resampling import PermutationGroup, SeedSpec, SgdSpec, full_symmetric, setting_sampler
+
+# every malformed input must be rejected before NumPy computes on it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _sgd(**kw):
@@ -236,3 +240,99 @@ def test_infinite_slack_is_not_read_as_no_upper_bound():
 def test_bad_gamma_is_named_gamma(gamma):
     with pytest.raises(InvalidInput, match="^gamma"):
         index_rule(BudgetSpec(99, 0.1), "dependent_two_sided", gamma=gamma, beta=0.1)
+
+
+def _cond_iid_with(**kw):
+    fields = dict(z_probs=(0.5, 0.5), psi_vals=(0.0, 1.0), w_atoms=(0.0, 1.0), w_cond=((0.5, 0.5), (0.25, 0.75)))
+    return oracle.CondIIDInstance(**{**fields, **kw})
+
+
+# input -> (what its message names, a call taking it)
+_MALFORMED_VECTORS = {
+    # a raw ValueError or TypeError at the parent
+    "sorted_from_str": ("sample", lambda: sorted_from(["x", "y"])),
+    "conformal_set_str": ("calib_scores", lambda: conformal_set(["x"] * 20, 0.1)),
+    "signflip_transform_str": ("x must", lambda: resampling.signflip_transform(["x"], SeedSpec(0))),
+    "ks_uniform_str": ("sample", lambda: distances.ks_uniform(["x"])),
+    "dist_to_uniform_str": ("values", lambda: distances.dist_to_uniform(["x"], [1.0])),
+    "poibin_spec_str": ("probs", lambda: discrete.PoiBinSpec(("x",))),
+    "finite_pmf_str": ("probs", lambda: distances.FinitePmf([0], ["x"])),
+    "cond_iid_psi_str": ("psi_vals", lambda: _cond_iid_with(psi_vals=("x", 1.0))),
+    "cond_iid_atoms_str": ("w_atoms", lambda: _cond_iid_with(w_atoms=("x", 1.0))),
+    "ehm_grid_str": ("grid", lambda: oracle.ehm_hoeffding_sweep(b_values=(2,), grid=["x"])),
+    "sgd_paths_theta0_str": ("theta0", lambda: resampling.sgd_paths(_sgd(), [0.0] * 10, ["x"], [None])),
+    "randomization_str": ("data", lambda: randomization_test(["x"] * 10, np.mean)),
+    "concentration_2d": ("samples", lambda: distances.concentration([[0.0, 1.0], [2.0, 3.0]], 0.5)),
+    "ks_two_sample_2d": ("x", lambda: distances.ks_two_sample([[0.0, 1.0]], [0.5])),
+    "independent_bracket_kappas_none": ("kappas", lambda: bounds.independent_bracket(3, 0, 0, 0.0, None)),
+    "independent_bracket_kappas_scalar": ("kappas", lambda: bounds.independent_bracket(3, 0, 0, 0.0, 0.3)),
+    # accepted at the parent
+    "sorted_from_numeric_str": ("sample", lambda: sorted_from(["0.1", "0.2"])),
+    "poibin_spec_numeric_str": ("probs", lambda: discrete.PoiBinSpec(("0.5",))),
+    "concentration_inf": ("samples", lambda: distances.concentration([0.0, math.inf], 0.5)),
+    "concentration_-inf": ("samples", lambda: distances.concentration([-math.inf, 0.0], 0.5)),
+    "ks_two_sample_inf": ("y", lambda: distances.ks_two_sample([0.0, 1.0], [0.5, math.inf])),
+    "cond_iid_atoms_inf": ("w_atoms", lambda: _cond_iid_with(w_atoms=(0.0, math.inf))),
+    "signflip_transform_nan": ("x must", lambda: resampling.signflip_transform([1.0, math.nan], SeedSpec(0))),
+    "signflip_transform_inf": ("x must", lambda: resampling.signflip_transform([math.inf, 1.0], SeedSpec(0))),
+    "finite_pmf_2d": ("probs", lambda: distances.FinitePmf([0], [[1.0]])),
+    "prob_rows_above_1": ("prob_rows", lambda: discrete.poisson_binomial_pmf_batch([[2.0, 0.5]])),
+    "prob_rows_negative": ("prob_rows", lambda: discrete.poisson_binomial_pmf_batch([0.5, -0.5])),
+    "prob_rows_nan": ("prob_rows", lambda: discrete.poisson_binomial_pmf_batch([[0.5, math.nan]])),
+    # a sample with no leading axis, and malformed explicit permutations
+    "ci_boot_data_none": ("data", lambda: ci_boot(None, np.mean)),
+    "ci_boot_data_scalar": ("data", lambda: ci_boot(3.0, np.mean)),
+    "ci_subsample_data_scalar": ("data", lambda: ci_subsample(3.0, np.mean, k=1)),
+    "permutation_group_str_entry": ("permutation of range(2)", lambda: PermutationGroup(2, perms=((0, "a"),))),
+    "permutation_group_int_perm": ("permutation of range(2)", lambda: PermutationGroup(2, perms=(5,))),
+    "permutation_group_none_perm": ("permutation of range(2)", lambda: PermutationGroup(2, perms=((1, 0), None))),
+}
+
+
+@pytest.mark.parametrize("what,call", _MALFORMED_VECTORS.values(), ids=_MALFORMED_VECTORS.keys())
+def test_malformed_vector_raises_a_typed_error_naming_it(what, call):
+    with pytest.raises(FixedBError) as err:
+        call()
+    assert isinstance(err.value, InvalidInput) and what in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "module", [bounds, discrete, distances, oracle, orderstats, procedures, resampling], ids=lambda m: m.__name__
+)
+def test_the_vector_check_is_the_one_in_errors(module):
+    assert module._check_vector is errors._check_vector
+
+
+# site -> (a call taking a vector, a valid float64 value, how to compare two results)
+_VECTOR_ACCEPTED = {
+    "sorted_from": (sorted_from, [3.0, 1.0, 2.0, 1.0], lambda s: s.values.tolist()),
+    "conformal_set": (lambda v: conformal_set(v, 0.1), [float(i % 7) for i in range(20)], lambda p: p.threshold),
+    "signflip_transform": (lambda v: resampling.signflip_transform(v, SeedSpec(5)), [1.0, -2.0, 3.0], list),
+    "randomization_test": (lambda v: randomization_test(v, np.mean, seed=SeedSpec(5)), [1.0, -2.0, 3.0, 4.0], None),
+    "sgd_paths_theta0": (
+        lambda v: resampling.sgd_paths(_sgd(dim=2), [0.0] * 10, v, [None, SeedSpec(1)]),
+        [1.0, -2.0],
+        lambda out: out.tolist(),
+    ),
+    "finite_pmf": (lambda v: distances.FinitePmf([0, 1, 2], v), [0.0, 1.0, 0.0], lambda p: p.probs.tolist()),
+    "ks_uniform": (distances.ks_uniform, [0.25, 0.5, 1.0], None),
+    "dist_to_uniform": (lambda v: distances.dist_to_uniform(v, [0.5, 0.5]), [0.0, 0.75], None),
+    "concentration": (lambda v: distances.concentration(v, 1.0), [0.0, 1.0, 3.0], None),
+    "ks_two_sample": (lambda v: distances.ks_two_sample(v, [0.5, 2.5]), [0.0, 1.0, 3.0], None),
+    "poibin_spec": (discrete.PoiBinSpec, [0.0, 1.0, 1.0], lambda s: s.probs),
+    "prob_rows": (discrete.poisson_binomial_pmf_batch, [0.25, 0.5, 0.75], lambda pmf: pmf.tolist()),
+    "cond_iid_atoms": (lambda v: oracle.iid_slacks(_cond_iid_with(w_atoms=v)), [0.0, 2.0], None),
+    "ehm_grid": (lambda v: oracle.ehm_hoeffding_sweep(b_values=(2,), grid=v), [0.25, 0.5], None),
+    "independent_bracket_kappas": (lambda v: bounds.independent_bracket(3, 0, 0, 0.0, v), [0.0, 1.0, 0.0], None),
+}
+
+
+@pytest.mark.parametrize("call,value,key", _VECTOR_ACCEPTED.values(), ids=_VECTOR_ACCEPTED.keys())
+def test_integer_and_narrow_vectors_accepted(call, value, key):
+    key = key or (lambda out: out)
+    want = key(call(np.array(value, dtype=np.float64)))
+    inputs = [list(value), tuple(value), np.array(value, dtype=np.float32)]
+    if all(v.is_integer() for v in value):
+        inputs += [[int(v) for v in value], np.array(value, dtype=np.int64)]
+    for v in inputs:
+        assert key(call(v)) == want, v

@@ -459,7 +459,7 @@ class TestEhmHoeffdingSweep:
 
     @pytest.mark.parametrize("grid", [[0.0, 0.5], [0.5, 1.0], [1.5, 0.5], [0.5, np.nan]])
     def test_grid_strictly_inside_unit_interval(self, grid):
-        with pytest.raises(InvalidInput, match=r"grid values must lie strictly inside \(0, 1\)"):
+        with pytest.raises(InvalidInput, match=r"grid must hold finite reals in \(0, 1\)"):
             ehm_hoeffding_sweep(b_values=(2,), grid=grid)
 
     @pytest.mark.parametrize("grid", [[0.5, 0.123456789], [1 / 999983, 1 / 999979]])

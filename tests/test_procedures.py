@@ -547,6 +547,21 @@ class TestEstimatorBatch:
             with pytest.raises(InvalidInput, match="estimator_batch"):
                 ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=batch)
 
+    @pytest.mark.parametrize("wrong_from", [1, 2])
+    def test_wrong_block_shape_is_rejected_in_every_block(self, monkeypatch, wrong_from):
+        # four rows a block: blocks of 4, 4, 4, 4 and 3 resamples; block
+        # wrong_from on gives a 0-d result, which the scalar loop must not hide
+        monkeypatch.setattr(procedures, "_GATHER_BYTES", 4 * 30 * 8)
+        calls = []
+
+        def batch(s):
+            calls.append(1)
+            return s.mean() if len(calls) >= wrong_from else s.mean(axis=1)
+
+        with pytest.raises(InvalidInput, match=r"estimator_batch gave shape \(\), expected \(4,\)"):
+            ci_boot(np.arange(1.0, 31.0), np.mean, B=19, estimator_batch=batch)
+        assert len(calls) == wrong_from
+
 
 class TestCiCells:
     """ci_cells serves every cell from one draw of max(B) resamples;

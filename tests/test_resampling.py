@@ -1,6 +1,7 @@
 """Seeded streams, resample draws, SGD paths, and the benchmark samplers."""
 
 import math
+import re
 import sys
 import threading
 from functools import partial
@@ -451,6 +452,12 @@ class TestSgd:
         with pytest.raises(NumericalFailure) as ei:
             sgd_path(self.spec(gradient=bad), data, np.zeros(3), None)
         assert ei.value.step == 102
+
+    @pytest.mark.parametrize("shape", [(1,), (), (3, 1)])
+    def test_wrong_gradient_shape_is_rejected_by_the_scalar_path(self, shape):
+        # each would broadcast against the dim-3 state
+        with pytest.raises(InvalidInput, match=re.escape(f"spec.gradient gave shape {shape}, expected (3,)")):
+            sgd_path(self.spec(gradient=lambda th, pt: np.ones(shape)), [np.zeros(3)] * 200, np.zeros(3), None)
 
     @pytest.mark.parametrize("shape", [(3,), (3, 1), (2, 3)])
     def test_wrong_gradient_batch_shape_is_rejected(self, shape):
