@@ -35,7 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument(
-        "--threads", type=int, default=None, help="validated but ignored; replicates run in order"
+        "--threads",
+        type=int,
+        default=None,
+        help="processes that share a study's replicates (forked workers, up to the usable CPUs); "
+        "the output bytes do not depend on it",
     )
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None, help="JSON config file; flags override it")

@@ -124,7 +124,11 @@ def poisson_binomial_pmf_batch(prob_rows: np.ndarray, start=None) -> np.ndarray:
     broadcast against those of ``prob_rows``, and the result is on
     {0..K+B}; it is not checked.
     """
-    prob_rows = _check_vector(np.atleast_2d(prob_rows), "prob_rows", 0, 1, ndim=2)
+    try:
+        prob_rows = np.atleast_2d(prob_rows)
+    except ValueError:  # a ragged nesting, which the check names
+        pass
+    prob_rows = _check_vector(prob_rows, "prob_rows", 0, 1, ndim=2)
     pmf = np.ones(prob_rows.shape[:-1] + (1,)) if start is None else np.asarray(start, dtype=float)
     for i in range(prob_rows.shape[-1]):
         p = prob_rows[..., i : i + 1]

@@ -48,6 +48,11 @@ class BudgetTooSmall(FixedBError, ValueError):
         super().__init__(message)
         self.min_b = min_b
 
+    def __reduce__(self):
+        # the constructor's arguments, so that the error survives a pickle
+        # round trip (a replicate worker sends its error back in one)
+        return type(self), (self.args[0], self.min_b), self.__dict__
+
 
 class DegenerateSpec(FixedBError, ValueError):
     """Distribution spec degenerate for the requested quantity

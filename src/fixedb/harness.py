@@ -6,11 +6,11 @@ randomization / conformal), a benchmark setting, budget and level
 grids, and a replication count.  The grid's cells are its (alpha, B,
 method) triples; cells whose budget cannot support their rule are
 skipped before any replicate runs.  The loop is block-major: it hands
-the procedure consecutive blocks of replicate indices, in order, in the
-calling thread.  A block holds as many replicates R as keep R x max(B)
-sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB).  Replicate r
-draws its data from stream (r, 0) and its resamples from stream (r, 1)
-on, so the blocking never changes a bit.  The test procedures run a whole
+the procedure consecutive blocks of replicate indices, in order.  A
+block holds as many replicates R as keep R x max(B) sample-sized
+float64 rows within ``_BLOCK_BYTES`` (1 MiB).  Replicate r draws its
+data from stream (r, 0) and its resamples from stream (r, 1) on, so the
+blocking never changes a bit.  The test procedures run a whole
 block at once: one batched draw of the block's data, then one
 :func:`~fixedb.procedures.rank_test_block` call per cell.  The CI
 procedures run the block one replicate at a time
@@ -21,9 +21,21 @@ forms their roots once (bootstrap and subsample), or one
 :func:`~fixedb.procedures.sgd_cells` call runs max(B) weighted paths
 once (SGD), and a B-cell reads the first B (the bits its own call
 would draw).  So every cell's outcome is the one it would get run
-alone, and the output table depends only on the config.  The
-``threads`` key is still validated but has no effect: the loop holds
-the GIL, so a pool of threads never ran it faster.
+alone, and the output table depends only on the config.
+
+The ``threads`` key sets how many processes share the replicates:
+min(threads, reps, usable CPUs) contiguous shares of replicates 0..reps,
+each run block by block as above.  The calling process runs share 0;
+persistent forked workers (:func:`_serve`), started by the first call
+that needs them and reused by later ones, run the others, and the
+outcomes are merged in share order.  The bytes do not depend on the
+split, since replicate r reads only its own streams.  A share's error
+is the serial loop's, raised once every worker has replied.  A worker
+keeps the library as it was when it was forked: a later change to a
+module's names (a monkeypatch, a tracer) does not reach it.  Where
+``os.fork`` is missing, or in a daemonic process (which may not fork),
+the replicates run serially in the calling process.
+
 Budgets above 2**16 - 2 are rejected, because a replicate's resamples
 would run into the next replicate's streams.
 
@@ -39,6 +51,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -455,6 +469,125 @@ def _skip_reason(rule: Callable, B: int, alpha: float, method: str) -> Optional[
     return None
 
 
+def _share(run_block: Callable, master: int, cells: list, lo: int, hi: int, block: int) -> list:
+    """Outcomes of replicates lo..hi-1, in blocks of ``block`` from lo."""
+    outcomes = []
+    for start in range(lo, hi, block):
+        outcomes += run_block(master, cells, range(start, min(start + block, hi)))
+    return outcomes
+
+
+def _serve(conn, parent_end) -> None:
+    """A replicate worker: for each (cfg, cells, lo, hi, block) it
+    receives, run that share of the configured study and send back
+    (outcomes, None) or (None, the error).  It exits when the parent's
+    end of the pipe closes."""
+    import signal
+
+    # an interrupt is the parent's to handle: it terminates busy workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    while True:
+        try:
+            cfg, cells, lo, hi, block = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _share(_plan(cfg)[0], cfg["seed"], cells, lo, hi, block), None
+        except Exception as exc:  # sent back for the parent to raise
+            reply = None, exc
+        conn.send(reply)
+
+
+# the replicate workers, as (process, the parent's end of its pipe)
+# pairs: started by _workers, reused by later calls, and used by one
+# call at a time (_WORKERS_LOCK)
+_WORKERS: list = []
+_WORKERS_LOCK = threading.Lock()
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the inherited pipe ends of the parent's
+    workers, so that they see EOF when the parent exits, and never use
+    them."""
+    for _, conn in _WORKERS:
+        conn.close()
+    _WORKERS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _workers(n: int) -> list:
+    """n running workers, forking the missing ones (a worker that died
+    is replaced); none in a daemonic process, which may not have
+    children."""
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return []
+    _drop([w for w in _WORKERS if not w[0].is_alive()])
+    ctx = multiprocessing.get_context("fork")
+    while len(_WORKERS) < n:
+        conn, child_end = ctx.Pipe()
+        proc = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
+        proc.start()
+        child_end.close()
+        _WORKERS.append((proc, conn))
+    return _WORKERS[:n]
+
+
+def _drop(workers: list) -> None:
+    """Terminate and forget workers whose replies will not be read."""
+    for proc, conn in workers:
+        proc.terminate()
+        proc.join()
+        conn.close()
+        _WORKERS.remove((proc, conn))
+
+
+def _replicates(run_block: Callable, cfg: dict, cells: list, block: int) -> list:
+    """Every replicate's outcomes, in order, from min(threads, reps,
+    usable CPUs) contiguous shares: share 0 here, the others on the
+    workers (see the module docstring).  The first failing share's
+    error, in share order, is raised once every sent share's reply is
+    read; an interrupt terminates the workers still busy."""
+    reps, master = cfg["reps"], cfg["seed"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(cfg["threads"], reps, cpus)
+    if n == 1 or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
+        return _share(run_block, master, cells, 0, reps, block)
+    try:
+        workers = _workers(n - 1)
+        bounds = [reps * i // (len(workers) + 1) for i in range(len(workers) + 2)]
+        busy = []
+        try:
+            for worker, lo, hi in zip(workers, bounds[1:], bounds[2:]):
+                busy.append(worker)
+                worker[1].send((cfg, cells, lo, hi, block))
+            try:
+                replies = [(_share(run_block, master, cells, 0, bounds[1], block), None)]
+            except Exception as exc:  # raised below, after the workers' replies
+                replies = [(None, exc)]
+            while busy:
+                try:
+                    replies.append(busy[0][1].recv())
+                except EOFError:
+                    raise RuntimeError("a replicate worker exited before it replied") from None
+                del busy[0]
+        finally:
+            _drop(busy)
+    finally:
+        _WORKERS_LOCK.release()
+    outcomes = []
+    for share, error in replies:
+        if error is not None:
+            raise error
+        outcomes += share
+    return outcomes
+
+
 def run_experiment(config: dict) -> CoverageTable:
     """Run the configured replication study and aggregate coverage.
 
@@ -467,6 +600,13 @@ def run_experiment(config: dict) -> CoverageTable:
     replicate r draws its data (and, for the CI procedures, its
     resamples or SGD paths) once for all of them.  Rows and skips come
     in (alpha, B, method) order.
+
+    ``threads`` above 1 splits the replicates into min(threads, reps,
+    usable CPUs) contiguous shares: this process runs the first, forked
+    worker processes the others (started by the first such call and
+    reused).  The table is the same whatever the split.  Workers keep
+    the library as it was when they were forked; without ``os.fork``
+    the replicates run serially here.
     """
     cfg = normalize_config(config)
     proc = cfg["procedure"]
@@ -510,11 +650,8 @@ def run_experiment(config: dict) -> CoverageTable:
                     )
     if not cells:
         return table
-    reps = cfg["reps"]
     block = max(1, _BLOCK_BYTES // (8 * cfg["m"] * max(B for B, _, _ in cells)))
-    replicates = []
-    for start in range(0, reps, block):
-        replicates += run_block(cfg["seed"], cells, range(start, min(start + block, reps)))
+    replicates = _replicates(run_block, cfg, cells, block)
     for (B, alpha, method), outcomes in zip(cells, zip(*replicates)):
         covered = np.array([c for c, _ in outcomes], dtype=float)
         widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]

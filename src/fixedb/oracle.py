@@ -101,9 +101,8 @@ def _check_instance(inst, per_coordinate) -> None:
         if len(rows) != len(inst.z_probs):
             raise InvalidInput("w_cond needs one pmf row per z atom")
         for row in rows:
-            if len(row) != atoms.size:
+            if _check_prob_vector(row, "w_cond row").size != atoms.size:
                 raise InvalidInput("each conditional pmf row must match w_atoms")
-            _check_prob_vector(row, "w_cond row")
 
 
 @dataclass(frozen=True)

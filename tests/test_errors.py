@@ -6,6 +6,7 @@ before NumPy computes on it, and the coercions that stay on purpose
 
 import json
 import math
+import pickle
 from functools import partial
 
 import numpy as np
@@ -266,6 +267,9 @@ _MALFORMED_VECTORS = {
     "ks_two_sample_2d": ("x", lambda: distances.ks_two_sample([[0.0, 1.0]], [0.5])),
     "independent_bracket_kappas_none": ("kappas", lambda: bounds.independent_bracket(3, 0, 0, 0.0, None)),
     "independent_bracket_kappas_scalar": ("kappas", lambda: bounds.independent_bracket(3, 0, 0, 0.0, 0.3)),
+    "prob_rows_ragged": ("prob_rows", lambda: discrete.poisson_binomial_pmf_batch([[0.5, 0.5], [0.5]])),
+    "cond_iid_row_none": ("w_cond row", lambda: _cond_iid_with(w_cond=((0.5, 0.5), None))),
+    "cond_iid_row_int": ("w_cond row", lambda: _cond_iid_with(w_cond=((0.5, 0.5), 3))),
     # accepted at the parent
     "sorted_from_numeric_str": ("sample", lambda: sorted_from(["0.1", "0.2"])),
     "poibin_spec_numeric_str": ("probs", lambda: discrete.PoiBinSpec(("0.5",))),
@@ -336,3 +340,15 @@ def test_integer_and_narrow_vectors_accepted(call, value, key):
         inputs += [[int(v) for v in value], np.array(value, dtype=np.int64)]
     for v in inputs:
         assert key(call(v)) == want, v
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_every_error_survives_a_pickle_round_trip(name):
+    """A replicate worker sends its error back pickled."""
+    cls = getattr(errors, name)
+    extra = {"BudgetTooSmall": {"min_b": 19}, "NumericalFailure": {"step": 7}}.get(name, {})
+    err = cls("the message", **extra)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == "the message" and back.args == err.args
+    for attr in ("min_b", "step"):
+        assert getattr(back, attr, None) == extra.get(attr)

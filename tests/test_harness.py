@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixedb import harness, procedures
-from fixedb.errors import ConfigError, InvalidInput
+from fixedb.errors import ConfigError, InvalidInput, NumericalFailure
 from fixedb.cli import main
 from fixedb.harness import (
     _corr_statistic,
@@ -508,6 +514,183 @@ class TestCellGrid:
         path = emit(run_experiment(cfg), "csv", str(tmp_path / "c10.csv"))
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert digest == "272dc14a5f14a9ae79fd032f81791d2b18cff2dac24cc1fa5ab7f7e5ecd87f4d"
+
+
+# replicates split over worker processes must give the serial bytes
+WORKER_CONFIGS = {
+    "bootstrap": tiny_config(reps=30),
+    "subsample": {"procedure": "subsample", "setting": 3, "m": 60, "B": [19], "reps": 20, "seed": 7},
+    "sgd": {"procedure": "sgd", "n": 300, "burn_in": 100, "B": [19], "reps": 5, "seed": 7},
+    "permutation": {"procedure": "permutation", "m": 10, "B": [99, 19], "reps": 15, "seed": 7},
+    "randomization": {"procedure": "randomization", "m": 12, "B": [19, 39], "reps": 25, "seed": 7},
+}
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_PARALLEL = hasattr(os, "fork") and _CPUS > 1
+
+
+@pytest.fixture
+def fresh_workers():
+    """Workers forked inside the test, so that they see its monkeypatches,
+    and stopped after it, so that no other test meets them.  Every other
+    test that monkeypatches library code runs at threads 1: a worker
+    keeps the library as it was when it was forked."""
+    harness._drop(list(harness._WORKERS))
+    yield
+    harness._drop(list(harness._WORKERS))
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs; an exited process not yet reaped counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _rows(cfg):
+    return run_experiment(cfg).rows
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("name", sorted(WORKER_CONFIGS))
+    def test_csv_bytes_do_not_depend_on_threads(self, tmp_path, name):
+        blobs = []
+        for threads in (1, 2, 8):
+            table = run_experiment({**WORKER_CONFIGS[name], "threads": threads})
+            with open(emit(table, "csv", str(tmp_path / f"{threads}.csv")), "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("bad", [(7, 8), (3, 7)], ids=["share-1", "shares-0-and-1"])
+    def test_a_raising_replicate_gives_the_serial_error(self, monkeypatch, fresh_workers, bad):
+        real = harness._ci_replicate
+
+        def raising(master, cells, draw, run_cells, r):
+            if master == 99 and r in bad:
+                raise NumericalFailure(f"replicate {r}", step=r)
+            return real(master, cells, draw, run_cells, r)
+
+        monkeypatch.setattr(harness, "_ci_replicate", raising)
+        got = []
+        for threads in (1, 2):  # shares 0..4 and 5..9 at threads 2
+            with pytest.raises(NumericalFailure) as err:
+                run_experiment(tiny_config(reps=10, seed=99, threads=threads))
+            got.append((str(err.value), err.value.step))
+        assert got == [(f"replicate {bad[0]}", bad[0])] * 2
+        assert len(harness._WORKERS) == _PARALLEL
+        # the next call reads no stale reply
+        assert run_experiment(tiny_config(threads=2)).rows == run_experiment(tiny_config()).rows
+
+    def test_an_interrupt_stops_the_busy_workers(self, monkeypatch, fresh_workers):
+        parent = os.getpid()
+        real = harness._ci_replicate
+
+        def interrupted(master, cells, draw, run_cells, r):
+            if master == 99 and os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(master, cells, draw, run_cells, r)
+
+        monkeypatch.setattr(harness, "_ci_replicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(reps=10, seed=99, threads=2))
+        assert harness._WORKERS == [] and multiprocessing.active_children() == []
+        assert run_experiment(tiny_config(threads=2)).rows == run_experiment(tiny_config()).rows
+
+    def test_a_worker_dying_mid_call_is_an_error_and_is_replaced(self, monkeypatch, fresh_workers):
+        parent = os.getpid()
+        real = harness._ci_replicate
+
+        def dying(master, cells, draw, run_cells, r):
+            if master == 99 and os.getpid() != parent:
+                os._exit(1)
+            return real(master, cells, draw, run_cells, r)
+
+        monkeypatch.setattr(harness, "_ci_replicate", dying)
+        if _PARALLEL:
+            with pytest.raises(RuntimeError, match="exited before it replied"):
+                run_experiment(tiny_config(reps=10, seed=99, threads=2))
+        assert harness._WORKERS == []
+        assert run_experiment(tiny_config(threads=2)).rows == run_experiment(tiny_config()).rows
+
+    @pytest.mark.skipif(not _PARALLEL, reason="needs os.fork and two usable CPUs")
+    def test_a_dead_worker_is_replaced(self, fresh_workers):
+        want = run_experiment(tiny_config()).rows
+        assert run_experiment(tiny_config(threads=2)).rows == want
+        ((proc, _),) = harness._WORKERS
+        os.kill(proc.pid, signal.SIGINT)  # an interrupt is the parent's to handle
+        assert run_experiment(tiny_config(threads=2)).rows == want
+        assert harness._WORKERS[0][0] is proc and proc.is_alive()
+        proc.kill()
+        proc.join(10)
+        assert not proc.is_alive()
+        assert run_experiment(tiny_config(threads=2)).rows == want
+        ((replacement, _),) = harness._WORKERS
+        assert replacement.pid != proc.pid and replacement.is_alive()
+
+    def test_concurrent_callers_each_get_their_own_rows(self):
+        seeds = [21, 22, 23, 24]
+        want = {seed: run_experiment(tiny_config(reps=20, seed=seed)).rows for seed in seeds}
+        got = {}
+
+        def call(seed):
+            got[seed] = run_experiment(tiny_config(reps=20, seed=seed, threads=2)).rows
+
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_daemonic_process_runs_its_replicates_serially(self):
+        # a daemonic process may not fork workers
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            rows = pool.apply(_rows, (tiny_config(threads=2),))
+        assert rows == run_experiment(tiny_config()).rows
+
+    @pytest.mark.skipif(not _PARALLEL, reason="needs os.fork and two usable CPUs")
+    def test_a_forked_child_starts_its_own_workers(self):
+        run_experiment(tiny_config(threads=2))  # a worker for the child to inherit
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(_rows(tiny_config(threads=2))))
+        child.start()
+        send.close()
+        rows = recv.recv()
+        child.join(60)
+        assert child.exitcode == 0
+        assert rows == run_experiment(tiny_config()).rows
+
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_no_worker_outlives_its_interpreter(self, end):
+        if end == "kill" and not hasattr(os, "fork"):
+            pytest.skip("no workers without os.fork")
+        script = (
+            "import multiprocessing, os, sys\n"
+            "from fixedb.harness import run_experiment\n"
+            "run_experiment({'procedure': 'randomization', 'm': 12, 'reps': 8, 'threads': 2})\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            + ("os.kill(os.getpid(), 9)\n" if end == "kill" else "")
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == (-9 if end == "kill" else 0), proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == _PARALLEL
+        deadline = time.monotonic() + 10
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
 
 
 class TestEmit:
