@@ -163,6 +163,26 @@ def i_b(B: int) -> float:
     return 4.0 / (B * (1.0 + s)) + (2.0 / B) * math.log(B * (1.0 + s) ** 2 / 4.0)
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of an (n, K) stack, bit for bit: NumPy adds
+    fewer than 8 values in order, and column by column that is several
+    times faster on short rows; 8 or more it sums pairwise itself."""
+    if x.shape[1] >= 8:
+        return x.sum(axis=1)
+    total = x[:, 0].copy()
+    for col in x.T[1:]:
+        total += col
+    return total
+
+
+def _row_cumsums(x: np.ndarray) -> np.ndarray:
+    """``np.cumsum(x, axis=1)`` of an (n, K) stack, bit for bit, column by column."""
+    out = x.copy()
+    for i in range(1, x.shape[1]):
+        out[:, i] += out[:, i - 1]
+    return out
+
+
 def _ehm_rows(prob_rows: np.ndarray, p_bar) -> tuple[np.ndarray, np.ndarray]:
     """(r, upper) of Ehm's bound for each row of an (n, B) stack of
     success probabilities with means ``p_bar``:
@@ -170,7 +190,7 @@ def _ehm_rows(prob_rows: np.ndarray, p_bar) -> tuple[np.ndarray, np.ndarray]:
     upper = (B / (B+1)) (1 - p_bar^{B+1} - q_bar^{B+1}) r."""
     B = prob_rows.shape[1]
     q_bar = 1.0 - p_bar
-    r = 1.0 - (prob_rows * (1.0 - prob_rows)).sum(axis=1) / (B * p_bar * q_bar)
+    r = 1.0 - _row_sums(prob_rows * (1.0 - prob_rows)) / (B * p_bar * q_bar)
     upper = B / (B + 1.0) * (1.0 - p_bar ** (B + 1) - q_bar ** (B + 1)) * r
     return r, upper
 

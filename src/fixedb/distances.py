@@ -92,10 +92,15 @@ def _validate_unit(u) -> tuple[np.ndarray, np.ndarray]:
     return u, np.full(u.size, 1.0 / u.size)
 
 
-def _check_prob_vector(p, what: str) -> np.ndarray:
-    p = _check_vector(p, what, lo=-1e-12)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise InvalidInput(f"{what} must sum to 1 within 1e-9, got {float(p.sum())!r}")
+def _check_prob_vector(p, what: str, ndim: int = 1) -> np.ndarray:
+    """p clipped at 0; InvalidInput unless it passes the vector check
+    with entries >= -1e-12 and each row along its last axis sums to 1
+    within 1e-9."""
+    p = _check_vector(p, what, lo=-1e-12, ndim=ndim)
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        raise InvalidInput(f"{what} must sum to 1 within 1e-9, got {float(sums[off][0])!r}")
     return np.clip(p, 0.0, None)
 
 

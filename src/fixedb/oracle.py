@@ -1,14 +1,16 @@
-"""Brute-force ground truth for the coverage guarantees.
+"""Exact ground truth for the coverage guarantees.
 
-Everything here is computed by exhaustive enumeration or closed-form
-rank identities, never by Monte Carlo, so the bounds in
+Everything here is computed by an exact fold, exhaustive enumeration
+or closed-form rank identities, never by Monte Carlo, so the bounds in
 :mod:`fixedb.bounds` can be validated exactly on finite instances:
 
 * finite discrete joints of (W_1..W_B, psi(Z)) with exact coverage of
-  any order-statistic interval (:func:`exact_coverage_discrete`);
+  any order-statistic interval (:func:`exact_coverage_discrete`), by
+  enumerating the joint's atoms;
 * conditionally IID and conditionally independent instances with their
   exact slack inputs (interval-KS distances, kappa discrepancies)
-  computed straight from the conditional pmfs;
+  computed straight from the conditional pmfs, and their exact
+  coverages by folding one resample coordinate at a time;
 * the continuous-IID rank identity (:func:`exact_coverage_continuous_iid`);
 * the deterministic conformal calibration grid
   (:func:`conformal_grid_example`);
@@ -29,9 +31,10 @@ lower rank a and upper rank B-b,
 * left-closed right-open iff a <= n_le <= B-b-1,
 * left-open right-closed iff a <= n_lt <= B-b-1,
 
-so one enumeration yields a (B+1) x (B+1) joint mass matrix of the
-pair from which every (a, b, kind) coverage is read off.  Rank 0 and
-rank B+1 act as -inf/+inf sentinels (no constraint on that side).
+so each instance yields a (B+1) x (B+1) joint mass matrix of the pair,
+and one 2-D cumulative-sum table of it gives every (a, b, kind)
+coverage in one or two lookups.  Rank 0 and rank B+1 act as -inf/+inf
+sentinels (no constraint on that side).
 """
 
 from __future__ import annotations
@@ -40,12 +43,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
-from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, poisson_binomial_pmf_batch
+from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
 from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _check_real, _check_vector, _is_integer
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
@@ -88,21 +90,22 @@ class SweepReport:
         return len(self.violations) == 0
 
 
-def _check_instance(inst, per_coordinate) -> None:
-    """Checks shared by the conditional instance families; each entry
-    of ``per_coordinate`` holds one pmf row on w_atoms per z atom."""
+def _check_instance(inst, ndim: int) -> np.ndarray:
+    """Checks shared by the conditional instance families; returns the
+    ``w_cond`` stack of pmf rows on w_atoms, one per z atom: (|Z|, atoms)
+    for the IID family (ndim 2), (B, |Z|, atoms) for the independent one."""
     _check_prob_vector(inst.z_probs, "z_probs")
     if _check_vector(inst.psi_vals, "psi_vals").size != len(inst.z_probs):
         raise InvalidInput("z_probs and psi_vals must align")
     atoms = _check_vector(inst.w_atoms, "w_atoms")
     if not np.all(np.diff(atoms) > 0):
         raise InvalidInput("w_atoms must be strictly increasing")
-    for rows in per_coordinate:
-        if len(rows) != len(inst.z_probs):
-            raise InvalidInput("w_cond needs one pmf row per z atom")
-        for row in rows:
-            if _check_prob_vector(row, "w_cond row").size != atoms.size:
-                raise InvalidInput("each conditional pmf row must match w_atoms")
+    w = _check_prob_vector(inst.w_cond, "w_cond rows", ndim)
+    if w.shape[-2] != len(inst.z_probs):
+        raise InvalidInput("w_cond needs one pmf row per z atom")
+    if w.shape[-1] != atoms.size:
+        raise InvalidInput("each conditional pmf row must match w_atoms")
+    return w
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class CondIIDInstance:
     w_cond: tuple
 
     def __post_init__(self) -> None:
-        _check_instance(self, (self.w_cond,))
+        _check_instance(self, 2)
 
 
 @dataclass(frozen=True)
@@ -137,27 +140,29 @@ class CondIndepInstance:
     w_cond: tuple
 
     def __post_init__(self) -> None:
-        if len(self.w_cond) == 0:
+        if _check_instance(self, 3).shape[0] == 0:
             raise InvalidInput("need at least one resample coordinate")
-        _check_instance(self, self.w_cond)
 
     @property
     def b(self) -> int:
         return len(self.w_cond)
 
 
+def _masses(inst, w: np.ndarray, rel) -> np.ndarray:
+    """For every pmf row ``w[..., j, :]`` of a w_cond stack, the mass it
+    puts on the atoms x with rel(x, psi(z_j)), as one masked sum over
+    the rows; rel is a comparison ufunc such as ``np.less``."""
+    psi = np.asarray(inst.psi_vals, dtype=float)[:, None]
+    return (w * rel(np.asarray(inst.w_atoms, dtype=float), psi)).sum(axis=-1)
+
+
 def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
     """(delta, delta_tilde): exact interval-KS distances of the laws of
     F_0(Z) = P(W <= psi(Z) | Z) and its strict-inequality version from
     U(0, 1)."""
-    atoms = np.asarray(inst.w_atoms)
-    weak, strict = [], []
-    for psi, row in zip(inst.psi_vals, inst.w_cond):
-        row = np.asarray(row, dtype=float)
-        weak.append(float(row[atoms <= psi].sum()))
-        strict.append(float(row[atoms < psi].sum()))
-    delta = dist_to_uniform(weak, inst.z_probs)[1]
-    delta_tilde = dist_to_uniform(strict, inst.z_probs)[1]
+    w = np.asarray(inst.w_cond, dtype=float)
+    delta = dist_to_uniform(_masses(inst, w, np.less_equal), inst.z_probs)[1]
+    delta_tilde = dist_to_uniform(_masses(inst, w, np.less), inst.z_probs)[1]
     return delta, delta_tilde
 
 
@@ -169,59 +174,36 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     is the sup over z of |F(psi(z)) - F_i(z)| with F the marginal CDF
     of psi(Z).  Each kappa_i is clamped to [0, 1] against round-off.
     """
-    atoms = np.asarray(inst.w_atoms)
     psi = np.asarray(inst.psi_vals, dtype=float)
     z_p = np.asarray(inst.z_probs, dtype=float)
-    B = inst.b
-    f = np.empty((B, psi.size))
-    for i, per_i in enumerate(inst.w_cond):
-        for j, row in enumerate(per_i):
-            f[i, j] = float(np.asarray(row, dtype=float)[atoms <= psi[j]].sum())
-    fbar = f.mean(axis=0)
-    d_ks, d_tilde = dist_to_uniform(fbar, z_p)
-    marg = np.array([float(z_p[psi <= t].sum()) for t in psi])
-    kappas = [min(float(np.max(np.abs(marg - f[i]))), 1.0) for i in range(B)]
-    return d_ks, d_tilde, kappas
+    f = _masses(inst, np.asarray(inst.w_cond, dtype=float), np.less_equal)
+    d_ks, d_tilde = dist_to_uniform(f.mean(axis=0), z_p)
+    marg = (z_p * (psi <= psi[:, None])).sum(axis=1)
+    return d_ks, d_tilde, np.minimum(np.abs(marg - f).max(axis=1), 1.0).tolist()
 
 
-@lru_cache(maxsize=32)
-def _cartesian(n: int, B: int) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(n)] * B, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, B)
-
-
-def _pair_bins(w: np.ndarray, psi) -> np.ndarray:
-    """Flat index n_lt * (B+1) + n_le of each row of ``w`` in the
-    (B+1) x (B+1) pair matrix; psi is a scalar or one target per row as
-    an (n, 1) column."""
-    B = w.shape[1]
-    return (w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1)
-
-
-def _pair_mass(bins: np.ndarray, pr: np.ndarray, B: int) -> np.ndarray:
-    """The (B+1, B+1) matrix holding the total of ``pr`` at each flat
-    bin; ``bincount`` adds in input order, as ``np.add.at`` does."""
-    return np.bincount(bins, weights=pr, minlength=(B + 1) ** 2).reshape(B + 1, B + 1)
-
-
-def _pair_matrix(inst, rows_of) -> np.ndarray:
+def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
     """Mass matrix of (n_lt, n_le) for a conditional instance whose
-    W_1..W_B given Z = z_j have the pmf rows ``rows_of(j)`` (the
-    conditionally-IID family repeats one row B times)."""
-    atoms = np.asarray(inst.w_atoms, dtype=float)
-    B = len(rows_of(0))
-    if atoms.size**B * len(inst.z_probs) > ENUMERATION_CAP:
-        raise CapacityExceeded("instance enumeration exceeds the atom budget")
-    idx = _cartesian(atoms.size, B)
-    w = atoms[idx]
-    bins, mass = [], []
-    for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
-        pr = np.full(idx.shape[0], float(pz))
-        for i, row in enumerate(rows_of(j)):
-            pr *= np.asarray(row, dtype=float)[idx[:, i]]
-        bins.append(_pair_bins(w, psi))
-        mass.append(pr)
-    return _pair_mass(np.concatenate(bins), np.concatenate(mass), B)
+    W_1..W_B given Z = z_j are independent with the pmf rows ``w[:, j]``
+    of a (B, |Z|, atoms) stack (the IID family broadcasts its rows).
+
+    An exact fold, one coordinate at a time: S[j, l, k] is the mass of
+    Z = z_j with l of the coordinates so far below psi(z_j) and k at or
+    below it.  A coordinate moves (l, k) to (l+1, k+1) with its mass
+    below psi(z_j), to (l, k+1) with its mass at psi(z_j), and keeps it
+    with its mass above.  O(|Z| B^3) work at any B, no atoms^B outcomes.
+    """
+    p_lt, p_eq, p_gt = (_masses(inst, w, rel)[..., None, None] for rel in (np.less, np.equal, np.greater))
+    B = w.shape[0]
+    S = np.zeros((w.shape[1], B + 1, B + 1))
+    S[:, 0, 0] = inst.z_probs
+    # after n - 1 coordinates only the leading n x n corner holds mass
+    for n, (lt, eq, gt) in enumerate(zip(p_lt, p_eq, p_gt), start=1):
+        held = S[:, :n, :n].copy()
+        S[:, :n, :n] *= gt
+        S[:, 1 : n + 1, 1 : n + 1] += held * lt
+        S[:, :n, 1 : n + 1] += held * eq
+    return S.sum(axis=0)
 
 
 def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
@@ -232,28 +214,40 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
     if len(joint) > ENUMERATION_CAP:
         raise CapacityExceeded("joint support exceeds the atom budget")
     arr = np.asarray(joint.support, dtype=float)
-    return _pair_mass(_pair_bins(arr[:, :-1], arr[:, -1:]), joint.probs, B), B
+    w, psi = arr[:, :-1], arr[:, -1:]
+    bins = (w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1)
+    # bincount adds in input order, as np.add.at does
+    return np.bincount(bins, weights=joint.probs, minlength=(B + 1) ** 2).reshape(B + 1, B + 1), B
 
 
-def _coverage_from_matrix(M: np.ndarray, B: int, a: int, b: int, kind: str) -> float:
+def _coverage_table(M: np.ndarray) -> np.ndarray:
+    """The (B+2, B+2) table C of a pair mass matrix with C[i, j] the
+    mass of n_lt < i and n_le < j; it never decreases along an axis, so
+    the differences :func:`_coverage_from_table` reads are >= 0."""
+    C = np.zeros((M.shape[0] + 1, M.shape[1] + 1))
+    np.cumsum(M.cumsum(axis=0), axis=1, out=C[1:, 1:])
+    return C
+
+
+def _coverage_from_table(C: np.ndarray, a: int, b: int, kind: str) -> float:
+    """The coverage of one (a, b, kind), read off a :func:`_coverage_table`
+    as one entry or the difference of two."""
+    B = C.shape[0] - 2
     if not (_is_integer(a) and _is_integer(b)):
         raise InvalidInput(f"a and b must be integers, got a={a!r}, b={b!r}")
     if not (0 <= a <= B and -1 <= b and a < B - b <= B + 1):
         raise InvalidIndices(f"need 0 <= a < B - b <= B + 1, got a={a}, b={b}, B={B}")
-    lt = np.arange(B + 1)[:, None]
-    le = np.arange(B + 1)[None, :]
-    hi = B - b - 1
+    # n <= B-b-1 iff n < hi; the column or row ``end`` puts no bound on the other count
+    hi, end = B - b, B + 1
     if kind == "closed":
-        mask = (le >= a) & (lt <= hi)
-    elif kind == "left_closed_right_open":
-        mask = (le >= a) & (le <= hi)
-    elif kind == "left_open_right_closed":
-        mask = (lt >= a) & (lt <= hi)
-    elif kind == "one_sided_upper":
-        mask = lt <= hi
-    else:
-        raise InvalidInput(f"unknown interval kind {kind!r}")
-    return float((M * mask).sum())
+        return float(C[hi, end] - C[hi, a])
+    if kind == "left_closed_right_open":
+        return float(C[end, hi] - C[end, a])
+    if kind == "left_open_right_closed":
+        return float(C[hi, end] - C[a, end])
+    if kind == "one_sided_upper":
+        return float(C[hi, end])
+    raise InvalidInput(f"unknown interval kind {kind!r}")
 
 
 def exact_coverage_discrete(joint: FinitePmf, a: int, b: int, kind: str) -> float:
@@ -263,8 +257,7 @@ def exact_coverage_discrete(joint: FinitePmf, a: int, b: int, kind: str) -> floa
     b = -1 addresses the rank-(B+1) sentinel (no upper constraint);
     a = 0 likewise leaves the lower side unconstrained.
     """
-    M, B = _pair_matrix_joint(joint)
-    return _coverage_from_matrix(M, B, a, b, kind)
+    return _coverage_from_table(_coverage_table(_pair_matrix_joint(joint)[0]), a, b, kind)
 
 
 def exact_coverage_continuous_iid(B: int, a: int, b: int, kind: str) -> Fraction:
@@ -449,13 +442,14 @@ def check_cond_iid(inst: CondIIDInstance, B: int):
     with exact slacks; returns (n_checked, violations).  B must be an
     integer >= 1 and not a bool."""
     _check_count(B, "B")
-    M = _pair_matrix(inst, lambda j: [inst.w_cond[j]] * B)
+    w = np.asarray(inst.w_cond, dtype=float)
+    C = _coverage_table(_pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
     delta, delta_tilde = iid_slacks(inst)
     tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             for kind in _TWO_SIDED_KINDS:
-                cov = _coverage_from_matrix(M, B, a, b, kind)
+                cov = _coverage_from_table(C, a, b, kind)
                 br = iid_bracket(B, a, b, delta=delta, delta_tilde=delta_tilde, kind=kind)
                 head = {"family": "cond_iid", "B": B, "a": a, "b": b, "kind": kind}
                 tally.check(head, cov, br.lower, br.upper)
@@ -466,12 +460,12 @@ def check_cond_indep(inst: CondIndepInstance):
     """Closed-interval checks of the independent-resample bracket and
     the tail-ordering lower bound with exact slacks."""
     B = inst.b
-    M = _pair_matrix(inst, lambda j: [rows[j] for rows in inst.w_cond])
+    C = _coverage_table(_pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
     d_ks, d_tilde, kappas = indep_slacks(inst)
     tally = _Tally()
     for a in range(B):
         for b in range(B - a):
-            cov = _coverage_from_matrix(M, B, a, b, "closed")
+            cov = _coverage_from_table(C, a, b, "closed")
             br = independent_bracket(B, a, b, d_tilde, kappas)
             lo3 = ordering_lower(B, a, b, d_ks)
             tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
@@ -488,6 +482,7 @@ def check_dependent(joint: FinitePmf):
     the exact exchangeability gap, at each (gamma, beta) of
     ``_TAIL_PAIRS`` whose budget allows the rule."""
     M, B = _pair_matrix_joint(joint)
+    C = _coverage_table(M)
     gap = gamma_exact(joint).value
     tally = _Tally()
     for g, bt in _TAIL_PAIRS:
@@ -497,7 +492,7 @@ def check_dependent(joint: FinitePmf):
             continue
         a = rule.lower_rank
         b = B - rule.upper_rank
-        cov = _coverage_from_matrix(M, B, a, b, "closed")
+        cov = _coverage_from_table(C, a, b, "closed")
         lower = dependent_bracket(B, g, bt, gap).lower
         tally.check({"family": "dependent", "B": B, "gamma": g, "beta": bt}, cov, lower, gap=gap)
     return tally.result
@@ -509,8 +504,9 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     Cycles through the three instance families (conditionally IID,
     conditionally independent, arbitrary joint), drawing finite
     instances with B <= 6 and at most 5 atoms per marginal, and checks
-    exact enumerated coverage against the brackets evaluated with
-    exact slack inputs.  ``n_instances`` must be an integer >= 1 and
+    exact coverage (folded for the conditional families, enumerated
+    for the joints) against the brackets evaluated with exact slack
+    inputs.  ``n_instances`` must be an integer >= 1 and
     ``seed`` one >= 0, neither a bool.
     """
     _check_count(n_instances, "n_instances")
@@ -643,8 +639,8 @@ def _check_ehm_block(found, rows, pmf, slot, key_pbar, key_pmf, key_cdf, key_le,
     upper = _ehm_rows(rows, key_pbar[slot])[1]
     # np.take gathers rows about twice as fast as fancy indexing
     dev = pmf - np.take(key_pmf, slot, axis=0)
-    tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
-    diff = np.cumsum(pmf, axis=1)
+    tv = 0.5 * _row_sums(np.abs(dev, out=dev))
+    diff = _row_cumsums(pmf)
     diff -= np.take(key_cdf, slot, axis=0)
     bad = (
         ("tv", np.flatnonzero(tv > upper + 1e-12)),

@@ -248,6 +248,11 @@ def _cond_iid_with(**kw):
     return oracle.CondIIDInstance(**{**fields, **kw})
 
 
+def _cond_indep_with(**kw):
+    fields = dict(z_probs=(0.5, 0.5), psi_vals=(0.0, 1.0), w_atoms=(0.0, 1.0), w_cond=(((0.5, 0.5), (0.25, 0.75)),))
+    return oracle.CondIndepInstance(**{**fields, **kw})
+
+
 # input -> (what its message names, a call taking it)
 _MALFORMED_VECTORS = {
     # a raw ValueError or TypeError at the parent
@@ -270,6 +275,9 @@ _MALFORMED_VECTORS = {
     "prob_rows_ragged": ("prob_rows", lambda: discrete.poisson_binomial_pmf_batch([[0.5, 0.5], [0.5]])),
     "cond_iid_row_none": ("w_cond row", lambda: _cond_iid_with(w_cond=((0.5, 0.5), None))),
     "cond_iid_row_int": ("w_cond row", lambda: _cond_iid_with(w_cond=((0.5, 0.5), 3))),
+    "cond_iid_w_cond_none": ("w_cond", lambda: _cond_iid_with(w_cond=None)),
+    "cond_indep_row_none": ("w_cond", lambda: _cond_indep_with(w_cond=(None,))),
+    "cond_indep_w_cond_int": ("w_cond", lambda: _cond_indep_with(w_cond=3)),
     # accepted at the parent
     "sorted_from_numeric_str": ("sample", lambda: sorted_from(["0.1", "0.2"])),
     "poibin_spec_numeric_str": ("probs", lambda: discrete.PoiBinSpec(("0.5",))),

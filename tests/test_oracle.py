@@ -1,5 +1,6 @@
-"""Exact enumeration oracle: slacks, coverages, and the sweep suites."""
+"""Exact oracle: slacks, coverages, and the sweep suites."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -252,17 +253,18 @@ class TestPairMatrix:
             (lambda: check_cond_indep(indep), indep, lambda j: [r[j] for r in indep.w_cond]),
         )
         for check, inst, rows_of in cases:
-            real = oracle._coverage_from_matrix
-            with mock.patch.object(oracle, "_coverage_from_matrix", wraps=real) as spy:
+            real = oracle._coverage_table
+            with mock.patch.object(oracle, "_coverage_table", wraps=real) as spy:
                 check()
-            M, B_seen = spy.call_args.args[:2]
+            (M,) = spy.call_args.args
+            B_seen = M.shape[0] - 1
             assert B_seen == B
             joint = _joint_law(inst, B, rows_of)
             for a in range(B + 1):
                 for b in range(-1, B - a):
                     for kind in ("one_sided_upper",) + oracle._TWO_SIDED_KINDS:
                         want = exact_coverage_discrete(joint, a, b, kind)
-                        assert real(M, B, a, b, kind) == pytest.approx(want, abs=1e-12)
+                        assert oracle._coverage_from_table(real(M), a, b, kind) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
         "psi, atoms",
@@ -273,6 +275,106 @@ class TestPairMatrix:
             CondIndepInstance((1.0,), psi, atoms, (((0.5, 0.5),),))
         with pytest.raises(InvalidInput):
             CondIIDInstance((1.0,), psi, atoms, ((0.5, 0.5),))
+
+
+def _with_ties(rng, inst):
+    """``inst`` with each psi(z_j) moved onto a random w atom with
+    probability 0.8, so most z atoms put mass on a tie."""
+    atoms = np.asarray(inst.w_atoms)
+    n_z = len(inst.psi_vals)
+    snap = rng.random(n_z) < 0.8
+    psi = np.where(snap, atoms[rng.integers(0, atoms.size, size=n_z)], inst.psi_vals)
+    return dataclasses.replace(inst, psi_vals=tuple(psi))
+
+
+def _masked_coverage(M, a, b, kind):
+    """``(M * mask).sum()`` over the (n_lt, n_le) pairs the interval covers."""
+    B = M.shape[0] - 1
+    lt = np.arange(B + 1)[:, None]
+    le = np.arange(B + 1)[None, :]
+    hi = B - b - 1
+    mask = {
+        "closed": (le >= a) & (lt <= hi),
+        "left_closed_right_open": (le >= a) & (le <= hi),
+        "left_open_right_closed": (lt >= a) & (lt <= hi),
+        "one_sided_upper": lt <= hi,
+    }[kind]
+    return float((M * mask).sum())
+
+
+class TestPairMatrixFold:
+    """The fold behind check_cond_iid and check_cond_indep against the
+    atoms^B enumeration it replaced, and the coverage table against one
+    masked sum per (a, b, kind)."""
+
+    @pytest.mark.parametrize("family", ["cond_iid", "cond_indep"])
+    def test_matches_the_enumeration_on_tie_heavy_instances(self, family):
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            B = int(rng.integers(1, 7))
+            if family == "cond_iid":
+                inst = _with_ties(rng, random_cond_iid(rng))
+                w = np.asarray(inst.w_cond, dtype=float)
+                stack = np.broadcast_to(w, (B,) + w.shape)
+            else:
+                inst = _with_ties(rng, random_cond_indep(rng, B))
+                stack = np.asarray(inst.w_cond, dtype=float)
+            want = _pair_matrix_enumerated(inst, lambda j: stack[:, j])
+            got = oracle._pair_matrix(inst, stack)
+            assert got.shape == (B + 1, B + 1)
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_table_reads_equal_masked_sums(self):
+        rng = np.random.default_rng(22)
+        for B in range(1, 9):
+            for _ in range(20):
+                M = rng.dirichlet(np.ones((B + 1) ** 2)).reshape(B + 1, B + 1)
+                M[rng.random(M.shape) < 0.3] = 0.0
+                C = oracle._coverage_table(M)
+                for a in range(B + 1):
+                    for b in range(-1, B - a):
+                        for kind in ("one_sided_upper",) + oracle._TWO_SIDED_KINDS:
+                            got = oracle._coverage_from_table(C, a, b, kind)
+                            assert got >= 0.0
+                            assert got == pytest.approx(_masked_coverage(M, a, b, kind), abs=1e-15)
+
+    def test_table_read_rejects_an_unknown_kind(self):
+        with pytest.raises(InvalidInput, match="unknown interval kind"):
+            oracle._coverage_from_table(oracle._coverage_table(np.eye(3) / 3), 0, 0, "open")
+
+    def test_cond_iid_at_b_199_is_the_trinomial(self):
+        # given z, (n_lt, n_le - n_lt) is Bin(B, p_lt) then Bin(B - n_lt, p_eq / (1 - p_lt));
+        # the atoms^B enumeration (3^199 rows) could never reach this budget
+        B = 199
+        inst = CondIIDInstance(
+            z_probs=(0.3, 0.7),
+            psi_vals=(2.0, 2.5),
+            w_atoms=(1.0, 2.0, 3.0),
+            w_cond=((0.2, 0.3, 0.5), (0.45, 0.1, 0.45)),
+        )
+        atoms = np.asarray(inst.w_atoms)
+        w = np.asarray(inst.w_cond)
+        p_lt = np.array([row[atoms < psi].sum() for row, psi in zip(w, inst.psi_vals)])
+        p_eq = np.array([row[atoms == psi].sum() for row, psi in zip(w, inst.psi_vals)])
+        z_p = np.asarray(inst.z_probs)
+        lt_pmf = discrete._binom_rows(B, p_lt)
+        want = np.zeros((B + 1, B + 1))
+        for n_lt in range(B + 1):
+            eq_pmf = discrete._binom_rows(B - n_lt, p_eq / (1.0 - p_lt))
+            want[n_lt, n_lt:] = (z_p * lt_pmf[:, n_lt]) @ eq_pmf
+        got = oracle._pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape))
+        assert np.abs(got - want).max() < 1e-12
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_check_cond_iid_runs_at_b_199(self):
+        inst = CondIIDInstance(
+            z_probs=(0.25, 0.25, 0.5),
+            psi_vals=(1.0, 2.0, 2.5),
+            w_atoms=(1.0, 2.0, 3.0),
+            w_cond=((0.5, 0.25, 0.25), (0.2, 0.5, 0.3), (0.6, 0.1, 0.3)),
+        )
+        n_checked, violations = check_cond_iid(inst, 199)
+        assert (n_checked, violations) == (3 * 199 * 200 // 2, [])
 
 
 class TestConformalGrid:
@@ -304,11 +406,36 @@ def _add_at_pairs(M, w, psi, pr):
     np.add.at(M, ((w < psi).sum(axis=1), (w <= psi).sum(axis=1)), pr)
 
 
+def _cartesian(n: int, B: int) -> np.ndarray:
+    """Every index row of {0..n-1}^B, last coordinate fastest."""
+    grids = np.meshgrid(*[np.arange(n)] * B, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, B)
+
+
+def _pair_matrix_enumerated(inst, rows_of):
+    """The pair matrix of a conditional instance by enumerating its
+    atoms^B outcomes per z atom, W_1..W_B given z_j having the pmf rows
+    ``rows_of(j)``: the reference the fold in ``oracle._pair_matrix``
+    is checked against."""
+    atoms = np.asarray(inst.w_atoms, dtype=float)
+    B = len(rows_of(0))
+    idx = _cartesian(atoms.size, B)
+    w = atoms[idx]
+    bins, mass = [], []
+    for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
+        pr = np.full(idx.shape[0], float(pz))
+        for i, row in enumerate(rows_of(j)):
+            pr *= np.asarray(row, dtype=float)[idx[:, i]]
+        bins.append((w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1))
+        mass.append(pr)
+    return np.bincount(np.concatenate(bins), weights=np.concatenate(mass), minlength=(B + 1) ** 2).reshape(B + 1, B + 1)
+
+
 def _pair_matrix_add_at(inst, rows_of):
     """The np.add.at accumulation the bincount pair matrix replaced."""
     atoms = np.asarray(inst.w_atoms, dtype=float)
     B = len(rows_of(0))
-    idx = oracle._cartesian(atoms.size, B)
+    idx = _cartesian(atoms.size, B)
     M = np.zeros((B + 1, B + 1))
     for j, (pz, psi) in enumerate(zip(inst.z_probs, inst.psi_vals)):
         pr = np.full(idx.shape[0], float(pz))
@@ -339,7 +466,7 @@ class TestBincountMatchesAddAt:
             else:
                 inst = random_cond_indep(rng)
                 rows = [[r[j] for r in inst.w_cond] for j in range(len(inst.z_probs))]
-            assert np.array_equal(oracle._pair_matrix(inst, rows.__getitem__), _pair_matrix_add_at(inst, rows.__getitem__))
+            assert np.array_equal(_pair_matrix_enumerated(inst, rows.__getitem__), _pair_matrix_add_at(inst, rows.__getitem__))
 
     def test_dist_to_uniform(self):
         rng = np.random.default_rng(20260823)
@@ -466,6 +593,46 @@ class TestEhmHoeffdingSweep:
     def test_grid_off_the_lattice(self, grid):
         with pytest.raises(InvalidInput, match="grid must lie on a lattice"):
             ehm_hoeffding_sweep(b_values=(2,), grid=grid)
+
+
+class TestColumnFolds:
+    """The sweep's reductions along short rows run one column at a time
+    and keep NumPy's bits."""
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_row_sums_and_cumsums_equal_numpy(self, K):
+        x = np.random.default_rng(K).random((3000, K)) ** 3
+        assert np.array_equal(discrete._row_sums(x), x.sum(axis=1))
+        assert np.array_equal(discrete._row_cumsums(x), np.cumsum(x, axis=1))
+
+    @pytest.mark.parametrize("B", range(1, 13))
+    def test_ehm_rows_equal_the_row_sum_formula(self, B):
+        rows = _DECIMAL_GRID[np.random.default_rng(B).integers(0, 9, size=(3000, B))]
+        p_bar = rows.mean(axis=1)
+        q_bar = 1.0 - p_bar
+        r = 1.0 - (rows * (1.0 - rows)).sum(axis=1) / (B * p_bar * q_bar)
+        upper = B / (B + 1.0) * (1.0 - p_bar ** (B + 1) - q_bar ** (B + 1)) * r
+        got_r, got_upper = discrete._ehm_rows(rows, p_bar)
+        assert np.array_equal(got_r, r) and np.array_equal(got_upper, upper)
+
+    def test_sweep_blocks_reduce_as_numpy_does(self, monkeypatch):
+        widths = set()
+
+        def checked(fold, numpy_reduction):
+            def call(x):
+                out = fold(x)
+                assert np.array_equal(out, numpy_reduction(x))
+                widths.add(x.shape[1])
+                return out
+
+            return call
+
+        for mod in (discrete, oracle):
+            monkeypatch.setattr(mod, "_row_sums", checked(discrete._row_sums, lambda x: x.sum(axis=1)))
+            monkeypatch.setattr(mod, "_row_cumsums", checked(discrete._row_cumsums, lambda x: np.cumsum(x, axis=1)))
+        assert ehm_hoeffding_sweep(b_values=tuple(range(1, 8)), grid=[0.2, 0.5, 0.7]).passed
+        # B = 1..7 for the Ehm sums, and B + 1 = 2..8 for the TV sums and the CDFs
+        assert widths == set(range(1, 9))
 
 
 def _instance_digest(seed: int) -> str:
