@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 from .discrete import i_b
-from .errors import InvalidIndices, InvalidInput, _check_count, _check_real, _check_vector, _is_integer
+from .errors import InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real, _check_vector, _is_integer
+from .orderstats import _INTERVAL_KINDS
 
 __all__ = [
     "CoverageBound",
@@ -115,6 +116,7 @@ def iid_bracket(
     _check_indices(B, a, b)
     delta = _check_real(delta, "delta", lo=0)
     delta_tilde = _check_real(delta_tilde, "delta_tilde", lo=0)
+    _check_choice(kind, "kind", _INTERVAL_KINDS[:3])
     base = 1.0 - (a + b + 1) / (B + 1)
     if kind == "closed":
         terms = [("base", base), ("delta", delta), ("budget", 1.0 / (B + 1))]
@@ -127,10 +129,8 @@ def iid_bracket(
     if kind == "left_closed_right_open":
         terms = [("base", base), ("delta", delta)]
         return _clamped(base - delta, base + delta, base, terms)
-    if kind == "left_open_right_closed":
-        terms = [("base", base), ("delta_tilde", delta_tilde)]
-        return _clamped(base - delta_tilde, base + delta_tilde, base, terms)
-    raise InvalidInput(f"unknown interval kind {kind!r}")
+    terms = [("base", base), ("delta_tilde", delta_tilde)]
+    return _clamped(base - delta_tilde, base + delta_tilde, base, terms)
 
 
 def ks_slack_tail(eps: float, p_exceed: float, eta: float = 0.0) -> float:

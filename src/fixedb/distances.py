@@ -155,6 +155,15 @@ def _tv_masses(p: dict, q: dict) -> float:
     return min(1.0, 0.5 * math.fsum(abs(p.get(x, 0.0) - q.get(x, 0.0)) for x in atoms))
 
 
+def _joint_width(joint: FinitePmf) -> int:
+    """The width B + 1 of a joint law's atoms; InvalidInput unless they
+    are tuples (W_1..W_B, psi) of one width >= 2."""
+    widths = {len(t) if isinstance(t, tuple) else 0 for t in joint.support}
+    if len(widths) != 1 or min(widths) < 2:
+        raise InvalidInput("joint atoms must be tuples (W_1..W_B, psi) of one width >= 2")
+    return widths.pop()
+
+
 def gamma_exact(joint: FinitePmf) -> DistanceEstimate:
     """Exchangeability gap of a finite joint law over (B+1)-tuples.
 
@@ -164,16 +173,7 @@ def gamma_exact(joint: FinitePmf) -> DistanceEstimate:
     original law.  For finite supports the supremum over measurable sets
     in the definition is attained by this TV form.
     """
-    if not joint.support:
-        raise InvalidInput("joint support is empty")
-    first = joint.support[0]
-    if not isinstance(first, tuple):
-        raise InvalidInput("joint atoms must be tuples (W_1..W_B, psi)")
-    width = len(first)
-    if width < 2:
-        raise InvalidInput("joint atoms need at least two coordinates")
-    if any(not isinstance(t, tuple) or len(t) != width for t in joint.support):
-        raise InvalidInput("all joint atoms must be tuples of equal length")
+    width = _joint_width(joint)
     if len(joint) * width > ENUMERATION_CAP:
         raise CapacityExceeded(
             f"{len(joint)} atoms x {width} swaps exceeds the cap of {ENUMERATION_CAP}"

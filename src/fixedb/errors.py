@@ -1,7 +1,7 @@
-"""The :class:`FixedBError` hierarchy and the three checks every module
+"""The :class:`FixedBError` hierarchy and the four checks every module
 uses: :func:`_check_count` for a count, size or rank, :func:`_check_real`
-for a level, rate or slack, and :func:`_check_vector` for a sample, pmf
-or probability vector."""
+for a level, rate or slack, :func:`_check_vector` for a sample, pmf or
+probability vector, and :func:`_check_choice` for a named choice."""
 
 from __future__ import annotations
 
@@ -93,6 +93,15 @@ def _check_count(v, what: str, lo: int = 1) -> None:
     and not a bool."""
     if not _is_integer(v) or v < lo:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
+
+
+def _check_choice(v, what: str, choices) -> None:
+    """InvalidInput unless v is one of choices: a str matches only a str,
+    an integer (a numpy one too, not a bool) only an int, None only None."""
+    # the type test keeps an array, which compares elementwise, out of ``in``
+    if (type(v) is str or v is None or isinstance(v, str) or _is_integer(v)) and v in choices:
+        return
+    raise InvalidInput(f"{what} must be one of {', '.join(map(repr, choices))}, got {v!r}")
 
 
 def _interval(lo: float, hi: float, strict: bool) -> str:

@@ -51,6 +51,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_count, _check_real
+from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_choice, _check_count, _check_real
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
 from .procedures import _CI_VARIANTS, ci_cells, ci_rule, rank_test_block, sgd_cells, test_rule
@@ -144,6 +145,7 @@ _PROCEDURES = {
     "conformal": (0, (0,)),
 }
 
+# a replicate's B resamples and branch draw stay in its stream block (see resampling.stream_for)
 _MAX_B = RESAMPLE_STRIDE - 2
 
 
@@ -151,27 +153,28 @@ def _as_list(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _integer(key: str, v, lo: int) -> int:
-    """v as an int >= lo; a ConfigError naming the key otherwise.
+def _integer(key: str, v, lo: int, hi: float = math.inf) -> int:
+    """v as an int in [lo, hi]; a ConfigError naming the key otherwise.
 
     A JSON boolean is not an integer here, although Python's bool is.
     """
     try:
-        ok = not isinstance(v, bool) and int(v) == v and v >= lo
+        ok = not isinstance(v, bool) and int(v) == v and lo <= v <= hi
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"config.{key}: expected an integer >= {lo}, got {v!r}")
+        most = "" if hi == math.inf else f" and <= {hi}"
+        raise ConfigError(f"config.{key}: expected an integer >= {lo}{most}, got {v!r}")
     return int(v)
 
 
 def _real(key: str, v) -> float:
-    """v as a float; a ConfigError naming the key otherwise (a JSON
-    boolean included)."""
-    if not isinstance(v, bool):
+    """v as a float; a ConfigError naming the key unless v is a real
+    number (a JSON boolean or string is not)."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
         try:
             return float(v)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ConfigError(f"config.{key}: expected a number, got {v!r}")
 
@@ -223,14 +226,7 @@ def normalize_config(config: dict) -> dict:
     for key, value in _defaults(proc, setting, paper).items():
         cfg.setdefault(key, value)
 
-    cfg["B"] = [_integer("B", b, 1) for b in _as_list(cfg["B"])]
-    for b in cfg["B"]:
-        # a replicate's B resamples and branch draw must stay in its own
-        # stream block (see resampling.stream_for)
-        if b > _MAX_B:
-            raise ConfigError(
-                f"config.B: expected at most {_MAX_B}, below the next replicate's streams; got {b}"
-            )
+    cfg["B"] = [_integer("B", b, 1, _MAX_B) for b in _as_list(cfg["B"])]
     cfg["alpha"] = [_real("alpha", a) for a in _as_list(cfg["alpha"])]
     cfg["methods"] = _as_list(cfg["methods"])
     for a in cfg["alpha"]:
@@ -249,7 +245,7 @@ def normalize_config(config: dict) -> dict:
     cfg["m"] = ms
     for key in ("reps", "threads", "d", "n", "burn_in"):
         cfg[key] = _integer(key, cfg[key], 1)
-    cfg["seed"] = _integer("seed", cfg["seed"], 0)
+    cfg["seed"] = _integer("seed", cfg["seed"], 0, 2**64 - 1)
     if cfg["k"] is not None:
         cfg["k"] = _integer("k", cfg["k"], 1)
         if proc != "conformal" and cfg["k"] > cfg["m"]:
@@ -768,12 +764,8 @@ def _svg_text(table: CoverageTable) -> str:
 def emit(table: CoverageTable, fmt: str, path: str) -> str:
     """Write the table as CSV (fixed header, LF endings) or a
     self-contained SVG coverage plot; returns the path."""
-    if fmt == "csv":
-        text = _csv_text(table)
-    elif fmt == "svg":
-        text = _svg_text(table)
-    else:
-        raise InvalidInput(f"format must be 'csv' or 'svg', got {fmt!r}")
+    _check_choice(fmt, "fmt", ("csv", "svg"))
+    text = _csv_text(table) if fmt == "csv" else _svg_text(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path

@@ -48,9 +48,12 @@ import numpy as np
 
 from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
-from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, dist_to_uniform, gamma_exact
-from .errors import BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_count, _check_real, _check_vector, _is_integer
-from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _conformal_mod_rank, _snap_alpha, index_rule
+from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, _joint_width, dist_to_uniform, gamma_exact
+from .errors import (
+    BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real,
+    _check_vector, _is_integer,
+)
+from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _INTERVAL_KINDS, _conformal_mod_rank, _snap_alpha, index_rule
 
 __all__ = [
     "CondIIDInstance",
@@ -73,7 +76,7 @@ __all__ = [
     "ehm_hoeffding_sweep",
 ]
 
-_TWO_SIDED_KINDS = ("closed", "left_closed_right_open", "left_open_right_closed")
+_TWO_SIDED_KINDS = _INTERVAL_KINDS[:3]
 _TOL = 1e-9
 
 
@@ -207,13 +210,15 @@ def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
 
 
 def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
-    first = joint.support[0]
-    if not isinstance(first, tuple) or len(first) < 2:
-        raise InvalidInput("joint atoms must be tuples (W_1..W_B, psi)")
-    B = len(first) - 1
+    B = _joint_width(joint) - 1
     if len(joint) > ENUMERATION_CAP:
         raise CapacityExceeded("joint support exceeds the atom budget")
-    arr = np.asarray(joint.support, dtype=float)
+    try:
+        arr = np.asarray(joint.support, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or np.isnan(arr).any():  # a None coordinate converts to NaN
+        raise InvalidInput("joint atoms must hold reals")
     w, psi = arr[:, :-1], arr[:, -1:]
     bins = (w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1)
     # bincount adds in input order, as np.add.at does
@@ -237,6 +242,7 @@ def _coverage_from_table(C: np.ndarray, a: int, b: int, kind: str) -> float:
         raise InvalidInput(f"a and b must be integers, got a={a!r}, b={b!r}")
     if not (0 <= a <= B and -1 <= b and a < B - b <= B + 1):
         raise InvalidIndices(f"need 0 <= a < B - b <= B + 1, got a={a}, b={b}, B={B}")
+    _check_choice(kind, "kind", _INTERVAL_KINDS)
     # n <= B-b-1 iff n < hi; the column or row ``end`` puts no bound on the other count
     hi, end = B - b, B + 1
     if kind == "closed":
@@ -245,9 +251,7 @@ def _coverage_from_table(C: np.ndarray, a: int, b: int, kind: str) -> float:
         return float(C[end, hi] - C[end, a])
     if kind == "left_open_right_closed":
         return float(C[hi, end] - C[a, end])
-    if kind == "one_sided_upper":
-        return float(C[hi, end])
-    raise InvalidInput(f"unknown interval kind {kind!r}")
+    return float(C[hi, end])
 
 
 def exact_coverage_discrete(joint: FinitePmf, a: int, b: int, kind: str) -> float:
@@ -272,13 +276,12 @@ def exact_coverage_continuous_iid(B: int, a: int, b: int, kind: str) -> Fraction
     >= 1 and a and b integers, none of them a bool.
     """
     _check_indices(B, a, b)
+    _check_choice(kind, "kind", _TWO_SIDED_KINDS)
     if kind == "closed":
         if a < 1:
             raise InvalidIndices("closed-kind formula needs a >= 1")
         return Fraction(B + 1 - a - b, B + 1)
-    if kind in ("left_closed_right_open", "left_open_right_closed"):
-        return Fraction(B - a - b, B + 1)
-    raise InvalidInput(f"unsupported kind {kind!r}")
+    return Fraction(B - a - b, B + 1)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, _check_real, _check_vector, _is_integer
+from .errors import BudgetTooSmall, InvalidInput, _check_choice, _check_real, _check_vector, _is_integer
 
 __all__ = [
     "SortedSample",
@@ -53,6 +53,9 @@ RULE_NAMES = (
     "ordering_symmetric",
     "dependent_two_sided",
 )
+
+#: Every interval kind a rule resolves to; the first three are two-sided.
+_INTERVAL_KINDS = ("closed", "left_closed_right_open", "left_open_right_closed", "one_sided_upper")
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,8 @@ def min_budget(alpha: float, sided: str = "two") -> int:
     for two-sided ones.
     """
     a = _snap_alpha(float(_check_real(alpha, "alpha", 0, 1, strict=True)))
-    if sided == "one":
-        return _ceil(1 / a - 1)
-    if sided == "two":
-        return _ceil(2 / a - 1)
-    raise InvalidInput(f"sided must be 'one' or 'two', got {sided!r}")
+    _check_choice(sided, "sided", ("one", "two"))
+    return _ceil((1 if sided == "one" else 2) / a - 1)
 
 
 def tau_randomization(spec: BudgetSpec) -> float:
@@ -216,6 +216,7 @@ def index_rule(
         gamma = float(_check_real(gamma, "gamma", 0, 1, strict=True))
     if beta is not None:
         beta = float(_check_real(beta, "beta", 0, 1, strict=True))
+    _check_choice(rule_name, "rule_name", RULE_NAMES)
     return _index_rule(spec.B, spec.alpha, rule_name, gamma, beta)
 
 
@@ -260,7 +261,7 @@ def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIn
                 f"ordering_symmetric needs B >= 3/(2 alpha); got B={B}",
                 min_b=_ceil(Fraction(3, 2) / a),
             )
-    elif rule_name == "dependent_two_sided":
+    else:  # dependent_two_sided
         g = a if gamma is None else _snap_alpha(gamma, "gamma")
         bta = a if beta is None else _snap_alpha(beta, "beta")
         lower = _floor((B + 1) * g / 2) - 1
@@ -273,8 +274,6 @@ def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIn
                 min_b=int(min(_ceil(4 / g - 1), _ceil(2 / bta - 1))),
             )
         return IntervalIndexRule(lower, upper, kind, rule_name)
-    else:
-        raise InvalidInput(f"unknown rule name {rule_name!r}")
 
     lower, upper = _clamp(lower, upper, B)
 

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_real, _check_vector
+from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_choice, _check_real, _check_vector
 from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
@@ -188,8 +188,7 @@ def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
     run at (B, alpha), and :class:`InvalidInput` for an unknown variant.
     The harness runs it to skip such cells before its replicate loop.
     """
-    if variant not in _CI_VARIANTS:
-        raise InvalidInput(f"variant must be one of {_CI_VARIANTS}, got {variant!r}")
+    _check_choice(variant, "variant", _CI_VARIANTS)
     if variant == "vanilla":
         return index_rule(budget, "vanilla_two_sided")
     need = min_budget(budget.alpha, "two")
@@ -559,14 +558,15 @@ def _decide(
 ) -> DecisionBlock:
     """Test i rejects iff t_obs[i] >= the rule's order statistic of row i
     of the (R, B) stack t_star: one stable sort, then the rank column."""
-    if not np.all(np.isfinite(t_star)):
-        raise InvalidInput("sample values must all be finite")
+    t_obs = np.asarray(t_obs, dtype=float)
+    if not (np.all(np.isfinite(t_obs)) and np.all(np.isfinite(t_star))):
+        raise InvalidInput("observed and resampled test statistics must all be finite")
     rank = rule.upper_rank
     if rank <= t_star.shape[1]:
         threshold = np.sort(t_star, axis=1, kind="stable")[:, rank - 1]
     else:  # a rank beyond B resolves to +inf (see orderstats.order_stat)
         threshold = np.full(len(t_star), math.inf)
-    return DecisionBlock(rule, budget, np.asarray(t_obs, dtype=float), threshold)
+    return DecisionBlock(rule, budget, t_obs, threshold)
 
 
 def rank_test_block(
@@ -600,7 +600,7 @@ def rank_test_block(
     called once per replicate.  A transform list draws all R x B list
     indices at once and calls ``statistic`` once per transformed
     sample, never ``statistic_batch``.  The (R, B) statistics are then
-    sorted once.  A non-finite resampled statistic raises
+    sorted once.  A non-finite observed or resampled statistic raises
     :class:`InvalidInput`.  A statistic that raises on resample b (from
     1) of test i (from 0) in the scalar loop raises
     :class:`NumericalFailure` with step i * B + b.
@@ -724,8 +724,7 @@ def conformal_set(calib_scores, alpha: float, variant: str = "split") -> Predict
     budget-corrected rank m + 1 - floor(2 m alpha / 3).
     """
     scores = _check_vector(calib_scores, "calib_scores")
-    if variant not in ("split", "modified"):
-        raise InvalidInput(f"variant must be 'split' or 'modified', got {variant!r}")
+    _check_choice(variant, "variant", ("split", "modified"))
     budget = BudgetSpec(B=scores.size, alpha=alpha)
     name = "conformal_split" if variant == "split" else "conformal_mod"
     rule = index_rule(budget, name)

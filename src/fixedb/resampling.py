@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, _check_count, _check_real, _check_vector
+from .errors import InvalidInput, NumericalFailure, _check_choice, _check_count, _check_real, _check_vector
 
 __all__ = [
     "SeedSpec",
@@ -443,8 +443,7 @@ class SgdSpec:
         _check_real(self.tau_exp, "tau_exp", 0.5, 1, strict=True)
         _check_count(self.burn_in, "burn_in", lo=0)
         _check_count(self.n_total, "n_total", lo=self.burn_in + 1)
-        if self.weight_law not in (None, "exponential"):
-            raise InvalidInput(f"unknown weight_law {self.weight_law!r}")
+        _check_choice(self.weight_law, "weight_law", (None, "exponential"))
 
 
 def _weight_matrix(spec: SgdSpec, seeds: Sequence[Optional[SeedSpec]]) -> np.ndarray:
@@ -563,8 +562,7 @@ def setting_sampler(setting: int, params: dict, seed: SeedSpec):
     4: an (X, Y) stream of length n with X standard normal in R^3 and
        Y = X'theta + Laplace(0, 1) noise, theta = (0.2, -0.2, 0).
     """
-    if setting not in (1, 2, 3, 4):
-        raise InvalidInput(f"unknown setting {setting!r}")
+    _check_choice(setting, "setting", _SETTING_SIZES)
     params = {"d": 100, **params}
     for key in _SETTING_SIZES[setting]:
         _check_count(params.get(key), key)
@@ -586,6 +584,7 @@ def setting_sampler(setting: int, params: dict, seed: SeedSpec):
 
 def setting_truth(setting: int, params: Optional[dict] = None):
     """The true parameter targeted in each benchmark setting."""
+    _check_choice(setting, "setting", _SETTING_SIZES)
     if setting == 1:
         return 0.2
     if setting == 2:
@@ -594,6 +593,4 @@ def setting_truth(setting: int, params: Optional[dict] = None):
         return np.zeros(d)
     if setting == 3:
         return 1.0
-    if setting == 4:
-        return _SETTING_4_THETA.copy()
-    raise InvalidInput(f"unknown setting {setting!r}")
+    return _SETTING_4_THETA.copy()

@@ -1,11 +1,13 @@
 """One integer check for every count, size and rank, one real check for
-every level, rate and slack, and one vector check for every sample, pmf
-and probability vector: each malformed one raises a typed FixedBError
-before NumPy computes on it, and the coercions that stay on purpose
-(``BudgetSpec`` and the config loader) still accept integral reals."""
+every level, rate and slack, one vector check for every sample, pmf and
+probability vector, and one choice check for every named choice: each
+malformed one raises a typed FixedBError before NumPy computes on it,
+and the coercions that stay on purpose (``BudgetSpec`` and the config
+loader) still accept integral reals."""
 
 import json
 import math
+import os
 import pickle
 from functools import partial
 
@@ -17,7 +19,7 @@ from fixedb.errors import FixedBError, InvalidInput
 from fixedb.harness import CoverageRow, load_config, normalize_config
 from fixedb.orderstats import BudgetSpec, index_rule, min_budget, order_stat, sorted_from
 from fixedb.procedures import ci_boot, ci_subsample, conformal_set, permutation_test, randomization_test
-from fixedb.resampling import PermutationGroup, SeedSpec, SgdSpec, full_symmetric, setting_sampler
+from fixedb.resampling import PermutationGroup, SeedSpec, SgdSpec, full_symmetric, setting_sampler, setting_truth
 
 # every malformed input must be rejected before NumPy computes on it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -300,12 +302,56 @@ _MALFORMED_VECTORS = {
     "permutation_group_none_perm": ("permutation of range(2)", lambda: PermutationGroup(2, perms=((1, 0), None))),
 }
 
+_RAGGED_JOINT = ((1.0, 2.0, 3.0), (1.0, 2.0))
+_BAD_JOINTS = {
+    "ragged": ("one width", _RAGGED_JOINT),
+    "ragged_reversed": ("one width", _RAGGED_JOINT[::-1]),
+    "scalar_atom": ("one width", ((1.0, 2.0), 3.0)),
+    "one_coordinate": ("one width", ((1.0,), (2.0,))),
+    "str_coordinate": ("hold reals", ((1.0, "a"), (2.0, 1.0))),
+    "none_coordinate": ("hold reals", ((1.0, None), (2.0, 1.0))),
+    "nested_coordinate": ("hold reals", ((1.0, (2.0, 3.0)), (2.0, (1.0, 0.0)))),
+}
+_JOINT_SITES = {
+    "exact_coverage_discrete": lambda joint: oracle.exact_coverage_discrete(joint, 0, -1, "closed"),
+    "check_dependent": oracle.check_dependent,
+    "gamma_exact": distances.gamma_exact,
+}
+# unchecked, NumPy's float conversion of these atoms raises a raw ValueError
+_MALFORMED_JOINTS = {
+    f"{site}-{label}": (what, partial(call, distances.FinitePmf(atoms, [0.5, 0.5])))
+    for site, call in _JOINT_SITES.items()
+    for label, (what, atoms) in _BAD_JOINTS.items()
+    # gamma_exact swaps whole atoms, so it checks only their width
+    if site != "gamma_exact" or what == "one width"
+}
+
 
 @pytest.mark.parametrize("what,call", _MALFORMED_VECTORS.values(), ids=_MALFORMED_VECTORS.keys())
 def test_malformed_vector_raises_a_typed_error_naming_it(what, call):
     with pytest.raises(FixedBError) as err:
         call()
     assert isinstance(err.value, InvalidInput) and what in str(err.value)
+
+
+@pytest.mark.parametrize("what,call", _MALFORMED_JOINTS.values(), ids=_MALFORMED_JOINTS.keys())
+def test_malformed_joint_atoms_raise_a_typed_error(what, call):
+    with pytest.raises(FixedBError) as err:
+        call()
+    assert isinstance(err.value, InvalidInput) and what in str(err.value)
+
+
+def test_infinite_joint_atoms_keep_their_results():
+    # +-inf order like +-1e300 against these atoms, so every count agrees
+    atoms = [(-math.inf, 0.0, 0.5), (1.0, math.inf, 0.5), (0.5, -math.inf, math.inf), (0.0, 0.5, 0.0)]
+    probs = [0.1, 0.2, 0.3, 0.4]
+    joint = distances.FinitePmf(atoms, probs)
+    finite = distances.FinitePmf([tuple(np.clip(t, -1e300, 1e300)) for t in atoms], probs)
+    for a, b in ((0, -1), (0, 0), (1, -1), (1, 0)):
+        for kind in orderstats._INTERVAL_KINDS:
+            got = oracle.exact_coverage_discrete(joint, a, b, kind)
+            assert got == oracle.exact_coverage_discrete(finite, a, b, kind)
+    assert oracle.check_dependent(joint) == oracle.check_dependent(finite)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +394,59 @@ def test_integer_and_narrow_vectors_accepted(call, value, key):
         inputs += [[int(v) for v in value], np.array(value, dtype=np.int64)]
     for v in inputs:
         assert key(call(v)) == want, v
+
+
+# site -> (the argument its message names, a call taking that argument, a valid value)
+_CHOICE_SITES = {
+    "iid_bracket": ("kind", lambda v: bounds.iid_bracket(19, 1, 1, kind=v), "closed"),
+    "exact_coverage_discrete": ("kind", lambda v: oracle.exact_coverage_discrete(_joint(), 1, -1, v), "closed"),
+    "exact_coverage_continuous_iid": ("kind", lambda v: oracle.exact_coverage_continuous_iid(19, 1, 1, v), "closed"),
+    "index_rule": ("rule_name", lambda v: index_rule(BudgetSpec(19, 0.1), v), "mod_two_sided"),
+    "min_budget": ("sided", lambda v: min_budget(0.1, v), "two"),
+    "ci_rule": ("variant", lambda v: procedures.ci_rule(BudgetSpec(19, 0.1), v), "modified"),
+    "conformal_set": ("variant", lambda v: conformal_set(np.arange(20.0), 0.1, v), "split"),
+    "sgd_weight_law": ("weight_law", lambda v: _sgd(weight_law=v), "exponential"),
+    "setting_sampler": ("setting", lambda v: setting_sampler(v, {"m": 5, "n": 5}, SeedSpec(0)), 1),
+    "setting_truth": ("setting", setting_truth, 1),
+    # the check comes before the file is opened
+    "emit": ("fmt", lambda v: harness.emit(harness.CoverageTable(), v, os.devnull), "csv"),
+}
+_BAD_CHOICES = {
+    "wrong_str": lambda ok: "nope",
+    "list": lambda ok: [ok],
+    "pair": lambda ok: np.array([ok, ok]),
+    "bool": lambda ok: True,
+}
+_MALFORMED_CHOICES = {
+    f"{site}-{label}": (what, partial(call, bad(ok)))
+    for site, (what, call, ok) in _CHOICE_SITES.items()
+    for label, bad in _BAD_CHOICES.items()
+}
+
+
+@pytest.mark.parametrize("what,call", _MALFORMED_CHOICES.values(), ids=_MALFORMED_CHOICES.keys())
+def test_malformed_choice_raises_a_typed_error_naming_it(what, call):
+    with pytest.raises(FixedBError) as err:
+        call()
+    assert isinstance(err.value, InvalidInput) and f"{what} must be one of" in str(err.value)
+
+
+@pytest.mark.parametrize("module", [bounds, harness, oracle, orderstats, procedures, resampling], ids=lambda m: m.__name__)
+def test_the_choice_check_is_the_one_in_errors(module):
+    assert module._check_choice is errors._check_choice
+
+
+@pytest.mark.parametrize("setting", [1, 2, 3, 4])
+def test_numpy_integer_settings_accepted(setting):
+    params = {"m": 5, "n": 5, "d": 3}
+    def arrays(data):
+        return (data.x, data.y) if setting == 4 else (data,)
+
+    want = arrays(setting_sampler(setting, params, SeedSpec(0)))
+    for v in (np.int64(setting), np.int32(setting), np.uint8(setting)):
+        got = arrays(setting_sampler(v, params, SeedSpec(0)))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(setting_truth(v, {"d": 3}), setting_truth(setting, {"d": 3}))
 
 
 @pytest.mark.parametrize("name", errors.__all__)

@@ -98,6 +98,11 @@ class TestConfig:
             ("alpha", [None]),
             ("m", [40, 50]),
             ("k", "3"),
+            pytest.param("alpha", "0.1", id="alpha-str"),
+            pytest.param("alpha", ["0.2"], id="alpha-str-list"),
+            pytest.param("alpha", b"0.1", id="alpha-bytes"),
+            pytest.param("seed", 2**64, id="seed-2**64"),
+            pytest.param("seed", 2**70, id="seed-2**70"),
         ],
     )
     def test_malformed_values_name_their_key(self, key, value):
@@ -129,6 +134,12 @@ class TestConfig:
                 normalize_config(tiny_config(B=[19, B]))
         assert main(["randomization", "--B", str(top + 1), "--reps", "1"]) == 2
         assert "config.B" in capsys.readouterr().err
+
+    def test_seed_stays_inside_the_64_bit_stream_key(self, capsys, tmp_path):
+        assert normalize_config(tiny_config(seed=2**64 - 1))["seed"] == 2**64 - 1
+        out = str(tmp_path / "out.csv")
+        assert main(["randomization", "--seed", str(2**64), "--reps", "1", "--out", out]) == 2
+        assert "config error: config.seed" in capsys.readouterr().err
 
     def test_procedure_table_messages_and_defaults(self):
         procs = "('bootstrap', 'subsample', 'sgd', 'permutation', 'randomization', 'conformal')"

@@ -339,7 +339,7 @@ class TestPairMatrixFold:
                             assert got == pytest.approx(_masked_coverage(M, a, b, kind), abs=1e-15)
 
     def test_table_read_rejects_an_unknown_kind(self):
-        with pytest.raises(InvalidInput, match="unknown interval kind"):
+        with pytest.raises(InvalidInput, match="kind must be one of"):
             oracle._coverage_from_table(oracle._coverage_table(np.eye(3) / 3), 0, 0, "open")
 
     def test_cond_iid_at_b_199_is_the_trinomial(self):

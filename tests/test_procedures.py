@@ -957,6 +957,33 @@ class TestRankTestBlock:
             permutation_test(data, lambda d, p: np.nan, full_symmetric(20), 19, 0.1)
 
     @pytest.mark.parametrize("group", ["signflip", "permutation", "transforms"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_statistic_raises_invalid_input(self, group, bad):
+        # nan >= threshold is False, so an unchecked NaN observed value would retain the null
+        R, m = 3, 8
+        xs = self.samples(R, m)
+        calls = []
+
+        def statistic(*args):
+            calls.append(1)
+            return bad if len(calls) == 2 else 1.0  # test 1's observed value
+
+        if group == "permutation":
+            data, group = [(x, x[::-1]) for x in xs], full_symmetric(m)
+        elif group == "transforms":
+            data, group = xs, [lambda v: v, lambda v: -v]
+        else:
+            data = xs
+        firsts = [stream_for(r, 1) for r in range(R)]
+        with pytest.raises(InvalidInput, match="observed and resampled test statistics"):
+            rank_test_block(data, statistic, group, 19, 0.1, self.MASTER, firsts)
+        # the one-replicate call, whose first statistic call is the observed value
+        public = randomization_test if isinstance(group, (str, list)) else permutation_test
+        calls[:] = [1]
+        with pytest.raises(InvalidInput, match="observed and resampled test statistics"):
+            public(data[1], statistic, group, 19, 0.1)
+
+    @pytest.mark.parametrize("group", ["signflip", "permutation", "transforms"])
     @pytest.mark.parametrize("batched", [False, True])
     def test_raising_statistic_names_its_resample(self, group, batched):
         # step i * B + b: resample b (from 1) of test i (from 0)
