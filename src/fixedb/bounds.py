@@ -117,6 +117,12 @@ def iid_bracket(
     delta = _check_real(delta, "delta", lo=0)
     delta_tilde = _check_real(delta_tilde, "delta_tilde", lo=0)
     _check_choice(kind, "kind", _INTERVAL_KINDS[:3])
+    return _iid_bracket(B, a, b, delta, delta_tilde, kind)
+
+
+def _iid_bracket(B: int, a: int, b: int, delta: float, delta_tilde: float, kind: str) -> CoverageBound:
+    """:func:`iid_bracket` of checked arguments; the bracket suite checks
+    an instance's B and slacks once for all of its (a, b, kind)."""
     base = 1.0 - (a + b + 1) / (B + 1)
     if kind == "closed":
         terms = [("base", base), ("delta", delta), ("budget", 1.0 / (B + 1))]
@@ -176,13 +182,25 @@ def independent_bracket(B: int, a: int, b: int, d_tilde: float, kappas) -> Cover
     kappas = _check_vector(kappas, "kappas", 0, 1)
     if kappas.size != B:
         raise InvalidInput(f"need exactly B={B} kappa values, got {kappas.size}")
+    return _independent_bracket(B, a, b, d_tilde, _kappa_term(B, d_tilde, kappas.tolist()))
+
+
+def _kappa_term(B: int, d_tilde: float, kappas: list) -> float:
+    """(sum kappa_i^2) (I_B + d~), the part of the independent bracket's
+    slack that does not depend on (a, b), for checked arguments."""
+    return math.fsum(k * k for k in kappas) * (i_b(B) + d_tilde)
+
+
+def _independent_bracket(B: int, a: int, b: int, d_tilde: float, kappa_term: float) -> CoverageBound:
+    """:func:`independent_bracket` of checked arguments and the
+    :func:`_kappa_term` of its kappas; the bracket suite computes an
+    instance's once for all of its (a, b)."""
     base = 1.0 - (a + b + 1) / (B + 1)
-    kap_sq = math.fsum(k * k for k in kappas.tolist())
-    slack = d_tilde + kap_sq * (i_b(B) + d_tilde)
+    slack = d_tilde + kappa_term
     terms = [
         ("base", base),
         ("d_tilde", d_tilde),
-        ("kappa_sq_times_ib", kap_sq * (i_b(B) + d_tilde)),
+        ("kappa_sq_times_ib", kappa_term),
         ("budget", 1.0 / (B + 1)),
     ]
     return _clamped(base - slack, base + slack + 1.0 / (B + 1), base, terms)
@@ -197,7 +215,11 @@ def ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
     target and U(0, 1).
     """
     _check_indices(B, a, b)
-    d_ks = _check_real(d_ks, "d_ks", lo=0)
+    return _ordering_lower(B, a, b, _check_real(d_ks, "d_ks", lo=0))
+
+
+def _ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
+    """:func:`ordering_lower` of checked arguments."""
     return max(0.0, 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks)
 
 

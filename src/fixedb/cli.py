@@ -14,8 +14,8 @@ import argparse
 import sys
 from typing import Optional
 
-from .errors import ConfigError, FixedBError
-from .harness import _KNOWN_KEYS, _PROCEDURES, emit, load_config, read_table, run_experiment
+from .errors import ConfigError, FixedBError, _check_count
+from .harness import _KNOWN_KEYS, _PROCEDURES, _run_tasks, _usable_cpus, emit, load_config, read_table, run_experiment
 from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
 
 
@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="processes that share a study's replicates (forked workers, up to the usable CPUs); "
-        "the output bytes do not depend on it",
+        help="processes that share the work, forked workers beside this one: a study's replicates "
+        "(default 1, up to the usable CPUs), or verify's bracket suite and its two fixed sweeps "
+        "(default the usable CPUs, at most 2); the output bytes do not depend on it",
     )
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -99,15 +100,35 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _fixed_sweeps() -> tuple:
+    """verify's two sweeps that take no flag; a worker's task."""
+    return ehm_hoeffding_sweep(), conformal_grid_sweep()
+
+
+_VERIFY_CHECKS = (
+    "coverage brackets vs exact enumeration",
+    "binomial surrogate distance and ordering",
+    "conformal grid coverage floor",
+)
+
+
 def _cmd_verify(args) -> int:
     seed = 20260823 if args.seed is None else args.seed
-    checks = (
-        ("coverage brackets vs exact enumeration", bracket_suite(n_instances=args.instances, seed=seed)),
-        ("binomial surrogate distance and ordering", ehm_hoeffding_sweep()),
-        ("conformal grid coverage floor", conformal_grid_sweep()),
-    )
+    cpus = _usable_cpus()
+    threads = cpus if args.threads is None else args.threads
+    _check_count(threads, "threads")
+
+    def brackets() -> tuple:
+        return (bracket_suite(n_instances=args.instances, seed=seed),)
+
+    if min(threads, 2, cpus) >= 2:
+        # the fixed sweeps on a worker while the bracket suite runs here
+        parts = _run_tasks([(brackets, ()), (_fixed_sweeps, ())])
+    else:
+        parts = [brackets(), _fixed_sweeps()]
+    reports = [report for part in parts for report in part]
     ok = True
-    for name, report in checks:
+    for name, report in zip(_VERIFY_CHECKS, reports):
         if report.passed:
             print(f"PASS {name} ({report.n_checked} checks)")
         else:

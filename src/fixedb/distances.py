@@ -23,7 +23,9 @@ width eps can capture and quantifies how discrete a sample is.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +159,17 @@ def _tv_masses(p: dict, q: dict) -> float:
 
 def _joint_width(joint: FinitePmf) -> int:
     """The width B + 1 of a joint law's atoms; InvalidInput unless they
-    are tuples (W_1..W_B, psi) of one width >= 2."""
+    are tuples (W_1..W_B, psi) of one width >= 2 whose coordinates are
+    real numbers: not None, bytes or a str, not even a numeric one, which
+    enumeration would read as its value and the swaps as a label."""
     widths = {len(t) if isinstance(t, tuple) else 0 for t in joint.support}
     if len(widths) != 1 or min(widths) < 2:
         raise InvalidInput("joint atoms must be tuples (W_1..W_B, psi) of one width >= 2")
+    # one pass over the coordinates, for their few distinct types
+    kinds = set(map(type, itertools.chain.from_iterable(joint.support)))
+    bad = sorted(k.__name__ for k in kinds if not issubclass(k, numbers.Real))
+    if bad:
+        raise InvalidInput(f"joint atoms must hold reals, got {', '.join(bad)}")
     return widths.pop()
 
 

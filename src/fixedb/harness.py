@@ -30,11 +30,14 @@ persistent forked workers (:func:`_serve`), started by the first call
 that needs them and reused by later ones, run the others, and the
 outcomes are merged in share order.  The bytes do not depend on the
 split, since replicate r reads only its own streams.  A share's error
-is the serial loop's, raised once every worker has replied.  A worker
-keeps the library as it was when it was forked: a later change to a
-module's names (a monkeypatch, a tracer) does not reach it.  Where
-``os.fork`` is missing, or in a daemonic process (which may not fork),
-the replicates run serially in the calling process.
+is the serial loop's, raised once every worker has replied.  The
+workers run tasks, a module-level function and its arguments
+(:func:`_run_tasks`): study shares here, and ``fixedb verify``'s two
+fixed sweeps beside its bracket suite.  A worker keeps the library as
+it was when it was forked: a later change to a module's names (a
+monkeypatch, a tracer) does not reach it.  Where ``os.fork`` is
+missing, or in a daemonic process (which may not fork), the tasks run
+serially in the calling process.
 
 Budgets above 2**16 - 2 are rejected, because a replicate's resamples
 would run into the next replicate's streams.
@@ -473,11 +476,17 @@ def _share(run_block: Callable, master: int, cells: list, lo: int, hi: int, bloc
     return outcomes
 
 
+def _planned_share(cfg: dict, cells: list, lo: int, hi: int, block: int) -> list:
+    """:func:`_share` of the configured study's own plan: a worker's task."""
+    return _share(_plan(cfg)[0], cfg["seed"], cells, lo, hi, block)
+
+
 def _serve(conn, parent_end) -> None:
-    """A replicate worker: for each (cfg, cells, lo, hi, block) it
-    receives, run that share of the configured study and send back
-    (outcomes, None) or (None, the error).  It exits when the parent's
-    end of the pipe closes."""
+    """A worker: for each task (fn, args) it receives, with fn a
+    module-level function, send back (fn(*args), None) or (None, the
+    error).  The tasks are study shares (:func:`_planned_share`) or
+    ``fixedb verify``'s fixed sweeps.  It exits when the parent's end of
+    the pipe closes."""
     import signal
 
     # an interrupt is the parent's to handle: it terminates busy workers
@@ -485,19 +494,19 @@ def _serve(conn, parent_end) -> None:
     parent_end.close()
     while True:
         try:
-            cfg, cells, lo, hi, block = conn.recv()
+            fn, args = conn.recv()
         except EOFError:
             return
         try:
-            reply = _share(_plan(cfg)[0], cfg["seed"], cells, lo, hi, block), None
+            reply = fn(*args), None
         except Exception as exc:  # sent back for the parent to raise
             reply = None, exc
         conn.send(reply)
 
 
-# the replicate workers, as (process, the parent's end of its pipe)
-# pairs: started by _workers, reused by later calls, and used by one
-# call at a time (_WORKERS_LOCK)
+# the workers, as (process, the parent's end of its pipe) pairs: started
+# by _workers, reused by later calls, and used by one call at a time
+# (_WORKERS_LOCK)
 _WORKERS: list = []
 _WORKERS_LOCK = threading.Lock()
 
@@ -513,6 +522,11 @@ def _forget_workers() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _workers(n: int) -> list:
@@ -543,45 +557,58 @@ def _drop(workers: list) -> None:
         _WORKERS.remove((proc, conn))
 
 
-def _replicates(run_block: Callable, cfg: dict, cells: list, block: int) -> list:
-    """Every replicate's outcomes, in order, from min(threads, reps,
-    usable CPUs) contiguous shares: share 0 here, the others on the
-    workers (see the module docstring).  The first failing share's
-    error, in share order, is raised once every sent share's reply is
-    read; an interrupt terminates the workers still busy."""
-    reps, master = cfg["reps"], cfg["seed"]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(cfg["threads"], reps, cpus)
-    if n == 1 or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
-        return _share(run_block, master, cells, 0, reps, block)
+def _run_tasks(tasks: list) -> list:
+    """fn(*args) of every task (fn, args), in task order: the first task
+    here, each other one on a worker of its own, whose fn must be a
+    module-level function (a worker receives it by name).  Where no
+    worker can be had (one task, no ``os.fork``, a daemonic process, or
+    another call using the workers) every task runs here, in order.  The
+    first failing task's error, in task order, is raised once every sent
+    task's reply is read; an interrupt terminates the workers still
+    busy."""
+    if len(tasks) == 1 or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
+        return [fn(*args) for fn, args in tasks]
     try:
-        workers = _workers(n - 1)
-        bounds = [reps * i // (len(workers) + 1) for i in range(len(workers) + 2)]
+        workers = _workers(len(tasks) - 1)
+        if not workers:
+            return [fn(*args) for fn, args in tasks]
         busy = []
         try:
-            for worker, lo, hi in zip(workers, bounds[1:], bounds[2:]):
+            for worker, task in zip(workers, tasks[1:]):
                 busy.append(worker)
-                worker[1].send((cfg, cells, lo, hi, block))
+                worker[1].send(task)
+            fn, args = tasks[0]
             try:
-                replies = [(_share(run_block, master, cells, 0, bounds[1], block), None)]
+                replies = [(fn(*args), None)]
             except Exception as exc:  # raised below, after the workers' replies
                 replies = [(None, exc)]
             while busy:
                 try:
                     replies.append(busy[0][1].recv())
-                except EOFError:
-                    raise RuntimeError("a replicate worker exited before it replied") from None
+                # a worker that died before it read its task resets the connection
+                except (EOFError, ConnectionResetError):
+                    raise RuntimeError("a worker exited before it replied") from None
                 del busy[0]
         finally:
             _drop(busy)
     finally:
         _WORKERS_LOCK.release()
-    outcomes = []
-    for share, error in replies:
+    for _, error in replies:
         if error is not None:
             raise error
-        outcomes += share
-    return outcomes
+    return [result for result, _ in replies]
+
+
+def _replicates(run_block: Callable, cfg: dict, cells: list, block: int) -> list:
+    """Every replicate's outcomes, in order, from min(threads, reps,
+    usable CPUs) contiguous shares: share 0 here, the others on the
+    workers (:func:`_run_tasks`; see the module docstring)."""
+    reps = cfg["reps"]
+    n = min(cfg["threads"], reps, _usable_cpus())
+    bounds = [reps * i // n for i in range(n + 1)]
+    tasks = [(_share, (run_block, cfg["seed"], cells, 0, bounds[1], block))]
+    tasks += [(_planned_share, (cfg, cells, lo, hi, block)) for lo, hi in zip(bounds[1:], bounds[2:])]
+    return [outcome for share in _run_tasks(tasks) for outcome in share]
 
 
 def run_experiment(config: dict) -> CoverageTable:

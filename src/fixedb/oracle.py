@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _check_indices, dependent_bracket, iid_bracket, independent_bracket, ordering_lower
+from .bounds import _check_indices, _iid_bracket, _independent_bracket, _kappa_term, _ordering_lower, dependent_bracket
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
 from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, _joint_width, dist_to_uniform, gamma_exact
 from .errors import (
@@ -54,6 +54,10 @@ from .errors import (
     _check_vector, _is_integer,
 )
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _INTERVAL_KINDS, _conformal_mod_rank, _snap_alpha, index_rule
+
+# imported only for bench/tracer.py, which rebinds them here; the bracket
+# checks call their unchecked kernels
+from .bounds import iid_bracket, independent_bracket, ordering_lower  # noqa: F401
 
 __all__ = [
     "CondIIDInstance",
@@ -213,12 +217,8 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
     B = _joint_width(joint) - 1
     if len(joint) > ENUMERATION_CAP:
         raise CapacityExceeded("joint support exceeds the atom budget")
-    try:
-        arr = np.asarray(joint.support, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or np.isnan(arr).any():  # a None coordinate converts to NaN
-        raise InvalidInput("joint atoms must hold reals")
+    # real coordinates, none of them NaN (FinitePmf refuses NaN)
+    arr = np.asarray(joint.support, dtype=float)
     w, psi = arr[:, :-1], arr[:, -1:]
     bins = (w < psi).sum(axis=1) * (B + 1) + (w <= psi).sum(axis=1)
     # bincount adds in input order, as np.add.at does
@@ -243,6 +243,13 @@ def _coverage_from_table(C: np.ndarray, a: int, b: int, kind: str) -> float:
     if not (0 <= a <= B and -1 <= b and a < B - b <= B + 1):
         raise InvalidIndices(f"need 0 <= a < B - b <= B + 1, got a={a}, b={b}, B={B}")
     _check_choice(kind, "kind", _INTERVAL_KINDS)
+    return _read_coverage(C, a, b, kind)
+
+
+def _read_coverage(C: np.ndarray, a: int, b: int, kind: str) -> float:
+    """:func:`_coverage_from_table` of checked arguments, for the bracket
+    checks' own (a, b, kind) loops."""
+    B = C.shape[0] - 2
     # n <= B-b-1 iff n < hi; the column or row ``end`` puts no bound on the other count
     hi, end = B - b, B + 1
     if kind == "closed":
@@ -447,13 +454,14 @@ def check_cond_iid(inst: CondIIDInstance, B: int):
     _check_count(B, "B")
     w = np.asarray(inst.w_cond, dtype=float)
     C = _coverage_table(_pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
+    # the slacks are exact distances in [0, 1]; the loops' a, b and kind are valid
     delta, delta_tilde = iid_slacks(inst)
     tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             for kind in _TWO_SIDED_KINDS:
-                cov = _coverage_from_table(C, a, b, kind)
-                br = iid_bracket(B, a, b, delta=delta, delta_tilde=delta_tilde, kind=kind)
+                cov = _read_coverage(C, a, b, kind)
+                br = _iid_bracket(B, a, b, delta, delta_tilde, kind)
                 head = {"family": "cond_iid", "B": B, "a": a, "b": b, "kind": kind}
                 tally.check(head, cov, br.lower, br.upper)
     return tally.result
@@ -464,13 +472,15 @@ def check_cond_indep(inst: CondIndepInstance):
     the tail-ordering lower bound with exact slacks."""
     B = inst.b
     C = _coverage_table(_pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
+    # the slacks are exact distances in [0, 1] and there are B kappas; the loops' a and b are valid
     d_ks, d_tilde, kappas = indep_slacks(inst)
+    kappa_term = _kappa_term(B, d_tilde, kappas)
     tally = _Tally()
     for a in range(B):
         for b in range(B - a):
-            cov = _coverage_from_table(C, a, b, "closed")
-            br = independent_bracket(B, a, b, d_tilde, kappas)
-            lo3 = ordering_lower(B, a, b, d_ks)
+            cov = _read_coverage(C, a, b, "closed")
+            br = _independent_bracket(B, a, b, d_tilde, kappa_term)
+            lo3 = _ordering_lower(B, a, b, d_ks)
             tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
             tally.check({"family": "ordering", "B": B, "a": a, "b": b}, cov, lo3)
     return tally.result

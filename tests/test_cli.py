@@ -1,11 +1,19 @@
 """Command line interface: subcommands, flags, exit codes."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fixedb
+from fixedb import harness
 from fixedb.cli import build_parser, main
 from fixedb.oracle import SweepReport
+
+_PARALLEL = hasattr(os, "fork") and harness._usable_cpus() > 1
 
 
 class TestExperiments:
@@ -133,6 +141,24 @@ class TestExitCodes:
         assert "seed must be an integer >= 0" in captured.err and "Traceback" not in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "-20260823"])
+    def test_verify_threads_below_one(self, capsys, threads):
+        assert main(["verify", "--threads", threads, "--instances", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: threads must be an integer >= 1, got {threads}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threads", ["1.5", "two", ""])
+    def test_verify_threads_not_an_integer(self, capsys, threads):
+        # argparse's own exit, as for the experiment subcommands
+        for cmd in ("verify", "bootstrap"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--threads", threads])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines()[-1].endswith(f"argument --threads: invalid int value: {threads!r}")
+            assert "Traceback" not in captured.err and captured.out == ""
+
     def test_verify_failure_exits_three(self, monkeypatch, capsys):
         import fixedb.cli as cli
 
@@ -189,3 +215,72 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
         {"procedure": "bootstrap"},
     ]
     assert set(seen[0]) <= harness._KNOWN_KEYS
+
+
+class TestParallelVerify:
+    @pytest.mark.parametrize("instances", [[], ["--instances", "6"]], ids=["default", "6"])
+    @pytest.mark.parametrize("seed", ["0", "2", "4177", "20260823"])
+    def test_stdout_does_not_depend_on_threads(self, capsys, seed, instances):
+        outs = []
+        for threads in (["--threads", "1"], ["--threads", "2"], []):
+            assert main(["verify", "--seed", seed, *instances, *threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("PASS") == 3
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_one_thread_forks_no_worker(self, capsys):
+        harness._drop(list(harness._WORKERS))
+        assert main(["verify", "--instances", "3", "--threads", "1"]) == 0
+        assert harness._WORKERS == [] and multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not _PARALLEL, reason="needs os.fork and two usable CPUs")
+    def test_verify_and_the_studies_share_the_workers(self, capsys):
+        harness._drop(list(harness._WORKERS))
+        harness.run_experiment({"procedure": "randomization", "m": 12, "reps": 8, "threads": 2})
+        ((proc, _),) = harness._WORKERS
+        assert main(["verify", "--instances", "3", "--threads", "2"]) == 0
+        assert harness._WORKERS[0][0] is proc and multiprocessing.active_children() == [proc]
+
+    @pytest.mark.parametrize("how", ["fails", "raises"])
+    def test_a_sweep_broken_on_the_worker_reads_as_at_one_thread(self, how):
+        # a fresh interpreter, so that the worker is forked after the patch
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fixedb.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _BROKEN_SWEEP, how], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs, workers = json.loads(proc.stdout)
+        assert workers == _PARALLEL
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        if how == "fails":
+            assert code == 3 and "FAIL conformal grid coverage floor" in out and err == ""
+        else:
+            assert code == 2 and out == "" and err == "error: synthetic sweep error\n"
+
+
+# Run in a fresh interpreter: verify at threads 1, then at threads 2 with
+# the fixed sweeps on a worker, after a patch that breaks one of them
+_BROKEN_SWEEP = r"""
+import contextlib, io, json, sys
+
+import numpy as np
+
+from fixedb import cli, harness, oracle
+from fixedb.errors import InvalidInput
+
+if sys.argv[1] == "fails":
+    oracle._conformal_mod_rank = lambda m, alpha: np.ones_like(m)
+else:
+    def raising(rows, p_bar):
+        raise InvalidInput("synthetic sweep error")
+
+    oracle._ehm_rows = raising
+runs = []
+for threads in ("1", "2"):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--instances", "6", "--threads", threads])
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([runs, len(harness._WORKERS)]))
+"""

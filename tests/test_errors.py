@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pickle
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -311,6 +312,11 @@ _BAD_JOINTS = {
     "str_coordinate": ("hold reals", ((1.0, "a"), (2.0, 1.0))),
     "none_coordinate": ("hold reals", ((1.0, None), (2.0, 1.0))),
     "nested_coordinate": ("hold reals", ((1.0, (2.0, 3.0)), (2.0, (1.0, 0.0)))),
+    # NumPy would read "0.5" as 0.5, the swaps as a label of its own
+    "numeric_str_coordinate": ("hold reals", ((1.0, "0.5"), (2.0, 1.0))),
+    "numeric_str_target": ("hold reals", (("0.5", 1.0, 2.0), (2.0, 1.0, "1"))),
+    "bytes_coordinate": ("hold reals", ((1.0, b"0.5"), (2.0, 1.0))),
+    "none_target": ("hold reals", ((1.0, 2.0, None), (2.0, 1.0, 0.5))),
 }
 _JOINT_SITES = {
     "exact_coverage_discrete": lambda joint: oracle.exact_coverage_discrete(joint, 0, -1, "closed"),
@@ -318,12 +324,11 @@ _JOINT_SITES = {
     "gamma_exact": distances.gamma_exact,
 }
 # unchecked, NumPy's float conversion of these atoms raises a raw ValueError
+# or parses a numeric str, and gamma_exact swaps them as they are
 _MALFORMED_JOINTS = {
     f"{site}-{label}": (what, partial(call, distances.FinitePmf(atoms, [0.5, 0.5])))
     for site, call in _JOINT_SITES.items()
     for label, (what, atoms) in _BAD_JOINTS.items()
-    # gamma_exact swaps whole atoms, so it checks only their width
-    if site != "gamma_exact" or what == "one width"
 }
 
 
@@ -339,6 +344,18 @@ def test_malformed_joint_atoms_raise_a_typed_error(what, call):
     with pytest.raises(FixedBError) as err:
         call()
     assert isinstance(err.value, InvalidInput) and what in str(err.value)
+
+
+def test_real_joint_coordinates_of_any_type_keep_their_results():
+    # ints, numpy scalars and fractions are reals: read as the floats they equal
+    atoms = [(1, np.int64(2), Fraction(1, 2)), (np.float32(0.5), True, 2.0), (3, 1, np.float64(1))]
+    probs = [0.25, 0.25, 0.5]
+    joint = distances.FinitePmf(atoms, probs)
+    floats = distances.FinitePmf([tuple(map(float, t)) for t in atoms], probs)
+    assert distances.gamma_exact(joint) == distances.gamma_exact(floats)
+    assert oracle.check_dependent(joint) == oracle.check_dependent(floats)
+    for a, b in ((0, -1), (0, 0), (1, -1)):
+        assert oracle.exact_coverage_discrete(joint, a, b, "closed") == oracle.exact_coverage_discrete(floats, a, b, "closed")
 
 
 def test_infinite_joint_atoms_keep_their_results():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixedb import harness, procedures
+from fixedb import cli, harness, procedures
 from fixedb.errors import ConfigError, InvalidInput, NumericalFailure
 from fixedb.cli import main
 from fixedb.harness import (
@@ -643,6 +643,25 @@ class TestWorkers:
         assert run_experiment(tiny_config(threads=2)).rows == want
         ((replacement, _),) = harness._WORKERS
         assert replacement.pid != proc.pid and replacement.is_alive()
+
+    @pytest.mark.skipif(not _PARALLEL, reason="needs os.fork and two usable CPUs")
+    def test_a_worker_killed_mid_verify_is_an_error_and_is_replaced(self, monkeypatch, capsys, fresh_workers):
+        real = cli.bracket_suite
+
+        def killing(n_instances, seed):
+            # runs here while the worker runs the fixed sweeps
+            ((proc, _),) = harness._WORKERS
+            proc.kill()
+            proc.join(10)
+            return real(n_instances=n_instances, seed=seed)
+
+        monkeypatch.setattr(cli, "bracket_suite", killing)
+        with pytest.raises(RuntimeError, match="exited before it replied"):
+            main(["verify", "--instances", "3", "--threads", "2"])
+        assert harness._WORKERS == [] and capsys.readouterr().out == ""
+        monkeypatch.undo()
+        assert main(["verify", "--instances", "3", "--threads", "2"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 3 and len(harness._WORKERS) == 1
 
     def test_concurrent_callers_each_get_their_own_rows(self):
         seeds = [21, 22, 23, 24]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixedb import discrete, oracle, orderstats
+from fixedb import bounds, discrete, oracle, orderstats
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
 from fixedb.errors import InvalidIndices, InvalidInput
 from fixedb.oracle import (
@@ -224,6 +224,59 @@ class TestInstanceChecks:
         assert iid_slacks(inst) == pytest.approx((0.2, 1.0))
         n_checked, viol = check_cond_iid(inst, 6)
         assert n_checked == 63 and viol == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_checks_compare_with_the_public_brackets(self, monkeypatch, seed):
+        # the checks compute an instance's bracket terms once for all its
+        # (a, b): each check must still see the public functions' bracket
+        real = oracle._Tally.check
+
+        def recording(calls):
+            def check(tally, head, cov, lower, upper=None, **tail):
+                calls.append((head, cov, lower, upper, tail))
+                real(tally, head, cov, lower, upper, **tail)
+
+            return check
+
+        hoisted, public = [], []
+        monkeypatch.setattr(oracle._Tally, "check", recording(hoisted))
+        report = bracket_suite(n_instances=1500, seed=seed)
+        monkeypatch.setattr(oracle._Tally, "check", recording(public))
+        monkeypatch.setattr(oracle, "check_cond_iid", _public_check_cond_iid)
+        monkeypatch.setattr(oracle, "check_cond_indep", _public_check_cond_indep)
+        assert bracket_suite(n_instances=1500, seed=seed) == report
+        assert len(hoisted) == report.n_checked and hoisted == public
+
+
+def _public_check_cond_iid(inst, B):
+    """check_cond_iid as a loop over the checked public bracket and table read."""
+    w = np.asarray(inst.w_cond, dtype=float)
+    C = oracle._coverage_table(oracle._pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
+    delta, delta_tilde = iid_slacks(inst)
+    tally = oracle._Tally()
+    for a in range(B):
+        for b in range(B - a):
+            for kind in oracle._TWO_SIDED_KINDS:
+                cov = oracle._coverage_from_table(C, a, b, kind)
+                br = bounds.iid_bracket(B, a, b, delta=delta, delta_tilde=delta_tilde, kind=kind)
+                tally.check({"family": "cond_iid", "B": B, "a": a, "b": b, "kind": kind}, cov, br.lower, br.upper)
+    return tally.result
+
+
+def _public_check_cond_indep(inst):
+    """check_cond_indep as a loop over the checked public brackets and table read."""
+    B = inst.b
+    C = oracle._coverage_table(oracle._pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
+    d_ks, d_tilde, kappas = indep_slacks(inst)
+    tally = oracle._Tally()
+    for a in range(B):
+        for b in range(B - a):
+            cov = oracle._coverage_from_table(C, a, b, "closed")
+            br = bounds.independent_bracket(B, a, b, d_tilde, kappas)
+            lo3 = bounds.ordering_lower(B, a, b, d_ks)
+            tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
+            tally.check({"family": "ordering", "B": B, "a": a, "b": b}, cov, lo3)
+    return tally.result
 
 
 def _joint_law(inst, B, rows_of) -> FinitePmf:
