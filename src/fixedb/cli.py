@@ -32,9 +32,11 @@ def _str_list(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument(
+    """The ``fixedb`` parser: each subcommand takes only the flags it
+    reads, and any other flag is argparse's usage error (exit 2)."""
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="master seed")
+    seeded.add_argument(
         "--threads",
         type=int,
         default=None,
@@ -42,10 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1, up to the usable CPUs), or verify's bracket suite and its two fixed sweeps "
         "(default the usable CPUs, at most 2); the output bytes do not depend on it",
     )
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--config", default=None, help="JSON config file; flags override it")
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", default=None, help="output path")
 
     exp = argparse.ArgumentParser(add_help=False)
+    exp.add_argument("--config", default=None, help="JSON config file; flags override it")
     exp.add_argument("--format", choices=("csv", "svg"), default="csv")
     exp.add_argument("--B", type=_int_list, default=None, help="budgets, comma separated")
     exp.add_argument("--alpha", type=_float_list, default=None, help="levels, comma separated")
@@ -65,14 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _PROCEDURES:
-        p = sub.add_parser(cmd, parents=[common, exp], help=f"run the {cmd} experiment")
+        p = sub.add_parser(cmd, parents=[seeded, written, exp], help=f"run the {cmd} experiment")
         p.set_defaults(func=_cmd_experiment)
     v = sub.add_parser(
-        "verify", parents=[common], help="check the guarantees against exact enumeration"
+        "verify", parents=[seeded], help="check the guarantees against exact enumeration"
     )
     v.add_argument("--instances", type=int, default=210, help="random bracket instances")
     v.set_defaults(func=_cmd_verify)
-    pl = sub.add_parser("plot", parents=[common], help="render a saved CSV table as SVG")
+    pl = sub.add_parser("plot", parents=[written], help="render a saved CSV table as SVG")
     pl.add_argument("table", help="CSV file written by an experiment subcommand")
     pl.set_defaults(func=_cmd_plot)
     return parser

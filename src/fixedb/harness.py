@@ -7,21 +7,27 @@ grids, and a replication count.  The grid's cells are its (alpha, B,
 method) triples; cells whose budget cannot support their rule are
 skipped before any replicate runs.  The loop is block-major: it hands
 the procedure consecutive blocks of replicate indices, in order.  A
-block holds as many replicates R as keep R x max(B) sample-sized
-float64 rows within ``_BLOCK_BYTES`` (1 MiB).  Replicate r draws its
-data from stream (r, 0) and its resamples from stream (r, 1) on, so the
-blocking never changes a bit.  The test procedures run a whole
-block at once: one batched draw of the block's data, then one
-:func:`~fixedb.procedures.rank_test_block` call per cell.  The CI
-procedures run the block one replicate at a time
-(:func:`_ci_replicate`): the replicate draws its data once and runs
-every cell on it.  The cells also share the replicate's resamples:
-one :func:`~fixedb.procedures.ci_cells` call draws max(B) of them and
-forms their roots once (bootstrap and subsample), or one
+test or SGD block holds as many replicates R as keep R x max(B)
+sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB); a bootstrap
+or subsample block, R samples and R x max(B) estimates within one
+gathered slice of resamples, 256 KiB (in setting 2 an observation and
+an estimate are d floats).  Replicate r draws its data from stream
+(r, 0) and its resamples from stream (r, 1) on, so the blocking never
+changes a bit.
+Tests, bootstrap and subsample run a whole block at once: one batched
+draw of the block's data, then one
+:func:`~fixedb.procedures.rank_test_block` call per test cell, or one
+call of the CI block kernel :func:`~fixedb.procedures._ci_block` for
+every bootstrap or subsample cell (:func:`_ci_replicate_block`).  That
+call derives the block's R x max(B) resample streams in one pass,
+forms their roots a slice at a time, sorts them once per distinct B,
+and gives every cell's coverage and span as (R, cells) arrays; a
+B-cell reads each replicate's first B roots, the bits its own call
+would draw.  SGD runs a block one replicate at a time
+(:func:`_ci_replicate`): the replicate draws its data once, and one
 :func:`~fixedb.procedures.sgd_cells` call runs max(B) weighted paths
-once (SGD), and a B-cell reads the first B (the bits its own call
-would draw).  So every cell's outcome is the one it would get run
-alone, and the output table depends only on the config.
+once for every cell.  So every cell's outcome is the one it would get
+run alone, and the output table depends only on the config.
 
 The ``threads`` key sets how many processes share the replicates:
 min(threads, reps, usable CPUs) contiguous shares of replicates 0..reps,
@@ -66,11 +72,12 @@ import numpy as np
 from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_choice, _check_count, _check_real
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
-from .procedures import _CI_VARIANTS, ci_cells, ci_rule, rank_test_block, sgd_cells, test_rule
+from .procedures import _CI_VARIANTS, _GATHER_BYTES, _ci_block, ci_rule, rank_test_block, sgd_cells, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
     SgdSpec,
+    _setting_draw,
     _stream_rows,
     full_symmetric,
     setting_sampler,
@@ -99,7 +106,7 @@ CSV_HEADER = ("setting", "method", "B", "alpha", "m", "reps", "coverage", "mean_
 
 def sup_norm(x) -> float:
     """The l-infinity norm, the root used by the vector-mean setting."""
-    return float(np.max(np.abs(x)))
+    return float(np.abs(x).max())
 
 
 @dataclass(frozen=True)
@@ -336,15 +343,6 @@ _ESTIMATORS = {
 }
 
 
-def _per_replicate(draw: Callable, run_cells: Callable) -> Callable:
-    """run_block that runs :func:`_ci_replicate` once per replicate."""
-
-    def run_block(master: int, cells: list, rs) -> list:
-        return [_ci_replicate(master, cells, draw, run_cells, r) for r in rs]
-
-    return run_block
-
-
 def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Callable) -> tuple:
     """run_block and budget check of a test procedure.  run_block draws
     the block's data in one batched pass from streams (r, 0), then makes
@@ -372,10 +370,10 @@ def _plan(cfg: dict) -> tuple:
     The check is :func:`ci_rule` or :func:`test_rule`.  run_block gives,
     for each replicate r in rs, one (covered, width) per
     (B, alpha, method) cell, with width None for tests.  Tests run the
-    whole block through :func:`rank_test_block`; the other procedures
-    run :func:`_ci_replicate` per replicate, where all cells share one
-    :func:`ci_cells` call (bootstrap, subsample) or one
-    :func:`sgd_cells` call (SGD).
+    whole block through one :func:`rank_test_block` call per cell, and
+    bootstrap and subsample through one :func:`_ci_block` call for all
+    cells (:func:`_ci_replicate_block`); SGD runs :func:`_ci_replicate`
+    per replicate, where all cells share one :func:`sgd_cells` call.
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -397,7 +395,11 @@ def _plan(cfg: dict) -> tuple:
             return [(ci[0].contains(truth), ci[0].span) for ci in cis]  # coordinate 0
 
         draw = partial(setting_sampler, 4, {"n": cfg["n"]})
-        return _per_replicate(draw, run_sgd_cells), ci_rule
+
+        def run_sgd_block(master: int, cells: list, rs) -> list:
+            return [_ci_replicate(master, cells, draw, run_sgd_cells, r) for r in rs]
+
+        return run_sgd_block, ci_rule
 
     # a test replicate's data, as one row of the block's stacked draw
     if proc == "permutation":
@@ -423,27 +425,31 @@ def _plan(cfg: dict) -> tuple:
         k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
         tau_k = _rate(setting, k)
 
-    def run_cells(data, cells, seed):
-        cis = ci_cells(
-            data,
-            estimator,
-            cells,
-            root=root,
-            tau_m=tau_m,
-            seed=seed,
-            estimator_batch=batch,
-            k=k,
-            tau_k=tau_k,
-        )
-        return [(ci.contains(theta0), ci.span) for ci in cis]
+    def run_cells(data, cells, master, firsts):
+        block = _ci_block(data, estimator, cells, root, tau_m, master, firsts, batch, k, tau_k)
+        return [list(zip(*rep)) for rep in zip(block.covers(theta0).tolist(), block.span.tolist())]
 
-    return _per_replicate(partial(setting_sampler, setting, params), run_cells), ci_rule
+    draw = _setting_draw(setting, params)
+
+    def run_block(master: int, cells: list, rs) -> list:
+        return _ci_replicate_block(master, cells, rs, draw, run_cells)
+
+    return run_block, ci_rule
+
+
+def _ci_replicate_block(master: int, cells: list, rs, draw: Callable, run_cells: Callable) -> list:
+    """Replicates rs of every cell: their data drawn in one batched pass
+    from streams (r, 0), then every cell run on the block, with
+    resamples from streams (r, 1) on.  The block kernel of bootstrap and
+    subsample."""
+    data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
+    return run_cells(data, cells, master, [stream_for(r, 1) for r in rs])
 
 
 def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> list:
     """Replicate r of every cell: its data drawn once from stream
     (r, 0), every cell run on it from stream (r, 1).  The per-replicate
-    kernel of the CI procedures."""
+    kernel of SGD."""
     data = draw(SeedSpec(master, stream_for(r, 0)))
     return run_cells(data, cells, SeedSpec(master, stream_for(r, 1)))
 
@@ -451,9 +457,11 @@ def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable,
 # bench/tracer.py rebinds both replicate names to time replicates
 _test_replicate = _ci_replicate
 
-# a replicate block holds as many replicates R as keep one float64
-# (R, max(B), m) resample stack within this many bytes; each array of a
-# test block's draw is about that size
+# a test or SGD block holds as many replicates R as keep one float64
+# (R, max(B), m) stack of samples within this many bytes; each array of
+# a test block's draw is about that size.  A bootstrap or subsample
+# block gathers its resamples a slice at a time and keeps only its R
+# samples and R x max(B) estimates, within one slice (_GATHER_BYTES)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -673,7 +681,13 @@ def run_experiment(config: dict) -> CoverageTable:
                     )
     if not cells:
         return table
-    block = max(1, _BLOCK_BYTES // (8 * cfg["m"] * max(B for B, _, _ in cells)))
+    max_b = max(B for B, _, _ in cells)
+    # a sample is m observations, and an estimate one float, or d of each in setting 2
+    width = cfg["d"] if cfg["setting"] == 2 else 1
+    if proc in ("bootstrap", "subsample"):
+        block = max(1, _GATHER_BYTES // (8 * width * (cfg["m"] + max_b)))
+    else:
+        block = max(1, _BLOCK_BYTES // (8 * width * cfg["m"] * max_b))
     replicates = _replicates(run_block, cfg, cells, block)
     for (B, alpha, method), outcomes in zip(cells, zip(*replicates)):
         covered = np.array([c for c, _ in outcomes], dtype=float)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -209,8 +209,10 @@ def index_rule(
         infinite threshold).  ``min_b`` is the smallest budget from
         which on every B is accepted.
 
-    The ranks are cached per (B, alpha, rule_name, gamma, beta); a
-    call that raises is not cached, so it raises every time.
+    The outcome is cached per (B, alpha, rule_name, gamma, beta): the
+    ranks, or a BudgetTooSmall's message and ``min_b``, from which each
+    call raises a fresh BudgetTooSmall, so it raises every time.  Any
+    other error is not cached.
     """
     if gamma is not None:
         gamma = float(_check_real(gamma, "gamma", 0, 1, strict=True))
@@ -220,7 +222,31 @@ def index_rule(
     return _index_rule(spec.B, spec.alpha, rule_name, gamma, beta)
 
 
-@lru_cache(maxsize=1024)
+def _cached_rule(resolve):
+    """resolve, cached per arguments with its BudgetTooSmall outcomes: a
+    call whose arguments once raised one raises a fresh BudgetTooSmall
+    with the same message and ``min_b``.  ``cache_clear`` empties the
+    cache; ``__wrapped__`` is the uncached resolve."""
+
+    @lru_cache(maxsize=1024)
+    def outcome(*args):
+        try:
+            return resolve(*args), None
+        except BudgetTooSmall as exc:
+            return None, (str(exc), exc.min_b)
+
+    @wraps(resolve)
+    def cached(*args):
+        rule, too_small = outcome(*args)
+        if too_small is not None:
+            raise BudgetTooSmall(*too_small)
+        return rule
+
+    cached.cache_clear = outcome.cache_clear
+    return cached
+
+
+@_cached_rule
 def _index_rule(B: int, alpha: float, rule_name: str, gamma, beta) -> IntervalIndexRule:
     """:func:`index_rule` on the budget's fields."""
     a = _snap_alpha(alpha)

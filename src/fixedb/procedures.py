@@ -26,15 +26,19 @@ first B rows of any larger call on the same seed.  That is what lets
 draw of max(B) resamples and one pass over their roots: each cell
 reads the first B roots and draws its own rank rule, so it gets the
 bits of its own :func:`ci_boot` or :func:`ci_subsample` call, which
-are one-cell calls of it.  Multiplier-SGD path b takes its weights
-from stream seed.stream_id + b - 1 whatever B is, so
-:func:`sgd_cells` likewise runs max(B) weighted paths once for all
-its cells, and :func:`ci_sgd` is its one-cell call.  The tests block
-the other way, across replicates: :func:`rank_test_block` takes R
-samples and R first stream ids, derives all R x B resample streams in
-one pass and sorts the (R, B) statistics once, and
-:func:`permutation_test` and :func:`randomization_test` (sign flips
-or a transform list) are its one-replicate calls.  With an
+are one-cell calls of it.  It is in turn the one-replicate call of
+the block kernel :func:`_ci_block`, which the harness runs: it takes
+R samples and R first stream ids, derives all R x max(B) resample
+streams in one pass, keeps only the (R, max(B)) roots and sorts them
+once per distinct B.  Multiplier-SGD path b takes its weights from
+stream seed.stream_id + b - 1 whatever B is, so :func:`sgd_cells`
+likewise runs max(B) weighted paths once for all its cells, and
+:func:`ci_sgd` is its one-cell call.  The tests block across
+replicates too: :func:`rank_test_block` takes R samples and R first
+stream ids, derives all R x B resample streams in one pass and sorts
+the (R, B) statistics once, and :func:`permutation_test` and
+:func:`randomization_test` (sign flips or a transform list) are its
+one-replicate calls.  With an
 ``estimator_batch``, the CI procedures also estimate the resamples in
 one call per block of rows; with a ``statistic_batch``, the tests
 compute a replicate's B statistics in one call, and the sign-flip test
@@ -53,7 +57,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_choice, _check_real, _check_vector
+from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_choice, _check_count, _check_real, _check_vector
 from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
@@ -68,15 +72,17 @@ from .resampling import (
     PermutationGroup,
     SeedSpec,
     SgdSpec,
+    _bounded_from,
     _bounded_rows,
     _permutation_rows,
+    _philox_keys,
+    _shuffled_from,
+    _stream_ids,
     _stream_rows,
-    bootstrap_indices,
     sgd_paths,
-    subsample_indices,
 )
 # imported only for bench/tracer.py, which rebinds them here
-from .resampling import generator, permutation_draw, signflip_transform  # noqa: F401
+from .resampling import bootstrap_indices, generator, permutation_draw, signflip_transform, subsample_indices  # noqa: F401
 
 __all__ = [
     "Interval",
@@ -220,26 +226,59 @@ def test_rule(budget: BudgetSpec, group) -> IntervalIndexRule:
 test_rule.__test__ = False  # a library function, not a pytest test
 
 
-def _pick_rules(budgets: Sequence[BudgetSpec], variants: Sequence[str], seed: SeedSpec) -> list:
-    """Index rule plus branch record of each (budget, variant) CI cell.
+@dataclass(frozen=True)
+class _CellRules:
+    """One CI cell's rank rule in each of R replicates: ``rule``, except
+    that in a randomized cell a replicate whose uniform u exceeds
+    ``tau`` takes ``floor`` (the floor branch of the draw, resolved only
+    when some replicate takes it; ``rule`` otherwise)."""
+
+    budget: BudgetSpec
+    rule: IntervalIndexRule
+    u: Optional[np.ndarray] = None
+    tau: float = 1.0
+    floor: Optional[IntervalIndexRule] = None
+
+    def upper_ranks(self, R: int) -> np.ndarray:
+        """(R,) upper ranks; the lower rank is ``rule.lower_rank`` in every
+        replicate."""
+        if self.floor is None:
+            return np.full(R, self.rule.upper_rank)
+        return np.where(self.u <= self.tau, self.rule.upper_rank, self.floor.upper_rank)
+
+    def pick(self, r: int) -> tuple:
+        """Replicate r's (rule, RandomizedBranch or None)."""
+        if self.u is None:
+            return self.rule, None
+        u = float(self.u[r])
+        took_ceil = u <= self.tau
+        return (self.rule if took_ceil else self.floor), RandomizedBranch(u=u, tau=self.tau, took_ceil=took_ceil)
+
+
+def _cell_rules(cells: Sequence[tuple], master_seed: int, firsts: list) -> list:
+    """The :class:`_CellRules` of each (B, alpha, variant) CI cell over
+    the R replicates whose first resample streams are ``firsts``.
 
     Every budget is checked first.  A randomized cell at budget B draws
-    its uniform from stream seed.stream_id + B; those draws share one
-    batched pass and have the bits of ``generator(...).random()``.
+    replicate r's uniform from stream firsts[r] + B; all those draws
+    share one batched pass and have the bits of
+    ``generator(...).random()``.  Each cell's rules and tau are resolved
+    once, the floor rule only when some replicate takes it.
     """
-    rules = [ci_rule(budget, variant) for budget, variant in zip(budgets, variants)]
-    branches = [None] * len(rules)
-    drawn = [i for i, variant in enumerate(variants) if variant == "randomized"]
+    if not cells:
+        raise InvalidInput("cells must be nonempty")
+    budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
+    out = [_CellRules(budget, ci_rule(budget, variant)) for budget, (_, _, variant) in zip(budgets, cells)]
+    drawn = [i for i, (_, _, variant) in enumerate(cells) if variant == "randomized"]
     if drawn:
-        sids = [seed.stream_id + budgets[i].B for i in drawn]
-        us = _stream_rows(seed.master_seed, sids, 1, np.random.Generator.random)
-        for i, u in zip(drawn, us.tolist()):
+        sids = [first + budgets[i].B for first in firsts for i in drawn]
+        us = _stream_rows(master_seed, sids, 1, np.random.Generator.random).reshape(len(firsts), len(drawn))
+        for i, u in zip(drawn, us.T):
             tau = tau_randomization(budgets[i])
-            took_ceil = u <= tau
-            if not took_ceil:
-                rules[i] = index_rule(budgets[i], "mod_two_sided_floor")
-            branches[i] = RandomizedBranch(u=u, tau=tau, took_ceil=took_ceil)
-    return list(zip(rules, branches))
+            rule = out[i].rule
+            floor = rule if (u <= tau).all() else index_rule(budgets[i], "mod_two_sided_floor")
+            out[i] = _CellRules(budgets[i], rule, u, tau, floor)
+    return out
 
 
 # largest gathered resample block handed to an estimator_batch call
@@ -253,17 +292,20 @@ def _per_row(
     (len(rows),) + shape: the one loop behind ``estimator_batch`` and
     ``statistic_batch``.
 
-    With ``batch`` the values come from calls batch(rows[i : i + step])
-    on consecutive blocks of ``step`` rows (all rows when None); each
-    must give exactly its block's shape, or :class:`InvalidInput` names
-    the hook (``what`` + "_batch").  If a call raises, the scalar loop
-    runs instead; fn failing on row b raises :class:`NumericalFailure`
-    with step offset + b, b counted from 1.
+    ``rows`` is read a slice of ``step`` rows at a time (all rows when
+    None), so it may be any sized object that gives its rows by slice.
+    With ``batch`` the values come from one call batch(rows[i : i +
+    step]) per slice; each must give exactly its slice's shape, or
+    :class:`InvalidInput` names the hook (``what`` + "_batch").  If a
+    call raises, the scalar loop runs instead, over every row; fn
+    failing on row b raises :class:`NumericalFailure` with step
+    offset + b, b counted from 1.
     """
-    out = np.empty((len(rows),) + shape)
+    n = len(rows)
+    out = np.empty((n,) + shape)
+    step = step or n
     if batch is not None:
-        step = step or len(rows)
-        for i in range(0, len(rows), step):
+        for i in range(0, n, step):
             try:
                 got = np.asarray(batch(rows[i : i + step]), dtype=float)
             except Exception:
@@ -274,68 +316,195 @@ def _per_row(
             out[i : i + step] = got
         else:
             return out
-    for b, row in enumerate(rows, start=1):
-        try:
-            out[b - 1] = fn(row)
-        except Exception as exc:
-            step = offset + b
-            raise NumericalFailure(f"{what} failed on resample {step}: {exc}", step=step) from exc
+    for i in range(0, n, step):
+        for b, row in enumerate(rows[i : i + step], start=i + 1):
+            try:
+                out[b - 1] = fn(row)
+            except Exception as exc:
+                step = offset + b
+                raise NumericalFailure(f"{what} failed on resample {step}: {exc}", step=step) from exc
     return out
 
 
-def _resample_roots(
+class _Resamples:
+    """A block's resamples, gathered a slice of rows at a time.  Row j is
+    sample j // count of ``data`` at index row j, the index rows of a
+    slice coming from draw(slice).  They are drawn in slabs of at least
+    ``slab`` rows, each kept, as indices into all R samples, until a
+    slice reads past it."""
+
+    def __init__(self, data: np.ndarray, count: int, draw: Callable, slab: int) -> None:
+        R, m = data.shape[:2]
+        self.flat = data.reshape((R * m,) + data.shape[2:])
+        self.starts = np.repeat(np.arange(0, R * m, m), count)  # where row j's sample starts
+        self.draw, self.slab = draw, slab
+        self.lo = self.hi = 0
+        self.indices = None
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(len(self.starts))
+        if not self.lo <= lo <= hi <= self.hi:
+            self.indices = None  # freed before the next slab is drawn
+            self.lo, self.hi = lo, min(len(self.starts), lo + max(self.slab, hi - lo))
+            self.indices = self.draw(slice(self.lo, self.hi))
+            self.indices += self.starts[self.lo : self.hi, None]
+        return self.flat[self.indices[lo - self.lo : hi - self.lo]]
+
+
+@dataclass(frozen=True)
+class _CiBlock:
+    """The CI cells of R replicates, as :func:`_ci_block` leaves them.
+
+    ``stats[B]`` holds each replicate's B sorted roots between a -inf and
+    a +inf column, so rank r of replicate i is ``stats[B][i, r]`` for
+    every rank 0 .. B + 1.  ``w_l`` and ``w_u`` are the (R, cells)
+    thresholds W_(l) and W_(u).
+    """
+
+    theta_hat: np.ndarray
+    root: Optional[Callable]
+    tau_m: float
+    rules: list
+    stats: dict
+    w_l: np.ndarray
+    w_u: np.ndarray
+
+    @property
+    def span(self) -> np.ndarray:
+        """(R, cells) spans (W_(u) - W_(l)) / tau_m."""
+        return (self.w_u - self.w_l) / self.tau_m
+
+    def covers(self, theta) -> np.ndarray:
+        """(R, cells): whether each replicate's set for each cell contains
+        theta, bit for bit ``result(r, i).contains(theta)``."""
+        if self.root is None:
+            center = self.theta_hat[:, None]
+            return (center - self.w_u / self.tau_m < theta) & (theta <= center - self.w_l / self.tau_m)
+        diffs = self.tau_m * (self.theta_hat - np.asarray(theta, dtype=float))
+        s = np.array([float(self.root(d)) for d in diffs])[:, None]
+        return (self.w_l <= s) & (s < self.w_u)
+
+    def result(self, r: int, i: int) -> CiResult:
+        """Replicate r's CiResult for cell i."""
+        cell = self.rules[i]
+        rule, branch = cell.pick(r)
+        B = cell.budget.B
+        stats = SortedSample(self.stats[B][r, 1 : B + 1])
+        w_l, w_u = float(self.w_l[r, i]), float(self.w_u[r, i])
+        theta_hat, tau_m, root = self.theta_hat[r], self.tau_m, self.root
+        interval = None
+        if root is None:
+            center = float(theta_hat)
+            interval = Interval(lo=center - w_u / tau_m, hi=center - w_l / tau_m)
+            contains = interval.contains
+        else:
+
+            def contains(theta) -> bool:
+                s = float(root(tau_m * (theta_hat - np.asarray(theta, dtype=float))))
+                return bool(w_l <= s < w_u)
+
+        return CiResult(contains, rule, stats, cell.budget, (w_u - w_l) / tau_m, interval, branch)
+
+
+def _ci_block(
     data: np.ndarray,
     estimator: Callable,
+    cells: Sequence[tuple],
     root: Optional[Callable],
-    rate: float,
-    theta_hat: np.ndarray,
-    indices: np.ndarray,
+    tau_m: float,
+    master_seed: int,
+    firsts: list,
     estimator_batch: Optional[Callable] = None,
-) -> np.ndarray:
-    """W_b = root(rate (theta*_b - theta_hat)) for each index row b.
+    k: Optional[int] = None,
+    tau_k: float = 1.0,
+) -> _CiBlock:
+    """The bootstrap (``k`` None) or subsampling CI cells of R replicates
+    in one pass: replicate r's sample is data[r] and its resamples come
+    from streams firsts[r] + b.  :func:`ci_cells` is its R = 1 call, and
+    replicate r's results are bit for bit that call's with
+    ``seed=SeedSpec(master_seed, firsts[r])``.
 
-    The estimates theta*_b come from :func:`_per_row`; an
-    ``estimator_batch`` is called on the gathered resamples of blocks of
-    at most _GATHER_BYTES (or one row), so a wide resample never
-    materializes all B at once.  A non-finite root raises, naming its
-    resample.
+    The rules and tau of every cell are resolved once, with every
+    randomized-branch uniform in one pass (:func:`_cell_rules`).  The
+    R x max(B) stream keys are derived in one pass; the index rows are
+    drawn, gathered and estimated a slice of at most _GATHER_BYTES at a
+    time, so only the (R, max(B)) roots are kept.  They are sorted once
+    per distinct B, and each cell's thresholds are read off as one
+    lookup.  If anything raises for R > 1, the replicates are run again
+    one at a time, so the error is the first failing replicate's, as
+    its own call raises it.
     """
-    batch = None if estimator_batch is None else lambda block: estimator_batch(data[block])
-    step = max(1, _GATHER_BYTES // max(1, indices.shape[1] * data[:1].nbytes))
-    stars = _per_row(indices, lambda idx: estimator(data[idx]), batch, theta_hat.shape, "estimator", step=step)
-    diffs = rate * (stars - theta_hat)
-    ws = diffs.reshape(len(indices)) if root is None else np.array([float(root(d)) for d in diffs])
+    try:
+        return _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estimator_batch, k, tau_k)
+    except Exception:
+        if len(firsts) == 1:
+            raise
+        for one, first in zip(data, firsts):
+            _ci_block_of(one[None], estimator, cells, root, tau_m, master_seed, [first], estimator_batch, k, tau_k)
+        raise
+
+
+def _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estimator_batch, k, tau_k) -> _CiBlock:
+    """:func:`_ci_block` without its per-replicate rerun."""
+    tau_m = _check_real(tau_m, "tau_m", 0, strict=True)
+    tau_k = _check_real(tau_k, "tau_k", 0, strict=True)
+    rules = _cell_rules(cells, master_seed, firsts)
+    R, m = data.shape[:2]
+    theta_hat = np.stack([np.asarray(estimator(one), dtype=float) for one in data])
+    shape = theta_hat.shape[1:]
+    if root is None and shape != ():
+        raise InvalidInput(f"an estimate of shape {shape} needs a root, not the scalar identity")
+    count = max(cell.budget.B for cell in rules)
+    if k is not None:
+        _check_count(k, "k")
+        if k > m:
+            raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
+    sids = _stream_ids(firsts, count)
+    keys = _philox_keys(master_seed, sids)
+    if k is None:
+        n, rate = m, tau_m
+
+        def draw(rows: slice) -> np.ndarray:
+            return _bounded_from(master_seed, sids[rows], keys[rows], m, m)
+
+    else:
+        n, rate = k, tau_k
+
+        def draw(rows: slice) -> np.ndarray:
+            return np.sort(_shuffled_from(keys[rows], m)[:, :k], axis=1)
+
+    # index rows (full permutations, for subsamples) are drawn and the
+    # resamples gathered at most one replicate's max(B) rows and about
+    # _GATHER_BYTES at a time, so a block holds no more of them than a
+    # one-replicate call
+    slab = max(1, min(count, _GATHER_BYTES // (8 * m)))
+    step = max(1, min(count, _GATHER_BYTES // max(1, n * data[0, :1].nbytes)))
+    resamples = _Resamples(data, count, draw, slab)
+    stars = _per_row(resamples, estimator, estimator_batch, shape, "estimator", step=step)
+    diffs = rate * (stars.reshape((R, count) + shape) - theta_hat[:, None])
+    if root is None:
+        ws = diffs
+    else:
+        ws = np.array([float(root(d)) for d in diffs.reshape((R * count,) + shape)]).reshape(R, count)
     bad = np.flatnonzero(~np.isfinite(ws))
     if bad.size:
-        b = int(bad[0]) + 1
+        b = int(bad[0]) % count + 1
         raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
-    return ws
-
-
-def _assemble_ci(
-    theta_hat,
-    ws: np.ndarray,
-    tau_m: float,
-    budget: BudgetSpec,
-    rule: IntervalIndexRule,
-    branch: Optional[RandomizedBranch],
-    root: Optional[Callable],
-) -> CiResult:
-    stats = sorted_from(ws)
-    w_l = order_stat(stats, rule.lower_rank)
-    w_u = order_stat(stats, rule.upper_rank)
-    interval = None
-    if root is None:
-        center = float(theta_hat)
-        interval = Interval(lo=center - w_u / tau_m, hi=center - w_l / tau_m)
-        contains = interval.contains
-    else:
-
-        def contains(theta) -> bool:
-            s = float(root(tau_m * (theta_hat - np.asarray(theta, dtype=float))))
-            return bool(w_l <= s < w_u)
-
-    return CiResult(contains, rule, stats, budget, (w_u - w_l) / tau_m, interval, branch)
+    stats = {}
+    for B in sorted({cell.budget.B for cell in rules}):
+        padded = stats[B] = np.empty((R, B + 2))
+        padded[:, 0], padded[:, -1] = -math.inf, math.inf
+        padded[:, 1:-1] = np.sort(ws[:, :B], axis=1, kind="stable")
+    w_l, w_u = np.empty((R, len(rules))), np.empty((R, len(rules)))
+    replicates = np.arange(R)
+    for i, cell in enumerate(rules):
+        padded = stats[cell.budget.B]
+        w_l[:, i] = padded[:, cell.rule.lower_rank]
+        w_u[:, i] = padded[replicates, cell.upper_ranks(R)]
+    return _CiBlock(theta_hat, root, tau_m, rules, stats, w_l, w_u)
 
 
 def ci_cells(
@@ -363,31 +532,16 @@ def ci_cells(
     rates must be finite and > 0, and every cell's budget is checked
     before anything is drawn; a non-finite root on any of the max(B)
     resamples raises, naming the resample.  ``root`` None needs a scalar
-    estimate.
+    estimate.  This is the one-replicate call of the block kernel
+    :func:`_ci_block` that the harness runs.
     """
     data = np.asarray(data)
     if data.ndim == 0 or len(data) < 1:
         raise InvalidInput(f"data must be a nonempty sequence of observations, got shape {data.shape}")
-    m = len(data)
-    tau_m = _check_real(tau_m, "tau_m", 0, strict=True)
-    tau_k = _check_real(tau_k, "tau_k", 0, strict=True)
-    if not cells:
-        raise InvalidInput("cells must be nonempty")
-    budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
-    picks = _pick_rules(budgets, [variant for _, _, variant in cells], seed)
-    theta_hat = np.asarray(estimator(data), dtype=float)
-    if root is None and theta_hat.size != 1:
-        raise InvalidInput(f"an estimate of shape {theta_hat.shape} needs a root, not the scalar identity")
-    count = max(budget.B for budget in budgets)
-    if k is None:
-        indices, rate = bootstrap_indices(m, seed, count=count), tau_m
-    else:
-        indices, rate = subsample_indices(m, k, seed, count=count), tau_k
-    ws = _resample_roots(data, estimator, root, rate, theta_hat, indices, estimator_batch)
-    return [
-        _assemble_ci(theta_hat, ws[: budget.B], tau_m, budget, rule, branch, root)
-        for budget, (rule, branch) in zip(budgets, picks)
-    ]
+    block = _ci_block(
+        data[None], estimator, cells, root, tau_m, seed.master_seed, [seed.stream_id], estimator_batch, k, tau_k
+    )
+    return [block.result(0, i) for i in range(len(cells))]
 
 
 def ci_boot(
@@ -480,18 +634,15 @@ def sgd_cells(
     cell i's list of CiResults, bit for bit its own :func:`ci_sgd`
     call.  Budgets are checked before any path runs.
     """
-    if not cells:
-        raise InvalidInput("cells must be nonempty")
-    budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, _ in cells]
-    picks = _pick_rules(budgets, [variant for _, _, variant in cells], seed)
+    rules = _cell_rules(cells, seed.master_seed, [seed.stream_id])
     if theta0 is None:
         theta0 = np.zeros(spec.dim)
-    count = max(budget.B for budget in budgets)
+    count = max(cell.budget.B for cell in rules)
     seeds = [None] + [_child(seed, b - 1) for b in range(1, count + 1)]
     paths = sgd_paths(spec, stream, theta0, seeds, gradient_batch=gradient_batch)
     return [
-        [_sgd_ci(paths[0, j], paths[1 : budget.B + 1, j], budget, rule, branch) for j in range(spec.dim)]
-        for budget, (rule, branch) in zip(budgets, picks)
+        [_sgd_ci(paths[0, j], paths[1 : cell.budget.B + 1, j], cell.budget, *cell.pick(0)) for j in range(spec.dim)]
+        for cell in rules
     ]
 
 

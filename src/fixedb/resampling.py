@@ -34,13 +34,18 @@ Batched uniform integers in [0, m) skip numpy's per-call argument
 handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
 each value with Lemire's 32-bit rule from the next 32-bit output of
 Philox, which is the low and then the high half of each raw 64-bit
-word.  So each stream takes ceil(n/2) raw words (``random_raw``) and
-the rule runs over the whole (count, n) stack at once: a word x
-gives (x * m) >> 32 unless (x * m) mod 2**32 < (2**32 - m) mod m, when
-numpy rejects it and draws again.  A row with any rejection (about 2e-8
-per draw at m = 100, none when m is a power of two) is redrawn through
+word.  So each stream takes ceil(n/2) raw words (``random_raw``), the
+stack's 32-bit outputs are read in that order through a little-endian
+uint32 view of the words (whatever the machine's byte order), and the
+rule runs over the whole (count, n) stack at once: an output x gives
+(x * m) >> 32 unless (x * m) mod 2**32 < (2**32 - m) mod m, when numpy
+rejects it and draws again.  A row with any rejection (about 2e-8 per
+draw at m = 100, none when m is a power of two) is redrawn by
 the scalar ``generator(...).integers`` call, which is exact; so is
-every row at m > 2**32, where numpy switches to a 64-bit rule.
+every row at m > 2**32, where numpy switches to a 64-bit rule.  The
+keyed forms (:func:`_bounded_from`, :func:`_shuffled_from`) draw from
+Philox keys already derived, so a caller can derive a block's keys in
+one pass and draw its rows a slice at a time.
 
 Non-uniform laws are derived from the base generator by explicit
 transforms (inverse CDF for exponential and Laplace, ratio and sum of
@@ -226,28 +231,35 @@ class _ThreadPhilox(threading.local):
 _PHILOX = _ThreadPhilox()
 
 
-def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
-    """Philox keys of the streams firsts[i] + b for b < count, in row
+def _stream_ids(firsts, count: int) -> np.ndarray:
+    """The uint64 stream ids firsts[i] + b for b < count, in row
     i * count + b."""
     _check_count(count, "count")
     firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
     if int(firsts.max()) + count > _U64:
         raise InvalidInput("count runs past the 64-bit stream range")
-    sids = firsts[:, None] + np.arange(count, dtype=np.uint64)
-    return _philox_keys(master_seed, sids.reshape(-1))
+    return (firsts[:, None] + np.arange(count, dtype=np.uint64)).reshape(-1)
+
+
+def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
+    """Philox keys of the streams firsts[i] + b for b < count, in row
+    i * count + b."""
+    return _philox_keys(master_seed, _stream_ids(firsts, count))
 
 
 def _reopened(keys: np.ndarray):
     """Yield the thread's Philox/Generator pair reset to each (n, 2) key
     row in turn, with its counter at zero and its buffers empty, which is
     the state a fresh one starts in.  The keys go in as Python int lists
-    (``keys.tolist()``), so a reset costs about 1 us."""
+    (``keys.tolist()``), so a reset costs about 1 us; the pair is the
+    same object each time, so a caller binds the methods it calls before
+    its loop."""
     local = _PHILOX
-    state = local.state
+    bitgen, state = local.bitgen, local.state
     words = state["state"]
     for key in keys.tolist():
         words["key"] = key
-        local.bitgen.state = state
+        bitgen.state = state
         yield local
 
 
@@ -255,7 +267,8 @@ def _stream_rows(master_seed: int, firsts, count: int, draw: Callable) -> np.nda
     """Stack of draw(g) over the generators g of streams firsts[i] + b,
     b < count, in row i * count + b, bit for bit as ``draw(generator(...))``."""
     keys = _stream_keys(master_seed, firsts, count)
-    return np.stack([draw(local.gen) for local in _reopened(keys)])
+    gen = _PHILOX.gen
+    return np.stack([draw(gen) for _ in _reopened(keys)])
 
 
 _LEMIRE_MAX = 2**32
@@ -263,37 +276,41 @@ _LEMIRE_MAX = 2**32
 
 def _bounded_rows(master_seed: int, firsts, count: int, m: int, n: int) -> np.ndarray:
     """(len(firsts) * count, n) int64 stack whose row i * count + b is
-    ``generator(SeedSpec(master_seed, firsts[i] + b)).integers(0, m, size=n)``.
+    ``generator(SeedSpec(master_seed, firsts[i] + b)).integers(0, m, size=n)``."""
+    sids = _stream_ids(firsts, count)
+    return _bounded_from(master_seed, sids, _philox_keys(master_seed, sids), m, n)
+
+
+def _bounded_from(master_seed: int, sids: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(len(sids), n) int64 stack whose row j is
+    ``generator(SeedSpec(master_seed, sids[j])).integers(0, m, size=n)``,
+    drawn through ``keys``, the streams' Philox keys.
 
     Runs numpy's 32-bit Lemire rule on raw Philox words for the whole
-    stack (see the module docstring); a row with a rejected word is
-    redrawn by the scalar call.
+    stack (see the module docstring), reading each word's two 32-bit
+    outputs through a little-endian uint32 view; a row with a rejected
+    word is redrawn by the scalar call.
     """
     if m > _LEMIRE_MAX:
-        return _stream_rows(master_seed, firsts, count, lambda gen: gen.integers(0, m, size=n))
-    keys = _stream_keys(master_seed, firsts, count)
-    rows = len(keys)
+        integers = _PHILOX.gen.integers
+        return np.stack([integers(0, m, size=n) for _ in _reopened(keys)])
     half = (n + 1) // 2
-    raw = np.empty((rows, half), np.uint64)
-    for b, local in enumerate(_reopened(keys)):
-        raw[b] = local.bitgen.random_raw(half)
-    # the 32-bit outputs, low half of each word first; in place from here
-    # on, so a batch holds one (rows, n) array beside its raw words
-    prod = np.empty((rows, 2 * half), np.uint64)
-    np.bitwise_and(raw, np.uint64(_M32), out=prod[:, 0::2])
-    np.right_shift(raw, np.uint64(32), out=prod[:, 1::2])
-    prod = prod[:, :n] if n % 2 else prod
-    prod *= np.uint64(m)
+    raw = np.empty((len(keys), half), np.uint64)
+    random_raw = _PHILOX.bitgen.random_raw
+    for j, _ in enumerate(_reopened(keys)):
+        raw[j] = random_raw(half)
+    # word x gives the 32-bit outputs x mod 2**32, then x >> 32
+    prod = raw.astype("<u8", copy=False).view("<u4")[:, :n] * np.uint64(m)
+    del raw
     threshold = (_LEMIRE_MAX - m) % m
-    rejected = ()
+    rejected = []
     if threshold:
-        rejected = np.flatnonzero(((prod & np.uint64(_M32)) < np.uint64(threshold)).any(axis=1))
+        # astype keeps the low 32 bits of each product
+        rejected = np.flatnonzero((prod.astype(np.uint32) < threshold).any(axis=1)).tolist()
     prod >>= np.uint64(32)
-    out = np.ascontiguousarray(prod.view(np.int64))
-    firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
-    for row in rejected:
-        sid = int(firsts[row // count]) + int(row % count)
-        out[row] = generator(SeedSpec(master_seed, sid)).integers(0, m, size=n)
+    out = prod.view(np.int64)
+    for j in rejected:
+        out[j] = generator(SeedSpec(master_seed, int(sids[j]))).integers(0, m, size=n)
     return out
 
 
@@ -410,11 +427,18 @@ def _permutation_rows(master_seed: int, firsts, count: int, G: PermutationGroup)
     if G.perms is not None:
         picks = _bounded_rows(master_seed, firsts, count, len(G.perms), 1)[:, 0]
         return np.asarray(G.perms, dtype=np.int64)[picks]
-    keys = _stream_keys(master_seed, firsts, count)
-    rows = np.empty((len(keys), G.m), np.int64)
-    rows[:] = np.arange(G.m)
-    for row, local in zip(rows, _reopened(keys)):
-        local.gen.shuffle(row)
+    return _shuffled_from(_stream_keys(master_seed, firsts, count), G.m)
+
+
+def _shuffled_from(keys: np.ndarray, m: int) -> np.ndarray:
+    """(len(keys), m) int64 stack whose row j is ``permutation(m)`` of a
+    fresh Philox at key row j: one arange-filled stack, each row shuffled
+    in place."""
+    rows = np.empty((len(keys), m), np.int64)
+    rows[:] = np.arange(m)
+    shuffle = _PHILOX.gen.shuffle
+    for row, _ in zip(rows, _reopened(keys)):
+        shuffle(row)
     return rows
 
 
@@ -562,24 +586,32 @@ def setting_sampler(setting: int, params: dict, seed: SeedSpec):
     4: an (X, Y) stream of length n with X standard normal in R^3 and
        Y = X'theta + Laplace(0, 1) noise, theta = (0.2, -0.2, 0).
     """
+    return _setting_draw(setting, params)(generator(seed))
+
+
+def _setting_draw(setting: int, params: dict) -> Callable:
+    """draw(gen): :func:`setting_sampler`'s dataset drawn from the
+    generator gen, with the setting and sizes checked once, here."""
     _check_choice(setting, "setting", _SETTING_SIZES)
     params = {"d": 100, **params}
     for key in _SETTING_SIZES[setting]:
         _check_count(params.get(key), key)
-    gen = generator(seed)
-    if setting == 1:
-        return _exponential(gen.random(params["m"]), rate=5.0)
-    if setting == 2:
-        m = params["m"]
-        t = _student_t5(gen, m)
-        v = gen.standard_normal((m, params["d"])) ** 2
-        return t[:, None] * v
-    if setting == 3:
-        return gen.random(params["m"])
-    n = params["n"]
-    x = gen.standard_normal((n, 3))
-    eps = _laplace(gen.random(n))
-    return PairStream(x, x @ _SETTING_4_THETA + eps)
+    m, d, n = params.get("m"), params["d"], params.get("n")
+
+    def draw(gen: np.random.Generator):
+        if setting == 1:
+            return _exponential(gen.random(m), rate=5.0)
+        if setting == 2:
+            t = _student_t5(gen, m)
+            v = gen.standard_normal((m, d)) ** 2
+            return t[:, None] * v
+        if setting == 3:
+            return gen.random(m)
+        x = gen.standard_normal((n, 3))
+        eps = _laplace(gen.random(n))
+        return PairStream(x, x @ _SETTING_4_THETA + eps)
+
+    return draw
 
 
 def setting_truth(setting: int, params: Optional[dict] = None):

@@ -159,6 +159,36 @@ class TestExitCodes:
             assert captured.err.splitlines()[-1].endswith(f"argument --threads: invalid int value: {threads!r}")
             assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--config", "/nonexistent.json"], ["--out", "/nonexistent/x"], ["--reps", "3"], ["--format", "csv"]],
+    )
+    def test_verify_takes_only_its_flags(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", "3", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {' '.join(flags)}")
+        assert captured.out == ""
+        assert main(["verify", "--seed", "4177", "--threads", "1", "--instances", "3"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 3
+
+    @pytest.mark.parametrize(
+        "flags", [["--threads", "0"], ["--seed", "3"], ["--config", "c.json"], ["--format", "svg"]]
+    )
+    def test_plot_takes_only_its_table_and_out(self, tmp_path, capsys, flags):
+        table = str(tmp_path / "conf.csv")
+        assert main(["conformal", "--m", "10", "--out", table]) == 0
+        capsys.readouterr()
+        svg = str(tmp_path / "conf.svg")
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", table, "--out", svg, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {' '.join(flags)}")
+        assert captured.out == "" and not os.path.exists(svg)
+        assert main(["plot", table, "--out", svg]) == 0 and os.path.exists(svg)
+
     def test_verify_failure_exits_three(self, monkeypatch, capsys):
         import fixedb.cli as cli
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -35,8 +36,16 @@ from fixedb.harness import (
     run_experiment,
     sup_norm,
 )
-from fixedb.procedures import permutation_test, randomization_test
-from fixedb.resampling import RESAMPLE_STRIDE, SeedSpec, full_symmetric, generator, stream_for
+from fixedb.procedures import ci_boot, ci_subsample, permutation_test, randomization_test
+from fixedb.resampling import (
+    RESAMPLE_STRIDE,
+    SeedSpec,
+    full_symmetric,
+    generator,
+    setting_sampler,
+    setting_truth,
+    stream_for,
+)
 
 
 def tiny_config(**kw):
@@ -312,6 +321,106 @@ class TestReplicateBlocks:
         assert sizes == [n for n in want for _ in range(cells)]
 
 
+class TestCiBlocks:
+    """Bootstrap and subsample run blocks of replicates through one CI
+    block kernel call; every block size gives the rows of a loop of
+    per-replicate ci_boot / ci_subsample calls."""
+
+    BASE = {"B": [19, 39], "alpha": [0.1, 0.2], "methods": ["vanilla", "modified", "randomized"],
+            "reps": 7, "seed": 20260823}
+    CONFIGS = {
+        "boot-s1": {"procedure": "bootstrap", "setting": 1, "m": 30},
+        "boot-s2": {"procedure": "bootstrap", "setting": 2, "m": 24, "d": 3},
+        "sub-s1": {"procedure": "subsample", "setting": 1, "m": 30, "k": 7},
+        "sub-s2": {"procedure": "subsample", "setting": 2, "m": 24, "d": 3, "k": 9},
+        "sub-s3": {"procedure": "subsample", "setting": 3, "m": 30, "k": 11},
+    }
+
+    @staticmethod
+    def per_replicate_rows(cfg):
+        """(coverage, mean_width) of each (alpha, B, method) cell from one
+        public ci_boot or ci_subsample call per replicate."""
+        cfg = normalize_config(cfg)
+        setting, m, master = cfg["setting"], cfg["m"], cfg["seed"]
+        params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
+        estimator, batch, root = harness._ESTIMATORS[setting]
+        theta = setting_truth(setting, params)
+        kw = {"root": root, "tau_m": harness._rate(setting, m), "estimator_batch": batch}
+        ci = ci_boot
+        if cfg["procedure"] == "subsample":
+            ci = ci_subsample
+            kw.update(k=cfg["k"], tau_k=harness._rate(setting, cfg["k"]))
+        data = [setting_sampler(setting, params, SeedSpec(master, stream_for(r, 0))) for r in range(cfg["reps"])]
+        out = []
+        for alpha in cfg["alpha"]:
+            for B in cfg["B"]:
+                for method in cfg["methods"]:
+                    cis = [
+                        ci(x, estimator, B=B, alpha=alpha, variant=method,
+                           seed=SeedSpec(master, stream_for(r, 1)), **kw)
+                        for r, x in enumerate(data)
+                    ]
+                    covered = np.array([c.contains(theta) for c in cis], dtype=float)
+                    widths = [c.span for c in cis if math.isfinite(c.span)]
+                    out.append((float(covered.mean()), float(np.mean(widths)) if widths else None))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("block", [1, 3, None])  # None: the default byte budget
+    def test_blocks_give_the_per_replicate_rows(self, monkeypatch, name, block):
+        cfg = {**self.BASE, **self.CONFIGS[name]}
+        if block is not None:
+            # a replicate keeps its sample and max(B) estimates, d floats each in setting 2
+            width = cfg.get("d", 1)
+            monkeypatch.setattr(harness, "_GATHER_BYTES", block * 8 * width * (cfg["m"] + max(cfg["B"])))
+        sizes = []
+        real = procedures._ci_block
+
+        def recording(data, *args):
+            sizes.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(harness, "_ci_block", recording)
+        table = run_experiment(cfg)
+        assert [(row.coverage, row.mean_width) for row in table.rows] == self.per_replicate_rows(cfg)
+        assert len(table.rows) == 12 and not table.skipped
+        step = cfg["reps"] if block is None else block
+        assert sizes == [min(step, cfg["reps"] - start) for start in range(0, cfg["reps"], step)]
+
+    @staticmethod
+    def picky_mean(a):
+        # fails on a resample with many repeated observations, never on the data
+        if len(np.unique(a)) < 14:
+            raise ValueError("too many ties")
+        return float(np.mean(a))
+
+    @staticmethod
+    def nan_on_ties(a):
+        return math.nan if len(np.unique(a)) < 14 else float(np.mean(a))
+
+    @pytest.mark.parametrize("estimator", ["picky_mean", "nan_on_ties"])
+    def test_a_failing_replicate_gives_the_per_replicate_error(self, monkeypatch, fresh_workers, estimator):
+        est = getattr(self, estimator)
+        monkeypatch.setitem(harness._ESTIMATORS, 1, (est, None, None))
+        cfg = {"procedure": "bootstrap", "setting": 1, "m": 30, "B": [19, 59], "reps": 12,
+               "methods": ["modified", "vanilla"], "seed": 26}
+        want = None
+        for r in range(cfg["reps"]):
+            x = setting_sampler(1, {"m": 30}, SeedSpec(26, stream_for(r, 0)))
+            try:
+                for B in cfg["B"]:
+                    ci_boot(x, est, tau_m=math.sqrt(30), B=B, seed=SeedSpec(26, stream_for(r, 1)))
+            except NumericalFailure as exc:
+                want = r, str(exc), exc.step
+                break
+        # replicate 8 (the second share at threads 2), on a resample beyond B = 19
+        assert want[0] == 8 and want[2] > 19
+        for threads in (1, 2):
+            with pytest.raises(NumericalFailure) as err:
+                run_experiment({**cfg, "threads": threads})
+            assert (str(err.value), err.value.step) == want[1:]
+
+
 class TestRunExperiment:
     def test_rows_and_skips(self):
         table = run_experiment(tiny_config())
@@ -465,19 +574,21 @@ class TestCellGrid:
         assert len(table.rows) == 10
 
     def test_each_replicate_draws_its_data_and_resamples_once(self, monkeypatch):
+        # a block draws its replicates' data in one pass and their
+        # resample streams in one pass of the CI block kernel
         calls = {"data": 0, "indices": []}
-        sampler, draw = harness.setting_sampler, procedures.bootstrap_indices
+        data_rows, stream_ids = harness._stream_rows, procedures._stream_ids
 
-        def counting_sampler(*args):
-            calls["data"] += 1
-            return sampler(*args)
+        def counting_data(master, firsts, count, draw):
+            calls["data"] += len(firsts) * count
+            return data_rows(master, firsts, count, draw)
 
-        def counting_draw(m, seed, count=None):
-            calls["indices"].append(count)
-            return draw(m, seed, count=count)
+        def counting_streams(firsts, count):
+            calls["indices"] += [count] * len(firsts)
+            return stream_ids(firsts, count)
 
-        monkeypatch.setattr(harness, "setting_sampler", counting_sampler)
-        monkeypatch.setattr(procedures, "bootstrap_indices", counting_draw)
+        monkeypatch.setattr(harness, "_stream_rows", counting_data)
+        monkeypatch.setattr(procedures, "_stream_ids", counting_streams)
         run_experiment(GRID_CONFIGS["boot-s1"])
         assert calls["data"] == 25
         assert calls["indices"] == [199] * 25
@@ -507,7 +618,7 @@ class TestCellGrid:
         assert capsys.readouterr().err == "error: B=7 exceeds |G|=6; draws come from G\n"
 
     def test_all_cells_skipped_runs_no_replicate(self, monkeypatch):
-        monkeypatch.setattr(harness, "_ci_replicate", None)  # would raise if called
+        monkeypatch.setattr(harness, "_ci_replicate_block", None)  # would raise if called
         table = run_experiment(tiny_config(B=[5], methods=["modified", "randomized"]))
         assert table.rows == [] and len(table.skipped) == 2
 
@@ -580,14 +691,15 @@ class TestWorkers:
 
     @pytest.mark.parametrize("bad", [(7, 8), (3, 7)], ids=["share-1", "shares-0-and-1"])
     def test_a_raising_replicate_gives_the_serial_error(self, monkeypatch, fresh_workers, bad):
-        real = harness._ci_replicate
+        real = harness._ci_replicate_block
 
-        def raising(master, cells, draw, run_cells, r):
-            if master == 99 and r in bad:
-                raise NumericalFailure(f"replicate {r}", step=r)
-            return real(master, cells, draw, run_cells, r)
+        def raising(master, cells, rs, draw, run_cells):
+            for r in rs:
+                if master == 99 and r in bad:
+                    raise NumericalFailure(f"replicate {r}", step=r)
+            return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate", raising)
+        monkeypatch.setattr(harness, "_ci_replicate_block", raising)
         got = []
         for threads in (1, 2):  # shares 0..4 and 5..9 at threads 2
             with pytest.raises(NumericalFailure) as err:
@@ -600,14 +712,14 @@ class TestWorkers:
 
     def test_an_interrupt_stops_the_busy_workers(self, monkeypatch, fresh_workers):
         parent = os.getpid()
-        real = harness._ci_replicate
+        real = harness._ci_replicate_block
 
-        def interrupted(master, cells, draw, run_cells, r):
+        def interrupted(master, cells, rs, draw, run_cells):
             if master == 99 and os.getpid() == parent:
                 raise KeyboardInterrupt
-            return real(master, cells, draw, run_cells, r)
+            return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate", interrupted)
+        monkeypatch.setattr(harness, "_ci_replicate_block", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(tiny_config(reps=10, seed=99, threads=2))
         assert harness._WORKERS == [] and multiprocessing.active_children() == []
@@ -615,14 +727,14 @@ class TestWorkers:
 
     def test_a_worker_dying_mid_call_is_an_error_and_is_replaced(self, monkeypatch, fresh_workers):
         parent = os.getpid()
-        real = harness._ci_replicate
+        real = harness._ci_replicate_block
 
-        def dying(master, cells, draw, run_cells, r):
+        def dying(master, cells, rs, draw, run_cells):
             if master == 99 and os.getpid() != parent:
                 os._exit(1)
-            return real(master, cells, draw, run_cells, r)
+            return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate", dying)
+        monkeypatch.setattr(harness, "_ci_replicate_block", dying)
         if _PARALLEL:
             with pytest.raises(RuntimeError, match="exited before it replied"):
                 run_experiment(tiny_config(reps=10, seed=99, threads=2))

@@ -355,6 +355,21 @@ class TestRuleCache:
             BudgetSpec(19, 0.1), "mod_two_sided"
         )
 
+    def test_a_budget_too_small_is_remembered_and_raised_afresh(self, monkeypatch):
+        spec = BudgetSpec(5, 0.1)
+        orderstats._index_rule.cache_clear()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(BudgetTooSmall) as err:
+                index_rule(spec, "mod_two_sided")
+            raised.append(err.value)
+            # the second call reads the remembered outcome: no Fraction is formed
+            monkeypatch.setattr(orderstats, "_snap_alpha", None)
+        first, second = raised
+        assert first is not second
+        assert str(first) == str(second) == "rule mod_two_sided covers the full support at B=5, alpha=0.1"
+        assert first.min_b == second.min_b == 9
+
     def test_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(BudgetTooSmall):

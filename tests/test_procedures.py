@@ -648,6 +648,86 @@ class TestCiCells:
         self.assert_same(ok, ci_boot(x, np.mean, B=19))
 
 
+class TestCiBlock:
+    """The CI block kernel over R replicates: replicate r of every cell is
+    bit for bit its own ci_cells call, and an error is the first failing
+    replicate's."""
+
+    MASTER = 20260823
+    FIRSTS = [stream_for(r, 1) for r in (0, 1, 5, 6)] + [2**32 - 3]  # a two-word stream id too
+    assert_same = TestCiCells.assert_same
+
+    def data(self, setting, params):
+        return [setting_sampler(setting, params, SeedSpec(self.MASTER, f - 1)) for f in self.FIRSTS]
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("k", [None, 15])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_each_replicate_is_its_own_call(self, setting, k, batched):
+        params, est, batch, root = TestEstimatorBatch.SETTINGS[setting]
+        params = {**params, "m": 60}
+        xs = self.data(setting, params)
+        theta = setting_truth(setting, params)
+        kw = dict(root=root, tau_m=7.0, estimator_batch=batch if batched else None, k=k, tau_k=3.0)
+        cells = TestCiCells.CELLS
+        block = procedures._ci_block(
+            np.stack(xs), est, cells, root, 7.0, self.MASTER, self.FIRSTS, kw["estimator_batch"], k, 3.0
+        )
+        covers, span = block.covers(theta), block.span
+        assert covers.shape == span.shape == (len(xs), len(cells))
+        for r, (x, first) in enumerate(zip(xs, self.FIRSTS)):
+            alone = ci_cells(x, est, cells, seed=SeedSpec(self.MASTER, first), **kw)
+            for i, ci in enumerate(alone):
+                self.assert_same(block.result(r, i), ci)
+                assert covers[r, i] == ci.contains(theta) and span[r, i] == ci.span
+
+    def test_rules_and_uniforms_are_resolved_once_per_block(self, monkeypatch):
+        calls = {"tau": 0, "rows": 0}
+        tau, rows = procedures.tau_randomization, procedures._stream_rows
+
+        def counting_tau(budget):
+            calls["tau"] += 1
+            return tau(budget)
+
+        def counting_rows(*args):
+            calls["rows"] += 1
+            return rows(*args)
+
+        monkeypatch.setattr(procedures, "tau_randomization", counting_tau)
+        monkeypatch.setattr(procedures, "_stream_rows", counting_rows)
+        xs = np.stack(self.data(1, {"m": 40}))
+        cells = [(19, 0.1, "randomized"), (21, 0.25, "randomized"), (59, 0.1, "modified")]
+        block = procedures._ci_block(xs, np.mean, cells, None, 1.0, self.MASTER, self.FIRSTS)
+        assert calls == {"tau": 2, "rows": 1}
+        branches = [block.result(r, 1).randomized_branch for r in range(len(xs))]
+        assert {b.took_ceil for b in branches} == {True, False}  # tau is 1/2 at B = 21, alpha = 1/4
+        names = {block.result(r, 1).rule.rule_name for r in range(len(xs))}
+        assert names == {"mod_two_sided", "mod_two_sided_floor"}
+        for r, b in enumerate(branches):
+            assert b.u == generator(SeedSpec(self.MASTER, self.FIRSTS[r] + 21)).random()
+
+    def test_an_error_is_the_first_failing_replicates(self):
+        # replicate 1's subsamples that hold -1000 have a NaN estimate;
+        # replicate 2's estimate on its full sample raises, which the
+        # block meets first, but a loop over replicates meets replicate 1
+        xs = np.stack(self.data(1, {"m": 30})[:3])
+        xs[1, 4], xs[2, 0] = -1000.0, 999.0
+
+        def est(a):
+            if a.size == 30 and a[0] == 999.0:
+                raise ValueError("bad sample")
+            return math.nan if -1000.0 in a else float(np.mean(a))
+
+        with pytest.raises(NumericalFailure) as want:
+            ci_subsample(xs[1], est, k=10, B=19, seed=SeedSpec(self.MASTER, self.FIRSTS[1]))
+        with pytest.raises(NumericalFailure) as got:
+            procedures._ci_block(xs, est, [(19, 0.1, "modified")], None, 1.0, self.MASTER, self.FIRSTS[:3], k=10)
+        assert (str(got.value), got.value.step) == (str(want.value), want.value.step)
+        assert str(got.value).startswith("non-finite resample root on resample ")
+        with pytest.raises(ValueError, match="bad sample"):
+            procedures._ci_block(xs[2:], est, [(19, 0.1, "modified")], None, 1.0, self.MASTER, self.FIRSTS[2:3], k=10)
+
+
 class TestRandomizedBranchDraw:
     """A randomized cell at budget B draws its uniform from stream
     seed.stream_id + B; the batched draw keeps the bits of

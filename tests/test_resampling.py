@@ -17,11 +17,13 @@ from fixedb import resampling
 from fixedb.resampling import (
     _U64,
     RESAMPLE_STRIDE,
+    _bounded_from,
     _bounded_rows,
     _permutation_of,
     _permutation_rows,
     _philox_keys,
     _reopened,
+    _stream_ids,
     _stream_rows,
     PairStream,
     PermutationGroup,
@@ -293,6 +295,22 @@ class TestBoundedRows:
             assert np.array_equal(_bounded_rows(20260823, firsts, 8, m, 10), want)
             assert 0 < len(redrawn) <= 8 * len(firsts)
             assert all(any(f <= sid < f + 8 for f in firsts) for sid in redrawn)
+
+
+    @pytest.mark.parametrize("n", [1, 11, 101])
+    def test_odd_rows_with_rejections_match_scalar_integers(self, n):
+        # the uint32 view reads n of the 2 * ceil(n/2) outputs; at
+        # m = 3 * 2**30 a quarter of them are rejected
+        m = 3 * 2**30
+        firsts = [_TWO_WORD - 2, 40, stream_for(9, 1)]
+        got = _bounded_rows(20260823, firsts, 8, m, n)
+        want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 8, m, n) for f in firsts])
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        sids = _stream_ids(firsts, 8)
+        keys = _philox_keys(20260823, sids)
+        halves = [_bounded_from(20260823, sids[s], keys[s], m, n) for s in (slice(0, 5), slice(5, 24))]
+        assert np.array_equal(np.concatenate(halves), want)
 
 
 class TestPermutationRows:
