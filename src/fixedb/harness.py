@@ -14,20 +14,23 @@ gathered slice of resamples, 256 KiB (in setting 2 an observation and
 an estimate are d floats).  Replicate r draws its data from stream
 (r, 0) and its resamples from stream (r, 1) on, so the blocking never
 changes a bit.
-Tests, bootstrap and subsample run a whole block at once: one batched
-draw of the block's data, then one
-:func:`~fixedb.procedures.rank_test_block` call per test cell, or one
-call of the CI block kernel :func:`~fixedb.procedures._ci_block` for
-every bootstrap or subsample cell (:func:`_ci_replicate_block`).  That
-call derives the block's R x max(B) resample streams in one pass,
-forms their roots a slice at a time, sorts them once per distinct B,
-and gives every cell's coverage and span as (R, cells) arrays; a
-B-cell reads each replicate's first B roots, the bits its own call
-would draw.  SGD runs a block one replicate at a time
-(:func:`_ci_replicate`): the replicate draws its data once, and one
-:func:`~fixedb.procedures.sgd_cells` call runs max(B) weighted paths
-once for every cell.  So every cell's outcome is the one it would get
-run alone, and the output table depends only on the config.
+Tests, bootstrap and subsample run a whole block at once
+(:func:`_replicate_block`): one batched draw of the block's data, then
+one :func:`~fixedb.procedures.rank_test_block` call per test cell, or
+one call of the CI block kernel :func:`~fixedb.procedures._ci_block`
+for every bootstrap or subsample cell.  That call derives the block's
+R x max(B) resample streams in one pass, forms their roots a slice at
+a time, sorts them once per distinct B, and gives every cell's
+coverage and span as (R, cells) arrays; a B-cell reads each
+replicate's first B roots, the bits its own call would draw.  SGD runs
+a block one replicate at a time (:func:`_ci_replicate`): the replicate
+draws its data once, and one :func:`~fixedb.procedures.sgd_cells` call
+runs max(B) weighted paths once for every cell.  So every cell's
+outcome is the one it would get run alone, and the output table
+depends only on the config.  Every block's outcomes are two
+(R, cells) arrays, ``covered`` and ``width`` (NaN for a test, which
+has none); the blocks are concatenated in replicate order and each
+cell's row averages its columns.
 
 The ``threads`` key sets how many processes share the replicates:
 min(threads, reps, usable CPUs) contiguous shares of replicates 0..reps,
@@ -343,37 +346,19 @@ _ESTIMATORS = {
 }
 
 
-def _test_block(draw: Callable, statistic: Callable, group, statistic_batch: Callable) -> tuple:
-    """run_block and budget check of a test procedure.  run_block draws
-    the block's data in one batched pass from streams (r, 0), then makes
-    one :func:`rank_test_block` call per cell with resamples from
-    streams (r, 1) on; the check is :func:`test_rule` on ``group``."""
-
-    def run_block(master: int, cells: list, rs) -> list:
-        data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
-        firsts = [stream_for(r, 1) for r in rs]
-        rejects = [
-            rank_test_block(
-                data, statistic, group, B, alpha, master, firsts, statistic_batch
-            ).reject.tolist()
-            for B, alpha, _ in cells
-        ]
-        return [[(not reject, None) for reject in rep] for rep in zip(*rejects)]
-
-    return run_block, lambda budget, _method: test_rule(budget, group)
-
-
 def _plan(cfg: dict) -> tuple:
     """run_block(master, cells, rs) and the budget check
     rule(budget, method) of the configured procedure.
 
-    The check is :func:`ci_rule` or :func:`test_rule`.  run_block gives,
-    for each replicate r in rs, one (covered, width) per
-    (B, alpha, method) cell, with width None for tests.  Tests run the
-    whole block through one :func:`rank_test_block` call per cell, and
-    bootstrap and subsample through one :func:`_ci_block` call for all
-    cells (:func:`_ci_replicate_block`); SGD runs :func:`_ci_replicate`
-    per replicate, where all cells share one :func:`sgd_cells` call.
+    The check is :func:`ci_rule` or :func:`test_rule`.  run_block gives
+    the outcomes of replicates rs in every (B, alpha, method) cell as two
+    (len(rs), cells) arrays: ``covered`` (for a test, whether it retains
+    the null) and ``width``, NaN for tests.  Tests, bootstrap and
+    subsample run the whole block through :func:`_replicate_block`, with
+    one :func:`rank_test_block` call per test cell or one
+    :func:`_ci_block` call for all CI cells; SGD runs
+    :func:`_ci_replicate` per replicate, where all cells share one
+    :func:`sgd_cells` call.
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -391,62 +376,70 @@ def _plan(cfg: dict) -> tuple:
         truth = setting_truth(4)[0]
 
         def run_sgd_cells(stream, cells, seed):
-            cis = sgd_cells(stream, spec, cells, seed, gradient_batch=_sgd_gradient_batch)
-            return [(ci[0].contains(truth), ci[0].span) for ci in cis]  # coordinate 0
+            cis = [ci[0] for ci in sgd_cells(stream, spec, cells, seed, gradient_batch=_sgd_gradient_batch)]
+            return [ci.contains(truth) for ci in cis], [ci.span for ci in cis]  # coordinate 0
 
         draw = partial(setting_sampler, 4, {"n": cfg["n"]})
 
-        def run_sgd_block(master: int, cells: list, rs) -> list:
-            return [_ci_replicate(master, cells, draw, run_sgd_cells, r) for r in rs]
+        def run_sgd_block(master: int, cells: list, rs) -> tuple:
+            covered, width = zip(*(_ci_replicate(master, cells, draw, run_sgd_cells, r) for r in rs))
+            return np.array(covered), np.array(width)
 
         return run_sgd_block, ci_rule
 
-    # a test replicate's data, as one row of the block's stacked draw
-    if proc == "permutation":
+    if proc in ("permutation", "randomization"):
+        if proc == "permutation":
+            statistic, group, statistic_batch = _corr_statistic, full_symmetric(m), _corr_statistic_batch
+        else:
+            statistic, group, statistic_batch = _mean_statistic, "signflip", _mean_statistic_batch
 
-        def draw_pair(gen):
-            return gen.standard_normal(m), gen.standard_normal(m)
+        def draw(gen):  # a test replicate's data: an (x, y) pair, or one sample
+            x = gen.standard_normal(m)
+            return (x, gen.standard_normal(m)) if proc == "permutation" else x
 
-        return _test_block(draw_pair, _corr_statistic, full_symmetric(m), _corr_statistic_batch)
+        def run_cells(data, cells, master, firsts):
+            rejects = [
+                rank_test_block(data, statistic, group, B, alpha, master, firsts, statistic_batch).reject
+                for B, alpha, _ in cells
+            ]
+            return ~np.stack(rejects, axis=1), np.full((len(firsts), len(cells)), np.nan)
 
-    if proc == "randomization":
+        def rule(budget, _method):
+            return test_rule(budget, group)
 
-        def draw_sample(gen):
-            return gen.standard_normal(m)
+    else:
+        params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
+        theta0 = setting_truth(setting, params)
+        estimator, batch, root = _ESTIMATORS[setting]
+        tau_m = _rate(setting, m)
+        k, tau_k = None, 1.0
+        if proc == "subsample":
+            k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
+            tau_k = _rate(setting, k)
 
-        return _test_block(draw_sample, _mean_statistic, "signflip", _mean_statistic_batch)
+        def run_cells(data, cells, master, firsts):
+            block = _ci_block(data, estimator, cells, root, tau_m, master, firsts, batch, k, tau_k)
+            return block.covers(theta0), block.span
 
-    params = {"m": m, "d": cfg["d"]} if setting == 2 else {"m": m}
-    theta0 = setting_truth(setting, params)
-    estimator, batch, root = _ESTIMATORS[setting]
-    tau_m = _rate(setting, m)
-    k, tau_k = None, 1.0
-    if proc == "subsample":
-        k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
-        tau_k = _rate(setting, k)
+        draw = _setting_draw(setting, params)
+        rule = ci_rule
 
-    def run_cells(data, cells, master, firsts):
-        block = _ci_block(data, estimator, cells, root, tau_m, master, firsts, batch, k, tau_k)
-        return [list(zip(*rep)) for rep in zip(block.covers(theta0).tolist(), block.span.tolist())]
+    def run_block(master: int, cells: list, rs) -> tuple:
+        return _replicate_block(master, cells, rs, draw, run_cells)
 
-    draw = _setting_draw(setting, params)
-
-    def run_block(master: int, cells: list, rs) -> list:
-        return _ci_replicate_block(master, cells, rs, draw, run_cells)
-
-    return run_block, ci_rule
+    return run_block, rule
 
 
-def _ci_replicate_block(master: int, cells: list, rs, draw: Callable, run_cells: Callable) -> list:
+def _replicate_block(master: int, cells: list, rs, draw: Callable, run_cells: Callable) -> tuple:
     """Replicates rs of every cell: their data drawn in one batched pass
-    from streams (r, 0), then every cell run on the block, with
-    resamples from streams (r, 1) on.  The block kernel of bootstrap and
-    subsample."""
+    from streams (r, 0), then run_cells(data, cells, master, firsts) on
+    the block, with resamples from streams (r, 1) on.  The block kernel
+    of tests, bootstrap and subsample."""
     data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
     return run_cells(data, cells, master, [stream_for(r, 1) for r in rs])
 
 
-def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> list:
+def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> tuple:
     """Replicate r of every cell: its data drawn once from stream
     (r, 0), every cell run on it from stream (r, 1).  The per-replicate
     kernel of SGD."""
@@ -476,23 +469,18 @@ def _skip_reason(rule: Callable, B: int, alpha: float, method: str) -> Optional[
     return None
 
 
-def _share(run_block: Callable, master: int, cells: list, lo: int, hi: int, block: int) -> list:
-    """Outcomes of replicates lo..hi-1, in blocks of ``block`` from lo."""
-    outcomes = []
-    for start in range(lo, hi, block):
-        outcomes += run_block(master, cells, range(start, min(start + block, hi)))
-    return outcomes
-
-
-def _planned_share(cfg: dict, cells: list, lo: int, hi: int, block: int) -> list:
-    """:func:`_share` of the configured study's own plan: a worker's task."""
-    return _share(_plan(cfg)[0], cfg["seed"], cells, lo, hi, block)
+def _share(cfg: dict, cells: list, lo: int, hi: int, block: int) -> list:
+    """The (covered, width) outcomes of replicates lo..hi-1 of the
+    configured study, one pair per block of ``block`` replicates from
+    lo: a task of :func:`_run_tasks`."""
+    run_block = _plan(cfg)[0]
+    return [run_block(cfg["seed"], cells, range(start, min(start + block, hi))) for start in range(lo, hi, block)]
 
 
 def _serve(conn, parent_end) -> None:
     """A worker: for each task (fn, args) it receives, with fn a
     module-level function, send back (fn(*args), None) or (None, the
-    error).  The tasks are study shares (:func:`_planned_share`) or
+    error).  The tasks are study shares (:func:`_share`) or
     ``fixedb verify``'s fixed sweeps.  It exits when the parent's end of
     the pipe closes."""
     import signal
@@ -607,16 +595,17 @@ def _run_tasks(tasks: list) -> list:
     return [result for result, _ in replies]
 
 
-def _replicates(run_block: Callable, cfg: dict, cells: list, block: int) -> list:
-    """Every replicate's outcomes, in order, from min(threads, reps,
-    usable CPUs) contiguous shares: share 0 here, the others on the
-    workers (:func:`_run_tasks`; see the module docstring)."""
+def _replicates(cfg: dict, cells: list, block: int) -> tuple:
+    """The (reps, cells) arrays ``covered`` and ``width`` of every
+    replicate, in order, from min(threads, reps, usable CPUs) contiguous
+    shares: share 0 here, the others on the workers (:func:`_run_tasks`;
+    see the module docstring)."""
     reps = cfg["reps"]
     n = min(cfg["threads"], reps, _usable_cpus())
     bounds = [reps * i // n for i in range(n + 1)]
-    tasks = [(_share, (run_block, cfg["seed"], cells, 0, bounds[1], block))]
-    tasks += [(_planned_share, (cfg, cells, lo, hi, block)) for lo, hi in zip(bounds[1:], bounds[2:])]
-    return [outcome for share in _run_tasks(tasks) for outcome in share]
+    tasks = [(_share, (cfg, cells, lo, hi, block)) for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [outcomes for share in _run_tasks(tasks) for outcomes in share]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def run_experiment(config: dict) -> CoverageTable:
@@ -661,7 +650,7 @@ def run_experiment(config: dict) -> CoverageTable:
                 )
         return table
 
-    run_block, rule = _plan(cfg)
+    rule = _plan(cfg)[1]
     is_test = proc in ("permutation", "randomization")
     methods = [proc] if is_test else cfg["methods"]
 
@@ -683,15 +672,14 @@ def run_experiment(config: dict) -> CoverageTable:
         return table
     max_b = max(B for B, _, _ in cells)
     # a sample is m observations, and an estimate one float, or d of each in setting 2
-    width = cfg["d"] if cfg["setting"] == 2 else 1
+    dim = cfg["d"] if cfg["setting"] == 2 else 1
     if proc in ("bootstrap", "subsample"):
-        block = max(1, _GATHER_BYTES // (8 * width * (cfg["m"] + max_b)))
+        block = max(1, _GATHER_BYTES // (8 * dim * (cfg["m"] + max_b)))
     else:
-        block = max(1, _BLOCK_BYTES // (8 * width * cfg["m"] * max_b))
-    replicates = _replicates(run_block, cfg, cells, block)
-    for (B, alpha, method), outcomes in zip(cells, zip(*replicates)):
-        covered = np.array([c for c, _ in outcomes], dtype=float)
-        widths = [w for _, w in outcomes if w is not None and math.isfinite(w)]
+        block = max(1, _BLOCK_BYTES // (8 * dim * cfg["m"] * max_b))
+    covered, width = _replicates(cfg, cells, block)
+    for (B, alpha, method), hit, widths in zip(cells, covered.T, width.T):
+        widths = widths[np.isfinite(widths)]
         table.rows.append(
             CoverageRow(
                 setting=cfg["setting"],
@@ -700,8 +688,8 @@ def run_experiment(config: dict) -> CoverageTable:
                 alpha=alpha,
                 m=cfg["n"] if proc == "sgd" else cfg["m"],
                 reps=cfg["reps"],
-                coverage=float(covered.mean()),
-                mean_width=float(np.mean(widths)) if widths else None,
+                coverage=float(hit.mean()),
+                mean_width=float(widths.mean()) if widths.size else None,
                 seed=cfg["seed"],
             )
         )

@@ -3,9 +3,11 @@
 Everything downstream works with the sorted resample statistics
 W_(1) <= ... <= W_(B): the rank-r order statistic resolves to -inf for
 r <= 0 and to +inf for r >= B + 1.  This module owns that convention,
-every rank rule used by the confidence-interval and test procedures, the
-minimum budgets at which two- and one-sided rules stay informative, and
-the external-randomization probability that makes the randomized
+for one sample (:func:`order_stat`) and for a stack of them
+(:func:`_sorted_stack`), every rank rule used by the
+confidence-interval and test procedures, the minimum budgets at which
+two- and one-sided rules stay informative, and the
+external-randomization probability that makes the randomized
 two-sided rule exact on average.
 
 Rank arithmetic is exact: the level ``alpha`` is snapped to the nearest
@@ -148,6 +150,19 @@ def order_stat(s: SortedSample, r: int) -> float:
     if r >= s.b + 1:
         return math.inf
     return float(s.values[r - 1])
+
+
+def _sorted_stack(values: np.ndarray) -> np.ndarray:
+    """The stack form of :func:`order_stat`: each row of the (R, B)
+    float stack ``values`` sorted stably between a -inf and a +inf
+    column, so column r of the (R, B + 2) result holds each row's rank-r
+    order statistic for every rank 0 .. B + 1."""
+    R, B = values.shape
+    out = np.empty((R, B + 2))
+    out[:, 0], out[:, -1] = -math.inf, math.inf
+    out[:, 1:-1] = values
+    out[:, 1:-1].sort(axis=1, kind="stable")
+    return out
 
 
 def min_budget(alpha: float, sided: str = "two") -> int:

@@ -17,9 +17,9 @@ Seed plumbing: a procedure call with budget B consumes stream ids
 seed.stream_id + 0 .. + B (one per resample, plus one for the
 randomized branch draw), so callers should space replicate seeds via
 :func:`fixedb.resampling.stream_for`.  The B resample streams are
-drawn with one batched call (``count=B``), which gives the same bits
-as B single-stream calls; so are the randomized branch draws of all
-of a call's cells.  Resample b always comes from stream
+drawn in one batched pass, which gives the same bits as B
+single-stream calls; so are the randomized branch draws of all of a
+call's cells.  Resample b always comes from stream
 seed.stream_id + b, whatever B is, so a B-call's resamples are the
 first B rows of any larger call on the same seed.  That is what lets
 :func:`ci_cells` serve several (B, alpha, variant) cells from one
@@ -30,10 +30,12 @@ are one-cell calls of it.  It is in turn the one-replicate call of
 the block kernel :func:`_ci_block`, which the harness runs: it takes
 R samples and R first stream ids, derives all R x max(B) resample
 streams in one pass, keeps only the (R, max(B)) roots and sorts them
-once per distinct B.  Multiplier-SGD path b takes its weights from
-stream seed.stream_id + b - 1 whatever B is, so :func:`sgd_cells`
-likewise runs max(B) weighted paths once for all its cells, and
-:func:`ci_sgd` is its one-cell call.  The tests block across
+once per distinct B into the stack form of the orderstats rank
+convention (:func:`~fixedb.orderstats._sorted_stack`), which the tests
+read their thresholds from too.  Multiplier-SGD path b takes its
+weights from stream seed.stream_id + b - 1 whatever B is, so
+:func:`sgd_cells` likewise runs max(B) weighted paths once for all its
+cells, and :func:`ci_sgd` is its one-cell call.  The tests block across
 replicates too: :func:`rank_test_block` takes R samples and R first
 stream ids, derives all R x B resample streams in one pass and sorts
 the (R, B) statistics once, and :func:`permutation_test` and
@@ -49,7 +51,6 @@ the scalar callback instead when the batch raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from collections.abc import Iterable
@@ -62,6 +63,7 @@ from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
     SortedSample,
+    _sorted_stack,
     index_rule,
     min_budget,
     order_stat,
@@ -187,11 +189,13 @@ class PredictionSet:
 
 def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
     """The rank rule of a CI variant at this budget; for "randomized",
-    the ceiling branch of its draw.
+    the ceiling branch of its draw, after its floor branch
+    ("mod_two_sided_floor") has been resolved too.
 
     This is the budget check every CI procedure runs before it draws
     anything: it raises :class:`BudgetTooSmall` when the variant cannot
-    run at (B, alpha), and :class:`InvalidInput` for an unknown variant.
+    run at (B, alpha), a randomized cell whose floor branch would be
+    empty included, and :class:`InvalidInput` for an unknown variant.
     The harness runs it to skip such cells before its replicate loop.
     """
     _check_choice(variant, "variant", _CI_VARIANTS)
@@ -203,7 +207,16 @@ def ci_rule(budget: BudgetSpec, variant: str) -> IntervalIndexRule:
             f"{variant} two-sided interval needs B >= {need} at alpha={budget.alpha}",
             min_b=need,
         )
-    return index_rule(budget, "mod_two_sided")
+    rule = index_rule(budget, "mod_two_sided")
+    if variant == "randomized":
+        try:
+            index_rule(budget, "mod_two_sided_floor")
+        except BudgetTooSmall as exc:
+            raise BudgetTooSmall(
+                f"randomized two-sided interval's floor branch needs B >= {exc.min_b} at alpha={budget.alpha}",
+                min_b=exc.min_b,
+            ) from None
+    return rule
 
 
 def test_rule(budget: BudgetSpec, group) -> IntervalIndexRule:
@@ -230,8 +243,7 @@ test_rule.__test__ = False  # a library function, not a pytest test
 class _CellRules:
     """One CI cell's rank rule in each of R replicates: ``rule``, except
     that in a randomized cell a replicate whose uniform u exceeds
-    ``tau`` takes ``floor`` (the floor branch of the draw, resolved only
-    when some replicate takes it; ``rule`` otherwise)."""
+    ``tau`` takes ``floor``, the floor branch of the draw."""
 
     budget: BudgetSpec
     rule: IntervalIndexRule
@@ -242,7 +254,7 @@ class _CellRules:
     def upper_ranks(self, R: int) -> np.ndarray:
         """(R,) upper ranks; the lower rank is ``rule.lower_rank`` in every
         replicate."""
-        if self.floor is None:
+        if self.u is None:
             return np.full(R, self.rule.upper_rank)
         return np.where(self.u <= self.tau, self.rule.upper_rank, self.floor.upper_rank)
 
@@ -263,7 +275,8 @@ def _cell_rules(cells: Sequence[tuple], master_seed: int, firsts: list) -> list:
     replicate r's uniform from stream firsts[r] + B; all those draws
     share one batched pass and have the bits of
     ``generator(...).random()``.  Each cell's rules and tau are resolved
-    once, the floor rule only when some replicate takes it.
+    once, the floor rule of a randomized cell whether or not a replicate
+    takes it.
     """
     if not cells:
         raise InvalidInput("cells must be nonempty")
@@ -274,10 +287,8 @@ def _cell_rules(cells: Sequence[tuple], master_seed: int, firsts: list) -> list:
         sids = [first + budgets[i].B for first in firsts for i in drawn]
         us = _stream_rows(master_seed, sids, 1, np.random.Generator.random).reshape(len(firsts), len(drawn))
         for i, u in zip(drawn, us.T):
-            tau = tau_randomization(budgets[i])
-            rule = out[i].rule
-            floor = rule if (u <= tau).all() else index_rule(budgets[i], "mod_two_sided_floor")
-            out[i] = _CellRules(budgets[i], rule, u, tau, floor)
+            floor = index_rule(budgets[i], "mod_two_sided_floor")
+            out[i] = _CellRules(budgets[i], out[i].rule, u, tau_randomization(budgets[i]), floor)
     return out
 
 
@@ -358,10 +369,10 @@ class _Resamples:
 class _CiBlock:
     """The CI cells of R replicates, as :func:`_ci_block` leaves them.
 
-    ``stats[B]`` holds each replicate's B sorted roots between a -inf and
-    a +inf column, so rank r of replicate i is ``stats[B][i, r]`` for
-    every rank 0 .. B + 1.  ``w_l`` and ``w_u`` are the (R, cells)
-    thresholds W_(l) and W_(u).
+    ``stats[B]`` is the :func:`~fixedb.orderstats._sorted_stack` of each
+    replicate's first B roots, so rank r of replicate i is
+    ``stats[B][i, r]`` for every rank 0 .. B + 1.  ``w_l`` and ``w_u``
+    are the (R, cells) thresholds W_(l) and W_(u).
     """
 
     theta_hat: np.ndarray
@@ -493,17 +504,12 @@ def _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estim
     if bad.size:
         b = int(bad[0]) % count + 1
         raise NumericalFailure(f"non-finite resample root on resample {b}", step=b)
-    stats = {}
-    for B in sorted({cell.budget.B for cell in rules}):
-        padded = stats[B] = np.empty((R, B + 2))
-        padded[:, 0], padded[:, -1] = -math.inf, math.inf
-        padded[:, 1:-1] = np.sort(ws[:, :B], axis=1, kind="stable")
+    stats = {B: _sorted_stack(ws[:, :B]) for B in sorted({cell.budget.B for cell in rules})}
     w_l, w_u = np.empty((R, len(rules))), np.empty((R, len(rules)))
     replicates = np.arange(R)
     for i, cell in enumerate(rules):
-        padded = stats[cell.budget.B]
-        w_l[:, i] = padded[:, cell.rule.lower_rank]
-        w_u[:, i] = padded[replicates, cell.upper_ranks(R)]
+        w_l[:, i] = stats[cell.budget.B][:, cell.rule.lower_rank]
+        w_u[:, i] = stats[cell.budget.B][replicates, cell.upper_ranks(R)]
     return _CiBlock(theta_hat, root, tau_m, rules, stats, w_l, w_u)
 
 
@@ -708,16 +714,12 @@ def _decide(
     t_obs, t_star: np.ndarray, rule: IntervalIndexRule, budget: BudgetSpec
 ) -> DecisionBlock:
     """Test i rejects iff t_obs[i] >= the rule's order statistic of row i
-    of the (R, B) stack t_star: one stable sort, then the rank column."""
+    of the (R, B) stack t_star, read off :func:`_sorted_stack` (+inf for
+    a rank beyond B)."""
     t_obs = np.asarray(t_obs, dtype=float)
     if not (np.all(np.isfinite(t_obs)) and np.all(np.isfinite(t_star))):
         raise InvalidInput("observed and resampled test statistics must all be finite")
-    rank = rule.upper_rank
-    if rank <= t_star.shape[1]:
-        threshold = np.sort(t_star, axis=1, kind="stable")[:, rank - 1]
-    else:  # a rank beyond B resolves to +inf (see orderstats.order_stat)
-        threshold = np.full(len(t_star), math.inf)
-    return DecisionBlock(rule, budget, t_obs, threshold)
+    return DecisionBlock(rule, budget, t_obs, _sorted_stack(t_star)[:, rule.upper_rank])
 
 
 def rank_test_block(

@@ -10,25 +10,26 @@ resample (:func:`stream_for`), so a replicate's b-th resample sees the
 same bits no matter how work is scheduled across threads.
 
 A stream's Philox key is ``SeedSequence(master_seed,
-spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The bootstrap
-and subsample draws also come in a batched form (``count=``) that
-derives the keys of ``count`` consecutive streams in one vectorized
-pass (:func:`_philox_keys`) and reopens one thread-local Philox at each
-key, so a procedure call pays one derivation for its B resamples
-instead of building B generators.  A reopen sets the Philox state from
-plain Python ints (:func:`_reopened`), which costs about 1 us.  Row b
-of a batch has exactly the bits of the single-stream call at
-``stream_id + b``.  The private batch helpers (:func:`_stream_rows`,
+spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The private
+batch helpers derive the keys of many streams in one vectorized pass
+(:func:`_philox_keys`) and reopen one thread-local Philox at each key,
+so a procedure call pays one derivation for its B resamples instead of
+building B generators.  A reopen sets the Philox state from plain
+Python ints (:func:`_reopened`), which costs about 1 us.  Row b of a
+batch has exactly the bits of the single-stream call at
+``stream_id + b``.  The helpers (:func:`_stream_rows`,
 :func:`_bounded_rows`, :func:`_permutation_rows`) take a vector of
-first stream ids, so one pass can also serve the B resamples of each
-of R replicates (R x B streams), or one stream of each of R
-replicates' data.  The permutation and randomization tests draw their
-sign flips and permutations through them; :func:`signflip_transform`
-and :func:`permutation_draw` are the single-stream draws whose bits
-those rows have.  Permutation rows (and the batched subsamples, which
-are their sorted prefixes) fill one stack with ``arange(m)`` and
-shuffle each row in place, which is what ``Generator.permutation(m)``
-does to a fresh ``arange(m)``.
+first stream ids, so one pass can serve the B resamples of each of R
+replicates (R x B streams), or one stream of each of R replicates'
+data.  The CI block kernel draws its bootstrap indices and subsamples
+through their keyed forms (below), and the permutation and
+randomization tests draw their sign flips and permutations through the
+helpers; :func:`bootstrap_indices`, :func:`subsample_indices`,
+:func:`signflip_transform` and :func:`permutation_draw` are the
+single-stream draws whose bits those rows have.  Permutation rows (and
+the batched subsamples, which are their sorted prefixes) fill one
+stack with ``arange(m)`` and shuffle each row in place, which is what
+``Generator.permutation(m)`` does to a fresh ``arange(m)``.
 
 Batched uniform integers in [0, m) skip numpy's per-call argument
 handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
@@ -329,32 +330,19 @@ def _student_t5(gen: np.random.Generator, n: int) -> np.ndarray:
     return z[:, 0] / np.sqrt(np.sum(z[:, 1:] ** 2, axis=1) / 5.0)
 
 
-def bootstrap_indices(m: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
-    """m IID uniform indices in [0, m), i.e. one bootstrap resample.
-
-    With ``count``, a (count, m) stack whose row b is
-    ``bootstrap_indices(m, SeedSpec(master, stream_id + b))``.
-    """
+def bootstrap_indices(m: int, seed: SeedSpec) -> np.ndarray:
+    """m IID uniform indices in [0, m), i.e. one bootstrap resample."""
     _check_count(m, "m")
-    if count is None:
-        return generator(seed).integers(0, m, size=m)
-    return _bounded_rows(seed.master_seed, [seed.stream_id], count, m, m)
+    return generator(seed).integers(0, m, size=m)
 
 
-def subsample_indices(m: int, k: int, seed: SeedSpec, count: Optional[int] = None) -> np.ndarray:
-    """A uniformly random k-subset of [0, m), sorted, without replacement.
-
-    With ``count``, a (count, k) stack whose row b is
-    ``subsample_indices(m, k, SeedSpec(master, stream_id + b))``.
-    """
+def subsample_indices(m: int, k: int, seed: SeedSpec) -> np.ndarray:
+    """A uniformly random k-subset of [0, m), sorted, without replacement."""
     _check_count(m, "m")
     _check_count(k, "k")
     if k > m:
         raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
-    if count is None:
-        return np.sort(generator(seed).permutation(m)[:k])
-    rows = _permutation_rows(seed.master_seed, [seed.stream_id], count, full_symmetric(m))
-    return np.sort(rows[:, :k], axis=1)
+    return np.sort(generator(seed).permutation(m)[:k])
 
 
 def signflip_transform(x, mask_seed: SeedSpec) -> np.ndarray:

@@ -47,6 +47,16 @@ class TestExperiments:
         assert body.count("<polyline") == 1
         assert body.count("stroke-dasharray") == 1
 
+    def test_a_randomized_cell_with_an_empty_floor_branch_is_skipped(self, tmp_path, capsys):
+        out = str(tmp_path / "r.csv")
+        argv = ["bootstrap", "--alpha", "0.9", "--B", "3", "--methods", "randomized", "--reps", "20"]
+        assert main(argv + ["--out", out]) == 0
+        assert open(out).read() == "setting,method,B,alpha,m,reps,coverage,mean_width,seed\n"
+        assert capsys.readouterr().err == (
+            "skipped bootstrap_randomized B=3 alpha=0.9: "
+            "randomized two-sided interval's floor branch needs B >= 9 at alpha=0.9\n"
+        )
+
     def test_randomization_runs(self, tmp_path):
         out = str(tmp_path / "r.csv")
         rc = main(["randomization", "--reps", "25", "--m", "15", "--seed", "2", "--out", out])

@@ -618,7 +618,7 @@ class TestCellGrid:
         assert capsys.readouterr().err == "error: B=7 exceeds |G|=6; draws come from G\n"
 
     def test_all_cells_skipped_runs_no_replicate(self, monkeypatch):
-        monkeypatch.setattr(harness, "_ci_replicate_block", None)  # would raise if called
+        monkeypatch.setattr(harness, "_replicate_block", None)  # would raise if called
         table = run_experiment(tiny_config(B=[5], methods=["modified", "randomized"]))
         assert table.rows == [] and len(table.skipped) == 2
 
@@ -691,7 +691,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("bad", [(7, 8), (3, 7)], ids=["share-1", "shares-0-and-1"])
     def test_a_raising_replicate_gives_the_serial_error(self, monkeypatch, fresh_workers, bad):
-        real = harness._ci_replicate_block
+        real = harness._replicate_block
 
         def raising(master, cells, rs, draw, run_cells):
             for r in rs:
@@ -699,7 +699,7 @@ class TestWorkers:
                     raise NumericalFailure(f"replicate {r}", step=r)
             return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate_block", raising)
+        monkeypatch.setattr(harness, "_replicate_block", raising)
         got = []
         for threads in (1, 2):  # shares 0..4 and 5..9 at threads 2
             with pytest.raises(NumericalFailure) as err:
@@ -712,14 +712,14 @@ class TestWorkers:
 
     def test_an_interrupt_stops_the_busy_workers(self, monkeypatch, fresh_workers):
         parent = os.getpid()
-        real = harness._ci_replicate_block
+        real = harness._replicate_block
 
         def interrupted(master, cells, rs, draw, run_cells):
             if master == 99 and os.getpid() == parent:
                 raise KeyboardInterrupt
             return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate_block", interrupted)
+        monkeypatch.setattr(harness, "_replicate_block", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(tiny_config(reps=10, seed=99, threads=2))
         assert harness._WORKERS == [] and multiprocessing.active_children() == []
@@ -727,14 +727,14 @@ class TestWorkers:
 
     def test_a_worker_dying_mid_call_is_an_error_and_is_replaced(self, monkeypatch, fresh_workers):
         parent = os.getpid()
-        real = harness._ci_replicate_block
+        real = harness._replicate_block
 
         def dying(master, cells, rs, draw, run_cells):
             if master == 99 and os.getpid() != parent:
                 os._exit(1)
             return real(master, cells, rs, draw, run_cells)
 
-        monkeypatch.setattr(harness, "_ci_replicate_block", dying)
+        monkeypatch.setattr(harness, "_replicate_block", dying)
         if _PARALLEL:
             with pytest.raises(RuntimeError, match="exited before it replied"):
                 run_experiment(tiny_config(reps=10, seed=99, threads=2))

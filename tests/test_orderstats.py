@@ -174,6 +174,18 @@ class TestSortedSample:
             r1, r2 = r2, r1
         assert order_stat(s, r1) <= order_stat(s, r2)
 
+    @given(st.integers(1, 6), st.integers(1, 12), st.data())
+    def test_stack_reads_order_stat_at_every_rank(self, R, B, data):
+        # few distinct values, so rows tie, -0.0 and 0.0 among them
+        values = data.draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.25]), min_size=R * B, max_size=R * B))
+        stack = np.array(values).reshape(R, B)
+        padded = orderstats._sorted_stack(stack)
+        assert padded.shape == (R, B + 2)
+        for row, got in zip(stack, padded):
+            s = sorted_from(row)
+            want = [order_stat(s, r) for r in range(B + 2)]
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestTau:
     def test_frozen(self):

@@ -33,6 +33,11 @@ from fixedb.procedures import (
 )
 from fixedb.orderstats import BudgetSpec, order_stat
 from fixedb.resampling import (
+    _bounded_from,
+    _bounded_rows,
+    _philox_keys,
+    _shuffled_from,
+    _stream_ids,
     PermutationGroup,
     SeedSpec,
     SgdSpec,
@@ -582,13 +587,19 @@ class TestCiCells:
         assert a.rule == b.rule and a.randomized_branch == b.randomized_branch
 
     def test_first_rows_of_a_larger_draw(self):
-        seed = SeedSpec(20260823, stream_for(3, 1))
+        # the index rows as _ci_block draws them, from keys derived in one pass
+        master, sid = 20260823, stream_for(3, 1)
+
+        def keys(count):
+            return _philox_keys(master, _stream_ids([sid], count))
+
         assert np.array_equal(
-            bootstrap_indices(100, seed, count=199)[:19], bootstrap_indices(100, seed, count=19)
+            _bounded_from(master, _stream_ids([sid], 199), keys(199), 100, 100)[:19],
+            _bounded_rows(master, [sid], 19, 100, 100),
         )
         assert np.array_equal(
-            subsample_indices(100, 22, seed, count=59)[:19],
-            subsample_indices(100, 22, seed, count=19),
+            np.sort(_shuffled_from(keys(59), 100)[:, :22], axis=1)[:19],
+            np.sort(_shuffled_from(keys(19), 100)[:, :22], axis=1),
         )
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
@@ -706,6 +717,45 @@ class TestCiBlock:
         for r, b in enumerate(branches):
             assert b.u == generator(SeedSpec(self.MASTER, self.FIRSTS[r] + 21)).random()
 
+    # literal (lower, upper) ranks of the paper's formulas: vanilla
+    # (ceil(B a / 2), ceil(B (1 - a / 2))); with l = floor((B + 1) a / 2),
+    # modified and the randomized ceiling branch (l, ceil((B + 1)(1 - a)) + l),
+    # the randomized floor branch (l, floor((B + 1)(1 - a)) + l)
+    PAPER_RANKS = {
+        (19, 0.1): {"vanilla": (1, 19), "ceil": (1, 19), "floor": (1, 19)},
+        (59, 0.1): {"vanilla": (3, 57), "ceil": (3, 57), "floor": (3, 57)},
+        (19, 0.125): {"vanilla": (2, 18), "ceil": (1, 19), "floor": (1, 18)},
+        (59, 0.125): {"vanilla": (4, 56), "ceil": (3, 56), "floor": (3, 55)},
+    }
+    # the fractional part of (B + 1)(1 - a), or 1 when it is 0
+    TAU = {0.1: 1.0, 0.125: 0.5}
+
+    @pytest.mark.parametrize("B,alpha", sorted(PAPER_RANKS))
+    def test_thresholds_are_the_sorted_roots_at_the_papers_ranks(self, B, alpha):
+        # setting 1's bootstrap roots recomputed from scalar draws
+        m, R = 40, 8
+        firsts = [stream_for(r, 1) for r in range(R)]
+        xs = np.stack([setting_sampler(1, {"m": m}, SeedSpec(self.MASTER, stream_for(r, 0))) for r in range(R)])
+        variants = ("vanilla", "modified", "randomized")
+        block = procedures._ci_block(
+            xs, np.mean, [(B, alpha, v) for v in variants], None, math.sqrt(m), self.MASTER, firsts
+        )
+        ranks = self.PAPER_RANKS[B, alpha]
+        branches = set()
+        for r, (x, first) in enumerate(zip(xs, firsts)):
+            theta_hat = np.mean(x)
+            roots = sorted(
+                math.sqrt(m) * (np.mean(x[bootstrap_indices(m, SeedSpec(self.MASTER, first + b))]) - theta_hat)
+                for b in range(B)
+            )
+            u = generator(SeedSpec(self.MASTER, first + B)).random()
+            branch = "ceil" if u <= self.TAU[alpha] else "floor"
+            branches.add(branch)
+            for i, key in enumerate(("vanilla", "ceil", branch)):
+                lower, upper = ranks[key]
+                assert (block.w_l[r, i], block.w_u[r, i]) == (roots[lower - 1], roots[upper - 1])
+        assert branches == ({"ceil"} if self.TAU[alpha] == 1.0 else {"ceil", "floor"})
+
     def test_an_error_is_the_first_failing_replicates(self):
         # replicate 1's subsamples that hold -1000 have a NaN estimate;
         # replicate 2's estimate on its full sample raises, which the
@@ -757,6 +807,25 @@ class TestRandomizedBranchDraw:
 
 
 class TestCiRule:
+    def test_an_empty_floor_branch_fails_the_budget_check(self, monkeypatch):
+        # at B = 3, alpha = 0.9 the ceiling branch is [1, 2) and the floor
+        # branch is empty, so a randomized cell cannot run whatever its draw
+        budget = BudgetSpec(3, 0.9)
+        assert ci_rule(budget, "modified").rule_name == "mod_two_sided"
+        with pytest.raises(BudgetTooSmall) as err:
+            ci_rule(budget, "randomized")
+        assert str(err.value) == "randomized two-sided interval's floor branch needs B >= 9 at alpha=0.9"
+        assert err.value.min_b == 9
+        with pytest.raises(BudgetTooSmall):
+            ci_rule(BudgetSpec(8, 0.9), "randomized")
+        assert ci_rule(BudgetSpec(9, 0.9), "randomized").rule_name == "mod_two_sided"
+        monkeypatch.setattr(procedures, "_stream_rows", None)  # would raise if called
+        monkeypatch.setattr(procedures, "_philox_keys", None)
+        for sid in range(40):
+            with pytest.raises(BudgetTooSmall) as alone:
+                ci_boot(np.arange(1.0, 31.0), np.mean, B=3, alpha=0.9, variant="randomized", seed=SeedSpec(7, sid))
+            assert (str(alone.value), alone.value.min_b) == (str(err.value), 9)
+
     def test_rules_and_skip_messages(self):
         from fixedb.orderstats import BudgetSpec, index_rule
 

@@ -23,6 +23,7 @@ from fixedb.resampling import (
     _permutation_rows,
     _philox_keys,
     _reopened,
+    _shuffled_from,
     _stream_ids,
     _stream_rows,
     PairStream,
@@ -138,6 +139,20 @@ def _reference_key(master, sid):
     return np.random.SeedSequence(master, spawn_key=(sid,)).generate_state(2, np.uint64)
 
 
+def _bootstrap_rows(master, sid, count, m):
+    """The bootstrap rows of streams sid .. sid + count - 1 as the CI block
+    kernel draws them: keyed Lemire rows."""
+    sids = _stream_ids([sid], count)
+    return _bounded_from(master, sids, _philox_keys(master, sids), m, m)
+
+
+def _subsample_rows(master, sid, count, m, k):
+    """The subsample rows of those streams as the CI block kernel draws
+    them: the sorted k-prefixes of keyed shuffles."""
+    keys = _philox_keys(master, _stream_ids([sid], count))
+    return np.sort(_shuffled_from(keys, m)[:, :k], axis=1)
+
+
 class TestBatchedStreams:
     @given(
         master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, _U64 - 1)),
@@ -172,14 +187,14 @@ class TestBatchedStreams:
         def seeds():
             return [SeedSpec(master, sid + b) for b in range(count)]
 
-        seed = SeedSpec(master, sid)
         k = max(1, m // 3)
         x = np.linspace(-1.0, 2.0, m)
         G = full_symmetric(m)
         explicit = PermutationGroup(3, perms=((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)))
         pairs = [
-            (bootstrap_indices(m, seed, count=count), [bootstrap_indices(m, s) for s in seeds()]),
-            (subsample_indices(m, k, seed, count=count), [subsample_indices(m, k, s) for s in seeds()]),
+            (_bootstrap_rows(master, sid, count, m), [bootstrap_indices(m, s) for s in seeds()]),
+            (_bounded_rows(master, [sid], count, m, m), [bootstrap_indices(m, s) for s in seeds()]),
+            (_subsample_rows(master, sid, count, m, k), [subsample_indices(m, k, s) for s in seeds()]),
             # rank_test_block's batched sign flips and permutations
             (x * (1 - 2 * _bounded_rows(master, [sid], count, 2, m)), [signflip_transform(x, s) for s in seeds()]),
             (_stream_rows(master, [sid], count, partial(_permutation_of, G)), [permutation_draw(G, s) for s in seeds()]),
@@ -199,27 +214,26 @@ class TestBatchedStreams:
         assert generator(seed).integers(0, 2**32, size=4).tolist() == [
             815173627, 544067905, 770814172, 2578449838,
         ]
-        assert bootstrap_indices(10, seed, count=3).tolist() == [
+        assert _bootstrap_rows(seed.master_seed, seed.stream_id, 3, 10).tolist() == [
             [1, 1, 1, 6, 1, 3, 8, 1, 5, 1],
             [2, 4, 3, 8, 7, 6, 1, 4, 0, 6],
             [2, 5, 5, 7, 4, 8, 7, 7, 9, 9],
         ]
 
     def test_draw_state_does_not_leak_between_batches(self):
-        seed = SeedSpec(9, 40)
-        first = subsample_indices(30, 10, seed, count=5)
+        first = _subsample_rows(9, 40, 5, 30, 10)
         _bounded_rows(9, [3], 4, 2, 7)
-        assert np.array_equal(subsample_indices(30, 10, seed, count=5), first)
+        assert np.array_equal(_subsample_rows(9, 40, 5, 30, 10), first)
 
     def test_threads_draw_the_same_stacks(self):
-        seeds = [SeedSpec(20260823, stream_for(r, 1)) for r in range(200)]
-        expected = [bootstrap_indices(200, s, count=19) for s in seeds]
+        sids = [stream_for(r, 1) for r in range(200)]
+        expected = [_bootstrap_rows(20260823, sid, 19, 200) for sid in sids]
         got = {}
         barrier = threading.Barrier(4, timeout=30)
 
         def worker(name):
             barrier.wait()
-            got[name] = [bootstrap_indices(200, s, count=19) for s in seeds]
+            got[name] = [_bootstrap_rows(20260823, sid, 19, 200) for sid in sids]
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -238,10 +252,10 @@ class TestBatchedStreams:
 
     def test_count_validation(self):
         with pytest.raises(InvalidInput):
-            bootstrap_indices(5, SeedSpec(1), count=0)
+            _bootstrap_rows(1, 0, 0, 5)
         with pytest.raises(InvalidInput):
-            bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=3)
-        assert bootstrap_indices(5, SeedSpec(1, _U64 - 2), count=2).shape == (2, 5)
+            _bootstrap_rows(1, _U64 - 2, 3, 5)
+        assert _bootstrap_rows(1, _U64 - 2, 2, 5).shape == (2, 5)
 
 
 class TestBoundedRows:
