@@ -16,9 +16,12 @@ an estimate are d floats).  Replicate r draws its data from stream
 changes a bit.
 Tests, bootstrap and subsample run a whole block at once
 (:func:`_replicate_block`): one batched draw of the block's data, then
-one :func:`~fixedb.procedures.rank_test_block` call per test cell, or
-one call of the CI block kernel :func:`~fixedb.procedures._ci_block`
-for every bootstrap or subsample cell.  That call derives the block's
+one :func:`~fixedb.procedures._curtailed_rejects` call per test cell,
+which draws each test's resamples in rounds only until its decision is
+fixed and decides bit for bit as
+:func:`~fixedb.procedures.rank_test_block`, or one call of the CI block
+kernel :func:`~fixedb.procedures._ci_block` for every bootstrap or
+subsample cell.  That call derives the block's
 R x max(B) resample streams in one pass, forms their roots a slice at
 a time, sorts them once per distinct B, and gives every cell's
 coverage and span as (R, cells) arrays; a B-cell reads each
@@ -75,7 +78,7 @@ import numpy as np
 from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_choice, _check_count, _check_real
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
-from .procedures import _CI_VARIANTS, _GATHER_BYTES, _ci_block, ci_rule, rank_test_block, sgd_cells, test_rule
+from .procedures import _CI_VARIANTS, _GATHER_BYTES, _ci_block, _curtailed_rejects, ci_rule, sgd_cells, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
@@ -355,10 +358,17 @@ def _plan(cfg: dict) -> tuple:
     (len(rs), cells) arrays: ``covered`` (for a test, whether it retains
     the null) and ``width``, NaN for tests.  Tests, bootstrap and
     subsample run the whole block through :func:`_replicate_block`, with
-    one :func:`rank_test_block` call per test cell or one
+    one :func:`_curtailed_rejects` call per test cell or one
     :func:`_ci_block` call for all CI cells; SGD runs
     :func:`_ci_replicate` per replicate, where all cells share one
     :func:`sgd_cells` call.
+
+    A test cell draws a test's resamples only until its decision is
+    fixed.  Its failures are :func:`rank_test_block`'s on the resamples
+    it draws (a raising statistic on resample b of test i as
+    NumericalFailure with step i * B + b, a non-finite one as
+    InvalidInput); a failure past a test's decision is never drawn, so
+    it cannot surface.  The statistics here are the library's own.
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -399,7 +409,7 @@ def _plan(cfg: dict) -> tuple:
 
         def run_cells(data, cells, master, firsts):
             rejects = [
-                rank_test_block(data, statistic, group, B, alpha, master, firsts, statistic_batch).reject
+                _curtailed_rejects(data, statistic, group, B, alpha, master, firsts, statistic_batch)
                 for B, alpha, _ in cells
             ]
             return ~np.stack(rejects, axis=1), np.full((len(firsts), len(cells)), np.nan)
@@ -452,7 +462,8 @@ _test_replicate = _ci_replicate
 
 # a test or SGD block holds as many replicates R as keep one float64
 # (R, max(B), m) stack of samples within this many bytes; each array of
-# a test block's draw is about that size.  A bootstrap or subsample
+# a test block's draw is at most that size, since a round draws at most
+# B resamples of the tests still open.  A bootstrap or subsample
 # block gathers its resamples a slice at a time and keeps only its R
 # samples and R x max(B) estimates, within one slice (_GATHER_BYTES)
 _BLOCK_BYTES = 1 << 20

@@ -37,10 +37,15 @@ weights from stream seed.stream_id + b - 1 whatever B is, so
 :func:`sgd_cells` likewise runs max(B) weighted paths once for all its
 cells, and :func:`ci_sgd` is its one-cell call.  The tests block across
 replicates too: :func:`rank_test_block` takes R samples and R first
-stream ids, derives all R x B resample streams in one pass and sorts
-the (R, B) statistics once, and :func:`permutation_test` and
-:func:`randomization_test` (sign flips or a transform list) are its
-one-replicate calls.  With an
+stream ids, draws and scores all R x B resamples through one kernel
+(``_RankTests.draws``, which serves resamples lo .. lo + n - 1 of any
+subset of the tests) and sorts the (R, B) statistics once, and
+:func:`permutation_test` and :func:`randomization_test` (sign flips or a
+transform list) are its one-replicate calls.  The harness reads only
+the decisions, so it runs :func:`_curtailed_rejects` instead: the same
+kernel, called in rounds for the tests still open, with each test's
+draws at or below and above its statistic counted by
+:func:`_count_rule` until they fix its decision.  With an
 ``estimator_batch``, the CI procedures also estimate the resamples in
 one call per block of rows; with a ``statistic_batch``, the tests
 compute a replicate's B statistics in one call, and the sign-flip test
@@ -297,7 +302,13 @@ _GATHER_BYTES = 256 * 1024
 
 
 def _per_row(
-    rows, fn, batch: Optional[Callable], shape: tuple, what: str, offset: int = 0, step: Optional[int] = None
+    rows,
+    fn,
+    batch: Optional[Callable],
+    shape: tuple,
+    what: str,
+    steps: Optional[np.ndarray] = None,
+    step: Optional[int] = None,
 ) -> np.ndarray:
     """fn(row) for each of ``rows``, as one float array of shape
     (len(rows),) + shape: the one loop behind ``estimator_batch`` and
@@ -309,8 +320,8 @@ def _per_row(
     step]) per slice; each must give exactly its slice's shape, or
     :class:`InvalidInput` names the hook (``what`` + "_batch").  If a
     call raises, the scalar loop runs instead, over every row; fn
-    failing on row b raises :class:`NumericalFailure` with step
-    offset + b, b counted from 1.
+    failing on row j (from 0) raises :class:`NumericalFailure` with step
+    steps[j], or j + 1 when ``steps`` is None.
     """
     n = len(rows)
     out = np.empty((n,) + shape)
@@ -328,12 +339,12 @@ def _per_row(
         else:
             return out
     for i in range(0, n, step):
-        for b, row in enumerate(rows[i : i + step], start=i + 1):
+        for j, row in enumerate(rows[i : i + step], start=i):
             try:
-                out[b - 1] = fn(row)
+                out[j] = fn(row)
             except Exception as exc:
-                step = offset + b
-                raise NumericalFailure(f"{what} failed on resample {step}: {exc}", step=step) from exc
+                at = j + 1 if steps is None else int(steps[j])
+                raise NumericalFailure(f"{what} failed on resample {at}: {exc}", step=at) from exc
     return out
 
 
@@ -710,16 +721,116 @@ class DecisionBlock:
         )
 
 
+def _finite(stats: np.ndarray) -> np.ndarray:
+    """stats, or :class:`InvalidInput` unless every entry is finite."""
+    if not np.all(np.isfinite(stats)):
+        raise InvalidInput("observed and resampled test statistics must all be finite")
+    return stats
+
+
+class _RankTests:
+    """R sign-flip, permutation or explicit-transform tests at one
+    (B, alpha), checked before anything is drawn: the part that
+    :func:`rank_test_block` and :func:`_curtailed_rejects` share.  The
+    arguments are :func:`rank_test_block`'s."""
+
+    def __init__(self, data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch) -> None:
+        self.budget = BudgetSpec(B=B, alpha=alpha)
+        self.firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
+        if len(self.firsts) != len(data):
+            raise InvalidInput(f"{len(data)} samples but {len(self.firsts)} first streams")
+        if isinstance(group, str) and group != "signflip" or not isinstance(group, (PermutationGroup, Iterable)):
+            raise InvalidInput(f"group must be 'signflip', a PermutationGroup or a transform list, got {group!r}")
+        self.rule = test_rule(self.budget, group)
+        if isinstance(group, str):
+            data = _check_vector(data, "data (one 1-d sample per row)", ndim=2)
+        elif not isinstance(group, PermutationGroup):
+            group = list(group)
+            if not group:
+                raise InvalidInput("explicit transform list must be nonempty")
+        self.data, self.statistic, self.group = data, statistic, group
+        self.master_seed, self.statistic_batch = master_seed, statistic_batch
+
+    def observed(self) -> np.ndarray:
+        """The (R,) observed statistics (a permutation statistic at the
+        identity); :class:`InvalidInput` unless all are finite."""
+        if isinstance(self.group, PermutationGroup):
+            identity = np.arange(self.group.m)
+            return _finite(np.array([float(self.statistic(d, identity)) for d in self.data]))
+        return _finite(np.array([float(self.statistic(x)) for x in self.data]))
+
+    def draws(self, rows: np.ndarray, lo: int, n: int) -> np.ndarray:
+        """The (len(rows), n) statistics of resamples lo .. lo + n - 1 of
+        the tests whose indices are the int array ``rows``: resample b of test i comes from stream
+        firsts[i] + b, whatever the other arguments.  The draw-and-score
+        kernel of every test.
+
+        The len(rows) x n stream keys are derived in one pass.  Sign
+        flips draw all coin rows at once and call ``statistic_batch``
+        once on the stack of flipped samples.  Permutations are rows of
+        one stack, each shuffled in place by its stream; a permutation
+        statistic depends on its test's data, so it is called once per
+        test.  A transform list draws all list indices at once and calls
+        ``statistic`` once per transformed sample, never
+        ``statistic_batch``.  A statistic that raises on resample b (from
+        1) of test i (from 0) in the scalar loop raises
+        :class:`NumericalFailure` with step i * B + b, as in
+        :func:`rank_test_block`; a non-finite one raises
+        :class:`InvalidInput`.
+        """
+        firsts = [self.firsts[i] + lo for i in rows]
+        steps = rows[:, None] * self.budget.B + lo + np.arange(1, n + 1)
+        data, statistic, batch, group = self.data, self.statistic, self.statistic_batch, self.group
+        if isinstance(group, PermutationGroup):
+            perms = _permutation_rows(self.master_seed, firsts, n, group).reshape(len(rows), n, group.m)
+            t_star = [
+                _per_row(
+                    perms[j],
+                    partial(statistic, data[i]),
+                    None if batch is None else partial(batch, data[i]),
+                    (),
+                    "statistic",
+                    steps[j],
+                )
+                for j, i in enumerate(rows)
+            ]
+        elif isinstance(group, str):
+            xs = data[rows]
+            m = xs.shape[1]
+            signs = 1 - 2 * _bounded_rows(self.master_seed, firsts, n, 2, m)
+            flipped = (xs[:, None, :] * signs.reshape(len(rows), n, m)).reshape(-1, m)
+            t_star = _per_row(flipped, statistic, batch, (), "statistic", steps.reshape(-1))
+        else:
+            # pick b of test i has the bits of generator(stream).integers(0, len(group))
+            picks = _bounded_rows(self.master_seed, firsts, n, len(group), 1).reshape(len(rows), n)
+            t_star = [
+                _per_row(picks[j], lambda t, x=data[i]: statistic(group[t](x)), None, (), "statistic", steps[j])
+                for j, i in enumerate(rows)
+            ]
+        return _finite(np.reshape(t_star, (len(rows), n)))
+
+
 def _decide(
     t_obs, t_star: np.ndarray, rule: IntervalIndexRule, budget: BudgetSpec
 ) -> DecisionBlock:
     """Test i rejects iff t_obs[i] >= the rule's order statistic of row i
     of the (R, B) stack t_star, read off :func:`_sorted_stack` (+inf for
-    a rank beyond B)."""
-    t_obs = np.asarray(t_obs, dtype=float)
-    if not (np.all(np.isfinite(t_obs)) and np.all(np.isfinite(t_star))):
-        raise InvalidInput("observed and resampled test statistics must all be finite")
-    return DecisionBlock(rule, budget, t_obs, _sorted_stack(t_star)[:, rule.upper_rank])
+    a rank beyond B).  The statistics must be finite."""
+    return DecisionBlock(rule, budget, np.asarray(t_obs, dtype=float), _sorted_stack(t_star)[:, rule.upper_rank])
+
+
+def _count_rule(le: np.ndarray, gt: np.ndarray, B: int, k: int) -> tuple:
+    """The (reject, settled) arrays of fixed-B rank tests at threshold
+    rank k, from counts of their drawn statistics: ``le`` of them at or
+    below the observed statistic T and ``gt`` above it.
+
+    T >= W_(k) iff #{T*_b <= T} >= k, so a test rejects once le >= k
+    and accepts once gt > B - k; ties count toward rejection, as in
+    :func:`_decide`.  Once all B are drawn every test is settled and
+    ``reject`` is :func:`_decide`'s, for every k in 0 .. B + 1.
+    """
+    reject = le >= k
+    return reject, reject | (gt > B - k)
 
 
 def rank_test_block(
@@ -745,61 +856,65 @@ def rank_test_block(
     R = 1 case of this one.  ``statistic`` and ``statistic_batch`` are
     as in those functions; any other group raises :class:`InvalidInput`.
 
-    The R x B stream keys are derived in one pass.  Sign flips draw all
-    R x B coin rows at once and call ``statistic_batch`` once on the
-    (R * B, m) stack of flipped samples.  The R x B permutations are
-    rows of one stack, each shuffled in place by its stream; a
-    permutation statistic depends on its replicate's data, so it is
-    called once per replicate.  A transform list draws all R x B list
-    indices at once and calls ``statistic`` once per transformed
-    sample, never ``statistic_batch``.  The (R, B) statistics are then
-    sorted once.  A non-finite observed or resampled statistic raises
-    :class:`InvalidInput`.  A statistic that raises on resample b (from
-    1) of test i (from 0) in the scalar loop raises
+    The observed statistics come first, then all R x B resampled ones
+    from one call of the draw-and-score kernel (``_RankTests.draws``),
+    which are sorted once.  A non-finite observed or resampled statistic
+    raises :class:`InvalidInput`.  A statistic that raises on resample b
+    (from 1) of test i (from 0) in the scalar loop raises
     :class:`NumericalFailure` with step i * B + b.
     """
-    budget = BudgetSpec(B=B, alpha=alpha)
-    B = budget.B
-    firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
-    if len(firsts) != len(data):
-        raise InvalidInput(f"{len(data)} samples but {len(firsts)} first streams")
-    if isinstance(group, str) and group != "signflip" or not isinstance(group, (PermutationGroup, Iterable)):
-        raise InvalidInput(f"group must be 'signflip', a PermutationGroup or a transform list, got {group!r}")
-    rule = test_rule(budget, group)
-    if isinstance(group, PermutationGroup):
-        identity = np.arange(group.m)
-        t_obs = [float(statistic(d, identity)) for d in data]
-        perms = _permutation_rows(master_seed, firsts, B, group).reshape(len(data), B, group.m)
-        t_star = [
-            _per_row(
-                rows,
-                partial(statistic, d),
-                None if statistic_batch is None else partial(statistic_batch, d),
-                (),
-                "statistic",
-                i * B,
-            )
-            for i, (d, rows) in enumerate(zip(data, perms))
-        ]
-    elif isinstance(group, str):
-        xs = _check_vector(data, "data (one 1-d sample per row)", ndim=2)
-        R, m = xs.shape
-        t_obs = [float(statistic(x)) for x in xs]
-        signs = 1 - 2 * _bounded_rows(master_seed, firsts, B, 2, m)
-        flipped = (xs[:, None, :] * signs.reshape(R, B, m)).reshape(R * B, m)
-        t_star = _per_row(flipped, statistic, statistic_batch, (), "statistic")
-    else:
-        transforms = list(group)
-        if not transforms:
-            raise InvalidInput("explicit transform list must be nonempty")
-        t_obs = [float(statistic(x)) for x in data]
-        # pick b of test i has the bits of generator(stream).integers(0, len(transforms))
-        picks = _bounded_rows(master_seed, firsts, B, len(transforms), 1).reshape(len(data), B)
-        t_star = [
-            _per_row(row, lambda j, x=x: statistic(transforms[j](x)), None, (), "statistic", i * B)
-            for i, (x, row) in enumerate(zip(data, picks))
-        ]
-    return _decide(t_obs, np.reshape(t_star, (len(data), B)), rule, budget)
+    tests = _RankTests(data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch)
+    t_obs = tests.observed()
+    t_star = tests.draws(np.arange(len(t_obs)), 0, tests.budget.B)
+    return _decide(t_obs, t_star, tests.rule, tests.budget)
+
+
+def _curtailed_rejects(
+    data,
+    statistic: Callable,
+    group: Union[str, PermutationGroup, Sequence[Callable]],
+    B: int,
+    alpha: float,
+    master_seed: int,
+    first_streams,
+    statistic_batch: Optional[Callable] = None,
+) -> np.ndarray:
+    """``rank_test_block(...).reject`` for the same arguments, bit for
+    bit, drawing each test's resamples only until its decision is fixed
+    (Besag and Clifford's sequential Monte Carlo test, exact here because
+    every resample has its own stream).  The harness's test kernel.
+
+    Resamples are drawn in rounds, each for the tests still open, by the
+    kernel ``_RankTests.draws``, and counted by :func:`_count_rule`.
+    The schedule comes from (B, k) alone, k the threshold rank: the
+    first round draws B - k + 1 resamples, the fewest that can settle an
+    accept, and each later one as many as all rounds before it, so the
+    draws so far double each round, up to resample B.
+    A test with k > B, which never rejects, is settled before any draw.
+
+    Failures are those of :func:`rank_test_block` on the resamples that
+    are drawn, raised at the first in round order (a raising statistic
+    as :class:`NumericalFailure` with step i * B + b, a non-finite one
+    as :class:`InvalidInput`).  Resamples past a test's decision are
+    never drawn, so their failures cannot surface.
+    """
+    tests = _RankTests(data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch)
+    t_obs = tests.observed()
+    B, k = tests.budget.B, tests.rule.upper_rank
+    le = np.zeros(len(t_obs), dtype=np.int64)
+    gt = np.zeros_like(le)
+    reject, settled = _count_rule(le, gt, B, k)
+    lo, n = 0, B - k + 1
+    while not settled.all():
+        rows = np.flatnonzero(~settled)
+        n = min(n, B - lo)
+        below = (tests.draws(rows, lo, n) <= t_obs[rows, None]).sum(axis=1)
+        le[rows] += below
+        gt[rows] += n - below
+        reject, settled = _count_rule(le, gt, B, k)
+        lo += n
+        n = lo
+    return reject
 
 
 def permutation_test(

@@ -259,9 +259,9 @@ class TestConfigProperty:
 
 
 class TestReplicateBlocks:
-    """The test procedures run blocks of replicates through
-    rank_test_block; every block size gives the outcomes of the
-    per-replicate public calls."""
+    """The test procedures run blocks of replicates through the curtailed
+    test kernel, one call per cell; every block size gives the outcomes
+    of the per-replicate public calls."""
 
     CONFIGS = {
         "randomization": {"procedure": "randomization", "m": 12, "B": [19, 39], "alpha": [0.1, 0.2],
@@ -306,13 +306,13 @@ class TestReplicateBlocks:
             row_bytes = 8 * cfg["m"] * max(cfg["B"])
             monkeypatch.setattr(harness, "_BLOCK_BYTES", block * row_bytes)
         sizes = []
-        real = harness.rank_test_block
+        real = harness._curtailed_rejects
 
         def recording(data, *args):
             sizes.append(len(data))
             return real(data, *args)
 
-        monkeypatch.setattr(harness, "rank_test_block", recording)
+        monkeypatch.setattr(harness, "_curtailed_rejects", recording)
         table = run_experiment(cfg)
         assert [row.coverage for row in table.rows] == self.per_replicate_coverage(cfg)
         cells = len(cfg["B"]) * len(cfg["alpha"])
@@ -636,6 +636,34 @@ class TestCellGrid:
         path = emit(run_experiment(cfg), "csv", str(tmp_path / "c10.csv"))
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert digest == "272dc14a5f14a9ae79fd032f81791d2b18cff2dac24cc1fa5ab7f7e5ecd87f4d"
+
+    # the test studies' CSV bytes, one-cell and multi-cell, at two seeds
+    TEST_STUDIES = {
+        "permutation": {"procedure": "permutation", "m": 30, "B": [99], "reps": 30},
+        "randomization": {"procedure": "randomization", "m": 50, "B": [19], "reps": 100},
+        "permutation-grid": {"procedure": "permutation", "m": 30, "B": [19, 39, 99],
+                             "alpha": [0.05, 0.1, 0.2], "reps": 30},
+        "randomization-grid": {"procedure": "randomization", "m": 50, "B": [19, 39, 99],
+                               "alpha": [0.05, 0.1, 0.2], "reps": 60},
+    }
+    TEST_STUDY_DIGESTS = {
+        ("permutation", 20260823): "434ce56fe75349976f1f6921ac6984cea571272937b34a84af614aa3925cff64",
+        ("permutation", 4177): "f28a1e0841d2effa02855f87fb2d1a7d5b815f7a1875cdcd93b197cde73f369e",
+        ("randomization", 20260823): "6495e6bd97fa43cd829f1f4326af5d0a487fa50cd37389c0606c9d4be5d1d111",
+        ("randomization", 4177): "7086c2a2ff140bcb4812548ffba5f677b2d5ef362857ce67cb9237b59f1b2741",
+        ("permutation-grid", 20260823): "981d2a6d3f32e2367e03ca2377a67df2521d33406c7aee8e32505502149e716b",
+        ("permutation-grid", 4177): "e819eeaab87793c563c63490062e613984eded156979109a1f69059d6d3a73b4",
+        ("randomization-grid", 20260823): "879e90d06c6ba44cb3862172de5f6c0c1f6c88f035bc71cb6c238db36c5fe0ac",
+        ("randomization-grid", 4177): "7e9f808cb15346269230d45e6643d3d71f19ada769d76313794d46db51d4d09e",
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(TEST_STUDY_DIGESTS))
+    def test_test_study_csv_bytes_are_pinned(self, tmp_path, name, seed):
+        table = run_experiment({**self.TEST_STUDIES[name], "seed": seed})
+        assert table.skipped == []
+        path = emit(table, "csv", str(tmp_path / "t.csv"))
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == self.TEST_STUDY_DIGESTS[name, seed]
 
 
 # replicates split over worker processes must give the serial bytes

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixedb import procedures
 from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
@@ -31,7 +33,7 @@ from fixedb.procedures import (
     rank_test_block,
     sgd_cells,
 )
-from fixedb.orderstats import BudgetSpec, order_stat
+from fixedb.orderstats import BudgetSpec, IntervalIndexRule, order_stat
 from fixedb.resampling import (
     _bounded_from,
     _bounded_rows,
@@ -1178,3 +1180,224 @@ class TestRankTestBlock:
             permutation_test(xs, _corr_statistic, "signflip", 19, 0.1)
         with pytest.raises(InvalidInput, match="1-d"):
             randomization_test(xs, _mean_statistic, "signflip", 19, 0.1)
+
+
+class TestExactRanks:
+    """rank_test_block's thresholds are the order statistics of the
+    paper's formulas, recomputed from scalar signflip_transform and
+    permutation_draw draws with np.sort at the literal ranks; the
+    curtailed harness path reads the same rank."""
+
+    MASTER = 4177
+
+    # (rule, m, B, alpha, R): k = 18 and 16, then 91, then 24 = B at |G| = 24;
+    # R is large enough that some tests have exactly k - 1 and k draws at or below T
+    CASES = [
+        ("randomization", 20, 19, Fraction(1, 10), 200),
+        ("randomization", 20, 19, Fraction(1, 5), 200),
+        ("permutation_sub", 30, 99, Fraction(1, 10), 300),
+        ("permutation_full", 4, 24, Fraction(1, 10), 200),
+    ]
+
+    @pytest.mark.parametrize("rule, m, B, alpha, R", CASES)
+    def test_thresholds_sit_at_the_literal_rank(self, rule, m, B, alpha, R):
+        if rule == "randomization":
+            k = math.ceil((B + 1) * (1 - alpha))
+        elif rule == "permutation_sub":
+            k = math.ceil((B + 1) * (1 - alpha)) + 1
+        else:
+            k = math.ceil(B * (1 - alpha)) + 2
+        firsts = [stream_for(r, 1) for r in range(R)]
+        gens = [generator(SeedSpec(self.MASTER, stream_for(r, 0))) for r in range(R)]
+        if rule == "randomization":
+            data = np.stack([g.standard_normal(m) for g in gens])
+            group, statistic = "signflip", _mean_statistic
+            t_obs = [statistic(x) for x in data]
+            stars = [
+                [statistic(signflip_transform(x, SeedSpec(self.MASTER, f + b))) for b in range(B)]
+                for x, f in zip(data, firsts)
+            ]
+        else:
+            data = np.stack([g.standard_normal((2, m)) for g in gens])
+            group, statistic = full_symmetric(m), _corr_statistic
+            assert (B == group.size) == (rule == "permutation_full")
+            t_obs = [statistic(d, np.arange(m)) for d in data]
+            stars = [
+                [statistic(d, permutation_draw(group, SeedSpec(self.MASTER, f + b))) for b in range(B)]
+                for d, f in zip(data, firsts)
+            ]
+        ranked = [np.concatenate([np.sort(s), [np.inf]]) for s in stars]  # rank B + 1 is +inf
+        want = np.array([r[k - 1] for r in ranked])
+        block = rank_test_block(data, statistic, group, B, float(alpha), self.MASTER, firsts)
+        assert block.rule.rule_name == rule and block.rule.upper_rank == k
+        assert np.array_equal(block.threshold, want)
+        assert np.array_equal(block.reject, np.array(t_obs) >= want)
+        curtailed = procedures._curtailed_rejects(data, statistic, group, B, float(alpha), self.MASTER, firsts)
+        assert np.array_equal(curtailed, block.reject)
+        # a k - 1 or k + 1 rule decides otherwise in some test, sorted or counted
+        below = np.sum(np.array(stars) <= np.array(t_obs)[:, None], axis=1)
+        assert (below == k - 1).any() and (below == k).any()
+
+
+class TestCurtailedTests:
+    """The harness's curtailed tests decide as rank_test_block does, tied
+    statistics included, and draw only until a decision is fixed."""
+
+    MASTER = 20260823
+    LATTICE = (-1.0, -0.0, 0.0, 0.5, 1.0)
+
+    @given(st.data())
+    def test_count_rule_is_the_sorted_decision(self, data):
+        R = data.draw(st.integers(1, 4))
+        B = data.draw(st.integers(1, 8))
+        t_star = np.array(data.draw(st.lists(st.sampled_from(self.LATTICE), min_size=R * B, max_size=R * B)))
+        t_star = t_star.reshape(R, B)
+        t_obs = np.array(data.draw(st.lists(st.sampled_from(self.LATTICE), min_size=R, max_size=R)))
+        for k in range(B + 2):
+            rule = IntervalIndexRule(0, k, "one_sided_upper", "randomization")
+            want = procedures._decide(t_obs, t_star, rule, BudgetSpec(B, 0.1)).reject
+            # after any prefix of the draws a settled test already has its final decision
+            for drawn in range(B + 1):
+                le = (t_star[:, :drawn] <= t_obs[:, None]).sum(axis=1)
+                gt = (t_star[:, :drawn] > t_obs[:, None]).sum(axis=1)
+                reject, settled = procedures._count_rule(le, gt, B, k)
+                assert np.array_equal(reject[settled], want[settled])
+            assert settled.all()
+
+    @pytest.mark.parametrize("B", [19, 99])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_signflip_ties_on_integer_samples(self, B, alpha, batched):
+        R = 300
+        gen = generator(SeedSpec(self.MASTER, 1))
+        xs = gen.choice([-2.0, -1.0, 1.0, 2.0], size=(R, 8))
+        firsts = [stream_for(r, 1) for r in range(R)]
+        batch = _mean_statistic_batch if batched else None
+        block = rank_test_block(xs, _mean_statistic, "signflip", B, alpha, self.MASTER, firsts, batch)
+        assert block.tie.any()
+        got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", B, alpha, self.MASTER, firsts, batch)
+        assert got.dtype == bool and np.array_equal(got, block.reject)
+
+    @pytest.mark.parametrize("B", [5, 10, 23, 24])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_small_permutation_group(self, B, alpha):
+        def stat(d, perm):
+            return float(np.dot(d[0], d[1][perm]))
+
+        R = 60
+        data = generator(SeedSpec(self.MASTER, 2)).integers(-1, 2, size=(R, 2, 4)).astype(float)
+        firsts = [stream_for(r, 1) for r in range(R)]
+        G = full_symmetric(4)
+        block = rank_test_block(data, stat, G, B, alpha, self.MASTER, firsts)
+        got = procedures._curtailed_rejects(data, stat, G, B, alpha, self.MASTER, firsts)
+        assert np.array_equal(got, block.reject)
+        listed = PermutationGroup(4, perms=((0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0), (0, 1, 3, 2)))
+        for b in (3, 4):
+            block = rank_test_block(data, stat, listed, b, alpha, self.MASTER, firsts)
+            got = procedures._curtailed_rejects(data, stat, listed, b, alpha, self.MASTER, firsts)
+            assert np.array_equal(got, block.reject)
+
+    def test_transform_list(self):
+        xs = generator(SeedSpec(self.MASTER, 3)).standard_normal((40, 10))
+        firsts = [stream_for(r, 1) for r in range(40)]
+        shifts = [lambda v: v, np.negative, lambda v: v + 0.5]
+        block = rank_test_block(xs, _mean_statistic, shifts, 39, 0.1, self.MASTER, firsts)
+        got = procedures._curtailed_rejects(xs, _mean_statistic, shifts, 39, 0.1, self.MASTER, firsts)
+        assert np.array_equal(got, block.reject)
+
+    def test_rounds_double_and_shrink_to_the_open_tests(self):
+        # randomization at B = 99, alpha = 0.1: k = 90, so rounds reach 10, 20, 40, 80, 99
+        R = 50
+        xs = generator(SeedSpec(self.MASTER, 4)).standard_normal((R, 20))
+        firsts = [stream_for(r, 1) for r in range(R)]
+        rounds = []
+        real = procedures._RankTests.draws
+
+        def recording(tests, rows, lo, n):
+            rounds.append((list(rows), lo, n))
+            return real(tests, rows, lo, n)
+
+        with mock.patch.object(procedures._RankTests, "draws", recording):
+            got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", 99, 0.1, self.MASTER, firsts)
+        block = rank_test_block(xs, _mean_statistic, "signflip", 99, 0.1, self.MASTER, firsts)
+        assert np.array_equal(got, block.reject)
+        reach = [lo + n for _, lo, n in rounds]
+        assert reach == [10, 20, 40, 80, 99][: len(rounds)]
+        assert [lo for _, lo, _ in rounds] == [0] + reach[:-1]
+        assert rounds[0][0] == list(range(R))
+        for (before, _, _), (after, _, _) in zip(rounds, rounds[1:]):
+            assert set(after) < set(before)
+        assert sum(len(rows) * n for rows, _, n in rounds) < R * 99
+
+    def test_a_rank_beyond_b_draws_nothing(self):
+        data = generator(SeedSpec(self.MASTER, 5)).standard_normal((3, 2, 4))
+        G = full_symmetric(4)
+        with mock.patch.object(procedures._RankTests, "draws", None):  # would raise if called
+            got = procedures._curtailed_rejects(data, _corr_statistic, G, 10, 0.1, self.MASTER, [1, 2, 3])
+        assert not got.any()
+
+    @staticmethod
+    def marked_tests(group, m=8):
+        """Three tests whose statistic fails (``bad``) on test 1's
+        resamples that move its marked entry, and only there."""
+        xs = generator(SeedSpec(TestCurtailedTests.MASTER, 6)).standard_normal((3, m))
+        xs[1, 0] = 7.0
+        if group == "permutation":
+            return [(x, x) for x in xs], full_symmetric(m), lambda d, p: d[0][p][0] != 7.0 and d[0][0] == 7.0
+        if group == "transforms":
+            return xs, [lambda v: v, np.negative], lambda x: x[0] == -7.0
+        return xs, "signflip", lambda x: x[0] == -7.0
+
+    @pytest.mark.parametrize("group", ["signflip", "permutation", "transforms"])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("how", ["raise", "nan"])
+    def test_failures_on_drawn_resamples(self, group, batched, how):
+        # B = 19, alpha = 0.2: k = 16, so the first round draws resamples 1..4 of every test
+        data, group, moved = self.marked_tests(group)
+        firsts = [stream_for(r, 1) for r in range(3)]
+
+        def statistic(*args):
+            if moved(*args):
+                if how == "raise":
+                    raise ValueError("boom")
+                return np.nan
+            return _mean_statistic(args[0]) if len(args) == 1 else float(args[0][0] @ args[0][1][args[1]])
+
+        def batch(*args):
+            raise RuntimeError("no batch today")
+
+        batch = batch if batched and not isinstance(group, list) else None
+        args = (data, statistic, group, 19, 0.2, self.MASTER, firsts, batch)
+        want, got = NumericalFailure if how == "raise" else InvalidInput, []
+        for run in (rank_test_block, procedures._curtailed_rejects):
+            with pytest.raises(want) as err:
+                run(*args)
+            got.append(err.value)
+        assert str(got[0]) == str(got[1])
+        if how == "raise":
+            assert got[0].step == got[1].step
+            assert 19 < got[0].step <= 19 + 4  # test 1, within the first round
+        else:
+            assert str(got[0]) == "observed and resampled test statistics must all be finite"
+
+    def test_failures_past_the_decision_never_surface(self):
+        # every flip raises the sum of an all-negative sample, so test 0
+        # accepts once 4 = B - k + 1 of its draws are above T
+        x = -np.arange(1.0, 9.0)
+        calls = []
+
+        def statistic(v):
+            calls.append(1)
+            if len(calls) > 1 + 4:  # the observed value, then the first round
+                raise ValueError("past the decision")
+            return _mean_statistic(v)
+
+        assert all(
+            _mean_statistic(signflip_transform(x, SeedSpec(self.MASTER, 1 + b))) > _mean_statistic(x)
+            for b in range(4)
+        )
+        assert not procedures._curtailed_rejects(x[None], statistic, "signflip", 19, 0.2, self.MASTER, [1])[0]
+        calls.clear()
+        with pytest.raises(NumericalFailure) as err:
+            rank_test_block(x[None], statistic, "signflip", 19, 0.2, self.MASTER, [1])
+        assert err.value.step == 5
