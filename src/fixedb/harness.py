@@ -16,12 +16,12 @@ an estimate are d floats).  Replicate r draws its data from stream
 changes a bit.
 Tests, bootstrap and subsample run a whole block at once
 (:func:`_replicate_block`): one batched draw of the block's data, then
-one :func:`~fixedb.procedures._curtailed_rejects` call per test cell,
-which draws each test's resamples in rounds only until its decision is
-fixed and decides bit for bit as
-:func:`~fixedb.procedures.rank_test_block`, or one call of the CI block
-kernel :func:`~fixedb.procedures._ci_block` for every bootstrap or
-subsample cell.  That call derives the block's
+one call for all the cells: :func:`~fixedb.procedures._curtailed_rejects`
+for tests, which draws each test's resamples in rounds shared by the
+cells only until every cell's decision is fixed, each bit for bit as
+:func:`~fixedb.procedures.rank_test_block`, or the CI block kernel
+:func:`~fixedb.procedures._ci_block` for bootstrap and subsample.  The
+CI kernel derives the block's
 R x max(B) resample streams in one pass, forms their roots a slice at
 a time, sorts them once per distinct B, and gives every cell's
 coverage and span as (R, cells) arrays; a B-cell reads each
@@ -195,6 +195,15 @@ def _real(key: str, v) -> float:
     raise ConfigError(f"config.{key}: expected a number, got {v!r}")
 
 
+def _distinct(key: str, values: list) -> list:
+    """values, or a ConfigError naming the key and the first repeated
+    value: a grid runs each of its values once."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"config.{key}: {v!r} is repeated")
+    return values
+
+
 def _defaults(proc: str, setting: int, paper: bool) -> dict:
     """The default of every config key but procedure, setting and
     paper_scale, for this procedure, setting and scale."""
@@ -242,9 +251,9 @@ def normalize_config(config: dict) -> dict:
     for key, value in _defaults(proc, setting, paper).items():
         cfg.setdefault(key, value)
 
-    cfg["B"] = [_integer("B", b, 1, _MAX_B) for b in _as_list(cfg["B"])]
-    cfg["alpha"] = [_real("alpha", a) for a in _as_list(cfg["alpha"])]
-    cfg["methods"] = _as_list(cfg["methods"])
+    cfg["B"] = _distinct("B", [_integer("B", b, 1, _MAX_B) for b in _as_list(cfg["B"])])
+    cfg["alpha"] = _distinct("alpha", [_real("alpha", a) for a in _as_list(cfg["alpha"])])
+    cfg["methods"] = _distinct("methods", _as_list(cfg["methods"]))
     for a in cfg["alpha"]:
         if not 0.0 < a < 1.0:
             raise ConfigError(f"config.alpha: levels must lie in (0, 1), got {a}")
@@ -258,7 +267,7 @@ def normalize_config(config: dict) -> dict:
         if len(ms) != 1:
             raise ConfigError(f"config.m: procedure {proc!r} takes one sample size, got {cfg['m']!r}")
         ms = ms[0]
-    cfg["m"] = ms
+    cfg["m"] = _distinct("m", ms) if proc == "conformal" else ms
     for key in ("reps", "threads", "d", "n", "burn_in"):
         cfg[key] = _integer(key, cfg[key], 1)
     cfg["seed"] = _integer("seed", cfg["seed"], 0, 2**64 - 1)
@@ -358,17 +367,16 @@ def _plan(cfg: dict) -> tuple:
     (len(rs), cells) arrays: ``covered`` (for a test, whether it retains
     the null) and ``width``, NaN for tests.  Tests, bootstrap and
     subsample run the whole block through :func:`_replicate_block`, with
-    one :func:`_curtailed_rejects` call per test cell or one
-    :func:`_ci_block` call for all CI cells; SGD runs
-    :func:`_ci_replicate` per replicate, where all cells share one
-    :func:`sgd_cells` call.
+    one :func:`_curtailed_rejects` or :func:`_ci_block` call for all its
+    cells; SGD runs :func:`_ci_replicate` per replicate, where all cells
+    share one :func:`sgd_cells` call.
 
-    A test cell draws a test's resamples only until its decision is
-    fixed.  Its failures are :func:`rank_test_block`'s on the resamples
-    it draws (a raising statistic on resample b of test i as
-    NumericalFailure with step i * B + b, a non-finite one as
-    InvalidInput); a failure past a test's decision is never drawn, so
-    it cannot surface.  The statistics here are the library's own.
+    The test cells draw a test's resamples only until all their
+    decisions are fixed.  Their failures are :func:`rank_test_block`'s
+    on the resamples drawn (a raising statistic on resample b of test i
+    as NumericalFailure with step i * max(B) + b, a non-finite one as
+    InvalidInput); a failure past every cell's decision is never drawn,
+    so it cannot surface.  The statistics here are the library's own.
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
@@ -408,11 +416,8 @@ def _plan(cfg: dict) -> tuple:
             return (x, gen.standard_normal(m)) if proc == "permutation" else x
 
         def run_cells(data, cells, master, firsts):
-            rejects = [
-                _curtailed_rejects(data, statistic, group, B, alpha, master, firsts, statistic_batch)
-                for B, alpha, _ in cells
-            ]
-            return ~np.stack(rejects, axis=1), np.full((len(firsts), len(cells)), np.nan)
+            rejects = _curtailed_rejects(data, statistic, group, cells, master, firsts, statistic_batch)
+            return ~rejects, np.full(rejects.shape, np.nan)
 
         def rule(budget, _method):
             return test_rule(budget, group)
@@ -748,8 +753,6 @@ def _svg_text(table: CoverageTable) -> str:
     def sy(c: float) -> float:
         return mt + (1.0 - c) * ph
 
-    alpha = table.rows[0].alpha
-    nominal = 1.0 - alpha
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -779,15 +782,16 @@ def _svg_text(table: CoverageTable) -> str:
         f'<text x="16" y="{mt + ph / 2:.2f}" font-size="12" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 16 {mt + ph / 2:.2f})">coverage</text>'
     )
-    y_nom = sy(nominal)
-    parts.append(
-        f'<line x1="{ml}" y1="{y_nom:.2f}" x2="{ml + pw}" y2="{y_nom:.2f}" '
-        f'stroke="#555555" stroke-dasharray="6,4"/>'
-    )
-    methods = sorted({row.method for row in table.rows})
-    for mi, method in enumerate(methods):
+    for alpha in sorted({row.alpha for row in table.rows}):
+        y_nom = sy(1.0 - alpha)
+        parts.append(
+            f'<line x1="{ml}" y1="{y_nom:.2f}" x2="{ml + pw}" y2="{y_nom:.2f}" '
+            f'stroke="#555555" stroke-dasharray="6,4"/>'
+        )
+    series = sorted({(row.method, row.alpha) for row in table.rows})
+    for mi, (method, alpha) in enumerate(series):
         pts = sorted(
-            ((row.B, row.coverage) for row in table.rows if row.method == method),
+            ((row.B, row.coverage) for row in table.rows if (row.method, row.alpha) == (method, alpha)),
             key=lambda t: t[0],
         )
         color = _PALETTE[mi % len(_PALETTE)]
@@ -795,7 +799,7 @@ def _svg_text(table: CoverageTable) -> str:
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{ml + pw - 6}" y="{mt + 16 + 14 * mi}" font-size="11" text-anchor="end" '
-            f'font-family="sans-serif" fill="{color}">{method}</text>'
+            f'font-family="sans-serif" fill="{color}">{method}, alpha {alpha:g}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -42,10 +42,11 @@ stream ids, draws and scores all R x B resamples through one kernel
 subset of the tests) and sorts the (R, B) statistics once, and
 :func:`permutation_test` and :func:`randomization_test` (sign flips or a
 transform list) are its one-replicate calls.  The harness reads only
-the decisions, so it runs :func:`_curtailed_rejects` instead: the same
-kernel, called in rounds for the tests still open, with each test's
-draws at or below and above its statistic counted by
-:func:`_count_rule` until they fix its decision.  With an
+the decisions, so it runs :func:`_curtailed_rejects` instead, once for
+all of a block's (B, alpha) cells: the same kernel, called in rounds
+shared by the cells for the tests still open, each cell counting its
+draws at or below and above the statistic below its own B until
+:func:`_count_rule` fixes its decision.  With an
 ``estimator_batch``, the CI procedures also estimate the resamples in
 one call per block of rows; with a ``statistic_batch``, the tests
 compute a replicate's B statistics in one call, and the sign-flip test
@@ -729,19 +730,21 @@ def _finite(stats: np.ndarray) -> np.ndarray:
 
 
 class _RankTests:
-    """R sign-flip, permutation or explicit-transform tests at one
-    (B, alpha), checked before anything is drawn: the part that
-    :func:`rank_test_block` and :func:`_curtailed_rejects` share.  The
-    arguments are :func:`rank_test_block`'s."""
+    """R sign-flip, permutation or explicit-transform tests at the
+    (B, alpha) of each of ``cells``, checked before anything is drawn:
+    the part that :func:`rank_test_block` and :func:`_curtailed_rejects`
+    share.  The other arguments are :func:`rank_test_block`'s; ``B`` is
+    the largest budget."""
 
-    def __init__(self, data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch) -> None:
-        self.budget = BudgetSpec(B=B, alpha=alpha)
+    def __init__(self, data, statistic, group, cells, master_seed, first_streams, statistic_batch) -> None:
+        self.budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, *_ in cells]
+        self.B = max(budget.B for budget in self.budgets)
         self.firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
         if len(self.firsts) != len(data):
             raise InvalidInput(f"{len(data)} samples but {len(self.firsts)} first streams")
         if isinstance(group, str) and group != "signflip" or not isinstance(group, (PermutationGroup, Iterable)):
             raise InvalidInput(f"group must be 'signflip', a PermutationGroup or a transform list, got {group!r}")
-        self.rule = test_rule(self.budget, group)
+        self.rules = [test_rule(budget, group) for budget in self.budgets]
         if isinstance(group, str):
             data = _check_vector(data, "data (one 1-d sample per row)", ndim=2)
         elif not isinstance(group, PermutationGroup):
@@ -774,12 +777,12 @@ class _RankTests:
         ``statistic`` once per transformed sample, never
         ``statistic_batch``.  A statistic that raises on resample b (from
         1) of test i (from 0) in the scalar loop raises
-        :class:`NumericalFailure` with step i * B + b, as in
-        :func:`rank_test_block`; a non-finite one raises
+        :class:`NumericalFailure` with step i * B + b, B the largest
+        budget, as in :func:`rank_test_block`; a non-finite one raises
         :class:`InvalidInput`.
         """
         firsts = [self.firsts[i] + lo for i in rows]
-        steps = rows[:, None] * self.budget.B + lo + np.arange(1, n + 1)
+        steps = rows[:, None] * self.B + lo + np.arange(1, n + 1)
         data, statistic, batch, group = self.data, self.statistic, self.statistic_batch, self.group
         if isinstance(group, PermutationGroup):
             perms = _permutation_rows(self.master_seed, firsts, n, group).reshape(len(rows), n, group.m)
@@ -819,10 +822,11 @@ def _decide(
     return DecisionBlock(rule, budget, np.asarray(t_obs, dtype=float), _sorted_stack(t_star)[:, rule.upper_rank])
 
 
-def _count_rule(le: np.ndarray, gt: np.ndarray, B: int, k: int) -> tuple:
+def _count_rule(le: np.ndarray, gt: np.ndarray, B, k) -> tuple:
     """The (reject, settled) arrays of fixed-B rank tests at threshold
     rank k, from counts of their drawn statistics: ``le`` of them at or
-    below the observed statistic T and ``gt`` above it.
+    below the observed statistic T and ``gt`` above it.  B and k may be
+    (cells,) arrays against (R, cells) counts.
 
     T >= W_(k) iff #{T*_b <= T} >= k, so a test rejects once le >= k
     and accepts once gt > B - k; ties count toward rejection, as in
@@ -863,57 +867,62 @@ def rank_test_block(
     (from 1) of test i (from 0) in the scalar loop raises
     :class:`NumericalFailure` with step i * B + b.
     """
-    tests = _RankTests(data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch)
+    tests = _RankTests(data, statistic, group, [(B, alpha)], master_seed, first_streams, statistic_batch)
     t_obs = tests.observed()
-    t_star = tests.draws(np.arange(len(t_obs)), 0, tests.budget.B)
-    return _decide(t_obs, t_star, tests.rule, tests.budget)
+    t_star = tests.draws(np.arange(len(t_obs)), 0, tests.B)
+    return _decide(t_obs, t_star, tests.rules[0], tests.budgets[0])
 
 
 def _curtailed_rejects(
     data,
     statistic: Callable,
     group: Union[str, PermutationGroup, Sequence[Callable]],
-    B: int,
-    alpha: float,
+    cells: Sequence[tuple],
     master_seed: int,
     first_streams,
     statistic_batch: Optional[Callable] = None,
 ) -> np.ndarray:
-    """``rank_test_block(...).reject`` for the same arguments, bit for
-    bit, drawing each test's resamples only until its decision is fixed
-    (Besag and Clifford's sequential Monte Carlo test, exact here because
-    every resample has its own stream).  The harness's test kernel.
+    """The (R, cells) rejects of R tests at each (B, alpha, ...) cell:
+    column i is bit for bit ``rank_test_block(...).reject`` at cell i's
+    (B, alpha), drawing each test's resamples only until every cell's
+    decision is fixed (Besag and Clifford's sequential Monte Carlo test,
+    exact here because every resample has its own stream).  The
+    harness's test kernel.
 
-    Resamples are drawn in rounds, each for the tests still open, by the
-    kernel ``_RankTests.draws``, and counted by :func:`_count_rule`.
-    The schedule comes from (B, k) alone, k the threshold rank: the
-    first round draws B - k + 1 resamples, the fewest that can settle an
-    accept, and each later one as many as all rounds before it, so the
-    draws so far double each round, up to resample B.
-    A test with k > B, which never rejects, is settled before any draw.
+    Every cell is checked and the observed statistics computed once.
+    Resamples are drawn by the kernel ``_RankTests.draws`` in rounds
+    shared by the cells, each for the tests with a cell still open; a
+    cell counts only its resamples below its own B, and
+    :func:`_count_rule` decides every cell.  The first round draws
+    min(B - k + 1) over the open cells (k the threshold rank), the
+    fewest that can settle an accept, and each later one as many as all
+    rounds before it, up to the largest B of an open cell; so the draws
+    so far double each round and no stream is drawn twice.  A cell with
+    k > B, which never rejects, is settled before any draw.
 
     Failures are those of :func:`rank_test_block` on the resamples that
     are drawn, raised at the first in round order (a raising statistic
-    as :class:`NumericalFailure` with step i * B + b, a non-finite one
-    as :class:`InvalidInput`).  Resamples past a test's decision are
-    never drawn, so their failures cannot surface.
+    as :class:`NumericalFailure` with step i * max(B) + b, a non-finite
+    one as :class:`InvalidInput`).  Resamples past every cell's decision
+    are never drawn, so their failures cannot surface.
     """
-    tests = _RankTests(data, statistic, group, B, alpha, master_seed, first_streams, statistic_batch)
+    tests = _RankTests(data, statistic, group, cells, master_seed, first_streams, statistic_batch)
     t_obs = tests.observed()
-    B, k = tests.budget.B, tests.rule.upper_rank
-    le = np.zeros(len(t_obs), dtype=np.int64)
+    B = np.array([budget.B for budget in tests.budgets])
+    k = np.array([rule.upper_rank for rule in tests.rules])
+    le = np.zeros((len(t_obs), len(B)), dtype=np.int64)
     gt = np.zeros_like(le)
     reject, settled = _count_rule(le, gt, B, k)
-    lo, n = 0, B - k + 1
+    lo = 0
     while not settled.all():
-        rows = np.flatnonzero(~settled)
-        n = min(n, B - lo)
-        below = (tests.draws(rows, lo, n) <= t_obs[rows, None]).sum(axis=1)
+        rows, cols = np.flatnonzero(~settled.all(axis=1)), ~settled.all(axis=0)
+        n = int(min(lo or (B - k + 1)[cols].min(), B[cols].max() - lo))
+        counted = np.arange(lo, lo + n)[:, None] < B  # (n, cells): which of the round's draws each cell reads
+        below = np.matmul(tests.draws(rows, lo, n) <= t_obs[rows, None], counted, dtype=np.int64)
         le[rows] += below
-        gt[rows] += n - below
+        gt[rows] += counted.sum(axis=0) - below
         reject, settled = _count_rule(le, gt, B, k)
         lo += n
-        n = lo
     return reject
 
 

@@ -125,6 +125,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config.{key}"):
             normalize_config(tiny_config(**{key: value}))
 
+    @pytest.mark.parametrize(
+        "key,value,repeated",
+        [
+            ("B", [19, 39, 19], "19"),
+            ("B", [19, 19.0], "19"),
+            ("alpha", [0.1, 0.1], "0.1"),
+            ("methods", ["modified", "vanilla", "modified"], "'modified'"),
+        ],
+    )
+    def test_repeated_grid_values(self, key, value, repeated):
+        with pytest.raises(ConfigError) as err:
+            normalize_config(tiny_config(**{key: value}))
+        assert str(err.value) == f"config.{key}: {repeated} is repeated"
+
+    def test_repeated_conformal_sizes_and_cli_budgets(self, capsys):
+        with pytest.raises(ConfigError, match=r"config.m: 10 is repeated"):
+            normalize_config({"procedure": "conformal", "m": [10, 100, 10]})
+        assert main(["randomization", "--B", "19,19", "--reps", "1"]) == 2
+        assert "config error: config.B: 19 is repeated" in capsys.readouterr().err
+
     def test_setting_is_stored_as_an_int(self):
         assert type(normalize_config(tiny_config(setting=2.0))["setting"]) is int
 
@@ -260,8 +280,8 @@ class TestConfigProperty:
 
 class TestReplicateBlocks:
     """The test procedures run blocks of replicates through the curtailed
-    test kernel, one call per cell; every block size gives the outcomes
-    of the per-replicate public calls."""
+    test kernel, one call per block for all its cells; every block size
+    gives the outcomes of the per-replicate public calls."""
 
     CONFIGS = {
         "randomization": {"procedure": "randomization", "m": 12, "B": [19, 39], "alpha": [0.1, 0.2],
@@ -315,10 +335,9 @@ class TestReplicateBlocks:
         monkeypatch.setattr(harness, "_curtailed_rejects", recording)
         table = run_experiment(cfg)
         assert [row.coverage for row in table.rows] == self.per_replicate_coverage(cfg)
-        cells = len(cfg["B"]) * len(cfg["alpha"])
         step = reps if block is None else block
         want = [min(step, reps - start) for start in range(0, reps, step)]
-        assert sizes == [n for n in want for _ in range(cells)]
+        assert sizes == want
 
 
 class TestCiBlocks:
@@ -665,6 +684,24 @@ class TestCellGrid:
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert digest == self.TEST_STUDY_DIGESTS[name, seed]
 
+    # resamples drawn at seed 20260823; a grid's cells run one at a time
+    # draw 4726 and 10725, on 1749 and 3549 distinct streams
+    TEST_STUDY_DRAWS = {"permutation": 1017, "randomization": 665,
+                        "permutation-grid": 1717, "randomization-grid": 3431}
+
+    @pytest.mark.parametrize("name", sorted(TEST_STUDY_DRAWS))
+    def test_test_study_draws(self, monkeypatch, name):
+        drawn = []
+        real = procedures._RankTests.draws
+
+        def counting(tests, rows, lo, n):
+            drawn.append(len(rows) * n)
+            return real(tests, rows, lo, n)
+
+        monkeypatch.setattr(procedures._RankTests, "draws", counting)
+        run_experiment({**self.TEST_STUDIES[name], "seed": 20260823})
+        assert sum(drawn) == self.TEST_STUDY_DRAWS[name]
+
 
 # replicates split over worker processes must give the serial bytes
 WORKER_CONFIGS = {
@@ -923,6 +960,20 @@ class TestEmit:
         assert svg.count("<polyline") == 3
         assert svg.count("stroke-dasharray") == 1
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+    def test_svg_draws_one_line_per_method_and_level(self, tmp_path):
+        rows = [
+            CoverageRow(0, "randomization", B, alpha, 50, 10, cov, None, 7)
+            for (B, alpha), cov in zip([(19, 0.05), (19, 0.2), (99, 0.05), (99, 0.2)], [0.95, 0.85, 0.9, 0.8])
+        ]
+        svg = open(emit(CoverageTable(rows=rows), "svg", str(tmp_path / "t.svg"))).read()
+        assert svg.count("stroke-dasharray") == 2
+        lines = [line for line in svg.split("\n") if line.startswith("<polyline")]
+        assert len(lines) == 2
+        for line in lines:  # each level's points run left to right
+            xs = [float(p.split(",")[0]) for p in line.split('"')[1].split()]
+            assert xs == sorted(xs) and len(xs) == 2
+        assert ">randomization, alpha 0.05<" in svg and ">randomization, alpha 0.2<" in svg
 
     def test_svg_empty_table_raises(self, tmp_path):
         with pytest.raises(InvalidInput):

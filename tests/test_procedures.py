@@ -49,6 +49,7 @@ from fixedb.resampling import (
     permutation_draw,
     setting_sampler,
     setting_truth,
+    sgd_path,
     sgd_paths,
     signflip_transform,
     stream_for,
@@ -270,6 +271,32 @@ class TestSgdCells:
                 w_l = order_stat(a.resample_stats, a.rule.lower_rank)
                 w_u = order_stat(a.resample_stats, a.rule.upper_rank)
                 assert a.interval == Interval(2.0 * paths[0, j] - w_u, 2.0 * paths[0, j] - w_l)
+
+    @pytest.mark.parametrize("B,alpha", [(19, 0.1), (19, 0.125), (59, 0.1), (59, 0.125)])  # TestCiBlock.PAPER_RANKS
+    def test_thresholds_are_the_sorted_paths_at_the_papers_ranks(self, B, alpha):
+        # each coordinate's W = the b-th scalar sgd_path, recomputed at a small n_total
+        n, R = 40, 8
+        spec = SgdSpec(
+            dim=3, gamma1=1.0, tau_exp=2 / 3, burn_in=10, n_total=n,
+            gradient=_sgd_gradient, weight_law="exponential",
+        )
+        master, firsts = TestCiBlock.MASTER, [stream_for(r, 1) for r in range(R)]
+        variants = ("vanilla", "modified", "randomized")
+        # per coordinate, replicate and cell: the ends 2 theta_bar - W_(l) and
+        # 2 theta_bar - W_(u) of (2 theta_bar - W_(u), 2 theta_bar - W_(l)]
+        hi, lo = np.empty((3, R, 3)), np.empty((3, R, 3))
+        ends = [[] for _ in range(3)]  # 2 theta_bar - W_(i) for i = 1 .. B
+        for r, first in enumerate(firsts):
+            stream = setting_sampler(4, {"n": n}, SeedSpec(master, stream_for(r, 0)))
+            cis = sgd_cells(stream, spec, [(B, alpha, v) for v in variants], SeedSpec(master, first))
+            theta_bar = sgd_path(spec, stream, np.zeros(3))
+            stars = np.array([sgd_path(spec, stream, np.zeros(3), SeedSpec(master, first + b)) for b in range(B)])
+            for j in range(3):
+                ends[j].append([2.0 * theta_bar[j] - w for w in np.sort(stars[:, j])])
+                for i, ci in enumerate(cis):
+                    hi[j, r, i], lo[j, r, i] = ci[j].interval.hi, ci[j].interval.lo
+        for j in range(3):
+            TestCiBlock.assert_paper_ranks(B, alpha, firsts, ends[j], hi[j], lo[j])
 
     def test_budget_checked_before_any_path(self, monkeypatch):
         stream, spec = self.case()
@@ -742,21 +769,54 @@ class TestCiBlock:
         block = procedures._ci_block(
             xs, np.mean, [(B, alpha, v) for v in variants], None, math.sqrt(m), self.MASTER, firsts
         )
-        ranks = self.PAPER_RANKS[B, alpha]
-        branches = set()
-        for r, (x, first) in enumerate(zip(xs, firsts)):
-            theta_hat = np.mean(x)
-            roots = sorted(
-                math.sqrt(m) * (np.mean(x[bootstrap_indices(m, SeedSpec(self.MASTER, first + b))]) - theta_hat)
+        roots = [
+            sorted(
+                math.sqrt(m) * (np.mean(x[bootstrap_indices(m, SeedSpec(self.MASTER, first + b))]) - np.mean(x))
                 for b in range(B)
             )
-            u = generator(SeedSpec(self.MASTER, first + B)).random()
-            branch = "ceil" if u <= self.TAU[alpha] else "floor"
+            for x, first in zip(xs, firsts)
+        ]
+        self.assert_paper_ranks(B, alpha, firsts, roots, block.w_l, block.w_u)
+
+    @classmethod
+    def assert_paper_ranks(cls, B, alpha, firsts, roots, w_l, w_u):
+        """Row r of the (R, 3) thresholds of the vanilla, modified and
+        randomized cells is roots[r] (a value per rank 1 .. B) at the
+        paper's ranks, under the branch of the uniform from stream
+        firsts[r] + B; at tau < 1 both branches are taken."""
+        ranks = cls.PAPER_RANKS[B, alpha]
+        branches = set()
+        for r, first in enumerate(firsts):
+            u = generator(SeedSpec(cls.MASTER, first + B)).random()
+            branch = "ceil" if u <= cls.TAU[alpha] else "floor"
             branches.add(branch)
             for i, key in enumerate(("vanilla", "ceil", branch)):
                 lower, upper = ranks[key]
-                assert (block.w_l[r, i], block.w_u[r, i]) == (roots[lower - 1], roots[upper - 1])
-        assert branches == ({"ceil"} if self.TAU[alpha] == 1.0 else {"ceil", "floor"})
+                assert (w_l[r, i], w_u[r, i]) == (roots[r][lower - 1], roots[r][upper - 1])
+        assert branches == ({"ceil"} if cls.TAU[alpha] == 1.0 else {"ceil", "floor"})
+
+    @pytest.mark.parametrize("setting, estimator", [(1, np.mean), (3, np.max)])
+    @pytest.mark.parametrize("B,alpha", sorted(PAPER_RANKS))
+    def test_subsample_thresholds_are_the_sorted_roots_at_the_papers_ranks(self, setting, estimator, B, alpha):
+        # the subsample roots at rate tau_k recomputed from scalar draws
+        m, k, R = 40, 9, 8
+        tau_k = math.sqrt(k) if setting == 1 else float(k)
+        firsts = [stream_for(r, 1) for r in range(R)]
+        xs = np.stack(
+            [setting_sampler(setting, {"m": m}, SeedSpec(self.MASTER, stream_for(r, 0))) for r in range(R)]
+        )
+        variants = ("vanilla", "modified", "randomized")
+        block = procedures._ci_block(
+            xs, estimator, [(B, alpha, v) for v in variants], None, 1.0, self.MASTER, firsts, k=k, tau_k=tau_k
+        )
+        roots = [
+            sorted(
+                tau_k * (estimator(x[subsample_indices(m, k, SeedSpec(self.MASTER, first + b))]) - estimator(x))
+                for b in range(B)
+            )
+            for x, first in zip(xs, firsts)
+        ]
+        self.assert_paper_ranks(B, alpha, firsts, roots, block.w_l, block.w_u)
 
     def test_an_error_is_the_first_failing_replicates(self):
         # replicate 1's subsamples that hold -1000 have a NaN estimate;
@@ -1232,7 +1292,8 @@ class TestExactRanks:
         assert block.rule.rule_name == rule and block.rule.upper_rank == k
         assert np.array_equal(block.threshold, want)
         assert np.array_equal(block.reject, np.array(t_obs) >= want)
-        curtailed = procedures._curtailed_rejects(data, statistic, group, B, float(alpha), self.MASTER, firsts)
+        cells = [(B, float(alpha))]
+        curtailed = procedures._curtailed_rejects(data, statistic, group, cells, self.MASTER, firsts)[:, 0]
         assert np.array_equal(curtailed, block.reject)
         # a k - 1 or k + 1 rule decides otherwise in some test, sorted or counted
         below = np.sum(np.array(stars) <= np.array(t_obs)[:, None], axis=1)
@@ -1264,6 +1325,39 @@ class TestCurtailedTests:
                 assert np.array_equal(reject[settled], want[settled])
             assert settled.all()
 
+    @given(st.data())
+    def test_a_grid_decides_each_cell_as_its_own_block_and_draws_each_stream_once(self, data):
+        # integer samples tie; on the 24 permutations of 4 points a small B
+        # or alpha has a rank beyond B; budgets may repeat
+        R = data.draw(st.integers(1, 12))
+        gen = generator(SeedSpec(self.MASTER, data.draw(st.integers(0, 2**16))))
+        if data.draw(st.booleans()):
+            xs, group, stat = gen.choice([-2.0, -1.0, 1.0, 2.0], size=(R, 8)), "signflip", _mean_statistic
+            budget = st.tuples(st.sampled_from([9, 19, 39, 99]), st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+        else:
+            xs, group = gen.integers(-1, 2, size=(R, 2, 4)).astype(float), full_symmetric(4)
+
+            def stat(d, perm):
+                return float(np.dot(d[0], d[1][perm]))
+
+            budget = st.tuples(st.integers(1, 24), st.sampled_from([0.05, 0.1, 0.3, 0.5]))
+        cells = data.draw(st.lists(budget, min_size=1, max_size=5))
+        firsts = [stream_for(r, 1) for r in range(R)]
+        drawn = []
+        real = procedures._RankTests.draws
+
+        def recording(tests, rows, lo, n):
+            drawn.extend((int(i), b) for i in rows for b in range(lo, lo + n))
+            return real(tests, rows, lo, n)
+
+        with mock.patch.object(procedures._RankTests, "draws", recording):
+            got = procedures._curtailed_rejects(xs, stat, group, cells, self.MASTER, firsts)
+        assert got.shape == (R, len(cells))
+        for column, (B, alpha) in zip(got.T, cells):
+            assert np.array_equal(column, rank_test_block(xs, stat, group, B, alpha, self.MASTER, firsts).reject)
+        assert len(drawn) == len(set(drawn))
+        assert all(b < max(B for B, _ in cells) for _, b in drawn)
+
     @pytest.mark.parametrize("B", [19, 99])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("batched", [False, True])
@@ -1275,7 +1369,8 @@ class TestCurtailedTests:
         batch = _mean_statistic_batch if batched else None
         block = rank_test_block(xs, _mean_statistic, "signflip", B, alpha, self.MASTER, firsts, batch)
         assert block.tie.any()
-        got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", B, alpha, self.MASTER, firsts, batch)
+        got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", [(B, alpha)], self.MASTER, firsts, batch)
+        got = got[:, 0]
         assert got.dtype == bool and np.array_equal(got, block.reject)
 
     @pytest.mark.parametrize("B", [5, 10, 23, 24])
@@ -1289,12 +1384,12 @@ class TestCurtailedTests:
         firsts = [stream_for(r, 1) for r in range(R)]
         G = full_symmetric(4)
         block = rank_test_block(data, stat, G, B, alpha, self.MASTER, firsts)
-        got = procedures._curtailed_rejects(data, stat, G, B, alpha, self.MASTER, firsts)
+        got = procedures._curtailed_rejects(data, stat, G, [(B, alpha)], self.MASTER, firsts)[:, 0]
         assert np.array_equal(got, block.reject)
         listed = PermutationGroup(4, perms=((0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0), (0, 1, 3, 2)))
         for b in (3, 4):
             block = rank_test_block(data, stat, listed, b, alpha, self.MASTER, firsts)
-            got = procedures._curtailed_rejects(data, stat, listed, b, alpha, self.MASTER, firsts)
+            got = procedures._curtailed_rejects(data, stat, listed, [(b, alpha)], self.MASTER, firsts)[:, 0]
             assert np.array_equal(got, block.reject)
 
     def test_transform_list(self):
@@ -1302,7 +1397,7 @@ class TestCurtailedTests:
         firsts = [stream_for(r, 1) for r in range(40)]
         shifts = [lambda v: v, np.negative, lambda v: v + 0.5]
         block = rank_test_block(xs, _mean_statistic, shifts, 39, 0.1, self.MASTER, firsts)
-        got = procedures._curtailed_rejects(xs, _mean_statistic, shifts, 39, 0.1, self.MASTER, firsts)
+        got = procedures._curtailed_rejects(xs, _mean_statistic, shifts, [(39, 0.1)], self.MASTER, firsts)[:, 0]
         assert np.array_equal(got, block.reject)
 
     def test_rounds_double_and_shrink_to_the_open_tests(self):
@@ -1318,7 +1413,7 @@ class TestCurtailedTests:
             return real(tests, rows, lo, n)
 
         with mock.patch.object(procedures._RankTests, "draws", recording):
-            got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", 99, 0.1, self.MASTER, firsts)
+            got = procedures._curtailed_rejects(xs, _mean_statistic, "signflip", [(99, 0.1)], self.MASTER, firsts)[:, 0]
         block = rank_test_block(xs, _mean_statistic, "signflip", 99, 0.1, self.MASTER, firsts)
         assert np.array_equal(got, block.reject)
         reach = [lo + n for _, lo, n in rounds]
@@ -1333,7 +1428,7 @@ class TestCurtailedTests:
         data = generator(SeedSpec(self.MASTER, 5)).standard_normal((3, 2, 4))
         G = full_symmetric(4)
         with mock.patch.object(procedures._RankTests, "draws", None):  # would raise if called
-            got = procedures._curtailed_rejects(data, _corr_statistic, G, 10, 0.1, self.MASTER, [1, 2, 3])
+            got = procedures._curtailed_rejects(data, _corr_statistic, G, [(10, 0.1)], self.MASTER, [1, 2, 3])[:, 0]
         assert not got.any()
 
     @staticmethod
@@ -1367,16 +1462,21 @@ class TestCurtailedTests:
             raise RuntimeError("no batch today")
 
         batch = batch if batched and not isinstance(group, list) else None
-        args = (data, statistic, group, 19, 0.2, self.MASTER, firsts, batch)
         want, got = NumericalFailure if how == "raise" else InvalidInput, []
-        for run in (rank_test_block, procedures._curtailed_rejects):
+        for run, budget in ((rank_test_block, (19, 0.2)), (procedures._curtailed_rejects, ([(19, 0.2)],))):
             with pytest.raises(want) as err:
-                run(*args)
+                run(data, statistic, group, *budget, self.MASTER, firsts, batch)
             got.append(err.value)
         assert str(got[0]) == str(got[1])
         if how == "raise":
             assert got[0].step == got[1].step
             assert 19 < got[0].step <= 19 + 4  # test 1, within the first round
+            # with a B = 39 cell beside it the first round is the same, and
+            # the step counts 39 resamples per test
+            with pytest.raises(NumericalFailure) as err:
+                grid = [(19, 0.2), (39, 0.2)]
+                procedures._curtailed_rejects(data, statistic, group, grid, self.MASTER, firsts, batch)
+            assert err.value.step == got[0].step + 20
         else:
             assert str(got[0]) == "observed and resampled test statistics must all be finite"
 
@@ -1396,7 +1496,7 @@ class TestCurtailedTests:
             _mean_statistic(signflip_transform(x, SeedSpec(self.MASTER, 1 + b))) > _mean_statistic(x)
             for b in range(4)
         )
-        assert not procedures._curtailed_rejects(x[None], statistic, "signflip", 19, 0.2, self.MASTER, [1])[0]
+        assert not procedures._curtailed_rejects(x[None], statistic, "signflip", [(19, 0.2)], self.MASTER, [1])[0, 0]
         calls.clear()
         with pytest.raises(NumericalFailure) as err:
             rank_test_block(x[None], statistic, "signflip", 19, 0.2, self.MASTER, [1])
