@@ -8,18 +8,22 @@ method) triples; cells whose budget cannot support their rule are
 skipped before any replicate runs.  The loop is block-major: it hands
 the procedure consecutive blocks of replicate indices, in order.  A
 test or SGD block holds as many replicates R as keep R x max(B)
-sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB); a bootstrap
-or subsample block, R samples and R x max(B) estimates within one
-gathered slice of resamples, 256 KiB (in setting 2 an observation and
-an estimate are d floats).  Replicate r draws its data from stream
-(r, 0) and its resamples from stream (r, 1) on, so the blocking never
-changes a bit.
+sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB), a
+permutation test's sample being its (x, y) pair, 2m floats; a
+bootstrap or subsample block, R samples and R x max(B) estimates
+within one gathered slice of resamples, 256 KiB (in setting 2 an
+observation and an estimate are d floats).  Replicate r draws its
+data from stream (r, 0) and its resamples from stream (r, 1) on, so
+the blocking never changes a bit.
 Tests, bootstrap and subsample run a whole block at once
 (:func:`_replicate_block`): one batched draw of the block's data, then
 one call for all the cells: :func:`~fixedb.procedures._curtailed_rejects`
 for tests, which draws each test's resamples in rounds shared by the
 cells only until every cell's decision is fixed, each bit for bit as
-:func:`~fixedb.procedures.rank_test_block`, or the CI block kernel
+:func:`~fixedb.procedures.rank_test_block`, and scores each round's
+resamples of all the open tests in one call (the permutation test's
+row-aligned :func:`_corr_statistic_rows` pairs each permutation with
+its own test's data), or the CI block kernel
 :func:`~fixedb.procedures._ci_block` for bootstrap and subsample.  The
 CI kernel derives the block's
 R x max(B) resample streams in one pass, forms their roots a slice at
@@ -319,19 +323,28 @@ def _corr_statistic(data, perm):
     return abs(float(np.corrcoef(x, y[perm])[0, 1]))
 
 
-def _corr_statistic_batch(data, perms):
-    """_corr_statistic for each row of perms, with np.corrcoef's
-    arithmetic step for step: centre, X X^T, times 1/(m-1), divide by
-    the root diagonal, clip."""
-    x, y = data
-    z = np.empty((len(perms), 2, x.size))
-    z[:, 0] = x
-    z[:, 1] = y[perms]
+def _corr_statistic_rows(data, tests, perms):
+    """_corr_statistic(data[tests[j]], perms[j]) for each row j of the
+    (rows, m) stack perms, ``data`` an (R, 2, m) stack of (x, y) pairs:
+    the row-aligned scorer of a round's permutations across a block's
+    tests.  It follows np.corrcoef's arithmetic step for step on the
+    (rows, 2, m) stack of (x, y[perm]) pairs: centre, X X^T, times
+    1/(m-1), divide by the root diagonal, clip."""
+    m = perms.shape[1]
+    z = np.empty((len(perms), 2, m))
+    z[:, 0] = data[tests, 0]
+    z[:, 1] = data[tests[:, None], 1, perms]
     z -= z.mean(axis=2)[:, :, None]
     c = z @ z.transpose(0, 2, 1)
-    c *= 1.0 / (x.size - 1)
+    c *= 1.0 / (m - 1)
     sd = np.sqrt(c[:, [0, 1], [0, 1]])
     return np.abs(np.clip(c[:, 0, 1] / sd[:, 0] / sd[:, 1], -1.0, 1.0))
+
+
+def _corr_statistic_batch(data, perms):
+    """_corr_statistic for each row of perms: the one-test case of
+    :func:`_corr_statistic_rows`, in the public hook's form."""
+    return _corr_statistic_rows(np.asarray(data, dtype=float)[None], np.zeros(len(perms), dtype=np.intp), perms)
 
 
 def _mean_statistic(x):
@@ -407,7 +420,7 @@ def _plan(cfg: dict) -> tuple:
 
     if proc in ("permutation", "randomization"):
         if proc == "permutation":
-            statistic, group, statistic_batch = _corr_statistic, full_symmetric(m), _corr_statistic_batch
+            statistic, group, statistic_batch = _corr_statistic, full_symmetric(m), _corr_statistic_rows
         else:
             statistic, group, statistic_batch = _mean_statistic, "signflip", _mean_statistic_batch
 
@@ -466,9 +479,12 @@ def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable,
 _test_replicate = _ci_replicate
 
 # a test or SGD block holds as many replicates R as keep one float64
-# (R, max(B), m) stack of samples within this many bytes; each array of
-# a test block's draw is at most that size, since a round draws at most
-# B resamples of the tests still open.  A bootstrap or subsample
+# (R, max(B)) stack of samples within this many bytes, a sample being m
+# floats, or 2m for a permutation test's (x, y) pair.  A round draws at
+# most max(B) resamples of each test still open, so each array of a
+# test block's round is at most that size: the (rows, m) flipped
+# samples, or the (rows, 2, m) stack that scores a round's
+# permutations in one call.  A bootstrap or subsample
 # block gathers its resamples a slice at a time and keeps only its R
 # samples and R x max(B) estimates, within one slice (_GATHER_BYTES)
 _BLOCK_BYTES = 1 << 20
@@ -687,8 +703,9 @@ def run_experiment(config: dict) -> CoverageTable:
     if not cells:
         return table
     max_b = max(B for B, _, _ in cells)
-    # a sample is m observations, and an estimate one float, or d of each in setting 2
-    dim = cfg["d"] if cfg["setting"] == 2 else 1
+    # a sample is m observations, and an estimate one float, or d of each in
+    # setting 2; a permutation test's sample is m (x, y) pairs, 2m floats
+    dim = cfg["d"] if cfg["setting"] == 2 else 2 if proc == "permutation" else 1
     if proc in ("bootstrap", "subsample"):
         block = max(1, _GATHER_BYTES // (8 * dim * (cfg["m"] + max_b)))
     else:

@@ -48,17 +48,23 @@ shared by the cells for the tests still open, each cell counting its
 draws at or below and above the statistic below its own B until
 :func:`_count_rule` fixes its decision.  With an
 ``estimator_batch``, the CI procedures also estimate the resamples in
-one call per block of rows; with a ``statistic_batch``, the tests
-compute a replicate's B statistics in one call, and the sign-flip test
-a whole block's R x B in one call.  Both hooks go through one per-row
-loop, :func:`_per_row`, which checks the batch's exact shape and runs
-the scalar callback instead when the batch raises.
+one call per block of rows.  With a ``statistic_batch``, a kernel call
+scores all its resamples in one call, each with its own test's data:
+the flipped (rows, m) stack of a sign-flip test, or, for a permutation
+group, the test-major (rows, m) permutation stack through the
+kernel's row-aligned hook statistic_batch(data, tests, perms), which
+:func:`_curtailed_rejects` takes as it is.  The public per-test hook
+statistic_batch(data, perms) of :func:`rank_test_block` is adapted to
+it and called on one test's rows at a time.  The observed statistics
+are one more such call, at the samples or the identity permutation.
+Both hooks go through one per-row loop, :func:`_per_row`, which checks
+the batch's exact shape and runs the scalar callback instead when the
+batch raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from collections.abc import Iterable
 from typing import Callable, Optional, Sequence, Union
 
@@ -734,9 +740,16 @@ class _RankTests:
     (B, alpha) of each of ``cells``, checked before anything is drawn:
     the part that :func:`rank_test_block` and :func:`_curtailed_rejects`
     share.  The other arguments are :func:`rank_test_block`'s; ``B`` is
-    the largest budget."""
+    the largest budget.
 
-    def __init__(self, data, statistic, group, cells, master_seed, first_streams, statistic_batch) -> None:
+    The kernel scores permutations row-aligned: its hook is called as
+    statistic_batch(data, tests, perms) and gives
+    statistic(data[tests[j]], perms[j]) for every row j of the (rows, m)
+    stack perms.  With ``per_test`` a permutation hook is instead the
+    public statistic_batch(data[i], perms) of one test; it is adapted
+    here, once, and then called on one test's rows at a time."""
+
+    def __init__(self, data, statistic, group, cells, master_seed, first_streams, statistic_batch, per_test) -> None:
         self.budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, *_ in cells]
         self.B = max(budget.B for budget in self.budgets)
         self.firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
@@ -751,16 +764,45 @@ class _RankTests:
             group = list(group)
             if not group:
                 raise InvalidInput("explicit transform list must be nonempty")
+        self.per_test = per_test and statistic_batch is not None and isinstance(group, PermutationGroup)
+        if self.per_test:
+            hook = statistic_batch
+            statistic_batch = lambda data, tests, perms: hook(data[tests[0]], perms)
         self.data, self.statistic, self.group = data, statistic, group
         self.master_seed, self.statistic_batch = master_seed, statistic_batch
 
     def observed(self) -> np.ndarray:
         """The (R,) observed statistics (a permutation statistic at the
-        identity); :class:`InvalidInput` unless all are finite."""
-        if isinstance(self.group, PermutationGroup):
-            identity = np.arange(self.group.m)
-            return _finite(np.array([float(self.statistic(d, identity)) for d in self.data]))
-        return _finite(np.array([float(self.statistic(x)) for x in self.data]))
+        identity), scored as the resamples are: one ``statistic_batch``
+        call on the (R, m) stack of samples or of identity permutations
+        (one per test for a public permutation hook; none for a
+        transform list), or the scalar loop if it raises.  A statistic
+        that raises here raises its own error, as without a hook;
+        :class:`InvalidInput` unless all are finite."""
+        R, group = len(self.data), self.group
+        try:
+            if isinstance(group, PermutationGroup):
+                return _finite(self._permuted(np.arange(R), np.broadcast_to(np.arange(group.m), (R, group.m)), None, 1))
+            batch = self.statistic_batch if isinstance(group, str) else None
+            return _finite(_per_row(self.data, self.statistic, batch, (), "statistic"))
+        except NumericalFailure as exc:
+            raise exc.__cause__
+
+    def _permuted(self, tests, perms, steps, n: int) -> np.ndarray:
+        """statistic(data[tests[j]], perms[j]) for every row j of the
+        test-major (rows, m) stack ``perms``, n rows per test, from one
+        row-aligned ``statistic_batch`` call (one per test for a public
+        hook), through :func:`_per_row`."""
+        data, statistic, batch = self.data, self.statistic, self.statistic_batch
+        return _per_row(
+            np.arange(len(perms)),
+            lambda j: statistic(data[tests[j]], perms[j]),
+            None if batch is None else lambda js: batch(data, tests[js], perms[js]),
+            (),
+            "statistic",
+            steps,
+            n if self.per_test else None,
+        )
 
     def draws(self, rows: np.ndarray, lo: int, n: int) -> np.ndarray:
         """The (len(rows), n) statistics of resamples lo .. lo + n - 1 of
@@ -768,49 +810,41 @@ class _RankTests:
         firsts[i] + b, whatever the other arguments.  The draw-and-score
         kernel of every test.
 
-        The len(rows) x n stream keys are derived in one pass.  Sign
-        flips draw all coin rows at once and call ``statistic_batch``
-        once on the stack of flipped samples.  Permutations are rows of
-        one stack, each shuffled in place by its stream; a permutation
-        statistic depends on its test's data, so it is called once per
-        test.  A transform list draws all list indices at once and calls
-        ``statistic`` once per transformed sample, never
-        ``statistic_batch``.  A statistic that raises on resample b (from
-        1) of test i (from 0) in the scalar loop raises
-        :class:`NumericalFailure` with step i * B + b, B the largest
-        budget, as in :func:`rank_test_block`; a non-finite one raises
-        :class:`InvalidInput`.
+        The len(rows) x n stream keys are derived in one pass, and the
+        resamples are scored test-major, row j * n + b for resample
+        lo + b of test rows[j].  Sign flips draw all coin rows at once
+        and call ``statistic_batch`` once on the stack of flipped
+        samples.  Permutations are rows of one stack, each shuffled in
+        place by its stream, and the row-aligned ``statistic_batch``
+        scores them all in one call, each with its own test's data (a
+        public per-test hook, once per test).  A transform list draws
+        all list indices at once and calls ``statistic`` once per
+        transformed sample, never ``statistic_batch``.  A statistic that
+        raises on resample b (from 1) of test i (from 0) in the scalar
+        loop raises :class:`NumericalFailure` with step i * B + b, B the
+        largest budget, as in :func:`rank_test_block`; a non-finite one
+        raises :class:`InvalidInput`.
         """
         firsts = [self.firsts[i] + lo for i in rows]
-        steps = rows[:, None] * self.B + lo + np.arange(1, n + 1)
-        data, statistic, batch, group = self.data, self.statistic, self.statistic_batch, self.group
+        steps = (rows[:, None] * self.B + lo + np.arange(1, n + 1)).reshape(-1)
+        data, statistic, group = self.data, self.statistic, self.group
         if isinstance(group, PermutationGroup):
-            perms = _permutation_rows(self.master_seed, firsts, n, group).reshape(len(rows), n, group.m)
-            t_star = [
-                _per_row(
-                    perms[j],
-                    partial(statistic, data[i]),
-                    None if batch is None else partial(batch, data[i]),
-                    (),
-                    "statistic",
-                    steps[j],
-                )
-                for j, i in enumerate(rows)
-            ]
+            perms = _permutation_rows(self.master_seed, firsts, n, group)
+            t_star = self._permuted(np.repeat(rows, n), perms, steps, n)
         elif isinstance(group, str):
             xs = data[rows]
             m = xs.shape[1]
             signs = 1 - 2 * _bounded_rows(self.master_seed, firsts, n, 2, m)
             flipped = (xs[:, None, :] * signs.reshape(len(rows), n, m)).reshape(-1, m)
-            t_star = _per_row(flipped, statistic, batch, (), "statistic", steps.reshape(-1))
+            t_star = _per_row(flipped, statistic, self.statistic_batch, (), "statistic", steps)
         else:
             # pick b of test i has the bits of generator(stream).integers(0, len(group))
-            picks = _bounded_rows(self.master_seed, firsts, n, len(group), 1).reshape(len(rows), n)
-            t_star = [
-                _per_row(picks[j], lambda t, x=data[i]: statistic(group[t](x)), None, (), "statistic", steps[j])
-                for j, i in enumerate(rows)
-            ]
-        return _finite(np.reshape(t_star, (len(rows), n)))
+            picks = _bounded_rows(self.master_seed, firsts, n, len(group), 1)[:, 0]
+            tests = np.repeat(rows, n)
+            t_star = _per_row(
+                np.arange(len(picks)), lambda j: statistic(group[picks[j]](data[tests[j]])), None, (), "statistic", steps
+            )
+        return _finite(t_star.reshape(len(rows), n))
 
 
 def _decide(
@@ -862,12 +896,14 @@ def rank_test_block(
 
     The observed statistics come first, then all R x B resampled ones
     from one call of the draw-and-score kernel (``_RankTests.draws``),
-    which are sorted once.  A non-finite observed or resampled statistic
+    which are sorted once.  A permutation ``statistic_batch`` is called
+    once per test, on that test's (B, m) stack of permutations (and on
+    its identity permutation for the observed value).  A non-finite observed or resampled statistic
     raises :class:`InvalidInput`.  A statistic that raises on resample b
     (from 1) of test i (from 0) in the scalar loop raises
     :class:`NumericalFailure` with step i * B + b.
     """
-    tests = _RankTests(data, statistic, group, [(B, alpha)], master_seed, first_streams, statistic_batch)
+    tests = _RankTests(data, statistic, group, [(B, alpha)], master_seed, first_streams, statistic_batch, True)
     t_obs = tests.observed()
     t_star = tests.draws(np.arange(len(t_obs)), 0, tests.B)
     return _decide(t_obs, t_star, tests.rules[0], tests.budgets[0])
@@ -887,7 +923,13 @@ def _curtailed_rejects(
     (B, alpha), drawing each test's resamples only until every cell's
     decision is fixed (Besag and Clifford's sequential Monte Carlo test,
     exact here because every resample has its own stream).  The
-    harness's test kernel.
+    harness's test kernel.  The arguments are :func:`rank_test_block`'s,
+    except that for a permutation group ``statistic_batch`` is
+    row-aligned: statistic_batch(data, tests, perms) gives
+    statistic(data[tests[j]], perms[j]) for every row j of the (rows, m)
+    int array perms, and is called once per round on the test-major
+    stack of all the open tests' permutations, and once at the identity
+    for the observed statistics.
 
     Every cell is checked and the observed statistics computed once.
     Resamples are drawn by the kernel ``_RankTests.draws`` in rounds
@@ -906,7 +948,7 @@ def _curtailed_rejects(
     one as :class:`InvalidInput`).  Resamples past every cell's decision
     are never drawn, so their failures cannot surface.
     """
-    tests = _RankTests(data, statistic, group, cells, master_seed, first_streams, statistic_batch)
+    tests = _RankTests(data, statistic, group, cells, master_seed, first_streams, statistic_batch, False)
     t_obs = tests.observed()
     B = np.array([budget.B for budget in tests.budgets])
     k = np.array([rule.upper_rank for rule in tests.rules])

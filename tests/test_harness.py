@@ -23,6 +23,7 @@ from fixedb.cli import main
 from fixedb.harness import (
     _corr_statistic,
     _corr_statistic_batch,
+    _corr_statistic_rows,
     _mean_statistic,
     _mean_statistic_batch,
     _KNOWN_KEYS,
@@ -323,7 +324,8 @@ class TestReplicateBlocks:
     def test_blocks_give_the_per_replicate_outcomes(self, monkeypatch, name, reps, block):
         cfg = {**self.CONFIGS[name], "reps": reps}
         if block is not None:
-            row_bytes = 8 * cfg["m"] * max(cfg["B"])
+            # a permutation sample is an (x, y) pair, 2m floats
+            row_bytes = 8 * (2 if name == "permutation" else 1) * cfg["m"] * max(cfg["B"])
             monkeypatch.setattr(harness, "_BLOCK_BYTES", block * row_bytes)
         sizes = []
         real = harness._curtailed_rejects
@@ -701,6 +703,53 @@ class TestCellGrid:
         monkeypatch.setattr(procedures._RankTests, "draws", counting)
         run_experiment({**self.TEST_STUDIES[name], "seed": 20260823})
         assert sum(drawn) == self.TEST_STUDY_DRAWS[name]
+
+    @pytest.mark.parametrize("name", ["permutation-grid", "randomization-grid"])
+    @pytest.mark.parametrize("seed", [20260823, 4177])
+    def test_test_study_bytes_without_the_batch_hooks(self, tmp_path, monkeypatch, name, seed):
+        # the scalar np.corrcoef and x.sum() statistics give the pinned bytes
+        cfg = {**self.TEST_STUDIES[name], "seed": seed, "threads": 1}
+        scalar = []
+        statistic = harness._corr_statistic if name == "permutation-grid" else harness._mean_statistic
+
+        def counted(*args):
+            scalar.append(1)
+            return statistic(*args)
+
+        monkeypatch.setattr(harness, statistic.__name__, counted)
+        with_hooks = emit(run_experiment(cfg), "csv", str(tmp_path / "hooks.csv"))
+        assert scalar == []
+        monkeypatch.setattr(harness, "_corr_statistic_rows", None)
+        monkeypatch.setattr(harness, "_mean_statistic_batch", None)
+        without = emit(run_experiment(cfg), "csv", str(tmp_path / "scalar.csv"))
+        assert scalar
+        assert open(without, "rb").read() == open(with_hooks, "rb").read()
+        digest = hashlib.sha256(open(without, "rb").read()).hexdigest()
+        assert digest == self.TEST_STUDY_DIGESTS[name, seed]
+
+    # the rows of each scorer call in tests-study-2t's configs at seed
+    # 20260823, run as its two shares: one call for a block's observed
+    # statistics, then one per round (scored one test at a time, the
+    # permutation config made 44 + 32 batch calls and 30 scalar ones)
+    SHARE_SCORING_CALLS = {"permutation": ([15, 135, 108, 126, 216, 108], [15, 135, 117, 72]),
+                           "randomization": ([50, 100, 52, 56, 64, 15], [50, 100, 72, 76, 112, 18])}
+
+    @pytest.mark.parametrize("name", sorted(SHARE_SCORING_CALLS))
+    def test_one_scoring_call_per_round(self, monkeypatch, name):
+        cfg = normalize_config({**self.TEST_STUDIES[name], "alpha": [0.1], "threads": 1, "seed": 20260823})
+        hook = "_corr_statistic_rows" if name == "permutation" else "_mean_statistic_batch"
+        real, rows = getattr(harness, hook), []
+
+        def counted(*args):
+            rows.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(harness, hook, counted)
+        cells, reps = [(cfg["B"][0], 0.1, name)], cfg["reps"]
+        for (lo, hi), want in zip([(0, reps // 2), (reps // 2, reps)], self.SHARE_SCORING_CALLS[name]):
+            rows.clear()
+            harness._share(cfg, cells, lo, hi, reps)
+            assert rows == want
 
 
 # replicates split over worker processes must give the serial bytes

@@ -15,6 +15,7 @@ from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
 from fixedb.harness import (
     _corr_statistic,
     _corr_statistic_batch,
+    _corr_statistic_rows,
     _mean_statistic,
     _mean_statistic_batch,
     _sgd_gradient,
@@ -1029,6 +1030,31 @@ class TestStatisticBatch:
         with pytest.raises(InvalidInput, match="statistic_batch"):
             randomization_test(data[0], _mean_statistic, "signflip", 19, 0.1, statistic_batch=batch)
 
+    def test_observed_statistics_come_from_the_batch(self):
+        # one sign-flip call on the (R, m) samples; a public permutation
+        # hook once per test at its identity permutation, then on its B draws
+        R, m, B = 5, 12, 19
+        xs = generator(SeedSpec(3, 0)).standard_normal((R, m))
+        firsts = [stream_for(r, 1) for r in range(R)]
+        seen = []
+
+        def batch(*args):
+            seen.append(args[-1].shape)
+            return (_mean_statistic_batch if len(args) == 1 else _corr_statistic_batch)(*args)
+
+        want = rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, 3, firsts)
+        got = rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, 3, firsts, batch)
+        assert seen == [(R, m), (R * B, m)]
+        assert got.threshold.tobytes() == want.threshold.tobytes()
+        assert got.statistic.tobytes() == want.statistic.tobytes()
+        seen.clear()
+        data, G = [(x, x[::-1]) for x in xs], full_symmetric(m)
+        want = rank_test_block(data, _corr_statistic, G, B, 0.1, 3, firsts)
+        got = rank_test_block(data, _corr_statistic, G, B, 0.1, 3, firsts, batch)
+        assert seen == [(1, m)] * R + [(B, m)] * R
+        assert got.threshold.tobytes() == want.threshold.tobytes()
+        assert got.statistic.tobytes() == want.statistic.tobytes()
+
     def test_explicit_transforms_ignore_the_batch(self):
         def never(*args):
             raise AssertionError("statistic_batch must not be called here")
@@ -1040,6 +1066,100 @@ class TestStatisticBatch:
             x, _mean_statistic, shifts, B=19, alpha=0.1, seed=SeedSpec(3, 0), statistic_batch=never
         )
         self.assert_same(got, want)
+
+
+class TestRowAlignedScoring:
+    """The harness scores a round's permutations of all its open tests in
+    one call of a row-aligned scorer, which pairs each row with its own
+    test's data and gives the bits of the scalar statistic."""
+
+    MASTER = 20260823
+
+    @given(st.data())
+    def test_row_aligned_scorer_is_the_scalar_statistic_on_every_row(self, data):
+        m = data.draw(st.sampled_from([2, 3, 30, 129]))
+        R = data.draw(st.integers(1, 44))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):  # tied data, constant samples included
+            xy = gen.integers(-1, 2, size=(R, 2, m)).astype(float)
+        else:
+            xy = gen.standard_normal((R, 2, m))
+        # test-major rows: n resamples of each of some of the tests, in order
+        tests = np.repeat(np.flatnonzero(gen.random(R) < 0.7), data.draw(st.integers(1, 5)))
+        perms = np.argsort(gen.random((len(tests), m)), axis=1)
+        with np.errstate(all="ignore"):
+            got = _corr_statistic_rows(xy, tests, perms)
+            want = np.array([_corr_statistic(xy[i], perm) for i, perm in zip(tests, perms)])
+        assert got.shape == (len(tests),)
+        assert got.tobytes() == want.tobytes()
+        # the public hook is its one-test case
+        if len(tests):
+            with np.errstate(all="ignore"):
+                one = _corr_statistic_batch((xy[tests[0], 0], xy[tests[0], 1]), perms)
+                want = np.array([_corr_statistic(xy[tests[0]], perm) for perm in perms])
+            assert one.tobytes() == want.tobytes()
+
+    @staticmethod
+    def block(R=4, m=8):
+        data = generator(SeedSpec(TestRowAlignedScoring.MASTER, 7)).standard_normal((R, 2, m))
+        return data, full_symmetric(m), [stream_for(r, 1) for r in range(R)]
+
+    def test_raising_scorer_falls_back_to_the_scalar_loop(self):
+        data, G, firsts = self.block()
+        cells = [(19, 0.2), (39, 0.1)]
+        calls, drawn = [], []
+
+        def counted(*args):
+            calls.append(1)
+            return _corr_statistic(*args)
+
+        def raising(*args):
+            raise RuntimeError("no scorer today")
+
+        real = procedures._RankTests.draws
+
+        def recording(tests, rows, lo, n):
+            drawn.append(len(rows) * n)
+            return real(tests, rows, lo, n)
+
+        want = procedures._curtailed_rejects(data, _corr_statistic, G, cells, self.MASTER, firsts, _corr_statistic_rows)
+        with mock.patch.object(procedures._RankTests, "draws", recording):
+            got = procedures._curtailed_rejects(data, counted, G, cells, self.MASTER, firsts, raising)
+        assert np.array_equal(got, want)
+        assert len(calls) == len(data) + sum(drawn)  # the observed values, then every drawn resample
+
+    def test_scalar_failure_names_the_first_failing_row_in_round_order(self):
+        # B 19 and 39 at alpha 0.2: k = 16 and 32, so the first round draws
+        # resamples 1..4 of every test; tests 1 and 2 fail on a resample
+        # that moves entry 0, and test 1's first such resample is named
+        data, G, firsts = self.block()
+        cells = [(19, 0.2), (39, 0.2)]
+        data[1:3, 0, 0] = 7.0
+
+        def statistic(d, perm):
+            if d[0, 0] == 7.0 and perm[0] != 0:
+                raise ValueError("boom")
+            return _corr_statistic(d, perm)
+
+        def raising(*args):
+            raise RuntimeError("no scorer today")
+
+        perms = procedures._permutation_rows(self.MASTER, [firsts[1]], 4, G)
+        b = next(b for b in range(4) if perms[b, 0] != 0)
+        with pytest.raises(NumericalFailure) as err:
+            procedures._curtailed_rejects(data, statistic, G, cells, self.MASTER, firsts, raising)
+        assert err.value.step == 1 * 39 + b + 1
+        assert f"resample {39 + b + 1}:" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_scorer_shape_is_rejected(self, extra):
+        data, G, firsts = self.block()
+
+        def wrong(data, tests, perms):
+            return np.zeros(len(perms) + extra)
+
+        with pytest.raises(InvalidInput, match="statistic_batch"):
+            procedures._curtailed_rejects(data, _corr_statistic, G, [(19, 0.1)], self.MASTER, firsts, wrong)
 
 
 class TestRankTestBlock:
