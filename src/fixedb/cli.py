@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional
 
 from .errors import ConfigError, FixedBError, _check_count
-from .harness import _KNOWN_KEYS, _PROCEDURES, _run_tasks, _usable_cpus, emit, load_config, read_table, run_experiment
+from .harness import _KNOWN_KEYS, _PROCEDURES, _run_tasks, emit, load_config, read_table, run_experiment
 from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
 
 
@@ -31,12 +32,44 @@ def _str_list(text: str) -> list:
     return [t for t in text.split(",") if t]
 
 
+# argparse keywords of the flags whose dest is a config key, each flag
+# the key with "-" for "_"
+_CONFIG_FLAGS = {
+    "B": dict(type=_int_list, help="budgets, comma separated"),
+    "alpha": dict(type=_float_list, help="levels, comma separated"),
+    "reps": dict(type=int, help="replicates per cell"),
+    "m": dict(type=_int_list, help="sample size(s)"),
+    "d": dict(type=int, help="dimension (vector-mean setting)"),
+    "k": dict(type=int, help="subsample size"),
+    "n": dict(type=int, help="total SGD steps"),
+    "burn_in": dict(type=int),
+    "setting": dict(type=int, help="benchmark setting id"),
+    "methods": dict(type=_str_list, help="interval variants"),
+    "paper_scale": dict(action="store_true"),
+}
+
+# the config keys each procedure reads, so the config flags of its
+# subcommand; all but conformal also read threads
+_CI_KEYS = ("setting", "B", "alpha", "reps", "methods", "paper_scale")
+_TEST_KEYS = ("setting", "B", "alpha", "reps", "m")
+_READS = {
+    "bootstrap": _CI_KEYS + ("m", "d"),
+    "subsample": _CI_KEYS + ("m", "d", "k"),
+    "sgd": _CI_KEYS + ("n", "burn_in"),
+    "permutation": _TEST_KEYS,
+    "randomization": _TEST_KEYS,
+    "conformal": ("setting", "alpha", "m"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``fixedb`` parser: each subcommand takes only the flags it
-    reads, and any other flag is argparse's usage error (exit 2)."""
+    reads, spelled in full, and any other flag is argparse's usage error
+    (exit 2)."""
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="master seed")
-    seeded.add_argument(
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument(
         "--threads",
         type=int,
         default=None,
@@ -47,31 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
     written = argparse.ArgumentParser(add_help=False)
     written.add_argument("--out", default=None, help="output path")
 
-    exp = argparse.ArgumentParser(add_help=False)
-    exp.add_argument("--config", default=None, help="JSON config file; flags override it")
-    exp.add_argument("--format", choices=("csv", "svg"), default="csv")
-    exp.add_argument("--B", type=_int_list, default=None, help="budgets, comma separated")
-    exp.add_argument("--alpha", type=_float_list, default=None, help="levels, comma separated")
-    exp.add_argument("--reps", type=int, default=None, help="replicates per cell")
-    exp.add_argument("--m", type=_int_list, default=None, help="sample size(s)")
-    exp.add_argument("--d", type=int, default=None, help="dimension (vector-mean setting)")
-    exp.add_argument("--k", type=int, default=None, help="subsample size")
-    exp.add_argument("--n", type=int, default=None, help="total SGD steps")
-    exp.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    exp.add_argument("--setting", type=int, default=None, help="benchmark setting id")
-    exp.add_argument("--methods", type=_str_list, default=None, help="interval variants")
-    exp.add_argument("--paper-scale", action="store_true", default=None, dest="paper_scale")
-
     parser = argparse.ArgumentParser(
         prog="fixedb",
         description="Resampling inference with guarantees at a fixed simulation budget.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no subcommand takes an abbreviated flag: --m is not --methods
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(argparse.ArgumentParser, allow_abbrev=False)
+    )
     for cmd in _PROCEDURES:
-        p = sub.add_parser(cmd, parents=[seeded, written, exp], help=f"run the {cmd} experiment")
+        parents = [seeded, written] if cmd == "conformal" else [seeded, threaded, written]
+        p = sub.add_parser(cmd, parents=parents, help=f"run the {cmd} experiment")
+        p.add_argument("--config", default=None, help="JSON config file; flags override it")
+        p.add_argument("--format", choices=("csv", "svg"), default="csv")
+        for key, kw in _CONFIG_FLAGS.items():
+            if key in _READS[cmd]:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kw)
         p.set_defaults(func=_cmd_experiment)
     v = sub.add_parser(
-        "verify", parents=[seeded], help="check the guarantees against exact enumeration"
+        "verify", parents=[seeded, threaded], help="check the guarantees against exact enumeration"
     )
     v.add_argument("--instances", type=int, default=210, help="random bracket instances")
     v.set_defaults(func=_cmd_verify)
@@ -117,18 +144,14 @@ _VERIFY_CHECKS = (
 
 def _cmd_verify(args) -> int:
     seed = 20260823 if args.seed is None else args.seed
-    cpus = _usable_cpus()
-    threads = cpus if args.threads is None else args.threads
+    threads = 2 if args.threads is None else args.threads
     _check_count(threads, "threads")
 
     def brackets() -> tuple:
         return (bracket_suite(n_instances=args.instances, seed=seed),)
 
-    if min(threads, 2, cpus) >= 2:
-        # the fixed sweeps on a worker while the bracket suite runs here
-        parts = _run_tasks([(brackets, ()), (_fixed_sweeps, ())])
-    else:
-        parts = [brackets(), _fixed_sweeps()]
+    # the fixed sweeps on a worker while the bracket suite runs here, given two processes
+    parts = _run_tasks([(brackets, ()), (_fixed_sweeps, ())], threads)
     reports = [report for part in parts for report in part]
     ok = True
     for name, report in zip(_VERIFY_CHECKS, reports):

@@ -7,32 +7,32 @@ grids, and a replication count.  The grid's cells are its (alpha, B,
 method) triples; cells whose budget cannot support their rule are
 skipped before any replicate runs.  The loop is block-major: it hands
 the procedure consecutive blocks of replicate indices, in order.  A
-test or SGD block holds as many replicates R as keep R x max(B)
-sample-sized float64 rows within ``_BLOCK_BYTES`` (1 MiB), a
-permutation test's sample being its (x, y) pair, 2m floats; a
-bootstrap or subsample block, R samples and R x max(B) estimates
-within one gathered slice of resamples, 256 KiB (in setting 2 an
-observation and an estimate are d floats).  Replicate r draws its
-data from stream (r, 0) and its resamples from stream (r, 1) on, so
-the blocking never changes a bit.
-Tests, bootstrap and subsample run a whole block at once
+test block holds as many replicates R as keep R x max(B) sample-sized
+float64 rows within ``_BLOCK_BYTES`` (1 MiB), a permutation test's
+sample being its (x, y) pair, 2m floats; an SGD block, R (X, Y)
+streams of n x 4 floats; a bootstrap or subsample block, R samples and
+R x max(B) estimates within one gathered slice of resamples, 256 KiB
+(in setting 2 an observation and an estimate are d floats).  Replicate
+r draws its data from stream (r, 0) and its resamples from stream
+(r, 1) on, so the blocking never changes a bit.
+Every procedure runs a block through one runner
 (:func:`_replicate_block`): one batched draw of the block's data, then
-one call for all the cells: :func:`~fixedb.procedures._curtailed_rejects`
-for tests, which draws each test's resamples in rounds shared by the
-cells only until every cell's decision is fixed, each bit for bit as
+one call for all the cells.  For tests it is
+:func:`~fixedb.procedures._curtailed_rejects`, which draws each test's
+resamples in rounds shared by the cells only until every cell's
+decision is fixed, each bit for bit as
 :func:`~fixedb.procedures.rank_test_block`, and scores each round's
 resamples of all the open tests in one call (the permutation test's
 row-aligned :func:`_corr_statistic_rows` pairs each permutation with
-its own test's data), or the CI block kernel
-:func:`~fixedb.procedures._ci_block` for bootstrap and subsample.  The
-CI kernel derives the block's
-R x max(B) resample streams in one pass, forms their roots a slice at
-a time, sorts them once per distinct B, and gives every cell's
-coverage and span as (R, cells) arrays; a B-cell reads each
-replicate's first B roots, the bits its own call would draw.  SGD runs
-a block one replicate at a time (:func:`_ci_replicate`): the replicate
-draws its data once, and one :func:`~fixedb.procedures.sgd_cells` call
-runs max(B) weighted paths once for every cell.  So every cell's
+its own test's data).  For bootstrap and subsample it is the CI block
+kernel :func:`~fixedb.procedures._ci_block`, which derives the block's
+R x max(B) resample streams in one pass, forms their roots a slab at a
+time and sorts them once per distinct B; a B-cell reads each
+replicate's first B roots, the bits its own call would draw.  For SGD
+it is one :func:`~fixedb.procedures.sgd_cells` call per replicate
+(:func:`_ci_replicate`), which runs max(B) weighted paths once for
+every cell.  A block that raises is rerun one replicate at a time, so
+the error is the first failing replicate's own.  So every cell's
 outcome is the one it would get run alone, and the output table
 depends only on the config.  Every block's outcomes are two
 (R, cells) arrays, ``covered`` and ``width`` (NaN for a test, which
@@ -74,7 +74,6 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,19 +84,19 @@ from .orderstats import BudgetSpec
 from .procedures import _CI_VARIANTS, _GATHER_BYTES, _ci_block, _curtailed_rejects, ci_rule, sgd_cells, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
+    PairStream,
     SeedSpec,
     SgdSpec,
     _setting_draw,
     _stream_rows,
     full_symmetric,
-    setting_sampler,
     setting_truth,
     stream_for,
 )
 
 # imported only for bench/tracer.py, which rebinds them here
 from .procedures import ci_boot, ci_sgd, ci_subsample, permutation_test, randomization_test  # noqa: F401
-from .resampling import generator  # noqa: F401
+from .resampling import generator, setting_sampler  # noqa: F401
 
 __all__ = [
     "CoverageRow",
@@ -378,17 +377,13 @@ def _plan(cfg: dict) -> tuple:
     The check is :func:`ci_rule` or :func:`test_rule`.  run_block gives
     the outcomes of replicates rs in every (B, alpha, method) cell as two
     (len(rs), cells) arrays: ``covered`` (for a test, whether it retains
-    the null) and ``width``, NaN for tests.  Tests, bootstrap and
-    subsample run the whole block through :func:`_replicate_block`, with
-    one :func:`_curtailed_rejects` or :func:`_ci_block` call for all its
-    cells; SGD runs :func:`_ci_replicate` per replicate, where all cells
-    share one :func:`sgd_cells` call.
-
-    The test cells draw a test's resamples only until all their
-    decisions are fixed.  Their failures are :func:`rank_test_block`'s
-    on the resamples drawn (a raising statistic on resample b of test i
-    as NumericalFailure with step i * max(B) + b, a non-finite one as
-    InvalidInput); a failure past every cell's decision is never drawn,
+    the null) and ``width``, NaN for tests.  Every procedure runs the
+    block through :func:`_replicate_block`, with one
+    :func:`_curtailed_rejects` or :func:`_ci_block` call for all its
+    cells, or for SGD one :func:`_ci_replicate` per replicate, where all
+    cells share one :func:`sgd_cells` call.  A failing study raises what
+    its first failing replicate's own call raises on the resamples it
+    draws; a test's failure past every cell's decision is never drawn,
     so it cannot surface.  The statistics here are the library's own.
     """
     proc = cfg["procedure"]
@@ -405,20 +400,24 @@ def _plan(cfg: dict) -> tuple:
             weight_law="exponential",
         )
         truth = setting_truth(4)[0]
+        pairs = _setting_draw(4, {"n": cfg["n"]})
+
+        def draw(gen):  # an SGD replicate's (X, Y) stream, as (n, 4) rows
+            stream = pairs(gen)
+            return np.column_stack((stream.x, stream.y))
 
         def run_sgd_cells(stream, cells, seed):
             cis = [ci[0] for ci in sgd_cells(stream, spec, cells, seed, gradient_batch=_sgd_gradient_batch)]
             return [ci.contains(truth) for ci in cis], [ci.span for ci in cis]  # coordinate 0
 
-        draw = partial(setting_sampler, 4, {"n": cfg["n"]})
-
-        def run_sgd_block(master: int, cells: list, rs) -> tuple:
-            covered, width = zip(*(_ci_replicate(master, cells, draw, run_sgd_cells, r) for r in rs))
+        def run_cells(data, cells, master, rs):
+            streams = (PairStream(rows[:, :3], rows[:, 3]) for rows in data)
+            covered, width = zip(*(_ci_replicate(master, cells, s, run_sgd_cells, r) for s, r in zip(streams, rs)))
             return np.array(covered), np.array(width)
 
-        return run_sgd_block, ci_rule
+        rule = ci_rule
 
-    if proc in ("permutation", "randomization"):
+    elif proc in ("permutation", "randomization"):
         if proc == "permutation":
             statistic, group, statistic_batch = _corr_statistic, full_symmetric(m), _corr_statistic_rows
         else:
@@ -428,7 +427,8 @@ def _plan(cfg: dict) -> tuple:
             x = gen.standard_normal(m)
             return (x, gen.standard_normal(m)) if proc == "permutation" else x
 
-        def run_cells(data, cells, master, firsts):
+        def run_cells(data, cells, master, rs):
+            firsts = [stream_for(r, 1) for r in rs]
             rejects = _curtailed_rejects(data, statistic, group, cells, master, firsts, statistic_batch)
             return ~rejects, np.full(rejects.shape, np.nan)
 
@@ -445,7 +445,8 @@ def _plan(cfg: dict) -> tuple:
             k = cfg["k"] or math.ceil(m ** (2.0 / 3.0))
             tau_k = _rate(setting, k)
 
-        def run_cells(data, cells, master, firsts):
+        def run_cells(data, cells, master, rs):
+            firsts = [stream_for(r, 1) for r in rs]
             block = _ci_block(data, estimator, cells, root, tau_m, master, firsts, batch, k, tau_k)
             return block.covers(theta0), block.span
 
@@ -460,33 +461,39 @@ def _plan(cfg: dict) -> tuple:
 
 def _replicate_block(master: int, cells: list, rs, draw: Callable, run_cells: Callable) -> tuple:
     """Replicates rs of every cell: their data drawn in one batched pass
-    from streams (r, 0), then run_cells(data, cells, master, firsts) on
-    the block, with resamples from streams (r, 1) on.  The block kernel
-    of tests, bootstrap and subsample."""
+    from streams (r, 0), then run_cells(data, cells, master, rs) on the
+    block, each replicate's resamples from streams (r, 1) on.  The block
+    runner of every study procedure.  If the block raises, its
+    replicates run again one at a time, so the error is the first
+    failing replicate's, as its own call raises it (a test's failing
+    resample b is step b), whatever the block or share split; if none
+    of them raises, the block's own error is raised."""
     data = _stream_rows(master, [stream_for(r, 0) for r in rs], 1, draw)
-    return run_cells(data, cells, master, [stream_for(r, 1) for r in rs])
+    try:
+        return run_cells(data, cells, master, rs)
+    except Exception:
+        if len(rs) > 1:
+            for i in range(len(rs)):
+                run_cells(data[i : i + 1], cells, master, rs[i : i + 1])
+        raise
 
 
-def _ci_replicate(master: int, cells: list, draw: Callable, run_cells: Callable, r: int) -> tuple:
-    """Replicate r of every cell: its data drawn once from stream
-    (r, 0), every cell run on it from stream (r, 1).  The per-replicate
-    kernel of SGD."""
-    data = draw(SeedSpec(master, stream_for(r, 0)))
-    return run_cells(data, cells, SeedSpec(master, stream_for(r, 1)))
+def _ci_replicate(master: int, cells: list, stream, run: Callable, r: int) -> tuple:
+    """run(stream, cells, seed) for replicate r, its resamples from
+    stream (r, 1) on: SGD's per-replicate step on its drawn data."""
+    return run(stream, cells, SeedSpec(master, stream_for(r, 1)))
 
 
-# bench/tracer.py rebinds both replicate names to time replicates
+# kept for bench/tracer.py, which rebinds it beside _ci_replicate
 _test_replicate = _ci_replicate
 
-# a test or SGD block holds as many replicates R as keep one float64
+# a test block holds as many replicates R as keep one float64
 # (R, max(B)) stack of samples within this many bytes, a sample being m
-# floats, or 2m for a permutation test's (x, y) pair.  A round draws at
-# most max(B) resamples of each test still open, so each array of a
-# test block's round is at most that size: the (rows, m) flipped
-# samples, or the (rows, 2, m) stack that scores a round's
-# permutations in one call.  A bootstrap or subsample
-# block gathers its resamples a slice at a time and keeps only its R
-# samples and R x max(B) estimates, within one slice (_GATHER_BYTES)
+# floats, or 2m for a permutation test's (x, y) pair; each array of a
+# round (the flipped samples, or the (rows, 2, m) stack that scores the
+# permutations) is at most that size.  An SGD block keeps its (R, n, 4)
+# (X, Y) streams within it.  A bootstrap or subsample block keeps its R
+# samples and R x max(B) estimates within one slice (_GATHER_BYTES)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -585,16 +592,18 @@ def _drop(workers: list) -> None:
         _WORKERS.remove((proc, conn))
 
 
-def _run_tasks(tasks: list) -> list:
+def _run_tasks(tasks: list, threads: int) -> list:
     """fn(*args) of every task (fn, args), in task order: the first task
     here, each other one on a worker of its own, whose fn must be a
-    module-level function (a worker receives it by name).  Where no
-    worker can be had (one task, no ``os.fork``, a daemonic process, or
-    another call using the workers) every task runs here, in order.  The
-    first failing task's error, in task order, is raised once every sent
+    module-level function (a worker receives it by name), when
+    min(threads, usable CPUs) covers them all.  Otherwise, or where no
+    worker can be had (no ``os.fork``, a daemonic process, or another
+    call using the workers), every task runs here, in order.  The first
+    failing task's error, in task order, is raised once every sent
     task's reply is read; an interrupt terminates the workers still
     busy."""
-    if len(tasks) == 1 or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
+    parallel = 2 <= len(tasks) <= min(threads, _usable_cpus())
+    if not parallel or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
         return [fn(*args) for fn, args in tasks]
     try:
         workers = _workers(len(tasks) - 1)
@@ -632,11 +641,11 @@ def _replicates(cfg: dict, cells: list, block: int) -> tuple:
     replicate, in order, from min(threads, reps, usable CPUs) contiguous
     shares: share 0 here, the others on the workers (:func:`_run_tasks`;
     see the module docstring)."""
-    reps = cfg["reps"]
-    n = min(cfg["threads"], reps, _usable_cpus())
+    reps, threads = cfg["reps"], cfg["threads"]
+    n = min(threads, reps, _usable_cpus())
     bounds = [reps * i // n for i in range(n + 1)]
     tasks = [(_share, (cfg, cells, lo, hi, block)) for lo, hi in zip(bounds, bounds[1:])]
-    blocks = [outcomes for share in _run_tasks(tasks) for outcomes in share]
+    blocks = [outcomes for share in _run_tasks(tasks, threads) for outcomes in share]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
@@ -708,6 +717,8 @@ def run_experiment(config: dict) -> CoverageTable:
     dim = cfg["d"] if cfg["setting"] == 2 else 2 if proc == "permutation" else 1
     if proc in ("bootstrap", "subsample"):
         block = max(1, _GATHER_BYTES // (8 * dim * (cfg["m"] + max_b)))
+    elif proc == "sgd":
+        block = max(1, _BLOCK_BYTES // (8 * 4 * cfg["n"]))
     else:
         block = max(1, _BLOCK_BYTES // (8 * dim * cfg["m"] * max_b))
     covered, width = _replicates(cfg, cells, block)

@@ -46,20 +46,19 @@ the decisions, so it runs :func:`_curtailed_rejects` instead, once for
 all of a block's (B, alpha) cells: the same kernel, called in rounds
 shared by the cells for the tests still open, each cell counting its
 draws at or below and above the statistic below its own B until
-:func:`_count_rule` fixes its decision.  With an
-``estimator_batch``, the CI procedures also estimate the resamples in
-one call per block of rows.  With a ``statistic_batch``, a kernel call
-scores all its resamples in one call, each with its own test's data:
-the flipped (rows, m) stack of a sign-flip test, or, for a permutation
-group, the test-major (rows, m) permutation stack through the
-kernel's row-aligned hook statistic_batch(data, tests, perms), which
-:func:`_curtailed_rejects` takes as it is.  The public per-test hook
-statistic_batch(data, perms) of :func:`rank_test_block` is adapted to
-it and called on one test's rows at a time.  The observed statistics
-are one more such call, at the samples or the identity permutation.
-Both hooks go through one per-row loop, :func:`_per_row`, which checks
-the batch's exact shape and runs the scalar callback instead when the
-batch raises.
+:func:`_count_rule` fixes its decision.  Both batch hooks go through
+one per-row loop, :func:`_per_row`, which checks the batch's exact
+shape and runs the scalar callback instead when the batch raises.  An
+``estimator_batch`` estimates a CI block's resamples a slab of index
+rows at a time, through callbacks that gather them.  A
+``statistic_batch`` scores all of a kernel call's resamples in one
+call, each with its own test's data: the flipped (rows, m) stack of a
+sign-flip test, or, for a permutation group, the test-major (rows, m)
+permutation stack through the kernel's row-aligned hook
+statistic_batch(data, tests, perms), which :func:`_curtailed_rejects`
+takes as it is; the public per-test hook statistic_batch(data, perms)
+of :func:`rank_test_block` is adapted to it and called on one test's
+rows at a time.  The observed statistics are one more such call.
 """
 
 from __future__ import annotations
@@ -317,18 +316,17 @@ def _per_row(
     steps: Optional[np.ndarray] = None,
     step: Optional[int] = None,
 ) -> np.ndarray:
-    """fn(row) for each of ``rows``, as one float array of shape
-    (len(rows),) + shape: the one loop behind ``estimator_batch`` and
-    ``statistic_batch``.
+    """fn(row) for each row of the array ``rows``, as one float array of
+    shape (len(rows),) + shape: the one loop behind ``estimator_batch``
+    and ``statistic_batch``.
 
-    ``rows`` is read a slice of ``step`` rows at a time (all rows when
-    None), so it may be any sized object that gives its rows by slice.
     With ``batch`` the values come from one call batch(rows[i : i +
-    step]) per slice; each must give exactly its slice's shape, or
-    :class:`InvalidInput` names the hook (``what`` + "_batch").  If a
-    call raises, the scalar loop runs instead, over every row; fn
-    failing on row j (from 0) raises :class:`NumericalFailure` with step
-    steps[j], or j + 1 when ``steps`` is None.
+    step]) per ``step`` rows (all of them when None); each must give
+    exactly its rows' shape, or :class:`InvalidInput` names the hook
+    (``what`` + "_batch").  If a call raises, the scalar loop runs
+    instead, over every row; fn failing on row j (from 0) raises
+    :class:`NumericalFailure` with step steps[j], or j + 1 when
+    ``steps`` is None.
     """
     n = len(rows)
     out = np.empty((n,) + shape)
@@ -345,42 +343,13 @@ def _per_row(
             out[i : i + step] = got
         else:
             return out
-    for i in range(0, n, step):
-        for j, row in enumerate(rows[i : i + step], start=i):
-            try:
-                out[j] = fn(row)
-            except Exception as exc:
-                at = j + 1 if steps is None else int(steps[j])
-                raise NumericalFailure(f"{what} failed on resample {at}: {exc}", step=at) from exc
+    for j, row in enumerate(rows):
+        try:
+            out[j] = fn(row)
+        except Exception as exc:
+            at = j + 1 if steps is None else int(steps[j])
+            raise NumericalFailure(f"{what} failed on resample {at}: {exc}", step=at) from exc
     return out
-
-
-class _Resamples:
-    """A block's resamples, gathered a slice of rows at a time.  Row j is
-    sample j // count of ``data`` at index row j, the index rows of a
-    slice coming from draw(slice).  They are drawn in slabs of at least
-    ``slab`` rows, each kept, as indices into all R samples, until a
-    slice reads past it."""
-
-    def __init__(self, data: np.ndarray, count: int, draw: Callable, slab: int) -> None:
-        R, m = data.shape[:2]
-        self.flat = data.reshape((R * m,) + data.shape[2:])
-        self.starts = np.repeat(np.arange(0, R * m, m), count)  # where row j's sample starts
-        self.draw, self.slab = draw, slab
-        self.lo = self.hi = 0
-        self.indices = None
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(len(self.starts))
-        if not self.lo <= lo <= hi <= self.hi:
-            self.indices = None  # freed before the next slab is drawn
-            self.lo, self.hi = lo, min(len(self.starts), lo + max(self.slab, hi - lo))
-            self.indices = self.draw(slice(self.lo, self.hi))
-            self.indices += self.starts[self.lo : self.hi, None]
-        return self.flat[self.indices[lo - self.lo : hi - self.lo]]
 
 
 @dataclass(frozen=True)
@@ -458,26 +427,15 @@ def _ci_block(
 
     The rules and tau of every cell are resolved once, with every
     randomized-branch uniform in one pass (:func:`_cell_rules`).  The
-    R x max(B) stream keys are derived in one pass; the index rows are
-    drawn, gathered and estimated a slice of at most _GATHER_BYTES at a
-    time, so only the (R, max(B)) roots are kept.  They are sorted once
+    R x max(B) stream keys are derived in one pass.  The index rows are
+    drawn a slab at a time, and each slab goes to :func:`_per_row` with
+    callbacks that gather its resamples from the R samples, about
+    _GATHER_BYTES at a time, and estimate them; so only the
+    (R, max(B)) roots are kept.  A failing estimator names the
+    resample's number within its replicate.  The roots are sorted once
     per distinct B, and each cell's thresholds are read off as one
-    lookup.  If anything raises for R > 1, the replicates are run again
-    one at a time, so the error is the first failing replicate's, as
-    its own call raises it.
+    lookup.
     """
-    try:
-        return _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estimator_batch, k, tau_k)
-    except Exception:
-        if len(firsts) == 1:
-            raise
-        for one, first in zip(data, firsts):
-            _ci_block_of(one[None], estimator, cells, root, tau_m, master_seed, [first], estimator_batch, k, tau_k)
-        raise
-
-
-def _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estimator_batch, k, tau_k) -> _CiBlock:
-    """:func:`_ci_block` without its per-replicate rerun."""
     tau_m = _check_real(tau_m, "tau_m", 0, strict=True)
     tau_k = _check_real(tau_k, "tau_k", 0, strict=True)
     rules = _cell_rules(cells, master_seed, firsts)
@@ -505,14 +463,20 @@ def _ci_block_of(data, estimator, cells, root, tau_m, master_seed, firsts, estim
         def draw(rows: slice) -> np.ndarray:
             return np.sort(_shuffled_from(keys[rows], m)[:, :k], axis=1)
 
-    # index rows (full permutations, for subsamples) are drawn and the
-    # resamples gathered at most one replicate's max(B) rows and about
-    # _GATHER_BYTES at a time, so a block holds no more of them than a
-    # one-replicate call
-    slab = max(1, min(count, _GATHER_BYTES // (8 * m)))
-    step = max(1, min(count, _GATHER_BYTES // max(1, n * data[0, :1].nbytes)))
-    resamples = _Resamples(data, count, draw, slab)
-    stars = _per_row(resamples, estimator, estimator_batch, shape, "estimator", step=step)
+    # resamples are gathered and estimated ``step`` rows (about
+    # _GATHER_BYTES) at a time, from index rows (full permutations, for
+    # subsamples) drawn a slab of whole steps (about _GATHER_BYTES, or one
+    # step) at a time, neither past one replicate's max(B) rows
+    flat = data.reshape((R * m,) + data.shape[2:])
+    step = max(1, min(count, _GATHER_BYTES // max(1, n * flat[:1].nbytes)))
+    slab = step * max(1, min(count, _GATHER_BYTES // (8 * m)) // step)
+    batch = None if estimator_batch is None else lambda i: estimator_batch(flat[i])
+    stars = np.empty((R * count,) + shape)
+    for lo in range(0, R * count, slab):
+        hi = min(lo + slab, R * count)
+        rows = np.arange(lo, hi)
+        picks = draw(slice(lo, hi)) + (rows // count * m)[:, None]  # indices into all R samples
+        stars[lo:hi] = _per_row(picks, lambda i: estimator(flat[i]), batch, shape, "estimator", rows % count + 1, step)
     diffs = rate * (stars.reshape((R, count) + shape) - theta_hat[:, None])
     if root is None:
         ws = diffs

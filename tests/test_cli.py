@@ -240,21 +240,44 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", capture)
     argv = [
         "sgd", "--seed", "5", "--threads", "2", "--B", "7,9", "--alpha", "0.2", "--reps", "3",
-        "--m", "40", "--d", "4", "--k", "6", "--n", "50", "--burn-in", "10", "--setting", "4",
+        "--n", "50", "--burn-in", "10", "--setting", "4",
         "--methods", "vanilla", "--paper-scale", "--format", "svg", "--out", "x.svg",
     ]
-    for args in (argv, ["bootstrap"]):
+    for args in (argv, ["subsample", "--m", "40", "--d", "4", "--k", "6"], ["bootstrap"]):
         with pytest.raises(Captured):
             main(args)
     assert seen == [
         {
             "procedure": "sgd", "seed": 5, "threads": 2, "B": [7, 9], "alpha": [0.2], "reps": 3,
-            "m": [40], "d": 4, "k": 6, "n": 50, "burn_in": 10, "setting": 4,
-            "methods": ["vanilla"], "paper_scale": True,
+            "n": 50, "burn_in": 10, "setting": 4, "methods": ["vanilla"], "paper_scale": True,
         },
+        {"procedure": "subsample", "m": [40], "d": 4, "k": 6},
         {"procedure": "bootstrap"},
     ]
     assert set(seen[0]) <= harness._KNOWN_KEYS
+
+
+# flags of config keys a procedure does not read
+_REFUSED = {
+    "bootstrap": ["--k 2", "--n 9", "--burn-in 3"],
+    "subsample": ["--n 9", "--burn-in 3"],
+    "sgd": ["--m 40", "--d 4", "--k 6"],
+    "permutation": ["--d 4", "--k 2", "--n 9", "--burn-in 3", "--methods vanilla", "--paper-scale"],
+    "randomization": ["--d 4", "--k 2", "--n 9", "--burn-in 3", "--methods vanilla", "--paper-scale"],
+    "conformal": ["--reps 5", "--B 7", "--methods vanilla", "--threads 4", "--n 9", "--burn-in 3",
+                  "--k 2", "--d 4", "--paper-scale"],
+}
+
+
+@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd, flags in _REFUSED.items() for flag in flags])
+def test_a_subcommand_refuses_the_flags_its_procedure_does_not_read(tmp_path, capsys, cmd, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *flag.split(), "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {flag}")
+    assert captured.out == "" and not out.exists()
 
 
 class TestParallelVerify:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,14 +38,17 @@ from fixedb.harness import (
     run_experiment,
     sup_norm,
 )
-from fixedb.procedures import ci_boot, ci_subsample, permutation_test, randomization_test
+from fixedb.procedures import ci_boot, ci_sgd, ci_subsample, permutation_test, randomization_test
 from fixedb.resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
+    SgdSpec,
     full_symmetric,
     generator,
+    permutation_draw,
     setting_sampler,
     setting_truth,
+    signflip_transform,
     stream_for,
 )
 
@@ -419,8 +423,10 @@ class TestCiBlocks:
     def nan_on_ties(a):
         return math.nan if len(np.unique(a)) < 14 else float(np.mean(a))
 
-    @pytest.mark.parametrize("estimator", ["picky_mean", "nan_on_ties"])
-    def test_a_failing_replicate_gives_the_per_replicate_error(self, monkeypatch, fresh_workers, estimator):
+    def failing_bootstrap(self, monkeypatch, estimator):
+        """A bootstrap study whose estimator fails first on replicate 8
+        (the second share at threads 2), on a resample beyond B = 19,
+        and that replicate's own error."""
         est = getattr(self, estimator)
         monkeypatch.setitem(harness._ESTIMATORS, 1, (est, None, None))
         cfg = {"procedure": "bootstrap", "setting": 1, "m": 30, "B": [19, 59], "reps": 12,
@@ -432,14 +438,84 @@ class TestCiBlocks:
                 for B in cfg["B"]:
                     ci_boot(x, est, tau_m=math.sqrt(30), B=B, seed=SeedSpec(26, stream_for(r, 1)))
             except NumericalFailure as exc:
-                want = r, str(exc), exc.step
+                want = r, exc
                 break
-        # replicate 8 (the second share at threads 2), on a resample beyond B = 19
-        assert want[0] == 8 and want[2] > 19
+        assert want[0] == 8 and want[1].step > 19
+        return cfg, want[1]
+
+    @staticmethod
+    def failing_test(monkeypatch, procedure):
+        """A test study whose statistic raises on replicate 30's second
+        resample only, and that replicate's own error, step 2.  Read off
+        the block, it would be step 30 * 19 + 2 = 572 at threads 1 and
+        10 * 19 + 2 = 192 in the second share's block at threads 2."""
+        cfg = {"procedure": procedure, "m": 8, "B": [19], "reps": 40, "seed": 7}
+        gen = generator(SeedSpec(7, stream_for(30, 0)))
+        seed, second = SeedSpec(7, stream_for(30, 1)), SeedSpec(7, stream_for(30, 1) + 1)
+        if procedure == "randomization":
+            x = gen.standard_normal(8)
+            bad = signflip_transform(x, second)
+
+            def statistic(s):
+                if np.array_equal(s, bad):
+                    raise ValueError("a bad resample")
+                return _mean_statistic(s)
+
+            monkeypatch.setattr(harness, "_mean_statistic", statistic)
+            monkeypatch.setattr(harness, "_mean_statistic_batch", None)
+            call = partial(randomization_test, x, statistic, "signflip")
+        else:
+            x, y = gen.standard_normal(8), gen.standard_normal(8)
+            bad = permutation_draw(full_symmetric(8), second)
+
+            def statistic(data, perm):
+                if np.array_equal(data[0], x) and np.array_equal(perm, bad):
+                    raise ValueError("a bad resample")
+                return _corr_statistic(data, perm)
+
+            monkeypatch.setattr(harness, "_corr_statistic", statistic)
+            monkeypatch.setattr(harness, "_corr_statistic_rows", None)
+            call = partial(permutation_test, (x, y), statistic, full_symmetric(8))
+        with pytest.raises(NumericalFailure) as want:
+            call(19, 0.1, seed=seed)
+        assert want.value.step == 2
+        return cfg, want.value
+
+    @staticmethod
+    def failing_sgd(monkeypatch):
+        """An SGD study whose gradient turns non-finite on path 3 at step
+        50 of replicate 4 only (the second share at threads 2), and that
+        replicate's own error."""
+        cfg = {"procedure": "sgd", "n": 400, "burn_in": 100, "B": [19], "reps": 6, "seed": 7}
+        stream = setting_sampler(4, {"n": 400}, SeedSpec(7, stream_for(4, 0)))
+        real = harness._sgd_gradient_batch
+
+        def gradient_batch(thetas, point):
+            g = real(thetas, point)
+            if np.array_equal(point[0], stream.x[49]):
+                g[3, 0] = np.inf
+            return g
+
+        monkeypatch.setattr(harness, "_sgd_gradient_batch", gradient_batch)
+        spec = SgdSpec(dim=3, gamma1=1.0, tau_exp=2.0 / 3.0, burn_in=100, n_total=400,
+                       gradient=harness._sgd_gradient, weight_law="exponential")
+        with pytest.raises(NumericalFailure) as want:
+            ci_sgd(stream, spec, B=19, seed=SeedSpec(7, stream_for(4, 1)), gradient_batch=gradient_batch)
+        assert (str(want.value), want.value.step) == ("non-finite gradient on path 3", 50)
+        return cfg, want.value
+
+    @pytest.mark.parametrize("case", ["picky_mean", "nan_on_ties", "randomization", "permutation", "sgd"])
+    def test_a_failing_replicate_gives_the_per_replicate_error(self, monkeypatch, fresh_workers, case):
+        if case in ("randomization", "permutation"):
+            cfg, want = self.failing_test(monkeypatch, case)
+        elif case == "sgd":
+            cfg, want = self.failing_sgd(monkeypatch)
+        else:
+            cfg, want = self.failing_bootstrap(monkeypatch, case)
         for threads in (1, 2):
             with pytest.raises(NumericalFailure) as err:
                 run_experiment({**cfg, "threads": threads})
-            assert (str(err.value), err.value.step) == want[1:]
+            assert (str(err.value), err.value.step) == (str(want), want.step)
 
 
 class TestRunExperiment:

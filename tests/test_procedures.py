@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixedb import procedures
+from fixedb import harness, procedures
 from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
 from fixedb.harness import (
     _corr_statistic,
@@ -39,6 +39,7 @@ from fixedb.resampling import (
     _bounded_from,
     _bounded_rows,
     _philox_keys,
+    _setting_draw,
     _shuffled_from,
     _stream_ids,
     PermutationGroup,
@@ -820,25 +821,36 @@ class TestCiBlock:
         self.assert_paper_ranks(B, alpha, firsts, roots, block.w_l, block.w_u)
 
     def test_an_error_is_the_first_failing_replicates(self):
+        # the block runner of the harness, on replicates 0, 1 and 5:
         # replicate 1's subsamples that hold -1000 have a NaN estimate;
-        # replicate 2's estimate on its full sample raises, which the
+        # replicate 5's estimate on its full sample raises, which the
         # block meets first, but a loop over replicates meets replicate 1
-        xs = np.stack(self.data(1, {"m": 30})[:3])
-        xs[1, 4], xs[2, 0] = -1000.0, 999.0
-
         def est(a):
             if a.size == 30 and a[0] == 999.0:
                 raise ValueError("bad sample")
             return math.nan if -1000.0 in a else float(np.mean(a))
 
+        def run_cells(data, cells, master, rs):
+            for x, r in zip(data, rs):
+                if r == 1:
+                    x[4] = -1000.0
+                elif r == 5:
+                    x[0] = 999.0
+            firsts = [stream_for(r, 1) for r in rs]
+            block = procedures._ci_block(data, est, cells, None, 1.0, master, firsts, k=10)
+            return block.covers(0.2), block.span
+
+        x1 = self.data(1, {"m": 30})[1]
+        x1[4] = -1000.0
         with pytest.raises(NumericalFailure) as want:
-            ci_subsample(xs[1], est, k=10, B=19, seed=SeedSpec(self.MASTER, self.FIRSTS[1]))
+            ci_subsample(x1, est, k=10, B=19, seed=SeedSpec(self.MASTER, self.FIRSTS[1]))
+        draw, cells = _setting_draw(1, {"m": 30}), [(19, 0.1, "modified")]
         with pytest.raises(NumericalFailure) as got:
-            procedures._ci_block(xs, est, [(19, 0.1, "modified")], None, 1.0, self.MASTER, self.FIRSTS[:3], k=10)
+            harness._replicate_block(self.MASTER, cells, [0, 1, 5], draw, run_cells)
         assert (str(got.value), got.value.step) == (str(want.value), want.value.step)
         assert str(got.value).startswith("non-finite resample root on resample ")
         with pytest.raises(ValueError, match="bad sample"):
-            procedures._ci_block(xs[2:], est, [(19, 0.1, "modified")], None, 1.0, self.MASTER, self.FIRSTS[2:3], k=10)
+            harness._replicate_block(self.MASTER, cells, [5], draw, run_cells)
 
 
 class TestRandomizedBranchDraw:
