@@ -4,6 +4,8 @@
 #   threads       a study's CSV bytes at --threads 1 and 2 are the same
 #   grid          a grid's rows are its cells' rows, each run alone
 #   verify-seeds  verify passes at seeds 0, 2 and 4177
+#   configs       a config key the subcommand does not read is checked and
+#                 ignored, so the CSV bytes stay; an empty grid exits 2
 set -euo pipefail
 
 case "${1:-}" in
@@ -52,8 +54,30 @@ case "${1:-}" in
       fixedb verify --seed "$s" || exit 1
     done
     ;;
+  configs)
+    # unread: a valid value of every known key the subcommand does not read
+    same_bytes() {  # CMD UNREAD FLAGS...
+      local cmd=$1 unread=$2
+      shift 2
+      echo "{$unread}" > "unread-$cmd.json"
+      fixedb "$cmd" "$@" --out "$cmd-read.csv"
+      fixedb "$cmd" "$@" --config "unread-$cmd.json" --out "$cmd-unread.csv"
+      cmp "$cmd-read.csv" "$cmd-unread.csv"
+    }
+    tests='"paper_scale": true, "methods": ["vanilla"], "d": 4, "n": 10, "burn_in": 20, "k": 200'
+    same_bytes bootstrap '"n": 10, "burn_in": 20, "k": 200' --reps 20
+    same_bytes subsample '"n": 10, "burn_in": 20' --reps 20
+    same_bytes sgd '"m": 40, "d": 4, "k": 200' --reps 2 --n 400 --burn-in 100
+    same_bytes permutation "$tests" --reps 10
+    same_bytes randomization "$tests" --reps 20
+    same_bytes conformal '"paper_scale": true, "B": [7], "methods": ["vanilla"], "reps": 5, "threads": 2,
+      "d": 4, "n": 10, "burn_in": 20, "k": 200' --m 10,100
+    rc=0
+    fixedb bootstrap --B , --reps 2 --out empty.csv || rc=$?
+    [ "$rc" -eq 2 ] && [ ! -e empty.csv ]
+    ;;
   *)
-    echo "usage: $0 threads|grid|verify-seeds" >&2
+    echo "usage: $0 threads|grid|verify-seeds|configs" >&2
     exit 2
     ;;
 esac

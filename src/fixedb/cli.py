@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import ConfigError, FixedBError, _check_count
-from .harness import _KNOWN_KEYS, _PROCEDURES, _run_tasks, emit, load_config, read_table, run_experiment
+from .harness import _KNOWN_KEYS, _STUDIES, _run_tasks, emit, load_config, read_table, run_experiment
 from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
 
 
@@ -48,24 +48,11 @@ _CONFIG_FLAGS = {
     "paper_scale": dict(action="store_true"),
 }
 
-# the config keys each procedure reads, so the config flags of its
-# subcommand; all but conformal also read threads
-_CI_KEYS = ("setting", "B", "alpha", "reps", "methods", "paper_scale")
-_TEST_KEYS = ("setting", "B", "alpha", "reps", "m")
-_READS = {
-    "bootstrap": _CI_KEYS + ("m", "d"),
-    "subsample": _CI_KEYS + ("m", "d", "k"),
-    "sgd": _CI_KEYS + ("n", "burn_in"),
-    "permutation": _TEST_KEYS,
-    "randomization": _TEST_KEYS,
-    "conformal": ("setting", "alpha", "m"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``fixedb`` parser: each subcommand takes only the flags it
-    reads, spelled in full, and any other flag is argparse's usage error
-    (exit 2)."""
+    """The ``fixedb`` parser: each subcommand takes only the flags of the
+    config keys its procedure reads (``harness._STUDIES``), spelled in
+    full, and any other flag is argparse's usage error (exit 2)."""
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="master seed")
     threaded = argparse.ArgumentParser(add_help=False)
@@ -88,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=partial(argparse.ArgumentParser, allow_abbrev=False)
     )
-    for cmd in _PROCEDURES:
-        parents = [seeded, written] if cmd == "conformal" else [seeded, threaded, written]
+    for cmd, study in _STUDIES.items():
+        parents = [seeded, threaded, written] if "threads" in study.reads else [seeded, written]
         p = sub.add_parser(cmd, parents=parents, help=f"run the {cmd} experiment")
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("--format", choices=("csv", "svg"), default="csv")
         for key, kw in _CONFIG_FLAGS.items():
-            if key in _READS[cmd]:
+            if key == "setting" or key in study.reads:
                 p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kw)
         p.set_defaults(func=_cmd_experiment)
     v = sub.add_parser(

@@ -74,7 +74,8 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -154,16 +155,6 @@ class CoverageTable:
     skipped: list = field(default_factory=list)
 
 
-# procedure -> (its default benchmark setting, the settings it supports)
-_PROCEDURES = {
-    "bootstrap": (1, (1, 2)),
-    "subsample": (3, (1, 2, 3)),
-    "sgd": (4, (4,)),
-    "permutation": (0, (0,)),
-    "randomization": (0, (0,)),
-    "conformal": (0, (0,)),
-}
-
 # a replicate's B resamples and branch draw stay in its stream block (see resampling.stream_for)
 _MAX_B = RESAMPLE_STRIDE - 2
 
@@ -187,98 +178,131 @@ def _integer(key: str, v, lo: int, hi: float = math.inf) -> int:
     return int(v)
 
 
-def _real(key: str, v) -> float:
-    """v as a float; a ConfigError naming the key unless v is a real
-    number (a JSON boolean or string is not)."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
-        try:
-            return float(v)
-        except OverflowError:
-            pass
-    raise ConfigError(f"config.{key}: expected a number, got {v!r}")
+def _level(key: str, v) -> float:
+    """v as a float in (0, 1); a ConfigError naming the key unless v is a
+    real number (a JSON boolean or string is not) in that range."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < 1:
+        return float(v)
+    raise ConfigError(f"config.{key}: expected a level in (0, 1), got {v!r}")
 
 
-def _distinct(key: str, values: list) -> list:
-    """values, or a ConfigError naming the key and the first repeated
-    value: a grid runs each of its values once."""
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"config.{key}: {v!r} is repeated")
-    return values
+def _flag(key: str, v) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"config.{key}: expected true or false, got {v!r}")
+    return v
 
 
-def _defaults(proc: str, setting: int, paper: bool) -> dict:
-    """The default of every config key but procedure, setting and
-    paper_scale, for this procedure, setting and scale."""
-    return {
-        "m": {1: 100, 2: 1000 if paper else 400, 3: 100}.get(setting, 50 if proc == "randomization" else 30 if proc == "permutation" else 100),
-        "d": 100 if paper else 20,
-        "n": 10_000 if paper else 5_000,
-        "burn_in": 2_000 if paper else 1_000,
-        "k": None,
-        "methods": ["modified"],
-        "B": [99] if proc == "permutation" else [19],
-        "alpha": [0.1],
-        "reps": 1000,
-        "seed": 20260823,
-        "threads": 1,
-    }
+def _variant(key: str, v) -> str:
+    if v not in _CI_VARIANTS:
+        raise ConfigError(f"config.{key}: expected one of {_CI_VARIANTS}, got {v!r}")
+    return v
 
 
-_KNOWN_KEYS = {"procedure", "setting", "paper_scale", *_defaults("bootstrap", 1, False)}
+def _size(key: str, v) -> int:
+    """One sample size, given as a number or a one-element list."""
+    if len(_as_list(v)) != 1:
+        raise ConfigError(f"config.{key}: expected one sample size, got {v!r}")
+    return _integer(key, _as_list(v)[0], 1)
+
+
+def _grid(check: Callable) -> Callable:
+    """The check of a grid key: a value or a list of values, each passing
+    ``check``, at least one, and none twice (a grid runs each once)."""
+
+    def grid(key: str, v) -> list:
+        values = [check(key, x) for x in _as_list(v)]
+        if not values:
+            raise ConfigError(f"config.{key}: expected at least one value")
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ConfigError(f"config.{key}: {x!r} is repeated")
+        return values
+
+    return grid
+
+
+_count = partial(_integer, lo=1)
+_budgets = _grid(partial(_integer, lo=1, hi=_MAX_B))
+
+# every config key but procedure and setting -> (its default, a value or a
+# function of (setting, paper_scale); its check, a function of (key, value)
+# that gives the value as a study reads it or raises a ConfigError naming
+# the key), in the order they are checked
+_KEYS = {
+    "paper_scale": (False, _flag),
+    "B": ([19], _budgets),
+    "alpha": ([0.1], _grid(_level)),
+    "methods": (["modified"], _grid(_variant)),
+    "m": (lambda setting, paper: (1000 if paper else 400) if setting == 2 else 100, _size),
+    "reps": (1000, _count),
+    "threads": (1, _count),
+    "d": (lambda setting, paper: 100 if paper else 20, _count),
+    "n": (lambda setting, paper: 10_000 if paper else 5_000, _count),
+    "burn_in": (lambda setting, paper: 2_000 if paper else 1_000, partial(_integer, lo=0)),
+    "seed": (20260823, partial(_integer, lo=0, hi=2**64 - 1)),
+    "k": (None, lambda key, v: None if v is None else _count(key, v)),  # None: ceil(m ** (2/3))
+}
+
+_KNOWN_KEYS = {"procedure", "setting", *_KEYS}
+
+
+class _Study(NamedTuple):
+    settings: tuple  # the benchmark settings it supports, its default first
+    reads: dict  # the keys it reads beside procedure and setting -> (default, check)
+
+
+def _reads(keys: str, **changed) -> dict:
+    """The (default, check) of each of these keys, as in _KEYS unless changed."""
+    return {key: changed.get(key, _KEYS[key]) for key in keys.split()}
+
+
+# procedure -> what its study reads; the CLI's subcommands and their flags come from here
+_STUDIES = {
+    "bootstrap": _Study((1, 2), _reads("paper_scale B alpha methods m reps threads d seed")),
+    "subsample": _Study((3, 1, 2), _reads("paper_scale B alpha methods m reps threads d seed k")),
+    "sgd": _Study((4,), _reads("paper_scale B alpha methods reps threads n burn_in seed")),
+    "permutation": _Study((0,), _reads("B alpha m reps threads seed", B=([99], _budgets), m=(30, _size))),
+    "randomization": _Study((0,), _reads("B alpha m reps threads seed", m=(50, _size))),
+    "conformal": _Study((0,), _reads("alpha m seed", m=(100, _grid(_count)))),
+}
 
 
 def normalize_config(config: dict) -> dict:
-    """Validate a config dict and fill defaults.
+    """Validate a config dict; the result holds the procedure, its
+    setting and the keys it reads (``_STUDIES``), defaults filled.
 
-    Raises :class:`ConfigError` naming the offending key path.
+    A known key that the procedure does not read is checked on its own,
+    then dropped.  A check between two keys (k <= m, burn_in < n) runs
+    only when the procedure reads both.  Grids (B, alpha, methods,
+    conformal's m) must not be empty; burn_in may be 0.  Raises
+    :class:`ConfigError` naming the offending key path.
     """
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     for key in config:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"config.{key}: unknown key")
-    cfg = dict(config)
-    proc = cfg.setdefault("procedure", "bootstrap")
-    procs = tuple(_PROCEDURES)
+    proc = config.get("procedure", "bootstrap")
+    procs = tuple(_STUDIES)
     if proc not in procs:
         raise ConfigError(f"config.procedure: expected one of {procs}, got {proc!r}")
-    default, allowed = _PROCEDURES[proc]
-    setting = cfg["setting"] = _integer("setting", cfg.get("setting", default), 0)
-    if setting not in allowed:
-        raise ConfigError(f"config.setting: procedure {proc!r} supports {allowed}, got {setting!r}")
+    study = _STUDIES[proc]
+    setting = _integer("setting", config.get("setting", study.settings[0]), 0)
+    if setting not in study.settings:
+        raise ConfigError(f"config.setting: procedure {proc!r} supports {tuple(sorted(study.settings))}, got {setting!r}")
 
-    paper = cfg.setdefault("paper_scale", False)
-    if not isinstance(paper, bool):
-        raise ConfigError(f"config.paper_scale: expected true or false, got {paper!r}")
-    for key, value in _defaults(proc, setting, paper).items():
-        cfg.setdefault(key, value)
-
-    cfg["B"] = _distinct("B", [_integer("B", b, 1, _MAX_B) for b in _as_list(cfg["B"])])
-    cfg["alpha"] = _distinct("alpha", [_real("alpha", a) for a in _as_list(cfg["alpha"])])
-    cfg["methods"] = _distinct("methods", _as_list(cfg["methods"]))
-    for a in cfg["alpha"]:
-        if not 0.0 < a < 1.0:
-            raise ConfigError(f"config.alpha: levels must lie in (0, 1), got {a}")
-    if proc in ("bootstrap", "subsample", "sgd"):
-        for v in cfg["methods"]:
-            if v not in _CI_VARIANTS:
-                raise ConfigError(f"config.methods: expected one of {_CI_VARIANTS}, got {v!r}")
-    ms = [_integer("m", v, 1) for v in _as_list(cfg["m"])]
-    if proc != "conformal":
-        # one sample size, given as a number or a one-element list
-        if len(ms) != 1:
-            raise ConfigError(f"config.m: procedure {proc!r} takes one sample size, got {cfg['m']!r}")
-        ms = ms[0]
-    cfg["m"] = _distinct("m", ms) if proc == "conformal" else ms
-    for key in ("reps", "threads", "d", "n", "burn_in"):
-        cfg[key] = _integer(key, cfg[key], 1)
-    cfg["seed"] = _integer("seed", cfg["seed"], 0, 2**64 - 1)
-    if cfg["k"] is not None:
-        cfg["k"] = _integer("k", cfg["k"], 1)
-        if proc != "conformal" and cfg["k"] > cfg["m"]:
-            raise ConfigError(f"config.k: expected an integer in [1, m], got {cfg['k']!r}")
-    if not cfg["burn_in"] < cfg["n"]:
+    cfg = {"procedure": proc, "setting": setting}
+    for key, (default, check) in _KEYS.items():
+        if key in study.reads:
+            default, check = study.reads[key]
+            if callable(default):  # paper_scale is checked first, where read
+                default = default(setting, cfg.get("paper_scale", False))
+            cfg[key] = check(key, config.get(key, default))
+        elif key in config:
+            check(key, config[key])
+    if cfg.get("k") is not None and cfg["k"] > cfg["m"]:
+        raise ConfigError(f"config.k: expected an integer in [1, m], got {cfg['k']!r}")
+    if "burn_in" in cfg and not cfg["burn_in"] < cfg["n"]:
         raise ConfigError("config.burn_in: must be smaller than config.n")
     return cfg
 
@@ -388,7 +412,7 @@ def _plan(cfg: dict) -> tuple:
     """
     proc = cfg["procedure"]
     setting = cfg["setting"]
-    m = cfg["m"]
+    m = cfg.get("m")  # SGD reads n instead
     if proc == "sgd":
         spec = SgdSpec(
             dim=3,
@@ -674,21 +698,10 @@ def run_experiment(config: dict) -> CoverageTable:
     table = CoverageTable()
     if proc == "conformal":
         for alpha in cfg["alpha"]:
-            for m in _as_list(cfg["m"]):
-                ex = conformal_grid_example(int(m), alpha)
-                table.rows.append(
-                    CoverageRow(
-                        setting=0,
-                        method="conformal_modified",
-                        B=int(m),
-                        alpha=alpha,
-                        m=int(m),
-                        reps=1,
-                        coverage=ex.coverage,
-                        mean_width=None,
-                        seed=cfg["seed"],
-                    )
-                )
+            for m in cfg["m"]:
+                coverage = conformal_grid_example(m, alpha).coverage
+                table.rows.append(CoverageRow(setting=0, method="conformal_modified", B=m, alpha=alpha, m=m, reps=1,
+                                              coverage=coverage, mean_width=None, seed=cfg["seed"]))
         return table
 
     rule = _plan(cfg)[1]

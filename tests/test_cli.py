@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -223,7 +224,7 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
 
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
-    assert list(sub.choices) == list(harness._PROCEDURES) + ["verify", "plot"]
+    assert list(sub.choices) == list(harness._STUDIES) + ["verify", "plot"]
 
     # each given flag whose dest is a config key lands in the config as
     # parsed (normalize_config unwraps the one-element --m list), and no
@@ -255,6 +256,20 @@ def test_experiment_subcommands_are_the_harness_procedures(monkeypatch):
         {"procedure": "bootstrap"},
     ]
     assert set(seen[0]) <= harness._KNOWN_KEYS
+
+
+def test_the_readme_table_lists_the_keys_each_procedure_reads():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    table = {}
+    with open(readme, encoding="utf-8") as fh:
+        for line in fh:
+            cells = [cell.strip() for cell in line.split("|")[1:-1]]
+            if len(cells) == 3 and cells[0].strip("`") in harness._STUDIES:
+                table[cells[0].strip("`")] = (cells[1], re.findall(r"`(\w+)`", cells[2]))
+    assert table == {
+        cmd: (", ".join(map(str, study.settings)), list(study.reads))
+        for cmd, study in harness._STUDIES.items()
+    }
 
 
 # flags of config keys a procedure does not read

@@ -96,7 +96,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config.burn_in"):
             normalize_config({"procedure": "sgd", "n": 100, "burn_in": 100})
         with pytest.raises(ConfigError, match="config.k"):
-            normalize_config(tiny_config(k=99))
+            normalize_config({"procedure": "subsample", "m": 40, "k": 99})
+        with pytest.raises(ConfigError, match="config.burn_in"):
+            normalize_config({"procedure": "sgd", "burn_in": -1})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # k and burn_in are checked against m and n only where the procedure reads both
+            {"procedure": "sgd", "k": 200, "reps": 1, "n": 300, "burn_in": 100},
+            {"procedure": "bootstrap", "n": 10, "burn_in": 20, "reps": 1},
+            {"procedure": "sgd", "n": 50, "burn_in": 0, "reps": 1},
+        ],
+    )
+    def test_keys_checked_only_against_what_the_procedure_reads(self, config):
+        table = run_experiment(config)
+        assert len(table.rows) == 1 and not table.skipped
+        reads = harness._STUDIES[config["procedure"]].reads
+        assert set(normalize_config(config)) == {"procedure", "setting", *reads}
+
+    def test_an_unread_key_is_checked_then_dropped(self):
+        with pytest.raises(ConfigError, match="config.reps"):
+            normalize_config({"procedure": "conformal", "reps": "abc"})
+        assert normalize_config({"procedure": "conformal", "reps": 5, "k": 3}) == normalize_config(
+            {"procedure": "conformal"}
+        )
+
+    @pytest.mark.parametrize(
+        "cmd,key",
+        [("bootstrap", "B"), ("bootstrap", "alpha"), ("bootstrap", "methods"), ("conformal", "m")],
+    )
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    def test_empty_grids_are_config_errors(self, tmp_path, capsys, cmd, key, form):
+        out = tmp_path / "x.csv"
+        if form == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: []}))
+            args = ["--config", str(path)]
+        else:
+            args = ["--" + key, ","]
+        assert main([cmd, *args, "--out", str(out)]) == 2
+        assert f"config error: config.{key}: expected at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key,value",
@@ -189,7 +230,7 @@ class TestConfig:
         assert str(err.value) == (
             "config.methods: expected one of ('vanilla', 'modified', 'randomized'), got 'bayes'"
         )
-        defaults = {p: normalize_config({"procedure": p})["setting"] for p in harness._PROCEDURES}
+        defaults = {p: normalize_config({"procedure": p})["setting"] for p in harness._STUDIES}
         assert defaults == {
             "bootstrap": 1,
             "subsample": 3,
@@ -269,6 +310,8 @@ class TestConfigProperty:
     @example({"reps": True})  # booleans used to pass as integers
     @example({"B": [True]})
     @example({"setting": True})
+    @example({"procedure": "sgd", "k": 200, "reps": 1, "n": 300, "burn_in": 100})  # k was compared with an unread m
+    @example({"procedure": "bootstrap", "n": 10, "burn_in": 20})  # as were the unread n and burn_in
     def test_any_json_value_is_a_config_or_a_config_error(self, value):
         fd, path = tempfile.mkstemp(suffix=".json")
         try:
@@ -647,10 +690,12 @@ class TestCellGrid:
         cfg = normalize_config(GRID_CONFIGS[name])
         grid = run_experiment(cfg)
         rows, skipped = [], []
+        # a test reads no methods, so its normalized config has none
+        methods = [{"methods": [method]} for method in cfg["methods"]] if "methods" in cfg else [{}]
         for alpha in cfg["alpha"]:
             for B in cfg["B"]:
-                for method in cfg["methods"]:
-                    alone = run_experiment({**cfg, "alpha": [alpha], "B": [B], "methods": [method]})
+                for method in methods:
+                    alone = run_experiment({**cfg, "alpha": [alpha], "B": [B], **method})
                     rows += alone.rows
                     skipped += alone.skipped
         assert grid.rows == rows  # dataclass ==: mean_width compared exactly

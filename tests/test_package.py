@@ -44,9 +44,9 @@ from fractions import Fraction
 
 import fixedb
 import fixedb.cli
-from fixedb.harness import _PROCEDURES, run_experiment
+from fixedb.harness import _STUDIES, run_experiment
 
-for proc in _PROCEDURES:
+for proc in _STUDIES:
     run_experiment({"procedure": proc, "reps": 1})
 assert fixedb.cli.main(["bootstrap", "--reps", "2", "--out", sys.argv[1]]) == 0
 assert fixedb.cli.main(["verify"]) == 0
