@@ -364,12 +364,6 @@ def _corr_statistic_rows(data, tests, perms):
     return np.abs(np.clip(c[:, 0, 1] / sd[:, 0] / sd[:, 1], -1.0, 1.0))
 
 
-def _corr_statistic_batch(data, perms):
-    """_corr_statistic for each row of perms: the one-test case of
-    :func:`_corr_statistic_rows`, in the public hook's form."""
-    return _corr_statistic_rows(np.asarray(data, dtype=float)[None], np.zeros(len(perms), dtype=np.intp), perms)
-
-
 def _mean_statistic(x):
     return float(x.sum() / math.sqrt(x.size))
 

@@ -54,11 +54,13 @@ rows at a time, through callbacks that gather them.  A
 ``statistic_batch`` scores all of a kernel call's resamples in one
 call, each with its own test's data: the flipped (rows, m) stack of a
 sign-flip test, or, for a permutation group, the test-major (rows, m)
-permutation stack through the kernel's row-aligned hook
-statistic_batch(data, tests, perms), which :func:`_curtailed_rejects`
-takes as it is; the public per-test hook statistic_batch(data, perms)
-of :func:`rank_test_block` is adapted to it and called on one test's
-rows at a time.  The observed statistics are one more such call.
+permutation stack through the row-aligned hook statistic_batch(data,
+tests, perms) that :func:`rank_test_block` and
+:func:`_curtailed_rejects` take; :func:`permutation_test` adapts its
+one-test hook statistic_batch(data, perms) to it.  The observed
+statistics are one more such call.  Every draw takes the Philox keys
+of its streams, derived once per kernel call
+(:func:`~fixedb.resampling._stream_keys`).
 """
 
 from __future__ import annotations
@@ -86,11 +88,8 @@ from .resampling import (
     SeedSpec,
     SgdSpec,
     _bounded_from,
-    _bounded_rows,
-    _permutation_rows,
-    _philox_keys,
     _shuffled_from,
-    _stream_ids,
+    _stream_keys,
     _stream_rows,
     sgd_paths,
 )
@@ -449,13 +448,12 @@ def _ci_block(
         _check_count(k, "k")
         if k > m:
             raise InvalidInput(f"need 1 <= k <= m, got k={k}, m={m}")
-    sids = _stream_ids(firsts, count)
-    keys = _philox_keys(master_seed, sids)
+    keys = _stream_keys(master_seed, firsts, count)
     if k is None:
         n, rate = m, tau_m
 
         def draw(rows: slice) -> np.ndarray:
-            return _bounded_from(master_seed, sids[rows], keys[rows], m, m)
+            return _bounded_from(keys[rows], m, m)
 
     else:
         n, rate = k, tau_k
@@ -703,22 +701,18 @@ class _RankTests:
     """R sign-flip, permutation or explicit-transform tests at the
     (B, alpha) of each of ``cells``, checked before anything is drawn:
     the part that :func:`rank_test_block` and :func:`_curtailed_rejects`
-    share.  The other arguments are :func:`rank_test_block`'s; ``B`` is
-    the largest budget.
+    share.  The other arguments are theirs; ``B`` is the largest budget.
+    An empty block, or a transform list that is empty or holds anything
+    but callables, raises :class:`InvalidInput`."""
 
-    The kernel scores permutations row-aligned: its hook is called as
-    statistic_batch(data, tests, perms) and gives
-    statistic(data[tests[j]], perms[j]) for every row j of the (rows, m)
-    stack perms.  With ``per_test`` a permutation hook is instead the
-    public statistic_batch(data[i], perms) of one test; it is adapted
-    here, once, and then called on one test's rows at a time."""
-
-    def __init__(self, data, statistic, group, cells, master_seed, first_streams, statistic_batch, per_test) -> None:
+    def __init__(self, data, statistic, group, cells, master_seed, first_streams, statistic_batch) -> None:
         self.budgets = [BudgetSpec(B=B, alpha=alpha) for B, alpha, *_ in cells]
         self.B = max(budget.B for budget in self.budgets)
         self.firsts = [SeedSpec(master_seed, sid).stream_id for sid in first_streams]
         if len(self.firsts) != len(data):
             raise InvalidInput(f"{len(data)} samples but {len(self.firsts)} first streams")
+        if not self.firsts:
+            raise InvalidInput("a test block needs at least one sample")
         if isinstance(group, str) and group != "signflip" or not isinstance(group, (PermutationGroup, Iterable)):
             raise InvalidInput(f"group must be 'signflip', a PermutationGroup or a transform list, got {group!r}")
         self.rules = [test_rule(budget, group) for budget in self.budgets]
@@ -728,10 +722,9 @@ class _RankTests:
             group = list(group)
             if not group:
                 raise InvalidInput("explicit transform list must be nonempty")
-        self.per_test = per_test and statistic_batch is not None and isinstance(group, PermutationGroup)
-        if self.per_test:
-            hook = statistic_batch
-            statistic_batch = lambda data, tests, perms: hook(data[tests[0]], perms)
+            for i, transform in enumerate(group):
+                if not callable(transform):
+                    raise InvalidInput(f"transform {i} of the list is not callable: {transform!r}")
         self.data, self.statistic, self.group = data, statistic, group
         self.master_seed, self.statistic_batch = master_seed, statistic_batch
 
@@ -739,24 +732,22 @@ class _RankTests:
         """The (R,) observed statistics (a permutation statistic at the
         identity), scored as the resamples are: one ``statistic_batch``
         call on the (R, m) stack of samples or of identity permutations
-        (one per test for a public permutation hook; none for a
-        transform list), or the scalar loop if it raises.  A statistic
-        that raises here raises its own error, as without a hook;
-        :class:`InvalidInput` unless all are finite."""
+        (none for a transform list), or the scalar loop if it raises.  A
+        statistic that raises here raises its own error, as without a
+        hook; :class:`InvalidInput` unless all are finite."""
         R, group = len(self.data), self.group
         try:
             if isinstance(group, PermutationGroup):
-                return _finite(self._permuted(np.arange(R), np.broadcast_to(np.arange(group.m), (R, group.m)), None, 1))
+                return _finite(self._permuted(np.arange(R), np.broadcast_to(np.arange(group.m), (R, group.m)), None))
             batch = self.statistic_batch if isinstance(group, str) else None
             return _finite(_per_row(self.data, self.statistic, batch, (), "statistic"))
         except NumericalFailure as exc:
             raise exc.__cause__
 
-    def _permuted(self, tests, perms, steps, n: int) -> np.ndarray:
+    def _permuted(self, tests, perms, steps) -> np.ndarray:
         """statistic(data[tests[j]], perms[j]) for every row j of the
-        test-major (rows, m) stack ``perms``, n rows per test, from one
-        row-aligned ``statistic_batch`` call (one per test for a public
-        hook), through :func:`_per_row`."""
+        (rows, m) stack ``perms``, from one row-aligned
+        ``statistic_batch`` call, through :func:`_per_row`."""
         data, statistic, batch = self.data, self.statistic, self.statistic_batch
         return _per_row(
             np.arange(len(perms)),
@@ -765,7 +756,6 @@ class _RankTests:
             (),
             "statistic",
             steps,
-            n if self.per_test else None,
         )
 
     def draws(self, rows: np.ndarray, lo: int, n: int) -> np.ndarray:
@@ -775,36 +765,39 @@ class _RankTests:
         kernel of every test.
 
         The len(rows) x n stream keys are derived in one pass, and the
-        resamples are scored test-major, row j * n + b for resample
-        lo + b of test rows[j].  Sign flips draw all coin rows at once
-        and call ``statistic_batch`` once on the stack of flipped
-        samples.  Permutations are rows of one stack, each shuffled in
-        place by its stream, and the row-aligned ``statistic_batch``
-        scores them all in one call, each with its own test's data (a
-        public per-test hook, once per test).  A transform list draws
-        all list indices at once and calls ``statistic`` once per
+        resamples are drawn from them and scored test-major, row j * n + b
+        for resample lo + b of test rows[j].  Sign flips draw all coin
+        rows at once and call ``statistic_batch`` once on the stack of
+        flipped samples.  Permutations are rows of one stack, each
+        shuffled in place by its stream (or picked from an explicit list
+        in one draw), and the row-aligned ``statistic_batch`` scores them
+        all in one call, each with its own test's data.  A transform list
+        draws all list indices at once and calls ``statistic`` once per
         transformed sample, never ``statistic_batch``.  A statistic that
         raises on resample b (from 1) of test i (from 0) in the scalar
         loop raises :class:`NumericalFailure` with step i * B + b, B the
         largest budget, as in :func:`rank_test_block`; a non-finite one
         raises :class:`InvalidInput`.
         """
-        firsts = [self.firsts[i] + lo for i in rows]
+        keys = _stream_keys(self.master_seed, [self.firsts[i] + lo for i in rows], n)
         steps = (rows[:, None] * self.B + lo + np.arange(1, n + 1)).reshape(-1)
         data, statistic, group = self.data, self.statistic, self.group
-        if isinstance(group, PermutationGroup):
-            perms = _permutation_rows(self.master_seed, firsts, n, group)
-            t_star = self._permuted(np.repeat(rows, n), perms, steps, n)
-        elif isinstance(group, str):
+        tests = np.repeat(rows, n)
+        if isinstance(group, str):
             xs = data[rows]
             m = xs.shape[1]
-            signs = 1 - 2 * _bounded_rows(self.master_seed, firsts, n, 2, m)
+            signs = 1 - 2 * _bounded_from(keys, 2, m)
             flipped = (xs[:, None, :] * signs.reshape(len(rows), n, m)).reshape(-1, m)
             t_star = _per_row(flipped, statistic, self.statistic_batch, (), "statistic", steps)
+        elif isinstance(group, PermutationGroup):
+            if group.perms is None:
+                perms = _shuffled_from(keys, group.m)
+            else:
+                perms = np.asarray(group.perms, dtype=np.int64)[_bounded_from(keys, len(group.perms), 1)[:, 0]]
+            t_star = self._permuted(tests, perms, steps)
         else:
             # pick b of test i has the bits of generator(stream).integers(0, len(group))
-            picks = _bounded_rows(self.master_seed, firsts, n, len(group), 1)[:, 0]
-            tests = np.repeat(rows, n)
+            picks = _bounded_from(keys, len(group), 1)[:, 0]
             t_star = _per_row(
                 np.arange(len(picks)), lambda j: statistic(group[picks[j]](data[tests[j]])), None, (), "statistic", steps
             )
@@ -855,19 +848,26 @@ def rank_test_block(
     ``group`` is "signflip" or a sequence of transforms,
     :func:`permutation_test` when it is a
     :class:`~fixedb.resampling.PermutationGroup`.  Those calls are the
-    R = 1 case of this one.  ``statistic`` and ``statistic_batch`` are
-    as in those functions; any other group raises :class:`InvalidInput`.
+    R = 1 case of this one.  ``statistic`` is as in those functions, and
+    so is a sign-flip ``statistic_batch``; any other group, an empty
+    block or a transform that is not callable raises
+    :class:`InvalidInput`.
+
+    A permutation ``statistic_batch`` is row-aligned across the tests:
+    statistic_batch(data, tests, perms) gives statistic(data[tests[j]],
+    perms[j]) for every row j of the (rows, m) int array perms.  It is
+    called once on the (R, m) identity permutations for the observed
+    statistics and once on the test-major (R * B, m) stack of drawn
+    permutations, row i * B + b for resample b + 1 of test i.
 
     The observed statistics come first, then all R x B resampled ones
     from one call of the draw-and-score kernel (``_RankTests.draws``),
-    which are sorted once.  A permutation ``statistic_batch`` is called
-    once per test, on that test's (B, m) stack of permutations (and on
-    its identity permutation for the observed value).  A non-finite observed or resampled statistic
+    which are sorted once.  A non-finite observed or resampled statistic
     raises :class:`InvalidInput`.  A statistic that raises on resample b
     (from 1) of test i (from 0) in the scalar loop raises
     :class:`NumericalFailure` with step i * B + b.
     """
-    tests = _RankTests(data, statistic, group, [(B, alpha)], master_seed, first_streams, statistic_batch, True)
+    tests = _RankTests(data, statistic, group, [(B, alpha)], master_seed, first_streams, statistic_batch)
     t_obs = tests.observed()
     t_star = tests.draws(np.arange(len(t_obs)), 0, tests.B)
     return _decide(t_obs, t_star, tests.rules[0], tests.budgets[0])
@@ -887,13 +887,10 @@ def _curtailed_rejects(
     (B, alpha), drawing each test's resamples only until every cell's
     decision is fixed (Besag and Clifford's sequential Monte Carlo test,
     exact here because every resample has its own stream).  The
-    harness's test kernel.  The arguments are :func:`rank_test_block`'s,
-    except that for a permutation group ``statistic_batch`` is
-    row-aligned: statistic_batch(data, tests, perms) gives
-    statistic(data[tests[j]], perms[j]) for every row j of the (rows, m)
-    int array perms, and is called once per round on the test-major
-    stack of all the open tests' permutations, and once at the identity
-    for the observed statistics.
+    harness's test kernel.  The arguments are :func:`rank_test_block`'s;
+    its row-aligned permutation ``statistic_batch`` is called once per
+    round on the test-major stack of all the open tests' permutations,
+    and once at the identity for the observed statistics.
 
     Every cell is checked and the observed statistics computed once.
     Resamples are drawn by the kernel ``_RankTests.draws`` in rounds
@@ -912,7 +909,7 @@ def _curtailed_rejects(
     one as :class:`InvalidInput`).  Resamples past every cell's decision
     are never drawn, so their failures cannot surface.
     """
-    tests = _RankTests(data, statistic, group, cells, master_seed, first_streams, statistic_batch, False)
+    tests = _RankTests(data, statistic, group, cells, master_seed, first_streams, statistic_batch)
     t_obs = tests.observed()
     B = np.array([budget.B for budget in tests.budgets])
     k = np.array([rule.upper_rank for rule in tests.rules])
@@ -957,13 +954,13 @@ def permutation_test(
     and how failures are named are the contract of README's "Opt-in
     batch hooks".
 
-    This is the one-replicate call of :func:`rank_test_block`.
+    This is the one-replicate call of :func:`rank_test_block`, whose
+    row-aligned hook is this one on the call's one test.
     """
     if not isinstance(G, PermutationGroup):
         raise InvalidInput(f"G must be a PermutationGroup, got {type(G).__name__}")
-    block = rank_test_block(
-        [data], statistic, G, B, alpha, seed.master_seed, [seed.stream_id], statistic_batch
-    )
+    rows = None if statistic_batch is None else lambda one, tests, perms: statistic_batch(one[0], perms)
+    block = rank_test_block([data], statistic, G, B, alpha, seed.master_seed, [seed.stream_id], rows)
     return block.decision(0)
 
 
@@ -980,8 +977,9 @@ def randomization_test(
     """Randomization test from B uniformly drawn transforms.
 
     ``group`` is "signflip" (IID sign flips of the centered data) or an
-    explicit sequence of callables data -> data; any other string
-    raises :class:`InvalidInput`.  ``center`` is subtracted from the
+    explicit nonempty sequence of callables data -> data; any other
+    string, or an entry that is not callable, raises
+    :class:`InvalidInput`.  ``center`` is subtracted from the
     data first, so a point null about the mean becomes symmetry about
     zero.  Threshold rank is ceil((B+1)(1-alpha)); reject iff
     statistic(data) >= threshold.

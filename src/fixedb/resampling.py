@@ -10,29 +10,34 @@ resample (:func:`stream_for`), so a replicate's b-th resample sees the
 same bits no matter how work is scheduled across threads.
 
 A stream's Philox key is ``SeedSequence(master_seed,
-spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  The private
-batch helpers derive the keys of many streams in one vectorized pass
-(:func:`_philox_keys`) and reopen one thread-local Philox at each key,
-so a procedure call pays one derivation for its B resamples instead of
-building B generators.  A reopen sets the Philox state from plain
-Python ints (:func:`_reopened`), which costs about 1 us.  Row b of a
-batch has exactly the bits of the single-stream call at
-``stream_id + b``.  The helpers (:func:`_stream_rows`,
-:func:`_bounded_rows`, :func:`_permutation_rows`) take a vector of
-first stream ids, so one pass can serve the B resamples of each of R
-replicates (R x B streams), or one stream of each of R replicates'
-data.  The CI block kernel draws its bootstrap indices and subsamples
-through their keyed forms (below), and the permutation and
-randomization tests draw their sign flips and permutations through the
-helpers; :func:`bootstrap_indices`, :func:`subsample_indices`,
-:func:`signflip_transform` and :func:`permutation_draw` are the
-single-stream draws whose bits those rows have.  Permutation rows (and
-the batched subsamples, which are their sorted prefixes) fill one
-stack with ``arange(m)`` and shuffle each row in place, which is what
-``Generator.permutation(m)`` does to a fresh ``arange(m)``.
+spawn_key=(stream_id,)).generate_state(2, np.uint64)``.  Every batched
+draw takes keys its caller derives once, in one vectorized pass
+(:func:`_stream_keys`, over :func:`_philox_keys`): the keys of streams
+firsts[i] + b for b < count, in row i * count + b, so one pass serves
+the B resamples of each of R replicates (R x B streams), or one stream
+of each of R replicates' data.  The draws reopen one thread-local
+Philox at each key row in turn, so a procedure call pays one
+derivation for its B resamples instead of building B generators.  A
+reopen sets the Philox state from plain Python ints
+(:func:`_reopened`), which costs about 1 us, and row j of a draw has
+exactly the bits of the single-stream call on key row j's stream.  A
+caller may hand a draw any slice of its keys, so the CI block kernel
+derives a block's keys once and draws its rows a slice at a time.
+There are three draws: :func:`_stream_rows` (any draw(gen), which
+derives its own keys; a block's data and the randomized-branch
+uniforms), :func:`_bounded_from` (uniform integers: bootstrap indices,
+sign-flip coins, picks from an explicit list, since a scalar
+``integers(0, L)`` has the bits of ``integers(0, L, size=1)``) and
+:func:`_shuffled_from` (permutations, and the subsamples that are
+their sorted prefixes).  :func:`bootstrap_indices`,
+:func:`subsample_indices`, :func:`signflip_transform` and
+:func:`permutation_draw` are the single-stream draws whose bits those
+rows have.  Permutation rows fill one stack with ``arange(m)`` and
+shuffle each row in place, which is what ``Generator.permutation(m)``
+does to a fresh ``arange(m)``.
 
 Batched uniform integers in [0, m) skip numpy's per-call argument
-handling (:func:`_bounded_rows`).  For m <= 2**32, ``integers`` draws
+handling (:func:`_bounded_from`).  For m <= 2**32, ``integers`` draws
 each value with Lemire's 32-bit rule from the next 32-bit output of
 Philox, which is the low and then the high half of each raw 64-bit
 word.  So each stream takes ceil(n/2) raw words (``random_raw``), the
@@ -42,11 +47,8 @@ rule runs over the whole (count, n) stack at once: an output x gives
 (x * m) >> 32 unless (x * m) mod 2**32 < (2**32 - m) mod m, when numpy
 rejects it and draws again.  A row with any rejection (about 2e-8 per
 draw at m = 100, none when m is a power of two) is redrawn by
-the scalar ``generator(...).integers`` call, which is exact; so is
-every row at m > 2**32, where numpy switches to a 64-bit rule.  The
-keyed forms (:func:`_bounded_from`, :func:`_shuffled_from`) draw from
-Philox keys already derived, so a caller can derive a block's keys in
-one pass and draw its rows a slice at a time.
+``integers`` itself on its reopened key, which is exact; so is every
+row at m > 2**32, where numpy switches to a 64-bit rule.
 
 Non-uniform laws are derived from the base generator by explicit
 transforms (inverse CDF for exponential and Laplace, ratio and sum of
@@ -232,20 +234,15 @@ class _ThreadPhilox(threading.local):
 _PHILOX = _ThreadPhilox()
 
 
-def _stream_ids(firsts, count: int) -> np.ndarray:
-    """The uint64 stream ids firsts[i] + b for b < count, in row
-    i * count + b."""
+def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
+    """(len(firsts) * count, 2) Philox keys of the streams firsts[i] + b
+    for b < count, in row i * count + b: the one key derivation of every
+    batched draw."""
     _check_count(count, "count")
     firsts = np.asarray(firsts, dtype=np.uint64).reshape(-1)
     if int(firsts.max()) + count > _U64:
         raise InvalidInput("count runs past the 64-bit stream range")
-    return (firsts[:, None] + np.arange(count, dtype=np.uint64)).reshape(-1)
-
-
-def _stream_keys(master_seed: int, firsts, count: int) -> np.ndarray:
-    """Philox keys of the streams firsts[i] + b for b < count, in row
-    i * count + b."""
-    return _philox_keys(master_seed, _stream_ids(firsts, count))
+    return _philox_keys(master_seed, (firsts[:, None] + np.arange(count, dtype=np.uint64)).reshape(-1))
 
 
 def _reopened(keys: np.ndarray):
@@ -275,22 +272,15 @@ def _stream_rows(master_seed: int, firsts, count: int, draw: Callable) -> np.nda
 _LEMIRE_MAX = 2**32
 
 
-def _bounded_rows(master_seed: int, firsts, count: int, m: int, n: int) -> np.ndarray:
-    """(len(firsts) * count, n) int64 stack whose row i * count + b is
-    ``generator(SeedSpec(master_seed, firsts[i] + b)).integers(0, m, size=n)``."""
-    sids = _stream_ids(firsts, count)
-    return _bounded_from(master_seed, sids, _philox_keys(master_seed, sids), m, n)
-
-
-def _bounded_from(master_seed: int, sids: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:
-    """(len(sids), n) int64 stack whose row j is
-    ``generator(SeedSpec(master_seed, sids[j])).integers(0, m, size=n)``,
-    drawn through ``keys``, the streams' Philox keys.
+def _bounded_from(keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(len(keys), n) int64 stack whose row j is ``integers(0, m, size=n)``
+    of a fresh Philox at key row j, i.e. of that stream's
+    :func:`generator`.
 
     Runs numpy's 32-bit Lemire rule on raw Philox words for the whole
     stack (see the module docstring), reading each word's two 32-bit
     outputs through a little-endian uint32 view; a row with a rejected
-    word is redrawn by the scalar call.
+    word is redrawn by ``integers`` on its reopened key.
     """
     if m > _LEMIRE_MAX:
         integers = _PHILOX.gen.integers
@@ -310,8 +300,9 @@ def _bounded_from(master_seed: int, sids: np.ndarray, keys: np.ndarray, m: int, 
         rejected = np.flatnonzero((prod.astype(np.uint32) < threshold).any(axis=1)).tolist()
     prod >>= np.uint64(32)
     out = prod.view(np.int64)
-    for j in rejected:
-        out[j] = generator(SeedSpec(master_seed, int(sids[j]))).integers(0, m, size=n)
+    if rejected:
+        for j, local in zip(rejected, _reopened(keys[rejected])):
+            out[j] = local.gen.integers(0, m, size=n)
     return out
 
 
@@ -400,22 +391,6 @@ def _permutation_of(G: PermutationGroup, gen: np.random.Generator) -> np.ndarray
     if G.perms is None:
         return gen.permutation(G.m)
     return np.asarray(G.perms[int(gen.integers(0, len(G.perms)))], dtype=np.int64)
-
-
-def _permutation_rows(master_seed: int, firsts, count: int, G: PermutationGroup) -> np.ndarray:
-    """(len(firsts) * count, G.m) int64 stack whose row i * count + b is
-    ``permutation_draw(G, SeedSpec(master_seed, firsts[i] + b))``.
-
-    ``Generator.permutation(m)`` shuffles a fresh ``arange(m)``, so for
-    the full group each row of one arange-filled stack is shuffled in
-    place by its stream's generator.  An explicit list draws its list
-    indices as one :func:`_bounded_rows` pass (a scalar
-    ``integers(0, L)`` has the bits of ``integers(0, L, size=1)``).
-    """
-    if G.perms is not None:
-        picks = _bounded_rows(master_seed, firsts, count, len(G.perms), 1)[:, 0]
-        return np.asarray(G.perms, dtype=np.int64)[picks]
-    return _shuffled_from(_stream_keys(master_seed, firsts, count), G.m)
 
 
 def _shuffled_from(keys: np.ndarray, m: int) -> np.ndarray:

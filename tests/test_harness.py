@@ -23,7 +23,6 @@ from fixedb.errors import ConfigError, InvalidInput, NumericalFailure
 from fixedb.cli import main
 from fixedb.harness import (
     _corr_statistic,
-    _corr_statistic_batch,
     _corr_statistic_rows,
     _mean_statistic,
     _mean_statistic_batch,
@@ -39,6 +38,7 @@ from fixedb.harness import (
     sup_norm,
 )
 from fixedb.procedures import ci_boot, ci_sgd, ci_subsample, permutation_test, randomization_test
+from conftest import corr_statistic_batch
 from fixedb.resampling import (
     RESAMPLE_STRIDE,
     SeedSpec,
@@ -359,7 +359,7 @@ class TestReplicateBlocks:
                         data = (gen.standard_normal(m), gen.standard_normal(m))
                         dec = permutation_test(
                             data, _corr_statistic, full_symmetric(m), B, alpha, seed=seed,
-                            statistic_batch=_corr_statistic_batch,
+                            statistic_batch=corr_statistic_batch,
                         )
                     kept.append(not dec.reject)
                 out.append(float(np.array(kept, dtype=float).mean()))
@@ -716,24 +716,25 @@ class TestCellGrid:
         assert len(table.rows) == 10
 
     def test_each_replicate_draws_its_data_and_resamples_once(self, monkeypatch):
-        # a block draws its replicates' data in one pass and their
-        # resample streams in one pass of the CI block kernel
-        calls = {"data": 0, "indices": []}
-        data_rows, stream_ids = harness._stream_rows, procedures._stream_ids
+        # a block draws its replicates' data in one pass and derives their
+        # resample streams' keys in one pass of the CI block kernel
+        calls = {"data": [], "keys": []}
+        data_rows, stream_keys = harness._stream_rows, procedures._stream_keys
 
         def counting_data(master, firsts, count, draw):
-            calls["data"] += len(firsts) * count
+            calls["data"].append(len(firsts) * count)
             return data_rows(master, firsts, count, draw)
 
-        def counting_streams(firsts, count):
-            calls["indices"] += [count] * len(firsts)
-            return stream_ids(firsts, count)
+        def counting_keys(master, firsts, count):
+            calls["keys"].append((len(firsts), count))
+            return stream_keys(master, firsts, count)
 
         monkeypatch.setattr(harness, "_stream_rows", counting_data)
-        monkeypatch.setattr(procedures, "_stream_ids", counting_streams)
+        monkeypatch.setattr(procedures, "_stream_keys", counting_keys)
         run_experiment(GRID_CONFIGS["boot-s1"])
-        assert calls["data"] == 25
-        assert calls["indices"] == [199] * 25
+        assert sum(calls["data"]) == 25
+        # one derivation per block, of max(B) rows for each of its replicates
+        assert calls["keys"] == [(R, 199) for R in calls["data"]]
 
     def test_each_sgd_replicate_runs_its_paths_once(self, monkeypatch):
         counts = []

@@ -14,7 +14,6 @@ from fixedb import harness, procedures
 from fixedb.errors import BudgetTooSmall, InvalidInput, NumericalFailure
 from fixedb.harness import (
     _corr_statistic,
-    _corr_statistic_batch,
     _corr_statistic_rows,
     _mean_statistic,
     _mean_statistic_batch,
@@ -35,13 +34,12 @@ from fixedb.procedures import (
     sgd_cells,
 )
 from fixedb.orderstats import BudgetSpec, IntervalIndexRule, order_stat
+from conftest import corr_statistic_batch
 from fixedb.resampling import (
     _bounded_from,
-    _bounded_rows,
-    _philox_keys,
     _setting_draw,
     _shuffled_from,
-    _stream_ids,
+    _stream_keys,
     PermutationGroup,
     SeedSpec,
     SgdSpec,
@@ -622,12 +620,9 @@ class TestCiCells:
         master, sid = 20260823, stream_for(3, 1)
 
         def keys(count):
-            return _philox_keys(master, _stream_ids([sid], count))
+            return _stream_keys(master, [sid], count)
 
-        assert np.array_equal(
-            _bounded_from(master, _stream_ids([sid], 199), keys(199), 100, 100)[:19],
-            _bounded_rows(master, [sid], 19, 100, 100),
-        )
+        assert np.array_equal(_bounded_from(keys(199), 100, 100)[:19], _bounded_from(keys(19), 100, 100))
         assert np.array_equal(
             np.sort(_shuffled_from(keys(59), 100)[:, :22], axis=1)[:19],
             np.sort(_shuffled_from(keys(19), 100)[:, :22], axis=1),
@@ -895,7 +890,7 @@ class TestCiRule:
             ci_rule(BudgetSpec(8, 0.9), "randomized")
         assert ci_rule(BudgetSpec(9, 0.9), "randomized").rule_name == "mod_two_sided"
         monkeypatch.setattr(procedures, "_stream_rows", None)  # would raise if called
-        monkeypatch.setattr(procedures, "_philox_keys", None)
+        monkeypatch.setattr(procedures, "_stream_keys", None)
         for sid in range(40):
             with pytest.raises(BudgetTooSmall) as alone:
                 ci_boot(np.arange(1.0, 31.0), np.mean, B=3, alpha=0.9, variant="randomized", seed=SeedSpec(7, sid))
@@ -953,16 +948,17 @@ class TestExplicitTransformDraw:
             seen.append(float(x[0]))
             return float(x.sum())
 
-        real = procedures._bounded_rows
-        with mock.patch.object(procedures, "_bounded_rows", wraps=real) as rows:
+        real = procedures._bounded_from
+        with mock.patch.object(procedures, "_bounded_from", wraps=real) as draw:
             randomization_test(np.zeros(4), first_entry, shifts, B=19, seed=seed)
-        assert rows.call_args.args == (11, [2**40], 19, L, 1)
+        ((keys, *rest),) = [call.args for call in draw.call_args_list]  # one bounded draw
+        assert np.array_equal(keys, _stream_keys(11, [2**40], 19)) and rest == [L, 1]
         want = [int(generator(SeedSpec(11, 2**40 + b)).integers(0, L)) for b in range(19)]
         assert seen == [0.0] + want
 
     @pytest.mark.parametrize("L", [7, 2**20 + 3])
     def test_wide_lists_match_the_scalar_draw(self, L):
-        picks = procedures._bounded_rows(5, [2**40], 9, L, 1)[:, 0]
+        picks = _bounded_from(_stream_keys(5, [2**40], 9), L, 1)[:, 0]
         want = [generator(SeedSpec(5, 2**40 + b)).integers(0, L) for b in range(9)]
         assert picks.tolist() == want
 
@@ -988,15 +984,15 @@ class TestStatisticBatch:
     def test_bit_equal_to_scalar_loop(self, m, seed):
         data, G, B, proc_seed = self.perm_case(m, seed)
         firsts = [proc_seed.stream_id]
-        perms = procedures._permutation_rows(seed, firsts, B, G)
+        perms = _shuffled_from(_stream_keys(seed, firsts, B), m)
         want = np.array([_corr_statistic(data, perm) for perm in perms])
-        assert _corr_statistic_batch(data, perms).tobytes() == want.tobytes()
-        flips = data[0] * (1 - 2 * procedures._bounded_rows(seed, firsts, 99, 2, m))
+        assert corr_statistic_batch(data, perms).tobytes() == want.tobytes()
+        flips = data[0] * (1 - 2 * _bounded_from(_stream_keys(seed, firsts, 99), 2, m))
         want = np.array([_mean_statistic(row) for row in flips])
         assert _mean_statistic_batch(flips).tobytes() == want.tobytes()
         loop = permutation_test(data, _corr_statistic, G, B, 0.1, seed=proc_seed)
         batched = permutation_test(
-            data, _corr_statistic, G, B, 0.1, seed=proc_seed, statistic_batch=_corr_statistic_batch
+            data, _corr_statistic, G, B, 0.1, seed=proc_seed, statistic_batch=corr_statistic_batch
         )
         self.assert_same(loop, batched)
         x = data[0] + 0.1
@@ -1043,8 +1039,8 @@ class TestStatisticBatch:
             randomization_test(data[0], _mean_statistic, "signflip", 19, 0.1, statistic_batch=batch)
 
     def test_observed_statistics_come_from_the_batch(self):
-        # one sign-flip call on the (R, m) samples; a public permutation
-        # hook once per test at its identity permutation, then on its B draws
+        # one sign-flip call on the (R, m) samples, then on the flips; one
+        # row-aligned permutation call at the identity, then on the draws
         R, m, B = 5, 12, 19
         xs = generator(SeedSpec(3, 0)).standard_normal((R, m))
         firsts = [stream_for(r, 1) for r in range(R)]
@@ -1052,7 +1048,7 @@ class TestStatisticBatch:
 
         def batch(*args):
             seen.append(args[-1].shape)
-            return (_mean_statistic_batch if len(args) == 1 else _corr_statistic_batch)(*args)
+            return (_mean_statistic_batch if len(args) == 1 else _corr_statistic_rows)(*args)
 
         want = rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, 3, firsts)
         got = rank_test_block(xs, _mean_statistic, "signflip", B, 0.1, 3, firsts, batch)
@@ -1060,10 +1056,10 @@ class TestStatisticBatch:
         assert got.threshold.tobytes() == want.threshold.tobytes()
         assert got.statistic.tobytes() == want.statistic.tobytes()
         seen.clear()
-        data, G = [(x, x[::-1]) for x in xs], full_symmetric(m)
+        data, G = np.stack([(x, x[::-1]) for x in xs]), full_symmetric(m)
         want = rank_test_block(data, _corr_statistic, G, B, 0.1, 3, firsts)
         got = rank_test_block(data, _corr_statistic, G, B, 0.1, 3, firsts, batch)
-        assert seen == [(1, m)] * R + [(B, m)] * R
+        assert seen == [(R, m), (R * B, m)]
         assert got.threshold.tobytes() == want.threshold.tobytes()
         assert got.statistic.tobytes() == want.statistic.tobytes()
 
@@ -1107,7 +1103,7 @@ class TestRowAlignedScoring:
         # the public hook is its one-test case
         if len(tests):
             with np.errstate(all="ignore"):
-                one = _corr_statistic_batch((xy[tests[0], 0], xy[tests[0], 1]), perms)
+                one = corr_statistic_batch((xy[tests[0], 0], xy[tests[0], 1]), perms)
                 want = np.array([_corr_statistic(xy[tests[0]], perm) for perm in perms])
             assert one.tobytes() == want.tobytes()
 
@@ -1156,7 +1152,7 @@ class TestRowAlignedScoring:
         def raising(*args):
             raise RuntimeError("no scorer today")
 
-        perms = procedures._permutation_rows(self.MASTER, [firsts[1]], 4, G)
+        perms = _shuffled_from(_stream_keys(self.MASTER, [firsts[1]], 4), G.m)
         b = next(b for b in range(4) if perms[b, 0] != 0)
         with pytest.raises(NumericalFailure) as err:
             procedures._curtailed_rejects(data, statistic, G, cells, self.MASTER, firsts, raising)
@@ -1236,12 +1232,13 @@ class TestRankTestBlock:
         data = self.samples(2 * R, 30).reshape(R, 2, 30)
         firsts = [stream_for(r, 1) for r in range(R)]
         G = full_symmetric(30)
-        batch = _corr_statistic_batch if batched else None
-        block = rank_test_block(data, _corr_statistic, G, 99, 0.1, self.MASTER, firsts, batch)
+        block = rank_test_block(
+            data, _corr_statistic, G, 99, 0.1, self.MASTER, firsts, _corr_statistic_rows if batched else None
+        )
         one = [
             permutation_test(
                 (d[0], d[1]), _corr_statistic, G, 99, 0.1, seed=SeedSpec(self.MASTER, f),
-                statistic_batch=batch,
+                statistic_batch=corr_statistic_batch if batched else None,
             )
             for d, f in zip(data, firsts)
         ]
@@ -1262,16 +1259,47 @@ class TestRankTestBlock:
             self.assert_block_equals(block, one)
         with pytest.raises(InvalidInput, match="exceeds"):
             rank_test_block(data, stat, G, 5, 0.1, self.MASTER, firsts)
+        # resample b of a test is permutation_draw's pick from its stream
+        for B in (3, 4):
+            block = rank_test_block(data, stat, G, B, 0.5, self.MASTER, firsts)
+            k = block.rule.upper_rank
+            for d, f, threshold in zip(data, firsts, block.threshold):
+                t_star = sorted(stat(d, permutation_draw(G, SeedSpec(self.MASTER, f + b))) for b in range(B))
+                assert threshold == t_star[k - 1]
+
+    @pytest.mark.parametrize("kind", ["signflip", "permutation", "transforms"])
+    def test_an_empty_block_is_invalid_input(self, kind):
+        data, group = {
+            "signflip": (np.zeros((0, 4)), "signflip"),
+            "permutation": ([], full_symmetric(3)),
+            "transforms": ([], [np.negative]),
+        }[kind]
+        with pytest.raises(InvalidInput, match="at least one sample"):
+            rank_test_block(data, _mean_statistic, group, 2, 0.5, 0, [])
+        with pytest.raises(InvalidInput, match="at least one sample"):
+            procedures._curtailed_rejects(data, _mean_statistic, group, [(2, 0.5)], 0, [])
+
+    def test_a_transform_that_is_not_callable_is_invalid_input(self):
+        x = np.arange(5.0)
+        for group, bad in (([1, 2], "transform 0 of the list is not callable: 1"),
+                           ([np.negative, "flip"], "transform 1 of the list is not callable: 'flip'"),
+                           ({"flip": np.negative}, "transform 0 of the list is not callable: 'flip'")):
+            with pytest.raises(InvalidInput) as err:
+                randomization_test(x, _mean_statistic, group, B=19)
+            assert str(err.value) == bad
+            with pytest.raises(InvalidInput):
+                rank_test_block(x[None], _mean_statistic, group, 19, 0.1, 0, [0])
 
     @pytest.mark.parametrize("L", [1, 2, 5])
     def test_transform_block_is_the_per_replicate_calls(self, L):
         xs = self.samples(6, 20)
         firsts = [stream_for(r, 1) for r in range(6)]
         shifts = [lambda v, i=i: v + 0.25 * i for i in range(L - 1)] + [np.negative]
-        real = procedures._bounded_rows
-        with mock.patch.object(procedures, "_bounded_rows", wraps=real) as rows:
+        real = procedures._bounded_from
+        with mock.patch.object(procedures, "_bounded_from", wraps=real) as draw:
             block = rank_test_block(xs, _mean_statistic, shifts, 19, 0.1, self.MASTER, firsts)
-        assert rows.call_args_list == [mock.call(self.MASTER, firsts, 19, L, 1)]
+        ((keys, *rest),) = [call.args for call in draw.call_args_list]  # one bounded draw
+        assert np.array_equal(keys, _stream_keys(self.MASTER, firsts, 19)) and rest == [L, 1]
         one = [
             randomization_test(x, _mean_statistic, shifts, 19, 0.1, seed=SeedSpec(self.MASTER, f))
             for x, f in zip(xs, firsts)

@@ -18,13 +18,11 @@ from fixedb.resampling import (
     _U64,
     RESAMPLE_STRIDE,
     _bounded_from,
-    _bounded_rows,
     _permutation_of,
-    _permutation_rows,
     _philox_keys,
     _reopened,
     _shuffled_from,
-    _stream_ids,
+    _stream_keys,
     _stream_rows,
     PairStream,
     PermutationGroup,
@@ -142,15 +140,23 @@ def _reference_key(master, sid):
 def _bootstrap_rows(master, sid, count, m):
     """The bootstrap rows of streams sid .. sid + count - 1 as the CI block
     kernel draws them: keyed Lemire rows."""
-    sids = _stream_ids([sid], count)
-    return _bounded_from(master, sids, _philox_keys(master, sids), m, m)
+    return _bounded_from(_stream_keys(master, [sid], count), m, m)
 
 
 def _subsample_rows(master, sid, count, m, k):
     """The subsample rows of those streams as the CI block kernel draws
     them: the sorted k-prefixes of keyed shuffles."""
-    keys = _philox_keys(master, _stream_ids([sid], count))
-    return np.sort(_shuffled_from(keys, m)[:, :k], axis=1)
+    return np.sort(_shuffled_from(_stream_keys(master, [sid], count), m)[:, :k], axis=1)
+
+
+def _group_rows(master, firsts, count, G):
+    """The elements of G the test kernel draws from streams firsts[i] + b:
+    keyed shuffles for the full group, one keyed pick per stream from an
+    explicit list."""
+    keys = _stream_keys(master, firsts, count)
+    if G.perms is None:
+        return _shuffled_from(keys, G.m)
+    return np.asarray(G.perms, dtype=np.int64)[_bounded_from(keys, len(G.perms), 1)[:, 0]]
 
 
 class TestBatchedStreams:
@@ -193,10 +199,12 @@ class TestBatchedStreams:
         explicit = PermutationGroup(3, perms=((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)))
         pairs = [
             (_bootstrap_rows(master, sid, count, m), [bootstrap_indices(m, s) for s in seeds()]),
-            (_bounded_rows(master, [sid], count, m, m), [bootstrap_indices(m, s) for s in seeds()]),
             (_subsample_rows(master, sid, count, m, k), [subsample_indices(m, k, s) for s in seeds()]),
             # rank_test_block's batched sign flips and permutations
-            (x * (1 - 2 * _bounded_rows(master, [sid], count, 2, m)), [signflip_transform(x, s) for s in seeds()]),
+            (
+                x * (1 - 2 * _bounded_from(_stream_keys(master, [sid], count), 2, m)),
+                [signflip_transform(x, s) for s in seeds()],
+            ),
             (_stream_rows(master, [sid], count, partial(_permutation_of, G)), [permutation_draw(G, s) for s in seeds()]),
             (
                 _stream_rows(master, [sid], count, partial(_permutation_of, explicit)),
@@ -222,7 +230,7 @@ class TestBatchedStreams:
 
     def test_draw_state_does_not_leak_between_batches(self):
         first = _subsample_rows(9, 40, 5, 30, 10)
-        _bounded_rows(9, [3], 4, 2, 7)
+        _bounded_from(_stream_keys(9, [3], 4), 2, 7)
         assert np.array_equal(_subsample_rows(9, 40, 5, 30, 10), first)
 
     def test_threads_draw_the_same_stacks(self):
@@ -262,6 +270,10 @@ class TestBoundedRows:
     """The raw-word Lemire path against numpy's own ``integers`` call."""
 
     @staticmethod
+    def bounded_rows(master, firsts, count, m, n):
+        return _bounded_from(_stream_keys(master, firsts, count), m, n)
+
+    @staticmethod
     def scalar_rows(seed, count, m, n):
         return np.stack(
             [
@@ -276,7 +288,7 @@ class TestBoundedRows:
     @pytest.mark.parametrize("n", [1, 10, 101])
     def test_rows_match_scalar_integers(self, m, sid, n):
         seed = SeedSpec(20260823, sid)
-        got = _bounded_rows(seed.master_seed, [seed.stream_id], 6, m, n)
+        got = self.bounded_rows(seed.master_seed, [seed.stream_id], 6, m, n)
         want = self.scalar_rows(seed, 6, m, n)
         assert got.dtype == want.dtype == np.int64
         assert got.flags.c_contiguous
@@ -285,7 +297,7 @@ class TestBoundedRows:
     @pytest.mark.parametrize("m", [2, 100, 2**32 + 5])
     def test_first_stream_vector_stacks_the_single_calls(self, m):
         firsts = [stream_for(0, 1), stream_for(7, 1), _TWO_WORD - 2]
-        got = _bounded_rows(20260823, firsts, 5, m, 9)
+        got = self.bounded_rows(20260823, firsts, 5, m, 9)
         want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 5, m, 9) for f in firsts])
         assert np.array_equal(got, want)
         perms = _stream_rows(20260823, firsts, 5, lambda gen: gen.permutation(9))
@@ -294,21 +306,31 @@ class TestBoundedRows:
 
     def test_rejected_rows_are_redrawn(self, monkeypatch):
         # at m = 3 * 2**30 about a quarter of the words are rejected, so
-        # nearly every row of 10 draws takes the scalar redraw
-        m = 3 * 2**30
-        real = resampling.generator
-        for firsts in ([_TWO_WORD - 2], [_TWO_WORD - 2, 40, stream_for(9, 1)]):
-            want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 8, m, 10) for f in firsts])
-            redrawn = []
+        # nearly every row of 10 draws takes the redraw, and at m = 100 a
+        # rejection is rare enough that no row of this stack has one
+        real = resampling._reopened
+        for m in (3 * 2**30, 100):
+            for firsts in ([_TWO_WORD - 2], [_TWO_WORD - 2, 40, stream_for(9, 1)]):
+                want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 8, m, 10) for f in firsts])
+                # the rows in which numpy's rule rejects one of the 10 outputs (5 raw words)
+                sids = [f + b for f in firsts for b in range(8)]
+                words = np.stack([generator(SeedSpec(20260823, sid)).bit_generator.random_raw(5) for sid in sids])
+                outputs = words.astype("<u8").view("<u4").astype(np.uint64)
+                rejected = np.flatnonzero((outputs * np.uint64(m) % np.uint64(2**32) < (2**32 - m) % m).any(axis=1))
+                keys = _stream_keys(20260823, firsts, 8)
+                opened = []
 
-            def counting(s):
-                redrawn.append(s.stream_id)
-                return real(s)
+                def recording(ks):
+                    opened.append(ks)
+                    return real(ks)
 
-            monkeypatch.setattr(resampling, "generator", counting)
-            assert np.array_equal(_bounded_rows(20260823, firsts, 8, m, 10), want)
-            assert 0 < len(redrawn) <= 8 * len(firsts)
-            assert all(any(f <= sid < f + 8 for f in firsts) for sid in redrawn)
+                monkeypatch.setattr(resampling, "_reopened", recording)
+                assert np.array_equal(self.bounded_rows(20260823, firsts, 8, m, 10), want)
+                monkeypatch.setattr(resampling, "_reopened", real)
+                # one pass over every key, then only the rejected rows, redrawn from their own keys
+                assert np.array_equal(opened[0], keys)
+                assert [k.tolist() for k in opened[1:]] == ([keys[rejected].tolist()] if rejected.size else [])
+                assert bool(rejected.size) == (m != 100)
 
 
     @pytest.mark.parametrize("n", [1, 11, 101])
@@ -317,13 +339,12 @@ class TestBoundedRows:
         # m = 3 * 2**30 a quarter of them are rejected
         m = 3 * 2**30
         firsts = [_TWO_WORD - 2, 40, stream_for(9, 1)]
-        got = _bounded_rows(20260823, firsts, 8, m, n)
+        got = self.bounded_rows(20260823, firsts, 8, m, n)
         want = np.concatenate([self.scalar_rows(SeedSpec(20260823, f), 8, m, n) for f in firsts])
         assert got.dtype == np.int64 and got.flags.c_contiguous
         assert np.array_equal(got, want)
-        sids = _stream_ids(firsts, 8)
-        keys = _philox_keys(20260823, sids)
-        halves = [_bounded_from(20260823, sids[s], keys[s], m, n) for s in (slice(0, 5), slice(5, 24))]
+        keys = _stream_keys(20260823, firsts, 8)
+        halves = [_bounded_from(keys[s], m, n) for s in (slice(0, 5), slice(5, 24))]
         assert np.array_equal(np.concatenate(halves), want)
 
 
@@ -346,7 +367,7 @@ class TestPermutationRows:
         ids=["one", "several", "last"],
     )
     def test_rows_match_permutation_draw(self, G, firsts, count):
-        got = _permutation_rows(20260823, firsts, count, G)
+        got = _group_rows(20260823, firsts, count, G)
         want = np.stack([permutation_draw(G, SeedSpec(20260823, f + b)) for f in firsts for b in range(count)])
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
