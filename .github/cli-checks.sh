@@ -3,7 +3,8 @@
 # current directory, with `fixedb` on the PATH:
 #   threads       a study's CSV bytes at --threads 1 and 2 are the same
 #   grid          a grid's rows are its cells' rows, each run alone
-#   verify-seeds  verify passes at seeds 0, 2 and 4177
+#   verify-seeds  verify passes at seeds 0, 2 and 4177, at 210 and 7 instances, with
+#                 the same stdout at --threads 1 and at the default
 #   configs       a config key the subcommand does not read is checked and
 #                 ignored, so the CSV bytes stay; an empty grid exits 2
 set -euo pipefail
@@ -51,7 +52,11 @@ case "${1:-}" in
     ;;
   verify-seeds)
     for s in 0 2 4177; do
-      fixedb verify --seed "$s" || exit 1
+      for instances in 210 7; do
+        fixedb verify --seed "$s" --instances "$instances" > "verify-$s-$instances.txt" || exit 1
+        fixedb verify --seed "$s" --instances "$instances" --threads 1 > "verify-$s-$instances-1.txt" || exit 1
+        cmp "verify-$s-$instances.txt" "verify-$s-$instances-1.txt"
+      done
     done
     ;;
   configs)

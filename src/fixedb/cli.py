@@ -16,8 +16,12 @@ from functools import partial
 from typing import Optional
 
 from .errors import ConfigError, FixedBError, _check_count
-from .harness import _KNOWN_KEYS, _STUDIES, _run_tasks, emit, load_config, read_table, run_experiment
-from .oracle import bracket_suite, conformal_grid_sweep, ehm_hoeffding_sweep
+from .harness import _KNOWN_KEYS, _STUDIES, _run_tasks, _usable_cpus, emit, load_config, read_table, run_experiment
+from .oracle import _ehm_report, _ehm_subtree, _ehm_sweep, bracket_suite, conformal_grid_sweep
+
+# imported only for bench/tracer.py, which rebinds it here; verify runs the
+# sweep's subtrees as tasks
+from .oracle import ehm_hoeffding_sweep  # noqa: F401
 
 
 def _int_list(text: str) -> list:
@@ -60,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="processes that share the work, forked workers beside this one: a study's replicates "
-        "(default 1, up to the usable CPUs), or verify's bracket suite and its two fixed sweeps "
-        "(default the usable CPUs, at most 2); the output bytes do not depend on it",
+        help="processes that share the work, forked workers beside this one, up to the usable CPUs: "
+        "a study's replicates (default 1), or verify's tasks, its bracket suite, conformal sweep and "
+        "the Poisson-binomial sweep's subtrees (default the usable CPUs); the output bytes do not "
+        "depend on it",
     )
     written = argparse.ArgumentParser(add_help=False)
     written.add_argument("--out", default=None, help="output path")
@@ -117,11 +122,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _fixed_sweeps() -> tuple:
-    """verify's two sweeps that take no flag; a worker's task."""
-    return ehm_hoeffding_sweep(), conformal_grid_sweep()
-
-
 _VERIFY_CHECKS = (
     "coverage brackets vs exact enumeration",
     "binomial surrogate distance and ordering",
@@ -131,15 +131,20 @@ _VERIFY_CHECKS = (
 
 def _cmd_verify(args) -> int:
     seed = 20260823 if args.seed is None else args.seed
-    threads = 2 if args.threads is None else args.threads
+    threads = _usable_cpus() if args.threads is None else args.threads
     _check_count(threads, "threads")
-
-    def brackets() -> tuple:
-        return (bracket_suite(n_instances=args.instances, seed=seed),)
-
-    # the fixed sweeps on a worker while the bracket suite runs here, given two processes
-    parts = _run_tasks([(brackets, ()), (_fixed_sweeps, ())], threads)
-    reports = [report for part in parts for report in part]
+    # bracket_suite's own checks, before any task runs
+    _check_count(args.instances, "n_instances")
+    _check_count(seed, "seed", lo=0)
+    # the first two tasks run here, as the workers take theirs from the
+    # back: the bracket suite (the name this module holds, which a test
+    # or a tracer may rebind) and the conformal sweep; the processes share
+    # the g subtrees of the Ehm sweep
+    sweep = _ehm_sweep()
+    tasks = [(bracket_suite, (args.instances, seed)), (conformal_grid_sweep, ())]
+    tasks += [(_ehm_subtree, (sweep, first)) for first in range(sweep.values.size)]
+    parts = _run_tasks(tasks, threads)
+    reports = [parts[0], _ehm_report(sweep, parts[2:]), parts[1]]
     ok = True
     for name, report in zip(_VERIFY_CHECKS, reports):
         if report.passed:

@@ -121,14 +121,41 @@ def dist_to_uniform(values, probs) -> tuple[float, float]:
     p = _check_prob_vector(probs, "probs")
     if v.shape != p.shape:
         raise InvalidInput("values and probs must have equal length")
-    v = np.clip(v, 0.0, 1.0)
-    uniq, inv = np.unique(v, return_inverse=True)
-    mass = np.bincount(inv, weights=p, minlength=uniq.size)
-    cum = np.cumsum(mass)
-    cum_prev = cum - mass
-    d_plus = max(0.0, float(np.max(cum - uniq)))
-    d_minus = max(0.0, float(np.max(uniq - cum_prev)))
-    return min(max(d_plus, d_minus), 1.0), min(d_plus + d_minus, 1.0)
+    d_ks, d_mod_ks = _dists_to_uniform(v[None], p[None])
+    return float(d_ks[0]), float(d_mod_ks[0])
+
+
+def _dists_to_uniform(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dist_to_uniform` of each row of an (N, K) stack of values
+    (clipped to [0, 1]) and probabilities (>= 0), as two (N,) arrays.
+
+    Each row is sorted stably and each run of equal values summed in
+    input order, which are the bits of ``np.unique`` and a per-row
+    ``np.bincount``; the maxima run over each row's distinct values.  A
+    row padded with a copy of one of its values at probability 0 keeps
+    its bits: the copy joins that value's run and adds 0.0 last.
+    """
+    v = np.clip(values, 0.0, 1.0)
+    N, K = v.shape
+    order = np.argsort(v, axis=1, kind="stable")
+    v = np.take_along_axis(v, order, axis=1)
+    new = np.ones((N, K), dtype=bool)
+    new[:, 1:] = v[:, 1:] != v[:, :-1]
+    # each atom's run, numbered within its row, and a slot unique to the (row, run)
+    run = np.cumsum(new, axis=1) - 1
+    slot = (run + K * np.arange(N)[:, None]).ravel()
+    weights = np.take_along_axis(probs, order, axis=1).ravel()
+    mass = np.bincount(slot, weights=weights, minlength=N * K).reshape(N, K)
+    uniq = np.zeros(N * K)
+    uniq[slot] = v.ravel()
+    uniq = uniq.reshape(N, K)
+    cum = np.cumsum(mass, axis=1)
+    runs = np.arange(K) <= run[:, -1:]
+    d_plus = np.where(runs, cum - uniq, -np.inf).max(axis=1)
+    d_minus = np.where(runs, uniq - (cum - mass), -np.inf).max(axis=1)
+    d_plus = np.where(d_plus > 0.0, d_plus, 0.0)
+    d_minus = np.where(d_minus > 0.0, d_minus, 0.0)
+    return np.minimum(np.maximum(d_plus, d_minus), 1.0), np.minimum(d_plus + d_minus, 1.0)
 
 
 def ks_uniform(u_samples) -> DistanceEstimate:

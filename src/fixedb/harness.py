@@ -48,8 +48,10 @@ outcomes are merged in share order.  The bytes do not depend on the
 split, since replicate r reads only its own streams.  A share's error
 is the serial loop's, raised once every worker has replied.  The
 workers run tasks, a module-level function and its arguments
-(:func:`_run_tasks`): study shares here, and ``fixedb verify``'s two
-fixed sweeps beside its bracket suite.  A worker keeps the library as
+(:func:`_run_tasks`): study shares here, one per process, and
+``fixedb verify``'s bracket suite, conformal sweep and Poisson-binomial
+sweep subtrees, more tasks than processes, which the processes pull
+from the two ends of the task list.  A worker keeps the library as
 it was when it was forked: a later change to a module's names (a
 monkeypatch, a tracer) does not reach it.  Where ``os.fork`` is
 missing, or in a daemonic process (which may not fork), the tasks run
@@ -66,6 +68,7 @@ the CSV).
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -538,8 +541,8 @@ def _serve(conn, parent_end) -> None:
     """A worker: for each task (fn, args) it receives, with fn a
     module-level function, send back (fn(*args), None) or (None, the
     error).  The tasks are study shares (:func:`_share`) or
-    ``fixedb verify``'s fixed sweeps.  It exits when the parent's end of
-    the pipe closes."""
+    ``fixedb verify``'s sweeps and sweep subtrees.  It exits when the
+    parent's end of the pipe closes."""
     import signal
 
     # an interrupt is the parent's to handle: it terminates busy workers
@@ -611,47 +614,86 @@ def _drop(workers: list) -> None:
 
 
 def _run_tasks(tasks: list, threads: int) -> list:
-    """fn(*args) of every task (fn, args), in task order: the first task
-    here, each other one on a worker of its own, whose fn must be a
-    module-level function (a worker receives it by name), when
-    min(threads, usable CPUs) covers them all.  Otherwise, or where no
-    worker can be had (no ``os.fork``, a daemonic process, or another
-    call using the workers), every task runs here, in order.  The first
-    failing task's error, in task order, is raised once every sent
-    task's reply is read; an interrupt terminates the workers still
-    busy."""
-    parallel = 2 <= len(tasks) <= min(threads, _usable_cpus())
-    if not parallel or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
+    """fn(*args) of every task (fn, args), in task order, on
+    min(threads, usable CPUs, tasks) processes: this one and persistent
+    forked workers, to which a task's fn must be a module-level function
+    (a worker receives it by name).  The first task runs here.  With no
+    more tasks than processes each other task runs on a worker of its
+    own.  With more, the processes pull the tasks as they free up: this
+    one from the front, each worker from the back, with one more task
+    queued behind the one it runs, so that it need not wait for this
+    process to finish a task before it starts its next
+    (:func:`_pull`).  Where no worker can be had (no ``os.fork``, a
+    daemonic process, or another call using the workers), every task
+    runs here, in order.  The first failing task's error, in task
+    order, is raised once every sent task's reply is read; an interrupt
+    terminates the workers still busy."""
+    processes = min(threads, _usable_cpus(), len(tasks))
+    if processes < 2 or not hasattr(os, "fork") or not _WORKERS_LOCK.acquire(blocking=False):
         return [fn(*args) for fn, args in tasks]
     try:
-        workers = _workers(len(tasks) - 1)
+        workers = _workers(processes - 1)
         if not workers:
             return [fn(*args) for fn, args in tasks]
-        busy = []
-        try:
-            for worker, task in zip(workers, tasks[1:]):
-                busy.append(worker)
-                worker[1].send(task)
-            fn, args = tasks[0]
-            try:
-                replies = [(fn(*args), None)]
-            except Exception as exc:  # raised below, after the workers' replies
-                replies = [(None, exc)]
-            while busy:
-                try:
-                    replies.append(busy[0][1].recv())
-                # a worker that died before it read its task resets the connection
-                except (EOFError, ConnectionResetError):
-                    raise RuntimeError("a worker exited before it replied") from None
-                del busy[0]
-        finally:
-            _drop(busy)
+        replies = _pull(tasks, workers)
     finally:
         _WORKERS_LOCK.release()
     for _, error in replies:
         if error is not None:
             raise error
     return [result for result, _ in replies]
+
+
+def _pull(tasks: list, workers: list) -> list:
+    """The (result, error) reply of every task, in task order: this
+    process runs tasks from the front, and whenever it is between tasks
+    it sends each worker tasks from the back until the worker holds two
+    (one at first, round the workers, so that with no more tasks than
+    processes worker i runs task i + 1).  A worker that exits before it
+    replies is a RuntimeError; on an error or an interrupt the workers
+    with unread replies are terminated."""
+    from multiprocessing.connection import wait
+
+    replies: list = [None] * len(tasks)
+    # the tasks sent to each worker, oldest first; tasks lo..hi-1 are not taken yet
+    queued = {conn: collections.deque() for _, conn in workers}
+    lo, hi = 0, len(tasks)
+
+    def feed(depth: int) -> None:
+        nonlocal hi
+        for _, conn in reversed(workers):
+            # the front task stays here
+            while len(queued[conn]) < depth and hi - lo > 1:
+                hi -= 1
+                queued[conn].append(hi)
+                try:
+                    conn.send(tasks[hi])
+                except (BrokenPipeError, ConnectionResetError):
+                    raise RuntimeError("a worker exited before it replied") from None
+
+    try:
+        feed(1)
+        while lo < hi or any(queued.values()):
+            busy = [conn for conn, sent in queued.items() if sent]
+            # block for a reply only when no task is left to run here
+            for conn in wait(busy) if lo == hi else [conn for conn in busy if conn.poll()]:
+                try:
+                    reply = conn.recv()
+                # a worker that died before it read its task resets the connection
+                except (EOFError, ConnectionResetError):
+                    raise RuntimeError("a worker exited before it replied") from None
+                replies[queued[conn].popleft()] = reply
+            feed(2)
+            if lo < hi:
+                fn, args = tasks[lo]
+                lo += 1
+                try:
+                    replies[lo - 1] = fn(*args), None
+                except Exception as exc:  # raised by _run_tasks, after the workers' replies
+                    replies[lo - 1] = None, exc
+    finally:
+        _drop([worker for worker in workers if queued[worker[1]]])
+    return replies
 
 
 def _replicates(cfg: dict, cells: list, block: int) -> tuple:

@@ -15,9 +15,11 @@ or closed-form rank identities, never by Monte Carlo, so the bounds in
 * the deterministic conformal calibration grid
   (:func:`conformal_grid_example`);
 * exhaustive sweeps used by the verification gate: randomized-instance
-  bracket checks, the heterogeneous-Bernoulli TV bound and tail
-  ordering over a full probability grid, and the conformal grid bound
-  over a range of calibration sizes.
+  bracket checks (each family's instances checked in one batched pass,
+  bit for bit as the one-instance checks), the heterogeneous-Bernoulli
+  TV bound and tail ordering over a full probability grid (the ordered
+  merge of one subtree per first coordinate), and the conformal grid
+  bound over a range of calibration sizes.
 
 The sweeps call the formulas they certify (the Ehm bound and ordering
 regimes of :mod:`fixedb.discrete`, the ``conformal_mod`` rank and alpha
@@ -43,12 +45,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import _check_indices, _iid_bracket, _independent_bracket, _kappa_term, _ordering_lower, dependent_bracket
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
-from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, _joint_width, dist_to_uniform, gamma_exact
+from .distances import (
+    ENUMERATION_CAP, FinitePmf, _check_prob_vector, _dists_to_uniform, _joint_width, dist_to_uniform, gamma_exact,
+)
 from .errors import (
     BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real,
     _check_vector, _is_integer,
@@ -155,21 +160,28 @@ class CondIndepInstance:
         return len(self.w_cond)
 
 
-def _masses(inst, w: np.ndarray, rel) -> np.ndarray:
-    """For every pmf row ``w[..., j, :]`` of a w_cond stack, the mass it
-    puts on the atoms x with rel(x, psi(z_j)), as one masked sum over
-    the rows; rel is a comparison ufunc such as ``np.less``."""
-    psi = np.asarray(inst.psi_vals, dtype=float)[:, None]
-    return (w * rel(np.asarray(inst.w_atoms, dtype=float), psi)).sum(axis=-1)
+def _masses(w: np.ndarray, atoms: np.ndarray, psi: np.ndarray, rel) -> np.ndarray:
+    """For every pmf row ``w[..., j, :]`` of a w_cond stack on ``atoms``,
+    the mass it puts on the atoms x with rel(x, psi[..., j]), as one
+    masked sum over the rows; rel is a comparison ufunc such as
+    ``np.less``.  ``atoms`` and ``psi`` carry the stack's leading axes
+    but its coordinate axis (a batch of instances has them)."""
+    return (w * rel(atoms[..., None, :], psi[..., :, None])).sum(axis=-1)
+
+
+def _fields(inst) -> tuple:
+    """An instance's w_cond stack, atoms and targets as float arrays."""
+    w = np.asarray(inst.w_cond, dtype=float)
+    return w, np.asarray(inst.w_atoms, dtype=float), np.asarray(inst.psi_vals, dtype=float)
 
 
 def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
     """(delta, delta_tilde): exact interval-KS distances of the laws of
     F_0(Z) = P(W <= psi(Z) | Z) and its strict-inequality version from
     U(0, 1)."""
-    w = np.asarray(inst.w_cond, dtype=float)
-    delta = dist_to_uniform(_masses(inst, w, np.less_equal), inst.z_probs)[1]
-    delta_tilde = dist_to_uniform(_masses(inst, w, np.less), inst.z_probs)[1]
+    fields = _fields(inst)
+    delta = dist_to_uniform(_masses(*fields, np.less_equal), inst.z_probs)[1]
+    delta_tilde = dist_to_uniform(_masses(*fields, np.less), inst.z_probs)[1]
     return delta, delta_tilde
 
 
@@ -183,7 +195,7 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     """
     psi = np.asarray(inst.psi_vals, dtype=float)
     z_p = np.asarray(inst.z_probs, dtype=float)
-    f = _masses(inst, np.asarray(inst.w_cond, dtype=float), np.less_equal)
+    f = _masses(*_fields(inst), np.less_equal)
     d_ks, d_tilde = dist_to_uniform(f.mean(axis=0), z_p)
     marg = (z_p * (psi <= psi[:, None])).sum(axis=1)
     return d_ks, d_tilde, np.minimum(np.abs(marg - f).max(axis=1), 1.0).tolist()
@@ -192,25 +204,35 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
 def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
     """Mass matrix of (n_lt, n_le) for a conditional instance whose
     W_1..W_B given Z = z_j are independent with the pmf rows ``w[:, j]``
-    of a (B, |Z|, atoms) stack (the IID family broadcasts its rows).
+    of a (B, |Z|, atoms) stack (the IID family broadcasts its rows)."""
+    atoms, psi = _fields(inst)[1:]
+    masses = (_masses(w, atoms, psi, rel) for rel in (np.less, np.equal, np.greater))
+    return _fold(np.asarray(inst.z_probs, dtype=float), *masses)
 
-    An exact fold, one coordinate at a time: S[j, l, k] is the mass of
-    Z = z_j with l of the coordinates so far below psi(z_j) and k at or
-    below it.  A coordinate moves (l, k) to (l+1, k+1) with its mass
+
+def _fold(z_probs: np.ndarray, p_lt: np.ndarray, p_eq: np.ndarray, p_gt: np.ndarray) -> np.ndarray:
+    """The (n_lt, n_le) mass matrices of a stack of conditional instances
+    from each coordinate's masses below, at and above the target: p_*
+    have shape (B, ..., |Z|) and ``z_probs`` (..., |Z|).
+
+    An exact fold, one coordinate at a time: S[..., j, l, k] is the mass
+    of Z = z_j with l of the coordinates so far below psi(z_j) and k at
+    or below it.  A coordinate moves (l, k) to (l+1, k+1) with its mass
     below psi(z_j), to (l, k+1) with its mass at psi(z_j), and keeps it
-    with its mass above.  O(|Z| B^3) work at any B, no atoms^B outcomes.
+    with its mass above; one with masses (0, 0, 1) leaves S as it is.
+    O(|Z| B^3) work at any B, no atoms^B outcomes.
     """
-    p_lt, p_eq, p_gt = (_masses(inst, w, rel)[..., None, None] for rel in (np.less, np.equal, np.greater))
-    B = w.shape[0]
-    S = np.zeros((w.shape[1], B + 1, B + 1))
-    S[:, 0, 0] = inst.z_probs
+    B = p_lt.shape[0]
+    S = np.zeros(p_lt.shape[1:] + (B + 1, B + 1))
+    S[..., 0, 0] = z_probs
+    steps = zip(p_lt[..., None, None], p_eq[..., None, None], p_gt[..., None, None])
     # after n - 1 coordinates only the leading n x n corner holds mass
-    for n, (lt, eq, gt) in enumerate(zip(p_lt, p_eq, p_gt), start=1):
-        held = S[:, :n, :n].copy()
-        S[:, :n, :n] *= gt
-        S[:, 1 : n + 1, 1 : n + 1] += held * lt
-        S[:, :n, 1 : n + 1] += held * eq
-    return S.sum(axis=0)
+    for n, (lt, eq, gt) in enumerate(steps, start=1):
+        held = S[..., :n, :n].copy()
+        S[..., :n, :n] *= gt
+        S[..., 1 : n + 1, 1 : n + 1] += held * lt
+        S[..., :n, 1 : n + 1] += held * eq
+    return S.sum(axis=-3)
 
 
 def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
@@ -227,10 +249,11 @@ def _pair_matrix_joint(joint: FinitePmf) -> tuple[np.ndarray, int]:
 
 def _coverage_table(M: np.ndarray) -> np.ndarray:
     """The (B+2, B+2) table C of a pair mass matrix with C[i, j] the
-    mass of n_lt < i and n_le < j; it never decreases along an axis, so
-    the differences :func:`_coverage_from_table` reads are >= 0."""
-    C = np.zeros((M.shape[0] + 1, M.shape[1] + 1))
-    np.cumsum(M.cumsum(axis=0), axis=1, out=C[1:, 1:])
+    mass of n_lt < i and n_le < j, or the stack of tables of a stack of
+    matrices; it never decreases along an axis, so the differences
+    :func:`_coverage_from_table` reads are >= 0."""
+    C = np.zeros(M.shape[:-2] + (M.shape[-2] + 1, M.shape[-1] + 1))
+    np.cumsum(M.cumsum(axis=-2), axis=-1, out=C[..., 1:, 1:])
     return C
 
 
@@ -519,30 +542,289 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     instances with B <= 6 and at most 5 atoms per marginal, and checks
     exact coverage (folded for the conditional families, enumerated
     for the joints) against the brackets evaluated with exact slack
-    inputs.  ``n_instances`` must be an integer >= 1 and
-    ``seed`` one >= 0, neither a bool.
+    inputs.  The instances are drawn first, in order
+    (:func:`_draw_instances`); then each family is checked in one
+    batched pass (:func:`_batched_checks`), bit for bit as its scalar
+    check (:func:`check_cond_iid`, :func:`check_cond_indep`,
+    :func:`check_dependent`), and the violations come in instance
+    order.  ``n_instances`` must be an integer >= 1 and ``seed`` one
+    >= 0, neither a bool.
     """
     _check_count(n_instances, "n_instances")
     _check_count(seed, "seed", lo=0)
+    results = _batched_checks(_draw_instances(n_instances, seed))
+    return SweepReport(
+        sum(n for n, _ in results),
+        tuple(v for _, violations in results for v in violations),
+        note=f"{n_instances} randomized finite instances, seed {seed}",
+    )
+
+
+def _draw_instances(n_instances: int, seed: int) -> list:
+    """The instances of :func:`bracket_suite`, in order, each as the
+    arguments of its family's check: instance i is ``(inst, B)`` for
+    :func:`check_cond_iid` when i % 3 == 0, ``(inst,)`` for
+    :func:`check_cond_indep` when it is 1, ``(joint,)`` for
+    :func:`check_dependent` when it is 2."""
     rng = np.random.default_rng(seed)
-    checks = 0
-    violations: list = []
+    draws: list = []
     for i in range(n_instances):
         fam = i % 3
         if fam == 0:
             B = int(rng.integers(1, 7))
-            c, v = check_cond_iid(random_cond_iid(rng), B)
+            draws.append((random_cond_iid(rng), B))
         elif fam == 1:
-            c, v = check_cond_indep(random_cond_indep(rng))
+            draws.append((random_cond_indep(rng),))
         else:
-            c, v = check_dependent(random_joint(rng))
-        checks += c
-        violations.extend(v)
-    return SweepReport(
-        checks,
-        tuple(violations),
-        note=f"{n_instances} randomized finite instances, seed {seed}",
-    )
+            draws.append((random_joint(rng),))
+    return draws
+
+
+def _batched_checks(draws: list) -> list:
+    """(n_checked, violations) of every instance of
+    :func:`_draw_instances`, in order, each family's instances checked
+    in one pass.
+
+    Each pass pads its instances to common shapes: a padded z atom
+    copies z atom 0's target and pmf rows at probability 0, so it puts
+    no new value into a slack's law; a padded w atom has mass 0; a
+    padded resample coordinate folds as (lt, eq, gt) = (0, 0, 1).  Every
+    sum the padding lengthens runs over at most 6 terms (B <= 6, at most
+    5 atoms), which NumPy adds in order, so a padded 0.0 added last keeps
+    the scalar check's bits; the coverages, slacks and bracket ends are
+    the scalar checks' operations on arrays over every (instance, a, b,
+    kind).
+    """
+    results: list = [None] * len(draws)
+    for fam, batch in enumerate((_cond_iid_batch, _cond_indep_batch, _dependent_batch)):
+        if draws[fam::3]:
+            results[fam::3] = batch(draws[fam::3])
+    return results
+
+
+def _stacks(insts: list, coords: list) -> tuple:
+    """Conditional instances padded into stacks (see
+    :func:`_batched_checks`): z_probs (N, Z), psi (N, Z), and the
+    (N, C, Z) masses below, at, above and at or below each target, from
+    w_cond rows (N, C, Z, A) with instance n having ``coords[n]`` pmf row
+    stacks (1 for the IID family)."""
+    N = len(insts)
+    Z = max(len(inst.z_probs) for inst in insts)
+    A = max(len(inst.w_atoms) for inst in insts)
+    z_probs, psi, atoms = np.zeros((N, Z)), np.empty((N, Z)), np.empty((N, A))
+    w = np.zeros((N, max(coords), Z, A))
+    for n, (inst, c) in enumerate(zip(insts, coords)):
+        rows, inst_atoms, inst_psi = _fields(inst)
+        nz, na = inst_psi.size, inst_atoms.size
+        z_probs[n, :nz] = inst.z_probs
+        psi[n, :nz], psi[n, nz:] = inst_psi, inst_psi[0]
+        atoms[n, :na], atoms[n, na:] = inst_atoms, inst_atoms[-1]
+        rows = rows.reshape(c, nz, na)
+        w[n, :c, :nz, :na] = rows
+        w[n, :c, nz:, :na] = rows[:, :1]
+    masses = (_masses(w, atoms[:, None], psi[:, None], rel) for rel in (np.less, np.equal, np.greater, np.less_equal))
+    return z_probs, psi, *masses
+
+
+def _checks_of(Bs: np.ndarray, per_pair: int) -> tuple:
+    """Flat (owner, B, a, b, slot) arrays over every instance's (a, b)
+    with 0 <= a < B - b <= B in the check loops' order, each pair
+    repeated ``per_pair`` times with slot 0..per_pair-1."""
+    pairs = {B: [(a, b) for a in range(B) for b in range(B - a)] for B in set(Bs.tolist())}
+    counts = np.array([len(pairs[B]) for B in Bs.tolist()], dtype=np.intp)
+    a, b = np.array([ab for B in Bs.tolist() for ab in pairs[B]], dtype=np.int64).reshape(-1, 2).T
+    owner = np.repeat(np.arange(Bs.size), counts * per_pair)
+    slot = np.tile(np.arange(per_pair), a.size)
+    return owner, Bs[owner], np.repeat(a, per_pair), np.repeat(b, per_pair), slot
+
+
+def _padded_steps(Bs: np.ndarray, lt, eq, gt) -> tuple:
+    """The (max B, N, Z) fold inputs of :func:`_fold` for N instances from
+    their (N, C, Z) masses, C = max B or 1 (one stack of rows for every
+    coordinate): instance n's coordinates past ``Bs[n]`` fold as
+    (0, 0, 1)."""
+    active = np.arange(1, Bs.max() + 1)[:, None, None] <= Bs[:, None]
+    lt, eq, gt = (np.moveaxis(m, 1, 0) for m in (lt, eq, gt))
+    return np.where(active, lt, 0.0), np.where(active, eq, 0.0), np.where(active, gt, 1.0)
+
+
+def _read_coverages(C: np.ndarray, owner, B, a, b, kind) -> np.ndarray:
+    """:func:`_read_coverage` of every check at once: check k reads table
+    ``C[owner[k]]`` at its B, a, b and kind (an index into
+    ``_TWO_SIDED_KINDS``)."""
+    hi, end = B - b, B + 1
+    closed, lcro = kind == 0, kind == 1
+    rows = np.where(lcro, end, hi), np.where(closed, hi, np.where(lcro, end, a))
+    cols = np.where(lcro, hi, end), np.where(kind == 2, end, a)
+    return C[owner, rows[0], cols[0]] - C[owner, rows[1], cols[1]]
+
+
+def _clamp(lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """The clamping of ``bounds._clamped`` on arrays of bracket ends."""
+    lower = np.where(lower < 0.0, 0.0, lower)
+    upper = np.where((upper != math.inf) & (upper > 1.0), 1.0, upper)
+    return np.minimum(lower, 1.0), upper
+
+
+def _flagged(counts, owner, cov, lower, upper, record) -> list:
+    """Each instance's (n_checked, violations) from its family's flat
+    checks, as :class:`_Tally` counts and records them: check k fails
+    when cov < lower - _TOL or cov > upper + _TOL, and ``record(k)`` is
+    its violation."""
+    bad = (cov < lower - _TOL) | (cov > upper + _TOL)
+    results = [(int(n), []) for n in counts]
+    for k in np.flatnonzero(bad).tolist():
+        results[owner[k]][1].append(record(k))
+    return results
+
+
+def _cond_iid_batch(draws: list) -> list:
+    """:func:`check_cond_iid` of every ``(inst, B)`` in one pass."""
+    insts = [inst for inst, _ in draws]
+    Bs = np.array([B for _, B in draws], dtype=np.int64)
+    z_probs, _, lt, eq, gt, le = _stacks(insts, [1] * len(insts))
+    C = _coverage_table(_fold(z_probs, *_padded_steps(Bs, lt, eq, gt)))
+    probs = np.clip(z_probs, 0.0, None)
+    delta = _dists_to_uniform(le[:, 0], probs)[1]
+    delta_tilde = _dists_to_uniform(lt[:, 0], probs)[1]
+    owner, B, a, b, kind = _checks_of(Bs, len(_TWO_SIDED_KINDS))
+    cov = _read_coverages(C, owner, B, a, b, kind)
+    d, dt = delta[owner], delta_tilde[owner]
+    base = 1.0 - (a + b + 1) / (B + 1)
+    # closed: the budget allowance or the tie bound, whichever is larger
+    upper = base + 1.0 / (B + 1) + d
+    tie_upper = base + dt + np.where(a >= 1, d, 0.0)
+    upper = np.where(tie_upper > upper, tie_upper, upper)
+    slack = np.where(kind == 2, dt, d)
+    lower, upper = _clamp(base - slack, np.where(kind == 0, upper, base + slack))
+
+    def record(k: int) -> dict:
+        head = {"family": "cond_iid", "B": int(B[k]), "a": int(a[k]), "b": int(b[k]), "kind": _TWO_SIDED_KINDS[kind[k]]}
+        return {**head, "coverage": float(cov[k]), "lower": float(lower[k]), "upper": float(upper[k])}
+
+    return _flagged(3 * Bs * (Bs + 1) // 2, owner, cov, lower, upper, record)
+def _cond_indep_batch(draws: list) -> list:
+    """:func:`check_cond_indep` of every ``(inst,)`` in one pass."""
+    insts = [inst for inst, in draws]
+    Bs = np.array([inst.b for inst in insts], dtype=np.int64)
+    z_probs, psi, lt, eq, gt, le = _stacks(insts, Bs.tolist())
+    C = _coverage_table(_fold(z_probs, *_padded_steps(Bs, lt, eq, gt)))
+    # a padded coordinate has mass 0, so the sum over coordinates is the scalar check's
+    d_ks, d_tilde = _dists_to_uniform(le.sum(axis=1) / Bs[:, None], np.clip(z_probs, 0.0, None))
+    marg = (z_probs[:, None, :] * (psi[:, None, :] <= psi[:, :, None])).sum(axis=2)
+    kappas = np.minimum(np.abs(marg[:, None, :] - le).max(axis=2), 1.0)
+    kappa_term = np.array([
+        _kappa_term(B, dt, row[:B]) for B, dt, row in zip(Bs.tolist(), d_tilde.tolist(), kappas.tolist())
+    ])
+    owner, B, a, b, check = _checks_of(Bs, 2)
+    cov = _read_coverages(C, owner, B, a, b, 0)
+    base = 1.0 - (a + b + 1) / (B + 1)
+    slack = (d_tilde + kappa_term)[owner]
+    lower, upper = _clamp(base - slack, base + slack + 1.0 / (B + 1))
+    # check 1 of each pair is the tail-ordering floor, with no upper end
+    ordering = 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks[owner]
+    lower = np.where(check == 0, lower, np.where(ordering > 0.0, ordering, 0.0))
+    upper = np.where(check == 0, upper, math.inf)
+
+    def record(k: int) -> dict:
+        head = {"family": ("cond_indep", "ordering")[check[k]], "B": int(B[k]), "a": int(a[k]), "b": int(b[k])}
+        ends = {"lower": float(lower[k])} if check[k] else {"lower": float(lower[k]), "upper": float(upper[k])}
+        return {**head, "coverage": float(cov[k]), **ends}
+
+    return _flagged(Bs * (Bs + 1), owner, cov, lower, upper, record)
+
+
+def _dependent_batch(draws: list) -> list:
+    """:func:`check_dependent` of every ``(joint,)`` in one pass: the
+    pair matrices in one ``np.bincount``, the gaps joint by joint."""
+    joints = [joint for joint, in draws]
+    Bs = np.array([_joint_width(joint) - 1 for joint in joints], dtype=np.int64)
+    if max(map(len, joints)) > ENUMERATION_CAP:
+        raise CapacityExceeded("joint support exceeds the atom budget")
+    side = int(Bs.max()) + 1
+    # real coordinates, none of them NaN (FinitePmf refuses NaN); a NaN
+    # pads a short atom, below and at no target
+    supports = [np.asarray(joint.support, dtype=float) for joint in joints]
+    w = np.full((sum(map(len, joints)), side - 1), np.nan)
+    psi = np.empty(w.shape[0])
+    lo = 0
+    for arr, B in zip(supports, Bs.tolist()):
+        w[lo : lo + len(arr), :B], psi[lo : lo + len(arr)] = arr[:, :-1], arr[:, -1]
+        lo += len(arr)
+    owner = np.repeat(np.arange(len(joints)), list(map(len, joints)))
+    bins = (owner * side + (w < psi[:, None]).sum(axis=1)) * side + (w <= psi[:, None]).sum(axis=1)
+    # bincount adds in input order, as each joint's own bincount does
+    probs = np.concatenate([joint.probs for joint in joints])
+    C = _coverage_table(np.bincount(bins, weights=probs, minlength=len(joints) * side**2).reshape(-1, side, side))
+    gaps = _gaps(supports, [joint.probs for joint in joints])
+    ranks = {B: _dependent_ranks(B) for B in set(Bs.tolist())}
+    checks = [(n, B, *r) for n, B in enumerate(Bs.tolist()) for r in ranks[B]]
+    owner, B, pair, a, b = np.array(checks, dtype=np.int64).reshape(-1, 5).T
+    cov = _read_coverages(C, owner, B, a, b, 0)
+    base = np.array([1.0 - (g + bt) / 2.0 for g, bt in _TAIL_PAIRS])[pair]
+    lower = _clamp(base - gaps[owner], np.full(owner.size, math.inf))[0]
+
+    def record(k: int) -> dict:
+        g, bt = _TAIL_PAIRS[pair[k]]
+        head = {"family": "dependent", "B": int(B[k]), "gamma": g, "beta": bt}
+        return {**head, "coverage": float(cov[k]), "lower": float(lower[k]), "gap": float(gaps[owner[k]])}
+
+    return _flagged([len(ranks[B]) for B in Bs.tolist()], owner, cov, lower, math.inf, record)
+
+
+def _gaps(supports: list, probs: list) -> np.ndarray:
+    """``gamma_exact(joint).value`` of every joint, given as its (atoms,
+    B + 1) float support and its probabilities, in one pass: the swapped
+    atoms of all joints, each tagged with its joint, grouped by value;
+    each group's mixture mass summed in the order ``gamma_exact`` adds
+    it (atom by atom, the swaps before the identity); and each joint's
+    TV as its ``math.fsum``, whose value does not depend on the order of
+    its terms."""
+    top = max(arr.shape[1] for arr in supports)
+    swaps = {}
+    for width in {arr.shape[1] for arr in supports}:
+        # swap i exchanges coordinate i with the last; swap width - 1 is the identity
+        swaps[width] = np.tile(np.arange(width), (width, 1))
+        swaps[width][np.arange(width - 1), np.arange(width - 1)] = width - 1
+        swaps[width][np.arange(width - 1), width - 1] = np.arange(width - 1)
+    rows = np.zeros((sum(arr.size for arr in supports), top + 1))
+    weights, identity = [], []
+    lo = 0
+    for j, (arr, p) in enumerate(zip(supports, probs)):
+        n, width = arr.shape
+        if n * width > ENUMERATION_CAP:
+            raise CapacityExceeded(f"{n} atoms x {width} swaps exceeds the cap of {ENUMERATION_CAP}")
+        rows[lo : lo + n * width, 0] = j
+        rows[lo : lo + n * width, 1 : width + 1] = arr[:, swaps[width]].reshape(-1, width)
+        weights.append(np.repeat(1.0 / width * p, width))
+        identity.append(lo + width * np.arange(n) + width - 1)
+        lo += n * width
+    # equal rows are adjacent in lexicographic order, which sorts by joint first
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    mixture = np.bincount(group, weights=np.concatenate(weights))
+    mass = np.zeros(mixture.size)
+    mass[group[np.concatenate(identity)]] = np.concatenate(probs)
+    terms = np.abs(mass - mixture)
+    ends = np.searchsorted(ordered[first, 0], np.arange(len(supports) + 1))
+    return np.array([min(1.0, 0.5 * math.fsum(terms[a:b])) for a, b in zip(ends, ends[1:])])
+
+
+def _dependent_ranks(B: int) -> list:
+    """(index into _TAIL_PAIRS, a, b) of each tail pair whose budget
+    allows the dependent rule at B, in order."""
+    ranks = []
+    for i, (g, bt) in enumerate(_TAIL_PAIRS):
+        try:
+            rule = index_rule(BudgetSpec(B=B, alpha=g), "dependent_two_sided", gamma=g, beta=bt)
+        except BudgetTooSmall:
+            continue
+        ranks.append((i, rule.lower_rank, B - rule.upper_rank))
+    return ranks
 
 
 def _grid_lattice(grid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -570,9 +852,34 @@ def _bad_rows(mask: np.ndarray) -> np.ndarray:
 
 
 # byte budget of one block's (rows, B+1) float64 pmf stack in the Ehm/Hoeffding
-# sweep: about 2,080 parents at g = 9, B = 6, so a block's temporaries stay
-# near cache size
-_SWEEP_BLOCK_BYTES = 1 << 20
+# sweep: 260 parents at g = 9, B = 6.  A block's arrays then stay below
+# glibc's default 128 KiB mmap threshold, so the blocks of every subtree reuse
+# heap pages; at 1 MiB each subtree's top level faulted in fresh pages
+# (about 20,000 faults and a quarter more time per default sweep)
+_SWEEP_BLOCK_BYTES = 1 << 17
+
+
+class _EhmSweep(NamedTuple):
+    """A checked Ehm/Hoeffding sweep: its ``b_values`` and the grid as
+    ``values`` = ``numerators`` / ``D`` (see :func:`_grid_lattice`)."""
+
+    b_values: tuple
+    values: np.ndarray
+    numerators: np.ndarray
+    D: int
+
+
+_EHM_LABELS = ("tv", "order_le", "order_ge")
+
+
+def _ehm_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> _EhmSweep:
+    """The checked arguments of :func:`ehm_hoeffding_sweep`."""
+    b_values = tuple(b_values)
+    if not b_values:
+        raise InvalidInput("b_values must be non-empty")
+    for B in b_values:
+        _check_count(B, "each b_values entry")
+    return _EhmSweep(tuple(map(int, b_values)), *_grid_lattice(np.arange(1, 10) / 10.0 if grid is None else grid))
 
 
 def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
@@ -585,54 +892,80 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
     (k <= B p_bar - 1 and k >= B p_bar).
 
     grid^B is enumerated one coordinate at a time, last coordinate
-    fastest: level B's probability rows and Poisson-binomial pmfs are
-    level B-1's with each grid value appended and folded in.  A level
-    is built and checked in blocks of consecutive parent rows, each
-    block's pmf stack within ``_SWEEP_BLOCK_BYTES`` (1 MiB), and is
-    kept whole only when a higher level still folds it, so the top
-    level's g^B stack (about 30 MB at the default g = 9, B = 6) is
-    never built.  Every row is computed on its own, so the reports do
-    not depend on the block size.  The grid must lie on a lattice k/D
-    with D <= 10**6 (see :func:`_grid_lattice`; the default decimal grid
-    has D = 10): a row's p_bar is then key / (D B) with the integer key
-    D * (row sum), and each row looks up the binomial pmf and CDF and
-    the ordering regimes of its key.  Reports follow ``b_values`` order,
-    with the first 20 violating rows of each check per B; ``b_values``
+    fastest, so it is the ordered concatenation of g subtrees, one per
+    first coordinate (:func:`_ehm_subtree`).  Each subtree keeps its
+    first 20 violating rows of each check per B, and the report keeps
+    the first 20 of their concatenation (:func:`_ehm_report`), which
+    are the first 20 of the whole level; ``fixedb verify`` runs the
+    subtrees as tasks of their own.  The grid must lie on a lattice k/D
+    with D <= 10**6 (see :func:`_grid_lattice`; the default decimal
+    grid has D = 10).  Reports follow ``b_values`` order; ``b_values``
     must be a non-empty sequence of integers >= 1.
     """
-    b_values = tuple(b_values)
-    if not b_values:
-        raise InvalidInput("b_values must be non-empty")
-    for B in b_values:
-        _check_count(B, "each b_values entry")
-    b_values = tuple(map(int, b_values))
-    values, numerators, D = _grid_lattice(np.arange(1, 10) / 10.0 if grid is None else grid)
-    g = values.size
-    top = max(b_values)
+    sweep = _ehm_sweep(b_values, grid)
+    return _ehm_report(sweep, [_ehm_subtree(sweep, first) for first in range(sweep.values.size)])
+
+
+def _ehm_report(sweep: _EhmSweep, subtrees: list) -> SweepReport:
+    """The SweepReport of a sweep from its :func:`_ehm_subtree` results,
+    in first-coordinate order."""
+    g = sweep.values.size
+    violations = [
+        v
+        for B in sweep.b_values
+        for label in _EHM_LABELS
+        for v in [hit for found in subtrees for hit in found[B][label]][:20]
+    ]
+    n = sum(g**B for B in sweep.b_values)
+    return SweepReport(n, tuple(violations), note=f"grid size {g}, B in {sweep.b_values}")
+
+
+def _ehm_subtree(sweep: _EhmSweep, first: int) -> dict:
+    """The first 20 violating rows of each check (B -> label -> list)
+    among the grid rows whose first coordinate is grid value ``first``.
+
+    Level B's probability rows and Poisson-binomial pmfs are level
+    B-1's with each grid value appended and folded in (level 1 is the
+    one row of value ``first``).  A level is built and checked in blocks
+    of consecutive parent rows, each block's pmf stack within
+    ``_SWEEP_BLOCK_BYTES`` (128 KiB), and is kept whole only when a higher
+    level still folds it, so the subtree's top level (g^(B-1) rows) is
+    never built whole.  Every row is computed on its own, so the result
+    depends neither on the block size nor on the other subtrees: a row's
+    p_bar is key / (D B) with the integer key D * (row sum), and each
+    row looks up the binomial pmf and CDF and the ordering regimes of
+    its key.
+    """
+    values, numerators, D = sweep.values, sweep.numerators, sweep.D
+    top = max(sweep.b_values)
     found: dict = {}
     # level 0: one empty row, the point mass at 0, and its key 0
     rows, pmf = np.empty((1, 0)), np.ones((1, 1))
     keys, slot = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
     for B in range(1, top + 1):
+        # the grid values appended at this level: only ``first`` at level 1
+        pick = slice(first, first + 1) if B == 1 else slice(None)
+        vals, nums = values[pick], numerators[pick]
+        g = vals.size
         # the distinct keys of this level; child_slot[k, i] is the index
-        # among them of parent key k with grid value i appended
-        keys, inverse = np.unique(keys[:, None] + numerators, return_inverse=True)
+        # among them of parent key k with value i appended
+        keys, inverse = np.unique(keys[:, None] + nums, return_inverse=True)
         child_slot = inverse.reshape(-1, g)
-        checked = B in b_values
+        checked = B in sweep.b_values
         if checked:
             key_pbar = keys / float(D * B)
             key_pmf = _binom_rows(B, key_pbar)
             tables = (key_pbar, key_pmf, np.cumsum(key_pmf, axis=1), *_ordering_regimes(B, key_pbar))
-            found[B] = {"tv": [], "order_le": [], "order_ge": []}
+            found[B] = {label: [] for label in _EHM_LABELS}
         step = max(1, _SWEEP_BLOCK_BYTES // (8 * (B + 1) * g))
         blocks = []
         for lo in range(0, rows.shape[0], step):
             parents = slice(lo, lo + step)
             blk_rows = np.empty((rows[parents].shape[0], g, B))
             blk_rows[:, :, :-1] = rows[parents, None, :]
-            blk_rows[:, :, -1] = values
+            blk_rows[:, :, -1] = vals
             blk_rows = blk_rows.reshape(-1, B)
-            blk_pmf = poisson_binomial_pmf_batch(values[:, None], start=pmf[parents, None, :]).reshape(-1, B + 1)
+            blk_pmf = poisson_binomial_pmf_batch(vals[:, None], start=pmf[parents, None, :]).reshape(-1, B + 1)
             blk_slot = child_slot[slot[parents]].ravel()
             if B < top:
                 blocks.append((blk_rows, blk_pmf, blk_slot))
@@ -640,9 +973,7 @@ def ehm_hoeffding_sweep(b_values=(1, 2, 3, 4, 5, 6), grid=None) -> SweepReport:
                 _check_ehm_block(found[B], blk_rows, blk_pmf, blk_slot, *tables)
         if B < top:
             rows, pmf, slot = (np.concatenate(parts) for parts in zip(*blocks))
-    violations = [v for B in b_values for hits in found[B].values() for v in hits]
-    n = sum(g**B for B in b_values)
-    return SweepReport(n, tuple(violations), note=f"grid size {g}, B in {b_values}")
+    return found
 
 
 def _check_ehm_block(found, rows, pmf, slot, key_pbar, key_pmf, key_cdf, key_le, key_ge) -> None:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import fixedb
-from fixedb import harness
+from fixedb import cli, harness
 from fixedb.cli import build_parser, main
 from fixedb.oracle import SweepReport
 
@@ -151,6 +151,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "seed must be an integer >= 0" in captured.err and "Traceback" not in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--instances", "0"], "n_instances must be an integer >= 1, got 0"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_verify_checks_its_flags_before_any_task(self, monkeypatch, capsys, flags, message):
+        def no_tasks(tasks, threads):
+            raise AssertionError("a task was sent")
+
+        monkeypatch.setattr(cli, "_run_tasks", no_tasks)
+        assert main(["verify", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     @pytest.mark.parametrize("threads", ["0", "-1", "-20260823"])
     def test_verify_threads_below_one(self, capsys, threads):

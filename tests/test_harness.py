@@ -1071,6 +1071,100 @@ class TestWorkers:
         assert not any(map(_alive, pids))
 
 
+def _pid_task(i: int, delay: float = 0.0):
+    """A task for _run_tasks: its index and the process that ran it."""
+    time.sleep(delay)
+    return i, os.getpid()
+
+
+def _failing_task(i: int, failing: tuple):
+    if i in failing:
+        raise ValueError(f"task {i}")
+    return i
+
+
+def _worker_exit_task(i: int, parent: int):
+    if os.getpid() != parent:
+        os._exit(1)
+    return i
+
+
+@pytest.mark.skipif(not _PARALLEL, reason="needs os.fork and two usable CPUs")
+class TestPulledTasks:
+    """_run_tasks with more tasks than processes: this process takes tasks
+    from the front, the worker from the back, one task queued behind the
+    one it runs."""
+
+    @pytest.mark.parametrize("slow", ["caller", "worker", "none"])
+    def test_results_come_back_in_task_order(self, fresh_workers, slow):
+        n = 12
+        # task 0 runs here first; the last two go to the worker first
+        delays = {"caller": {0: 0.5}, "worker": {n - 1: 0.5}, "none": {}}[slow]
+        got = harness._run_tasks([(_pid_task, (i, delays.get(i, 0.0))) for i in range(n)], 2)
+        assert [i for i, _ in got] == list(range(n))
+        ((worker, _),) = harness._WORKERS
+        assert [pid for _, pid in got[:1] + got[-2:]] == [os.getpid(), worker.pid, worker.pid]
+        if slow == "worker":
+            # its queued task waits behind the slow one, and this process runs the rest
+            assert [pid for _, pid in got[:-2]] == [os.getpid()] * (n - 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_first_task_runs_here_and_the_last_on_the_worker(self, fresh_workers, n):
+        got = harness._run_tasks([(_pid_task, (i,)) for i in range(n)], 2)
+        ((worker, _),) = harness._WORKERS
+        assert [i for i, _ in got] == list(range(n))
+        assert got[0][1] == os.getpid() and got[-1][1] == worker.pid
+
+    @pytest.mark.parametrize("failing", [(0, 9), (3, 10), (11,)], ids=["caller", "both", "worker"])
+    def test_the_first_failing_task_raises_after_every_reply_is_read(self, fresh_workers, failing):
+        with pytest.raises(ValueError, match=f"^task {failing[0]}$"):
+            harness._run_tasks([(_failing_task, (i, failing)) for i in range(12)], 2)
+        # the worker stays, and the next call reads no stale reply
+        ((worker, _),) = harness._WORKERS
+        got = harness._run_tasks([(_pid_task, (i,)) for i in range(6)], 2)
+        assert [i for i, _ in got] == list(range(6)) and harness._WORKERS[0][0] is worker
+
+    def test_a_worker_dying_with_a_queued_task_is_an_error(self, fresh_workers):
+        tasks = [(_pid_task, (0, 0.3))] + [(_worker_exit_task, (i, os.getpid())) for i in range(1, 8)]
+        with pytest.raises(RuntimeError, match="exited before it replied"):
+            harness._run_tasks(tasks, 2)
+        assert harness._WORKERS == [] and multiprocessing.active_children() == []
+        got = harness._run_tasks([(_pid_task, (i,)) for i in range(6)], 2)
+        assert [i for i, _ in got] == list(range(6)) and len(harness._WORKERS) == 1
+
+    def test_an_interrupt_drops_the_busy_workers(self, fresh_workers):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        tasks = [(interrupted, ())] + [(_pid_task, (i, 0.2)) for i in range(1, 8)]
+        with pytest.raises(KeyboardInterrupt):
+            harness._run_tasks(tasks, 2)
+        assert harness._WORKERS == [] and multiprocessing.active_children() == []
+
+    def test_a_second_concurrent_caller_runs_serially(self, fresh_workers):
+        holding, done = threading.Event(), threading.Event()
+        first = {}
+
+        def hold():
+            holding.set()
+            assert done.wait(60)
+            return "held"
+
+        def call():
+            first["got"] = harness._run_tasks([(hold, ())] + [(_pid_task, (i,)) for i in range(1, 8)], 2)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert holding.wait(60)
+        try:
+            got = harness._run_tasks([(_pid_task, (i,)) for i in range(8)], 2)
+        finally:
+            done.set()
+            caller.join(60)
+        assert got == [(i, os.getpid()) for i in range(8)]
+        assert first["got"][0] == "held" and [i for i, _ in first["got"][1:]] == list(range(1, 8))
+
+
 class TestEmit:
     def table(self):
         return CoverageTable(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixedb import bounds, discrete, oracle, orderstats
+from fixedb import bounds, discrete, distances, oracle, orderstats
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
 from fixedb.errors import InvalidIndices, InvalidInput
 from fixedb.oracle import (
@@ -239,13 +239,74 @@ class TestInstanceChecks:
             return check
 
         hoisted, public = [], []
+        draws = oracle._draw_instances(1500, seed)
         monkeypatch.setattr(oracle._Tally, "check", recording(hoisted))
-        report = bracket_suite(n_instances=1500, seed=seed)
+        results = _scalar_checks(draws, check_cond_iid, check_cond_indep)
         monkeypatch.setattr(oracle._Tally, "check", recording(public))
-        monkeypatch.setattr(oracle, "check_cond_iid", _public_check_cond_iid)
-        monkeypatch.setattr(oracle, "check_cond_indep", _public_check_cond_indep)
-        assert bracket_suite(n_instances=1500, seed=seed) == report
-        assert len(hoisted) == report.n_checked and hoisted == public
+        assert _scalar_checks(draws, _public_check_cond_iid, _public_check_cond_indep) == results
+        assert len(hoisted) == sum(n for n, _ in results) and hoisted == public
+
+
+def _scalar_checks(draws, iid=check_cond_iid, indep=check_cond_indep):
+    """(n_checked, violations) of each drawn instance by its scalar check."""
+    return [(iid, indep, check_dependent)[i % 3](*args) for i, args in enumerate(draws)]
+
+
+class TestBatchedChecks:
+    """bracket_suite checks each family's instances in one padded pass;
+    instance by instance it must give the scalar checks' counts and
+    violations, in their order and with their bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 210])
+    @pytest.mark.parametrize("seed", [0, 2, 4177, 20260823])
+    def test_equal_the_scalar_checks(self, seed, n):
+        draws = oracle._draw_instances(n, seed)
+        want = _scalar_checks(draws)
+        assert oracle._batched_checks(draws) == want
+        report = bracket_suite(n_instances=n, seed=seed)
+        assert report.n_checked == sum(c for c, _ in want)
+        assert report.violations == tuple(v for _, vs in want for v in vs)
+
+    @staticmethod
+    def _zero_slacks(monkeypatch):
+        def zero(values, probs):
+            return np.zeros(len(values)), np.zeros(len(values))
+
+        for mod in (oracle, distances):
+            monkeypatch.setattr(mod, "_dists_to_uniform", zero)
+
+    @staticmethod
+    def _rank_off(monkeypatch):
+        read, reads = oracle._read_coverage, oracle._read_coverages
+        monkeypatch.setattr(oracle, "_read_coverage", lambda C, a, b, kind: read(C, a, b + 1, kind))
+        monkeypatch.setattr(oracle, "_read_coverages", lambda C, o, B, a, b, kind: reads(C, o, B, a, b + 1, kind))
+
+    @staticmethod
+    def _every_check_fails(monkeypatch):
+        # every check a violation, so every coverage and bracket end is compared
+        monkeypatch.setattr(oracle, "_TOL", -math.inf)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 2, 4177, 20260823])
+    @pytest.mark.parametrize("mutant", ["_zero_slacks", "_rank_off", "_every_check_fails"])
+    def test_mutants_fail_the_same_checks(self, monkeypatch, mutant, seed):
+        getattr(self, mutant)(monkeypatch)
+        draws = oracle._draw_instances(210, seed)
+        want = _scalar_checks(draws)
+        assert oracle._batched_checks(draws) == want
+        assert any(vs for _, vs in want)
+        if mutant == "_every_check_fails":
+            assert sum(len(vs) for _, vs in want) == sum(n for n, _ in want)
+            assert {v["family"] for _, vs in want for v in vs} == {"cond_iid", "cond_indep", "ordering", "dependent"}
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_violations_keep_python_types(self, monkeypatch):
+        # `fixedb verify` prints violations with repr, so a NumPy scalar would show
+        self._every_check_fails(monkeypatch)
+        draws = oracle._draw_instances(3, 5)
+        for (_, got), (_, want) in zip(oracle._batched_checks(draws), _scalar_checks(draws)):
+            assert [[type(x) for x in v.values()] for v in got] == [[type(x) for x in v.values()] for v in want]
+            assert repr(got) == repr(want)
 
 
 def _public_check_cond_iid(inst, B):
@@ -558,14 +619,16 @@ class TestEhmHoeffdingSweep:
 
         monkeypatch.setattr(oracle, "poisson_binomial_pmf_batch", recording)
         ehm_hoeffding_sweep(b_values=(4,), grid=grid)
-        # each block is (parents, g, B+1); a level's blocks follow in order
+        # each block is (parents, g, B+1); the subtrees run in first-coordinate
+        # order, and each builds its levels in order, so a level's blocks
+        # follow in order
         assert sorted({blk.shape[-1] - 1 for blk in blocks}) == [1, 2, 3, 4]
         for B in range(1, 5):
             level = np.concatenate([blk.reshape(-1, B + 1) for blk in blocks if blk.shape[-1] == B + 1])
             combos = np.stack(np.meshgrid(*[grid] * B, indexing="ij"), axis=-1).reshape(-1, B)
             assert np.array_equal(level, real(combos))
-        # 13^3 parents at level 4 of the linspace grid exceed one block
-        assert len(blocks) == (4 if grid is _DECIMAL_GRID else 5)
+        # one block per level in each of the g subtrees: g^2 parents at level 4 fit one
+        assert len(blocks) == 4 * grid.size
 
     @staticmethod
     def _halved(prob_rows, p_bar):
@@ -577,8 +640,9 @@ class TestEhmHoeffdingSweep:
         le, ge = discrete._ordering_regimes(B, p_bar)
         return ge, le
 
-    # block budgets of one parent, 7 parents at level 4 and 2 blocks at level 4
-    @pytest.mark.parametrize("block_bytes", [1, 7 * 8 * 5 * 13, 10**6])
+    # block budgets of one parent, 7 parents, 100 parents (2 blocks) and every
+    # parent (10**6 bytes) at level 4 of a subtree, which has 13^2 parents there
+    @pytest.mark.parametrize("block_bytes", [1, 7 * 8 * 5 * 13, 100 * 8 * 5 * 13, 10**6])
     @pytest.mark.parametrize("mutation", [None, "_ehm_rows", "_ordering_regimes"])
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, block_bytes, mutation):
         if mutation is not None:
@@ -599,7 +663,7 @@ class TestEhmHoeffdingSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # blocks keep it near 12 MiB; a whole top level (531,441 rows) needs about 150
+        # subtrees of 128 KiB blocks keep it near 2.3 MiB; a whole top level (531,441 rows) needs about 150
         assert peak < 32 * 2**20
 
     def test_reports_follow_b_values_order(self, monkeypatch):
