@@ -7,6 +7,8 @@
 #                 the same stdout at --threads 1 and at the default
 #   configs       a config key the subcommand does not read is checked and
 #                 ignored, so the CSV bytes stay; an empty grid exits 2
+#   verify-gate   verify, run by the installed package in a fresh interpreter,
+#                 exits 3 when the conditionally-IID bracket kernel is shifted
 set -euo pipefail
 
 case "${1:-}" in
@@ -81,8 +83,29 @@ case "${1:-}" in
     fixedb bootstrap --B , --reps 2 --out empty.csv || rc=$?
     [ "$rc" -eq 2 ] && [ ! -e empty.csv ]
     ;;
+  verify-gate)
+    python - <<'EOF'
+import sys
+
+from fixedb import bounds, cli
+
+real = bounds._iid_ends
+
+
+def shifted(*args):
+    # every conditionally-IID bracket 0.3 higher: the suite must see its lower ends fail
+    base, lower, upper, tie_excess = real(*args)
+    return base + 0.3, lower + 0.3, upper + 0.3, tie_excess
+
+
+bounds._iid_ends = shifted
+code = cli.main(["verify", "--threads", "1"])
+print(f"verify with a shifted iid bracket exited {code} (want 3)")
+sys.exit(0 if code == 3 else 1)
+EOF
+    ;;
   *)
-    echo "usage: $0 threads|grid|verify-seeds|configs" >&2
+    echo "usage: $0 threads|grid|verify-seeds|configs|verify-gate" >&2
     exit 2
     ;;
 esac

@@ -14,12 +14,21 @@ otherwise; each slack check is written so that a NaN fails it.
 Outputs are clamped to [0, 1]; when clamping fires it is
 recorded in ``slack_terms`` so tests can tell a vacuous bound from a
 sharp one.
+
+Each bracket has one formula, an array kernel over checked arguments
+(:func:`_iid_ends`, :func:`_independent_ends`, :func:`_ordering_lower`,
+:func:`_dependent_ends`, and the one :func:`_clamp`).  The public
+functions are its one-check calls, and ``fixedb verify``'s bracket
+suite (:func:`fixedb.oracle.bracket_suite`) runs it over every
+(instance, a, b, kind) at once, so a broken formula fails verify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .discrete import i_b
 from .errors import InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real, _check_vector, _is_integer
@@ -61,15 +70,29 @@ def _check_indices(B: int, a: int, b: int) -> None:
         raise InvalidIndices(f"need 0 <= a < B - b <= B, got a={a}, b={b}, B={B}")
 
 
-def _clamped(lo: float, hi: float, base: float, terms: list) -> CoverageBound:
-    if lo < 0.0:
-        terms.append(("clamp_lower", -lo))
-        lo = 0.0
-    if hi != math.inf and hi > 1.0:
-        terms.append(("clamp_upper", hi - 1.0))
-        hi = 1.0
-    lo = min(lo, 1.0)
-    return CoverageBound(lower=lo, upper=hi, base=base, slack_terms=tuple(terms))
+def _clamp(lower, upper) -> tuple:
+    """Bracket ends clamped to [0, 1], elementwise over arrays; an
+    infinite upper end stays infinite."""
+    lower = np.where(lower < 0.0, 0.0, lower)
+    upper = np.where((upper != math.inf) & (upper > 1.0), 1.0, upper)
+    return np.minimum(lower, 1.0), upper
+
+
+def _bound(base, lower, upper, terms: list) -> CoverageBound:
+    """The CoverageBound of one check's unclamped ends, with each end
+    :func:`_clamp` moved recorded in ``terms`` by how far it moved."""
+    lower, upper = float(lower), float(upper)
+    lo, hi = map(float, _clamp(lower, upper))
+    if lo > lower:
+        terms.append(("clamp_lower", lo - lower))
+    if hi < upper:
+        terms.append(("clamp_upper", upper - hi))
+    return CoverageBound(lower=lo, upper=hi, base=float(base), slack_terms=tuple(terms))
+
+
+def _base(B, a, b):
+    """The ideal coverage 1 - (a+b+1)/(B+1) of ranks a and B-b."""
+    return 1.0 - (a + b + 1) / (B + 1)
 
 
 def iid_bracket(
@@ -117,26 +140,30 @@ def iid_bracket(
     delta = _check_real(delta, "delta", lo=0)
     delta_tilde = _check_real(delta_tilde, "delta_tilde", lo=0)
     _check_choice(kind, "kind", _INTERVAL_KINDS[:3])
-    return _iid_bracket(B, a, b, delta, delta_tilde, kind)
-
-
-def _iid_bracket(B: int, a: int, b: int, delta: float, delta_tilde: float, kind: str) -> CoverageBound:
-    """:func:`iid_bracket` of checked arguments; the bracket suite checks
-    an instance's B and slacks once for all of its (a, b, kind)."""
-    base = 1.0 - (a + b + 1) / (B + 1)
+    base, lower, upper, excess = _iid_ends(B, a, b, delta, delta_tilde, _INTERVAL_KINDS.index(kind))
+    slack = ("delta_tilde", delta_tilde) if kind == "left_open_right_closed" else ("delta", delta)
+    terms = [("base", float(base)), slack]
     if kind == "closed":
-        terms = [("base", base), ("delta", delta), ("budget", 1.0 / (B + 1))]
-        upper = base + 1.0 / (B + 1) + delta
-        tie_upper = base + delta_tilde + (delta if a >= 1 else 0.0)
-        if tie_upper > upper:
-            terms.append(("tie_excess", tie_upper - upper))
-            upper = tie_upper
-        return _clamped(base - delta, upper, base, terms)
-    if kind == "left_closed_right_open":
-        terms = [("base", base), ("delta", delta)]
-        return _clamped(base - delta, base + delta, base, terms)
-    terms = [("base", base), ("delta_tilde", delta_tilde)]
-    return _clamped(base - delta_tilde, base + delta_tilde, base, terms)
+        terms.append(("budget", float(1.0 / (B + 1))))
+        if excess > 0.0:
+            terms.append(("tie_excess", float(excess)))
+    return _bound(base, lower, upper, terms)
+
+
+def _iid_ends(B, a, b, delta, delta_tilde, kind) -> tuple:
+    """The unclamped (base, lower, upper, tie_excess) of
+    :func:`iid_bracket` for checked arguments, elementwise over arrays;
+    ``kind`` indexes ``_INTERVAL_KINDS[:3]``.  tie_excess is how far the
+    tie bound lies above the budget allowance of the closed upper end,
+    which it raises when positive (0 for the half-open kinds)."""
+    base = _base(B, a, b)
+    closed = kind == 0
+    # closed: the budget allowance or the tie bound, whichever is larger
+    allowance = base + 1.0 / (B + 1) + delta
+    tie_upper = base + delta_tilde + np.where(a >= 1, delta, 0.0)
+    slack = np.where(kind == 2, delta_tilde, delta)
+    upper = np.where(closed, np.where(tie_upper > allowance, tie_upper, allowance), base + slack)
+    return base, base - slack, upper, np.where(closed, tie_upper - allowance, 0.0)
 
 
 def ks_slack_tail(eps: float, p_exceed: float, eta: float = 0.0) -> float:
@@ -182,7 +209,11 @@ def independent_bracket(B: int, a: int, b: int, d_tilde: float, kappas) -> Cover
     kappas = _check_vector(kappas, "kappas", 0, 1)
     if kappas.size != B:
         raise InvalidInput(f"need exactly B={B} kappa values, got {kappas.size}")
-    return _independent_bracket(B, a, b, d_tilde, _kappa_term(B, d_tilde, kappas.tolist()))
+    kappa_term = _kappa_term(B, d_tilde, kappas.tolist())
+    base, lower, upper = _independent_ends(B, a, b, d_tilde, kappa_term)
+    budget = float(1.0 / (B + 1))
+    terms = [("base", float(base)), ("d_tilde", d_tilde), ("kappa_sq_times_ib", kappa_term), ("budget", budget)]
+    return _bound(base, lower, upper, terms)
 
 
 def _kappa_term(B: int, d_tilde: float, kappas: list) -> float:
@@ -191,19 +222,13 @@ def _kappa_term(B: int, d_tilde: float, kappas: list) -> float:
     return math.fsum(k * k for k in kappas) * (i_b(B) + d_tilde)
 
 
-def _independent_bracket(B: int, a: int, b: int, d_tilde: float, kappa_term: float) -> CoverageBound:
-    """:func:`independent_bracket` of checked arguments and the
-    :func:`_kappa_term` of its kappas; the bracket suite computes an
-    instance's once for all of its (a, b)."""
-    base = 1.0 - (a + b + 1) / (B + 1)
+def _independent_ends(B, a, b, d_tilde, kappa_term) -> tuple:
+    """The unclamped (base, lower, upper) of :func:`independent_bracket`
+    for checked arguments and the :func:`_kappa_term` of the kappas,
+    elementwise over arrays."""
+    base = _base(B, a, b)
     slack = d_tilde + kappa_term
-    terms = [
-        ("base", base),
-        ("d_tilde", d_tilde),
-        ("kappa_sq_times_ib", kappa_term),
-        ("budget", 1.0 / (B + 1)),
-    ]
-    return _clamped(base - slack, base + slack + 1.0 / (B + 1), base, terms)
+    return base, base - slack, base + slack + 1.0 / (B + 1)
 
 
 def ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
@@ -215,12 +240,12 @@ def ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
     target and U(0, 1).
     """
     _check_indices(B, a, b)
-    return _ordering_lower(B, a, b, _check_real(d_ks, "d_ks", lo=0))
+    return float(_ordering_lower(B, a, b, _check_real(d_ks, "d_ks", lo=0)))
 
 
-def _ordering_lower(B: int, a: int, b: int, d_ks: float) -> float:
-    """:func:`ordering_lower` of checked arguments."""
-    return max(0.0, 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks)
+def _ordering_lower(B, a, b, d_ks):
+    """:func:`ordering_lower` of checked arguments, elementwise over arrays."""
+    return _clamp(1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks, math.inf)[0]
 
 
 def dependent_bracket(
@@ -244,10 +269,17 @@ def dependent_bracket(
     gamma = _check_real(gamma, "gamma", 0, 1, strict=True)
     beta = _check_real(beta, "beta", 0, 1, strict=True)
     gap = _check_real(gap, "gap", lo=0)
-    base = 1.0 - (gamma + beta) / 2.0
-    terms = [("base", base), ("gamma_gap", gap)]
+    if not isinstance(continuous, (bool, np.bool_)):
+        raise InvalidInput(f"continuous must be True or False, got {continuous!r}")
+    base, lower, upper = _dependent_ends(B, gamma, beta, gap, continuous)
+    terms = [("base", float(base)), ("gamma_gap", gap)]
     if continuous:
-        terms.append(("budget", 4.0 / (B + 1)))
-        return _clamped(base - gap, base + gap + 4.0 / (B + 1), base, terms)
-    bound = _clamped(base - gap, math.inf, base, terms)
-    return bound
+        terms.append(("budget", float(4.0 / (B + 1))))
+    return _bound(base, lower, upper, terms)
+
+
+def _dependent_ends(B, gamma, beta, gap, continuous) -> tuple:
+    """The unclamped (base, lower, upper) of :func:`dependent_bracket`
+    for checked arguments, elementwise over arrays."""
+    base = 1.0 - (gamma + beta) / 2.0
+    return base, base - gap, np.where(continuous, base + gap + 4.0 / (B + 1), math.inf)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidInput, _check_real, _check_vector
+from .errors import CapacityExceeded, InvalidInput, _check_real, _check_type, _check_vector
 
 __all__ = [
     "DistanceEstimate",
@@ -185,10 +185,12 @@ def _tv_masses(p: dict, q: dict) -> float:
 
 
 def _joint_width(joint: FinitePmf) -> int:
-    """The width B + 1 of a joint law's atoms; InvalidInput unless they
-    are tuples (W_1..W_B, psi) of one width >= 2 whose coordinates are
-    real numbers: not None, bytes or a str, not even a numeric one, which
-    enumeration would read as its value and the swaps as a label."""
+    """The width B + 1 of a joint law's atoms; InvalidInput unless the
+    joint is a FinitePmf whose atoms are tuples (W_1..W_B, psi) of one
+    width >= 2 whose coordinates are real numbers: not None, bytes or a
+    str, not even a numeric one, which enumeration would read as its
+    value and the swaps as a label."""
+    _check_type(joint, "joint", FinitePmf)
     widths = {len(t) if isinstance(t, tuple) else 0 for t in joint.support}
     if len(widths) != 1 or min(widths) < 2:
         raise InvalidInput("joint atoms must be tuples (W_1..W_B, psi) of one width >= 2")

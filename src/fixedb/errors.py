@@ -95,6 +95,12 @@ def _check_count(v, what: str, lo: int = 1) -> None:
         raise InvalidInput(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
+def _check_type(v, what: str, cls: type) -> None:
+    """InvalidInput naming ``cls`` unless v is an instance of it."""
+    if not isinstance(v, cls):
+        raise InvalidInput(f"{what} must be a {cls.__name__}, got {type(v).__name__}")
+
+
 def _check_choice(v, what: str, choices) -> None:
     """InvalidInput unless v is one of choices: a str matches only a str,
     an integer (a numpy one too, not a bool) only an int, None only None."""

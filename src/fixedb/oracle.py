@@ -16,14 +16,18 @@ or closed-form rank identities, never by Monte Carlo, so the bounds in
   (:func:`conformal_grid_example`);
 * exhaustive sweeps used by the verification gate: randomized-instance
   bracket checks (each family's instances checked in one batched pass,
-  bit for bit as the one-instance checks), the heterogeneous-Bernoulli
-  TV bound and tail ordering over a full probability grid (the ordered
-  merge of one subtree per first coordinate), and the conformal grid
-  bound over a range of calibration sizes.
+  whose one-instance calls are the public checks), the
+  heterogeneous-Bernoulli TV bound and tail ordering over a full
+  probability grid (the ordered merge of one subtree per first
+  coordinate), and the conformal grid bound over a range of calibration
+  sizes.
 
-The sweeps call the formulas they certify (the Ehm bound and ordering
-regimes of :mod:`fixedb.discrete`, the ``conformal_mod`` rank and alpha
-snap of :mod:`fixedb.orderstats`), so a broken formula fails its sweep.
+The sweeps call the formulas they certify (the coverage brackets'
+array kernels in :mod:`fixedb.bounds`, which the public brackets call
+too, the Ehm bound and ordering regimes of :mod:`fixedb.discrete`, the
+``conformal_mod`` rank and alpha snap of :mod:`fixedb.orderstats`), so
+a broken formula fails its sweep.  The scalar references the batched
+checks are tested against live in the tests.
 
 Interval membership is reduced to the pair (n_lt, n_le) = (number of
 W_i strictly below psi, number weakly below): for the interval with
@@ -49,20 +53,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _check_indices, _iid_bracket, _independent_bracket, _kappa_term, _ordering_lower, dependent_bracket
+from . import bounds
+from .bounds import _check_indices, _kappa_term
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
-from .distances import (
-    ENUMERATION_CAP, FinitePmf, _check_prob_vector, _dists_to_uniform, _joint_width, dist_to_uniform, gamma_exact,
-)
+from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, _dists_to_uniform, _joint_width, dist_to_uniform
 from .errors import (
     BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real,
-    _check_vector, _is_integer,
+    _check_type, _check_vector, _is_integer,
 )
 from .orderstats import ALPHA_DENOMINATOR_CAP, BudgetSpec, _INTERVAL_KINDS, _conformal_mod_rank, _snap_alpha, index_rule
 
 # imported only for bench/tracer.py, which rebinds them here; the bracket
-# checks call their unchecked kernels
-from .bounds import iid_bracket, independent_bracket, ordering_lower  # noqa: F401
+# checks call the brackets' array kernels and the batched gaps
+from .bounds import dependent_bracket, iid_bracket, independent_bracket, ordering_lower  # noqa: F401
+from .distances import gamma_exact  # noqa: F401
 
 __all__ = [
     "CondIIDInstance",
@@ -179,6 +183,7 @@ def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
     """(delta, delta_tilde): exact interval-KS distances of the laws of
     F_0(Z) = P(W <= psi(Z) | Z) and its strict-inequality version from
     U(0, 1)."""
+    _check_type(inst, "inst", CondIIDInstance)
     fields = _fields(inst)
     delta = dist_to_uniform(_masses(*fields, np.less_equal), inst.z_probs)[1]
     delta_tilde = dist_to_uniform(_masses(*fields, np.less), inst.z_probs)[1]
@@ -193,21 +198,13 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     is the sup over z of |F(psi(z)) - F_i(z)| with F the marginal CDF
     of psi(Z).  Each kappa_i is clamped to [0, 1] against round-off.
     """
+    _check_type(inst, "inst", CondIndepInstance)
     psi = np.asarray(inst.psi_vals, dtype=float)
     z_p = np.asarray(inst.z_probs, dtype=float)
     f = _masses(*_fields(inst), np.less_equal)
     d_ks, d_tilde = dist_to_uniform(f.mean(axis=0), z_p)
     marg = (z_p * (psi <= psi[:, None])).sum(axis=1)
     return d_ks, d_tilde, np.minimum(np.abs(marg - f).max(axis=1), 1.0).tolist()
-
-
-def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
-    """Mass matrix of (n_lt, n_le) for a conditional instance whose
-    W_1..W_B given Z = z_j are independent with the pmf rows ``w[:, j]``
-    of a (B, |Z|, atoms) stack (the IID family broadcasts its rows)."""
-    atoms, psi = _fields(inst)[1:]
-    masses = (_masses(w, atoms, psi, rel) for rel in (np.less, np.equal, np.greater))
-    return _fold(np.asarray(inst.z_probs, dtype=float), *masses)
 
 
 def _fold(z_probs: np.ndarray, p_lt: np.ndarray, p_eq: np.ndarray, p_gt: np.ndarray) -> np.ndarray:
@@ -270,8 +267,7 @@ def _coverage_from_table(C: np.ndarray, a: int, b: int, kind: str) -> float:
 
 
 def _read_coverage(C: np.ndarray, a: int, b: int, kind: str) -> float:
-    """:func:`_coverage_from_table` of checked arguments, for the bracket
-    checks' own (a, b, kind) loops."""
+    """:func:`_coverage_from_table` of checked arguments."""
     B = C.shape[0] - 2
     # n <= B-b-1 iff n < hi; the column or row ``end`` puts no bound on the other count
     hi, end = B - b, B + 1
@@ -450,63 +446,22 @@ def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
     return FinitePmf(support, [acc[k] for k in support])
 
 
-class _Tally:
-    """The checks of one instance: a count and the violations."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.violations: list = []
-
-    def check(self, head: dict, cov: float, lower: float, upper=None, **tail) -> None:
-        """Count one check of lower - _TOL <= cov (<= upper + _TOL); record
-        a violation as head's keys, coverage, lower, upper, tail's keys."""
-        self.n += 1
-        if cov < lower - _TOL or (upper is not None and cov > upper + _TOL):
-            bounds = {"lower": lower} if upper is None else {"lower": lower, "upper": upper}
-            self.violations.append({**head, "coverage": cov, **bounds, **tail})
-
-    @property
-    def result(self) -> tuple:
-        return self.n, self.violations
-
-
 def check_cond_iid(inst: CondIIDInstance, B: int):
     """All (a, b, kind) coverage checks of the conditionally-IID bracket
     with exact slacks; returns (n_checked, violations).  B must be an
-    integer >= 1 and not a bool."""
+    integer >= 1 and not a bool.  The one-instance call of the family's
+    batch (:func:`_cond_iid_batch`), which :func:`bracket_suite` runs."""
+    _check_type(inst, "inst", CondIIDInstance)
     _check_count(B, "B")
-    w = np.asarray(inst.w_cond, dtype=float)
-    C = _coverage_table(_pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
-    # the slacks are exact distances in [0, 1]; the loops' a, b and kind are valid
-    delta, delta_tilde = iid_slacks(inst)
-    tally = _Tally()
-    for a in range(B):
-        for b in range(B - a):
-            for kind in _TWO_SIDED_KINDS:
-                cov = _read_coverage(C, a, b, kind)
-                br = _iid_bracket(B, a, b, delta, delta_tilde, kind)
-                head = {"family": "cond_iid", "B": B, "a": a, "b": b, "kind": kind}
-                tally.check(head, cov, br.lower, br.upper)
-    return tally.result
+    return _cond_iid_batch([(inst, B)])[0]
 
 
 def check_cond_indep(inst: CondIndepInstance):
     """Closed-interval checks of the independent-resample bracket and
-    the tail-ordering lower bound with exact slacks."""
-    B = inst.b
-    C = _coverage_table(_pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
-    # the slacks are exact distances in [0, 1] and there are B kappas; the loops' a and b are valid
-    d_ks, d_tilde, kappas = indep_slacks(inst)
-    kappa_term = _kappa_term(B, d_tilde, kappas)
-    tally = _Tally()
-    for a in range(B):
-        for b in range(B - a):
-            cov = _read_coverage(C, a, b, "closed")
-            br = _independent_bracket(B, a, b, d_tilde, kappa_term)
-            lo3 = _ordering_lower(B, a, b, d_ks)
-            tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
-            tally.check({"family": "ordering", "B": B, "a": a, "b": b}, cov, lo3)
-    return tally.result
+    the tail-ordering lower bound with exact slacks; the one-instance
+    call of :func:`_cond_indep_batch`."""
+    _check_type(inst, "inst", CondIndepInstance)
+    return _cond_indep_batch([(inst,)])[0]
 
 
 _TAIL_PAIRS = ((0.2, 0.2), (0.3, 0.3), (0.5, 0.5), (0.2, 0.5), (0.7, 0.3))
@@ -516,22 +471,9 @@ def check_dependent(joint: FinitePmf):
     """Lower-bound checks for arbitrary dependence: exact coverage of
     the two-sided dependent rule must dominate 1 - (gamma+beta)/2 minus
     the exact exchangeability gap, at each (gamma, beta) of
-    ``_TAIL_PAIRS`` whose budget allows the rule."""
-    M, B = _pair_matrix_joint(joint)
-    C = _coverage_table(M)
-    gap = gamma_exact(joint).value
-    tally = _Tally()
-    for g, bt in _TAIL_PAIRS:
-        try:
-            rule = index_rule(BudgetSpec(B=B, alpha=g), "dependent_two_sided", gamma=g, beta=bt)
-        except BudgetTooSmall:
-            continue
-        a = rule.lower_rank
-        b = B - rule.upper_rank
-        cov = _coverage_from_table(C, a, b, "closed")
-        lower = dependent_bracket(B, g, bt, gap).lower
-        tally.check({"family": "dependent", "B": B, "gamma": g, "beta": bt}, cov, lower, gap=gap)
-    return tally.result
+    ``_TAIL_PAIRS`` whose budget allows the rule; the one-instance call
+    of :func:`_dependent_batch`."""
+    return _dependent_batch([(joint,)])[0]
 
 
 def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
@@ -544,11 +486,13 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     for the joints) against the brackets evaluated with exact slack
     inputs.  The instances are drawn first, in order
     (:func:`_draw_instances`); then each family is checked in one
-    batched pass (:func:`_batched_checks`), bit for bit as its scalar
-    check (:func:`check_cond_iid`, :func:`check_cond_indep`,
-    :func:`check_dependent`), and the violations come in instance
-    order.  ``n_instances`` must be an integer >= 1 and ``seed`` one
-    >= 0, neither a bool.
+    batched pass (:func:`_batched_checks`), whose one-instance calls are
+    :func:`check_cond_iid`, :func:`check_cond_indep` and
+    :func:`check_dependent`, and the violations come in instance order.
+    The bracket ends are the array kernels of :mod:`fixedb.bounds` that
+    the public brackets call, so a broken bracket fails the suite.
+    ``n_instances`` must be an integer >= 1 and ``seed`` one >= 0,
+    neither a bool.
     """
     _check_count(n_instances, "n_instances")
     _check_count(seed, "seed", lo=0)
@@ -591,9 +535,13 @@ def _batched_checks(draws: list) -> list:
     padded resample coordinate folds as (lt, eq, gt) = (0, 0, 1).  Every
     sum the padding lengthens runs over at most 6 terms (B <= 6, at most
     5 atoms), which NumPy adds in order, so a padded 0.0 added last keeps
-    the scalar check's bits; the coverages, slacks and bracket ends are
-    the scalar checks' operations on arrays over every (instance, a, b,
-    kind).
+    the bits of the instance checked alone.  The coverages and slacks
+    are read as arrays over every (instance, a, b, kind), and the
+    bracket ends are the :mod:`fixedb.bounds` kernels
+    (``bounds._iid_ends``, ``_independent_ends``, ``_ordering_lower``,
+    ``_dependent_ends``, clamped by ``_clamp``) on those arrays, looked
+    up in ``bounds`` at each call.  The tests hold the scalar reference:
+    loops over the checked public brackets, check by check.
     """
     results: list = [None] * len(draws)
     for fam, batch in enumerate((_cond_iid_batch, _cond_indep_batch, _dependent_batch)):
@@ -659,18 +607,10 @@ def _read_coverages(C: np.ndarray, owner, B, a, b, kind) -> np.ndarray:
     return C[owner, rows[0], cols[0]] - C[owner, rows[1], cols[1]]
 
 
-def _clamp(lower: np.ndarray, upper: np.ndarray) -> tuple:
-    """The clamping of ``bounds._clamped`` on arrays of bracket ends."""
-    lower = np.where(lower < 0.0, 0.0, lower)
-    upper = np.where((upper != math.inf) & (upper > 1.0), 1.0, upper)
-    return np.minimum(lower, 1.0), upper
-
-
 def _flagged(counts, owner, cov, lower, upper, record) -> list:
     """Each instance's (n_checked, violations) from its family's flat
-    checks, as :class:`_Tally` counts and records them: check k fails
-    when cov < lower - _TOL or cov > upper + _TOL, and ``record(k)`` is
-    its violation."""
+    checks: check k fails when cov < lower - _TOL or cov > upper + _TOL,
+    and ``record(k)`` is its violation."""
     bad = (cov < lower - _TOL) | (cov > upper + _TOL)
     results = [(int(n), []) for n in counts]
     for k in np.flatnonzero(bad).tolist():
@@ -689,27 +629,22 @@ def _cond_iid_batch(draws: list) -> list:
     delta_tilde = _dists_to_uniform(lt[:, 0], probs)[1]
     owner, B, a, b, kind = _checks_of(Bs, len(_TWO_SIDED_KINDS))
     cov = _read_coverages(C, owner, B, a, b, kind)
-    d, dt = delta[owner], delta_tilde[owner]
-    base = 1.0 - (a + b + 1) / (B + 1)
-    # closed: the budget allowance or the tie bound, whichever is larger
-    upper = base + 1.0 / (B + 1) + d
-    tie_upper = base + dt + np.where(a >= 1, d, 0.0)
-    upper = np.where(tie_upper > upper, tie_upper, upper)
-    slack = np.where(kind == 2, dt, d)
-    lower, upper = _clamp(base - slack, np.where(kind == 0, upper, base + slack))
+    lower, upper = bounds._clamp(*bounds._iid_ends(B, a, b, delta[owner], delta_tilde[owner], kind)[1:3])
 
     def record(k: int) -> dict:
         head = {"family": "cond_iid", "B": int(B[k]), "a": int(a[k]), "b": int(b[k]), "kind": _TWO_SIDED_KINDS[kind[k]]}
         return {**head, "coverage": float(cov[k]), "lower": float(lower[k]), "upper": float(upper[k])}
 
     return _flagged(3 * Bs * (Bs + 1) // 2, owner, cov, lower, upper, record)
+
+
 def _cond_indep_batch(draws: list) -> list:
     """:func:`check_cond_indep` of every ``(inst,)`` in one pass."""
     insts = [inst for inst, in draws]
     Bs = np.array([inst.b for inst in insts], dtype=np.int64)
     z_probs, psi, lt, eq, gt, le = _stacks(insts, Bs.tolist())
     C = _coverage_table(_fold(z_probs, *_padded_steps(Bs, lt, eq, gt)))
-    # a padded coordinate has mass 0, so the sum over coordinates is the scalar check's
+    # a padded coordinate has mass 0, so the sum over coordinates is the instance's own
     d_ks, d_tilde = _dists_to_uniform(le.sum(axis=1) / Bs[:, None], np.clip(z_probs, 0.0, None))
     marg = (z_probs[:, None, :] * (psi[:, None, :] <= psi[:, :, None])).sum(axis=2)
     kappas = np.minimum(np.abs(marg[:, None, :] - le).max(axis=2), 1.0)
@@ -718,12 +653,9 @@ def _cond_indep_batch(draws: list) -> list:
     ])
     owner, B, a, b, check = _checks_of(Bs, 2)
     cov = _read_coverages(C, owner, B, a, b, 0)
-    base = 1.0 - (a + b + 1) / (B + 1)
-    slack = (d_tilde + kappa_term)[owner]
-    lower, upper = _clamp(base - slack, base + slack + 1.0 / (B + 1))
+    lower, upper = bounds._clamp(*bounds._independent_ends(B, a, b, d_tilde[owner], kappa_term[owner])[1:])
     # check 1 of each pair is the tail-ordering floor, with no upper end
-    ordering = 1.0 - 3.0 * (a + b + 1) / (2.0 * B) - 6.0 * d_ks[owner]
-    lower = np.where(check == 0, lower, np.where(ordering > 0.0, ordering, 0.0))
+    lower = np.where(check == 0, lower, bounds._ordering_lower(B, a, b, d_ks[owner]))
     upper = np.where(check == 0, upper, math.inf)
 
     def record(k: int) -> dict:
@@ -736,7 +668,8 @@ def _cond_indep_batch(draws: list) -> list:
 
 def _dependent_batch(draws: list) -> list:
     """:func:`check_dependent` of every ``(joint,)`` in one pass: the
-    pair matrices in one ``np.bincount``, the gaps joint by joint."""
+    pair matrices in one ``np.bincount``, the gaps in one grouping
+    (:func:`_gaps`)."""
     joints = [joint for joint, in draws]
     Bs = np.array([_joint_width(joint) - 1 for joint in joints], dtype=np.int64)
     if max(map(len, joints)) > ENUMERATION_CAP:
@@ -761,15 +694,15 @@ def _dependent_batch(draws: list) -> list:
     checks = [(n, B, *r) for n, B in enumerate(Bs.tolist()) for r in ranks[B]]
     owner, B, pair, a, b = np.array(checks, dtype=np.int64).reshape(-1, 5).T
     cov = _read_coverages(C, owner, B, a, b, 0)
-    base = np.array([1.0 - (g + bt) / 2.0 for g, bt in _TAIL_PAIRS])[pair]
-    lower = _clamp(base - gaps[owner], np.full(owner.size, math.inf))[0]
+    gamma, beta = np.array(_TAIL_PAIRS)[pair].T
+    lower, upper = bounds._clamp(*bounds._dependent_ends(B, gamma, beta, gaps[owner], False)[1:])
 
     def record(k: int) -> dict:
         g, bt = _TAIL_PAIRS[pair[k]]
         head = {"family": "dependent", "B": int(B[k]), "gamma": g, "beta": bt}
         return {**head, "coverage": float(cov[k]), "lower": float(lower[k]), "gap": float(gaps[owner[k]])}
 
-    return _flagged([len(ranks[B]) for B in Bs.tolist()], owner, cov, lower, math.inf, record)
+    return _flagged([len(ranks[B]) for B in Bs.tolist()], owner, cov, lower, upper, record)
 
 
 def _gaps(supports: list, probs: list) -> np.ndarray:

@@ -71,7 +71,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetTooSmall, InvalidInput, NumericalFailure, _check_choice, _check_count, _check_real, _check_vector
+from .errors import (
+    BudgetTooSmall, InvalidInput, NumericalFailure, _check_choice, _check_count, _check_real, _check_type, _check_vector,
+)
 from .orderstats import (
     BudgetSpec,
     IntervalIndexRule,
@@ -957,8 +959,7 @@ def permutation_test(
     This is the one-replicate call of :func:`rank_test_block`, whose
     row-aligned hook is this one on the call's one test.
     """
-    if not isinstance(G, PermutationGroup):
-        raise InvalidInput(f"G must be a PermutationGroup, got {type(G).__name__}")
+    _check_type(G, "G", PermutationGroup)
     rows = None if statistic_batch is None else lambda one, tests, perms: statistic_batch(one[0], perms)
     block = rank_test_block([data], statistic, G, B, alpha, seed.master_seed, [seed.stream_id], rows)
     return block.decision(0)

@@ -146,6 +146,14 @@ class TestDependentBracket:
         br = dependent_bracket(99, 0.3, 0.3, 0.01, continuous=True)
         assert br.upper == pytest.approx(0.7 + 0.01 + 4 / 100)
 
+    @pytest.mark.parametrize("continuous", ["no", "", math.nan, 0, 1, None, [True]])
+    def test_continuous_must_be_a_bool(self, continuous):
+        # a truthy non-bool used to give the continuous upper end
+        with pytest.raises(InvalidInput, match="continuous must be True or False"):
+            dependent_bracket(10, 0.1, 0.1, 0.0, continuous=continuous)
+        for flag in (True, np.True_, False, np.False_):
+            assert dependent_bracket(10, 0.1, 0.1, 0.0, continuous=flag) == dependent_bracket(10, 0.1, 0.1, 0.0, bool(flag))
+
     @given(st.integers(2, 200), st.floats(0.05, 0.45), st.floats(0.05, 0.45), st.floats(0, 0.3))
     def test_range(self, B, g, be, gap):
         br = dependent_bracket(B, g, be, gap, continuous=True)

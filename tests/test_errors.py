@@ -332,6 +332,27 @@ _MALFORMED_JOINTS = {
 }
 
 
+_INDEP = partial(oracle.random_cond_indep, np.random.default_rng(0), 2)
+# a call given an argument of the wrong class -> (the class its message names, the call);
+# at the parent a bare AttributeError, or a message about the array shape
+_WRONG_TYPES = {
+    "check_cond_iid_none": ("CondIIDInstance", lambda: oracle.check_cond_iid(None, 2)),
+    "check_cond_iid_indep": ("CondIIDInstance", lambda: oracle.check_cond_iid(_INDEP(), 3)),
+    "check_cond_indep_iid": ("CondIndepInstance", lambda: oracle.check_cond_indep(_cond_iid())),
+    "check_dependent_iid": ("FinitePmf", lambda: oracle.check_dependent(_cond_iid())),
+    "iid_slacks_indep": ("CondIIDInstance", lambda: oracle.iid_slacks(_INDEP())),
+    "indep_slacks_iid": ("CondIndepInstance", lambda: oracle.indep_slacks(_cond_iid())),
+    "exact_coverage_discrete_dict": ("FinitePmf", lambda: oracle.exact_coverage_discrete({}, 0, -1, "closed")),
+    "gamma_exact_list": ("FinitePmf", lambda: distances.gamma_exact([(1.0, 2.0)])),
+}
+
+
+@pytest.mark.parametrize("what,call", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+def test_wrong_argument_type_names_the_class(what, call):
+    with pytest.raises(InvalidInput, match=f"must be a {what}, got "):
+        call()
+
+
 @pytest.mark.parametrize("what,call", _MALFORMED_VECTORS.values(), ids=_MALFORMED_VECTORS.keys())
 def test_malformed_vector_raises_a_typed_error_naming_it(what, call):
     with pytest.raises(FixedBError) as err:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixedb import bounds, discrete, distances, oracle, orderstats
+from fixedb import bounds, cli, discrete, distances, oracle, orderstats
 from fixedb.distances import FinitePmf, ks_uniform, mod_ks_uniform
-from fixedb.errors import InvalidIndices, InvalidInput
+from fixedb.errors import BudgetTooSmall, InvalidIndices, InvalidInput
 from fixedb.oracle import (
     CondIIDInstance,
     CondIndepInstance,
@@ -225,37 +225,62 @@ class TestInstanceChecks:
         n_checked, viol = check_cond_iid(inst, 6)
         assert n_checked == 63 and viol == []
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_checks_compare_with_the_public_brackets(self, monkeypatch, seed):
-        # the checks compute an instance's bracket terms once for all its
-        # (a, b): each check must still see the public functions' bracket
-        real = oracle._Tally.check
-
-        def recording(calls):
-            def check(tally, head, cov, lower, upper=None, **tail):
-                calls.append((head, cov, lower, upper, tail))
-                real(tally, head, cov, lower, upper, **tail)
-
-            return check
-
-        hoisted, public = [], []
+        # the checks evaluate the bracket kernels on arrays: each check must
+        # still see the public functions' bracket; with every check failing,
+        # each one's coverage and bracket ends are in its violation
+        monkeypatch.setattr(oracle, "_TOL", -math.inf)
         draws = oracle._draw_instances(1500, seed)
-        monkeypatch.setattr(oracle._Tally, "check", recording(hoisted))
-        results = _scalar_checks(draws, check_cond_iid, check_cond_indep)
-        monkeypatch.setattr(oracle._Tally, "check", recording(public))
-        assert _scalar_checks(draws, _public_check_cond_iid, _public_check_cond_indep) == results
-        assert len(hoisted) == sum(n for n, _ in results) and hoisted == public
+        checks = (check_cond_iid, check_cond_indep, check_dependent)
+        results = [checks[i % 3](*args) for i, args in enumerate(draws)]
+        assert _scalar_checks(draws) == results
+        assert sum(len(vs) for _, vs in results) == sum(n for n, _ in results)
 
 
-def _scalar_checks(draws, iid=check_cond_iid, indep=check_cond_indep):
-    """(n_checked, violations) of each drawn instance by its scalar check."""
-    return [(iid, indep, check_dependent)[i % 3](*args) for i, args in enumerate(draws)]
+class _Tally:
+    """The checks of one instance, counted and recorded as the batched
+    checks do: a count and the violations."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.violations: list = []
+
+    def check(self, head: dict, cov: float, lower: float, upper=None, **tail) -> None:
+        """Count one check of lower - _TOL <= cov (<= upper + _TOL); record
+        a violation as head's keys, coverage, lower, upper, tail's keys."""
+        self.n += 1
+        if cov < lower - oracle._TOL or (upper is not None and cov > upper + oracle._TOL):
+            ends = {"lower": lower} if upper is None else {"lower": lower, "upper": upper}
+            self.violations.append({**head, "coverage": cov, **ends, **tail})
+
+    @property
+    def result(self) -> tuple:
+        return self.n, self.violations
+
+
+def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
+    """Mass matrix of (n_lt, n_le) for one conditional instance whose
+    W_1..W_B given Z = z_j are independent with the pmf rows ``w[:, j]``
+    of a (B, |Z|, atoms) stack (the IID family broadcasts its rows)."""
+    atoms, psi = oracle._fields(inst)[1:]
+    masses = (oracle._masses(w, atoms, psi, rel) for rel in (np.less, np.equal, np.greater))
+    return oracle._fold(np.asarray(inst.z_probs, dtype=float), *masses)
+
+
+def _scalar_checks(draws):
+    """(n_checked, violations) of each drawn instance by the scalar
+    reference of its family's check: a loop over the public brackets."""
+    checks = (_public_check_cond_iid, _public_check_cond_indep, _public_check_dependent)
+    return [checks[i % 3](*args) for i, args in enumerate(draws)]
 
 
 class TestBatchedChecks:
     """bracket_suite checks each family's instances in one padded pass;
-    instance by instance it must give the scalar checks' counts and
-    violations, in their order and with their bits."""
+    instance by instance it must give the counts and violations of the
+    scalar reference, a loop over the public brackets, in its order and
+    with its bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 210])
     @pytest.mark.parametrize("seed", [0, 2, 4177, 20260823])
@@ -312,9 +337,9 @@ class TestBatchedChecks:
 def _public_check_cond_iid(inst, B):
     """check_cond_iid as a loop over the checked public bracket and table read."""
     w = np.asarray(inst.w_cond, dtype=float)
-    C = oracle._coverage_table(oracle._pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
+    C = oracle._coverage_table(_pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape)))
     delta, delta_tilde = iid_slacks(inst)
-    tally = oracle._Tally()
+    tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             for kind in oracle._TWO_SIDED_KINDS:
@@ -327,9 +352,9 @@ def _public_check_cond_iid(inst, B):
 def _public_check_cond_indep(inst):
     """check_cond_indep as a loop over the checked public brackets and table read."""
     B = inst.b
-    C = oracle._coverage_table(oracle._pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
+    C = oracle._coverage_table(_pair_matrix(inst, np.asarray(inst.w_cond, dtype=float)))
     d_ks, d_tilde, kappas = indep_slacks(inst)
-    tally = oracle._Tally()
+    tally = _Tally()
     for a in range(B):
         for b in range(B - a):
             cov = oracle._coverage_from_table(C, a, b, "closed")
@@ -337,6 +362,24 @@ def _public_check_cond_indep(inst):
             lo3 = bounds.ordering_lower(B, a, b, d_ks)
             tally.check({"family": "cond_indep", "B": B, "a": a, "b": b}, cov, br.lower, br.upper)
             tally.check({"family": "ordering", "B": B, "a": a, "b": b}, cov, lo3)
+    return tally.result
+
+
+def _public_check_dependent(joint):
+    """check_dependent as a loop over index_rule's dependent ranks, the
+    enumerated coverage, the exchangeability gap and the checked public
+    bracket."""
+    B = len(joint.support[0]) - 1
+    gap = distances.gamma_exact(joint).value
+    tally = _Tally()
+    for g, bt in oracle._TAIL_PAIRS:
+        try:
+            rule = orderstats.index_rule(orderstats.BudgetSpec(B=B, alpha=g), "dependent_two_sided", gamma=g, beta=bt)
+        except BudgetTooSmall:
+            continue
+        cov = exact_coverage_discrete(joint, rule.lower_rank, B - rule.upper_rank, "closed")
+        lower = bounds.dependent_bracket(B, g, bt, gap).lower
+        tally.check({"family": "dependent", "B": B, "gamma": g, "beta": bt}, cov, lower, gap=gap)
     return tally.result
 
 
@@ -370,7 +413,8 @@ class TestPairMatrix:
             real = oracle._coverage_table
             with mock.patch.object(oracle, "_coverage_table", wraps=real) as spy:
                 check()
-            (M,) = spy.call_args.args
+            # the one-instance batch's stack of one matrix
+            M = spy.call_args.args[0][0]
             B_seen = M.shape[0] - 1
             assert B_seen == B
             joint = _joint_law(inst, B, rows_of)
@@ -434,7 +478,7 @@ class TestPairMatrixFold:
                 inst = _with_ties(rng, random_cond_indep(rng, B))
                 stack = np.asarray(inst.w_cond, dtype=float)
             want = _pair_matrix_enumerated(inst, lambda j: stack[:, j])
-            got = oracle._pair_matrix(inst, stack)
+            got = _pair_matrix(inst, stack)
             assert got.shape == (B + 1, B + 1)
             assert np.abs(got - want).max() < 1e-12
 
@@ -476,7 +520,7 @@ class TestPairMatrixFold:
         for n_lt in range(B + 1):
             eq_pmf = discrete._binom_rows(B - n_lt, p_eq / (1.0 - p_lt))
             want[n_lt, n_lt:] = (z_p * lt_pmf[:, n_lt]) @ eq_pmf
-        got = oracle._pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape))
+        got = _pair_matrix(inst, np.broadcast_to(w, (B,) + w.shape))
         assert np.abs(got - want).max() < 1e-12
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -529,8 +573,8 @@ def _cartesian(n: int, B: int) -> np.ndarray:
 def _pair_matrix_enumerated(inst, rows_of):
     """The pair matrix of a conditional instance by enumerating its
     atoms^B outcomes per z atom, W_1..W_B given z_j having the pmf rows
-    ``rows_of(j)``: the reference the fold in ``oracle._pair_matrix``
-    is checked against."""
+    ``rows_of(j)``: the reference the fold in ``_pair_matrix`` is
+    checked against."""
     atoms = np.asarray(inst.w_atoms, dtype=float)
     B = len(rows_of(0))
     idx = _cartesian(atoms.size, B)
@@ -823,6 +867,39 @@ class TestSweepsCertifyTheLibrary:
         assert discrete.poisson_binomial_pmf(discrete.PoiBinSpec((0.2,))).probs == pytest.approx([0.2, 0.8])
         rep = ehm_hoeffding_sweep(b_values=(2, 3))
         assert {v["check"] for v in rep.violations} == {"tv", "order_le", "order_ge"}
+
+    @staticmethod
+    def _shifted(real, by):
+        """A bracket kernel whose base and ends are ``by`` higher."""
+
+        def kernel(*args):
+            ends = real(*args)
+            if isinstance(ends, tuple):  # (base, lower, upper[, tie_excess])
+                return tuple(end + by for end in ends[:3]) + ends[3:]
+            return ends + by
+
+        return kernel
+
+    @pytest.mark.parametrize(
+        "kernel, by, family, public",
+        [
+            ("_iid_ends", 0.3, "cond_iid", lambda: bounds.iid_bracket(19, 1, 1, delta=0.01)),
+            ("_independent_ends", 0.3, "cond_indep", lambda: bounds.independent_bracket(4, 0, 0, 0.01, [0.1] * 4)),
+            ("_ordering_lower", 0.5, "ordering", lambda: bounds.ordering_lower(100, 9, 9, 0.01)),
+            ("_dependent_ends", 0.5, "dependent", lambda: bounds.dependent_bracket(19, 0.2, 0.2, 0.05)),
+        ],
+        ids=["iid", "independent", "ordering", "dependent"],
+    )
+    def test_broken_bracket(self, monkeypatch, capsys, kernel, by, family, public):
+        # the public bracket and the suite look the kernel up in one place,
+        # so a shifted formula changes the one and fails the other
+        want = public()
+        monkeypatch.setattr(bounds, kernel, self._shifted(getattr(bounds, kernel), by))
+        assert public() != want
+        rep = bracket_suite()
+        assert {v["family"] for v in rep.violations} == {family}
+        assert cli.main(["verify", "--threads", "1"]) == 3
+        assert "FAIL coverage brackets" in capsys.readouterr().out
 
     @pytest.fixture
     def fresh_ranks(self):
