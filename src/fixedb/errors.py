@@ -118,15 +118,16 @@ def _interval(lo: float, hi: float, strict: bool) -> str:
 
 
 def _check_real(v, what: str, lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
-    """v, a 0-d array as its element; InvalidInput unless it is a finite
-    real, not a bool, in [lo, hi] (in (lo, hi) when strict)."""
+    """v, a NumPy scalar or 0-d array as the Python scalar it holds;
+    InvalidInput unless it is a finite real, not a bool, in [lo, hi] (in
+    (lo, hi) when strict)."""
     x = v
     # the exact-type test first: levels and rates pass through here once
     # per cell and replicate
     if type(x) is not float and type(x) is not int:
-        if isinstance(x, np.ndarray) and x.ndim == 0:
+        if isinstance(x, np.generic) or isinstance(x, np.ndarray) and x.ndim == 0:
             x = x.item()
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
             x = math.nan
     # written so that a NaN, and so a non-real, fails the comparison
     if not (lo < x < hi if strict else lo <= x <= hi) or abs(x) == math.inf:

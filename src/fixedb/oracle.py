@@ -15,8 +15,9 @@ or closed-form rank identities, never by Monte Carlo, so the bounds in
 * the deterministic conformal calibration grid
   (:func:`conformal_grid_example`);
 * exhaustive sweeps used by the verification gate: randomized-instance
-  bracket checks (each family's instances checked in one batched pass,
-  whose one-instance calls are the public checks), the
+  bracket checks (each family's instances drawn straight into one stack
+  of float arrays and checked in one batched pass, whose one-instance
+  calls are the public checks), the
   heterogeneous-Bernoulli TV bound and tail ordering over a full
   probability grid (the ordered merge of one subtree per first
   coordinate), and the conformal grid bound over a range of calibration
@@ -56,7 +57,7 @@ import numpy as np
 from . import bounds
 from .bounds import _check_indices, _kappa_term
 from .discrete import _binom_rows, _ehm_rows, _ordering_regimes, _row_cumsums, _row_sums, poisson_binomial_pmf_batch
-from .distances import ENUMERATION_CAP, FinitePmf, _check_prob_vector, _dists_to_uniform, _joint_width, dist_to_uniform
+from .distances import ENUMERATION_CAP, FinitePmf, _dists_to_uniform, _joint_width, dist_to_uniform
 from .errors import (
     BudgetTooSmall, CapacityExceeded, InvalidIndices, InvalidInput, _check_choice, _check_count, _check_real,
     _check_type, _check_vector, _is_integer,
@@ -106,22 +107,26 @@ class SweepReport:
         return len(self.violations) == 0
 
 
-def _check_instance(inst, ndim: int) -> np.ndarray:
-    """Checks shared by the conditional instance families; returns the
-    ``w_cond`` stack of pmf rows on w_atoms, one per z atom: (|Z|, atoms)
-    for the IID family (ndim 2), (B, |Z|, atoms) for the independent one."""
-    _check_prob_vector(inst.z_probs, "z_probs")
-    if _check_vector(inst.psi_vals, "psi_vals").size != len(inst.z_probs):
+def _check_instance(inst, ndim: int) -> None:
+    """Checks shared by the conditional instance families: each field a
+    real array that aligns with the others, w_cond a stack of pmf rows on
+    w_atoms, one per z atom, (|Z|, atoms) for the IID family (ndim 2) and
+    (B >= 1, |Z|, atoms) for the independent one; then the checks of the
+    instance's one-instance stack (:func:`_check_cond_stack`)."""
+    z_probs = _check_vector(inst.z_probs, "z_probs", lo=-1e-12)
+    psi = _check_vector(inst.psi_vals, "psi_vals")
+    if psi.size != z_probs.size:
         raise InvalidInput("z_probs and psi_vals must align")
     atoms = _check_vector(inst.w_atoms, "w_atoms")
-    if not np.all(np.diff(atoms) > 0):
-        raise InvalidInput("w_atoms must be strictly increasing")
-    w = _check_prob_vector(inst.w_cond, "w_cond rows", ndim)
-    if w.shape[-2] != len(inst.z_probs):
+    w = _check_vector(inst.w_cond, "w_cond rows", lo=-1e-12, ndim=ndim)
+    if w.shape[-2] != z_probs.size:
         raise InvalidInput("w_cond needs one pmf row per z atom")
     if w.shape[-1] != atoms.size:
         raise InvalidInput("each conditional pmf row must match w_atoms")
-    return w
+    if w.shape[0] == 0:
+        raise InvalidInput("need at least one resample coordinate")
+    w = w.reshape((-1,) + w.shape[-2:])
+    _check_cond_stack(_cond_stack([(len(w), z_probs, psi, atoms, w)]))
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,7 @@ class CondIndepInstance:
     w_cond: tuple
 
     def __post_init__(self) -> None:
-        if _check_instance(self, 3).shape[0] == 0:
-            raise InvalidInput("need at least one resample coordinate")
+        _check_instance(self, 3)
 
     @property
     def b(self) -> int:
@@ -174,9 +178,13 @@ def _masses(w: np.ndarray, atoms: np.ndarray, psi: np.ndarray, rel) -> np.ndarra
 
 
 def _fields(inst) -> tuple:
-    """An instance's w_cond stack, atoms and targets as float arrays."""
+    """An instance's z_probs, targets, atoms and w_cond as float arrays,
+    w_cond as a (C, |Z|, atoms) stack of pmf rows: C = 1 for the IID
+    family, whose coordinates share their rows, B for the independent
+    one."""
     w = np.asarray(inst.w_cond, dtype=float)
-    return w, np.asarray(inst.w_atoms, dtype=float), np.asarray(inst.psi_vals, dtype=float)
+    z_probs, psi, atoms = (np.asarray(v, dtype=float) for v in (inst.z_probs, inst.psi_vals, inst.w_atoms))
+    return z_probs, psi, atoms, w.reshape((-1,) + w.shape[-2:])
 
 
 def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
@@ -184,9 +192,9 @@ def iid_slacks(inst: CondIIDInstance) -> tuple[float, float]:
     F_0(Z) = P(W <= psi(Z) | Z) and its strict-inequality version from
     U(0, 1)."""
     _check_type(inst, "inst", CondIIDInstance)
-    fields = _fields(inst)
-    delta = dist_to_uniform(_masses(*fields, np.less_equal), inst.z_probs)[1]
-    delta_tilde = dist_to_uniform(_masses(*fields, np.less), inst.z_probs)[1]
+    z_probs, psi, atoms, w = _fields(inst)
+    delta = dist_to_uniform(_masses(w[0], atoms, psi, np.less_equal), z_probs)[1]
+    delta_tilde = dist_to_uniform(_masses(w[0], atoms, psi, np.less), z_probs)[1]
     return delta, delta_tilde
 
 
@@ -199,9 +207,8 @@ def indep_slacks(inst: CondIndepInstance) -> tuple[float, float, list]:
     of psi(Z).  Each kappa_i is clamped to [0, 1] against round-off.
     """
     _check_type(inst, "inst", CondIndepInstance)
-    psi = np.asarray(inst.psi_vals, dtype=float)
-    z_p = np.asarray(inst.z_probs, dtype=float)
-    f = _masses(*_fields(inst), np.less_equal)
+    z_p, psi, atoms, w = _fields(inst)
+    f = _masses(w, atoms, psi, np.less_equal)
     d_ks, d_tilde = dist_to_uniform(f.mean(axis=0), z_p)
     marg = (z_p * (psi <= psi[:, None])).sum(axis=1)
     return d_ks, d_tilde, np.minimum(np.abs(marg - f).max(axis=1), 1.0).tolist()
@@ -353,9 +360,13 @@ def conformal_grid_sweep(
     alphas=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
 ) -> SweepReport:
     """Verify coverage >= bound on the calibration grid for every m in
-    [m_lo, m_hi] and each alpha, in exact integer arithmetic."""
+    [m_lo, m_hi] and each alpha, in exact integer arithmetic; ``alphas``
+    must be a non-empty sequence."""
     _check_count(m_lo, "m_lo")
     _check_count(m_hi, "m_hi", lo=m_lo)
+    alphas = tuple(alphas)
+    if not alphas:
+        raise InvalidInput("alphas must be non-empty")
     m = np.arange(m_lo, m_hi + 1)
     violations = []
     for alpha in alphas:
@@ -373,77 +384,100 @@ def conformal_grid_sweep(
     return SweepReport(n, tuple(violations), note=f"m in [{m_lo}, {m_hi}]")
 
 
-def _random_instance(rng: np.random.Generator, family, draw_rows):
-    """A random finite instance of ``family`` with <= 5 atoms per
-    marginal; ``draw_rows(n_z, n_w)`` draws its w_cond between the atom
-    and the target draws, and psi ties an atom with probability ~0.4."""
+def _draw_cond(rng: np.random.Generator, draw_rows) -> tuple:
+    """The (z_probs, psi, atoms, w_cond) float arrays of a random
+    conditional instance with <= 5 atoms per marginal, w_cond a (C, |Z|,
+    atoms) stack of pmf rows; ``draw_rows(n_z, n_w)`` draws it between
+    the atom and the target draws, and psi ties an atom with probability
+    ~0.4."""
     n_z = int(rng.integers(1, 6))
     n_w = int(rng.integers(1, 6))
     atoms = np.sort(rng.choice(9, size=n_w, replace=False) + 1.0)
     w_cond = draw_rows(n_z, n_w)
     snap = rng.random(n_z) < 0.4
     psi = np.where(snap, atoms[rng.integers(0, n_w, size=n_z)], rng.uniform(0.5, 9.5, size=n_z))
-    return family(
-        z_probs=tuple(rng.dirichlet(np.ones(n_z))),
-        psi_vals=tuple(psi),
-        w_atoms=tuple(atoms),
-        w_cond=w_cond,
-    )
+    return rng.dirichlet(np.ones(n_z)), psi, atoms, w_cond
+
+
+def _draw_cond_iid(rng: np.random.Generator) -> tuple:
+    """The draw of :func:`random_cond_iid` as :func:`_draw_cond`'s arrays."""
+    return _draw_cond(rng, lambda n_z, n_w: rng.dirichlet(np.ones(n_w), size=n_z)[None])
+
+
+def _draw_cond_indep(rng: np.random.Generator, B: int | None = None) -> tuple:
+    """The draw of :func:`random_cond_indep` as :func:`_draw_cond`'s
+    arrays, one stack of pmf rows per coordinate."""
+    B = int(rng.integers(1, 7)) if B is None else B
+
+    def draw_rows(n_z: int, n_w: int) -> np.ndarray:
+        ones = np.ones(n_w)
+        base = rng.dirichlet(ones, size=n_z)
+        rows = np.empty((B, n_z, n_w))
+        for row in rows:
+            eps = rng.uniform(0.0, 0.3)
+            row[...] = (1.0 - eps) * base + eps * rng.dirichlet(ones, size=n_z)
+        return rows
+
+    return _draw_cond(rng, draw_rows)
+
+
+def _draw_joint(rng: np.random.Generator, B: int | None = None) -> tuple:
+    """The draw of :func:`random_joint`: its (atoms, B + 1) support and
+    its probabilities as float arrays.  Equal atoms merge in a dict keyed
+    by tuples of Python floats, in order of first draw, their masses
+    summed in draw order."""
+    B = int(rng.integers(1, 7)) if B is None else B
+    n_at = int(rng.integers(2, 41))
+    vals = rng.integers(1, 7, size=(n_at, B + 1)).astype(float)
+    probs = rng.dirichlet(np.ones(n_at))
+    acc: dict[tuple, float] = {}
+    for key, p in zip(map(tuple, vals.tolist()), probs.tolist()):
+        acc[key] = acc.get(key, 0.0) + p
+    if B <= 3 and rng.random() < 0.3:
+        perms = list(itertools.permutations(range(B + 1)))
+        sym: dict[tuple, float] = {}
+        share = 1.0 / len(perms)
+        # row k of the (atoms, perms, B + 1) stack holds atom k's permutations
+        for keys, p in zip(np.array(list(acc))[:, perms].tolist(), acc.values()):
+            p *= share
+            for key in map(tuple, keys):
+                sym[key] = sym.get(key, 0.0) + p
+        acc = sym
+    return np.array(list(acc)), np.array(list(acc.values()))
+
+
+def _tuples(v):
+    """Nested lists as nested tuples."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
 
 
 def random_cond_iid(rng: np.random.Generator) -> CondIIDInstance:
     """A random finite conditionally-IID instance (<= 5 atoms per
     marginal; psi ties an atom with probability ~0.4)."""
-
-    def draw_rows(n_z: int, n_w: int) -> tuple:
-        return tuple(map(tuple, rng.dirichlet(np.ones(n_w), size=n_z)))
-
-    return _random_instance(rng, CondIIDInstance, draw_rows)
+    _check_type(rng, "rng", np.random.Generator)
+    z_probs, psi, atoms, w = _draw_cond_iid(rng)
+    return CondIIDInstance(*_tuples([z_probs.tolist(), psi.tolist(), atoms.tolist(), w[0].tolist()]))
 
 
 def random_cond_indep(rng: np.random.Generator, B: int | None = None) -> CondIndepInstance:
     """A random conditionally independent instance; the per-coordinate
     pmfs are correlated perturbations of one base row so the kappa
     discrepancies stay moderate."""
-    B = int(rng.integers(1, 7)) if B is None else B
-    _check_count(B, "B")
-
-    def draw_rows(n_z: int, n_w: int) -> tuple:
-        base = rng.dirichlet(np.ones(n_w), size=n_z)
-        cond = []
-        for _ in range(B):
-            eps = rng.uniform(0.0, 0.3)
-            noise = rng.dirichlet(np.ones(n_w), size=n_z)
-            cond.append(tuple(map(tuple, (1.0 - eps) * base + eps * noise)))
-        return tuple(cond)
-
-    return _random_instance(rng, CondIndepInstance, draw_rows)
+    _check_type(rng, "rng", np.random.Generator)
+    if B is not None:
+        _check_count(B, "B")
+    return CondIndepInstance(*_tuples([v.tolist() for v in _draw_cond_indep(rng, B)]))
 
 
 def random_joint(rng: np.random.Generator, B: int | None = None) -> FinitePmf:
     """A random finite joint law over (B+1)-tuples; with probability
     ~0.3 (and B <= 3) it is symmetrized over coordinates so the
     exchangeability gap is exactly zero."""
-    B = int(rng.integers(1, 7)) if B is None else B
-    _check_count(B, "B")
-    n_at = int(rng.integers(2, 41))
-    vals = rng.integers(1, 7, size=(n_at, B + 1)).astype(float)
-    probs = rng.dirichlet(np.ones(n_at))
-    acc: dict[tuple, float] = {}
-    for row, p in zip(vals, probs):
-        key = tuple(row)
-        acc[key] = acc.get(key, 0.0) + float(p)
-    if B <= 3 and rng.random() < 0.3:
-        perms = list(itertools.permutations(range(B + 1)))
-        sym: dict[tuple, float] = {}
-        share = 1.0 / len(perms)
-        for key, p in acc.items():
-            for perm in perms:
-                k2 = tuple(key[i] for i in perm)
-                sym[k2] = sym.get(k2, 0.0) + p * share
-        acc = sym
-    support = list(acc.keys())
-    return FinitePmf(support, [acc[k] for k in support])
+    _check_type(rng, "rng", np.random.Generator)
+    if B is not None:
+        _check_count(B, "B")
+    support, probs = _draw_joint(rng, B)
+    return FinitePmf(_tuples(support.tolist()), probs)
 
 
 def check_cond_iid(inst: CondIIDInstance, B: int):
@@ -453,7 +487,7 @@ def check_cond_iid(inst: CondIIDInstance, B: int):
     batch (:func:`_cond_iid_batch`), which :func:`bracket_suite` runs."""
     _check_type(inst, "inst", CondIIDInstance)
     _check_count(B, "B")
-    return _cond_iid_batch([(inst, B)])[0]
+    return _cond_iid_batch(_cond_stack([(B, *_fields(inst))]))[0]
 
 
 def check_cond_indep(inst: CondIndepInstance):
@@ -461,7 +495,7 @@ def check_cond_indep(inst: CondIndepInstance):
     the tail-ordering lower bound with exact slacks; the one-instance
     call of :func:`_cond_indep_batch`."""
     _check_type(inst, "inst", CondIndepInstance)
-    return _cond_indep_batch([(inst,)])[0]
+    return _cond_indep_batch(_cond_stack([(inst.b, *_fields(inst))]))[0]
 
 
 _TAIL_PAIRS = ((0.2, 0.2), (0.3, 0.3), (0.5, 0.5), (0.2, 0.5), (0.7, 0.3))
@@ -473,7 +507,11 @@ def check_dependent(joint: FinitePmf):
     the exact exchangeability gap, at each (gamma, beta) of
     ``_TAIL_PAIRS`` whose budget allows the rule; the one-instance call
     of :func:`_dependent_batch`."""
-    return _dependent_batch([(joint,)])[0]
+    _joint_width(joint)
+    if len(joint) > ENUMERATION_CAP:
+        raise CapacityExceeded("joint support exceeds the atom budget")
+    # real coordinates, none of them NaN (FinitePmf refuses NaN)
+    return _dependent_batch(_joint_stack([(np.asarray(joint.support, dtype=float), joint.probs)]))[0]
 
 
 def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
@@ -484,10 +522,11 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     instances with B <= 6 and at most 5 atoms per marginal, and checks
     exact coverage (folded for the conditional families, enumerated
     for the joints) against the brackets evaluated with exact slack
-    inputs.  The instances are drawn first, in order
-    (:func:`_draw_instances`); then each family is checked in one
-    batched pass (:func:`_batched_checks`), whose one-instance calls are
-    :func:`check_cond_iid`, :func:`check_cond_indep` and
+    inputs.  The instances are drawn first, in order, straight into one
+    float-array stack per family, each validated once
+    (:func:`_draw_instances`); then each family's stack is checked in
+    one batched pass (:func:`_batched_checks`), whose one-instance calls
+    are :func:`check_cond_iid`, :func:`check_cond_indep` and
     :func:`check_dependent`, and the violations come in instance order.
     The bracket ends are the array kernels of :mod:`fixedb.bounds` that
     the public brackets call, so a broken bracket fails the suite.
@@ -504,37 +543,180 @@ def bracket_suite(n_instances: int = 210, seed: int = 20260823) -> SweepReport:
     )
 
 
-def _draw_instances(n_instances: int, seed: int) -> list:
-    """The instances of :func:`bracket_suite`, in order, each as the
-    arguments of its family's check: instance i is ``(inst, B)`` for
-    :func:`check_cond_iid` when i % 3 == 0, ``(inst,)`` for
-    :func:`check_cond_indep` when it is 1, ``(joint,)`` for
-    :func:`check_dependent` when it is 2."""
+class _CondStack(NamedTuple):
+    """Conditional instances padded to common shapes, the arrays a
+    conditional family's batch reads: ``z_probs`` and ``psi`` (N, Z),
+    ``atoms`` (N, A), the pmf rows ``w`` (N, C, Z, A), and per instance
+    ``B`` (the budget of its checks, which for an independent instance is
+    its number of coordinates), ``n_z`` and ``n_w`` (its numbers of z
+    and w atoms).  C is 1 for the IID family, whose coordinates share
+    their rows, and max B for the independent one.  A padded z atom
+    copies z atom 0's target and rows at probability 0, so it puts no
+    new value into a slack's law; a padded w atom copies the last atom
+    at mass 0; a padded coordinate's rows are 0 (see
+    :func:`_padded_steps`)."""
+
+    B: np.ndarray
+    z_probs: np.ndarray
+    psi: np.ndarray
+    atoms: np.ndarray
+    w: np.ndarray
+    n_z: np.ndarray
+    n_w: np.ndarray
+
+
+class _JointStack(NamedTuple):
+    """Finite joint laws of (W_1..W_B, psi), atom by atom, the arrays
+    :func:`_dependent_batch` reads: ``atoms`` (M, max B + 1) holds each
+    atom's W_1..W_B, a NaN in each column past its B (below and at no
+    target), and psi in the last column; ``probs`` (M,) their masses;
+    ``B`` and ``sizes`` (N,) each joint's B and number of atoms."""
+
+    B: np.ndarray
+    sizes: np.ndarray
+    atoms: np.ndarray
+    probs: np.ndarray
+
+
+def _cond_stack(draws: list) -> _CondStack:
+    """The :class:`_CondStack` of conditional instances, each given as
+    its B and the arrays of :func:`_fields`."""
+    N = len(draws)
+    n_z = np.array([d[2].size for d in draws])
+    n_w = np.array([d[3].size for d in draws])
+    z_probs, psi, atoms = np.zeros((N, n_z.max())), np.empty((N, n_z.max())), np.empty((N, n_w.max()))
+    w = np.zeros((N, max(d[4].shape[0] for d in draws), n_z.max(), n_w.max()))
+    for n, (_, inst_z, inst_psi, inst_atoms, rows) in enumerate(draws):
+        nz, na, c = inst_psi.size, inst_atoms.size, rows.shape[0]
+        z_probs[n, :nz] = inst_z
+        psi[n, :nz], psi[n, nz:] = inst_psi, inst_psi[0]
+        atoms[n, :na], atoms[n, na:] = inst_atoms, inst_atoms[-1]
+        w[n, :c, :nz, :na] = rows
+        w[n, :c, nz:, :na] = rows[:, :1]
+    return _CondStack(np.array([d[0] for d in draws], dtype=np.int64), z_probs, psi, atoms, w, n_z, n_w)
+
+
+def _joint_stack(draws: list) -> _JointStack:
+    """The :class:`_JointStack` of joints, each given as its (atoms,
+    B + 1) float support and its probabilities."""
+    B = np.array([support.shape[1] - 1 for support, _ in draws], dtype=np.int64)
+    sizes = np.array([len(support) for support, _ in draws], dtype=np.int64)
+    atoms = np.full((int(sizes.sum()), int(B.max()) + 1), np.nan)
+    lo = 0
+    for support, _ in draws:
+        hi = lo + len(support)
+        atoms[lo:hi, : support.shape[1] - 1], atoms[lo:hi, -1] = support[:, :-1], support[:, -1]
+        lo = hi
+    return _JointStack(B, sizes, atoms, np.concatenate([probs for _, probs in draws]))
+
+
+def _check_cond_stack(stack: _CondStack) -> None:
+    """InvalidInput unless every instance of a conditional stack passes,
+    within its own atoms and coordinates, the checks its class makes
+    (:func:`_check_instance`), all instances at once: real, finite
+    arrays that align; z_probs and each pmf row >= -1e-12 and summing
+    to 1 within 1e-9; strictly increasing w_atoms."""
+    z_probs = _check_vector(stack.z_probs, "z_probs", lo=-1e-12, ndim=2)
+    _check_vector(stack.psi, "psi_vals", ndim=2)
+    atoms = _check_vector(stack.atoms, "w_atoms", ndim=2)
+    w = _check_vector(stack.w, "w_cond rows", lo=-1e-12, ndim=4)
+    (N, Z), A, C = z_probs.shape, atoms.shape[1], w.shape[1]
+    B, n_z, n_w = (np.asarray(v) for v in (stack.B, stack.n_z, stack.n_w))
+    if (stack.psi.shape, atoms.shape[0], w.shape[::2], w.shape[3], B.shape, n_z.shape, n_w.shape) != (
+        (N, Z), N, (N, Z), A, (N,), (N,), (N,)
+    ):
+        raise InvalidInput("z_probs, psi_vals, w_atoms and w_cond must align")
+    if not (np.all((1 <= n_z) & (n_z <= Z) & (1 <= n_w) & (n_w <= A) & (B >= 1)) and C in (1, B.max())):
+        raise InvalidInput("each instance's z atoms, w atoms and coordinates must fit the stack")
+    off = np.abs(z_probs.sum(axis=1) - 1.0) > 1e-9
+    if off.any():
+        raise InvalidInput(f"z_probs must sum to 1 within 1e-9, got {float(z_probs[off][0].sum())!r}")
+    # the rows of each instance's coordinates (of its one stack in the IID
+    # family, C = 1); a padded z atom's rows copy z atom 0's
+    sums = w.sum(axis=-1)
+    off = (np.abs(sums - 1.0) > 1e-9) & (np.arange(C) < np.minimum(B, C)[:, None])[..., None]
+    if off.any():
+        raise InvalidInput(f"w_cond rows must sum to 1 within 1e-9, got {float(sums[off][0])!r}")
+    if np.any((np.diff(atoms, axis=1) <= 0) & (np.arange(A - 1) < n_w[:, None] - 1)):
+        raise InvalidInput("w_atoms must be strictly increasing")
+
+
+def _check_joint_stack(stack: _JointStack) -> None:
+    """InvalidInput unless every joint of a stack passes the checks of
+    :class:`~fixedb.distances.FinitePmf` and ``_joint_width``, all joints
+    at once: real atoms of one width B + 1 >= 2 per joint, none of their
+    coordinates NaN, distinct within the joint; probabilities finite,
+    >= -1e-15 and summing to 1 within 1e-9 per joint, one per atom."""
+    probs = _check_vector(stack.probs, "probs", lo=-1e-15)
+    atoms = np.asarray(stack.atoms)
+    if atoms.dtype.kind not in "iuf":
+        raise InvalidInput(f"joint atoms must hold reals, got dtype {atoms.dtype}")
+    B, sizes = np.asarray(stack.B), np.asarray(stack.sizes)
+    if not (
+        atoms.ndim == 2 and B.shape == sizes.shape == (B.size,) and B.size and np.all((B >= 1) & (sizes >= 1))
+        and atoms.shape == (probs.size, B.max() + 1) and sizes.sum() == probs.size
+    ):
+        raise InvalidInput("support and probs must have equal length, each joint's atoms one width >= 2")
+    owner = np.repeat(np.arange(B.size), sizes)
+    cols = np.arange(atoms.shape[1])
+    real = (cols < B[owner, None]) | (cols == atoms.shape[1] - 1)
+    if np.any(np.isnan(atoms) & real):
+        raise InvalidInput("support atoms must not be NaN")
+    sums = np.bincount(owner, weights=probs, minlength=B.size)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        raise InvalidInput(f"probabilities sum to {float(sums[off][0])!r}, not 1")
+    # equal atoms of one joint are adjacent in lexicographic order, which sorts by joint first
+    keyed = np.column_stack([owner, np.where(real, atoms, 0.0)])
+    ordered = keyed[np.lexsort(keyed.T[::-1])]
+    if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
+        raise InvalidInput("support atoms must be distinct")
+
+
+def _draw_instances(n_instances: int, seed: int) -> tuple:
+    """The instances of :func:`bracket_suite` as the stacks its family
+    batches read: (IID, independent, joint), a family with no instance
+    None.  Instance i is conditionally IID when i % 3 == 0, its check's
+    budget B drawn just before it, conditionally independent when it is
+    1, a joint when it is 2.  Each is drawn as arrays by the draw its
+    public ``random_*`` wraps, the family's draws are stacked in order
+    (:func:`_cond_stack`, :func:`_joint_stack`), and each stack is
+    validated once (:func:`_check_cond_stack`,
+    :func:`_check_joint_stack`)."""
     rng = np.random.default_rng(seed)
-    draws: list = []
+    iid: list = []
+    indep: list = []
+    joints: list = []
     for i in range(n_instances):
         fam = i % 3
         if fam == 0:
             B = int(rng.integers(1, 7))
-            draws.append((random_cond_iid(rng), B))
+            iid.append((B, *_draw_cond_iid(rng)))
         elif fam == 1:
-            draws.append((random_cond_indep(rng),))
+            fields = _draw_cond_indep(rng)
+            indep.append((fields[3].shape[0], *fields))
         else:
-            draws.append((random_joint(rng),))
-    return draws
+            joints.append(_draw_joint(rng))
+    stacks = (
+        _cond_stack(iid) if iid else None,
+        _cond_stack(indep) if indep else None,
+        _joint_stack(joints) if joints else None,
+    )
+    for stack, check in zip(stacks, (_check_cond_stack, _check_cond_stack, _check_joint_stack)):
+        if stack is not None:
+            check(stack)
+    return stacks
 
 
-def _batched_checks(draws: list) -> list:
+def _batched_checks(stacks: tuple) -> list:
     """(n_checked, violations) of every instance of
-    :func:`_draw_instances`, in order, each family's instances checked
-    in one pass.
+    :func:`_draw_instances`'s stacks, in instance order, each family's
+    stack checked in one pass.
 
-    Each pass pads its instances to common shapes: a padded z atom
-    copies z atom 0's target and pmf rows at probability 0, so it puts
-    no new value into a slack's law; a padded w atom has mass 0; a
-    padded resample coordinate folds as (lt, eq, gt) = (0, 0, 1).  Every
-    sum the padding lengthens runs over at most 6 terms (B <= 6, at most
-    5 atoms), which NumPy adds in order, so a padded 0.0 added last keeps
+    The padding of a stack (:class:`_CondStack`, :class:`_JointStack`)
+    leaves each instance's checks as they are alone: every sum the
+    padding lengthens runs over at most 6 terms (B <= 6, at most 5
+    atoms), which NumPy adds in order, so a padded 0.0 added last keeps
     the bits of the instance checked alone.  The coverages and slacks
     are read as arrays over every (instance, a, b, kind), and the
     bracket ends are the :mod:`fixedb.bounds` kernels
@@ -543,35 +725,18 @@ def _batched_checks(draws: list) -> list:
     up in ``bounds`` at each call.  The tests hold the scalar reference:
     loops over the checked public brackets, check by check.
     """
-    results: list = [None] * len(draws)
-    for fam, batch in enumerate((_cond_iid_batch, _cond_indep_batch, _dependent_batch)):
-        if draws[fam::3]:
-            results[fam::3] = batch(draws[fam::3])
+    results: list = [None] * sum(len(stack.B) for stack in stacks if stack is not None)
+    for fam, (batch, stack) in enumerate(zip((_cond_iid_batch, _cond_indep_batch, _dependent_batch), stacks)):
+        if stack is not None:
+            results[fam::3] = batch(stack)
     return results
 
 
-def _stacks(insts: list, coords: list) -> tuple:
-    """Conditional instances padded into stacks (see
-    :func:`_batched_checks`): z_probs (N, Z), psi (N, Z), and the
-    (N, C, Z) masses below, at, above and at or below each target, from
-    w_cond rows (N, C, Z, A) with instance n having ``coords[n]`` pmf row
-    stacks (1 for the IID family)."""
-    N = len(insts)
-    Z = max(len(inst.z_probs) for inst in insts)
-    A = max(len(inst.w_atoms) for inst in insts)
-    z_probs, psi, atoms = np.zeros((N, Z)), np.empty((N, Z)), np.empty((N, A))
-    w = np.zeros((N, max(coords), Z, A))
-    for n, (inst, c) in enumerate(zip(insts, coords)):
-        rows, inst_atoms, inst_psi = _fields(inst)
-        nz, na = inst_psi.size, inst_atoms.size
-        z_probs[n, :nz] = inst.z_probs
-        psi[n, :nz], psi[n, nz:] = inst_psi, inst_psi[0]
-        atoms[n, :na], atoms[n, na:] = inst_atoms, inst_atoms[-1]
-        rows = rows.reshape(c, nz, na)
-        w[n, :c, :nz, :na] = rows
-        w[n, :c, nz:, :na] = rows[:, :1]
-    masses = (_masses(w, atoms[:, None], psi[:, None], rel) for rel in (np.less, np.equal, np.greater, np.less_equal))
-    return z_probs, psi, *masses
+def _stack_masses(stack: _CondStack) -> tuple:
+    """The (N, C, Z) masses below, at, above and at or below each target
+    of a conditional stack's pmf rows."""
+    atoms, psi = stack.atoms[:, None], stack.psi[:, None]
+    return tuple(_masses(stack.w, atoms, psi, rel) for rel in (np.less, np.equal, np.greater, np.less_equal))
 
 
 def _checks_of(Bs: np.ndarray, per_pair: int) -> tuple:
@@ -618,11 +783,11 @@ def _flagged(counts, owner, cov, lower, upper, record) -> list:
     return results
 
 
-def _cond_iid_batch(draws: list) -> list:
-    """:func:`check_cond_iid` of every ``(inst, B)`` in one pass."""
-    insts = [inst for inst, _ in draws]
-    Bs = np.array([B for _, B in draws], dtype=np.int64)
-    z_probs, _, lt, eq, gt, le = _stacks(insts, [1] * len(insts))
+def _cond_iid_batch(stack: _CondStack) -> list:
+    """:func:`check_cond_iid` of every instance of a stack in one pass,
+    read from its arrays."""
+    Bs, z_probs = stack.B, stack.z_probs
+    lt, eq, gt, le = _stack_masses(stack)
     C = _coverage_table(_fold(z_probs, *_padded_steps(Bs, lt, eq, gt)))
     probs = np.clip(z_probs, 0.0, None)
     delta = _dists_to_uniform(le[:, 0], probs)[1]
@@ -638,11 +803,11 @@ def _cond_iid_batch(draws: list) -> list:
     return _flagged(3 * Bs * (Bs + 1) // 2, owner, cov, lower, upper, record)
 
 
-def _cond_indep_batch(draws: list) -> list:
-    """:func:`check_cond_indep` of every ``(inst,)`` in one pass."""
-    insts = [inst for inst, in draws]
-    Bs = np.array([inst.b for inst in insts], dtype=np.int64)
-    z_probs, psi, lt, eq, gt, le = _stacks(insts, Bs.tolist())
+def _cond_indep_batch(stack: _CondStack) -> list:
+    """:func:`check_cond_indep` of every instance of a stack in one pass,
+    read from its arrays."""
+    Bs, z_probs, psi = stack.B, stack.z_probs, stack.psi
+    lt, eq, gt, le = _stack_masses(stack)
     C = _coverage_table(_fold(z_probs, *_padded_steps(Bs, lt, eq, gt)))
     # a padded coordinate has mass 0, so the sum over coordinates is the instance's own
     d_ks, d_tilde = _dists_to_uniform(le.sum(axis=1) / Bs[:, None], np.clip(z_probs, 0.0, None))
@@ -666,30 +831,21 @@ def _cond_indep_batch(draws: list) -> list:
     return _flagged(Bs * (Bs + 1), owner, cov, lower, upper, record)
 
 
-def _dependent_batch(draws: list) -> list:
-    """:func:`check_dependent` of every ``(joint,)`` in one pass: the
-    pair matrices in one ``np.bincount``, the gaps in one grouping
-    (:func:`_gaps`)."""
-    joints = [joint for joint, in draws]
-    Bs = np.array([_joint_width(joint) - 1 for joint in joints], dtype=np.int64)
-    if max(map(len, joints)) > ENUMERATION_CAP:
-        raise CapacityExceeded("joint support exceeds the atom budget")
-    side = int(Bs.max()) + 1
-    # real coordinates, none of them NaN (FinitePmf refuses NaN); a NaN
-    # pads a short atom, below and at no target
-    supports = [np.asarray(joint.support, dtype=float) for joint in joints]
-    w = np.full((sum(map(len, joints)), side - 1), np.nan)
-    psi = np.empty(w.shape[0])
-    lo = 0
-    for arr, B in zip(supports, Bs.tolist()):
-        w[lo : lo + len(arr), :B], psi[lo : lo + len(arr)] = arr[:, :-1], arr[:, -1]
-        lo += len(arr)
-    owner = np.repeat(np.arange(len(joints)), list(map(len, joints)))
-    bins = (owner * side + (w < psi[:, None]).sum(axis=1)) * side + (w <= psi[:, None]).sum(axis=1)
+def _dependent_batch(stack: _JointStack) -> list:
+    """:func:`check_dependent` of every joint of a stack in one pass,
+    read from its arrays: the pair matrices in one ``np.bincount``, the
+    gaps in one grouping (:func:`_gaps`)."""
+    # the masses clipped at 0, as FinitePmf keeps them
+    stack = stack._replace(probs=np.clip(stack.probs, 0.0, None))
+    Bs, atoms = stack.B, stack.atoms
+    side = atoms.shape[1]
+    owner = np.repeat(np.arange(Bs.size), stack.sizes)
+    # a NaN pads a short atom, below and at no target
+    w, psi = atoms[:, :-1], atoms[:, -1:]
+    bins = (owner * side + (w < psi).sum(axis=1)) * side + (w <= psi).sum(axis=1)
     # bincount adds in input order, as each joint's own bincount does
-    probs = np.concatenate([joint.probs for joint in joints])
-    C = _coverage_table(np.bincount(bins, weights=probs, minlength=len(joints) * side**2).reshape(-1, side, side))
-    gaps = _gaps(supports, [joint.probs for joint in joints])
+    C = _coverage_table(np.bincount(bins, weights=stack.probs, minlength=Bs.size * side**2).reshape(-1, side, side))
+    gaps = _gaps(stack)
     ranks = {B: _dependent_ranks(B) for B in set(Bs.tolist())}
     checks = [(n, B, *r) for n, B in enumerate(Bs.tolist()) for r in ranks[B]]
     owner, B, pair, a, b = np.array(checks, dtype=np.int64).reshape(-1, 5).T
@@ -705,45 +861,42 @@ def _dependent_batch(draws: list) -> list:
     return _flagged([len(ranks[B]) for B in Bs.tolist()], owner, cov, lower, upper, record)
 
 
-def _gaps(supports: list, probs: list) -> np.ndarray:
-    """``gamma_exact(joint).value`` of every joint, given as its (atoms,
-    B + 1) float support and its probabilities, in one pass: the swapped
-    atoms of all joints, each tagged with its joint, grouped by value;
-    each group's mixture mass summed in the order ``gamma_exact`` adds
-    it (atom by atom, the swaps before the identity); and each joint's
-    TV as its ``math.fsum``, whose value does not depend on the order of
-    its terms."""
-    top = max(arr.shape[1] for arr in supports)
-    swaps = {}
-    for width in {arr.shape[1] for arr in supports}:
-        # swap i exchanges coordinate i with the last; swap width - 1 is the identity
-        swaps[width] = np.tile(np.arange(width), (width, 1))
-        swaps[width][np.arange(width - 1), np.arange(width - 1)] = width - 1
-        swaps[width][np.arange(width - 1), width - 1] = np.arange(width - 1)
-    rows = np.zeros((sum(arr.size for arr in supports), top + 1))
-    weights, identity = [], []
-    lo = 0
-    for j, (arr, p) in enumerate(zip(supports, probs)):
-        n, width = arr.shape
-        if n * width > ENUMERATION_CAP:
-            raise CapacityExceeded(f"{n} atoms x {width} swaps exceeds the cap of {ENUMERATION_CAP}")
-        rows[lo : lo + n * width, 0] = j
-        rows[lo : lo + n * width, 1 : width + 1] = arr[:, swaps[width]].reshape(-1, width)
-        weights.append(np.repeat(1.0 / width * p, width))
-        identity.append(lo + width * np.arange(n) + width - 1)
-        lo += n * width
+def _gaps(stack: _JointStack) -> np.ndarray:
+    """``gamma_exact(joint).value`` of every joint of a stack, in one
+    pass: the swapped atoms of all joints, each tagged with its joint,
+    grouped by value; each group's mixture mass summed in the order
+    ``gamma_exact`` adds it (atom by atom, the swaps before the
+    identity); and each joint's TV as its ``math.fsum``, whose value does
+    not depend on the order of its terms."""
+    width = stack.B + 1
+    big = stack.sizes * width > ENUMERATION_CAP
+    if big.any():
+        j = int(np.argmax(big))
+        raise CapacityExceeded(f"{stack.sizes[j]} atoms x {width[j]} swaps exceeds the cap of {ENUMERATION_CAP}")
+    owner = np.repeat(np.arange(width.size), stack.sizes)
+    swaps = width[owner]
+    # each atom's swaps in order: swap i < B exchanges coordinate i with the
+    # last, and swap B is the identity; a pad reads 0, as in every atom of its joint
+    rows = np.repeat(np.where(np.isnan(stack.atoms), 0.0, stack.atoms), swaps, axis=0)
+    identity = np.cumsum(swaps) - 1
+    swap = np.arange(rows.shape[0]) - np.repeat(identity - swaps + 1, swaps)
+    r = np.flatnonzero(swap < np.repeat(swaps - 1, swaps))
+    last = rows[r, -1]
+    rows[r, -1] = rows[r, swap[r]]
+    rows[r, swap[r]] = last
+    keyed = np.column_stack([np.repeat(owner, swaps), rows])
     # equal rows are adjacent in lexicographic order, which sorts by joint first
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
+    order = np.lexsort(keyed.T[::-1])
+    ordered = keyed[order]
+    first = np.ones(len(keyed), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(len(rows), dtype=np.intp)
+    group = np.empty(len(keyed), dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    mixture = np.bincount(group, weights=np.concatenate(weights))
+    mixture = np.bincount(group, weights=np.repeat(1.0 / swaps * stack.probs, swaps))
     mass = np.zeros(mixture.size)
-    mass[group[np.concatenate(identity)]] = np.concatenate(probs)
+    mass[group[identity]] = stack.probs
     terms = np.abs(mass - mixture)
-    ends = np.searchsorted(ordered[first, 0], np.arange(len(supports) + 1))
+    ends = np.searchsorted(ordered[first, 0], np.arange(width.size + 1))
     return np.array([min(1.0, 0.5 * math.fsum(terms[a:b])) for a, b in zip(ends, ends[1:])])
 
 

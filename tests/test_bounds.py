@@ -102,6 +102,13 @@ class TestIndependentBracket:
         assert br.lower == pytest.approx(0.85 - expected_slack)
         assert br.upper == pytest.approx(0.85 + expected_slack + 0.05)
 
+    def test_float32_slack_computes_in_float64(self):
+        # a float32 d_tilde is read as the Python float it holds
+        got = independent_bracket(3, 0, 0, np.float32(0.1), [0.1] * 3)
+        assert got == independent_bracket(3, 0, 0, float(np.float32(0.1)), [0.1] * 3)
+        assert all(type(v) is float for v in (got.lower, got.upper, got.base))
+        assert all(type(value) is float for _, value in got.slack_terms)
+
     def test_kappa_length_checked(self):
         with pytest.raises(InvalidInput):
             independent_bracket(19, 1, 1, 0.0, [0.01] * 5)

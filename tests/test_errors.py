@@ -220,6 +220,15 @@ def test_numpy_and_integer_reals_accepted(call, value, key):
         assert key(call(v)) == want, v
 
 
+def test_numpy_reals_come_back_as_python_scalars():
+    # a NumPy scalar returned as it is made float32 slacks compute in float32
+    for v in (np.float32(0.1), np.float16(0.25), np.float64(0.5), np.int32(3), np.uint8(2), np.array(0.5)):
+        got = errors._check_real(v, "v")
+        assert type(got) is type(v.item()) and got == v.item()
+    with pytest.raises(InvalidInput):
+        errors._check_real(np.bool_(True), "v")
+
+
 def test_integer_budget_stays_exact():
     assert BudgetSpec(2**60 + 1, 0.1).B == 2**60 + 1
 
@@ -344,6 +353,9 @@ _WRONG_TYPES = {
     "indep_slacks_iid": ("CondIndepInstance", lambda: oracle.indep_slacks(_cond_iid())),
     "exact_coverage_discrete_dict": ("FinitePmf", lambda: oracle.exact_coverage_discrete({}, 0, -1, "closed")),
     "gamma_exact_list": ("FinitePmf", lambda: distances.gamma_exact([(1.0, 2.0)])),
+    "random_cond_iid_none": ("Generator", lambda: oracle.random_cond_iid(None)),
+    "random_cond_indep_int": ("Generator", lambda: oracle.random_cond_indep(3)),
+    "random_joint_random_state": ("Generator", lambda: oracle.random_joint(np.random.RandomState(0))),
 }
 
 

@@ -232,7 +232,7 @@ class TestInstanceChecks:
         # still see the public functions' bracket; with every check failing,
         # each one's coverage and bracket ends are in its violation
         monkeypatch.setattr(oracle, "_TOL", -math.inf)
-        draws = oracle._draw_instances(1500, seed)
+        draws = _public_draws(1500, seed)[0]
         checks = (check_cond_iid, check_cond_indep, check_dependent)
         results = [checks[i % 3](*args) for i, args in enumerate(draws)]
         assert _scalar_checks(draws) == results
@@ -264,9 +264,39 @@ def _pair_matrix(inst, w: np.ndarray) -> np.ndarray:
     """Mass matrix of (n_lt, n_le) for one conditional instance whose
     W_1..W_B given Z = z_j are independent with the pmf rows ``w[:, j]``
     of a (B, |Z|, atoms) stack (the IID family broadcasts its rows)."""
-    atoms, psi = oracle._fields(inst)[1:]
+    z_probs, psi, atoms, _ = oracle._fields(inst)
     masses = (oracle._masses(w, atoms, psi, rel) for rel in (np.less, np.equal, np.greater))
-    return oracle._fold(np.asarray(inst.z_probs, dtype=float), *masses)
+    return oracle._fold(z_probs, *masses)
+
+
+def _public_draws(n: int, seed: int) -> tuple:
+    """bracket_suite's instances drawn by the public ``random_*`` as the
+    arguments of their public checks, in instance order, and the rng
+    the draws leave behind."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        if i % 3 == 0:
+            B = int(rng.integers(1, 7))
+            draws.append((random_cond_iid(rng), B))
+        elif i % 3 == 1:
+            draws.append((random_cond_indep(rng),))
+        else:
+            draws.append((random_joint(rng),))
+    return draws, rng
+
+
+def _stacked(draws: list) -> tuple:
+    """The (IID, independent, joint) stacks of public draws, each family's
+    built by oracle's stacker from its instances' arrays."""
+    iid = [(B, *oracle._fields(inst)) for inst, B in draws[0::3]]
+    indep = [(inst.b, *oracle._fields(inst)) for inst, in draws[1::3]]
+    joints = [(np.asarray(joint.support, dtype=float), joint.probs) for joint, in draws[2::3]]
+    return (
+        oracle._cond_stack(iid) if iid else None,
+        oracle._cond_stack(indep) if indep else None,
+        oracle._joint_stack(joints) if joints else None,
+    )
 
 
 def _scalar_checks(draws):
@@ -285,9 +315,8 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 210])
     @pytest.mark.parametrize("seed", [0, 2, 4177, 20260823])
     def test_equal_the_scalar_checks(self, seed, n):
-        draws = oracle._draw_instances(n, seed)
-        want = _scalar_checks(draws)
-        assert oracle._batched_checks(draws) == want
+        want = _scalar_checks(_public_draws(n, seed)[0])
+        assert oracle._batched_checks(oracle._draw_instances(n, seed)) == want
         report = bracket_suite(n_instances=n, seed=seed)
         assert report.n_checked == sum(c for c, _ in want)
         assert report.violations == tuple(v for _, vs in want for v in vs)
@@ -316,9 +345,8 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("mutant", ["_zero_slacks", "_rank_off", "_every_check_fails"])
     def test_mutants_fail_the_same_checks(self, monkeypatch, mutant, seed):
         getattr(self, mutant)(monkeypatch)
-        draws = oracle._draw_instances(210, seed)
-        want = _scalar_checks(draws)
-        assert oracle._batched_checks(draws) == want
+        want = _scalar_checks(_public_draws(210, seed)[0])
+        assert oracle._batched_checks(oracle._draw_instances(210, seed)) == want
         assert any(vs for _, vs in want)
         if mutant == "_every_check_fails":
             assert sum(len(vs) for _, vs in want) == sum(n for n, _ in want)
@@ -328,10 +356,178 @@ class TestBatchedChecks:
     def test_violations_keep_python_types(self, monkeypatch):
         # `fixedb verify` prints violations with repr, so a NumPy scalar would show
         self._every_check_fails(monkeypatch)
-        draws = oracle._draw_instances(3, 5)
-        for (_, got), (_, want) in zip(oracle._batched_checks(draws), _scalar_checks(draws)):
+        batched = oracle._batched_checks(oracle._draw_instances(3, 5))
+        for (_, got), (_, want) in zip(batched, _scalar_checks(_public_draws(3, 5)[0])):
             assert [[type(x) for x in v.values()] for v in got] == [[type(x) for x in v.values()] for v in want]
             assert repr(got) == repr(want)
+
+
+def _same_bits(got, want) -> bool:
+    """Two stacks of one family (or two Nones) with equal fields, dtype,
+    shape and bytes, NaN pads included."""
+    if got is None or want is None:
+        return got is want
+    return type(got) is type(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+    )
+
+
+class TestDrawStacks:
+    """_draw_instances draws each family straight into the arrays its
+    batch reads, by the draws the public ``random_*`` wrap, and validates
+    each family's stack once, as strictly as the classes check one
+    instance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 210, 1500])
+    @pytest.mark.parametrize("seed", [0, 2, 4177, 20260823])
+    def test_stacks_are_the_public_draws(self, monkeypatch, seed, n):
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        stacks = oracle._draw_instances(n, seed)
+        monkeypatch.undo()
+        draws, rng = _public_draws(n, seed)
+        assert all(_same_bits(got, want) for got, want in zip(stacks, _stacked(draws)))
+        assert [stack is None for stack in stacks] == [n <= fam for fam in range(3)]
+        # the draws leave the rng where the public draws leave it
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
+    @staticmethod
+    def _small_stacks():
+        # 10 instances of each family; every family has instances with 2 or more atoms
+        return oracle._draw_instances(30, 2)
+
+    @staticmethod
+    def _edit(stack, field: str, edit):
+        """``stack`` with ``field`` replaced by an edited copy."""
+        arr = getattr(stack, field).copy()
+        out = edit(arr)
+        return stack._replace(**{field: arr if out is None else out})
+
+    def test_drawn_stacks_pass(self):
+        iid, indep, joints = self._small_stacks()
+        for stack in (iid, indep):
+            oracle._check_cond_stack(stack)
+        oracle._check_joint_stack(joints)
+
+    @staticmethod
+    def _shift(arr, at, by, keep):
+        """arr[at] moved by ``by``, arr[keep] by ``-by``, so a sum stays."""
+        arr[at] += by
+        arr[keep] -= by
+
+    @pytest.mark.parametrize("family", [0, 1], ids=["iid", "indep"])
+    @pytest.mark.parametrize(
+        "field, edit, match",
+        [
+            ("z_probs", lambda a: a.__setitem__((0, 0), np.nan), "z_probs must hold finite reals"),
+            ("psi", lambda a: a.__setitem__((1, 0), np.inf), "psi_vals must hold finite reals"),
+            ("atoms", lambda a: a.__setitem__((2, 0), np.nan), "w_atoms must hold finite reals"),
+            ("w", lambda a: a.__setitem__((3, 0, 0, 0), -np.inf), "w_cond rows must hold finite reals"),
+            ("z_probs", "below_z", r"z_probs must hold finite reals in \[-1e-12"),
+            ("w", "below_w", r"w_cond rows must hold finite reals in \[-1e-12"),
+            ("z_probs", lambda a: a.__setitem__((4, 0), a[4, 0] + 2e-9), "z_probs must sum to 1 within 1e-9"),
+            ("w", lambda a: a.__setitem__((5, 0, 0, 0), a[5, 0, 0, 0] + 2e-9), "w_cond rows must sum to 1"),
+            ("psi", lambda a: a[:, :-1], "must align"),
+            ("w", lambda a: a[..., :-1], "must align"),
+            ("n_w", lambda a: a + 10, "must fit the stack"),
+            ("n_z", lambda a: a * 0, "must fit the stack"),
+            ("atoms", "unsorted", "w_atoms must be strictly increasing"),
+            ("z_probs", lambda a: a.astype(complex), "array of reals"),
+            ("w", lambda a: a.astype(object), "array of reals"),
+        ],
+        ids=[
+            "nan_z_probs", "inf_psi", "nan_atom", "inf_w", "z_probs_below", "w_below", "z_probs_sum", "w_sum",
+            "psi_short", "w_short", "n_w_past_stack", "n_z_zero", "atoms_unsorted", "complex_z_probs", "object_w",
+        ],
+    )
+    def test_each_corrupted_conditional_stack_raises(self, family, field, edit, match):
+        stack = self._small_stacks()[family]
+        many_z = int(np.flatnonzero(stack.n_z >= 2)[0])
+        many_w = int(np.flatnonzero(stack.n_w >= 2)[0])
+        named = {
+            "below_z": lambda a: self._shift(a, (many_z, 0), -a[many_z, 0] - 2e-12, (many_z, 1)),
+            "below_w": lambda a: self._shift(a, (many_w, 0, 0, 0), -a[many_w, 0, 0, 0] - 2e-12, (many_w, 0, 0, 1)),
+            "unsorted": lambda a: a.__setitem__((many_w, 1), a[many_w, 0]),
+        }
+        with pytest.raises(InvalidInput, match=match):
+            oracle._check_cond_stack(self._edit(stack, field, named.get(edit, edit)))
+
+    @pytest.mark.parametrize(
+        "field, edit, match",
+        [
+            ("probs", lambda a: a.__setitem__(0, np.nan), "probs must hold finite reals"),
+            ("probs", "below", r"probs must hold finite reals in \[-1e-15"),
+            ("probs", lambda a: a.__setitem__(0, a[0] + 2e-9), "probabilities sum to"),
+            ("probs", lambda a: a[:-1], "equal length"),
+            ("sizes", lambda a: a + 1, "equal length"),
+            ("B", lambda a: a * 0, "equal length"),
+            ("atoms", lambda a: a[:, 1:], "equal length"),
+            ("atoms", "duplicate", "support atoms must be distinct"),
+            ("atoms", lambda a: a.__setitem__((0, 0), np.nan), "must not be NaN"),
+            ("atoms", lambda a: a.__setitem__((0, -1), np.nan), "must not be NaN"),
+            ("atoms", lambda a: a.astype(complex), "joint atoms must hold reals"),
+            ("atoms", lambda a: a.astype(str), "joint atoms must hold reals"),
+        ],
+        ids=[
+            "nan_prob", "prob_below", "probs_sum", "probs_short", "sizes_past_atoms", "B_zero", "atoms_narrow",
+            "atom_repeated", "nan_coordinate", "nan_target", "complex_atoms", "str_atoms",
+        ],
+    )
+    def test_each_corrupted_joint_stack_raises(self, field, edit, match):
+        stack = self._small_stacks()[2]
+        j = int(np.flatnonzero(stack.sizes >= 2)[0])
+        lo = int(stack.sizes[:j].sum())
+        named = {
+            "below": lambda a: self._shift(a, lo, -a[lo] - 2e-15, lo + 1),
+            "duplicate": lambda a: a.__setitem__(lo + 1, a[lo]),
+        }
+        with pytest.raises(InvalidInput, match=match):
+            oracle._check_joint_stack(self._edit(stack, field, named.get(edit, edit)))
+
+    # a malformed field of a conditional instance -> the message its class raises
+    _BAD_FIELDS = {
+        "z_probs_sum": (dict(z_probs=(0.5, 0.6)), "z_probs must sum to 1 within 1e-9"),
+        "z_probs_below": (dict(z_probs=(1.1, -0.1)), r"z_probs must hold finite reals in \[-1e-12"),
+        "psi_short": (dict(psi_vals=(0.0,)), "z_probs and psi_vals must align"),
+        "atoms_unsorted": (dict(w_atoms=(1.0, 0.0)), "w_atoms must be strictly increasing"),
+        "atoms_tied": (dict(w_atoms=(1.0, 1.0)), "w_atoms must be strictly increasing"),
+        "row_sum": (dict(w_cond=((0.5, 0.5), (0.25, 0.65))), "w_cond rows must sum to 1 within 1e-9"),
+        "row_below": (dict(w_cond=((0.5, 0.5), (1.1, -0.1))), r"w_cond rows must hold finite reals in \[-1e-12"),
+        "rows_short": (dict(w_cond=((0.5, 0.5),)), "one pmf row per z atom"),
+        "row_wide": (dict(w_cond=((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))), "must match w_atoms"),
+    }
+
+    @pytest.mark.parametrize("family", [CondIIDInstance, CondIndepInstance], ids=["iid", "indep"])
+    @pytest.mark.parametrize("fields, match", _BAD_FIELDS.values(), ids=_BAD_FIELDS.keys())
+    def test_the_classes_reject_what_the_stack_check_rejects(self, family, fields, match):
+        good = dict(z_probs=(0.5, 0.5), psi_vals=(0.0, 1.0), w_atoms=(0.0, 1.0), w_cond=((0.5, 0.5), (0.25, 0.75)))
+
+        def make(**kw):
+            made = {**good, **kw}
+            if family is CondIndepInstance:  # the same rows for two coordinates
+                made["w_cond"] = (made["w_cond"],) * 2
+            return family(**made)
+
+        make()
+        with pytest.raises(InvalidInput, match=match):
+            make(**fields)
+
+    def test_an_independent_instance_needs_a_coordinate(self):
+        with pytest.raises(InvalidInput, match="need at least one resample coordinate"):
+            CondIndepInstance((0.5, 0.5), (0.0, 1.0), (0.0, 1.0), np.empty((0, 2, 2)))
+
+    def test_bounds_within_round_off_pass(self):
+        # as in the classes: pmf entries down to -1e-12, joint masses down to -1e-15
+        iid, indep, joints = self._small_stacks()
+        for stack in (iid, indep):
+            n = int(np.flatnonzero(stack.n_z >= 2)[0])
+            oracle._check_cond_stack(
+                self._edit(stack, "z_probs", lambda a: self._shift(a, (n, 0), -a[n, 0] - 5e-13, (n, 1)))
+            )
+        j = int(np.flatnonzero(joints.sizes >= 2)[0])
+        lo = int(joints.sizes[:j].sum())
+        oracle._check_joint_stack(self._edit(joints, "probs", lambda a: self._shift(a, lo, -a[lo] - 5e-16, lo + 1)))
 
 
 def _public_check_cond_iid(inst, B):
@@ -558,6 +754,16 @@ class TestConformalGrid:
 
     def test_full_sweep(self):
         assert conformal_grid_sweep().passed
+
+    def test_numpy_alpha_is_read_as_its_float(self):
+        want = conformal_grid_sweep(5, 400, alphas=(float(np.float32(0.1)), 0.2))
+        assert conformal_grid_sweep(5, 400, alphas=(np.float32(0.1), np.float64(0.2))) == want
+
+    @pytest.mark.parametrize("alphas", [(), []])
+    def test_alphas_must_be_non_empty(self, alphas):
+        # no alpha is no check, not a pass
+        with pytest.raises(InvalidInput, match="alphas must be non-empty"):
+            conformal_grid_sweep(5, 10, alphas=alphas)
 
 
 def _add_at_pairs(M, w, psi, pr):
@@ -823,6 +1029,37 @@ def _instance_digest(seed: int) -> str:
 def test_random_instances_are_pinned(seed, digest):
     # bracket_suite's instances, and so its check count, rest on these draws
     assert _instance_digest(seed) == digest
+
+
+def _joint_digest(seed: int) -> str:
+    """Digest of the supports and masses of six random joints drawn in a
+    row from one rng (four at given B <= 3, where a joint may be
+    symmetrized), and of the rng state they leave behind."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for B in (None, 1, 2, 3, None, 3):
+        joint = random_joint(rng, B)
+        arr = np.asarray(joint.support, dtype=float)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+        h.update(joint.probs.tobytes())
+    h.update(rng.bytes(8))
+    return h.hexdigest()[:16]
+
+
+# seeds 1, 7 and 20260823 draw symmetrized joints: two, two and one of the six
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "c998f90f63fbaaa8"),
+        (1, "2044483fa1f8c7fb"),
+        (7, "45a1d18b1a99254a"),
+        (20260823, "26e55144246f5150"),
+    ],
+)
+def test_random_joints_are_pinned(seed, digest):
+    # the joints' atoms merge in first-draw order with their masses summed in draw order
+    assert _joint_digest(seed) == digest
 
 
 class TestSweepsCertifyTheLibrary:
