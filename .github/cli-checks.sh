@@ -19,6 +19,9 @@ case "${1:-}" in
       fixedb bootstrap --reps 40 --threads "$threads" --out "boot-$threads.csv"
       fixedb subsample --reps 40 --threads "$threads" --out "sub-$threads.csv"
       fixedb bootstrap --setting 2 --d 5 --reps 20 --threads "$threads" --out "boot2-$threads.csv"
+      # setting-2 mean hook: einsum along (b, d) rows at d >= 2, the pairwise mean at d = 1
+      fixedb subsample --setting 2 --d 5 --reps 20 --threads "$threads" --out "sub2-$threads.csv"
+      fixedb bootstrap --setting 2 --d 1 --reps 20 --threads "$threads" --out "boot2d1-$threads.csv"
       fixedb randomization --reps 40 --threads "$threads" --out "rand-$threads.csv"
       fixedb permutation --m 8 --B 19,39 --alpha 0.1,0.2 --reps 30 --threads "$threads" --out "perm4-$threads.csv"
       # multi-round curtailed test grids
@@ -33,6 +36,8 @@ case "${1:-}" in
     cmp boot-1.csv boot-2.csv
     cmp sub-1.csv sub-2.csv
     cmp boot2-1.csv boot2-2.csv
+    cmp sub2-1.csv sub2-2.csv
+    cmp boot2d1-1.csv boot2d1-2.csv
     cmp rand-1.csv rand-2.csv
     cmp perm4-1.csv perm4-2.csv
     cmp permg-1.csv permg-2.csv

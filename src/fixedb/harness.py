@@ -6,13 +6,13 @@ randomization / conformal), a benchmark setting, budget and level
 grids, and a replication count.  The grid's cells are its (alpha, B,
 method) triples; cells whose budget cannot support their rule are
 skipped before any replicate runs.  The loop is block-major: it hands
-the procedure consecutive blocks of replicate indices, in order.  A
-test block holds as many replicates R as keep R x max(B) sample-sized
-float64 rows within ``_BLOCK_BYTES`` (1 MiB), a permutation test's
-sample being its (x, y) pair, 2m floats; an SGD block, R (X, Y)
-streams of n x 4 floats; a bootstrap or subsample block, R samples and
-R x max(B) estimates within one gathered slice of resamples, 256 KiB
-(in setting 2 an observation and an estimate are d floats).  Replicate
+the procedure consecutive blocks of replicate indices, in order.  Every
+block's samples fit in ``_BLOCK_BYTES`` (1 MiB): a test block holds as
+many replicates R as keep R x max(B) sample-sized float64 rows within
+it, a permutation test's sample being its (x, y) pair, 2m floats; an
+SGD block, R (X, Y) streams of n x 4 floats; a bootstrap or subsample
+block, R samples and R x max(B) estimates (in setting 2 an observation
+and an estimate are d floats).  Replicate
 r draws its data from stream (r, 0) and its resamples from stream
 (r, 1) on, so the blocking never changes a bit.
 Every procedure runs a block through one runner
@@ -85,7 +85,7 @@ import numpy as np
 from .errors import BudgetTooSmall, ConfigError, InvalidInput, _check_choice, _check_count, _check_real
 from .oracle import conformal_grid_example
 from .orderstats import BudgetSpec
-from .procedures import _CI_VARIANTS, _GATHER_BYTES, _ci_block, _curtailed_rejects, ci_rule, sgd_cells, test_rule
+from .procedures import _CI_VARIANTS, _ci_block, _curtailed_rejects, ci_rule, sgd_cells, test_rule
 from .resampling import (
     RESAMPLE_STRIDE,
     PairStream,
@@ -379,6 +379,18 @@ def _mean_rows(s):
     return s.mean(axis=1)
 
 
+def _vector_mean_rows(s):
+    """a.mean(axis=0) of each (m, d) row a of the (B, m, d) stack s, bit
+    for bit.  For d >= 2 that mean adds the m observations one after
+    another into d running sums, which einsum does along the stack's
+    (B, d) rows, where s.mean(axis=1) runs one short loop of d floats
+    per observation; for d = 1 it is the pairwise sum of m floats that
+    s.mean(axis=1) takes."""
+    if s.shape[2] == 1:
+        return s.mean(axis=1)
+    return np.einsum("bij->bj", s) / s.shape[1]
+
+
 def _max_rows(s):
     return s.max(axis=1)
 
@@ -386,7 +398,7 @@ def _max_rows(s):
 # setting -> (estimator, its batched form over (B, m, ...) stacks, root)
 _ESTIMATORS = {
     1: (np.mean, _mean_rows, None),
-    2: (lambda a: a.mean(axis=0), _mean_rows, sup_norm),
+    2: (lambda a: a.mean(axis=0), _vector_mean_rows, sup_norm),
     3: (np.max, _max_rows, None),
 }
 
@@ -513,8 +525,8 @@ _test_replicate = _ci_replicate
 # floats, or 2m for a permutation test's (x, y) pair; each array of a
 # round (the flipped samples, or the (rows, 2, m) stack that scores the
 # permutations) is at most that size.  An SGD block keeps its (R, n, 4)
-# (X, Y) streams within it.  A bootstrap or subsample block keeps its R
-# samples and R x max(B) estimates within one slice (_GATHER_BYTES)
+# (X, Y) streams within it, and a bootstrap or subsample block its R
+# samples and R x max(B) estimates; so every block's samples fit in 1 MiB
 _BLOCK_BYTES = 1 << 20
 
 
@@ -765,7 +777,7 @@ def run_experiment(config: dict) -> CoverageTable:
     # setting 2; a permutation test's sample is m (x, y) pairs, 2m floats
     dim = cfg["d"] if cfg["setting"] == 2 else 2 if proc == "permutation" else 1
     if proc in ("bootstrap", "subsample"):
-        block = max(1, _GATHER_BYTES // (8 * dim * (cfg["m"] + max_b)))
+        block = max(1, _BLOCK_BYTES // (8 * dim * (cfg["m"] + max_b)))
     elif proc == "sgd":
         block = max(1, _BLOCK_BYTES // (8 * 4 * cfg["n"]))
     else:

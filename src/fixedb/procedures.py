@@ -431,7 +431,9 @@ def _ci_block(
     R x max(B) stream keys are derived in one pass.  The index rows are
     drawn a slab at a time, and each slab goes to :func:`_per_row` with
     callbacks that gather its resamples from the R samples, about
-    _GATHER_BYTES at a time, and estimate them; so only the
+    _GATHER_BYTES at a time, and estimate them; a gather is
+    ``np.take(flat, i, axis=0)``, the same C-ordered copy as the fancy
+    index ``flat[i]`` with less overhead; so only the
     (R, max(B)) roots are kept.  A failing estimator names the
     resample's number within its replicate.  The roots are sorted once
     per distinct B, and each cell's thresholds are read off as one
@@ -470,13 +472,17 @@ def _ci_block(
     flat = data.reshape((R * m,) + data.shape[2:])
     step = max(1, min(count, _GATHER_BYTES // max(1, n * flat[:1].nbytes)))
     slab = step * max(1, min(count, _GATHER_BYTES // (8 * m)) // step)
-    batch = None if estimator_batch is None else lambda i: estimator_batch(flat[i])
+
+    def gather(i: np.ndarray) -> np.ndarray:  # flat[i], copied by the cheaper np.take
+        return np.take(flat, i, axis=0)
+
+    batch = None if estimator_batch is None else lambda i: estimator_batch(gather(i))
     stars = np.empty((R * count,) + shape)
     for lo in range(0, R * count, slab):
         hi = min(lo + slab, R * count)
         rows = np.arange(lo, hi)
         picks = draw(slice(lo, hi)) + (rows // count * m)[:, None]  # indices into all R samples
-        stars[lo:hi] = _per_row(picks, lambda i: estimator(flat[i]), batch, shape, "estimator", rows % count + 1, step)
+        stars[lo:hi] = _per_row(picks, lambda i: estimator(gather(i)), batch, shape, "estimator", rows % count + 1, step)
     diffs = rate * (stars.reshape((R, count) + shape) - theta_hat[:, None])
     if root is None:
         ws = diffs

@@ -399,6 +399,7 @@ class TestCiBlocks:
     CONFIGS = {
         "boot-s1": {"procedure": "bootstrap", "setting": 1, "m": 30},
         "boot-s2": {"procedure": "bootstrap", "setting": 2, "m": 24, "d": 3},
+        "boot-s2-d1": {"procedure": "bootstrap", "setting": 2, "m": 24, "d": 1},
         "sub-s1": {"procedure": "subsample", "setting": 1, "m": 30, "k": 7},
         "sub-s2": {"procedure": "subsample", "setting": 2, "m": 24, "d": 3, "k": 9},
         "sub-s3": {"procedure": "subsample", "setting": 3, "m": 30, "k": 11},
@@ -440,7 +441,7 @@ class TestCiBlocks:
         if block is not None:
             # a replicate keeps its sample and max(B) estimates, d floats each in setting 2
             width = cfg.get("d", 1)
-            monkeypatch.setattr(harness, "_GATHER_BYTES", block * 8 * width * (cfg["m"] + max(cfg["B"])))
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", block * 8 * width * (cfg["m"] + max(cfg["B"])))
         sizes = []
         real = procedures._ci_block
 
@@ -559,6 +560,33 @@ class TestCiBlocks:
             with pytest.raises(NumericalFailure) as err:
                 run_experiment({**cfg, "threads": threads})
             assert (str(err.value), err.value.step) == (str(want), want.step)
+
+
+class TestVectorMeanRows:
+    """The harness's setting-2 hook gives the bits of the scalar
+    estimator a.mean(axis=0) on every (m, d) row of a (b, m, d) stack."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 1000),
+        st.integers(1, 130),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, 3, 4, 1.0, 0)  # every entry a signed zero
+    @example(2, 3, 1, 1.0, 0)
+    @example(3, 400, 1, 0.0, 1)  # long pairwise sums
+    @example(3, 400, 20, 0.05, 2)  # boot-study's shape
+    def test_bit_equal_to_the_scalar_mean(self, b, m, d, zeros, seed):
+        # magnitudes 1e-3 to 1e3 of either sign, a share ``zeros`` of them 0.0 or -0.0
+        gen = np.random.default_rng(seed)
+        s = 10.0 ** gen.uniform(-3, 3, (b, m, d))
+        s[gen.random(s.shape) < zeros] = 0.0
+        s *= gen.choice([-1.0, 1.0], s.shape)
+        estimator, batch, _ = harness._ESTIMATORS[2]
+        assert batch is harness._vector_mean_rows
+        want = np.stack([estimator(row) for row in s])
+        assert batch(s).tobytes() == want.tobytes()
 
 
 class TestRunExperiment:
